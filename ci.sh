@@ -62,6 +62,21 @@ if [ "$mode" != "quick" ]; then
     CSE_SEEDS=4 CSE_BENCH_OUT=results/BENCH_campaign.json \
         cargo run --release -q -p cse-bench --bin bench_campaign
 
+    # Oracle memory gate: the guided workload runs both static oracles
+    # (TV and IR verifier at boundary). Its output checks must pass and
+    # its peak RSS must stay bounded — rendering TV counterexamples once
+    # per divergence or holding compiled code across seeds breaks 200 MB.
+    echo "==> oracle memory gate (campaign_openj9_guided: correct, peak RSS <= 200 MB)"
+    bench_json=$(cargo run --release -q --offline --manifest-path campaign_bench/Cargo.toml -- \
+        --workload campaign_openj9_guided --seed 1 --seconds 1 --trace 0 | tail -n 1) || true
+    peak_rss=$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p' <<< "$bench_json")
+    echo "    peak_rss_mb: ${peak_rss:-missing}"
+    if ! grep -q '"correct": true' <<< "$bench_json" || [ -z "$peak_rss" ] \
+        || awk -v rss="$peak_rss" 'BEGIN { exit !(rss > 200) }'; then
+        echo "error: oracle memory gate failed: $bench_json" >&2
+        exit 1
+    fi
+
     echo "==> triage smoke (seeded-fault campaign; every incident reduced, deduped, classified)"
     cargo test --release -q --test triage chaos_campaign_triage_is_complete_and_job_count_invariant
 

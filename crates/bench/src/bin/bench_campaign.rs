@@ -171,11 +171,10 @@ fn measure_stages_once(config: &CampaignConfig) -> StageBreakdown {
         verify_neutrality: true,
         exec_cache: cse_core::ExecCachePolicy::Auto,
     };
-    // Mirror the campaign driver: one artifact-cache shard shared by
-    // every seed the (serial) worker processes, and the already-compiled
-    // bytecode handed to validation instead of a per-seed front-end
-    // rerun. The `validate` row thus times the production path.
-    let shard = cse_vm::SharedArtifactCache::new();
+    // Mirror the campaign driver: a fresh artifact cache per seed, and
+    // the already-compiled bytecode handed to validation instead of a
+    // per-seed front-end rerun. The `validate` row thus times the
+    // production path.
     for seed in config.first_seed..config.first_seed + config.seeds {
         let generated = cse_fuzz::generate(seed, &config.fuzz);
         let source = cse_lang::pretty::print(&generated);
@@ -210,13 +209,12 @@ fn measure_stages_once(config: &CampaignConfig) -> StageBreakdown {
         b.execute += t.elapsed();
 
         let t = Instant::now();
-        let _ = validate::validate_compiled_in(
+        let _ = validate::validate_compiled_with(
             &program,
             Ok(bytecode.clone()),
             &validate_config,
             seed,
             |_| {},
-            &shard,
         );
         b.validate += t.elapsed();
     }

@@ -187,8 +187,8 @@ pub struct CampaignTotals {
     /// Execution-memo lookups that missed and executed for real.
     pub exec_cache_misses: u64,
     /// Compiled-code/decode artifact cache hits across the campaign's
-    /// per-worker [`cse_vm::SharedArtifactCache`] shards. Volatile, like
-    /// the memo counters.
+    /// per-seed [`cse_vm::SharedArtifactCache`]s. Volatile, like the memo
+    /// counters.
     pub artifact_cache_hits: u64,
     /// Artifact-cache misses (units compiled / programs decoded fresh).
     pub artifact_cache_misses: u64,

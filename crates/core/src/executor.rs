@@ -30,7 +30,6 @@
 //! it to that.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -84,9 +83,8 @@ struct SeedRecord {
     /// Baseline verdict when `run_traditional` is on; a contained panic
     /// carries the pretty-printed seed for the incident report.
     baseline: Option<Result<baseline::BaselineOutcome, (VmPanic, String)>>,
-    /// Artifact-cache `(hits, misses)` this seed contributed to its
-    /// worker's shard — volatile counters (see
-    /// [`crate::campaign::CampaignTotals`]).
+    /// `(hits, misses)` of the seed's artifact cache — volatile counters
+    /// (see [`crate::campaign::CampaignTotals`]).
     artifact_stats: (u64, u64),
 }
 
@@ -133,11 +131,12 @@ fn seed_vconfig(ctx: &ExecContext<'_>, offset: u64, seed_value: u64) -> Validate
 }
 
 /// Processes one seed end-to-end: generate, compile once, validate, run
-/// the baseline. Pure with respect to campaign state — the artifact
-/// `shard` is worker-local (results are hit/miss-invariant, see
-/// [`cse_vm::SharedArtifactCache`]), and everything the collector needs
+/// the baseline. Pure with respect to campaign state — the seed gets an
+/// artifact cache of its own, dropped when the seed is done, so memory
+/// stays bounded by one seed and hit patterns cannot depend on `jobs`
+/// (see [`cse_vm::SharedArtifactCache`]); everything the collector needs
 /// is in the returned record.
-fn process_seed(ctx: &ExecContext<'_>, offset: u64, shard: &Rc<SharedArtifactCache>) -> SeedRecord {
+fn process_seed(ctx: &ExecContext<'_>, offset: u64) -> SeedRecord {
     let config = ctx.config;
     let seed_value = config.first_seed + offset;
     // A guided task may re-expand a corpus entry (its generator seed +
@@ -148,7 +147,7 @@ fn process_seed(ctx: &ExecContext<'_>, offset: u64, shard: &Rc<SharedArtifactCac
     let focus: Vec<String> = task.map(|t| t.focus.clone()).unwrap_or_default();
     let seed_program = cse_fuzz::generate(gen_seed, &config.fuzz);
     let seed_vconfig = seed_vconfig(ctx, offset, seed_value);
-    let stats_before = shard.stats();
+    let cache = SharedArtifactCache::new();
     // Compile the seed exactly once; validation and the traditional
     // baseline share the same bytecode.
     let seed_bytecode = validate::try_compile_checked(&seed_program).map(Arc::new);
@@ -158,7 +157,7 @@ fn process_seed(ctx: &ExecContext<'_>, offset: u64, shard: &Rc<SharedArtifactCac
         &seed_vconfig,
         seed_value,
         |artemis| artemis.focus = focus,
-        shard,
+        &cache,
     );
     outcome.check_invariants();
     let baseline = if config.run_traditional {
@@ -172,9 +171,7 @@ fn process_seed(ctx: &ExecContext<'_>, offset: u64, shard: &Rc<SharedArtifactCac
     } else {
         None
     };
-    let stats_after = shard.stats();
-    let artifact_stats = (stats_after.0 - stats_before.0, stats_after.1 - stats_before.1);
-    SeedRecord { offset, seed_value, outcome, baseline, artifact_stats }
+    SeedRecord { offset, seed_value, outcome, baseline, artifact_stats: cache.stats() }
 }
 
 /// Folds one seed's record into the campaign result. This is the *only*
@@ -309,7 +306,6 @@ fn run_serial(
 ) -> CampaignResult {
     let config = ctx.config;
     let sup = &config.supervisor;
-    let shard = SharedArtifactCache::new();
     while next < end {
         if let Some(deadline) = sup.deadline {
             if ctx.start.elapsed() >= deadline {
@@ -321,7 +317,7 @@ fn run_serial(
                 break;
             }
         }
-        let record = process_seed(ctx, next, &shard);
+        let record = process_seed(ctx, next);
         merge_seed(ctx, &mut result, record);
         next += 1;
         *processed += 1;
@@ -367,10 +363,6 @@ fn run_parallel(
             let tx = tx.clone();
             let (claim, stop) = (&claim, &stop);
             scope.spawn(move || {
-                // One artifact shard per worker: `Rc`-based, never
-                // crosses threads; warm-up differences between shards
-                // cannot change results (hit-replay invariance).
-                let shard = SharedArtifactCache::new();
                 loop {
                     // Cutoffs are checked before claiming: a claimed
                     // offset is always processed, so completed seeds form
@@ -396,7 +388,7 @@ fn run_parallel(
                             break;
                         }
                     }
-                    let record = process_seed(ctx, offset, &shard);
+                    let record = process_seed(ctx, offset);
                     if tx.send((offset, record)).is_err() {
                         break;
                     }

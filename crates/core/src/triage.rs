@@ -327,10 +327,13 @@ fn replay_once(expected: &Expected, vm: &VmConfig, program: &Program) -> bool {
             Expected::IrDefect(shape) => {
                 result.ir_verify.iter().any(|line| ir_shape(line) == *shape)
             }
-            Expected::TvDefect(shape) => result
-                .tv
-                .iter()
-                .any(|report| tv_shape(report.lines().next().unwrap_or("")) == *shape),
+            // A report opens with one header line per divergence.
+            Expected::TvDefect(shape) => result.tv.iter().any(|report| {
+                report
+                    .lines()
+                    .take_while(|line| !line.starts_with("--- IR before "))
+                    .any(|line| tv_shape(line) == *shape)
+            }),
             _ => false,
         },
     }

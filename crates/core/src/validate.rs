@@ -258,7 +258,7 @@ impl ValidationOutcome {
         if result.tv.is_empty() {
             return;
         }
-        self.tv_defects += result.tv.len() as u64;
+        self.tv_defects += u64::from(result.stats.tv_defects);
         self.incident(
             IncidentPhase::TvDefect,
             rng_seed,
@@ -483,22 +483,23 @@ fn memoized_run(
 }
 
 /// [`validate_compiled_with`] with an explicit shared artifact cache
-/// ([`SharedArtifactCache`]): the campaign executor hands each worker's
-/// shard down so JIT compilations and decoded programs are shared across
-/// every seed the worker processes. Passing a fresh cache reproduces
-/// [`validate_compiled_with`] exactly — sharing is observation-neutral
-/// by the cache's replay contract.
+/// ([`SharedArtifactCache`]) for the seed's programs: the seed run, its
+/// mutants, their reference runs and attribution reruns all attach to
+/// `cache`, so JIT compilations and decoded methods are shared within
+/// the seed. The campaign executor passes a fresh cache per seed (and
+/// reads its hit counters afterwards), which is exactly what
+/// [`validate_compiled_with`] does.
 pub fn validate_compiled_in(
     seed: &Program,
     seed_bytecode: Result<Arc<BProgram>, String>,
     config: &ValidateConfig,
     rng_seed: u64,
     configure: impl FnOnce(&mut Artemis),
-    shard: &Rc<SharedArtifactCache>,
+    cache: &Rc<SharedArtifactCache>,
 ) -> ValidationOutcome {
     let mut memo = ExecMemo::new(config.exec_cache);
     let mut outcome =
-        validate_inner(seed, seed_bytecode, config, rng_seed, configure, shard, &mut memo);
+        validate_inner(seed, seed_bytecode, config, rng_seed, configure, cache, &mut memo);
     outcome.exec_cache_hits = memo.hits;
     outcome.exec_cache_misses = memo.misses;
     outcome
@@ -512,7 +513,7 @@ fn validate_inner(
     config: &ValidateConfig,
     rng_seed: u64,
     configure: impl FnOnce(&mut Artemis),
-    shard: &Rc<SharedArtifactCache>,
+    cache: &Rc<SharedArtifactCache>,
     memo: &mut ExecMemo,
 ) -> ValidationOutcome {
     let mut outcome = ValidationOutcome::default();
@@ -532,9 +533,9 @@ fn validate_inner(
             return outcome;
         }
     };
-    // One shard attachment per program: the digests it computes key both
+    // One cache attachment per program: the digests it computes key both
     // the cross-run artifact cache and the execution memo.
-    let seed_artifacts = shard.attach(&seed_bytecode);
+    let seed_artifacts = cache.attach(&seed_bytecode);
     // R ← LVM(P): the seed with its default JIT-trace.
     outcome.vm_invocations += 1;
     let seed_result = match memoized_run(memo, &seed_bytecode, &seed_artifacts, &config.vm) {
@@ -648,13 +649,13 @@ fn validate_inner(
         };
         // R' ← LVM(P').
         //
-        // The mutant attaches to the worker's shared artifact cache:
+        // The mutant attaches to the seed's shared artifact cache:
         // every unmutated method's compilation is shared with the seed,
         // the sibling mutants, and the attribution reruns below. Sharing
         // is conservative — the content digest and the fault set are part
         // of the cache key, so a run only reuses code whose compilation
         // its own configuration would reproduce bit-identically.
-        let mutant_artifacts = shard.attach(&mutant_bytecode);
+        let mutant_artifacts = cache.attach(&mutant_bytecode);
         outcome.vm_invocations += 1;
         outcome.mutants_run += 1;
         let mutant_result =

@@ -198,12 +198,14 @@ pub struct ExecutionResult {
     /// [`ExecutionResult::observable`]: the verifier is a third oracle
     /// and must never perturb the differential one.
     pub ir_verify: Vec<String>,
-    /// Rendered translation-validation defect reports, in compilation
-    /// order (empty unless `VmConfig::tv` enables validation and a pass
-    /// failed its refinement contract). Excluded from
-    /// [`ExecutionResult::observable`] for the same reason as
-    /// [`ExecutionResult::ir_verify`].
-    pub tv: Vec<String>,
+    /// Rendered translation-validation reports, in compilation order:
+    /// one per failing check, covering all of its divergences (empty
+    /// unless `VmConfig::tv` enables validation and a pass failed its
+    /// refinement contract; [`ExecStats::tv_defects`] counts the
+    /// divergences). Shared text, so artifact-cache replays copy no IR
+    /// dumps. Excluded from [`ExecutionResult::observable`] for the same
+    /// reason as [`ExecutionResult::ir_verify`].
+    pub tv: Vec<std::rc::Rc<str>>,
 }
 
 impl ExecutionResult {

@@ -1,22 +1,25 @@
-//! Campaign-scoped, content-addressed artifact cache.
+//! Seed-scoped, content-addressed artifact cache.
 //!
-//! A [`Vm`](crate::Vm) already memoizes compiled code *within* one run,
-//! and PR 2's per-program code cache shared it *across runs of one
-//! program* (2^n forced plans, attribution reruns). But campaign
-//! workloads execute **families of near-identical programs**: every JoNM
-//! mutant differs from its seed in exactly one method, so a per-program
-//! cache re-compiles and re-decodes thousands of byte-identical methods.
-//! [`SharedArtifactCache`] is the program-*agnostic* replacement: one
-//! cache per campaign worker, keyed by the content digests of
-//! [`cse_bytecode::digest`] so any two programs share artifacts exactly
-//! when a fresh compilation could not tell them apart.
+//! A [`Vm`](crate::Vm) already memoizes compiled code *within* one run.
+//! But validating one seed executes a **family of near-identical
+//! programs**: every JoNM mutant differs from its seed in exactly one
+//! method, and attribution reruns repeat a mutant under ablated fault
+//! sets, so a per-run cache re-compiles and re-decodes the same methods
+//! over and over. [`SharedArtifactCache`] is the program-*agnostic*
+//! replacement: the campaign executor creates one cache per seed and
+//! drops it with the seed, and every program of that seed attaches to
+//! it, keyed by the content digests of [`cse_bytecode::digest`] so any
+//! two programs share artifacts exactly when a fresh compilation could
+//! not tell them apart. Scoping the cache to one seed bounds its memory
+//! by one seed's working set and makes its hit pattern a function of the
+//! seed alone, independent of `jobs` and of which seeds ran before.
 //!
 //! It caches three artifact kinds:
 //!
 //! * **Compiled IR** (and injected compile-time crashes), keyed by
 //!   [`ArtifactKey`]: the root method's *compilation-unit digest* (its
 //!   static call closure to [`cse_bytecode::digest::INLINE_CLOSURE_DEPTH`]
-//!   — everything the inliner can read) plus the PR 2 coordinates
+//!   — everything the inliner can read) plus the coordinates
 //!   `(tier, osr, speculate, has_osr_code, profile_fp, env_fp)`.
 //! * **Decoded methods** ([`DecodedMethod`]), keyed by the method digest.
 //! * **Whole decoded programs**, keyed by the whole-program digest.
@@ -25,9 +28,8 @@
 //!
 //! A cache hit must be indistinguishable from a fresh compilation — not
 //! just in the returned code, but in every *observable side effect* of
-//! compiling, because with a campaign-scoped cache the hit/miss pattern
-//! of one seed depends on which seeds ran earlier on the same worker
-//! (a `jobs`-dependent fact that must never leak into results):
+//! compiling, because the hit/miss pattern of a run depends on which
+//! programs of the seed ran earlier:
 //!
 //! * The compiled IR itself: every compile input is part of the key.
 //!   `jit::compile` is a pure function of the compilation unit's code
@@ -36,22 +38,20 @@
 //!   profile fingerprint (all profile reads in the JIT are root-method
 //!   reads), the compile-mode flags, and the environment fingerprint
 //!   (VM kind, inline budget, fault set, IR-verify mode).
-//! * IR-verifier defects: harvested at compile time, *stored with the
-//!   entry and replayed on every hit*, so a hit bumps
-//!   `ir_verify_defects` and appends the same rendered reports a fresh
-//!   compile would.
+//! * Oracle defects: IR-verifier and translation-validation reports are
+//!   harvested at compile time, *stored with the entry and replayed on
+//!   every hit*, so a hit bumps `ir_verify_defects` / `tv_defects` and
+//!   appends the same rendered reports a fresh compile would. TV reports
+//!   are shared `Rc<str>` text, so a replay copies a pointer, not the
+//!   IR dumps.
 //! * Injected compile-time crashes are cached as `Err` and re-raised.
 //!
 //! The VM still records the `Compiled` trace event and bumps
 //! `stats.compilations` on a hit — the cache saves the *work*, never the
 //! observable semantics.
 //!
-//! The cache is deliberately single-threaded (`Rc` + `RefCell`): each
-//! campaign worker owns one shard on its own thread, which keeps the hot
-//! path lock-free; determinism across `jobs` values is then exactly the
-//! replay argument above. Capacity is bounded by whole-map epoch flushes
-//! ([`CODE_CAP`] etc.) — a flush only costs future hits, it cannot change
-//! any run's result.
+//! The cache is deliberately single-threaded (`Rc` + `RefCell`): a seed
+//! runs on one worker thread, which keeps the hot path lock-free.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -90,25 +90,20 @@ pub(crate) struct CachedCompile {
     /// Rendered IR-verifier defect reports harvested during this
     /// compilation (compile crashes can still report defects first).
     pub defects: Rc<Vec<String>>,
-    /// Rendered translation-validation defect reports, replayed on hits
-    /// exactly like `defects`.
-    pub tv: Rc<Vec<String>>,
+    /// Rendered translation-validation reports (one per failing check),
+    /// replayed on hits like `defects` but shared rather than copied.
+    pub tv: Vec<Rc<str>>,
+    /// Divergences across `tv` (what `stats.tv_defects` counts).
+    pub tv_defects: u32,
     /// The compile's fired-bug mask (`CompileCtx::fired`), replayed into
     /// `stats.fired_bugs` on every hit.
     pub fired: u64,
     pub result: Result<Rc<IrFunc>, CrashInfo>,
 }
 
-/// Epoch-flush capacity for the compiled-IR map.
-const CODE_CAP: usize = 4096;
-/// Epoch-flush capacity for the per-method decode map.
-const DECODED_METHOD_CAP: usize = 8192;
-/// Epoch-flush capacity for the whole-program decode map.
-const DECODED_PROGRAM_CAP: usize = 512;
-
-/// A per-worker shard of the campaign-level artifact cache; see the
-/// module docs. Create with [`SharedArtifactCache::new`], then attach to
-/// programs via [`SharedArtifactCache::attach`].
+/// The artifact cache of one seed; see the module docs. Create with
+/// [`SharedArtifactCache::new`], then attach to programs via
+/// [`SharedArtifactCache::attach`].
 pub struct SharedArtifactCache {
     code: RefCell<HashMap<ArtifactKey, CachedCompile>>,
     /// Decoded method bodies, keyed by `MethodDigest::key()` (a decoded
@@ -122,7 +117,7 @@ pub struct SharedArtifactCache {
 }
 
 impl SharedArtifactCache {
-    /// An empty cache shard.
+    /// An empty cache.
     pub fn new() -> Rc<SharedArtifactCache> {
         Rc::new(SharedArtifactCache {
             code: RefCell::new(HashMap::new()),
@@ -135,7 +130,7 @@ impl SharedArtifactCache {
 
     /// Binds this cache to one program: computes the program's content
     /// digests and assembles its decoded form, sharing per-method decoded
-    /// bodies (and whole decoded programs) with every program this shard
+    /// bodies (and whole decoded programs) with every program this cache
     /// has seen before.
     pub fn attach(self: &Rc<Self>, program: &BProgram) -> ProgramArtifacts {
         let digests = Rc::new(ProgramDigests::compute(program));
@@ -165,9 +160,6 @@ impl SharedArtifactCache {
             return found.clone();
         }
         let mut methods_cache = self.decoded_methods.borrow_mut();
-        if methods_cache.len() >= DECODED_METHOD_CAP {
-            methods_cache.clear();
-        }
         let methods = program
             .methods
             .iter()
@@ -184,11 +176,7 @@ impl SharedArtifactCache {
             methods,
             strings: program.strings.iter().map(|s| Rc::new(s.clone())).collect(),
         });
-        let mut programs = self.decoded_programs.borrow_mut();
-        if programs.len() >= DECODED_PROGRAM_CAP {
-            programs.clear();
-        }
-        programs.insert(digests.program, decoded.clone());
+        self.decoded_programs.borrow_mut().insert(digests.program, decoded.clone());
         decoded
     }
 
@@ -202,11 +190,7 @@ impl SharedArtifactCache {
     }
 
     pub(crate) fn insert(&self, key: ArtifactKey, value: CachedCompile) {
-        let mut code = self.code.borrow_mut();
-        if code.len() >= CODE_CAP {
-            code.clear();
-        }
-        code.insert(key, value);
+        self.code.borrow_mut().insert(key, value);
     }
 
     /// Cached compilations (successful and crashing).
@@ -225,7 +209,7 @@ impl SharedArtifactCache {
     }
 }
 
-/// One program bound to a [`SharedArtifactCache`]: the shard handle, the
+/// One program bound to a [`SharedArtifactCache`]: the cache handle, the
 /// program's content digests, and its (shared) decoded form. Cheap to
 /// clone; everything inside is refcounted.
 #[derive(Clone)]
@@ -239,14 +223,14 @@ pub struct ProgramArtifacts {
 
 impl ProgramArtifacts {
     /// Convenience: a fresh single-program cache, for callers that only
-    /// ever run one program (tests, examples). Campaign code should
-    /// create one [`SharedArtifactCache`] per worker and `attach` each
-    /// program to it.
+    /// ever run one program (tests, examples). Campaign code creates one
+    /// [`SharedArtifactCache`] per seed and `attach`es each of the seed's
+    /// programs to it.
     pub fn for_program(program: &BProgram) -> ProgramArtifacts {
         SharedArtifactCache::new().attach(program)
     }
 
-    /// The shard this program is bound to.
+    /// The cache this program is bound to.
     pub fn cache(&self) -> &Rc<SharedArtifactCache> {
         &self.cache
     }
@@ -335,7 +319,7 @@ mod tests {
     #[test]
     fn mutants_share_unmutated_method_code() {
         // Two programs that differ in one method body: the unchanged hot
-        // method's compilation must be served from the shard when the
+        // method's compilation must be served from the cache when the
         // second program runs.
         let seed = compile(HOT);
         let mutant = compile(&HOT.replace("total = f(100);", "total = f(100) + 1;"));
@@ -362,7 +346,7 @@ mod tests {
         let f_mut = mutant.find_method("T", "f").unwrap();
         assert!(
             Rc::ptr_eq(&a.decoded.methods[f.0 as usize], &b.decoded.methods[f_mut.0 as usize]),
-            "unchanged method bodies must decode once per shard"
+            "unchanged method bodies must decode once per cache"
         );
         let main = seed.find_method("T", "main").unwrap();
         let main_mut = mutant.find_method("T", "main").unwrap();

@@ -113,13 +113,14 @@ pub enum CompileFail {
 /// rules thereafter); when `ctx.tv` is not [`TvMode::Off`], each pass (or
 /// the whole pipeline, in boundary mode) is additionally checked as a
 /// semantic refinement of its input. Defects accumulate in `defects` /
-/// `tv_defects` and never change the compilation result.
+/// `tv_reports` (one report per failing check) and never change the
+/// compilation result.
 pub fn compile(
     ctx: &CompileCtx<'_>,
     method: MethodId,
     osr: Option<u32>,
     defects: &mut Vec<verify::IrVerifyError>,
-    tv_defects: &mut Vec<tv::TvError>,
+    tv_reports: &mut Vec<tv::TvReport>,
 ) -> Result<ir::IrFunc, CompileFail> {
     let mut func = build::build(ctx, method, osr)?;
     if ctx.verify != VerifyMode::Off {
@@ -189,14 +190,14 @@ pub fn compile(
             ));
         }
     }
-    passes::run_pipeline(ctx, &mut func, defects, tv_defects).map_err(CompileFail::Crash)?;
+    passes::run_pipeline(ctx, &mut func, defects, tv_reports).map_err(CompileFail::Crash)?;
     if ctx.verify == VerifyMode::Boundary {
         defects.extend(verify::check_func(&func, ctx.program, verify::PASS_PIPELINE_EXIT));
     }
     if let Some(built) = built {
         // The end-to-end pipeline must satisfy the weakest contract: any
         // pass may have folded control flow or strengthened guards.
-        tv_defects.extend(tv::check_refinement(
+        tv_reports.extend(tv::check_refinement(
             &built,
             &func,
             tv::PASS_PIPELINE,

@@ -142,30 +142,34 @@ pub fn tv_contract(pass: &'static str) -> Option<TvContract> {
 /// pass; in [`TvMode::Each`] every (before, after) pair is additionally
 /// checked against the pass's declared refinement contract. Defects
 /// (attributed to the pass's table name) accumulate in `defects` /
-/// `tv_defects` without altering compilation — both checkers are
+/// `tv_reports` without altering compilation — both checkers are
 /// oracles, not gates.
 pub fn run_pipeline(
     ctx: &CompileCtx<'_>,
     func: &mut IrFunc,
     defects: &mut Vec<verify::IrVerifyError>,
-    tv_defects: &mut Vec<tv::TvError>,
+    tv_reports: &mut Vec<tv::TvReport>,
 ) -> Result<(), CrashInfo> {
     let snapshot = ctx.verify == VerifyMode::Each || ctx.tv == TvMode::Each;
     for (name, pass) in pipeline(ctx.kind, ctx.optimizing()) {
         let before = if snapshot { Some(func.clone()) } else { None };
         pass(ctx, func)?;
         if ctx.verify == VerifyMode::Each {
-            let pre_ir = before.as_ref().map(IrFunc::pretty);
-            defects.extend(verify::check_func(func, ctx.program, name).into_iter().map(|mut e| {
-                e.pre_ir = pre_ir.clone();
-                e
-            }));
+            let found = verify::check_func(func, ctx.program, name);
+            // The pre-pass dump is rendered only for a failing check.
+            if !found.is_empty() {
+                let pre_ir = before.as_ref().map(IrFunc::pretty);
+                defects.extend(found.into_iter().map(|mut e| {
+                    e.pre_ir = pre_ir.clone();
+                    e
+                }));
+            }
         }
         if ctx.tv == TvMode::Each {
             let contract = tv_contract(name)
                 .unwrap_or_else(|| panic!("pass `{name}` has no TV refinement annotation"));
             let before = before.as_ref().expect("snapshot taken when tv == Each");
-            tv_defects.extend(tv::check_refinement(before, func, name, contract, ctx.program));
+            tv_reports.extend(tv::check_refinement(before, func, name, contract, ctx.program));
         }
     }
     Ok(())

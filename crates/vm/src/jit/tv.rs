@@ -17,8 +17,9 @@
 //!    must transfer control to corresponding blocks with equal operand
 //!    values, and guards may strengthen but never weaken;
 //! 3. on mismatch emits a **pass-attributed counterexample**: the smallest
-//!    diverging effect/value node, with full pre/post IR via
-//!    [`IrFunc::pretty`].
+//!    diverging effect/value node per divergence, gathered into one
+//!    [`TvReport`] per failing check that renders the full pre/post IR
+//!    via [`IrFunc::pretty`] exactly once.
 //!
 //! # Bounded loop summarization
 //!
@@ -113,7 +114,7 @@ impl std::fmt::Display for TvContract {
     }
 }
 
-/// A refinement violation, attributed to the pass whose output diverged
+/// One refinement violation, attributed to the pass whose output diverged
 /// from its input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TvError {
@@ -126,22 +127,43 @@ pub struct TvError {
     pub block: BlockId,
     /// The smallest diverging effect or value node, rendered.
     pub detail: String,
+}
+
+impl std::fmt::Display for TvError {
+    /// The header line `method: after pass: bN: detail` (the line triage
+    /// signatures parse — same `": after "` convention as
+    /// [`super::verify::IrVerifyError`]).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: after {}: b{}: {}", self.method, self.pass, self.block, self.detail)
+    }
+}
+
+/// Every divergence of one failing `(before, after)` check, with both IR
+/// dumps rendered once for the whole report rather than once per
+/// divergence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TvReport {
+    /// The divergences in discovery order (at most `MAX_ERRORS`, never
+    /// empty); all share one method and pass.
+    pub divergences: Vec<TvError>,
     /// Full pre-pass IR (`IrFunc::pretty`).
     pub before_ir: String,
     /// Full post-pass IR (`IrFunc::pretty`).
     pub after_ir: String,
 }
 
-impl std::fmt::Display for TvError {
-    /// First line `method: after pass: bN: detail` (the line triage
-    /// signatures parse — same `": after "` convention as
-    /// [`super::verify::IrVerifyError`]), followed by the pre/post IR
-    /// dumps.
+impl std::fmt::Display for TvReport {
+    /// One [`TvError`] header line per divergence — so the first line is
+    /// the one triage signatures parse — followed by a single pre/post IR
+    /// dump pair.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{}: after {}: b{}: {}", self.method, self.pass, self.block, self.detail)?;
-        writeln!(f, "--- IR before {} ---", self.pass)?;
+        for divergence in &self.divergences {
+            writeln!(f, "{divergence}")?;
+        }
+        let pass = self.divergences[0].pass;
+        writeln!(f, "--- IR before {pass} ---")?;
         write!(f, "{}", self.before_ir)?;
-        writeln!(f, "--- IR after {} ---", self.pass)?;
+        writeln!(f, "--- IR after {pass} ---")?;
         write!(f, "{}", self.after_ir)
     }
 }
@@ -673,27 +695,34 @@ impl Checker<'_> {
         if self.errors.len() >= MAX_ERRORS {
             return;
         }
-        self.errors.push(TvError {
-            method: self.method.clone(),
-            pass: self.pass,
-            block,
-            detail,
+        self.errors.push(TvError { method: self.method.clone(), pass: self.pass, block, detail });
+    }
+
+    /// The check's report: `None` when nothing diverged, otherwise every
+    /// divergence with the two IR dumps rendered once.
+    fn finish(self) -> Option<TvReport> {
+        if self.errors.is_empty() {
+            return None;
+        }
+        Some(TvReport {
+            divergences: self.errors,
             before_ir: self.before.pretty(),
             after_ir: self.after.pretty(),
-        });
+        })
     }
 }
 
 /// Validates that `after` refines `before` under `pass`'s `contract`.
-/// Returns every violation found (capped at [`MAX_ERRORS`]); an empty
-/// vector means the pass's output simulates its input.
+/// Returns `None` when the pass's output simulates its input, otherwise
+/// one [`TvReport`] holding every violation found (capped at
+/// [`MAX_ERRORS`]).
 pub fn check_refinement(
     before: &IrFunc,
     after: &IrFunc,
     pass: &'static str,
     contract: TvContract,
     program: &BProgram,
-) -> Vec<TvError> {
+) -> Option<TvReport> {
     let mut ck = Checker {
         method: program.qualified_name(before.method),
         pass,
@@ -717,17 +746,17 @@ pub fn check_refinement(
         ck.error(0, "anchor-register table changed".to_string());
     }
     if !ck.errors.is_empty() {
-        return ck.errors;
+        return ck.finish();
     }
     if contract == TvContract::LayoutOnly {
         check_layout(&mut ck);
-        return ck.errors;
+        return ck.finish();
     }
 
     let base_len = before.blocks.len();
     if after.blocks.len() < base_len {
         ck.error(0, format!("blocks removed: {} before, {} after", base_len, after.blocks.len()));
-        return ck.errors;
+        return ck.finish();
     }
     // Appended blocks (LICM preheaders) must be pure forwarding blocks:
     // hoisted pure computation plus an unconditional jump. Any effect,
@@ -751,7 +780,7 @@ pub fn check_refinement(
         }
     }
     if !ck.errors.is_empty() {
-        return ck.errors;
+        return ck.finish();
     }
 
     let mut g = Graph::default();
@@ -766,7 +795,7 @@ pub fn check_refinement(
         compare_traces(&mut ck, &g, b as BlockId, &bs.events, &as_.events);
         compare_terms(&mut ck, &mut g, contract, b as BlockId, &bs, &as_);
     }
-    ck.errors
+    ck.finish()
 }
 
 fn render_event(g: &Graph, e: &EventRec) -> String {

@@ -139,13 +139,13 @@ pub struct Vm<'p> {
     /// Rendered IR-verifier defect reports, in compilation order (see
     /// [`jit::verify`]).
     ir_verify: Vec<String>,
-    /// Rendered translation-validation defect reports, in compilation
-    /// order (see [`jit::tv`]).
-    tv: Vec<String>,
+    /// Rendered translation-validation reports, one per failing check, in
+    /// compilation order (see [`jit::tv`]).
+    tv: Vec<Rc<str>>,
     /// Pre-decoded instruction form of `program` (see
     /// [`cse_bytecode::decoded`]); decoded lazily on first use, or pulled
     /// from the attached [`ProgramArtifacts`] so every run sharing the
-    /// shard decodes each distinct method body exactly once.
+    /// cache decodes each distinct method body exactly once.
     decoded: Option<Rc<cse_bytecode::DecodedProgram>>,
 }
 
@@ -219,11 +219,11 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Attaches the program's binding to a campaign-level
+    /// Attaches the program's binding to a seed-level
     /// [`SharedArtifactCache`] (see [`SharedArtifactCache::attach`]):
     /// compiled code, decoded methods, and whole decoded programs are
     /// then shared with every other run — of this program or any
-    /// near-identical one — on the same shard.
+    /// near-identical one — on the same cache.
     pub fn with_artifacts(mut self, artifacts: &jit::ProgramArtifacts) -> Vm<'p> {
         debug_assert_eq!(
             artifacts.digests.methods.len(),
@@ -800,13 +800,13 @@ impl<'p> Vm<'p> {
             if let Some(entry) = cache.lookup(k) {
                 // Replay every observable side effect of the original
                 // compilation, so a hit is indistinguishable from
-                // compiling no matter which program warmed the shard.
+                // compiling no matter which program warmed the cache.
                 if !entry.defects.is_empty() {
                     self.stats.ir_verify_defects += entry.defects.len() as u32;
                     self.ir_verify.extend(entry.defects.iter().cloned());
                 }
                 if !entry.tv.is_empty() {
-                    self.stats.tv_defects += entry.tv.len() as u32;
+                    self.stats.tv_defects += entry.tv_defects;
                     self.tv.extend(entry.tv.iter().cloned());
                 }
                 self.stats.fired_bugs |= entry.fired;
@@ -851,8 +851,8 @@ impl<'p> Vm<'p> {
         // compile-time crash is still an observation. Likewise the
         // compile's fired-bug mask.
         let mut defects = Vec::new();
-        let mut tv_defects = Vec::new();
-        let compiled = jit::compile(&ctx, method, osr, &mut defects, &mut tv_defects);
+        let mut tv_reports = Vec::new();
+        let compiled = jit::compile(&ctx, method, osr, &mut defects, &mut tv_reports);
         let fired = ctx.fired.get();
         self.stats.fired_bugs |= fired;
         let rendered: Vec<String> = defects.iter().map(|d| d.to_string()).collect();
@@ -861,12 +861,13 @@ impl<'p> Vm<'p> {
             self.ir_verify.extend(rendered.iter().cloned());
         }
         let rendered = Rc::new(rendered);
-        let rendered_tv: Vec<String> = tv_defects.iter().map(|d| d.to_string()).collect();
+        let rendered_tv: Vec<Rc<str>> =
+            tv_reports.iter().map(|r| Rc::from(r.to_string())).collect();
+        let tv_count: u32 = tv_reports.iter().map(|r| r.divergences.len() as u32).sum();
         if !rendered_tv.is_empty() {
-            self.stats.tv_defects += rendered_tv.len() as u32;
+            self.stats.tv_defects += tv_count;
             self.tv.extend(rendered_tv.iter().cloned());
         }
-        let rendered_tv = Rc::new(rendered_tv);
         match compiled {
             Ok(func) => {
                 if std::env::var_os("CSE_DUMP_IR").is_some() {
@@ -884,6 +885,7 @@ impl<'p> Vm<'p> {
                         jit::cache::CachedCompile {
                             defects: rendered,
                             tv: rendered_tv,
+                            tv_defects: tv_count,
                             fired,
                             result: Ok(func.clone()),
                         },
@@ -912,6 +914,7 @@ impl<'p> Vm<'p> {
                         jit::cache::CachedCompile {
                             defects: rendered,
                             tv: rendered_tv,
+                            tv_defects: tv_count,
                             fired,
                             result: Err(info.clone()),
                         },

@@ -12,7 +12,8 @@
 //!
 //! Output is line-oriented for scripting (`ci.sh` asserts on it):
 //! `cells N` is the merged global map's covered-cell count, `corpus N`
-//! the minimized live corpus size, `digest X` the campaign digest.
+//! the minimized live corpus size, `digest X` the campaign digest, and
+//! `ir_verify_defects N` / `tv_defects N` the static oracles' totals.
 
 use std::process::ExitCode;
 
@@ -43,6 +44,8 @@ fn main() -> ExitCode {
     println!("mutants {}", result.totals.mutants);
     println!("bugs {}", result.bugs.len());
     println!("digest {:016x}", result.digest(&config));
+    println!("ir_verify_defects {}", result.totals.ir_verify_defects);
+    println!("tv_defects {}", result.totals.tv_defects);
     match &result.coverage {
         Some(state) => {
             println!("cells {}", state.cells());

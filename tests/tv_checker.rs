@@ -30,7 +30,8 @@ use artemis_cse::vm::jit::passes::{self, PassFn};
 use artemis_cse::vm::jit::tv::{self, TvContract};
 use artemis_cse::vm::jit::{verify, CompileCtx};
 use artemis_cse::vm::{
-    BugId, DeoptReason, FaultInjector, ForcedPlan, Tier, TvMode, VerifyMode, Vm, VmConfig, VmKind,
+    BugId, DeoptReason, FaultInjector, ForcedPlan, ProgramArtifacts, Tier, TvMode, VerifyMode, Vm,
+    VmConfig, VmKind,
 };
 
 fn inst(dst: Option<Reg>, op: Op) -> Inst {
@@ -242,21 +243,19 @@ fn every_pass_rejects_seeded_corruptions_with_attribution() {
         let mut after = reference.clone();
         pass(&ctx, &mut after).expect("correct path never crashes");
         let clean = tv::check_refinement(&reference, &after, name, contract, &bytecode);
-        assert!(
-            clean.is_empty(),
-            "false positive on the clean output of {name}:\n{}",
-            clean.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("\n")
-        );
+        if let Some(report) = clean {
+            panic!("false positive on the clean output of {name}:\n{report}");
+        }
         for (label, corrupt) in CORRUPTIONS {
             let mut bad = after.clone();
             corrupt(&mut bad);
-            let errors = tv::check_refinement(&reference, &bad, name, contract, &bytecode);
-            assert!(!errors.is_empty(), "{name}: corruption `{label}` was not rejected");
-            for e in &errors {
+            let report = tv::check_refinement(&reference, &bad, name, contract, &bytecode)
+                .unwrap_or_else(|| panic!("{name}: corruption `{label}` was not rejected"));
+            for e in &report.divergences {
                 assert_eq!(e.pass, name, "{name}/{label}: defect attributed to `{}`", e.pass);
             }
             // The counterexample carries both IR dumps for triage.
-            let rendered = errors[0].to_string();
+            let rendered = report.to_string();
             assert!(rendered.contains(&format!("after {name}")), "missing pass in {rendered}");
             assert!(rendered.contains("--- IR before"), "missing pre-pass dump");
             assert!(rendered.contains("--- IR after"), "missing post-pass dump");
@@ -272,16 +271,17 @@ fn boundary_counterexamples_are_attributed_to_the_pipeline() {
     let reference = reference_func(&bytecode);
     let mut bad = reference.clone();
     weaken_guard(&mut bad);
-    let errors = tv::check_refinement(
+    let report = tv::check_refinement(
         &reference,
         &bad,
         tv::PASS_PIPELINE,
         TvContract::GuardIntroducing,
         &bytecode,
-    );
-    assert!(!errors.is_empty(), "weakened guard must be a defect even when guards may strengthen");
-    assert_eq!(errors[0].pass, "pipeline");
-    assert!(errors[0].detail.contains("weakened"), "unexpected detail: {}", errors[0].detail);
+    )
+    .expect("weakened guard must be a defect even when guards may strengthen");
+    let first = &report.divergences[0];
+    assert_eq!(first.pass, "pipeline");
+    assert!(first.detail.contains("weakened"), "unexpected detail: {}", first.detail);
 }
 
 /// A *real* injected bug — `HsGvnArrayAlias` CSEs an array load across a
@@ -316,10 +316,10 @@ fn tv_catches_the_injected_gvn_alias_bug() {
     let mut after = before.clone();
     passes::gvn::run_local(&ctx, &mut after).unwrap();
     assert_eq!(after.blocks[0].insts[2].op, Op::Copy(4), "the injected bug must fire");
-    let errors =
-        tv::check_refinement(&before, &after, "gvn-local", TvContract::EffectPreserving, &bytecode);
-    assert!(!errors.is_empty(), "stale load reaching a print must break the simulation");
-    assert_eq!(errors[0].pass, "gvn-local");
+    let report =
+        tv::check_refinement(&before, &after, "gvn-local", TvContract::EffectPreserving, &bytecode)
+            .expect("stale load reaching a print must break the simulation");
+    assert_eq!(report.divergences[0].pass, "gvn-local");
     // The correct path on the same input validates cleanly.
     let faults = FaultInjector::none();
     let ctx = test_ctx(&bytecode, &profiles, &faults);
@@ -327,7 +327,71 @@ fn tv_catches_the_injected_gvn_alias_bug() {
     passes::gvn::run_local(&ctx, &mut after).unwrap();
     let clean =
         tv::check_refinement(&before, &after, "gvn-local", TvContract::EffectPreserving, &bytecode);
-    assert!(clean.is_empty(), "correct GVN must validate:\n{:?}", clean.first());
+    assert!(clean.is_none(), "correct GVN must validate:\n{clean:?}");
+}
+
+/// One failing check yields one report: a header line per divergence
+/// (the first is the line triage parses), then a single pre/post IR dump
+/// pair, however many divergences the check found.
+#[test]
+fn one_report_per_failing_check_renders_the_ir_once() {
+    let bytecode = host_bytecode();
+    let reference = reference_func(&bytecode);
+    let mut bad = reference.clone();
+    drop_store(&mut bad);
+    weaken_guard(&mut bad);
+    let report =
+        tv::check_refinement(&reference, &bad, "gvn", TvContract::EffectPreserving, &bytecode)
+            .expect("two corruptions must be rejected");
+    let n = report.divergences.len();
+    assert!(n >= 2, "two corruptions must yield two divergences: {report}");
+    let rendered = report.to_string();
+    assert_eq!(rendered.matches("--- IR before gvn ---").count(), 1, "{rendered}");
+    assert_eq!(rendered.matches("--- IR after gvn ---").count(), 1, "{rendered}");
+    let headers: Vec<&str> =
+        rendered.lines().take_while(|line| !line.starts_with("--- IR before")).collect();
+    assert_eq!(headers.len(), n, "one header line per divergence:\n{rendered}");
+    for (header, divergence) in headers.iter().zip(&report.divergences) {
+        assert_eq!(*header, divergence.to_string());
+        assert!(header.starts_with("T.add: after gvn: b"), "unparseable header {header:?}");
+    }
+    assert!(rendered.contains("putfield"), "the dropped store is reported:\n{rendered}");
+    assert!(rendered.contains("weakened"), "the weakened guard is reported:\n{rendered}");
+}
+
+/// On a VM run, `tv_defects` still counts divergences one by one, while
+/// `ExecutionResult::tv` holds one report per failing check — also when
+/// the artifact cache replays the compilation on a second run.
+#[test]
+fn tv_defects_count_divergences_not_reports() {
+    let kind = VmKind::OpenJ9Like;
+    let top = VmConfig::for_kind(kind).top_tier();
+    let config = VmConfig::for_kind(kind).with_plan(ForcedPlan::all(top)).with_tv(TvMode::Boundary);
+    let mut widest = 0;
+    for seed in 0..4 {
+        let program = cse_fuzz::generate(seed, &cse_fuzz::FuzzConfig::default());
+        let bytecode = compile_checked(&program);
+        let artifacts = ProgramArtifacts::for_program(&bytecode);
+        let runs = [
+            Vm::run_program_cached(&bytecode, config.clone(), &artifacts),
+            Vm::run_program_cached(&bytecode, config.clone(), &artifacts),
+        ];
+        assert!(runs[1].stats.code_cache_hits > 0, "seed {seed}: the rerun must replay");
+        for result in &runs {
+            let mut divergences = 0;
+            for report in &result.tv {
+                assert_eq!(report.matches("--- IR before ").count(), 1, "{report}");
+                assert_eq!(report.matches("--- IR after ").count(), 1, "{report}");
+                let headers =
+                    report.lines().take_while(|line| !line.starts_with("--- IR before")).count();
+                widest = widest.max(headers);
+                divergences += headers;
+            }
+            assert_eq!(result.stats.tv_defects as usize, divergences, "seed {seed}");
+        }
+        assert_eq!(runs[0].tv, runs[1].tv, "seed {seed}: a replay reports what compiling did");
+    }
+    assert!(widest >= 2, "calibration: some check must find several divergences");
 }
 
 /// `each`-mode soundness across the fuzzed seed corpus, on every VM
