@@ -166,10 +166,7 @@ fn measure_stages_once(config: &CampaignConfig) -> StageBreakdown {
     let execute_vm = VmConfig::correct(config.vm.kind);
     let validate_config = ValidateConfig {
         max_iter: config.max_iter,
-        vm: config.vm.clone(),
-        params: cse_core::SynthParams::for_kind(config.vm.kind),
-        verify_neutrality: true,
-        exec_cache: cse_core::ExecCachePolicy::Auto,
+        ..ValidateConfig::paper_defaults(config.vm.clone())
     };
     // Mirror the campaign driver: a fresh artifact cache per seed, and
     // the already-compiled bytecode handed to validation instead of a
@@ -470,11 +467,8 @@ fn main() {
     }
     println!("  speedup: {speedup:.2}x  (digest {:#018x} identical)", serial.digest);
     println!(
-        "  caches: exec memo {} hits / {} misses, artifacts {} hits / {} misses",
-        serial_result.totals.exec_cache_hits,
-        serial_result.totals.exec_cache_misses,
-        serial_result.totals.artifact_cache_hits,
-        serial_result.totals.artifact_cache_misses,
+        "  artifact cache: {} hits / {} misses",
+        serial_result.totals.artifact_cache_hits, serial_result.totals.artifact_cache_misses,
     );
     if cores == 1 {
         println!("  note: single-core runner; the >=2x target applies to multi-core hosts");
@@ -551,14 +545,13 @@ fn main() {
             m.digest
         )
     };
-    // The cache counters ride in the `stages` block: they explain where
-    // the `validate_secs` cut comes from (runs served from the execution
-    // memo, compiles/decodes served from the artifact cache).
+    // The artifact-cache counters ride in the `stages` block: they
+    // explain how much of `validate_secs` compiles/decodes the cache
+    // served.
     let totals = &serial_result.totals;
     let stages_json = format!(
         "{{\"parse_secs\": {:.6}, \"typecheck_secs\": {:.6}, \"compile_secs\": {:.6}, \
          \"execute_secs\": {:.6}, \"validate_secs\": {:.6}, \"skipped_seeds\": {}, \
-         \"exec_cache_hits\": {}, \"exec_cache_misses\": {}, \
          \"artifact_cache_hits\": {}, \"artifact_cache_misses\": {}}}",
         stages.parse.as_secs_f64(),
         stages.typecheck.as_secs_f64(),
@@ -566,8 +559,6 @@ fn main() {
         stages.execute.as_secs_f64(),
         stages.validate.as_secs_f64(),
         stages.skipped,
-        totals.exec_cache_hits,
-        totals.exec_cache_misses,
         totals.artifact_cache_hits,
         totals.artifact_cache_misses,
     );
@@ -644,16 +635,13 @@ fn main() {
     let entry = format!(
         "{{\"schema\": 1, \"date\": \"{}\", \"cores\": {cores}, \"seeds\": {seeds}, \
          \"jobs\": {jobs}, \"seeds_per_sec\": {:.4}, \"mutants_per_sec\": {:.4}, \
-         \"speedup\": {speedup:.4}, \"validate_secs\": {:.6}, \"exec_cache_hits\": {}, \
-         \"exec_cache_misses\": {}, \"artifact_cache_hits\": {}, \
+         \"speedup\": {speedup:.4}, \"validate_secs\": {:.6}, \"artifact_cache_hits\": {}, \
          \"artifact_cache_misses\": {}, \"coverage_cells\": {}, \
          \"new_cells_per_1k_execs\": {:.4}, \"digest\": \"{:#018x}\"}}\n",
         today_utc(),
         serial.seeds_per_sec,
         serial.mutants_per_sec,
         stages.validate.as_secs_f64(),
-        totals.exec_cache_hits,
-        totals.exec_cache_misses,
         totals.artifact_cache_hits,
         totals.artifact_cache_misses,
         coverage.guided_cells,

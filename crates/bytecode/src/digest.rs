@@ -5,8 +5,8 @@
 //! byte-for-byte unchanged — they merely live in a different [`BProgram`].
 //! This module assigns every method a *stable structural digest* that is
 //! identical whenever the method would behave identically, letting caches
-//! upstream (the JIT code cache, the decode cache, execution memoization)
-//! share work across program boundaries.
+//! upstream (the JIT code cache and the decode cache) share work across
+//! program boundaries.
 //!
 //! # The two layers
 //!

@@ -22,7 +22,6 @@ use cse_vm::{BugId, Component, Symptom, VmConfig, VmKind};
 
 use crate::coverage::{self, CoverageMode, CoveragePolicy, CoverageState};
 use crate::executor;
-use crate::memo::ExecCachePolicy;
 use crate::supervisor::{self, HarnessIncident, IncidentPhase, SupervisorConfig};
 use crate::triage::TriageConfig;
 use crate::validate::ValidateConfig;
@@ -59,12 +58,6 @@ pub struct CampaignConfig {
     /// [`crate::triage`]). The triage counters join the campaign digest;
     /// the full report rides on [`CampaignResult::triage`].
     pub triage: Option<TriageConfig>,
-    /// Execution-memoization policy (see [`crate::memo`]). `Auto` (the
-    /// default) follows the `CSE_EXEC_CACHE` environment knob. Like
-    /// `jobs`, deliberately not part of the checkpoint identity: the
-    /// memo is an execution strategy, not a campaign input, and the
-    /// result digest is bit-identical at every setting.
-    pub exec_cache: ExecCachePolicy,
     /// JIT-behavior coverage policy (see [`crate::coverage`]). `Auto`
     /// (the default) follows the `CSE_COVERAGE` environment knob; `Off`
     /// reproduces the pre-coverage campaign byte-for-byte, `Collect`
@@ -86,7 +79,6 @@ impl CampaignConfig {
             supervisor: SupervisorConfig::default(),
             jobs: 1,
             triage: None,
-            exec_cache: ExecCachePolicy::Auto,
             coverage: CoveragePolicy::Auto,
         }
     }
@@ -94,13 +86,6 @@ impl CampaignConfig {
     /// Same campaign, processed by `jobs` worker threads.
     pub fn with_jobs(mut self, jobs: usize) -> CampaignConfig {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Same campaign, with an explicit execution-memoization policy
-    /// (tests use this instead of mutating `CSE_EXEC_CACHE`).
-    pub fn with_exec_cache(mut self, policy: ExecCachePolicy) -> CampaignConfig {
-        self.exec_cache = policy;
         self
     }
 
@@ -177,18 +162,10 @@ pub struct CampaignTotals {
     /// Triage: signature groups that never re-reproduced (suppressed,
     /// never promoted to reports).
     pub triage_unreproducible: u64,
-    /// Execution-memo hits: VM runs served from the content-addressed
-    /// execution cache instead of being executed (see [`crate::memo`]).
-    /// **Volatile**: cache effectiveness depends on the memo policy, so
-    /// these four counters are persisted in checkpoints but zeroed out
-    /// of [`CampaignResult::digest`] — the digest stays bit-identical
-    /// across `CSE_EXEC_CACHE` settings and worker counts.
-    pub exec_cache_hits: u64,
-    /// Execution-memo lookups that missed and executed for real.
-    pub exec_cache_misses: u64,
     /// Compiled-code/decode artifact cache hits across the campaign's
-    /// per-seed [`cse_vm::SharedArtifactCache`]s. Volatile, like the memo
-    /// counters.
+    /// per-seed [`cse_vm::SharedArtifactCache`]s. Measures the cache,
+    /// not the campaign, so these two counters are persisted in
+    /// checkpoints but zeroed out of [`CampaignResult::digest`].
     pub artifact_cache_hits: u64,
     /// Artifact-cache misses (units compiled / programs decoded fresh).
     pub artifact_cache_misses: u64,
@@ -219,11 +196,11 @@ pub struct CampaignResult {
     /// carry its identity into the digest.
     pub triage: Option<crate::triage::TriageReport>,
     /// Merged coverage state, present when the campaign ran under
-    /// `CSE_COVERAGE=collect|guide`. Persisted in checkpoints (format
-    /// v6) but masked out of [`CampaignResult::digest`]: under
-    /// `collect` coverage only observes, so the digest stays identical
-    /// to `off`; under `guide` the schedule it drives already shapes
-    /// every digested field.
+    /// `CSE_COVERAGE=collect|guide`. Persisted as the checkpoint's
+    /// trailing section but masked out of [`CampaignResult::digest`]:
+    /// under `collect` coverage only observes, so the digest stays
+    /// identical to `off`; under `guide` the schedule it drives already
+    /// shapes every digested field.
     pub coverage: Option<CoverageState>,
     pub totals: CampaignTotals,
 }
@@ -255,16 +232,13 @@ impl CampaignResult {
     }
 
     /// Content digest over every deterministic field (everything except
-    /// `totals.wall`, the four cache counters — which depend on the
-    /// memoization policy and worker warm-up rather than on what the
-    /// campaign observed — and the translation-validator observations,
-    /// which depend on the `CSE_TV` mode). A campaign killed mid-run and
-    /// resumed from its checkpoint produces the same digest as an
-    /// uninterrupted run.
+    /// `totals.wall`, the two artifact-cache counters — which measure
+    /// the cache rather than what the campaign observed — and the
+    /// translation-validator observations, which depend on the `CSE_TV`
+    /// mode). A campaign killed mid-run and resumed from its checkpoint
+    /// produces the same digest as an uninterrupted run.
     pub fn digest(&self, config: &CampaignConfig) -> u64 {
         let mut stable = self.clone();
-        stable.totals.exec_cache_hits = 0;
-        stable.totals.exec_cache_misses = 0;
         stable.totals.artifact_cache_hits = 0;
         stable.totals.artifact_cache_misses = 0;
         stable.totals.tv_defects = 0;
@@ -327,13 +301,8 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let prior_wall = result.totals.wall;
     let mut vm = config.vm.clone();
     vm.coverage = mode != CoverageMode::Off;
-    let validate_config = ValidateConfig {
-        max_iter: config.max_iter,
-        vm,
-        params: crate::synth::SynthParams::for_kind(config.vm.kind),
-        verify_neutrality: true,
-        exec_cache: config.exec_cache,
-    };
+    let validate_config =
+        ValidateConfig { max_iter: config.max_iter, ..ValidateConfig::paper_defaults(vm) };
     // Seeds processed by this invocation (the `stop_after_seeds` budget
     // spans rounds).
     let mut processed: u64 = 0;

@@ -193,8 +193,6 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
     result.totals.neutrality_violations += outcome.neutrality_violations as u64;
     result.totals.ir_verify_defects += outcome.ir_verify_defects;
     result.totals.tv_defects += outcome.tv_defects;
-    result.totals.exec_cache_hits += outcome.exec_cache_hits;
-    result.totals.exec_cache_misses += outcome.exec_cache_misses;
     result.totals.artifact_cache_hits += record.artifact_stats.0;
     result.totals.artifact_cache_misses += record.artifact_stats.1;
     // Coverage feedback mutates campaign state *only* here, on the

@@ -50,7 +50,6 @@ pub mod baseline;
 pub mod campaign;
 pub mod coverage;
 pub mod executor;
-pub mod memo;
 pub mod mutate;
 pub mod skeleton;
 pub mod space;
@@ -60,7 +59,6 @@ pub mod triage;
 pub mod validate;
 
 pub use coverage::{CoverageMode, CoveragePolicy, CoverageState, PlanVariant};
-pub use memo::{ExecCachePolicy, ExecMemo};
 pub use mutate::{AppliedMutation, Artemis, Mutator};
 pub use supervisor::{ChaosConfig, HarnessIncident, IncidentPhase, SupervisorConfig};
 pub use synth::SynthParams;
@@ -155,10 +153,7 @@ mod tests {
             let seed = cse_fuzz::generate(seed_value, &fuzz);
             let config = ValidateConfig {
                 max_iter: 3,
-                vm: VmConfig::correct(VmKind::HotSpotLike),
-                params: SynthParams::for_kind(VmKind::HotSpotLike),
-                verify_neutrality: true,
-                exec_cache: ExecCachePolicy::Auto,
+                ..ValidateConfig::paper_defaults(VmConfig::correct(VmKind::HotSpotLike))
             };
             let outcome = validate::validate(&seed, &config, seed_value);
             assert_eq!(outcome.neutrality_violations, 0, "seed {seed_value}");

@@ -20,7 +20,7 @@
 //! for multi-line strings:
 //!
 //! ```text
-//! cse-checkpoint v5
+//! cse-checkpoint v7
 //! config HotSpot 100 0 8
 //! next_seed 42
 //! partial 1
@@ -29,9 +29,8 @@
 //!        <seeds_discarded> <mutant_compile_failures>
 //!        <neutrality_violations> <ir_verify_defects> <tv_defects>
 //!        <triage_reports> <triage_duplicates> <triage_flaky>
-//!        <triage_unreproducible> <exec_cache_hits> <exec_cache_misses>
-//!        <artifact_cache_hits> <artifact_cache_misses>
-//!        <wall_nanos>                               (one line)
+//!        <triage_unreproducible> <artifact_cache_hits>
+//!        <artifact_cache_misses> <wall_nanos>       (one line)
 //! cse_seeds <n>        (then n lines, one seed each)
 //! traditional_seeds <n>
 //! bugs <n>
@@ -43,11 +42,10 @@
 //!   source <0|1>  [+ text block when 1]
 //! ```
 //!
-//! A campaign running under `CSE_COVERAGE=collect|guide` writes format
-//! v6: the v5 body followed by a `coverage` section (merged map, the
-//! minimized corpus, the active round's schedule — see
-//! [`crate::coverage`]). Coverage-off campaigns keep writing v5
-//! byte-for-byte:
+//! The `coverage` section follows exactly when the result carries
+//! coverage state (`CSE_COVERAGE=collect|guide`): the merged map, the
+//! minimized corpus and the active round's schedule (see
+//! [`crate::coverage`]). Without it the file ends after the incidents.
 //!
 //! ```text
 //! coverage <round> <execs> <runs0> <runs1> <runs2> <new0> <new1> <new2>
@@ -213,16 +211,10 @@ pub struct Checkpoint {
     pub result: CampaignResult,
 }
 
-// v2 added the `ir_verify_defects` totals field; v3 added the four
-// triage counters; v4 added the four (volatile) cache counters; v5 added
-// the `tv_defects` totals field; v6 appends the coverage section (only
-// written when the campaign carries coverage state — coverage-off
-// campaigns still produce v5 byte-for-byte). Older checkpoints are
-// rejected by the magic check, so an interrupted old-format campaign
-// restarts from scratch rather than resuming with silently-zeroed
-// counters.
-const MAGIC: &str = "cse-checkpoint v5";
-const MAGIC_V6: &str = "cse-checkpoint v6";
+// Bumped whenever the layout changes. Any other header is rejected, so
+// an interrupted campaign from an older build restarts from scratch
+// rather than resuming with misread counters.
+const MAGIC: &str = "cse-checkpoint v7";
 
 // ----- encoding -----------------------------------------------------------
 
@@ -244,7 +236,7 @@ pub(crate) fn encode(
     wall_nanos: u128,
 ) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{}", if result.coverage.is_some() { MAGIC_V6 } else { MAGIC });
+    let _ = writeln!(out, "{MAGIC}");
     let _ = writeln!(
         out,
         "config {:?} {} {} {}",
@@ -256,7 +248,7 @@ pub(crate) fn encode(
     let t = &result.totals;
     let _ = writeln!(
         out,
-        "totals {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        "totals {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
         t.seeds,
         t.mutants,
         t.completed,
@@ -271,8 +263,6 @@ pub(crate) fn encode(
         t.triage_duplicates,
         t.triage_flaky,
         t.triage_unreproducible,
-        t.exec_cache_hits,
-        t.exec_cache_misses,
         t.artifact_cache_hits,
         t.artifact_cache_misses,
         wall_nanos
@@ -403,17 +393,18 @@ impl<'a> Reader<'a> {
     fn text(&mut self) -> ParseResult<String> {
         let len: usize = self.tagged_num("text")?;
         let rest = self.data.as_bytes();
-        if self.pos + len + 1 > rest.len() {
-            return Err("text block runs past end of checkpoint".to_string());
-        }
-        let body = self
-            .data
-            .get(self.pos..self.pos + len)
-            .ok_or("text block length splits a UTF-8 boundary")?;
-        if rest[self.pos + len] != b'\n' {
+        // `len` comes from the file: a corrupt one may claim any size.
+        let end = self
+            .pos
+            .checked_add(len)
+            .filter(|&end| end < rest.len())
+            .ok_or("text block runs past end of checkpoint")?;
+        let body =
+            self.data.get(self.pos..end).ok_or("text block length splits a UTF-8 boundary")?;
+        if rest[end] != b'\n' {
             return Err("text block missing trailing newline".to_string());
         }
-        self.pos += len + 1;
+        self.pos = end + 1;
         Ok(body.to_string())
     }
 
@@ -479,11 +470,9 @@ fn component_from_name(name: &str) -> ParseResult<Component> {
 pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpoint> {
     let mut r = Reader::new(data);
     let magic = r.line()?;
-    let has_coverage = match magic {
-        m if m == MAGIC => false,
-        m if m == MAGIC_V6 => true,
-        _ => return Err(format!("bad checkpoint header `{magic}` (want `{MAGIC}`)")),
-    };
+    if magic != MAGIC {
+        return Err(format!("bad checkpoint header `{magic}` (want `{MAGIC}`)"));
+    }
     let fields = r.tagged("config")?;
     let kind = format!("{:?}", config.vm.kind);
     let (got_kind, got_seeds, got_first, got_iter) = (
@@ -523,11 +512,9 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     result.totals.triage_duplicates = parse_field(&t, 11, "totals")?;
     result.totals.triage_flaky = parse_field(&t, 12, "totals")?;
     result.totals.triage_unreproducible = parse_field(&t, 13, "totals")?;
-    result.totals.exec_cache_hits = parse_field(&t, 14, "totals")?;
-    result.totals.exec_cache_misses = parse_field(&t, 15, "totals")?;
-    result.totals.artifact_cache_hits = parse_field(&t, 16, "totals")?;
-    result.totals.artifact_cache_misses = parse_field(&t, 17, "totals")?;
-    let wall_nanos: u128 = parse_field(&t, 18, "totals")?;
+    result.totals.artifact_cache_hits = parse_field(&t, 14, "totals")?;
+    result.totals.artifact_cache_misses = parse_field(&t, 15, "totals")?;
+    let wall_nanos: u128 = parse_field(&t, 16, "totals")?;
     result.totals.wall = Duration::from_nanos(wall_nanos.min(u64::MAX as u128) as u64);
     let n: usize = r.tagged_num("cse_seeds")?;
     for _ in 0..n {
@@ -577,7 +564,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
             source,
         });
     }
-    if has_coverage {
+    if !r.at_end() {
         let fields = r.tagged("coverage")?;
         let mut state = CoverageState {
             round: parse_field(&fields, 0, "coverage")?,
@@ -796,8 +783,6 @@ mod tests {
         result.totals.triage_duplicates = 1;
         result.totals.triage_flaky = 1;
         result.totals.triage_unreproducible = 1;
-        result.totals.exec_cache_hits = 11;
-        result.totals.exec_cache_misses = 29;
         result.totals.artifact_cache_hits = 17;
         result.totals.artifact_cache_misses = 13;
         result.totals.partial = true;
@@ -848,11 +833,11 @@ mod tests {
         assert_eq!(encoded, re_encoded);
     }
 
-    /// Checkpoint v6: a result carrying coverage state round-trips the
-    /// full state (map, corpus, schedule, counters) exactly, and the
-    /// magic reflects the presence of coverage.
+    /// A result carrying coverage state round-trips the full state (map,
+    /// corpus, schedule, counters) exactly; a result without it writes
+    /// no coverage section and restores none.
     #[test]
-    fn coverage_checkpoint_round_trips_as_v6() {
+    fn coverage_checkpoint_round_trips() {
         use crate::coverage::{CorpusEntry, CoverageState, PlanVariant, TaskSpec};
         let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
         let mut result = sample_result();
@@ -883,12 +868,12 @@ mod tests {
         result.coverage = Some(state);
 
         let encoded = encode(&config, 7, &result, 0);
-        assert!(encoded.starts_with(MAGIC_V6), "coverage checkpoints are v6");
         let decoded = decode(&encoded, &config).expect("decode");
         let restored = decoded.result.coverage.expect("coverage state restored");
         assert_eq!(restored.fingerprint(), fingerprint, "state must round-trip exactly");
-        // And a coverage-free result still writes v5 byte-for-byte.
-        assert!(encode(&config, 7, &sample_result(), 0).starts_with(MAGIC));
+        let plain = encode(&config, 7, &sample_result(), 0);
+        assert!(!plain.contains("\ncoverage "));
+        assert!(decode(&plain, &config).expect("decode").result.coverage.is_none());
     }
 
     #[test]
@@ -930,6 +915,19 @@ mod tests {
         assert!(decode(torn, &config).is_err());
         assert!(decode("", &config).is_err());
         assert!(decode("garbage\n", &config).is_err());
+    }
+
+    /// A block length near `usize::MAX` read from a corrupt file is an
+    /// error, not an arithmetic overflow.
+    #[test]
+    fn oversized_text_block_is_rejected() {
+        let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
+        let encoded = encode(&config, 2, &sample_result(), 0);
+        let first_block = encoded.find("\ntext ").expect("sample has a text block") + 1;
+        let line_end = first_block + encoded[first_block..].find('\n').unwrap();
+        let corrupt =
+            format!("{}text {}{}", &encoded[..first_block], usize::MAX, &encoded[line_end..]);
+        assert!(decode(&corrupt, &config).is_err());
     }
 
     #[test]

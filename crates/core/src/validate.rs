@@ -26,13 +26,12 @@ use std::sync::Arc;
 
 use cse_bytecode::BProgram;
 use cse_lang::Program;
-use cse_vm::supervise::{contain_panics, supervised_run_cached, supervised_run_warmth_cached};
+use cse_vm::supervise::{contain_panics, supervised_run_cached};
 use cse_vm::{
     BugId, ExecutionResult, FaultInjector, Outcome, ProgramArtifacts, SharedArtifactCache, Symptom,
-    VmConfig, VmPanic,
+    VmConfig,
 };
 
-use crate::memo::{render_for_check, ExecCachePolicy, ExecMemo};
 use crate::mutate::{AppliedMutation, Artemis, Mutator};
 use crate::supervisor::{HarnessIncident, IncidentPhase};
 use crate::synth::SynthParams;
@@ -50,11 +49,6 @@ pub struct ValidateConfig {
     /// skip non-neutral mutations (harness soundness; costs one extra
     /// run per mutant).
     pub verify_neutrality: bool,
-    /// Execution-memoization policy (see [`crate::memo`]): replay runs
-    /// whose program footprint provably matches an earlier recorded run
-    /// instead of executing them. Never changes a verdict or a digest —
-    /// `CSE_EXEC_CACHE=off` is the kill switch, `check` the cross-check.
-    pub exec_cache: ExecCachePolicy,
 }
 
 impl ValidateConfig {
@@ -62,13 +56,7 @@ impl ValidateConfig {
     /// `MAX_ITER = 8`, thresholds-scaled `MIN`/`MAX`.
     pub fn paper_defaults(vm: VmConfig) -> ValidateConfig {
         let params = SynthParams::for_kind(vm.kind);
-        ValidateConfig {
-            max_iter: 8,
-            vm,
-            params,
-            verify_neutrality: true,
-            exec_cache: ExecCachePolicy::Auto,
-        }
+        ValidateConfig { max_iter: 8, vm, params, verify_neutrality: true }
     }
 }
 
@@ -161,12 +149,6 @@ pub struct ValidationOutcome {
     /// `cse_vm::jit::tv`) across seed and mutant runs. Observation-only,
     /// like `ir_verify_defects`.
     pub tv_defects: u64,
-    /// Runs served by the execution memo instead of executing (see
-    /// [`crate::memo`]). A served run still counts in `vm_invocations`,
-    /// so every other counter is independent of the cache policy.
-    pub exec_cache_hits: u64,
-    /// Memo lookups that fell through to a real execution.
-    pub exec_cache_misses: u64,
     /// Contained harness failures (panics in the VM, the compilers, or
     /// the mutation engine).
     pub incidents: Vec<HarnessIncident>,
@@ -450,38 +432,6 @@ pub fn validate_compiled_with(
     )
 }
 
-/// Runs one program through the execution memo: a recorded run whose
-/// footprint provably matches is replayed instead of executed; misses
-/// execute (through the shared artifact cache) and are recorded. Chaos
-/// and wall-clock configs bypass the memo entirely — their runs are
-/// harness-fault experiments, not replays.
-fn memoized_run(
-    memo: &mut ExecMemo,
-    program: &BProgram,
-    artifacts: &ProgramArtifacts,
-    config: &VmConfig,
-) -> Result<ExecutionResult, VmPanic> {
-    if !memo.enabled() || config.chaos_panic_at_ops.is_some() || config.wall_clock_limit.is_some() {
-        return supervised_run_cached(program, config.clone(), artifacts);
-    }
-    let exec_fp = config.exec_fingerprint();
-    if let Some(found) = memo.lookup(&artifacts.digests, exec_fp) {
-        if memo.checking() {
-            let (fresh, _) = supervised_run_warmth_cached(program, config.clone(), artifacts)?;
-            assert_eq!(
-                render_for_check(&fresh),
-                render_for_check(&found),
-                "execution-memo replay diverged from a fresh run (CSE_EXEC_CACHE=check)"
-            );
-        }
-        memo.hit();
-        return Ok(found);
-    }
-    let (result, warmth) = supervised_run_warmth_cached(program, config.clone(), artifacts)?;
-    memo.record(program, &artifacts.digests, config, exec_fp, &result, &warmth);
-    Ok(result)
-}
-
 /// [`validate_compiled_with`] with an explicit shared artifact cache
 /// ([`SharedArtifactCache`]) for the seed's programs: the seed run, its
 /// mutants, their reference runs and attribution reruns all attach to
@@ -496,25 +446,6 @@ pub fn validate_compiled_in(
     rng_seed: u64,
     configure: impl FnOnce(&mut Artemis),
     cache: &Rc<SharedArtifactCache>,
-) -> ValidationOutcome {
-    let mut memo = ExecMemo::new(config.exec_cache);
-    let mut outcome =
-        validate_inner(seed, seed_bytecode, config, rng_seed, configure, cache, &mut memo);
-    outcome.exec_cache_hits = memo.hits;
-    outcome.exec_cache_misses = memo.misses;
-    outcome
-}
-
-/// The body of Algorithm 1; split out so [`validate_compiled_in`] can
-/// harvest the memo counters on every exit path.
-fn validate_inner(
-    seed: &Program,
-    seed_bytecode: Result<Arc<BProgram>, String>,
-    config: &ValidateConfig,
-    rng_seed: u64,
-    configure: impl FnOnce(&mut Artemis),
-    cache: &Rc<SharedArtifactCache>,
-    memo: &mut ExecMemo,
 ) -> ValidationOutcome {
     let mut outcome = ValidationOutcome::default();
     let seed_bytecode = match seed_bytecode {
@@ -533,25 +464,26 @@ fn validate_inner(
             return outcome;
         }
     };
-    // One cache attachment per program: the digests it computes key both
-    // the cross-run artifact cache and the execution memo.
+    // One cache attachment per program: the digests it computes key the
+    // seed's artifact cache.
     let seed_artifacts = cache.attach(&seed_bytecode);
     // R ← LVM(P): the seed with its default JIT-trace.
     outcome.vm_invocations += 1;
-    let seed_result = match memoized_run(memo, &seed_bytecode, &seed_artifacts, &config.vm) {
-        Ok(result) => result,
-        Err(panic) => {
-            outcome.incident(
-                IncidentPhase::SeedRun,
-                rng_seed,
-                None,
-                panic.payload,
-                Some(cse_lang::pretty::print(seed)),
-            );
-            outcome.seed_discarded = true;
-            return outcome;
-        }
-    };
+    let seed_result =
+        match supervised_run_cached(&seed_bytecode, config.vm.clone(), &seed_artifacts) {
+            Ok(result) => result,
+            Err(panic) => {
+                outcome.incident(
+                    IncidentPhase::SeedRun,
+                    rng_seed,
+                    None,
+                    panic.payload,
+                    Some(cse_lang::pretty::print(seed)),
+                );
+                outcome.seed_discarded = true;
+                return outcome;
+            }
+        };
     outcome.note_ir_defects(&seed_result, rng_seed, None, seed);
     outcome.note_tv_defects(&seed_result, rng_seed, None, seed);
     // Running union of this seed's coverage, for novelty checks within
@@ -659,7 +591,7 @@ fn validate_inner(
         outcome.vm_invocations += 1;
         outcome.mutants_run += 1;
         let mutant_result =
-            match memoized_run(memo, &mutant_bytecode, &mutant_artifacts, &config.vm) {
+            match supervised_run_cached(&mutant_bytecode, config.vm.clone(), &mutant_artifacts) {
                 Ok(result) => result,
                 Err(panic) => {
                     outcome.discarded += 1;
@@ -736,7 +668,7 @@ fn validate_inner(
         } else {
             outcome.vm_invocations += 1;
             let reference_vm = VmConfig::interpreter_only(config.vm.kind);
-            match memoized_run(memo, &mutant_bytecode, &mutant_artifacts, &reference_vm) {
+            match supervised_run_cached(&mutant_bytecode, reference_vm, &mutant_artifacts) {
                 Ok(reference) => Some(reference),
                 Err(panic) => {
                     // No reference for this mutant; skip the neutrality
@@ -759,7 +691,7 @@ fn validate_inner(
             } else {
                 outcome.vm_invocations += 1;
                 let reference_vm = VmConfig::interpreter_only(config.vm.kind);
-                match memoized_run(memo, &seed_bytecode, &seed_artifacts, &reference_vm) {
+                match supervised_run_cached(&seed_bytecode, reference_vm, &seed_artifacts) {
                     Ok(result) => Some(result),
                     Err(panic) => {
                         // Proceed without neutrality checking for this seed.
@@ -807,7 +739,6 @@ fn validate_inner(
                     config,
                     &mutant_bytecode,
                     &mutant_artifacts,
-                    memo,
                     rng_seed,
                     iteration,
                     &mut outcome,
@@ -837,7 +768,6 @@ fn validate_inner(
                     config,
                     &mutant_bytecode,
                     &mutant_artifacts,
-                    memo,
                     rng_seed,
                     iteration,
                     &mut outcome,
@@ -862,7 +792,6 @@ fn validate_inner(
                 config,
                 &mutant_bytecode,
                 &mutant_artifacts,
-                memo,
                 rng_seed,
                 iteration,
                 &mut outcome,
@@ -884,7 +813,6 @@ fn make_discrepancy(
     config: &ValidateConfig,
     mutant_bytecode: &BProgram,
     mutant_artifacts: &ProgramArtifacts,
-    memo: &mut ExecMemo,
     rng_seed: u64,
     iteration: usize,
     outcome: &mut ValidationOutcome,
@@ -896,7 +824,6 @@ fn make_discrepancy(
         _ => attribute(
             mutant_bytecode,
             mutant_artifacts,
-            memo,
             config,
             mutant_result,
             rng_seed,
@@ -930,11 +857,9 @@ fn make_discrepancy(
 /// bug absent from the mask therefore never influenced the run, its
 /// ablation is a no-op, and the skipped rerun's observable provably
 /// equals the buggy run's — the exact condition the loop tests.
-#[allow(clippy::too_many_arguments)]
 fn attribute(
     mutant_bytecode: &BProgram,
     mutant_artifacts: &ProgramArtifacts,
-    memo: &mut ExecMemo,
     config: &ValidateConfig,
     buggy_result: &ExecutionResult,
     rng_seed: u64,
@@ -950,7 +875,7 @@ fn attribute(
         let mut vm = config.vm.clone();
         vm.faults = FaultInjector::with(remaining);
         outcome.vm_invocations += 1;
-        let result = match memoized_run(memo, mutant_bytecode, mutant_artifacts, &vm) {
+        let result = match supervised_run_cached(mutant_bytecode, vm, mutant_artifacts) {
             Ok(result) => result,
             Err(panic) => {
                 outcome.incident(

@@ -261,9 +261,7 @@ pub struct VmConfig {
     /// Whether to record JIT-behavior coverage into
     /// `ExecStats::coverage` (see [`crate::coverage`]). Off by default
     /// and zero-cost when off: no feature is computed, no digest work
-    /// is added. Collection never changes observable behavior; the flag
-    /// still partitions the execution fingerprint so memoized replays
-    /// carry coverage only when it was recorded.
+    /// is added. Collection never changes observable behavior.
     pub coverage: bool,
 }
 
@@ -365,59 +363,6 @@ impl VmConfig {
         self.coverage = on;
         self
     }
-
-    /// Fingerprint of every configuration facet that can influence an
-    /// execution's observable behavior, trace events, or statistics.
-    /// Execution memoization keys on this: two runs of the same program
-    /// under configs with equal fingerprints are replays of each other.
-    /// Deliberately *excludes* `wall_clock_limit` and `chaos_panic_at_ops`
-    /// — runs under those knobs are non-deterministic or harness-fault
-    /// experiments and are never memoized (the memo layer checks that
-    /// separately).
-    pub fn exec_fingerprint(&self) -> u64 {
-        let mut fp = crate::profile::Fnv::new();
-        fp.u64(match self.kind {
-            VmKind::HotSpotLike => 1,
-            VmKind::OpenJ9Like => 2,
-            VmKind::ArtLike => 3,
-        });
-        fp.u64(self.tiers.len() as u64);
-        for tier in &self.tiers {
-            fp.u64(tier.invocations);
-            fp.u64(tier.backedge);
-        }
-        fp.u64(u64::from(self.jit_enabled));
-        fp.u64(self.fuel);
-        fp.u64(self.gc_interval as u64);
-        fp.u64(self.max_objects as u64);
-        fp.u64(self.max_heap_bytes as u64);
-        fp.u64(self.max_call_depth as u64);
-        fp.u64(self.stack_limit as u64);
-        fp.u64(u64::from(self.record_method_entries));
-        fp.u64(self.max_events as u64);
-        fp.u64(self.faults.fingerprint());
-        match &self.plan {
-            None => fp.u64(0),
-            Some(plan) => {
-                fp.u64(1);
-                fp.u64(plan.fingerprint());
-            }
-        }
-        fp.u64(self.inline_limit as u64);
-        fp.u64(u64::from(self.max_deopts_per_method));
-        fp.u64(match self.verify_ir {
-            VerifyMode::Off => 0,
-            VerifyMode::Boundary => 1,
-            VerifyMode::Each => 2,
-        });
-        fp.u64(match self.tv {
-            TvMode::Off => 0,
-            TvMode::Boundary => 1,
-            TvMode::Each => 2,
-        });
-        fp.u64(u64::from(self.coverage));
-        fp.finish()
-    }
 }
 
 #[cfg(test)]
@@ -453,56 +398,5 @@ mod tests {
     fn force_compile_all_sets_plan() {
         let config = VmConfig::force_compile_all(VmKind::OpenJ9Like);
         assert!(config.plan.is_some());
-    }
-
-    #[test]
-    fn exec_fingerprint_covers_behavioral_facets() {
-        let base = VmConfig::correct(VmKind::HotSpotLike);
-        assert_eq!(
-            base.exec_fingerprint(),
-            VmConfig::correct(VmKind::HotSpotLike).exec_fingerprint()
-        );
-        assert_ne!(
-            base.exec_fingerprint(),
-            VmConfig::correct(VmKind::OpenJ9Like).exec_fingerprint()
-        );
-        assert_ne!(
-            base.exec_fingerprint(),
-            VmConfig::for_kind(VmKind::HotSpotLike).exec_fingerprint()
-        );
-        assert_ne!(
-            base.exec_fingerprint(),
-            VmConfig::interpreter_only(VmKind::HotSpotLike).exec_fingerprint()
-        );
-        assert_ne!(
-            base.exec_fingerprint(),
-            VmConfig::force_compile_all(VmKind::HotSpotLike).exec_fingerprint()
-        );
-        let mut fuel = base.clone();
-        fuel.fuel += 1;
-        assert_ne!(base.exec_fingerprint(), fuel.exec_fingerprint());
-        let verify = base.clone().with_verify_ir(VerifyMode::Each);
-        assert_ne!(base.exec_fingerprint(), verify.exec_fingerprint());
-        let tv = base.clone().with_tv(TvMode::Each);
-        assert_ne!(base.exec_fingerprint(), tv.exec_fingerprint());
-        assert_ne!(
-            base.clone().with_tv(TvMode::Boundary).exec_fingerprint(),
-            tv.exec_fingerprint()
-        );
-        // Plans that pin different calls must not collide.
-        let mut a = base.clone();
-        let mut plan_a = crate::plan::ForcedPlan::selective();
-        plan_a.set(cse_bytecode::MethodId(1), 0, crate::plan::ExecMode::Interpret);
-        a.plan = Some(plan_a);
-        let mut b = base.clone();
-        let mut plan_b = crate::plan::ForcedPlan::selective();
-        plan_b.set(cse_bytecode::MethodId(1), 1, crate::plan::ExecMode::Interpret);
-        b.plan = Some(plan_b);
-        assert_ne!(a.exec_fingerprint(), b.exec_fingerprint());
-        // Watchdog / chaos knobs are deliberately outside the fingerprint.
-        let mut chaos = base.clone();
-        chaos.wall_clock_limit = Some(std::time::Duration::from_secs(1));
-        chaos.chaos_panic_at_ops = Some(10);
-        assert_eq!(base.exec_fingerprint(), chaos.exec_fingerprint());
     }
 }

@@ -24,9 +24,7 @@
 //! # Cost
 //!
 //! Collection is gated on `VmConfig::coverage`; when the flag is off no
-//! feature is ever computed and the map stays all-zero (the flag is
-//! part of the execution fingerprint, so memoized runs never leak maps
-//! across the gate).
+//! feature is ever computed and the map stays all-zero.
 
 /// Number of `u64` words in a map: 64 words = 4096 cells.
 pub const MAP_WORDS: usize = 64;

@@ -215,9 +215,8 @@ impl SharedArtifactCache {
 #[derive(Clone)]
 pub struct ProgramArtifacts {
     pub(crate) cache: Rc<SharedArtifactCache>,
-    /// The program's content digests (also used by execution memoization
-    /// upstream).
-    pub digests: Rc<ProgramDigests>,
+    /// The program's content digests (the cache keys).
+    pub(crate) digests: Rc<ProgramDigests>,
     pub(crate) decoded: Rc<DecodedProgram>,
 }
 

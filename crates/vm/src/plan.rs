@@ -60,30 +60,6 @@ impl ForcedPlan {
     pub fn mode_for(&self, method: MethodId, invocation: u64) -> Option<ExecMode> {
         self.per_call.get(&(method, invocation)).copied().or(self.default)
     }
-
-    /// Order-stable fingerprint of the plan (the `per_call` map is hashed
-    /// in sorted coordinate order), used as an execution-memoization key
-    /// component.
-    pub fn fingerprint(&self) -> u64 {
-        fn mode_tag(mode: Option<ExecMode>) -> u64 {
-            match mode {
-                None => 0,
-                Some(ExecMode::Interpret) => 1,
-                Some(ExecMode::Compiled(tier)) => 2 + u64::from(tier.0),
-            }
-        }
-        let mut fp = crate::profile::Fnv::new();
-        fp.u64(mode_tag(self.default));
-        let mut pins: Vec<(&(MethodId, u64), &ExecMode)> = self.per_call.iter().collect();
-        pins.sort_by_key(|((method, invocation), _)| (method.0, *invocation));
-        fp.u64(pins.len() as u64);
-        for ((method, invocation), mode) in pins {
-            fp.u64(u64::from(method.0));
-            fp.u64(*invocation);
-            fp.u64(mode_tag(Some(*mode)));
-        }
-        fp.finish()
-    }
 }
 
 #[cfg(test)]

@@ -93,18 +93,6 @@ pub fn supervised_run_cached(
     contain_panics(|| Vm::run_program_cached(program, config, artifacts))
 }
 
-/// [`supervised_run_cached`], additionally reporting the run's
-/// [`crate::WarmthProfile`]. Execution memoization uses the per-method
-/// invocation counts to reconstruct the set of methods a run actually
-/// consulted (its content footprint).
-pub fn supervised_run_warmth_cached(
-    program: &BProgram,
-    config: VmConfig,
-    artifacts: &crate::jit::ProgramArtifacts,
-) -> Result<(ExecutionResult, crate::WarmthProfile), VmPanic> {
-    contain_panics(|| Vm::run_program_warmth_cached(program, config, artifacts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

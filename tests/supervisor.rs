@@ -140,6 +140,38 @@ fn foreign_checkpoint_is_ignored() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint in an older format (header `cse-checkpoint v5` or `v6`)
+/// is ignored and the campaign starts fresh. The body is tampered so
+/// that resuming it would show in the digest; the control run with the
+/// current header proves the tamper is visible.
+#[test]
+fn old_format_checkpoint_restarts_the_campaign() {
+    const SEEDS: u64 = 2;
+    let dir = scratch("old-format");
+    let path = dir.join("campaign.checkpoint");
+    let mut config = CampaignConfig::for_kind(VmKind::ArtLike, SEEDS);
+    config.supervisor.checkpoint_path = Some(path.clone());
+    let fresh = run_campaign(&config);
+    let written = std::fs::read_to_string(&path).expect("checkpoint written");
+    let (header, body) = written.split_once('\n').expect("header line");
+    let unattributed = format!("\nunattributed {}\n", fresh.unattributed);
+    assert!(body.contains(&unattributed), "calibration: body layout changed");
+    let tampered =
+        body.replacen(&unattributed, &format!("\nunattributed {}\n", fresh.unattributed + 7), 1);
+
+    std::fs::write(&path, format!("{header}\n{tampered}")).unwrap();
+    let resumed = run_campaign(&config);
+    assert_eq!(resumed.unattributed, fresh.unattributed + 7, "current format resumes");
+    assert_ne!(resumed.digest(&config), fresh.digest(&config));
+
+    for old in ["cse-checkpoint v5", "cse-checkpoint v6"] {
+        std::fs::write(&path, format!("{old}\n{tampered}")).unwrap();
+        let result = run_campaign(&config);
+        assert_eq!(result.digest(&config), fresh.digest(&config), "`{old}` must restart");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Crashing and panicking inputs are persisted as self-contained repro
 /// files: mutant source + rng seed + VM profile.
 #[test]
