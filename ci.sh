@@ -27,9 +27,6 @@ if [ "$mode" != "quick" ]; then
     cargo build --release
 fi
 
-echo "==> cargo test -q (tier-1: root crate)"
-cargo test -q
-
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -47,19 +44,6 @@ CSE_TV=each cargo test -q --test tv_checker
 if [ "$mode" != "quick" ]; then
     echo "==> parallel-engine digest equality under --release"
     cargo test --release -q --test parallel_determinism
-
-    # Perf smoke: a small campaign through the full bench — throughput,
-    # per-stage breakdown, interpreter microbench, and the pruned-vs-
-    # exhaustive plan-space digest cross-check (the bench exits non-zero
-    # if pruning ever diverges). The JSON artifact is the same file a
-    # full-size run produces, and each run appends a dated entry to
-    # results/BENCH_trajectory.jsonl; the bench fails if serial
-    # seeds_per_sec regresses >20% against the last committed entry for
-    # the same workload shape.
-    echo "==> perf smoke (bench_campaign -> results/BENCH_campaign.json)"
-    mkdir -p results
-    CSE_SEEDS=4 CSE_BENCH_OUT=results/BENCH_campaign.json \
-        cargo run --release -q -p cse-bench --bin bench_campaign
 
     # Oracle memory gate: the guided workload runs both static oracles
     # (TV and IR verifier at boundary). Its output checks must pass and

@@ -373,19 +373,24 @@ impl<'a> Reader<'a> {
         Ok(&rest[..end])
     }
 
-    /// A line of the form `<tag> <fields...>`; returns the fields.
-    fn tagged(&mut self, tag: &str) -> ParseResult<Vec<&'a str>> {
+    /// A line of the form `<tag> <fields...>` with exactly `count`
+    /// fields; returns the fields.
+    fn tagged(&mut self, tag: &str, count: usize) -> ParseResult<Vec<&'a str>> {
         let line = self.line()?;
         let mut parts = line.split(' ');
         let got = parts.next().unwrap_or("");
         if got != tag {
             return Err(format!("expected `{tag}`, found `{line}`"));
         }
-        Ok(parts.collect())
+        let fields: Vec<&'a str> = parts.collect();
+        if fields.len() != count {
+            return Err(format!("{tag}: expected {count} fields, got {}", fields.len()));
+        }
+        Ok(fields)
     }
 
     fn tagged_num<T: std::str::FromStr>(&mut self, tag: &str) -> ParseResult<T> {
-        let fields = self.tagged(tag)?;
+        let fields = self.tagged(tag, 1)?;
         parse_field(&fields, 0, tag)
     }
 
@@ -473,10 +478,10 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     if magic != MAGIC {
         return Err(format!("bad checkpoint header `{magic}` (want `{MAGIC}`)"));
     }
-    let fields = r.tagged("config")?;
+    let fields = r.tagged("config", 4)?;
     let kind = format!("{:?}", config.vm.kind);
     let (got_kind, got_seeds, got_first, got_iter) = (
-        *fields.first().unwrap_or(&""),
+        fields[0],
         parse_field::<u64>(&fields, 1, "config")?,
         parse_field::<u64>(&fields, 2, "config")?,
         parse_field::<usize>(&fields, 3, "config")?,
@@ -497,7 +502,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     let mut result = CampaignResult::default();
     result.totals.partial = r.tagged_num::<u8>("partial")? != 0;
     result.unattributed = r.tagged_num("unattributed")?;
-    let t = r.tagged("totals")?;
+    let t = r.tagged("totals", 17)?;
     result.totals.seeds = parse_field(&t, 0, "totals")?;
     result.totals.mutants = parse_field(&t, 1, "totals")?;
     result.totals.completed = parse_field(&t, 2, "totals")?;
@@ -526,12 +531,12 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     }
     let n: usize = r.tagged_num("bugs")?;
     for _ in 0..n {
-        let fields = r.tagged("bug")?;
-        let bug = bug_from_name(fields.first().unwrap_or(&""))?;
+        let fields = r.tagged("bug", 5)?;
+        let bug = bug_from_name(fields[0])?;
         let occurrences: usize = parse_field(&fields, 1, "bug")?;
         let first_seed: u64 = parse_field(&fields, 2, "bug")?;
-        let symptom = symptom_from_name(fields.get(3).unwrap_or(&""))?;
-        let component = component_from_name(fields.get(4).unwrap_or(&""))?;
+        let symptom = symptom_from_name(fields[3])?;
+        let component = component_from_name(fields[4])?;
         let reproducer = r.text()?;
         result.bugs.insert(
             bug,
@@ -540,15 +545,14 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     }
     let n: usize = r.tagged_num("incidents")?;
     for _ in 0..n {
-        let fields = r.tagged("incident")?;
-        let phase = IncidentPhase::from_name(fields.first().unwrap_or(&""))
+        let fields = r.tagged("incident", 4)?;
+        let phase = IncidentPhase::from_name(fields[0])
             .ok_or_else(|| format!("unknown incident phase in {fields:?}"))?;
         let seed: u64 = parse_field(&fields, 1, "incident")?;
         let rng_seed: u64 = parse_field(&fields, 2, "incident")?;
-        let iteration = match fields.get(3) {
-            Some(&"-") => None,
-            Some(s) => Some(s.parse().map_err(|_| "bad incident iteration")?),
-            None => return Err("incident: missing iteration".to_string()),
+        let iteration = match fields[3] {
+            "-" => None,
+            s => Some(s.parse().map_err(|_| "bad incident iteration")?),
         };
         let payload = r.text()?;
         let source = match r.tagged_num::<u8>("source")? {
@@ -565,7 +569,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
         });
     }
     if !r.at_end() {
-        let fields = r.tagged("coverage")?;
+        let fields = r.tagged("coverage", 8)?;
         let mut state = CoverageState {
             round: parse_field(&fields, 0, "coverage")?,
             execs: parse_field(&fields, 1, "coverage")?,
@@ -578,7 +582,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
         state.global = parse_map(&mut r)?;
         let n: usize = r.tagged_num("corpus")?;
         for _ in 0..n {
-            let fields = r.tagged("entry")?;
+            let fields = r.tagged("entry", 3)?;
             let gen_seed: u64 = parse_field(&fields, 0, "entry")?;
             let new_cells: u32 = parse_field(&fields, 1, "entry")?;
             let locations = (0..parse_field::<usize>(&fields, 2, "entry")?)
@@ -589,9 +593,9 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
         }
         let n: usize = r.tagged_num("schedule")?;
         for _ in 0..n {
-            let fields = r.tagged("task")?;
+            let fields = r.tagged("task", 3)?;
             let gen_seed: u64 = parse_field(&fields, 0, "task")?;
-            let plan = PlanVariant::from_name(fields.get(1).unwrap_or(&""))
+            let plan = PlanVariant::from_name(fields[1])
                 .ok_or_else(|| format!("unknown plan variant in {fields:?}"))?;
             let focus = (0..parse_field::<usize>(&fields, 2, "task")?)
                 .map(|_| r.line().map(str::to_string))
@@ -608,14 +612,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
 
 /// Parses one `map` line back into a bitmap.
 fn parse_map(r: &mut Reader<'_>) -> ParseResult<cse_vm::CoverageMap> {
-    let fields = r.tagged("map")?;
-    if fields.len() != cse_vm::coverage::MAP_WORDS {
-        return Err(format!(
-            "map: expected {} words, got {}",
-            cse_vm::coverage::MAP_WORDS,
-            fields.len()
-        ));
-    }
+    let fields = r.tagged("map", cse_vm::coverage::MAP_WORDS)?;
     let mut words = [0u64; cse_vm::coverage::MAP_WORDS];
     for (word, field) in words.iter_mut().zip(&fields) {
         *word = u64::from_str_radix(field, 16).map_err(|_| "map: malformed hex word")?;
@@ -928,6 +925,21 @@ mod tests {
         let corrupt =
             format!("{}text {}{}", &encoded[..first_block], usize::MAX, &encoded[line_end..]);
         assert!(decode(&corrupt, &config).is_err());
+    }
+
+    /// Every fixed-arity line has an exact field count: a field appended
+    /// to a `totals` or `bug` line makes the checkpoint unusable.
+    #[test]
+    fn extra_field_is_rejected() {
+        let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
+        let encoded = encode(&config, 2, &sample_result(), 0);
+        assert!(decode(&encoded, &config).is_ok());
+        for tag in ["totals", "bug"] {
+            let line = encoded.find(&format!("\n{tag} ")).expect("sample has the line") + 1;
+            let line_end = line + encoded[line..].find('\n').unwrap();
+            let corrupt = format!("{} 0{}", &encoded[..line_end], &encoded[line_end..]);
+            assert!(decode(&corrupt, &config).is_err(), "extra field on `{tag}` accepted");
+        }
     }
 
     #[test]

@@ -401,30 +401,9 @@ pub fn validate_with(
     rng_seed: u64,
     configure: impl FnOnce(&mut Artemis),
 ) -> ValidationOutcome {
-    validate_compiled_with(
-        seed,
-        try_compile_checked(seed).map(Arc::new),
-        config,
-        rng_seed,
-        configure,
-    )
-}
-
-/// [`validate_with`] for a seed whose bytecode compilation already
-/// happened (or already failed). The campaign driver compiles each seed
-/// exactly once and shares the `Arc<BProgram>` between validation and the
-/// traditional-fuzzing baseline instead of re-running the front end per
-/// consumer.
-pub fn validate_compiled_with(
-    seed: &Program,
-    seed_bytecode: Result<Arc<BProgram>, String>,
-    config: &ValidateConfig,
-    rng_seed: u64,
-    configure: impl FnOnce(&mut Artemis),
-) -> ValidationOutcome {
     validate_compiled_in(
         seed,
-        seed_bytecode,
+        try_compile_checked(seed).map(Arc::new),
         config,
         rng_seed,
         configure,
@@ -432,13 +411,16 @@ pub fn validate_compiled_with(
     )
 }
 
-/// [`validate_compiled_with`] with an explicit shared artifact cache
-/// ([`SharedArtifactCache`]) for the seed's programs: the seed run, its
-/// mutants, their reference runs and attribution reruns all attach to
-/// `cache`, so JIT compilations and decoded methods are shared within
-/// the seed. The campaign executor passes a fresh cache per seed (and
-/// reads its hit counters afterwards), which is exactly what
-/// [`validate_compiled_with`] does.
+/// [`validate_with`] for a seed whose bytecode compilation already
+/// happened (or already failed), with an explicit shared artifact cache
+/// ([`SharedArtifactCache`]) for the seed's programs. The campaign
+/// driver compiles each seed exactly once and shares the `Arc<BProgram>`
+/// between validation and the traditional-fuzzing baseline instead of
+/// re-running the front end per consumer. The seed run, its mutants,
+/// their reference runs and attribution reruns all attach to `cache`,
+/// so JIT compilations and decoded methods are shared within the seed.
+/// The campaign executor passes a fresh cache per seed (and reads its
+/// hit counters afterwards), as [`validate_with`] does.
 pub fn validate_compiled_in(
     seed: &Program,
     seed_bytecode: Result<Arc<BProgram>, String>,

@@ -73,6 +73,63 @@ fn pruned_enumeration_matches_exhaustive_across_fuzz_corpus() {
     }
 }
 
+/// Hand-written programs whose coordinate lists mix live invocations with
+/// dead ones (indices the program never reaches), so pruning has real
+/// work to do: pruned and exhaustive enumerations must still agree bit
+/// for bit. Each case is a name, a source with class `T`, and
+/// `(method, invocation)` coordinates.
+#[test]
+fn pruned_enumeration_matches_exhaustive_on_hand_picked_coordinates() {
+    type Case = (&'static str, &'static str, &'static [(&'static str, u64)]);
+    let cases: [Case; 2] = [
+        (
+            "loop_calls",
+            r#"class T {
+                static int step(int x) { return x * 3 + 1; }
+                static void main() {
+                    int acc = 0;
+                    for (int i = 0; i < 6; i++) { acc = acc + step(i); }
+                    println(acc);
+                }
+            }"#,
+            // step runs 6 times: invocations 0, 2, 5 are live, 9 is dead.
+            &[("step", 0), ("step", 2), ("step", 5), ("step", 9), ("main", 0)],
+        ),
+        (
+            "strings_switch",
+            r#"class T {
+                static String label(int x) {
+                    switch (x) {
+                        case 0: return "zero";
+                        case 1: return "one";
+                        default: return "many:" + x;
+                    }
+                }
+                static void main() {
+                    for (int i = 0; i < 4; i++) { println(label(i)); }
+                }
+            }"#,
+            // label runs 4 times: invocations 0 and 3 are live, 8 is dead.
+            &[("label", 0), ("label", 3), ("label", 8), ("main", 0)],
+        ),
+    ];
+    let config = VmConfig::correct(VmKind::HotSpotLike);
+    for (name, source, coordinates) in cases {
+        let program = cse_lang::parse_and_check(source).expect("case source is valid");
+        let bytecode = try_compile_checked(&program).expect("case compiles");
+        let calls: Vec<(MethodId, u64)> = coordinates
+            .iter()
+            .map(|&(method, invocation)| {
+                (bytecode.find_method("T", method).expect("case method"), invocation)
+            })
+            .collect();
+        let pruned = enumerate_space_with(&bytecode, &calls, &config, PrunePlans::On);
+        let exhaustive = enumerate_space_with(&bytecode, &calls, &config, PrunePlans::Off);
+        assert_eq!(pruned.len(), 1 << calls.len(), "{name}: full space");
+        assert_points_identical(&pruned, &exhaustive, name);
+    }
+}
+
 /// Pruning with a certainly-dead coordinate must still enumerate every
 /// point (the space's *shape* is an API contract; only the executions are
 /// shared), and re-enumeration is deterministic.
@@ -88,10 +145,10 @@ fn pruned_enumeration_is_deterministic() {
     assert_eq!(space_digest(&first), space_digest(&second));
 }
 
-/// Campaign digests are independent of both the pruning switch and the
-/// worker count. Plan-space pruning lives in `cse_core::space`, which the
-/// campaign's validation loop never consults — pinned here by running the
-/// same campaign at jobs = 1 and jobs = 4 (complementing
+/// Campaign digests are independent of plan-space pruning and of the
+/// worker count. Pruning lives in `cse_core::space`, which the campaign's
+/// validation loop never consults; jobs invariance is pinned here by
+/// running the same campaign at jobs = 1 and jobs = 4 (complementing
 /// `parallel_determinism.rs`, which sweeps jobs ∈ {2, 4, 8}) and checking
 /// the digest is bit-identical.
 #[test]
