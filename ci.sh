@@ -10,6 +10,12 @@ cd "$(dirname "$0")"
 
 mode="${1:-full}"
 
+# A run may not dirty the tree: a leg that rewrites committed files (or
+# leaves untracked output outside .gitignore) fails CI instead of being
+# found by hand. Comparing against the start state keeps ./ci.sh usable
+# on an uncommitted working tree.
+tree_at_start=$(git status --porcelain)
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -79,6 +85,14 @@ if [ "$mode" != "quick" ]; then
         echo "error: coverage guidance did not increase covered cells" >&2
         exit 1
     fi
+fi
+
+echo "==> working tree unchanged by the run"
+tree_at_end=$(git status --porcelain)
+if [ "$tree_at_end" != "$tree_at_start" ]; then
+    echo "error: the run changed the working tree:" >&2
+    diff <(echo "$tree_at_start") <(echo "$tree_at_end") >&2 || true
+    exit 1
 fi
 
 echo "==> OK"

@@ -35,9 +35,13 @@ pub fn supervisor_from_env(profile: &str) -> cse_core::SupervisorConfig {
     sup
 }
 
-/// Seeds per campaign (override with `CSE_SEEDS`).
+/// Seeds per campaign (override with `CSE_SEEDS`). A set value that is
+/// not a positive integer exits the process with an error.
 pub fn campaign_seeds(default: u64) -> u64 {
-    std::env::var("CSE_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+    cse_core::campaign::env_count("CSE_SEEDS", default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// All VM profiles in paper order.

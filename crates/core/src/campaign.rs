@@ -44,9 +44,9 @@ pub struct CampaignConfig {
     /// fully passive (no checkpoints, no quarantine, no deadline) —
     /// panic containment inside validation is always on.
     pub supervisor: SupervisorConfig,
-    /// Worker threads for seed processing. `1` (the default) runs the
-    /// serial reference loop; `N > 1` shards seeds across `N` workers
-    /// with a deterministic in-order merge, producing a **bit-identical**
+    /// Threads processing seeds: the calling thread plus `jobs - 1`
+    /// scoped helpers, so `1` (the default) spawns none. Seeds are merged
+    /// in order on the calling thread, producing a **bit-identical**
     /// [`CampaignResult::digest`] for every value (see
     /// [`crate::executor`]). Deliberately not part of the checkpoint
     /// identity: a campaign checkpointed at one `jobs` setting resumes
@@ -102,6 +102,20 @@ impl CampaignConfig {
     pub fn with_triage(mut self) -> CampaignConfig {
         self.triage = Some(TriageConfig::for_campaign(&self));
         self
+    }
+}
+
+/// A campaign size (`CSE_SEEDS`, `CSE_JOBS`) from the environment:
+/// `default` when the variable is unset, an error naming the variable
+/// and its value when it is set to anything but a positive integer.
+pub fn env_count(name: &str, default: u64) -> Result<u64, String> {
+    match std::env::var(name) {
+        Err(_) => Ok(default),
+        Ok(value) => value
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("{name}={value:?} is not a positive integer")),
     }
 }
 
@@ -258,16 +272,15 @@ impl CampaignResult {
 /// Runs a campaign (resuming from the supervisor's checkpoint when one
 /// exists).
 ///
-/// `config.jobs` selects the execution engine — the serial reference
-/// loop or the deterministic parallel executor (see [`crate::executor`]);
-/// the result (and its digest) is identical either way.
+/// Every `config.jobs` setting runs the same engine (see
+/// [`crate::executor`]): the calling thread processes seeds beside
+/// `jobs - 1` helpers and merges them in seed order, so the result and
+/// its digest are identical for every value.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let start = Instant::now();
     let sup = &config.supervisor;
     let mode = config.coverage.resolve();
     let mut result = CampaignResult::default();
-    // Seed *offset* of the next seed to validate (0-based).
-    let mut next: u64 = 0;
     if let Some(path) = &sup.checkpoint_path {
         match supervisor::load_checkpoint(path, config) {
             Ok(Some(checkpoint)) => {
@@ -281,7 +294,6 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
                         path.display()
                     );
                 } else {
-                    next = checkpoint.next_seed.min(config.seeds);
                     result = checkpoint.result;
                 }
             }
@@ -303,37 +315,31 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     vm.coverage = mode != CoverageMode::Off;
     let validate_config =
         ValidateConfig { max_iter: config.max_iter, ..ValidateConfig::paper_defaults(vm) };
+    let mut ctx = executor::ExecContext { config, validate_config, start, prior_wall, round: None };
     // Seeds processed by this invocation (the `stop_after_seeds` budget
-    // spans rounds).
+    // spans segments).
     let mut processed: u64 = 0;
-    let mut result = if mode != CoverageMode::Guide {
-        // Unguided: one pass over the whole remaining range.
-        let ctx = executor::ExecContext { config, validate_config, start, prior_wall, round: None };
-        executor::run(&ctx, result, next, config.seeds, &mut processed)
-    } else {
-        // Guided: synchronized rounds of `ROUND_LEN` seeds. Each round's
-        // schedule is derived purely from the merged coverage state at
-        // the round barrier (and persisted inside it, so a kill/resume
-        // mid-round replays the identical schedule).
-        loop {
-            if next >= config.seeds {
-                break result;
-            }
-            if sup.stop_after_seeds.is_some_and(|stop| processed >= stop) {
-                break result;
-            }
-            if sup.deadline.is_some_and(|deadline| start.elapsed() >= deadline) {
-                break result;
-            }
+    // One loop over segments. An unguided campaign is the single segment
+    // `[next, seeds)` with no tasks. A guided one runs synchronized rounds
+    // of `ROUND_LEN` seeds, each round's schedule derived purely from the
+    // merged coverage state at its barrier (and persisted inside it, so a
+    // kill/resume mid-round replays the identical schedule). A segment
+    // that stops short — a cutoff closed its claims — ends the loop; a
+    // schedule recomputed at a barrier nobody then claims from is
+    // deterministic and masked out of the digest, so it costs nothing.
+    loop {
+        // Merges form a contiguous prefix from offset 0, so the merged
+        // count is the offset of the next seed to validate.
+        let next = result.totals.seeds;
+        let end = if mode == CoverageMode::Guide && next < config.seeds {
             let round = next / coverage::ROUND_LEN;
             let round_start = round * coverage::ROUND_LEN;
             let round_end = (round_start + coverage::ROUND_LEN).min(config.seeds);
             let state = result.coverage.as_mut().expect("guided campaigns carry coverage state");
-            let at_barrier = next == round_start;
             let stale =
                 state.round != round || state.schedule.len() as u64 != round_end - round_start;
-            if at_barrier || stale {
-                let schedule = coverage::schedule_round(
+            if next == round_start || stale {
+                state.schedule = coverage::schedule_round(
                     &*state,
                     config.first_seed,
                     round,
@@ -341,33 +347,21 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
                     config.vm.tiers.len() >= 2,
                 );
                 state.round = round;
-                state.schedule = schedule;
             }
-            let round_tasks =
-                executor::RoundTasks { base: round_start, tasks: state.schedule.clone() };
-            let ctx = executor::ExecContext {
-                config,
-                validate_config: validate_config.clone(),
-                start,
-                prior_wall,
-                round: Some(round_tasks),
-            };
-            result = executor::run(&ctx, result, next, round_end, &mut processed);
-            // The executor merges a contiguous prefix from offset 0, so
-            // the totals are also the resumption point.
-            let reached = result.totals.seeds;
-            debug_assert!(reached >= next && reached <= round_end);
-            if reached < round_end {
-                // Stopped mid-round (budget or deadline); the schedule
-                // stays persisted in the state for the resume.
-                break result;
-            }
-            next = reached;
+            ctx.round =
+                Some(executor::RoundTasks { base: round_start, tasks: state.schedule.clone() });
+            round_end
+        } else {
+            // Unguided, or a guided campaign resumed with its range
+            // already exhausted: nothing left to schedule.
+            config.seeds
+        };
+        executor::run(&ctx, &mut result, end, &mut processed);
+        if result.totals.seeds < end || end >= config.seeds {
+            break;
         }
-    };
-    if result.totals.seeds < config.seeds {
-        result.totals.partial = true;
     }
+    executor::checkpoint(&ctx, &mut result);
     // End-of-campaign triage: only once the seed range is exhausted (a
     // partial campaign triages after its resumed run finishes instead).
     // The report is recomputed — deterministically — on every completed
@@ -380,14 +374,10 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
         result.totals.triage_flaky = report.flaky() as u64;
         result.totals.triage_unreproducible = report.suppressed.len() as u64;
         result.triage = Some(report);
-        if let Some(path) = &sup.checkpoint_path {
-            // Fold the triage counters into the final checkpoint so a
-            // resume of the finished campaign starts from a state that
-            // round-trips to the same digest.
-            if let Err(e) = supervisor::save_checkpoint(path, config, config.seeds, &result) {
-                eprintln!("warning: final checkpoint write failed: {e}");
-            }
-        }
+        // Fold the triage counters into the final checkpoint so a resume
+        // of the finished campaign starts from a state that round-trips
+        // to the same digest.
+        executor::checkpoint(&ctx, &mut result);
     }
     result
 }

@@ -2,10 +2,9 @@
 //! over the JIT-behavior coverage maps `cse-vm` records.
 //!
 //! The campaign runs in synchronized rounds of [`ROUND_LEN`] seeds.
-//! Within a round, seeds execute under the existing work-stealing
-//! executor; their coverage maps are merged strictly in seed order at
-//! the collector (the same seed-ordered barrier every other campaign
-//! statistic already uses). At a round boundary the next round's
+//! Each round is one segment of the campaign engine; its coverage maps
+//! are merged strictly in seed order on the calling thread (the same
+//! seed-ordered merge every other campaign statistic already uses). At a round boundary the next round's
 //! schedule — which generator seeds to run, which JoNM mutation sites
 //! to boost, which forced plan to pin — is derived *purely* from the
 //! merged [`CoverageState`] plus a counter-derived RNG. Nothing about
@@ -229,7 +228,7 @@ impl CoverageState {
     }
 
     /// Merges one seed's results into the state. Called only from the
-    /// executor's seed-ordered collector, which is what makes the
+    /// executor's seed-ordered merge, which is what makes the
     /// whole feedback loop worker-count-invariant.
     pub fn absorb(
         &mut self,

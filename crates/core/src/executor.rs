@@ -1,36 +1,52 @@
-//! Deterministic campaign execution — serial reference path and the
-//! work-stealing parallel engine behind `CampaignConfig::jobs`.
+//! Deterministic campaign execution: the one engine behind
+//! `CampaignConfig::jobs`, and the in-order pool it shares with triage.
+//!
+//! # One engine
+//!
+//! The calling thread is worker 0. It claims and processes seeds like
+//! any other worker, and it is also the in-order collector; `jobs - 1`
+//! scoped helpers claim seeds beside it ([`in_order`]). `jobs = 1`
+//! therefore spawns no thread at all, and `jobs = N` runs on exactly N
+//! threads, not N workers plus an idle collector. The shape is measured,
+//! not cosmetic: on a 2-core host, running `jobs = 1` as one spawned
+//! worker raised the single-core benchmark's peak RSS from 16.2–16.3 MB
+//! to 19.1–19.4 MB (+18%, most likely a second malloc arena), while the
+//! calling thread as worker kept it at 16.0–16.3 MB and the guided
+//! two-thread workload at 89–98 MB.
 //!
 //! # Determinism contract
 //!
 //! A campaign's [`CampaignResult::digest`] must be **bit-identical** for
-//! every `jobs` setting (and across kill/resume cycles, as PR 1
-//! established). The design that guarantees this:
+//! every `jobs` setting and across kill/resume cycles. The design that
+//! guarantees this:
 //!
 //! * **Sharding** — a shared atomic claim counter hands out seed
-//!   *offsets* in increasing order. A worker that claims an offset always
+//!   *offsets* in increasing order. A thread that claims an offset always
 //!   processes it ("claimed-must-process"), so the set of completed
 //!   offsets is a contiguous prefix of the seed range at every point in
 //!   time — exactly the shape a checkpoint needs.
 //! * **Pure seed work** — [`process_seed`] touches no shared state: it
 //!   generates the seed, compiles it once, validates it, and runs the
 //!   baseline, returning everything in a [`SeedRecord`].
-//! * **Deterministic merge** — a single collector (the campaign thread)
-//!   buffers out-of-order records and folds them into the result strictly
-//!   in seed order via [`merge_seed`], which is the exact aggregation the
-//!   serial loop performs. Quarantine writes and checkpoints happen only
-//!   on the collector, in seed order.
-//! * **Early stop before claim** — deadline and `stop_after_seeds` are
-//!   checked *before* claiming an offset, never mid-seed, so a cutoff
-//!   still leaves a contiguous, resumable prefix.
+//! * **Deterministic merge** — the calling thread buffers out-of-order
+//!   records and folds them into the result strictly in seed order via
+//!   [`merge_seed`]. Quarantine writes and checkpoints happen only
+//!   there, in seed order.
+//! * **One cutoff, checked at claim time** — [`cutoffs`] is the only
+//!   place that reads the deadline and `stop_after_seeds`. Both stop new
+//!   claims, never a claimed seed, so a cutoff still leaves a
+//!   contiguous, resumable prefix.
+//! * **One checkpoint writer** — [`checkpoint`] stamps the volatile
+//!   totals and saves the state, at cadence points, at the end of the
+//!   seed loop, and after triage.
 //!
-//! `jobs <= 1` takes the serial loop below, which is the reference
-//! semantics: the parallel path is an optimization that must be
-//! observationally equivalent, and `tests/parallel_determinism.rs` holds
-//! it to that.
+//! `tests/parallel_determinism.rs` holds the engine to this contract and
+//! pins absolute digests, so a change that moves every `jobs` setting at
+//! once still fails.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,7 +60,7 @@ use crate::coverage::{PlanVariant, TaskSpec};
 use crate::supervisor::{self, HarnessIncident, IncidentPhase};
 use crate::validate::{self, DiscrepancyKind, ValidateConfig, ValidationOutcome};
 
-/// Everything the seed loops need besides the result being built.
+/// Everything a campaign segment needs besides the result being built.
 pub(crate) struct ExecContext<'a> {
     pub config: &'a CampaignConfig,
     pub validate_config: ValidateConfig,
@@ -52,9 +68,9 @@ pub(crate) struct ExecContext<'a> {
     pub start: Instant,
     /// Wall time accumulated by previous (killed) invocations.
     pub prior_wall: Duration,
-    /// The coverage scheduler's task assignments for the offset range
-    /// this invocation covers (`None` = unguided: every offset runs its
-    /// natural seed, unfocused, baseline plan).
+    /// The coverage scheduler's task assignments for the current guided
+    /// round (`None` = unguided: every offset runs its natural seed,
+    /// unfocused, baseline plan).
     pub round: Option<RoundTasks>,
 }
 
@@ -72,9 +88,9 @@ impl ExecContext<'_> {
     }
 }
 
-/// The complete, self-contained outcome of one seed: what a worker sends
-/// to the collector. Contains no shared state and no open resources, so
-/// it can cross threads freely.
+/// The complete, self-contained outcome of one seed: what a worker hands
+/// to the in-order merge. Contains no shared state and no open
+/// resources, so it can cross threads freely.
 struct SeedRecord {
     /// Seed offset (for task lookups at the merge barrier).
     offset: u64,
@@ -88,24 +104,131 @@ struct SeedRecord {
     artifact_stats: (u64, u64),
 }
 
-/// Runs the seed loop (serial or parallel per `config.jobs`) over the
-/// offset range `[next, end)` on top of a possibly checkpoint-restored
-/// `result`/`next` pair. `end < config.seeds` bounds one guided round;
-/// unguided campaigns pass `end = config.seeds`. `processed` counts
-/// seeds merged across this *invocation* (the `stop_after_seeds` budget
-/// spans rounds).
+/// Runs one segment of the campaign: the seed offsets from
+/// `result.totals.seeds` (merges form a contiguous prefix from offset 0,
+/// so the merged count is also the next offset) up to `end`, on
+/// `config.jobs` threads. Unguided campaigns run the single segment
+/// `end = config.seeds`; guided ones run one round per segment.
+/// `processed` counts seeds merged by this *invocation*: the
+/// `stop_after_seeds` budget spans segments.
 pub(crate) fn run(
     ctx: &ExecContext<'_>,
-    result: CampaignResult,
-    next: u64,
+    result: &mut CampaignResult,
     end: u64,
     processed: &mut u64,
-) -> CampaignResult {
-    if ctx.config.jobs <= 1 {
-        run_serial(ctx, result, next, end, processed)
-    } else {
-        run_parallel(ctx, result, next, end, processed)
+) {
+    let sup = &ctx.config.supervisor;
+    let (range, open) = cutoffs(ctx, result.totals.seeds, end, *processed);
+    in_order(
+        ctx.config.jobs,
+        range,
+        open,
+        |offset| process_seed(ctx, offset),
+        |record| {
+            merge_seed(ctx, result, record);
+            *processed += 1;
+            if sup.checkpoint_path.is_some() && processed.is_multiple_of(sup.cadence()) {
+                checkpoint(ctx, result);
+            }
+        },
+    );
+}
+
+/// The campaign's cutoffs — the only place that reads the deadline and
+/// `stop_after_seeds`. The remaining budget shrinks the segment's range
+/// up front; the returned predicate closes it once the deadline passes.
+/// [`in_order`] consults both before every claim, so a cutoff never
+/// splits a claimed seed.
+fn cutoffs<'a>(
+    ctx: &'a ExecContext<'_>,
+    next: u64,
+    end: u64,
+    processed: u64,
+) -> (Range<u64>, impl Fn() -> bool + Sync + 'a) {
+    let sup = &ctx.config.supervisor;
+    let budget = sup.stop_after_seeds.map_or(u64::MAX, |limit| limit.saturating_sub(processed));
+    let end = end.min(next.saturating_add(budget));
+    let open = move || sup.deadline.is_none_or(|deadline| ctx.start.elapsed() < deadline);
+    (next..end, open)
+}
+
+/// Stamps the volatile totals (`partial`, `wall`) and saves the
+/// checkpoint when the campaign is supervised. The only checkpoint
+/// writer: cadence points, the end of the seed loop and the post-triage
+/// state all come through here.
+pub(crate) fn checkpoint(ctx: &ExecContext<'_>, result: &mut CampaignResult) {
+    let config = ctx.config;
+    let next = result.totals.seeds;
+    result.totals.partial = next < config.seeds;
+    result.totals.wall = ctx.prior_wall + ctx.start.elapsed();
+    if let Some(path) = &config.supervisor.checkpoint_path {
+        if let Err(e) = supervisor::save_checkpoint(path, config, next, result) {
+            eprintln!("warning: checkpoint write failed: {e}");
+        }
     }
+}
+
+/// The in-order pool campaigns and triage run on. Items of `range` are
+/// claimed in increasing order while `open()` holds, by `jobs` threads:
+/// the calling thread plus `jobs - 1` scoped helpers. Every claimed item
+/// is processed by `work`, and the calling thread hands each result to
+/// `merge` strictly in item order, so the merged items always form a
+/// contiguous prefix and the outcome cannot depend on `jobs`.
+///
+/// The calling thread is worker 0 and the collector at once: between
+/// its own items it folds whatever the helpers have finished, then
+/// drains the rest once the claims run out (see the module docs for why
+/// `jobs = 1` must not spawn).
+pub(crate) fn in_order<T: Send>(
+    jobs: usize,
+    range: Range<u64>,
+    open: impl Fn() -> bool + Sync,
+    work: impl Fn(u64) -> T + Sync,
+    mut merge: impl FnMut(T),
+) {
+    let counter = AtomicU64::new(range.start);
+    // Checked before the counter moves: a claimed item is always
+    // processed.
+    let claim = || {
+        if !open() {
+            return None;
+        }
+        let at = counter.fetch_add(1, Ordering::SeqCst);
+        (at < range.end).then_some(at)
+    };
+    let mut pending: BTreeMap<u64, T> = BTreeMap::new();
+    let mut merged = range.start;
+    let mut fold = |pending: &mut BTreeMap<u64, T>| {
+        while let Some(item) = pending.remove(&merged) {
+            merge(item);
+            merged += 1;
+        }
+    };
+    let (tx, rx) = mpsc::channel::<(u64, T)>();
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            let tx = tx.clone();
+            let (claim, work) = (&claim, &work);
+            scope.spawn(move || {
+                while let Some(at) = claim() {
+                    if tx.send((at, work(at))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        while let Some(at) = claim() {
+            pending.insert(at, work(at));
+            pending.extend(rx.try_iter());
+            fold(&mut pending);
+        }
+        for (at, item) in rx {
+            pending.insert(at, item);
+            fold(&mut pending);
+        }
+    });
+    assert!(pending.is_empty(), "completed items must form a contiguous prefix");
 }
 
 /// The per-seed validation config: the scheduled forced-plan coordinate
@@ -175,9 +298,8 @@ fn process_seed(ctx: &ExecContext<'_>, offset: u64) -> SeedRecord {
 }
 
 /// Folds one seed's record into the campaign result. This is the *only*
-/// aggregation path — serial and parallel runs both come through here,
-/// strictly in seed order, which is what makes the digest independent of
-/// `jobs`.
+/// aggregation path, called strictly in seed order for every `jobs`
+/// setting, which is what makes the digest independent of `jobs`.
 fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRecord) {
     let config = ctx.config;
     let sup = &config.supervisor;
@@ -279,143 +401,4 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
         }
         None => {}
     }
-}
-
-/// Saves a cadence or final checkpoint, updating the volatile totals
-/// first (exactly the serial loop's historical behavior).
-fn checkpoint(ctx: &ExecContext<'_>, result: &mut CampaignResult, next: u64) {
-    let config = ctx.config;
-    if let Some(path) = &config.supervisor.checkpoint_path {
-        result.totals.partial = next < config.seeds;
-        result.totals.wall = ctx.prior_wall + ctx.start.elapsed();
-        if let Err(e) = supervisor::save_checkpoint(path, config, next, result) {
-            eprintln!("warning: checkpoint write failed: {e}");
-        }
-    }
-}
-
-/// The reference semantics: one seed at a time, in order.
-fn run_serial(
-    ctx: &ExecContext<'_>,
-    mut result: CampaignResult,
-    mut next: u64,
-    end: u64,
-    processed: &mut u64,
-) -> CampaignResult {
-    let config = ctx.config;
-    let sup = &config.supervisor;
-    while next < end {
-        if let Some(deadline) = sup.deadline {
-            if ctx.start.elapsed() >= deadline {
-                break;
-            }
-        }
-        if let Some(stop) = sup.stop_after_seeds {
-            if *processed >= stop {
-                break;
-            }
-        }
-        let record = process_seed(ctx, next);
-        merge_seed(ctx, &mut result, record);
-        next += 1;
-        *processed += 1;
-        if sup.checkpoint_path.is_some() && processed.is_multiple_of(sup.cadence()) {
-            checkpoint(ctx, &mut result, next);
-        }
-    }
-    result.totals.partial = next < config.seeds;
-    result.totals.wall = ctx.prior_wall + ctx.start.elapsed();
-    if let Some(path) = &sup.checkpoint_path {
-        if let Err(e) = supervisor::save_checkpoint(path, config, next, &result) {
-            eprintln!("warning: checkpoint write failed: {e}");
-        }
-    }
-    result
-}
-
-/// The work-stealing parallel engine: `config.jobs` workers claim seed
-/// offsets from an atomic counter and ship [`SeedRecord`]s to the
-/// collector below, which merges them in seed order (see the module docs
-/// for why the digest cannot depend on scheduling).
-fn run_parallel(
-    ctx: &ExecContext<'_>,
-    mut result: CampaignResult,
-    next: u64,
-    end: u64,
-    processed: &mut u64,
-) -> CampaignResult {
-    let config = ctx.config;
-    let sup = &config.supervisor;
-    let claim = AtomicU64::new(next);
-    let stop = AtomicBool::new(false);
-    // Seeds this invocation may still process under `stop_after_seeds`
-    // (the budget spans rounds; claimed-before-budget-check stays safe
-    // because the claim counter is monotonic).
-    let budget = sup.stop_after_seeds.map(|limit| limit.saturating_sub(*processed));
-    let (tx, rx) = mpsc::channel::<(u64, SeedRecord)>();
-    // Offset of the next record the collector will merge; everything
-    // below it is already folded into `result`.
-    let mut merged_next = next;
-    std::thread::scope(|scope| {
-        for _ in 0..config.jobs {
-            let tx = tx.clone();
-            let (claim, stop) = (&claim, &stop);
-            scope.spawn(move || {
-                loop {
-                    // Cutoffs are checked before claiming: a claimed
-                    // offset is always processed, so completed seeds form
-                    // a contiguous prefix at every instant.
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Some(deadline) = config.supervisor.deadline {
-                        if ctx.start.elapsed() >= deadline {
-                            stop.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                    let offset = claim.fetch_add(1, Ordering::SeqCst);
-                    if offset >= end {
-                        break;
-                    }
-                    if let Some(limit) = budget {
-                        // The claim counter is monotonic, so refusing the
-                        // first offset past the budget refuses all later
-                        // ones too.
-                        if offset - next >= limit {
-                            break;
-                        }
-                    }
-                    let record = process_seed(ctx, offset);
-                    if tx.send((offset, record)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Collector: buffer out-of-order arrivals, merge the contiguous
-        // prefix. Quarantine and checkpoint I/O happens only here.
-        let mut pending: BTreeMap<u64, SeedRecord> = BTreeMap::new();
-        for (offset, record) in rx {
-            pending.insert(offset, record);
-            while let Some(record) = pending.remove(&merged_next) {
-                merge_seed(ctx, &mut result, record);
-                merged_next += 1;
-                *processed += 1;
-                if sup.checkpoint_path.is_some() && processed.is_multiple_of(sup.cadence()) {
-                    checkpoint(ctx, &mut result, merged_next);
-                }
-            }
-        }
-        assert!(pending.is_empty(), "completed seeds must form a contiguous prefix");
-    });
-    result.totals.partial = merged_next < config.seeds;
-    result.totals.wall = ctx.prior_wall + ctx.start.elapsed();
-    if let Some(path) = &sup.checkpoint_path {
-        if let Err(e) = supervisor::save_checkpoint(path, config, merged_next, &result) {
-            eprintln!("warning: checkpoint write failed: {e}");
-        }
-    }
-    result
 }

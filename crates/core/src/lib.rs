@@ -18,9 +18,9 @@
 //! * [`coverage`] — JIT-behavior coverage feedback: merged coverage
 //!   maps, the minimized live corpus, and the deterministic round
 //!   scheduler behind `CSE_COVERAGE=guide`.
-//! * [`executor`] — the campaign engines: the serial reference loop and
-//!   the deterministic work-stealing parallel executor behind
-//!   `CampaignConfig::jobs`.
+//! * [`executor`] — the one campaign engine behind
+//!   `CampaignConfig::jobs`: the calling thread processes seeds beside
+//!   `jobs - 1` helpers and merges them in seed order.
 //! * [`supervisor`] — crash isolation for long campaigns: harness
 //!   incidents, checkpoint/resume, and quarantine of crashing inputs.
 //! * [`triage`] — automated incident triage: in-campaign reduction,

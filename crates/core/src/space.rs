@@ -235,7 +235,7 @@ pub fn enumerate_space_with(
         return (0..total)
             .map(|mask| {
                 let (program, config) = run_mask(mask);
-                let result = Vm::run_program_cached(program, config, &cache);
+                let result = Vm::new(program, config).with_artifacts(&cache).run();
                 SpacePoint { choices: choices_of(mask), result }
             })
             .collect();
@@ -244,7 +244,7 @@ pub fn enumerate_space_with(
     // Profiling pre-run = point 0 (every coordinate interpreted).
     let (zero_result, warmth) = {
         let (program, config) = run_mask(0);
-        Vm::run_program_warmth_cached(program, config, &cache)
+        Vm::new(program, config).with_artifacts(&cache).run_with_warmth()
     };
     // Bits whose coordinate the reference run never reaches; plans
     // differing only on these bits are observably identical.
@@ -265,7 +265,7 @@ pub fn enumerate_space_with(
             // below is vacant only when `mask` is itself canonical.
             let result = canonical.entry(canon).or_insert_with(|| {
                 let (program, config) = run_mask(canon);
-                Vm::run_program_cached(program, config, &cache)
+                Vm::new(program, config).with_artifacts(&cache).run()
             });
             SpacePoint { choices: choices_of(mask), result: result.clone() }
         })

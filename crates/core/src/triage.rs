@@ -38,7 +38,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use cse_bytecode::MethodId;
 use cse_lang::Program;
@@ -227,8 +226,8 @@ pub struct TriageConfig {
     /// Extra replay attempts per candidate evaluation before it counts
     /// as a mismatch. Retries are attempt-based, never wall-clock-based.
     pub retries: usize,
-    /// Worker threads for triaging signature groups; output is
-    /// bit-identical for every value.
+    /// Threads triaging signature groups: the calling thread plus
+    /// `jobs - 1` helpers. Output is bit-identical for every value.
     pub jobs: usize,
 }
 
@@ -606,37 +605,23 @@ pub fn triage_campaign(
     )
 }
 
-/// Processes the signature groups, in parallel when configured; results
-/// come back in group order regardless of scheduling.
+/// Processes the signature groups on the campaign engine's in-order
+/// pool ([`crate::executor::in_order`]); results come back in group
+/// order regardless of scheduling.
 fn run_groups(
     groups: &[Group<'_>],
     tcfg: &TriageConfig,
     chaos: Option<ChaosConfig>,
 ) -> Vec<TriagedReport> {
-    if tcfg.jobs <= 1 || groups.len() <= 1 {
-        return groups.iter().map(|g| triage_group(g, tcfg, chaos)).collect();
-    }
-    let claim = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, TriagedReport)>();
-    let mut by_index: BTreeMap<usize, TriagedReport> = BTreeMap::new();
-    std::thread::scope(|scope| {
-        for _ in 0..tcfg.jobs.min(groups.len()) {
-            let tx = tx.clone();
-            let claim = &claim;
-            scope.spawn(move || loop {
-                let at = claim.fetch_add(1, Ordering::SeqCst);
-                let Some(group) = groups.get(at) else { break };
-                if tx.send((at, triage_group(group, tcfg, chaos))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (at, item) in rx {
-            by_index.insert(at, item);
-        }
-    });
-    by_index.into_values().collect()
+    let mut triaged = Vec::with_capacity(groups.len());
+    crate::executor::in_order(
+        tcfg.jobs.min(groups.len()),
+        0..groups.len() as u64,
+        || true,
+        |at| triage_group(&groups[at as usize], tcfg, chaos),
+        |item| triaged.push(item),
+    );
+    triaged
 }
 
 /// Reduces and classifies one signature group's representative.

@@ -26,10 +26,10 @@ use std::sync::Arc;
 
 use cse_bytecode::BProgram;
 use cse_lang::Program;
-use cse_vm::supervise::{contain_panics, supervised_run_cached};
+use cse_vm::supervise::contain_panics;
 use cse_vm::{
     BugId, ExecutionResult, FaultInjector, Outcome, ProgramArtifacts, SharedArtifactCache, Symptom,
-    VmConfig,
+    Vm, VmConfig,
 };
 
 use crate::mutate::{AppliedMutation, Artemis, Mutator};
@@ -451,21 +451,22 @@ pub fn validate_compiled_in(
     let seed_artifacts = cache.attach(&seed_bytecode);
     // R ← LVM(P): the seed with its default JIT-trace.
     outcome.vm_invocations += 1;
-    let seed_result =
-        match supervised_run_cached(&seed_bytecode, config.vm.clone(), &seed_artifacts) {
-            Ok(result) => result,
-            Err(panic) => {
-                outcome.incident(
-                    IncidentPhase::SeedRun,
-                    rng_seed,
-                    None,
-                    panic.payload,
-                    Some(cse_lang::pretty::print(seed)),
-                );
-                outcome.seed_discarded = true;
-                return outcome;
-            }
-        };
+    let seed_result = match contain_panics(|| {
+        Vm::new(&seed_bytecode, config.vm.clone()).with_artifacts(&seed_artifacts).run()
+    }) {
+        Ok(result) => result,
+        Err(panic) => {
+            outcome.incident(
+                IncidentPhase::SeedRun,
+                rng_seed,
+                None,
+                panic.payload,
+                Some(cse_lang::pretty::print(seed)),
+            );
+            outcome.seed_discarded = true;
+            return outcome;
+        }
+    };
     outcome.note_ir_defects(&seed_result, rng_seed, None, seed);
     outcome.note_tv_defects(&seed_result, rng_seed, None, seed);
     // Running union of this seed's coverage, for novelty checks within
@@ -572,21 +573,22 @@ pub fn validate_compiled_in(
         let mutant_artifacts = cache.attach(&mutant_bytecode);
         outcome.vm_invocations += 1;
         outcome.mutants_run += 1;
-        let mutant_result =
-            match supervised_run_cached(&mutant_bytecode, config.vm.clone(), &mutant_artifacts) {
-                Ok(result) => result,
-                Err(panic) => {
-                    outcome.discarded += 1;
-                    outcome.incident(
-                        IncidentPhase::MutantRun,
-                        rng_seed,
-                        Some(iteration),
-                        panic.payload,
-                        Some(cse_lang::pretty::print(&mutant)),
-                    );
-                    continue;
-                }
-            };
+        let mutant_result = match contain_panics(|| {
+            Vm::new(&mutant_bytecode, config.vm.clone()).with_artifacts(&mutant_artifacts).run()
+        }) {
+            Ok(result) => result,
+            Err(panic) => {
+                outcome.discarded += 1;
+                outcome.incident(
+                    IncidentPhase::MutantRun,
+                    rng_seed,
+                    Some(iteration),
+                    panic.payload,
+                    Some(cse_lang::pretty::print(&mutant)),
+                );
+                continue;
+            }
+        };
         outcome.note_ir_defects(&mutant_result, rng_seed, Some(iteration), &mutant);
         outcome.note_tv_defects(&mutant_result, rng_seed, Some(iteration), &mutant);
         if config.vm.coverage {
@@ -650,7 +652,9 @@ pub fn validate_compiled_in(
         } else {
             outcome.vm_invocations += 1;
             let reference_vm = VmConfig::interpreter_only(config.vm.kind);
-            match supervised_run_cached(&mutant_bytecode, reference_vm, &mutant_artifacts) {
+            match contain_panics(|| {
+                Vm::new(&mutant_bytecode, reference_vm).with_artifacts(&mutant_artifacts).run()
+            }) {
                 Ok(reference) => Some(reference),
                 Err(panic) => {
                     // No reference for this mutant; skip the neutrality
@@ -673,7 +677,9 @@ pub fn validate_compiled_in(
             } else {
                 outcome.vm_invocations += 1;
                 let reference_vm = VmConfig::interpreter_only(config.vm.kind);
-                match supervised_run_cached(&seed_bytecode, reference_vm, &seed_artifacts) {
+                match contain_panics(|| {
+                    Vm::new(&seed_bytecode, reference_vm).with_artifacts(&seed_artifacts).run()
+                }) {
                     Ok(result) => Some(result),
                     Err(panic) => {
                         // Proceed without neutrality checking for this seed.
@@ -857,7 +863,9 @@ fn attribute(
         let mut vm = config.vm.clone();
         vm.faults = FaultInjector::with(remaining);
         outcome.vm_invocations += 1;
-        let result = match supervised_run_cached(mutant_bytecode, vm, mutant_artifacts) {
+        let result = match contain_panics(|| {
+            Vm::new(mutant_bytecode, vm).with_artifacts(mutant_artifacts).run()
+        }) {
             Ok(result) => result,
             Err(panic) => {
                 outcome.incident(

@@ -266,8 +266,8 @@ mod tests {
         let config = VmConfig::for_kind(VmKind::HotSpotLike);
         let plain = Vm::run_program(&program, config.clone());
         let artifacts = ProgramArtifacts::for_program(&program);
-        let first = Vm::run_program_cached(&program, config.clone(), &artifacts);
-        let second = Vm::run_program_cached(&program, config, &artifacts);
+        let first = Vm::new(&program, config.clone()).with_artifacts(&artifacts).run();
+        let second = Vm::new(&program, config).with_artifacts(&artifacts).run();
         assert_eq!(plain.observable(), first.observable());
         assert_eq!(plain.observable(), second.observable());
         assert_eq!(plain.output, second.output);
@@ -281,12 +281,12 @@ mod tests {
         let program = compile(HOT);
         let config = VmConfig::correct(VmKind::HotSpotLike);
         let artifacts = ProgramArtifacts::for_program(&program);
-        let first = Vm::run_program_cached(&program, config.clone(), &artifacts);
+        let first = Vm::new(&program, config.clone()).with_artifacts(&artifacts).run();
         assert!(first.stats.compilations > 0, "calibration: HOT must trigger the JIT");
         assert_eq!(first.stats.code_cache_hits, 0, "an empty cache cannot hit");
         let (_, misses_after_first) = artifacts.cache().stats();
         assert!(misses_after_first > 0);
-        let second = Vm::run_program_cached(&program, config, &artifacts);
+        let second = Vm::new(&program, config).with_artifacts(&artifacts).run();
         assert_eq!(
             second.stats.code_cache_hits,
             second.stats.compilations + second.stats.osr_compilations,
@@ -308,8 +308,8 @@ mod tests {
             SharedArtifactCache::env_fingerprint(&correct),
             SharedArtifactCache::env_fingerprint(&buggy)
         );
-        let a = Vm::run_program_cached(&program, correct, &artifacts);
-        let b = Vm::run_program_cached(&program, buggy, &artifacts);
+        let a = Vm::new(&program, correct).with_artifacts(&artifacts).run();
+        let b = Vm::new(&program, buggy).with_artifacts(&artifacts).run();
         // The second config must not be served the first config's code.
         assert_eq!(b.stats.code_cache_hits, 0);
         assert!(a.outcome.is_completed() && b.outcome.is_completed());
@@ -324,9 +324,9 @@ mod tests {
         let mutant = compile(&HOT.replace("total = f(100);", "total = f(100) + 1;"));
         let shard = SharedArtifactCache::new();
         let config = VmConfig::correct(VmKind::HotSpotLike);
-        let a = Vm::run_program_cached(&seed, config.clone(), &shard.attach(&seed));
+        let a = Vm::new(&seed, config.clone()).with_artifacts(&shard.attach(&seed)).run();
         assert!(a.stats.compilations > 0);
-        let b = Vm::run_program_cached(&mutant, config, &shard.attach(&mutant));
+        let b = Vm::new(&mutant, config).with_artifacts(&shard.attach(&mutant)).run();
         assert!(
             b.stats.code_cache_hits > 0,
             "unmutated f must be shared across the mutant boundary: {:?}",

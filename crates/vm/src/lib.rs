@@ -48,7 +48,7 @@ pub use exec::{CrashInfo, CrashKind, CrashPhase, ExecStats, ExecutionResult, Out
 pub use faults::{BugId, Component, FaultInjector, Symptom};
 pub use jit::{ProgramArtifacts, SharedArtifactCache};
 pub use plan::{ExecMode, ForcedPlan};
-pub use supervise::{contain_panics, supervised_run, supervised_run_cached, VmPanic};
+pub use supervise::{contain_panics, supervised_run, VmPanic};
 pub use value::{Str, Value};
 
 use heap::{ArrData, Heap, HeapError, HeapObj};
@@ -309,27 +309,6 @@ impl<'p> Vm<'p> {
     /// Convenience: build a VM, run the program, return the result.
     pub fn run_program(program: &BProgram, config: VmConfig) -> ExecutionResult {
         Vm::new(program, config).run()
-    }
-
-    /// Like [`Vm::run_program`], but sharing compiled code and decoded
-    /// instructions with other runs through `artifacts` (see
-    /// [`SharedArtifactCache`]).
-    pub fn run_program_cached(
-        program: &BProgram,
-        config: VmConfig,
-        artifacts: &jit::ProgramArtifacts,
-    ) -> ExecutionResult {
-        Vm::new(program, config).with_artifacts(artifacts).run()
-    }
-
-    /// Like [`Vm::run_program_cached`], but also reporting the run's
-    /// [`WarmthProfile`] (used by plan-space pruning's profiling pre-run).
-    pub fn run_program_warmth_cached(
-        program: &BProgram,
-        config: VmConfig,
-        artifacts: &jit::ProgramArtifacts,
-    ) -> (ExecutionResult, WarmthProfile) {
-        Vm::new(program, config).with_artifacts(artifacts).run_with_warmth()
     }
 
     // ----- output ---------------------------------------------------------

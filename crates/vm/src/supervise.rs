@@ -81,18 +81,6 @@ pub fn supervised_run(program: &BProgram, config: VmConfig) -> Result<ExecutionR
     contain_panics(|| Vm::run_program(program, config))
 }
 
-/// [`Vm::run_program_cached`] behind the crash barrier: like
-/// [`supervised_run`], but sharing compiled code and decoded
-/// instructions with other runs through `artifacts` (see
-/// [`crate::jit::SharedArtifactCache`]).
-pub fn supervised_run_cached(
-    program: &BProgram,
-    config: VmConfig,
-    artifacts: &crate::jit::ProgramArtifacts,
-) -> Result<ExecutionResult, VmPanic> {
-    contain_panics(|| Vm::run_program_cached(program, config, artifacts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

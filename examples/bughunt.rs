@@ -6,14 +6,21 @@
 //! cargo run --release --example bughunt
 //! ```
 
-use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
+use std::process::ExitCode;
+
+use artemis_cse::core::campaign::{env_count, run_campaign, CampaignConfig};
 use artemis_cse::core::validate::compile_checked;
 use artemis_cse::vm::{Outcome, Vm, VmConfig, VmKind};
 
-fn main() {
-    let seeds = std::env::var("CSE_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(40);
+fn main() -> ExitCode {
+    let (seeds, jobs) = match (env_count("CSE_SEEDS", 40), env_count("CSE_JOBS", 1)) {
+        (Ok(seeds), Ok(jobs)) => (seeds, jobs as usize),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("bughunt: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!("hunting with {seeds} seeds x 8 mutants against the OpenJ9-like VM ...\n");
-    let jobs = std::env::var("CSE_JOBS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, seeds).with_jobs(jobs);
     // Run supervised: checkpoint + quarantine under results/bughunt
     // (gitignored — unlike the curated reports in results/). Kill the
@@ -49,7 +56,7 @@ fn main() {
     }
     let Some(evidence) = result.bugs.values().next() else {
         println!("no bugs found at this campaign size; raise CSE_SEEDS");
-        return;
+        return ExitCode::SUCCESS;
     };
 
     // Reduce the first reproducer while it still exposes its bug.
@@ -69,4 +76,5 @@ fn main() {
         "reduced from {before} to {} lines:\n\n{reduced_source}",
         reduced_source.lines().count()
     );
+    ExitCode::SUCCESS
 }

@@ -8,7 +8,10 @@
 //! Environment:
 //! * `CSE_COVERAGE` — `off|collect|guide` (the knob under test)
 //! * `CSE_SEEDS`    — campaign seed budget (default 12)
-//! * `CSE_JOBS`     — worker threads (default 1)
+//! * `CSE_JOBS`     — threads (default 1)
+//!
+//! A set `CSE_SEEDS` or `CSE_JOBS` that is not a positive integer is an
+//! error, not the default.
 //!
 //! Output is line-oriented for scripting (`ci.sh` asserts on it):
 //! `cells N` is the merged global map's covered-cell count, `corpus N`
@@ -17,12 +20,8 @@
 
 use std::process::ExitCode;
 
-use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
+use artemis_cse::core::campaign::{env_count, run_campaign, CampaignConfig};
 use artemis_cse::vm::VmKind;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn main() -> ExitCode {
     let kind = match std::env::args().nth(1).as_deref() {
@@ -34,8 +33,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let seeds = env_u64("CSE_SEEDS", 12);
-    let jobs = env_u64("CSE_JOBS", 1) as usize;
+    let (seeds, jobs) = match (env_count("CSE_SEEDS", 12), env_count("CSE_JOBS", 1)) {
+        (Ok(seeds), Ok(jobs)) => (seeds, jobs as usize),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("coverage: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let config = CampaignConfig::for_kind(kind, seeds).with_jobs(jobs);
     let result = run_campaign(&config);
 

@@ -15,7 +15,8 @@
 //! Environment:
 //! * `CSE_TRIAGE_STEPS`  — reduction step budget per report (default 1000)
 //! * `CSE_TRIAGE_RERUNS` — re-executions per parallelism level (default 3)
-//! * `CSE_JOBS`          — triage worker threads (default 1)
+//! * `CSE_JOBS`          — triage threads (default 1; anything but a
+//!   positive integer is an error)
 //! * `CSE_TRIAGE_CHAOS`  — `seed,after_ops`: re-arm the campaign's chaos
 //!   fault injection so chaos incidents reproduce under replay
 //!
@@ -26,12 +27,20 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use artemis_cse::core::campaign::env_count;
 use artemis_cse::core::{
     triage_incidents, ChaosConfig, HarnessIncident, IncidentPhase, TriageConfig,
 };
 use artemis_cse::vm::{BugId, FaultInjector, VmConfig, VmKind};
 
 fn main() -> ExitCode {
+    let jobs = match env_count("CSE_JOBS", 1) {
+        Ok(jobs) => jobs as usize,
+        Err(e) => {
+            eprintln!("triage: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let dir = std::env::args().nth(1).unwrap_or_else(|| "results/quarantine".to_string());
     let dir = PathBuf::from(dir);
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(&dir) {
@@ -80,7 +89,7 @@ fn main() -> ExitCode {
         max_reduce_steps: env_usize("CSE_TRIAGE_STEPS").unwrap_or(1000),
         reruns: env_usize("CSE_TRIAGE_RERUNS").unwrap_or(3),
         retries: 1,
-        jobs: env_usize("CSE_JOBS").unwrap_or(1).max(1),
+        jobs,
     };
     tcfg.vm.wall_clock_limit = None;
     let chaos = std::env::var("CSE_TRIAGE_CHAOS").ok().and_then(|v| {

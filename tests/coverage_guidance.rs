@@ -71,9 +71,11 @@ fn guided_campaign_is_jobs_invariant() {
     }
 }
 
-/// A guided campaign killed mid-round and resumed from its v6
-/// checkpoint must be bit-identical to an uninterrupted run — the
-/// persisted schedule is what makes mid-round resume exact.
+/// A guided campaign killed and resumed from its v7 checkpoint must be
+/// bit-identical to an uninterrupted run, at every `jobs` setting. Kill
+/// point 4 lands on a round barrier (`ROUND_LEN` is 4), so the resume
+/// recomputes the next round's schedule; kill point 5 lands mid-round,
+/// where the persisted schedule is what makes the resume exact.
 #[test]
 fn guided_kill_resume_mid_round_is_bit_identical() {
     const KILL_SEEDS: u64 = 10;
@@ -82,39 +84,44 @@ fn guided_kill_resume_mid_round_is_bit_identical() {
             .with_coverage(CoveragePolicy::Guide),
     );
 
-    let dir = scratch("resume");
-    let mut config = CampaignConfig::for_kind(VmKind::HotSpotLike, KILL_SEEDS)
-        .with_coverage(CoveragePolicy::Guide);
-    config.supervisor = SupervisorConfig {
-        checkpoint_path: Some(dir.join("campaign.checkpoint")),
-        checkpoint_every: 1,
-        // 5 is not a multiple of ROUND_LEN (4): the kill lands mid-round.
-        stop_after_seeds: Some(5),
-        ..SupervisorConfig::default()
-    };
-    let killed = run_campaign(&config);
-    assert!(killed.totals.partial);
-    assert_eq!(killed.totals.seeds, 5, "the kill must land mid-round");
+    for kill_at in [4, 5] {
+        for jobs in [1, 2] {
+            let label = format!("kill at {kill_at}, jobs={jobs}");
+            let dir = scratch(&format!("resume-{kill_at}-{jobs}"));
+            let mut config = CampaignConfig::for_kind(VmKind::HotSpotLike, KILL_SEEDS)
+                .with_coverage(CoveragePolicy::Guide)
+                .with_jobs(jobs);
+            config.supervisor = SupervisorConfig {
+                checkpoint_path: Some(dir.join("campaign.checkpoint")),
+                checkpoint_every: 1,
+                stop_after_seeds: Some(kill_at),
+                ..SupervisorConfig::default()
+            };
+            let killed = run_campaign(&config);
+            assert!(killed.totals.partial, "{label}");
+            assert_eq!(killed.totals.seeds, kill_at, "{label}: the kill must land where aimed");
 
-    let mut resumed = killed;
-    let mut invocations = 1;
-    while resumed.totals.partial {
-        resumed = run_campaign(&config);
-        invocations += 1;
-        assert!(invocations <= 10, "campaign must converge");
+            let mut resumed = killed;
+            let mut invocations = 1;
+            while resumed.totals.partial {
+                resumed = run_campaign(&config);
+                invocations += 1;
+                assert!(invocations <= 10, "{label}: campaign must converge");
+            }
+            assert_eq!(resumed.totals.seeds, KILL_SEEDS, "{label}");
+            assert_eq!(
+                resumed.digest(&config),
+                uninterrupted.digest(&config),
+                "{label}: resume must be bit-identical to an uninterrupted run"
+            );
+            assert_eq!(
+                resumed.coverage.as_ref().expect("guided state").fingerprint(),
+                uninterrupted.coverage.as_ref().expect("guided state").fingerprint(),
+                "{label}: coverage state must round-trip through checkpoint v7 exactly"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
-    assert_eq!(resumed.totals.seeds, KILL_SEEDS);
-    assert_eq!(
-        resumed.digest(&config),
-        uninterrupted.digest(&config),
-        "mid-round resume must be bit-identical to an uninterrupted run"
-    );
-    assert_eq!(
-        resumed.coverage.as_ref().expect("guided state").fingerprint(),
-        uninterrupted.coverage.as_ref().expect("guided state").fingerprint(),
-        "coverage state must round-trip through checkpoint v6 exactly"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The payoff: at the same seed budget, guidance must reach coverage

@@ -185,3 +185,17 @@ fn cse_dominates_traditional_on_sample() {
     }
     assert!(cse > tra, "CSE found {cse} vs traditional {tra} — expected CSE to dominate");
 }
+
+/// A mistyped worker count fails the run instead of silently falling
+/// back to the default.
+#[test]
+fn malformed_jobs_count_is_rejected() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_coverage"))
+        .env("CSE_JOBS", "two")
+        .env("CSE_SEEDS", "1")
+        .output()
+        .expect("run the coverage binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "CSE_JOBS=two must fail the run; stderr: {stderr}");
+    assert!(stderr.contains("CSE_JOBS=\"two\""), "the error must name the variable: {stderr}");
+}

@@ -1,15 +1,19 @@
-//! The parallel campaign engine's determinism contract: for every
-//! `jobs` setting, `run_campaign` must produce a **bit-identical**
-//! `CampaignResult::digest` to the serial (`jobs = 1`) reference run —
-//! including under injected worker panics, deadline cutoffs, and
-//! checkpointed resume.
+//! The campaign engine's determinism contract. There is one engine: the
+//! calling thread processes seeds beside `jobs - 1` helpers and merges
+//! them in seed order. For every `jobs` setting `run_campaign` must
+//! produce a **bit-identical** `CampaignResult::digest` — including under
+//! injected panics, deadline cutoffs and checkpointed resume. Comparing
+//! the engine with itself cannot catch a change that moves every `jobs`
+//! setting at once, so `digests_match_the_pinned_reference` also pins
+//! absolute values.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
 use cse_core::supervisor::{ChaosConfig, SupervisorConfig};
-use cse_vm::VmKind;
+use cse_core::CoveragePolicy;
+use cse_vm::{TvMode, VerifyMode, VmKind};
 
 /// A unique scratch directory per test (tests share one process).
 fn scratch(test: &str) -> PathBuf {
@@ -40,10 +44,34 @@ fn assert_identical(serial: &CampaignResult, parallel: &CampaignResult, label: &
     );
 }
 
-/// The headline property: digest(jobs = N) == digest(serial) for
-/// N ∈ {1, 2, 4, 8}, across several campaign shapes. `jobs = 1` is not a
-/// no-op: it routes through the work-stealing engine with a single
-/// worker, which must still merge identically to the plain serial loop.
+/// Absolute digests at jobs 1 and 2. Both static oracles and the
+/// coverage policy are set explicitly, so no `CSE_*` variable can move
+/// the values; a change to the canonical encoding must update them
+/// deliberately.
+#[test]
+fn digests_match_the_pinned_reference() {
+    let pinned = [
+        (VmKind::HotSpotLike, 12, CoveragePolicy::Off, 0x484d_586b_d63d_9c70_u64),
+        (VmKind::OpenJ9Like, 8, CoveragePolicy::Guide, 0x8515_2209_d63c_b320),
+    ];
+    for (kind, seeds, policy, expected) in pinned {
+        for jobs in [1, 2] {
+            let mut config =
+                CampaignConfig::for_kind(kind, seeds).with_coverage(policy).with_jobs(jobs);
+            config.vm.verify_ir = VerifyMode::Off;
+            config.vm.tv = TvMode::Off;
+            let digest = run_campaign(&config).digest(&config);
+            assert_eq!(
+                digest, expected,
+                "{kind:?}, {seeds} seeds, {policy:?}, jobs={jobs}: got {digest:016x}"
+            );
+        }
+    }
+}
+
+/// The headline property: digest(jobs = N) == digest(jobs = 1) for
+/// N ∈ {2, 4, 8}, across several campaign shapes; the `jobs = 1` rerun
+/// checks the engine against itself run to run.
 #[test]
 fn parallel_digest_matches_serial() {
     let mut shapes: Vec<(&str, CampaignConfig)> = Vec::new();
@@ -97,36 +125,38 @@ fn injected_panic_is_deterministic_across_jobs() {
     }
 }
 
-/// An expired deadline stops a parallel campaign before any seed is
-/// claimed — same as the serial engine — and the partial result resumes
-/// to the full serial digest.
+/// An expired deadline stops the campaign before any seed is claimed —
+/// by the calling thread alone and with helpers — and the partial result
+/// resumes to the uninterrupted digest.
 #[test]
 fn expired_deadline_stops_parallel_workers_before_claiming() {
-    let dir = scratch("deadline");
-    let mut config = CampaignConfig::for_kind(VmKind::HotSpotLike, 4).with_jobs(4);
-    config.supervisor = SupervisorConfig {
-        checkpoint_path: Some(dir.join("campaign.checkpoint")),
-        deadline: Some(Duration::ZERO),
-        ..SupervisorConfig::default()
-    };
-    let stopped = run_campaign(&config);
-    assert_eq!(stopped.totals.seeds, 0, "an expired deadline admits no new seeds");
-    assert!(stopped.totals.partial);
-
-    // Lift the deadline and resume from the checkpoint: the completed
-    // campaign must match an uninterrupted serial run bit-for-bit.
-    config.supervisor.deadline = None;
-    let resumed = run_campaign(&config);
-    assert!(!resumed.totals.partial);
     let serial_config = CampaignConfig::for_kind(VmKind::HotSpotLike, 4);
     let serial = run_campaign(&serial_config);
-    assert_eq!(serial.digest(&serial_config), resumed.digest(&config));
+    for jobs in [1, 4] {
+        let dir = scratch(&format!("deadline-{jobs}"));
+        let mut config = CampaignConfig::for_kind(VmKind::HotSpotLike, 4).with_jobs(jobs);
+        config.supervisor = SupervisorConfig {
+            checkpoint_path: Some(dir.join("campaign.checkpoint")),
+            deadline: Some(Duration::ZERO),
+            ..SupervisorConfig::default()
+        };
+        let stopped = run_campaign(&config);
+        assert_eq!(stopped.totals.seeds, 0, "jobs={jobs}: an expired deadline admits no seeds");
+        assert!(stopped.totals.partial, "jobs={jobs}");
+
+        // Lift the deadline and resume from the checkpoint: the completed
+        // campaign must match an uninterrupted run bit-for-bit.
+        config.supervisor.deadline = None;
+        let resumed = run_campaign(&config);
+        assert!(!resumed.totals.partial, "jobs={jobs}");
+        assert_eq!(serial.digest(&serial_config), resumed.digest(&config), "jobs={jobs}");
+    }
 }
 
 /// Kill/resume cycles with parallel workers: a campaign stopped every
 /// few seeds (the supervisor's `stop_after_seeds` kill switch) and
 /// resumed with a *different* jobs setting each time still converges to
-/// the serial digest — checkpoints are engine-agnostic.
+/// the `jobs = 1` digest — checkpoints do not record the width.
 #[test]
 fn killed_and_resumed_parallel_campaign_matches_serial() {
     const SEEDS: u64 = 6;
@@ -141,8 +171,8 @@ fn killed_and_resumed_parallel_campaign_matches_serial() {
         stop_after_seeds: Some(2),
         ..SupervisorConfig::default()
     };
-    // Alternate engines across the kill/resume cycle: parallel, serial,
-    // parallel with a different width.
+    // Alternate widths across the kill/resume cycle: four threads, the
+    // calling thread alone, two threads.
     let mut final_result = None;
     for (attempt, jobs) in [4, 1, 2].iter().enumerate() {
         let mut config = base.clone().with_jobs(*jobs);

@@ -373,8 +373,8 @@ fn tv_defects_count_divergences_not_reports() {
         let bytecode = compile_checked(&program);
         let artifacts = ProgramArtifacts::for_program(&bytecode);
         let runs = [
-            Vm::run_program_cached(&bytecode, config.clone(), &artifacts),
-            Vm::run_program_cached(&bytecode, config.clone(), &artifacts),
+            Vm::new(&bytecode, config.clone()).with_artifacts(&artifacts).run(),
+            Vm::new(&bytecode, config.clone()).with_artifacts(&artifacts).run(),
         ];
         assert!(runs[1].stats.code_cache_hits > 0, "seed {seed}: the rerun must replay");
         for result in &runs {
