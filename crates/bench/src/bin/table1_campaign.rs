@@ -9,10 +9,11 @@
 
 use cse_bench::{campaign_seeds, row, supervisor_from_env, ALL_KINDS};
 use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
-use cse_vm::Symptom;
+use cse_vm::{Settings, Symptom};
 
 fn main() {
     let seeds = campaign_seeds(400);
+    println!("config: {}", Settings::get());
     println!("Table 1: statistics of found JIT-compiler bugs");
     println!("({seeds} seeds x 8 mutants per VM; override with CSE_SEEDS;");
     println!(" supervision via CSE_CHECKPOINT_DIR / CSE_QUARANTINE_DIR / CSE_DEADLINE_SECS)\n");

@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use cse_vm::VmKind;
+use cse_vm::{Settings, VmKind};
 
 pub mod stopwatch;
 
@@ -18,30 +18,22 @@ pub mod stopwatch;
 /// `CSE_DEADLINE_SECS` (global wall-clock budget; expired campaigns
 /// print partial totals and resume from their checkpoint next run).
 pub fn supervisor_from_env(profile: &str) -> cse_core::SupervisorConfig {
+    let env = Settings::get();
     let mut sup = cse_core::SupervisorConfig::default();
-    if let Ok(dir) = std::env::var("CSE_CHECKPOINT_DIR") {
-        sup.checkpoint_path =
-            Some(std::path::Path::new(&dir).join(format!("{profile}.checkpoint")));
+    if let Some(dir) = &env.checkpoint_dir {
+        sup.checkpoint_path = Some(dir.join(format!("{profile}.checkpoint")));
         sup.checkpoint_every = 16;
     }
-    if let Ok(dir) = std::env::var("CSE_QUARANTINE_DIR") {
-        sup.quarantine_dir = Some(std::path::Path::new(&dir).join(profile));
+    if let Some(dir) = &env.quarantine_dir {
+        sup.quarantine_dir = Some(dir.join(profile));
     }
-    if let Ok(secs) = std::env::var("CSE_DEADLINE_SECS") {
-        if let Ok(secs) = secs.parse() {
-            sup.deadline = Some(std::time::Duration::from_secs(secs));
-        }
-    }
+    sup.deadline = env.deadline_secs.map(std::time::Duration::from_secs);
     sup
 }
 
-/// Seeds per campaign (override with `CSE_SEEDS`). A set value that is
-/// not a positive integer exits the process with an error.
+/// Seeds per campaign: `CSE_SEEDS`, or `default` when it is unset.
 pub fn campaign_seeds(default: u64) -> u64 {
-    cse_core::campaign::env_count("CSE_SEEDS", default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    Settings::get().seeds.unwrap_or(default)
 }
 
 /// All VM profiles in paper order.

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 /// Samples per benchmark (override with `CSE_BENCH_SAMPLES`).
 pub fn samples() -> usize {
-    std::env::var("CSE_BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(10).max(1)
+    cse_vm::Settings::get().bench_samples
 }
 
 /// Times `f` repeatedly and prints `name  median ± spread`.

@@ -18,9 +18,9 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use cse_vm::{BugId, Component, Symptom, VmConfig, VmKind};
+use cse_vm::{BugId, Component, Settings, Symptom, VmConfig, VmKind};
 
-use crate::coverage::{self, CoverageMode, CoveragePolicy, CoverageState};
+use crate::coverage::{self, CoveragePolicy, CoverageState};
 use crate::executor;
 use crate::supervisor::{self, HarnessIncident, IncidentPhase, SupervisorConfig};
 use crate::triage::TriageConfig;
@@ -58,8 +58,8 @@ pub struct CampaignConfig {
     /// [`crate::triage`]). The triage counters join the campaign digest;
     /// the full report rides on [`CampaignResult::triage`].
     pub triage: Option<TriageConfig>,
-    /// JIT-behavior coverage policy (see [`crate::coverage`]). `Auto`
-    /// (the default) follows the `CSE_COVERAGE` environment knob; `Off`
+    /// JIT-behavior coverage policy (see [`crate::coverage`]). The
+    /// default comes from `CSE_COVERAGE` (see [`cse_vm::settings`]); `Off`
     /// reproduces the pre-coverage campaign byte-for-byte, `Collect`
     /// additionally merges coverage maps (digest-identical to `Off`),
     /// `Guide` feeds the merged map back into round scheduling.
@@ -79,7 +79,7 @@ impl CampaignConfig {
             supervisor: SupervisorConfig::default(),
             jobs: 1,
             triage: None,
-            coverage: CoveragePolicy::Auto,
+            coverage: Settings::get().coverage,
         }
     }
 
@@ -89,8 +89,8 @@ impl CampaignConfig {
         self
     }
 
-    /// Same campaign, with an explicit coverage policy (tests use this
-    /// instead of mutating `CSE_COVERAGE`).
+    /// Same campaign, with an explicit coverage policy (overriding
+    /// `CSE_COVERAGE`).
     pub fn with_coverage(mut self, policy: CoveragePolicy) -> CampaignConfig {
         self.coverage = policy;
         self
@@ -102,20 +102,6 @@ impl CampaignConfig {
     pub fn with_triage(mut self) -> CampaignConfig {
         self.triage = Some(TriageConfig::for_campaign(&self));
         self
-    }
-}
-
-/// A campaign size (`CSE_SEEDS`, `CSE_JOBS`) from the environment:
-/// `default` when the variable is unset, an error naming the variable
-/// and its value when it is set to anything but a positive integer.
-pub fn env_count(name: &str, default: u64) -> Result<u64, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(default),
-        Ok(value) => value
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("{name}={value:?} is not a positive integer")),
     }
 }
 
@@ -279,7 +265,7 @@ impl CampaignResult {
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let start = Instant::now();
     let sup = &config.supervisor;
-    let mode = config.coverage.resolve();
+    let collects_coverage = config.coverage != CoveragePolicy::Off;
     let mut result = CampaignResult::default();
     if let Some(path) = &sup.checkpoint_path {
         match supervisor::load_checkpoint(path, config) {
@@ -288,7 +274,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
                 // cannot be resumed deterministically (the schedules
                 // would diverge); restart instead, like a foreign
                 // checkpoint.
-                if checkpoint.result.coverage.is_some() != (mode != CoverageMode::Off) {
+                if checkpoint.result.coverage.is_some() != collects_coverage {
                     eprintln!(
                         "warning: ignoring checkpoint {}: coverage mode changed",
                         path.display()
@@ -306,13 +292,13 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
             }
         }
     }
-    if mode != CoverageMode::Off && result.coverage.is_none() {
+    if collects_coverage && result.coverage.is_none() {
         result.coverage = Some(CoverageState::default());
     }
     // Wall time accumulated by previous (killed) invocations.
     let prior_wall = result.totals.wall;
     let mut vm = config.vm.clone();
-    vm.coverage = mode != CoverageMode::Off;
+    vm.coverage = collects_coverage;
     let validate_config =
         ValidateConfig { max_iter: config.max_iter, ..ValidateConfig::paper_defaults(vm) };
     let mut ctx = executor::ExecContext { config, validate_config, start, prior_wall, round: None };
@@ -331,7 +317,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
         // Merges form a contiguous prefix from offset 0, so the merged
         // count is the offset of the next seed to validate.
         let next = result.totals.seeds;
-        let end = if mode == CoverageMode::Guide && next < config.seeds {
+        let end = if config.coverage == CoveragePolicy::Guide && next < config.seeds {
             let round = next / coverage::ROUND_LEN;
             let round_start = round * coverage::ROUND_LEN;
             let round_end = (round_start + coverage::ROUND_LEN).min(config.seeds);

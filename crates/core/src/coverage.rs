@@ -11,7 +11,7 @@
 //! scheduling depends on worker count, timing, or completion order, so
 //! a guided campaign is bit-identical across `jobs ∈ {1,2,4,8}` and
 //! across kill/resume (the active round's schedule is persisted in the
-//! checkpoint, v6).
+//! checkpoint, v7).
 //!
 //! The live corpus is *minimized*: a mutant's map enters only if it
 //! covers a cell the global map does not, and entries whose maps become
@@ -19,6 +19,7 @@
 
 use cse_rng::Rng64;
 use cse_vm::CoverageMap;
+pub use cse_vm::CoveragePolicy;
 
 /// Seeds per synchronized round under `guide`. Small enough that
 /// feedback turns around quickly on smoke-sized campaigns, large
@@ -28,57 +29,6 @@ pub const ROUND_LEN: u64 = 4;
 /// Live-corpus size cap; the weakest entry (fewest new cells at
 /// admission, oldest first) is evicted past this.
 const CORPUS_CAP: usize = 64;
-
-/// The coverage policy, resolved from config or the `CSE_COVERAGE`
-/// environment knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoveragePolicy {
-    /// Defer to `CSE_COVERAGE` (`off` when unset).
-    #[default]
-    Auto,
-    /// No collection; byte-identical to a pre-coverage campaign.
-    Off,
-    /// Collect and merge maps; scheduling stays uniform (a campaign
-    /// digest-identical to `Off`, plus a coverage report).
-    Collect,
-    /// Collect and feed the round scheduler.
-    Guide,
-}
-
-/// The resolved (non-`Auto`) policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoverageMode {
-    Off,
-    Collect,
-    Guide,
-}
-
-fn coverage_env_default() -> CoverageMode {
-    static MODE: std::sync::OnceLock<CoverageMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("CSE_COVERAGE").as_deref() {
-        Err(_) | Ok("off") | Ok("") => CoverageMode::Off,
-        Ok("collect") => CoverageMode::Collect,
-        Ok("guide") => CoverageMode::Guide,
-        Ok(other) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            let text = format!("CSE_COVERAGE={other} is not off|collect|guide; coverage is off");
-            WARN.call_once(|| eprintln!("warning: {text}"));
-            CoverageMode::Off
-        }
-    })
-}
-
-impl CoveragePolicy {
-    /// Resolves `Auto` against the environment.
-    pub fn resolve(self) -> CoverageMode {
-        match self {
-            CoveragePolicy::Auto => coverage_env_default(),
-            CoveragePolicy::Off => CoverageMode::Off,
-            CoveragePolicy::Collect => CoverageMode::Collect,
-            CoveragePolicy::Guide => CoverageMode::Guide,
-        }
-    }
-}
 
 /// The forced-plan coordinate a scheduled task pins, exploring the
 /// plan dimension of the compilation space (§4.3's `-Xjit:count=0`

@@ -58,7 +58,7 @@ pub mod synth;
 pub mod triage;
 pub mod validate;
 
-pub use coverage::{CoverageMode, CoveragePolicy, CoverageState, PlanVariant};
+pub use coverage::{CoveragePolicy, CoverageState, PlanVariant};
 pub use mutate::{AppliedMutation, Artemis, Mutator};
 pub use supervisor::{ChaosConfig, HarnessIncident, IncidentPhase, SupervisorConfig};
 pub use synth::SynthParams;

@@ -43,7 +43,7 @@ use cse_bytecode::MethodId;
 use cse_lang::Program;
 use cse_reduce::{reduce_with, ReduceConfig};
 use cse_vm::supervise::supervised_run;
-use cse_vm::{ForcedPlan, VmConfig};
+use cse_vm::{ForcedPlan, Settings, VmConfig};
 
 use crate::campaign::CampaignConfig;
 use crate::supervisor::{ChaosConfig, HarnessIncident, IncidentPhase};
@@ -215,11 +215,11 @@ pub struct TriageConfig {
     /// on every replay: the fuel/heap/stack budgets bound execution, so
     /// verdicts cannot depend on machine speed.
     pub vm: VmConfig,
-    /// Step budget for each representative's reduction
-    /// (`CSE_TRIAGE_STEPS` overrides the default of 1000).
+    /// Step budget for each representative's reduction (default from
+    /// `CSE_TRIAGE_STEPS`).
     pub max_reduce_steps: usize,
     /// Re-executions per parallelism level during flakiness
-    /// classification (`CSE_TRIAGE_RERUNS` overrides the default of 3);
+    /// classification (default from `CSE_TRIAGE_RERUNS`);
     /// each repro runs `reruns` times serially plus `reruns` times
     /// across 4 threads.
     pub reruns: usize,
@@ -241,16 +241,12 @@ impl TriageConfig {
         vm.chaos_panic_at_ops = None;
         TriageConfig {
             vm,
-            max_reduce_steps: env_usize("CSE_TRIAGE_STEPS").unwrap_or(1000),
-            reruns: env_usize("CSE_TRIAGE_RERUNS").unwrap_or(3),
+            max_reduce_steps: Settings::get().triage_steps,
+            reruns: Settings::get().triage_reruns,
             retries: 1,
             jobs: config.jobs,
         }
     }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 // ----- replay -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 use crate::faults::{BugId, FaultInjector};
 use crate::plan::ForcedPlan;
+use crate::settings::Settings;
 
 /// Which production JVM a VM instance emulates. The profiles differ in
 /// tier structure, compilation thresholds, and (by default) which seeded
@@ -28,8 +29,8 @@ impl std::fmt::Display for VmKind {
 }
 
 /// When the static IR verifier ([`crate::jit::verify`]) runs during a
-/// compilation. Selected per [`VmConfig`]; the default comes from the
-/// `CSE_VERIFY_IR` environment variable (`off`/`boundary`/`each`).
+/// compilation. Selected per [`VmConfig`]; the default comes from
+/// `CSE_VERIFY_IR` (see [`crate::settings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VerifyMode {
     /// No IR verification (zero overhead).
@@ -43,29 +44,6 @@ pub enum VerifyMode {
     Each,
 }
 
-impl VerifyMode {
-    /// Reads the mode from `CSE_VERIFY_IR`. Unset or `off` means [`Off`];
-    /// an unrecognized value warns once and falls back to [`Off`] rather
-    /// than tearing down a campaign.
-    ///
-    /// [`Off`]: VerifyMode::Off
-    pub fn from_env() -> VerifyMode {
-        match std::env::var("CSE_VERIFY_IR") {
-            Ok(v) if v == "boundary" => VerifyMode::Boundary,
-            Ok(v) if v == "each" => VerifyMode::Each,
-            Ok(v) if v == "off" || v.is_empty() => VerifyMode::Off,
-            Ok(v) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("[cse-vm] unknown CSE_VERIFY_IR={v:?}; expected off/boundary/each");
-                });
-                VerifyMode::Off
-            }
-            Err(_) => VerifyMode::Off,
-        }
-    }
-}
-
 impl std::fmt::Display for VerifyMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -77,8 +55,8 @@ impl std::fmt::Display for VerifyMode {
 }
 
 /// When the translation validator ([`crate::jit::tv`]) runs during a
-/// compilation. Selected per [`VmConfig`]; the default comes from the
-/// `CSE_TV` environment variable (`off`/`boundary`/`each`). Orthogonal to
+/// compilation. Selected per [`VmConfig`]; the default comes from
+/// `CSE_TV` (see [`crate::settings`]). Orthogonal to
 /// [`VerifyMode`]: the static verifier proves the IR is *well-formed*,
 /// the translation validator proves each pass *refined the semantics*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -96,29 +74,6 @@ pub enum TvMode {
     Each,
 }
 
-impl TvMode {
-    /// Reads the mode from `CSE_TV`. Unset or `off` means [`Off`]; an
-    /// unrecognized value warns once and falls back to [`Off`] rather
-    /// than tearing down a campaign.
-    ///
-    /// [`Off`]: TvMode::Off
-    pub fn from_env() -> TvMode {
-        match std::env::var("CSE_TV") {
-            Ok(v) if v == "boundary" => TvMode::Boundary,
-            Ok(v) if v == "each" => TvMode::Each,
-            Ok(v) if v == "off" || v.is_empty() => TvMode::Off,
-            Ok(v) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("[cse-vm] unknown CSE_TV={v:?}; expected off/boundary/each");
-                });
-                TvMode::Off
-            }
-            Err(_) => TvMode::Off,
-        }
-    }
-}
-
 impl std::fmt::Display for TvMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -127,43 +82,6 @@ impl std::fmt::Display for TvMode {
             TvMode::Each => write!(f, "each"),
         }
     }
-}
-
-/// Reads a numeric budget override from the environment, once per
-/// variable per process (the value is cached so hot campaign loops never
-/// touch the environment). Unset means "use the built-in default"; a
-/// non-numeric value warns once and is ignored rather than tearing down
-/// a campaign — the same contract as [`VerifyMode::from_env`].
-fn env_budget(cache: &'static std::sync::OnceLock<Option<u64>>, name: &'static str) -> Option<u64> {
-    *cache.get_or_init(|| match std::env::var(name) {
-        Ok(v) if v.is_empty() => None,
-        Ok(v) => match v.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("[cse-vm] ignoring non-numeric {name}={v:?}");
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// `CSE_FUEL` override for [`VmConfig::fuel`] (unset = 40M ops).
-fn fuel_from_env() -> Option<u64> {
-    static CACHE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    env_budget(&CACHE, "CSE_FUEL")
-}
-
-/// `CSE_HEAP_LIMIT` override for [`VmConfig::max_heap_bytes`], in bytes.
-fn heap_limit_from_env() -> Option<u64> {
-    static CACHE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    env_budget(&CACHE, "CSE_HEAP_LIMIT")
-}
-
-/// `CSE_STACK_LIMIT` override for [`VmConfig::stack_limit`], in frames.
-fn stack_limit_from_env() -> Option<u64> {
-    static CACHE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    env_budget(&CACHE, "CSE_STACK_LIMIT")
 }
 
 /// A compilation tier (0 = interpreter). Tier numbers are the paper's
@@ -288,16 +206,17 @@ impl VmConfig {
             ],
             VmKind::ArtLike => vec![TierThresholds { invocations: 2500, backedge: 2600 }],
         };
+        let env = Settings::get();
         VmConfig {
             kind,
             tiers,
             jit_enabled: true,
-            fuel: fuel_from_env().unwrap_or(40_000_000),
+            fuel: env.fuel,
             gc_interval: 4096,
             max_objects: 1_000_000,
-            max_heap_bytes: heap_limit_from_env().unwrap_or(256 * 1024 * 1024) as usize,
+            max_heap_bytes: env.heap_limit,
             max_call_depth: 128,
-            stack_limit: stack_limit_from_env().unwrap_or(512) as usize,
+            stack_limit: env.stack_limit,
             record_method_entries: false,
             max_events: 100_000,
             faults: FaultInjector::none(),
@@ -306,8 +225,8 @@ impl VmConfig {
             max_deopts_per_method: 3,
             wall_clock_limit: None,
             chaos_panic_at_ops: None,
-            verify_ir: VerifyMode::from_env(),
-            tv: TvMode::from_env(),
+            verify_ir: env.verify_ir,
+            tv: env.tv,
             coverage: false,
         }
     }

@@ -26,6 +26,30 @@
 //! Collection is gated on `VmConfig::coverage`; when the flag is off no
 //! feature is ever computed and the map stays all-zero.
 
+/// A campaign's coverage policy. The campaign default comes from
+/// `CSE_COVERAGE` (see [`crate::settings`]); the scheduler it selects
+/// lives in `cse_core::coverage`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoveragePolicy {
+    /// No collection; byte-identical to a pre-coverage campaign.
+    Off,
+    /// Collect and merge maps; scheduling stays uniform (a campaign
+    /// digest-identical to `Off`, plus a coverage report).
+    Collect,
+    /// Collect and feed the round scheduler.
+    Guide,
+}
+
+impl std::fmt::Display for CoveragePolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CoveragePolicy::Off => write!(f, "off"),
+            CoveragePolicy::Collect => write!(f, "collect"),
+            CoveragePolicy::Guide => write!(f, "guide"),
+        }
+    }
+}
+
 /// Number of `u64` words in a map: 64 words = 4096 cells.
 pub const MAP_WORDS: usize = 64;
 

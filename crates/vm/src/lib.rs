@@ -33,6 +33,7 @@ mod interp;
 pub mod jit;
 pub mod plan;
 pub mod profile;
+pub mod settings;
 pub mod supervise;
 pub mod value;
 
@@ -42,12 +43,13 @@ use std::rc::Rc;
 use cse_bytecode::{ArrKind, BProgram, ClassId, ExcKind, MethodId, PrintKind};
 
 pub use config::{Tier, TierThresholds, TvMode, VerifyMode, VmConfig, VmKind};
-pub use coverage::CoverageMap;
+pub use coverage::{CoverageMap, CoveragePolicy};
 pub use events::{CompileReason, DeoptReason, TraceEvent};
 pub use exec::{CrashInfo, CrashKind, CrashPhase, ExecStats, ExecutionResult, Outcome, Resource};
 pub use faults::{BugId, Component, FaultInjector, Symptom};
 pub use jit::{ProgramArtifacts, SharedArtifactCache};
 pub use plan::{ExecMode, ForcedPlan};
+pub use settings::Settings;
 pub use supervise::{contain_panics, supervised_run, VmPanic};
 pub use value::{Str, Value};
 
@@ -849,7 +851,7 @@ impl<'p> Vm<'p> {
         }
         match compiled {
             Ok(func) => {
-                if std::env::var_os("CSE_DUMP_IR").is_some() {
+                if Settings::get().dump_ir {
                     eprintln!(
                         "=== compiled m{} {:?} osr={osr:?} ===\n{}",
                         method.0,

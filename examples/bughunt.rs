@@ -6,22 +6,15 @@
 //! cargo run --release --example bughunt
 //! ```
 
-use std::process::ExitCode;
-
-use artemis_cse::core::campaign::{env_count, run_campaign, CampaignConfig};
+use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
 use artemis_cse::core::validate::compile_checked;
-use artemis_cse::vm::{Outcome, Vm, VmConfig, VmKind};
+use artemis_cse::vm::{Outcome, Settings, Vm, VmConfig, VmKind};
 
-fn main() -> ExitCode {
-    let (seeds, jobs) = match (env_count("CSE_SEEDS", 40), env_count("CSE_JOBS", 1)) {
-        (Ok(seeds), Ok(jobs)) => (seeds, jobs as usize),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bughunt: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn main() {
+    let env = Settings::get();
+    let seeds = env.seeds.unwrap_or(40);
     println!("hunting with {seeds} seeds x 8 mutants against the OpenJ9-like VM ...\n");
-    let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, seeds).with_jobs(jobs);
+    let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, seeds).with_jobs(env.jobs);
     // Run supervised: checkpoint + quarantine under results/bughunt
     // (gitignored — unlike the curated reports in results/). Kill the
     // hunt at any point and re-run to resume from the checkpoint.
@@ -31,7 +24,7 @@ fn main() -> ExitCode {
     config.supervisor.quarantine_dir = Some(workdir.join("quarantine"));
     // CSE_TRIAGE=1 triages quarantined incidents at campaign end:
     // reduction, signature dedup, flakiness verdicts (see cse_core::triage).
-    if std::env::var("CSE_TRIAGE").is_ok_and(|v| v != "0") {
+    if env.triage {
         config = config.with_triage();
     }
     let result = run_campaign(&config);
@@ -56,7 +49,7 @@ fn main() -> ExitCode {
     }
     let Some(evidence) = result.bugs.values().next() else {
         println!("no bugs found at this campaign size; raise CSE_SEEDS");
-        return ExitCode::SUCCESS;
+        return;
     };
 
     // Reduce the first reproducer while it still exposes its bug.
@@ -76,5 +69,4 @@ fn main() -> ExitCode {
         "reduced from {before} to {} lines:\n\n{reduced_source}",
         reduced_source.lines().count()
     );
-    ExitCode::SUCCESS
 }

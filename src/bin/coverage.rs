@@ -10,8 +10,8 @@
 //! * `CSE_SEEDS`    — campaign seed budget (default 12)
 //! * `CSE_JOBS`     — threads (default 1)
 //!
-//! A set `CSE_SEEDS` or `CSE_JOBS` that is not a positive integer is an
-//! error, not the default.
+//! A malformed value or an unknown `CSE_*` name is an error, not the
+//! default (see `cse_vm::settings`).
 //!
 //! Output is line-oriented for scripting (`ci.sh` asserts on it):
 //! `cells N` is the merged global map's covered-cell count, `corpus N`
@@ -20,8 +20,8 @@
 
 use std::process::ExitCode;
 
-use artemis_cse::core::campaign::{env_count, run_campaign, CampaignConfig};
-use artemis_cse::vm::VmKind;
+use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
+use artemis_cse::vm::{Settings, VmKind};
 
 fn main() -> ExitCode {
     let kind = match std::env::args().nth(1).as_deref() {
@@ -33,14 +33,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (seeds, jobs) = match (env_count("CSE_SEEDS", 12), env_count("CSE_JOBS", 1)) {
-        (Ok(seeds), Ok(jobs)) => (seeds, jobs as usize),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("coverage: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = CampaignConfig::for_kind(kind, seeds).with_jobs(jobs);
+    let env = Settings::get();
+    let config = CampaignConfig::for_kind(kind, env.seeds.unwrap_or(12)).with_jobs(env.jobs);
     let result = run_campaign(&config);
 
     println!("kind {kind:?}");

@@ -15,10 +15,12 @@
 //! Environment:
 //! * `CSE_TRIAGE_STEPS`  — reduction step budget per report (default 1000)
 //! * `CSE_TRIAGE_RERUNS` — re-executions per parallelism level (default 3)
-//! * `CSE_JOBS`          — triage threads (default 1; anything but a
-//!   positive integer is an error)
+//! * `CSE_JOBS`          — triage threads (default 1)
 //! * `CSE_TRIAGE_CHAOS`  — `seed,after_ops`: re-arm the campaign's chaos
 //!   fault injection so chaos incidents reproduce under replay
+//!
+//! A malformed value or an unknown `CSE_*` name is an error (see
+//! `cse_vm::settings`).
 //!
 //! The VM profile (kind, JIT flag, fuel, active bug set) is recovered
 //! from the repro file headers, so triage replays incidents under the
@@ -27,20 +29,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use artemis_cse::core::campaign::env_count;
 use artemis_cse::core::{
     triage_incidents, ChaosConfig, HarnessIncident, IncidentPhase, TriageConfig,
 };
-use artemis_cse::vm::{BugId, FaultInjector, VmConfig, VmKind};
+use artemis_cse::vm::{BugId, FaultInjector, Settings, VmConfig, VmKind};
 
 fn main() -> ExitCode {
-    let jobs = match env_count("CSE_JOBS", 1) {
-        Ok(jobs) => jobs as usize,
-        Err(e) => {
-            eprintln!("triage: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let env = Settings::get();
     let dir = std::env::args().nth(1).unwrap_or_else(|| "results/quarantine".to_string());
     let dir = PathBuf::from(dir);
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(&dir) {
@@ -86,25 +81,19 @@ fn main() -> ExitCode {
 
     let mut tcfg = TriageConfig {
         vm: vm.expect("vm recovered alongside first incident"),
-        max_reduce_steps: env_usize("CSE_TRIAGE_STEPS").unwrap_or(1000),
-        reruns: env_usize("CSE_TRIAGE_RERUNS").unwrap_or(3),
+        max_reduce_steps: env.triage_steps,
+        reruns: env.triage_reruns,
         retries: 1,
-        jobs,
+        jobs: env.jobs,
     };
     tcfg.vm.wall_clock_limit = None;
-    let chaos = std::env::var("CSE_TRIAGE_CHAOS").ok().and_then(|v| {
-        let (seed, ops) = v.split_once(',')?;
-        Some(ChaosConfig { panic_on_seed: seed.parse().ok()?, after_ops: ops.parse().ok()? })
-    });
+    let chaos =
+        env.triage_chaos.map(|(panic_on_seed, after_ops)| ChaosConfig { panic_on_seed, after_ops });
 
     let report = triage_incidents(&incidents, &tcfg, chaos, Some(&dir));
     print!("{}", report.render());
     println!("digest {:016x}", report.digest());
     ExitCode::SUCCESS
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// Reconstructs an incident (and the VM profile that produced it) from a

@@ -186,16 +186,63 @@ fn cse_dominates_traditional_on_sample() {
     assert!(cse > tra, "CSE found {cse} vs traditional {tra} — expected CSE to dominate");
 }
 
-/// A mistyped worker count fails the run instead of silently falling
-/// back to the default.
+/// A malformed value or an unknown `CSE_*` name fails the run, naming the
+/// variable and its value, instead of warning and falling back to a
+/// default (which for `CSE_TV`, `CSE_VERIFY_IR` and `CSE_COVERAGE` would
+/// quietly turn an oracle or the scheduler off).
 #[test]
-fn malformed_jobs_count_is_rejected() {
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_coverage"))
-        .env("CSE_JOBS", "two")
-        .env("CSE_SEEDS", "1")
-        .output()
-        .expect("run the coverage binary");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success(), "CSE_JOBS=two must fail the run; stderr: {stderr}");
-    assert!(stderr.contains("CSE_JOBS=\"two\""), "the error must name the variable: {stderr}");
+fn malformed_or_unknown_settings_are_rejected() {
+    for (name, value) in [
+        ("CSE_JOBS", "two"),
+        ("CSE_TV", "eahc"),
+        ("CSE_VERIFY_IR", "eahc"),
+        ("CSE_COVERAGE", "gude"),
+        ("CSE_FUEL", "lots"),
+        ("CSE_TV_MODE", "each"),
+    ] {
+        let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_coverage"));
+        // The suite itself may run under valid `CSE_*` settings (ci.sh
+        // arms the IR verifier); the child sees only the case under test.
+        for (inherited, _) in std::env::vars_os() {
+            if inherited.to_string_lossy().starts_with("CSE_") {
+                command.env_remove(inherited);
+            }
+        }
+        let output = command
+            .env("CSE_SEEDS", "1")
+            .env(name, value)
+            .output()
+            .expect("run the coverage binary");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{name}={value} must fail the run; stderr: {stderr}");
+        let named = format!("{name}=\"{value}\"");
+        assert!(stderr.contains(&named), "the error must name {named}: {stderr}");
+    }
+}
+
+/// The docs and the registry name the same settings: every `CSE_*` token
+/// in the docs and CI script is a registered name (a renamed or deleted
+/// setting cannot linger there), and README documents every registered
+/// name.
+#[test]
+fn documented_settings_match_the_registry() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| {
+        std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("read {file}: {e}"))
+    };
+    let registered: Vec<&str> = artemis_cse::vm::Settings::names().collect();
+    for file in ["README.md", "DESIGN.md", "ci.sh", ".claude/skills/verify/SKILL.md"] {
+        let text = read(file);
+        for (at, _) in text.match_indices("CSE_") {
+            let tail = &text[at + 4..];
+            let len =
+                tail.find(|c: char| !c.is_ascii_uppercase() && c != '_').unwrap_or(tail.len());
+            let token = &text[at..at + 4 + len];
+            assert!(len == 0 || registered.contains(&token), "{file} names unregistered {token}");
+        }
+    }
+    let readme = read("README.md");
+    for name in registered {
+        assert!(readme.contains(&format!("`{name}`")), "README does not document {name}");
+    }
 }
