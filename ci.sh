@@ -3,7 +3,7 @@
 # has no registry dependencies, so no network access is needed beyond a
 # stock Rust toolchain.
 #
-#   ./ci.sh          # full gate: fmt, clippy, build, tests
+#   ./ci.sh          # full gate: fmt, clippy, rustdoc, build, tests
 #   ./ci.sh quick    # skip the release build (debug tests only)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -21,6 +21,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Doc links must resolve to public items: a link to a private or deleted
+# item is an error, not a warning. Output goes to the ignored target/.
+echo "==> cargo doc (workspace, warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The campaign benchmark is its own package (outside the workspace) that
 # drives only public entry points; building it catches an API change that

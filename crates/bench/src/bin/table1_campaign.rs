@@ -1,11 +1,17 @@
-//! Table 1 — "Statistics of reported JIT-compiler bugs".
+//! Tables 1 and 2 — "Statistics of reported JIT-compiler bugs" and
+//! "Affected JIT compiler components by reported crashes".
 //!
-//! Runs a fuzzing campaign against each VM profile with its default seeded
-//! bug set and prints the paper's layout: discrepancies reported, unique
-//! (ground-truth-deduplicated) bugs, duplicates, and the symptom split
-//! (mis-compilation / crash / performance). Scale with `CSE_SEEDS`.
+//! Runs one fuzzing campaign against each VM profile with its default
+//! seeded bug set and prints, from those campaigns, the paper's Table 1
+//! layout (discrepancies reported, unique ground-truth-deduplicated
+//! bugs, duplicates, and the symptom split: mis-compilation / crash /
+//! performance), each bug's first detection, and Table 2: crash bugs
+//! per affected component (the paper excludes VMs with fewer than 10
+//! crashes; ART is reported for context here). Scale with `CSE_SEEDS`.
 
 #![forbid(unsafe_code)]
+
+use std::collections::BTreeMap;
 
 use cse_bench::{campaign_seeds, row, supervisor_from_env, ALL_KINDS};
 use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
@@ -93,5 +99,26 @@ fn main() {
                 evidence.occurrences
             );
         }
+    }
+
+    println!("\nTable 2: crash bugs per affected JIT component");
+    println!("(counts are crash *occurrences*; unique = distinct bugs)");
+    let widths = [28, 14, 8];
+    for (name, result) in &results {
+        println!("\n--- {name} ---");
+        println!("{}", row(&["Component", "#crashes", "unique"], &widths));
+        let mut by_component: BTreeMap<_, (usize, usize)> = BTreeMap::new();
+        for evidence in result.bugs.values().filter(|e| e.symptom == Symptom::Crash) {
+            let entry = by_component.entry(evidence.component).or_default();
+            entry.0 += evidence.occurrences;
+            entry.1 += 1;
+        }
+        for (component, (occurrences, unique)) in &by_component {
+            let cells: [&str; 3] =
+                [&component.to_string(), &occurrences.to_string(), &unique.to_string()];
+            println!("{}", row(&cells, &widths));
+        }
+        let total: usize = by_component.values().map(|(o, _)| o).sum();
+        println!("{}", row(&["(total)", &total.to_string(), ""], &widths));
     }
 }

@@ -4,8 +4,9 @@
 //! `TableSwitch` owns a `Vec` of cases, so a naive fetch loop must
 //! `clone()` every instruction it dispatches — an allocation per switch
 //! dispatch and a memcpy-plus-branch for everything else. [`DecodedProgram`]
-//! is decoded once per [`BProgram`] (and cached alongside the JIT code
-//! cache) into [`DInsn`], a bit-for-bit mirror of [`Insn`] whose switch
+//! is decoded once per [`BProgram`] (once per attach to the VM's artifact
+//! cache, shared by every run of that program) into [`DInsn`], a
+//! bit-for-bit mirror of [`Insn`] whose switch
 //! cases live out-of-line in a per-method pool so every decoded
 //! instruction is a small `Copy` word pair. String literals are interned
 //! as `Rc<String>` at decode time so `SConst` (and the JIT's `ConstS`)
@@ -16,7 +17,7 @@
 //! ranges, and OSR entry pcs all carry over unchanged. On top of the
 //! re-layout, a peephole pass fuses compare-and-branch pairs into
 //! [`DInsn::CmpBr`] superinstructions without disturbing the pc layout
-//! (see [`DecodedMethod::fuse`]).
+//! (see `DecodedMethod::fuse`).
 
 use std::rc::Rc;
 
@@ -141,10 +142,9 @@ pub struct DecodedMethod {
 }
 
 impl DecodedMethod {
-    /// Decodes one method's code; a pure re-layout plus the
-    /// [`DecodedMethod::fuse`] peephole. Public so content-addressed
-    /// caches can decode (and share) single methods across programs.
-    pub fn decode(code: &[Insn]) -> DecodedMethod {
+    /// Decodes one method's code; a pure re-layout plus the `fuse`
+    /// peephole.
+    fn decode(code: &[Insn]) -> DecodedMethod {
         let mut switch_pool: Vec<(i32, u32)> = Vec::new();
         let decoded = code
             .iter()
@@ -264,13 +264,12 @@ impl DecodedMethod {
 /// A whole program in decoded form, plus its interned string pool.
 ///
 /// Not `Send`: the interned strings are `Rc`, matching the deliberately
-/// single-threaded JIT artifact cache this is cached next to (each campaign
-/// worker thread decodes its own copy).
+/// single-threaded JIT artifact cache that hands it to every run of its
+/// program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
-    /// Per-method decoded code, refcounted so a content-addressed cache
-    /// can share unchanged methods across near-identical programs.
-    pub methods: Vec<Rc<DecodedMethod>>,
+    /// Per-method decoded code, indexed by [`MethodId`].
+    pub methods: Vec<DecodedMethod>,
     /// String literal pool, interned once; indexed by [`StrId`].
     pub strings: Vec<Rc<String>>,
 }
@@ -279,11 +278,7 @@ impl DecodedProgram {
     /// Decodes every method of `program`; a pure re-layout, see module docs.
     pub fn decode(program: &BProgram) -> DecodedProgram {
         DecodedProgram {
-            methods: program
-                .methods
-                .iter()
-                .map(|m| Rc::new(DecodedMethod::decode(&m.code)))
-                .collect(),
+            methods: program.methods.iter().map(|m| DecodedMethod::decode(&m.code)).collect(),
             strings: program.strings.iter().map(|s| Rc::new(s.clone())).collect(),
         }
     }

@@ -1,12 +1,11 @@
 //! Content-addressed structural digests for methods and programs.
 //!
 //! JoNM mutants differ from their seed in exactly one method body, so a
-//! campaign re-compiles and re-decodes thousands of methods that are
-//! byte-for-byte unchanged — they merely live in a different [`BProgram`].
+//! campaign re-compiles thousands of methods that are byte-for-byte
+//! unchanged — they merely live in a different [`BProgram`].
 //! This module assigns every method a *stable structural digest* that is
-//! identical whenever the method would behave identically, letting caches
-//! upstream (the JIT code cache and the decode cache) share work across
-//! program boundaries.
+//! identical whenever the method would behave identically, letting the
+//! JIT code cache upstream share compiled code across program boundaries.
 //!
 //! # The two layers
 //!
@@ -145,11 +144,6 @@ pub struct ProgramDigests {
     /// footprint over which profile fingerprints must be folded to key
     /// speculative compilations.
     pub closure: Vec<Vec<u32>>,
-    /// Whole-program digest: full string table, all class shapes, every
-    /// method (both layers), entry and clinit bindings. Two programs with
-    /// equal `program` digests are behaviorally interchangeable, which
-    /// keys whole-`DecodedProgram` sharing and duplicate-mutant detection.
-    pub program: u64,
 }
 
 impl ProgramDigests {
@@ -177,42 +171,7 @@ impl ProgramDigests {
             })
             .collect();
 
-        let program_digest = {
-            let mut h = Fnv::new();
-            h.u64(program.strings.len() as u64);
-            for s in &program.strings {
-                h.str(s);
-            }
-            h.u64(program.classes.len() as u64);
-            for class in &program.classes {
-                h.str(&class.name);
-                h.u64(class.static_fields.len() as u64);
-                for field in &class.static_fields {
-                    h.str(&field.name);
-                    h.ty(&field.ty);
-                }
-                h.u64(class.inst_fields.len() as u64);
-                for field in &class.inst_fields {
-                    h.str(&field.name);
-                    h.ty(&field.ty);
-                }
-                h.u64(class.init.map_or(u64::MAX, |m| u64::from(m.0)));
-                h.u64(class.methods.len() as u64);
-                for &m in &class.methods {
-                    h.u64(u64::from(m.0));
-                }
-            }
-            h.u64(program.methods.len() as u64);
-            for digest in &methods {
-                h.u64(digest.content);
-                h.u64(digest.linkage);
-            }
-            h.u64(u64::from(program.entry.0));
-            h.u64(program.clinit.map_or(u64::MAX, |m| u64::from(m.0)));
-            h.finish()
-        };
-
-        ProgramDigests { methods, units, closure, program: program_digest }
+        ProgramDigests { methods, units, closure }
     }
 }
 
@@ -515,7 +474,6 @@ mod tests {
         let id = helper_a.find_method("T", "helper").unwrap().0 as usize;
         assert_ne!(a.methods[id].content, b.methods[id].content);
         assert_ne!(a.units[id], b.units[id]);
-        assert_ne!(a.program, b.program);
         // main inlines helper, so its *unit* moves while its body digest
         // stays put.
         let main = helper_a.find_method("T", "main").unwrap().0 as usize;
@@ -543,7 +501,6 @@ mod tests {
         widened.methods[id].handlers[0].start += 1;
         let b = ProgramDigests::compute(&widened);
         assert_ne!(a.methods[id].content, b.methods[id].content);
-        assert_ne!(a.program, b.program);
     }
 
     #[test]
@@ -577,7 +534,6 @@ mod tests {
                 "linkage must bind the index"
             );
         }
-        assert_ne!(a.program, b.program, "program digest must see the reordering");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The calling thread is worker 0. It claims and processes seeds like
 //! any other worker, and it is also the in-order collector; `jobs - 1`
-//! scoped helpers claim seeds beside it ([`in_order`]). `jobs = 1`
+//! scoped helpers claim seeds beside it (`in_order`). `jobs = 1`
 //! therefore spawns no thread at all, and `jobs = N` runs on exactly N
 //! threads, not N workers plus an idle collector. The shape is measured,
 //! not cosmetic: on a 2-core host, running `jobs = 1` as one spawned
@@ -25,18 +25,18 @@
 //!   processes it ("claimed-must-process"), so the set of completed
 //!   offsets is a contiguous prefix of the seed range at every point in
 //!   time — exactly the shape a checkpoint needs.
-//! * **Pure seed work** — [`process_seed`] touches no shared state: it
+//! * **Pure seed work** — `process_seed` touches no shared state: it
 //!   generates the seed, compiles it once, validates it, and runs the
-//!   baseline, returning everything in a [`SeedRecord`].
+//!   baseline, returning everything in a `SeedRecord`.
 //! * **Deterministic merge** — the calling thread buffers out-of-order
 //!   records and folds them into the result strictly in seed order via
-//!   [`merge_seed`]. Quarantine writes and checkpoints happen only
+//!   `merge_seed`. Quarantine writes and checkpoints happen only
 //!   there, in seed order.
-//! * **One cutoff, checked at claim time** — [`cutoffs`] is the only
+//! * **One cutoff, checked at claim time** — `cutoffs` is the only
 //!   place that reads the deadline and `stop_after_seeds`. Both stop new
 //!   claims, never a claimed seed, so a cutoff still leaves a
 //!   contiguous, resumable prefix.
-//! * **One checkpoint writer** — [`checkpoint`] stamps the volatile
+//! * **One checkpoint writer** — `checkpoint` stamps the volatile
 //!   totals and saves the state, at cadence points, at the end of the
 //!   seed loop, and after triage.
 //!

@@ -290,7 +290,7 @@ fn render_point(p: &SpacePoint) -> String {
 /// A stable FNV-1a digest of an enumerated space, for cross-checking
 /// that pruned and exhaustive enumerations are bit-identical (see
 /// [`enumerate_space_with`]'s proof obligation). Rendering masks
-/// `code_cache_hits`; see [`render_point`].
+/// `code_cache_hits`; see `render_point`.
 pub fn space_digest(points: &[SpacePoint]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for point in points {

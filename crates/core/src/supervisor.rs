@@ -14,7 +14,8 @@
 //!   and written atomically, so a killed campaign resumes exactly where
 //!   it stopped and produces a bit-identical [`CampaignResult`].
 //! - Quarantine: crashing and panicking inputs persisted as
-//!   self-contained repro files (source + rng seed + VM profile).
+//!   self-contained repro files (source + rng seed + VM profile), and
+//!   [`parse_quarantined_incident`], which reads an incident file back.
 //!
 //! The checkpoint format is line-oriented with length-prefixed blocks
 //! for multi-line strings:
@@ -63,7 +64,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cse_vm::{BugId, Component, Symptom, VmConfig};
+use cse_vm::{BugId, Component, FaultInjector, Symptom, TvMode, VerifyMode, VmConfig, VmKind};
 
 use crate::campaign::{BugEvidence, CampaignConfig, CampaignResult};
 use crate::coverage::{CorpusEntry, CoverageState, PlanVariant, TaskSpec};
@@ -669,15 +670,48 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
+/// The VM profile lines of a repro header; [`parse_quarantined_incident`]
+/// reads them back.
 fn vm_profile_header(vm: &VmConfig) -> String {
     let bugs: Vec<String> = vm.faults.bugs().map(|b| format!("{b:?}")).collect();
     format!(
-        "// vm profile: {:?} (jit: {}, fuel: {})\n// active bugs: {}\n",
+        "// vm profile: {:?} (jit: {}, fuel: {}, verify_ir: {}, tv: {})\n// active bugs: {}\n",
         vm.kind,
         vm.jit_enabled,
         vm.fuel,
+        vm.verify_ir,
+        vm.tv,
         if bugs.is_empty() { "none".to_string() } else { bugs.join(",") }
     )
+}
+
+/// Parses the `(jit: .., fuel: .., verify_ir: .., tv: ..)` profile
+/// line over a [`VmConfig::correct`] of its VM kind.
+fn parse_vm_profile(line: &str) -> Option<VmConfig> {
+    let (kind, fields) = line.split_once(" (")?;
+    let kind = [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike]
+        .into_iter()
+        .find(|k| format!("{k:?}") == kind)?;
+    let mut vm = VmConfig::correct(kind);
+    for field in fields.strip_suffix(')')?.split(", ") {
+        let (key, value) = field.split_once(": ")?;
+        match key {
+            "jit" => vm.jit_enabled = value.parse().ok()?,
+            "fuel" => vm.fuel = value.parse().ok()?,
+            "verify_ir" => {
+                vm.verify_ir =
+                    named(value, [VerifyMode::Off, VerifyMode::Boundary, VerifyMode::Each])?
+            }
+            "tv" => vm.tv = named(value, [TvMode::Off, TvMode::Boundary, TvMode::Each])?,
+            _ => return None,
+        }
+    }
+    Some(vm)
+}
+
+/// The option whose `Display` is `value`.
+fn named<T: std::fmt::Display>(value: &str, options: [T; 3]) -> Option<T> {
+    options.into_iter().find(|o| o.to_string() == value)
 }
 
 /// Persists a contained harness incident as a self-contained repro file
@@ -721,6 +755,64 @@ pub fn quarantine_incident(
     }
     w.flush()?;
     Ok(path)
+}
+
+/// Reconstructs an incident, and the VM profile that produced it, from a
+/// repro file written by [`quarantine_incident`]. The header wins over
+/// the reading process's settings: JIT flag, fuel, both oracle modes and
+/// the active bugs all come from the file, so a replay runs the oracle
+/// that raised the incident. `None` when a required line is missing or
+/// malformed.
+pub fn parse_quarantined_incident(text: &str) -> Option<(HarnessIncident, VmConfig)> {
+    let mut phase = None;
+    let mut seed = None;
+    let mut rng_seed = None;
+    let mut iteration = None;
+    let mut payload = Vec::new();
+    let mut vm = None;
+    let mut bugs = None;
+    let mut source = None;
+    let mut offset = 0;
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix("// ") else {
+            // First non-header line: the program source starts here.
+            source = Some(text[offset..].to_string());
+            break;
+        };
+        offset += line.len() + 1;
+        if let Some(v) = rest.strip_prefix("phase: ") {
+            phase = IncidentPhase::from_name(v);
+        } else if let Some(v) = rest.strip_prefix("campaign seed: ") {
+            seed = v.parse::<u64>().ok();
+        } else if let Some(v) = rest.strip_prefix("rng seed: ") {
+            rng_seed = v.parse::<u64>().ok();
+        } else if let Some(v) = rest.strip_prefix("mutation iteration: ") {
+            iteration = Some(v.parse::<usize>().ok()?);
+        } else if let Some(v) = rest.strip_prefix("panic: ") {
+            payload.push(v);
+        } else if let Some(v) = rest.strip_prefix("vm profile: ") {
+            vm = Some(parse_vm_profile(v)?);
+        } else if let Some(v) = rest.strip_prefix("active bugs: ") {
+            bugs = Some(if v == "none" {
+                Vec::new()
+            } else {
+                v.split(',')
+                    .map(|name| BugId::all().iter().copied().find(|b| format!("{b:?}") == name))
+                    .collect::<Option<Vec<_>>>()?
+            });
+        }
+    }
+    let mut vm = vm?;
+    vm.faults = FaultInjector::with(bugs?);
+    let incident = HarnessIncident {
+        phase: phase?,
+        seed: seed?,
+        rng_seed: rng_seed?,
+        iteration,
+        payload: payload.join("\n"),
+        source,
+    };
+    Some((incident, vm))
 }
 
 /// Persists a crash-discrepancy reproducer (mutant source + rng seed +
@@ -953,6 +1045,31 @@ mod tests {
         assert!(body.contains("HotSpotLike"));
         assert!(body.contains("chaos: injected VM panic"));
         assert!(body.contains("class T"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The header pins the whole VM profile, oracle modes included, so a
+    /// replay does not take them from the replaying shell's settings.
+    #[test]
+    fn quarantined_incident_round_trips_with_its_vm_profile() {
+        let dir = std::env::temp_dir().join(format!("cse-quarantine-trip-{}", std::process::id()));
+        let mut vm = CampaignConfig::for_kind(VmKind::OpenJ9Like, 1).vm;
+        vm.tv = TvMode::Each;
+        vm.verify_ir = VerifyMode::Boundary;
+        vm.jit_enabled = false;
+        vm.fuel = 12_345;
+        for incident in &sample_result().incidents {
+            let path = quarantine_incident(&dir, incident, &vm).expect("write");
+            let text = std::fs::read_to_string(&path).expect("read");
+            let (parsed, parsed_vm) = parse_quarantined_incident(&text).expect("parses");
+            assert_eq!(&parsed, incident);
+            assert_eq!(parsed_vm.kind, vm.kind);
+            assert_eq!(parsed_vm.tv, TvMode::Each);
+            assert_eq!(parsed_vm.verify_ir, VerifyMode::Boundary);
+            assert!(!parsed_vm.jit_enabled);
+            assert_eq!(parsed_vm.fuel, 12_345);
+            assert_eq!(parsed_vm.faults.fingerprint(), vm.faults.fingerprint());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

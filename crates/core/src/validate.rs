@@ -32,7 +32,7 @@ use cse_vm::{
     Vm, VmConfig,
 };
 
-use crate::mutate::{AppliedMutation, Artemis, Mutator};
+use crate::mutate::{AppliedMutation, Artemis};
 use crate::supervisor::{HarnessIncident, IncidentPhase};
 use crate::synth::SynthParams;
 
@@ -271,8 +271,9 @@ pub fn try_compile_checked(program: &Program) -> Result<BProgram, String> {
 /// [`try_compile_checked`] for callers that own the program and can let
 /// the type checker annotate it in place. The validation loop compiles
 /// every mutant exactly once and never reuses the AST afterward (reports
-/// pretty-print the annotated form, which prints identically), so the
-/// defensive whole-AST clone is pure overhead there.
+/// pretty-print the annotated form, which only spells resolved names
+/// out as `T.f`/`this.f`), so the defensive whole-AST clone is pure
+/// overhead there.
 pub fn try_compile_checked_mut(program: &mut Program) -> Result<BProgram, String> {
     contain_panics(|| {
         cse_lang::typeck::check(program).map_err(|e| format!("type check failed: {e}"))?;
@@ -287,75 +288,6 @@ pub fn try_compile_checked_mut(program: &mut Program) -> Result<BProgram, String
         Ok(bytecode)
     })
     .map_err(|p| format!("compiler panicked: {}", p.payload))?
-}
-
-/// The content-addressed mutant front end: LI and SW mutations are
-/// body-local (they rewrite statements inside exactly one method and
-/// report it as `Class.method`), so such a mutant only needs *its
-/// mutated methods* re-resolved and re-checked. The mutant is rebased
-/// onto a pre-annotated clone of the seed — the mutated bodies are
-/// moved over, re-checked against the seed's (unchanged) class table,
-/// and the rest of the program keeps its seed annotations verbatim.
-/// Resolution is deterministic, so the resulting bytecode is
-/// bit-identical to a full front-end pass over the raw mutant.
-///
-/// Returns `None` when the fast path does not apply and the caller must
-/// take the full pipeline: an MI mutation (it adds a control field and
-/// rewrites a call site in a *different* method, so it is not
-/// body-local), or a location that cannot be resolved (e.g. the chaos
-/// knob's whole-program `<chaos: literal flip>` sentinel).
-fn try_compile_mutant_incremental(
-    mutant: &mut Program,
-    annotated_seed: &mut Program,
-    table: &cse_lang::typeck::ClassTable,
-    mutations: &[AppliedMutation],
-) -> Option<Result<BProgram, String>> {
-    let mut targets: Vec<(usize, usize)> = Vec::new();
-    for mutation in mutations {
-        if matches!(mutation.mutator, Mutator::Mi) {
-            return None;
-        }
-        let (class_name, method_name) = mutation.location.split_once('.')?;
-        let class_idx = mutant.classes.iter().position(|c| c.name == class_name)?;
-        let method_idx =
-            mutant.classes[class_idx].methods.iter().position(|m| m.name == method_name)?;
-        if !targets.contains(&(class_idx, method_idx)) {
-            targets.push((class_idx, method_idx));
-        }
-    }
-    // Swap the mutated bodies into the annotated program — no whole-AST
-    // clone. The front end runs on `annotated_seed` (now carrying the
-    // mutant's bodies at `targets`, seed annotations everywhere else),
-    // then the second swap restores it to pristine and hands the mutant
-    // its re-checked bodies back. Annotation rewrites print identically,
-    // so repro files are unaffected. The restore runs even when checking
-    // fails or panics — `contain_panics` has already caught by then.
-    for &(class_idx, method_idx) in &targets {
-        std::mem::swap(
-            &mut annotated_seed.classes[class_idx].methods[method_idx].body,
-            &mut mutant.classes[class_idx].methods[method_idx].body,
-        );
-    }
-    let compiled = contain_panics(|| {
-        for &(class_idx, method_idx) in &targets {
-            cse_lang::typeck::check_method(annotated_seed, table, class_idx, method_idx)
-                .map_err(|e| format!("type check failed: {e}"))?;
-        }
-        let bytecode = cse_bytecode::compile(annotated_seed)
-            .map_err(|e| format!("bytecode compilation failed: {e}"))?;
-        cse_bytecode::verify::verify_program(&bytecode)
-            .map_err(|e| format!("bytecode verification failed: {e}"))?;
-        Ok(bytecode)
-    })
-    .map_err(|p| format!("compiler panicked: {}", p.payload))
-    .and_then(|r| r);
-    for &(class_idx, method_idx) in &targets {
-        std::mem::swap(
-            &mut annotated_seed.classes[class_idx].methods[method_idx].body,
-            &mut mutant.classes[class_idx].methods[method_idx].body,
-        );
-    }
-    Some(compiled)
 }
 
 /// Step-budget fraction under which a completed reference run marks a
@@ -418,7 +350,7 @@ pub fn validate_with(
 /// between validation and the traditional-fuzzing baseline instead of
 /// re-running the front end per consumer. The seed run, its mutants,
 /// their reference runs and attribution reruns all attach to `cache`,
-/// so JIT compilations and decoded methods are shared within the seed.
+/// so JIT compilations are shared within the seed.
 /// The campaign executor passes a fresh cache per seed (and reads its
 /// hit counters afterwards), as [`validate_with`] does.
 pub fn validate_compiled_in(
@@ -505,16 +437,6 @@ pub fn validate_compiled_in(
     // The §3.2 oracle compares every mutant against this; render it once
     // instead of re-formatting the seed's output per iteration.
     let seed_observable = seed_result.observable();
-    // One whole-program annotation of the seed backs the incremental
-    // mutant front end (`try_compile_mutant_incremental`); the per-mutant
-    // cost then drops to a single-method recheck. A seed the checker
-    // rejects here (it shouldn't — its bytecode compiled) falls back to
-    // the full per-mutant pipeline.
-    let mut annotated_seed = seed.clone();
-    let seed_table = match cse_lang::typeck::check(&mut annotated_seed) {
-        Ok(()) => cse_lang::typeck::ClassTable::build(&annotated_seed).ok(),
-        Err(_) => None,
-    };
     let mut artemis = Artemis::new(rng_seed, config.params.clone());
     configure(&mut artemis);
     for iteration in 0..config.max_iter {
@@ -537,17 +459,8 @@ pub fn validate_compiled_in(
         }
         // In-place check-and-compile: the mutant AST is owned and fresh
         // per iteration, so the type checker may annotate it directly
-        // instead of paying a whole-AST clone per mutant. The incremental
-        // front end re-checks only the mutated methods; anything it can't
-        // handle takes the full pipeline.
-        let compiled = match &seed_table {
-            Some(table) => {
-                try_compile_mutant_incremental(&mut mutant, &mut annotated_seed, table, &mutations)
-                    .unwrap_or_else(|| try_compile_checked_mut(&mut mutant))
-            }
-            None => try_compile_checked_mut(&mut mutant),
-        };
-        let mutant_bytecode = match compiled {
+        // instead of paying a whole-AST clone per mutant.
+        let mutant_bytecode = match try_compile_checked_mut(&mut mutant) {
             Ok(bytecode) => bytecode,
             Err(message) => {
                 // A mutator bug: JoNM produced an uncompilable program.
@@ -883,56 +796,4 @@ fn attribute(
         }
     }
     None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::SynthParams;
-    use cse_vm::VmKind;
-
-    /// The incremental mutant front end must be invisible: for fuzzed
-    /// seeds and their JoNM mutants, rebase-and-recheck produces
-    /// bit-identical bytecode to the full check-everything pipeline.
-    #[test]
-    fn incremental_mutant_front_end_matches_full_pipeline() {
-        let mut checked_mutants = 0;
-        for seed_value in 0..12u64 {
-            let seed = cse_fuzz::generate(seed_value, &cse_fuzz::FuzzConfig::default());
-            let mut annotated_seed = seed.clone();
-            cse_lang::typeck::check(&mut annotated_seed).expect("fuzzed seeds type-check");
-            let table = cse_lang::typeck::ClassTable::build(&annotated_seed).expect("table builds");
-            let mut artemis = Artemis::new(seed_value, SynthParams::for_kind(VmKind::HotSpotLike));
-            for _ in 0..4 {
-                let (mut mutant, mutations) = artemis.jonm(&seed);
-                if mutations.is_empty() {
-                    continue;
-                }
-                let full = try_compile_checked(&mutant);
-                // `None` = the fast path declined (e.g. an MI mutation);
-                // production falls back to the full pipeline there.
-                let Some(incremental) = try_compile_mutant_incremental(
-                    &mut mutant,
-                    &mut annotated_seed,
-                    &table,
-                    &mutations,
-                ) else {
-                    continue;
-                };
-                match (full, incremental) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b, "seed {seed_value}: bytecode diverged");
-                        checked_mutants += 1;
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!(
-                        "pipelines disagree on acceptance: full={:?} incremental={:?}",
-                        a.err(),
-                        b.err()
-                    ),
-                }
-            }
-        }
-        assert!(checked_mutants >= 20, "calibration: only {checked_mutants} mutants compiled");
-    }
 }

@@ -119,79 +119,57 @@ impl ClassTable {
     }
 }
 
-/// Resolves names and type-checks the program in place.
+/// Resolves names and type-checks the program in place, copying no
+/// part of the AST. On error every node is still in place: the program
+/// prints as the same source, except that names resolved before the
+/// error print qualified (`T.f`, `this.f`, `T.m()`).
 pub fn check(program: &mut Program) -> Result<(), FrontError> {
     let table = ClassTable::build(program)?;
     if program.entry().is_none() {
         return Err(FrontError::msg("program has no `static void main()` entry point"));
     }
-    let class_names: Vec<String> = program.classes.iter().map(|c| c.name.clone()).collect();
-    for (class_idx, class_name) in class_names.iter().enumerate() {
-        // Field initializers.
-        let mut field_inits: Vec<(usize, bool, Ty, Option<Expr>)> = program.classes[class_idx]
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i, f.is_static, f.ty.clone(), f.init.clone()))
-            .collect();
-        for (_, is_static, ty, init) in &mut field_inits {
-            table.check_ty(ty)?;
-            if let Some(init) = init {
-                let mut ck = Checker::new(&table, class_name, *is_static);
+    for class in &mut program.classes {
+        for field in &mut class.fields {
+            table.check_ty(&field.ty)?;
+            if let Some(init) = &mut field.init {
+                let mut ck = Checker::new(&table, &class.name, field.is_static);
                 let init_ty = ck.expr(init)?;
-                ck.require_assignable(ty, &init_ty, init)?;
+                ck.require_assignable(&field.ty, &init_ty, init)?;
             }
         }
-        for (i, _, _, init) in field_inits {
-            program.classes[class_idx].fields[i].init = init;
-        }
-        // Method bodies.
-        let method_count = program.classes[class_idx].methods.len();
-        for method_idx in 0..method_count {
-            check_method(program, &table, class_idx, method_idx)?;
+        for method in &mut class.methods {
+            check_method(&table, &class.name, method)?;
         }
     }
     Ok(())
 }
 
-/// Resolves and type-checks a single method body in place against an
-/// existing [`ClassTable`]. [`check`] runs this over every method; the
-/// incremental mutant front end in `cse-core` runs it over *only* the
-/// JoNM-mutated methods — mutations are body-local, so every other
-/// method keeps its seed-run annotations and the table stays valid.
-pub fn check_method(
-    program: &mut Program,
+/// Resolves and type-checks one method body in place.
+fn check_method(
     table: &ClassTable,
-    class_idx: usize,
-    method_idx: usize,
+    class_name: &str,
+    method: &mut MethodDecl,
 ) -> Result<(), FrontError> {
-    let class_name = program.classes[class_idx].name.clone();
-    let method = &program.classes[class_idx].methods[method_idx];
-    let is_static = method.is_static;
-    let ret = method.ret.clone();
-    let params = method.params.clone();
-    let mut body = method.body.clone();
-    table.check_ty(&ret)?;
-    let mut ck = Checker::new(table, &class_name, is_static);
-    ck.ret = ret.clone();
+    table.check_ty(&method.ret)?;
+    let mut ck = Checker::new(table, class_name, method.is_static);
+    ck.ret = method.ret.clone();
     ck.push_scope();
     let mut seen = HashSet::new();
-    for param in &params {
+    for param in &method.params {
         table.check_ty(&param.ty)?;
-        if !seen.insert(param.name.clone()) {
+        if !seen.insert(param.name.as_str()) {
             return Err(FrontError::msg(format!("duplicate parameter `{}`", param.name)));
         }
         ck.declare(&param.name, param.ty.clone())?;
     }
-    ck.block(&mut body)?;
+    ck.block(&mut method.body)?;
     ck.pop_scope();
-    if ret != Ty::Void && !block_definitely_exits(&body) {
+    if method.ret != Ty::Void && !block_definitely_exits(&method.body) {
         return Err(FrontError::msg(format!(
             "method `{}.{}` may fall off the end without returning",
-            class_name, program.classes[class_idx].methods[method_idx].name
+            class_name, method.name
         )));
     }
-    program.classes[class_idx].methods[method_idx].body = body;
     Ok(())
 }
 
@@ -616,16 +594,14 @@ impl<'a> Checker<'a> {
                 Ok(sig.ty.clone())
             }
             LValue::InstField { recv, field } => {
-                let field = field.clone();
-                let mut recv_expr = std::mem::replace(recv.as_mut(), Expr::Null);
                 // A bare class name as receiver means a static field access.
-                if let Expr::Name(name) = &recv_expr {
+                if let Expr::Name(name) = recv.as_ref() {
                     if self.lookup(name).is_none()
                         && self.table.field(self.class, name).is_none()
                         && self.table.has_class(name)
                     {
                         let class = name.clone();
-                        let sig = self.table.field(&class, &field).cloned().ok_or_else(|| {
+                        let sig = self.table.field(&class, field).cloned().ok_or_else(|| {
                             FrontError::msg(format!("unknown field `{class}.{field}`"))
                         })?;
                         if !sig.is_static {
@@ -633,26 +609,25 @@ impl<'a> Checker<'a> {
                                 "field `{class}.{field}` is not static"
                             )));
                         }
+                        let field = std::mem::take(field);
                         *lvalue = LValue::StaticField { class, field };
                         return Ok(sig.ty);
                     }
                 }
-                let recv_ty = self.expr(&mut recv_expr)?;
+                let recv_ty = self.expr(recv)?;
                 let Ty::Class(class) = &recv_ty else {
                     return Err(FrontError::msg(format!("type `{recv_ty}` has no fields")));
                 };
                 let sig = self
                     .table
-                    .field(class, &field)
-                    .ok_or_else(|| FrontError::msg(format!("unknown field `{class}.{field}`")))?
-                    .clone();
+                    .field(class, field)
+                    .ok_or_else(|| FrontError::msg(format!("unknown field `{class}.{field}`")))?;
                 if sig.is_static {
                     return Err(FrontError::msg(format!(
                         "static field `{class}.{field}` accessed through an instance"
                     )));
                 }
-                *lvalue = LValue::InstField { recv: Box::new(recv_expr), field };
-                Ok(sig.ty)
+                Ok(sig.ty.clone())
             }
             LValue::Index { array, index } => {
                 let array_ty = self.expr(array)?;
@@ -729,18 +704,19 @@ impl<'a> Checker<'a> {
                 sig.ty.clone()
             }
             Expr::InstField { .. } => {
-                // Reuse the lvalue resolution logic, then convert back.
+                // Reuse the lvalue resolution logic, then convert back
+                // (on error too, so the node survives a failed check).
                 let mut lv = match std::mem::replace(expr, Expr::Null) {
                     Expr::InstField { recv, field } => LValue::InstField { recv, field },
                     _ => unreachable!(),
                 };
-                let ty = self.lvalue(&mut lv)?;
+                let ty = self.lvalue(&mut lv);
                 *expr = match lv {
                     LValue::InstField { recv, field } => Expr::InstField { recv, field },
                     LValue::StaticField { class, field } => Expr::StaticField { class, field },
                     _ => unreachable!(),
                 };
-                ty
+                ty?
             }
             Expr::Index { array, index } => {
                 let array_ty = self.expr(array)?;
@@ -805,26 +781,24 @@ impl<'a> Checker<'a> {
                 elem_ty.array_of()
             }
             Expr::FreeCall { name, args } => {
-                let name = name.clone();
-                let mut args = std::mem::take(args);
                 let sig = self
                     .table
-                    .method(self.class, &name)
+                    .method(self.class, name)
                     .cloned()
                     .ok_or_else(|| FrontError::msg(format!("unknown method `{name}`")))?;
-                self.check_args(&name, &sig, &mut args)?;
-                let ret = sig.ret.clone();
-                if sig.is_static {
-                    *expr = Expr::StaticCall { class: self.class.to_string(), method: name, args };
-                } else {
-                    if self.is_static {
-                        return Err(FrontError::msg(format!(
-                            "instance method `{name}` called from a static context"
-                        )));
-                    }
-                    *expr = Expr::InstCall { recv: Box::new(Expr::This), method: name, args };
+                self.check_args(name, &sig, args)?;
+                if !sig.is_static && self.is_static {
+                    return Err(FrontError::msg(format!(
+                        "instance method `{name}` called from a static context"
+                    )));
                 }
-                return Ok(ret);
+                let (method, args) = (std::mem::take(name), std::mem::take(args));
+                *expr = if sig.is_static {
+                    Expr::StaticCall { class: self.class.to_string(), method, args }
+                } else {
+                    Expr::InstCall { recv: Box::new(Expr::This), method, args }
+                };
+                return Ok(sig.ret);
             }
             Expr::StaticCall { class, method, args } => {
                 let sig =
@@ -1092,6 +1066,27 @@ mod tests {
         assert!(fails("class T { static void main() { int x = y; } }").contains("unknown variable"));
         assert!(fails("class T { static void main() { boolean b = true << 2 > 1; } }")
             .contains("not applicable"));
+    }
+
+    /// The checker works in place, so a failed check must leave every
+    /// node where it was: quarantined mutants are printed after it fails.
+    #[test]
+    fn type_error_leaves_the_program_printing_unchanged() {
+        for src in [
+            "class T { static void main() { int x = 1; int y = x + true; } }",
+            "class T { static void main() { int a = 1; foo(a, 2); } }",
+            "class T { static int m(int a) { return a; } static void main() { m(true); } }",
+            "class T { int f; static void main() { T t = new T(); int x = t.g; } }",
+            "class T { int f; static void main() { T t = new T(); t.g = 1; } }",
+            "class T { static void main() { int x = 1; x.f = 2; } }",
+            "class T { static int f = true; static void main() { } }",
+            "class T { static int m(int a) { a = a + 1; } static void main() { } }",
+        ] {
+            let mut program = crate::parse(src).unwrap();
+            let before = crate::pretty::print(&program);
+            assert!(check(&mut program).is_err(), "{src} type-checked");
+            assert_eq!(crate::pretty::print(&program), before, "{src}");
+        }
     }
 
     #[test]

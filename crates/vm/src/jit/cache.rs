@@ -1,28 +1,26 @@
-//! Seed-scoped, content-addressed artifact cache.
+//! Seed-scoped, content-addressed cache of compiled code.
 //!
 //! A [`Vm`](crate::Vm) already memoizes compiled code *within* one run.
 //! But validating one seed executes a **family of near-identical
 //! programs**: every JoNM mutant differs from its seed in exactly one
 //! method, and attribution reruns repeat a mutant under ablated fault
-//! sets, so a per-run cache re-compiles and re-decodes the same methods
-//! over and over. [`SharedArtifactCache`] is the program-*agnostic*
-//! replacement: the campaign executor creates one cache per seed and
-//! drops it with the seed, and every program of that seed attaches to
-//! it, keyed by the content digests of [`cse_bytecode::digest`] so any
-//! two programs share artifacts exactly when a fresh compilation could
-//! not tell them apart. Scoping the cache to one seed bounds its memory
-//! by one seed's working set and makes its hit pattern a function of the
-//! seed alone, independent of `jobs` and of which seeds ran before.
+//! sets, so a per-run cache re-compiles the same methods over and over.
+//! [`SharedArtifactCache`] is the program-*agnostic* replacement: the
+//! campaign executor creates one cache per seed and drops it with the
+//! seed, and every program of that seed attaches to it, keyed by the
+//! content digests of [`cse_bytecode::digest`] so any two programs share
+//! code exactly when a fresh compilation could not tell them apart.
+//! Scoping the cache to one seed bounds its memory by one seed's working
+//! set and makes its hit pattern a function of the seed alone,
+//! independent of `jobs` and of which seeds ran before.
 //!
-//! It caches three artifact kinds:
-//!
-//! * **Compiled IR** (and injected compile-time crashes), keyed by
-//!   [`ArtifactKey`]: the root method's *compilation-unit digest* (its
-//!   static call closure to [`cse_bytecode::digest::INLINE_CLOSURE_DEPTH`]
-//!   — everything the inliner can read) plus the coordinates
-//!   `(tier, osr, speculate, has_osr_code, profile_fp, env_fp)`.
-//! * **Decoded methods** ([`DecodedMethod`]), keyed by the method digest.
-//! * **Whole decoded programs**, keyed by the whole-program digest.
+//! The cache holds compiled IR (and injected compile-time crashes),
+//! keyed by the root method's *compilation-unit digest* (its static call
+//! closure to [`cse_bytecode::digest::INLINE_CLOSURE_DEPTH`] — everything
+//! the inliner can read) plus the coordinates `(tier, osr, speculate,
+//! has_osr_code, profile_fp, env_fp)`. Decoding is not cached across
+//! programs: [`SharedArtifactCache::attach`] decodes its program once,
+//! and every run of that program shares the result.
 //!
 //! # Soundness
 //!
@@ -57,7 +55,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cse_bytecode::{BProgram, DecodedMethod, DecodedProgram, ProgramDigests};
+use cse_bytecode::{BProgram, DecodedProgram, ProgramDigests};
 
 use crate::config::{Tier, VmConfig};
 use crate::exec::CrashInfo;
@@ -106,12 +104,6 @@ pub(crate) struct CachedCompile {
 /// [`SharedArtifactCache::attach`].
 pub struct SharedArtifactCache {
     code: RefCell<HashMap<ArtifactKey, CachedCompile>>,
-    /// Decoded method bodies, keyed by `MethodDigest::key()` (a decoded
-    /// body is a pure re-layout of the code, which the digest pins).
-    decoded_methods: RefCell<HashMap<u64, Rc<DecodedMethod>>>,
-    /// Fully-assembled decoded programs, keyed by the whole-program
-    /// digest.
-    decoded_programs: RefCell<HashMap<u64, Rc<DecodedProgram>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -121,21 +113,19 @@ impl SharedArtifactCache {
     pub fn new() -> Rc<SharedArtifactCache> {
         Rc::new(SharedArtifactCache {
             code: RefCell::new(HashMap::new()),
-            decoded_methods: RefCell::new(HashMap::new()),
-            decoded_programs: RefCell::new(HashMap::new()),
             hits: Cell::new(0),
             misses: Cell::new(0),
         })
     }
 
     /// Binds this cache to one program: computes the program's content
-    /// digests and assembles its decoded form, sharing per-method decoded
-    /// bodies (and whole decoded programs) with every program this cache
-    /// has seen before.
+    /// digests (the cache keys) and decodes it once for all its runs.
     pub fn attach(self: &Rc<Self>, program: &BProgram) -> ProgramArtifacts {
-        let digests = Rc::new(ProgramDigests::compute(program));
-        let decoded = self.decoded_program(program, &digests);
-        ProgramArtifacts { cache: self.clone(), digests, decoded }
+        ProgramArtifacts {
+            cache: self.clone(),
+            digests: Rc::new(ProgramDigests::compute(program)),
+            decoded: Rc::new(DecodedProgram::decode(program)),
+        }
     }
 
     /// Fingerprint of the compilation-relevant configuration facets: VM
@@ -153,31 +143,6 @@ impl SharedArtifactCache {
         fp.u64(config.tv as u64);
         fp.u64(u64::from(config.coverage));
         fp.finish()
-    }
-
-    fn decoded_program(&self, program: &BProgram, digests: &ProgramDigests) -> Rc<DecodedProgram> {
-        if let Some(found) = self.decoded_programs.borrow().get(&digests.program) {
-            return found.clone();
-        }
-        let mut methods_cache = self.decoded_methods.borrow_mut();
-        let methods = program
-            .methods
-            .iter()
-            .zip(&digests.methods)
-            .map(|(method, digest)| {
-                methods_cache
-                    .entry(digest.key())
-                    .or_insert_with(|| Rc::new(DecodedMethod::decode(&method.code)))
-                    .clone()
-            })
-            .collect();
-        drop(methods_cache);
-        let decoded = Rc::new(DecodedProgram {
-            methods,
-            strings: program.strings.iter().map(|s| Rc::new(s.clone())).collect(),
-        });
-        self.decoded_programs.borrow_mut().insert(digests.program, decoded.clone());
-        decoded
     }
 
     pub(crate) fn lookup(&self, key: &ArtifactKey) -> Option<CachedCompile> {
@@ -210,8 +175,8 @@ impl SharedArtifactCache {
 }
 
 /// One program bound to a [`SharedArtifactCache`]: the cache handle, the
-/// program's content digests, and its (shared) decoded form. Cheap to
-/// clone; everything inside is refcounted.
+/// program's content digests, and its decoded form, shared by every run
+/// of the program. Cheap to clone; everything inside is refcounted.
 #[derive(Clone)]
 pub struct ProgramArtifacts {
     pub(crate) cache: Rc<SharedArtifactCache>,
@@ -332,32 +297,5 @@ mod tests {
             "unmutated f must be shared across the mutant boundary: {:?}",
             b.stats
         );
-    }
-
-    #[test]
-    fn decoded_methods_are_shared_across_programs() {
-        let seed = compile(HOT);
-        let mutant = compile(&HOT.replace("total = f(100);", "total = f(100) + 1;"));
-        let shard = SharedArtifactCache::new();
-        let a = shard.attach(&seed);
-        let b = shard.attach(&mutant);
-        let f = seed.find_method("T", "f").unwrap();
-        let f_mut = mutant.find_method("T", "f").unwrap();
-        assert!(
-            Rc::ptr_eq(&a.decoded.methods[f.0 as usize], &b.decoded.methods[f_mut.0 as usize]),
-            "unchanged method bodies must decode once per cache"
-        );
-        let main = seed.find_method("T", "main").unwrap();
-        let main_mut = mutant.find_method("T", "main").unwrap();
-        assert!(
-            !Rc::ptr_eq(
-                &a.decoded.methods[main.0 as usize],
-                &b.decoded.methods[main_mut.0 as usize]
-            ),
-            "the mutated method must not be shared"
-        );
-        // Re-attaching an identical program shares the whole decoded form.
-        let c = shard.attach(&seed);
-        assert!(Rc::ptr_eq(&a.decoded, &c.decoded));
     }
 }

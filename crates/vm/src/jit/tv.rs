@@ -715,7 +715,7 @@ impl Checker<'_> {
 /// Validates that `after` refines `before` under `pass`'s `contract`.
 /// Returns `None` when the pass's output simulates its input, otherwise
 /// one [`TvReport`] holding every violation found (capped at
-/// [`MAX_ERRORS`]).
+/// `MAX_ERRORS`).
 pub fn check_refinement(
     before: &IrFunc,
     after: &IrFunc,

@@ -11,7 +11,7 @@
 //!    internally consistent with `anchor_limit_per_frame`;
 //! 2. **def-before-use** — a forward definite-assignment dataflow over all
 //!    paths (including per-throw-point exceptional edges), plus a
-//!    dominance check via [`cfg::Dominators`] for single-assignment
+//!    dominance check via [`Dominators`] for single-assignment
 //!    registers;
 //! 3. **a type lattice** — int/long/str/ref categories inferred from `Op`
 //!    signatures and joined at merge points, exactly as the bytecode
@@ -103,7 +103,7 @@ impl std::fmt::Display for IrVerifyError {
 }
 
 /// Verifies one function, attributing defects to `pass`. Returns every
-/// violated invariant (capped at [`MAX_ERRORS`]); an empty vector means the
+/// violated invariant (capped at `MAX_ERRORS`); an empty vector means the
 /// IR is well-formed.
 pub fn check_func(func: &IrFunc, program: &BProgram, pass: &'static str) -> Vec<IrVerifyError> {
     let mut checker = Checker {

@@ -146,8 +146,8 @@ pub struct Vm<'p> {
     tv: Vec<Rc<str>>,
     /// Pre-decoded instruction form of `program` (see
     /// [`cse_bytecode::decoded`]); decoded lazily on first use, or pulled
-    /// from the attached [`ProgramArtifacts`] so every run sharing the
-    /// cache decodes each distinct method body exactly once.
+    /// from the attached [`ProgramArtifacts`], which decoded it once for
+    /// every run of the program.
     decoded: Option<Rc<cse_bytecode::DecodedProgram>>,
 }
 
@@ -223,9 +223,9 @@ impl<'p> Vm<'p> {
 
     /// Attaches the program's binding to a seed-level
     /// [`SharedArtifactCache`] (see [`SharedArtifactCache::attach`]):
-    /// compiled code, decoded methods, and whole decoded programs are
-    /// then shared with every other run — of this program or any
-    /// near-identical one — on the same cache.
+    /// compiled code is then shared with every other run — of this
+    /// program or any near-identical one — on the same cache, and the
+    /// decoded program with every run of this program.
     pub fn with_artifacts(mut self, artifacts: &jit::ProgramArtifacts) -> Vm<'p> {
         debug_assert_eq!(
             artifacts.digests.methods.len(),

@@ -22,17 +22,18 @@
 //! A malformed value or an unknown `CSE_*` name is an error (see
 //! `cse_vm::settings`).
 //!
-//! The VM profile (kind, JIT flag, fuel, active bug set) is recovered
-//! from the repro file headers, so triage replays incidents under the
-//! same substrate that produced them.
+//! The VM profile (kind, JIT flag, fuel, IR-verifier and TV modes,
+//! active bug set) is recovered from the repro file headers
+//! (`cse_core::supervisor::parse_quarantined_incident`), so triage
+//! replays incidents under the same substrate and oracles that produced
+//! them, whatever `CSE_VERIFY_IR`/`CSE_TV` say.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use artemis_cse::core::{
-    triage_incidents, ChaosConfig, HarnessIncident, IncidentPhase, TriageConfig,
-};
-use artemis_cse::vm::{BugId, FaultInjector, Settings, VmConfig, VmKind};
+use artemis_cse::core::supervisor::parse_quarantined_incident;
+use artemis_cse::core::{triage_incidents, ChaosConfig, TriageConfig};
+use artemis_cse::vm::{Settings, VmConfig};
 
 fn main() -> ExitCode {
     let env = Settings::get();
@@ -64,7 +65,7 @@ fn main() -> ExitCode {
     let mut vm: Option<VmConfig> = None;
     for path in &paths {
         match std::fs::read_to_string(path) {
-            Ok(text) => match parse_repro(&text) {
+            Ok(text) => match parse_quarantined_incident(&text) {
                 Some((incident, file_vm)) => {
                     incidents.push(incident);
                     vm.get_or_insert(file_vm);
@@ -94,90 +95,4 @@ fn main() -> ExitCode {
     print!("{}", report.render());
     println!("digest {:016x}", report.digest());
     ExitCode::SUCCESS
-}
-
-/// Reconstructs an incident (and the VM profile that produced it) from a
-/// quarantine repro file's comment headers.
-fn parse_repro(text: &str) -> Option<(HarnessIncident, VmConfig)> {
-    let mut phase = None;
-    let mut seed = None;
-    let mut rng_seed = None;
-    let mut iteration = None;
-    let mut payload = Vec::new();
-    let mut kind = None;
-    let mut jit_enabled = true;
-    let mut fuel = None;
-    let mut bugs: Option<Vec<BugId>> = None;
-    let mut no_source = false;
-    let mut source_at = None;
-    for (offset, line) in line_offsets(text) {
-        let Some(rest) = line.strip_prefix("// ") else {
-            // First non-header line: the program source starts here.
-            source_at = Some(offset);
-            break;
-        };
-        if let Some(v) = rest.strip_prefix("phase: ") {
-            phase = IncidentPhase::from_name(v.trim());
-        } else if let Some(v) = rest.strip_prefix("campaign seed: ") {
-            seed = v.trim().parse::<u64>().ok();
-        } else if let Some(v) = rest.strip_prefix("rng seed: ") {
-            rng_seed = v.trim().parse::<u64>().ok();
-        } else if let Some(v) = rest.strip_prefix("mutation iteration: ") {
-            iteration = v.trim().parse::<usize>().ok();
-        } else if let Some(v) = rest.strip_prefix("panic: ") {
-            payload.push(v.to_string());
-        } else if let Some(v) = rest.strip_prefix("vm profile: ") {
-            let head = v.split_whitespace().next().unwrap_or("");
-            kind = match head {
-                "HotSpotLike" => Some(VmKind::HotSpotLike),
-                "OpenJ9Like" => Some(VmKind::OpenJ9Like),
-                "ArtLike" => Some(VmKind::ArtLike),
-                _ => None,
-            };
-            jit_enabled = v.contains("jit: true");
-            fuel =
-                v.split("fuel: ").nth(1).and_then(|t| t.trim_end_matches(')').parse::<u64>().ok());
-        } else if let Some(v) = rest.strip_prefix("active bugs: ") {
-            let v = v.trim();
-            bugs = Some(if v == "none" {
-                Vec::new()
-            } else {
-                v.split(',')
-                    .filter_map(|name| {
-                        BugId::all().iter().copied().find(|b| format!("{b:?}") == name.trim())
-                    })
-                    .collect()
-            });
-        } else if rest.trim() == "(no source captured)" {
-            no_source = true;
-        }
-    }
-    let incident = HarnessIncident {
-        phase: phase?,
-        seed: seed?,
-        rng_seed: rng_seed?,
-        iteration,
-        payload: payload.join("\n"),
-        source: if no_source { None } else { source_at.map(|at| text[at..].to_string()) },
-    };
-    let mut vm = VmConfig::correct(kind?);
-    vm.jit_enabled = jit_enabled;
-    if let Some(fuel) = fuel {
-        vm.fuel = fuel;
-    }
-    if let Some(bugs) = bugs {
-        vm.faults = FaultInjector::with(bugs);
-    }
-    Some((incident, vm))
-}
-
-/// `(byte offset, line)` pairs — lets the parser hand back the raw
-/// source tail without re-joining lines.
-fn line_offsets(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    let mut pos = 0;
-    text.lines().map(move |line| {
-        let at = pos;
-        pos = at + line.len() + 1;
-        (at, line)
-    })
 }
