@@ -71,8 +71,8 @@ if [ "$mode" != "quick" ]; then
         exit 1
     fi
 
-    echo "==> triage smoke (seeded-fault campaign; every incident reduced, deduped, classified)"
-    cargo test --release -q --test triage chaos_campaign_triage_is_complete_and_job_count_invariant
+    echo "==> triage suite (seeded-fault campaign, replay verdicts, the triage binary)"
+    cargo test --release -q --test triage
 
     # Coverage smoke: the same seed budget under uniform sampling
     # (CSE_COVERAGE=off digests are byte-compatible with collect, so

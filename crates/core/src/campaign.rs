@@ -53,8 +53,8 @@ pub struct CampaignConfig {
     /// under any other.
     pub jobs: usize,
     /// When set, every quarantined incident is triaged after the
-    /// campaign's seed range is exhausted: reduced, deduplicated by bug
-    /// signature, and re-executed for a flakiness verdict (see
+    /// campaign's seed range is exhausted: deduplicated by bug
+    /// signature, reduced, and replayed for a verdict (see
     /// [`crate::triage`]). The triage counters join the campaign digest;
     /// the full report rides on [`CampaignResult::triage`].
     pub triage: Option<TriageConfig>,
@@ -150,25 +150,16 @@ pub struct CampaignTotals {
     /// `CSE_TV` settings — the validator observes campaigns, it never
     /// changes what they find.
     pub tv_defects: u64,
-    /// Triage: promoted reports (deterministic or flaky), 0 unless
+    /// Triage: promoted (deterministic) reports, 0 unless
     /// `CampaignConfig::triage` is set. Part of the campaign digest —
     /// triage verdicts are deterministic, so these counters are
     /// bit-identical across machines and worker counts.
     pub triage_reports: u64,
     /// Triage: duplicate incidents collapsed into existing signatures.
     pub triage_duplicates: u64,
-    /// Triage: promoted reports whose repro was classified flaky.
-    pub triage_flaky: u64,
-    /// Triage: signature groups that never re-reproduced (suppressed,
-    /// never promoted to reports).
+    /// Triage: signature groups that did not replay (suppressed, never
+    /// promoted to reports).
     pub triage_unreproducible: u64,
-    /// Compiled-code/decode artifact cache hits across the campaign's
-    /// per-seed [`cse_vm::SharedArtifactCache`]s. Measures the cache,
-    /// not the campaign, so these two counters are persisted in
-    /// checkpoints but zeroed out of [`CampaignResult::digest`].
-    pub artifact_cache_hits: u64,
-    /// Artifact-cache misses (units compiled / programs decoded fresh).
-    pub artifact_cache_misses: u64,
     /// True when the campaign stopped before exhausting its seed range
     /// (deadline expiry or a simulated kill); resume from the checkpoint
     /// to finish it.
@@ -189,7 +180,7 @@ pub struct CampaignResult {
     pub traditional_seeds: Vec<u64>,
     /// Contained harness failures, in seed order.
     pub incidents: Vec<HarnessIncident>,
-    /// Incident triage report (reduction, dedup, flakiness), present
+    /// Incident triage report (dedup, reduction, replay verdict), present
     /// when [`CampaignConfig::triage`] is set and the campaign finished
     /// its seed range. Recomputed deterministically on resume rather
     /// than checkpointed; the triage counters in [`CampaignTotals`]
@@ -232,15 +223,11 @@ impl CampaignResult {
     }
 
     /// Content digest over every deterministic field (everything except
-    /// `totals.wall`, the two artifact-cache counters — which measure
-    /// the cache rather than what the campaign observed — and the
-    /// translation-validator observations, which depend on the `CSE_TV`
-    /// mode). A campaign killed mid-run and resumed from its checkpoint
+    /// `totals.wall` and the translation-validator observations, which
+    /// depend on the `CSE_TV` mode). A campaign killed mid-run and resumed from its checkpoint
     /// produces the same digest as an uninterrupted run.
     pub fn digest(&self, config: &CampaignConfig) -> u64 {
         let mut stable = self.clone();
-        stable.totals.artifact_cache_hits = 0;
-        stable.totals.artifact_cache_misses = 0;
         stable.totals.tv_defects = 0;
         stable.incidents.retain(|i| i.phase != IncidentPhase::TvDefect);
         stable.coverage = None;
@@ -357,7 +344,6 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
         let report = crate::triage::triage_campaign(config, tcfg, &result.incidents);
         result.totals.triage_reports = report.reports.len() as u64;
         result.totals.triage_duplicates = report.duplicates() as u64;
-        result.totals.triage_flaky = report.flaky() as u64;
         result.totals.triage_unreproducible = report.suppressed.len() as u64;
         result.triage = Some(report);
         // Fold the triage counters into the final checkpoint so a resume

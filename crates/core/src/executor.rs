@@ -99,9 +99,6 @@ struct SeedRecord {
     /// Baseline verdict when `run_traditional` is on; a contained panic
     /// carries the pretty-printed seed for the incident report.
     baseline: Option<Result<baseline::BaselineOutcome, (VmPanic, String)>>,
-    /// `(hits, misses)` of the seed's artifact cache — volatile counters
-    /// (see [`crate::campaign::CampaignTotals`]).
-    artifact_stats: (u64, u64),
 }
 
 /// Runs one segment of the campaign: the seed offsets from
@@ -283,18 +280,16 @@ fn process_seed(ctx: &ExecContext<'_>, offset: u64) -> SeedRecord {
         &cache,
     );
     outcome.check_invariants();
-    let baseline = if config.run_traditional {
-        let run = match &seed_bytecode {
-            Ok(bytecode) => contain_panics(|| baseline::traditional_compiled(bytecode, &config.vm)),
-            // The seed never compiled: keep the historical recompiling
-            // path, whose contained panic becomes a Baseline incident.
-            Err(_) => contain_panics(|| baseline::traditional(&seed_program, &config.vm)),
-        };
-        Some(run.map_err(|panic| (panic, cse_lang::pretty::print(&seed_program))))
-    } else {
-        None
+    // A seed that never compiled has no baseline: its `SeedCompile`
+    // incident already records the failure.
+    let baseline = match &seed_bytecode {
+        Ok(bytecode) if config.run_traditional => Some(
+            contain_panics(|| baseline::traditional_compiled(bytecode, &config.vm))
+                .map_err(|panic| (panic, cse_lang::pretty::print(&seed_program))),
+        ),
+        _ => None,
     };
-    SeedRecord { offset, seed_value, outcome, baseline, artifact_stats: cache.stats() }
+    SeedRecord { offset, seed_value, outcome, baseline }
 }
 
 /// Folds one seed's record into the campaign result. This is the *only*
@@ -315,8 +310,6 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
     result.totals.neutrality_violations += outcome.neutrality_violations as u64;
     result.totals.ir_verify_defects += outcome.ir_verify_defects;
     result.totals.tv_defects += outcome.tv_defects;
-    result.totals.artifact_cache_hits += record.artifact_stats.0;
-    result.totals.artifact_cache_misses += record.artifact_stats.1;
     // Coverage feedback mutates campaign state *only* here, on the
     // seed-ordered collector — the whole scheduler's jobs-invariance
     // rests on that.

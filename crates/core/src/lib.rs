@@ -23,9 +23,10 @@
 //!   `jobs - 1` helpers and merges them in seed order.
 //! * [`supervisor`] — crash isolation for long campaigns: harness
 //!   incidents, checkpoint/resume, and quarantine of crashing inputs.
-//! * [`triage`] — automated incident triage: in-campaign reduction,
-//!   signature-based dedup, and flakiness re-execution under the VM's
-//!   deterministic resource budgets.
+//! * [`triage`] — automated incident triage: signature-based dedup,
+//!   in-campaign reduction, and one replay of each written repro under
+//!   the VM that raised the incident, bounded by the VM's deterministic
+//!   resource budgets.
 //!
 //! # Examples
 //!

@@ -21,7 +21,7 @@
 //! for multi-line strings:
 //!
 //! ```text
-//! cse-checkpoint v7
+//! cse-checkpoint v8
 //! config HotSpot 100 0 8
 //! next_seed 42
 //! partial 1
@@ -29,9 +29,8 @@
 //! totals <seeds> <mutants> <completed> <vm_invocations> <discarded>
 //!        <seeds_discarded> <mutant_compile_failures>
 //!        <neutrality_violations> <ir_verify_defects> <tv_defects>
-//!        <triage_reports> <triage_duplicates> <triage_flaky>
-//!        <triage_unreproducible> <artifact_cache_hits>
-//!        <artifact_cache_misses> <wall_nanos>       (one line)
+//!        <triage_reports> <triage_duplicates>
+//!        <triage_unreproducible> <wall_nanos>       (one line)
 //! cse_seeds <n>        (then n lines, one seed each)
 //! traditional_seeds <n>
 //! bugs <n>
@@ -215,7 +214,7 @@ pub struct Checkpoint {
 // Bumped whenever the layout changes. Any other header is rejected, so
 // an interrupted campaign from an older build restarts from scratch
 // rather than resuming with misread counters.
-const MAGIC: &str = "cse-checkpoint v7";
+const MAGIC: &str = "cse-checkpoint v8";
 
 // ----- encoding -----------------------------------------------------------
 
@@ -249,7 +248,7 @@ pub(crate) fn encode(
     let t = &result.totals;
     let _ = writeln!(
         out,
-        "totals {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        "totals {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
         t.seeds,
         t.mutants,
         t.completed,
@@ -262,10 +261,7 @@ pub(crate) fn encode(
         t.tv_defects,
         t.triage_reports,
         t.triage_duplicates,
-        t.triage_flaky,
         t.triage_unreproducible,
-        t.artifact_cache_hits,
-        t.artifact_cache_misses,
         wall_nanos
     );
     let _ = writeln!(out, "cse_seeds {}", result.cse_seeds.len());
@@ -503,7 +499,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     let mut result = CampaignResult::default();
     result.totals.partial = r.tagged_num::<u8>("partial")? != 0;
     result.unattributed = r.tagged_num("unattributed")?;
-    let t = r.tagged("totals", 17)?;
+    let t = r.tagged("totals", 14)?;
     result.totals.seeds = parse_field(&t, 0, "totals")?;
     result.totals.mutants = parse_field(&t, 1, "totals")?;
     result.totals.completed = parse_field(&t, 2, "totals")?;
@@ -516,11 +512,8 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     result.totals.tv_defects = parse_field(&t, 9, "totals")?;
     result.totals.triage_reports = parse_field(&t, 10, "totals")?;
     result.totals.triage_duplicates = parse_field(&t, 11, "totals")?;
-    result.totals.triage_flaky = parse_field(&t, 12, "totals")?;
-    result.totals.triage_unreproducible = parse_field(&t, 13, "totals")?;
-    result.totals.artifact_cache_hits = parse_field(&t, 14, "totals")?;
-    result.totals.artifact_cache_misses = parse_field(&t, 15, "totals")?;
-    let wall_nanos: u128 = parse_field(&t, 16, "totals")?;
+    result.totals.triage_unreproducible = parse_field(&t, 12, "totals")?;
+    let wall_nanos: u128 = parse_field(&t, 13, "totals")?;
     result.totals.wall = Duration::from_nanos(wall_nanos.min(u64::MAX as u128) as u64);
     let n: usize = r.tagged_num("cse_seeds")?;
     for _ in 0..n {
@@ -675,18 +668,22 @@ fn sanitize(name: &str) -> String {
 fn vm_profile_header(vm: &VmConfig) -> String {
     let bugs: Vec<String> = vm.faults.bugs().map(|b| format!("{b:?}")).collect();
     format!(
-        "// vm profile: {:?} (jit: {}, fuel: {}, verify_ir: {}, tv: {})\n// active bugs: {}\n",
+        "// vm profile: {:?} (jit: {}, fuel: {}, verify_ir: {}, tv: {}, chaos: {})\n\
+         // active bugs: {}\n",
         vm.kind,
         vm.jit_enabled,
         vm.fuel,
         vm.verify_ir,
         vm.tv,
+        vm.chaos_panic_at_ops.map_or_else(|| "off".to_string(), |ops| ops.to_string()),
         if bugs.is_empty() { "none".to_string() } else { bugs.join(",") }
     )
 }
 
-/// Parses the `(jit: .., fuel: .., verify_ir: .., tv: ..)` profile
-/// line over a [`VmConfig::correct`] of its VM kind.
+/// Parses the `(jit: .., fuel: .., verify_ir: .., tv: .., chaos: ..)`
+/// profile line over a [`VmConfig::correct`] of its VM kind. A field
+/// left out keeps that default, so headers written before a field
+/// existed still parse.
 fn parse_vm_profile(line: &str) -> Option<VmConfig> {
     let (kind, fields) = line.split_once(" (")?;
     let kind = [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike]
@@ -703,6 +700,12 @@ fn parse_vm_profile(line: &str) -> Option<VmConfig> {
                     named(value, [VerifyMode::Off, VerifyMode::Boundary, VerifyMode::Each])?
             }
             "tv" => vm.tv = named(value, [TvMode::Off, TvMode::Boundary, TvMode::Each])?,
+            "chaos" => {
+                vm.chaos_panic_at_ops = match value {
+                    "off" => None,
+                    ops => Some(ops.parse().ok()?),
+                }
+            }
             _ => return None,
         }
     }
@@ -759,9 +762,9 @@ pub fn quarantine_incident(
 
 /// Reconstructs an incident, and the VM profile that produced it, from a
 /// repro file written by [`quarantine_incident`]. The header wins over
-/// the reading process's settings: JIT flag, fuel, both oracle modes and
-/// the active bugs all come from the file, so a replay runs the oracle
-/// that raised the incident. `None` when a required line is missing or
+/// the reading process's settings: JIT flag, fuel, both oracle modes,
+/// the chaos threshold and the active bugs all come from the file, so a
+/// replay runs the VM and the oracle that raised the incident. `None` when a required line is missing or
 /// malformed.
 pub fn parse_quarantined_incident(text: &str) -> Option<(HarnessIncident, VmConfig)> {
     let mut phase = None;
@@ -870,10 +873,7 @@ mod tests {
         result.totals.tv_defects = 2;
         result.totals.triage_reports = 2;
         result.totals.triage_duplicates = 1;
-        result.totals.triage_flaky = 1;
         result.totals.triage_unreproducible = 1;
-        result.totals.artifact_cache_hits = 17;
-        result.totals.artifact_cache_misses = 13;
         result.totals.partial = true;
         result.totals.wall = Duration::from_millis(1234);
         result.unattributed = 3;
@@ -1058,6 +1058,7 @@ mod tests {
         vm.verify_ir = VerifyMode::Boundary;
         vm.jit_enabled = false;
         vm.fuel = 12_345;
+        vm.chaos_panic_at_ops = Some(4_096);
         for incident in &sample_result().incidents {
             let path = quarantine_incident(&dir, incident, &vm).expect("write");
             let text = std::fs::read_to_string(&path).expect("read");
@@ -1068,7 +1069,14 @@ mod tests {
             assert_eq!(parsed_vm.verify_ir, VerifyMode::Boundary);
             assert!(!parsed_vm.jit_enabled);
             assert_eq!(parsed_vm.fuel, 12_345);
+            assert_eq!(parsed_vm.chaos_panic_at_ops, Some(4_096));
             assert_eq!(parsed_vm.faults.fingerprint(), vm.faults.fingerprint());
+            // A header written before the chaos field existed still parses.
+            let older = text.replace(", chaos: 4096)", ")");
+            assert_ne!(older, text);
+            let (_, older_vm) = parse_quarantined_incident(&older).expect("parses");
+            assert_eq!(older_vm.chaos_panic_at_ops, None);
+            assert_eq!(older_vm.tv, TvMode::Each);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,31 +1,30 @@
-//! Automated incident triage: reduction, dedup, and flakiness
-//! classification for quarantined harness incidents.
+//! Automated incident triage: dedup, reduction, and a replay verdict
+//! for quarantined harness incidents.
 //!
 //! The paper's workflow does not stop at detection — every
 //! bug-triggering program is reduced (Perses/C-Reduce, §2.2),
-//! deduplicated by component, and re-executed to separate real
-//! miscompilations from environmental noise before a report is filed
-//! (§4). This module is that pipeline for [`HarnessIncident`]s:
+//! deduplicated by component, and re-executed before a report is filed
+//! (§4). This module is that pipeline for [`HarnessIncident`]s, each
+//! replayed under the VM that raised it:
 //!
 //! 1. **Signature-based dedup** — every incident gets a stable
 //!    [`BugSignature`] (oracle kind, attributed pass/component, defect
 //!    shape). Incidents sharing a signature collapse into one report
 //!    with an occurrence count; only the first becomes the
-//!    representative that is reduced and classified.
+//!    representative that is reduced and replayed.
 //! 2. **Automated reduction** — the representative's source is
 //!    delta-debugged through [`cse_reduce::reduce_with`], keeping only
-//!    candidates that still replay to the *same signature* under the
-//!    panic barrier ([`supervised_run`]). When the replay VM carries a
-//!    forced plan, the compilation-space coordinate is shrunk too
-//!    ([`shrink_plan`]). Every candidate evaluation is wrapped in a
-//!    bounded retry (attempt-based, never wall-clock-based) so a
-//!    transient harness hiccup cannot abort a reduction.
-//! 3. **Flakiness classification** — the reduced repro is re-executed
-//!    `reruns` times serially and `reruns` times sharded across 4
-//!    threads; a repro that always matches its signature is
-//!    `deterministic`, sometimes is `flaky`, never is `unreproducible`.
-//!    Unreproducible incidents are **never promoted to reports** — they
-//!    are kept in a suppressed list for visibility.
+//!    candidates whose replay under the panic barrier
+//!    ([`supervised_run`]) raises an incident with the *same signature*.
+//!    When the replay VM carries a forced plan, the compilation-space
+//!    coordinate is shrunk too ([`shrink_plan`]).
+//! 3. **Verdict** — the reduced repro is printed, parsed back and
+//!    replayed once: `deterministic` when it raises the signature,
+//!    `unreproducible` when it does not or the input never replayed.
+//!    Unreproducible groups are **never promoted to reports** — they are
+//!    kept in a suppressed list for visibility. The paper reruns repros
+//!    because production JVMs are nondeterministic; this substrate is
+//!    deterministic by contract (below), so one replay decides.
 //!
 //! Everything here is bounded by deterministic budgets — the reducer's
 //! step budget and the VM's fuel/heap/stack budgets (`CSE_FUEL`,
@@ -37,7 +36,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cse_bytecode::MethodId;
 use cse_lang::Program;
@@ -46,7 +44,7 @@ use cse_vm::supervise::supervised_run;
 use cse_vm::{ForcedPlan, Settings, VmConfig};
 
 use crate::campaign::CampaignConfig;
-use crate::supervisor::{ChaosConfig, HarnessIncident, IncidentPhase};
+use crate::supervisor::{HarnessIncident, IncidentPhase};
 use crate::validate::try_compile_checked;
 
 // ----- signatures ---------------------------------------------------------
@@ -142,25 +140,19 @@ fn normalize_shape(text: &str) -> String {
     out
 }
 
-/// The shape of one IR-verifier defect line, with the (program-specific)
-/// method name stripped: `m3: after gvn: b2: ...` → `after gvn: b#: ...`.
+/// The shape of one IR-verifier or translation-validation defect line,
+/// with the (program-specific) method name stripped:
+/// `m3: after gvn: b2: ...` → `after gvn: b#: ...`. TV counterexamples
+/// embed temp names (`r12`, `b3`, `in(b2, r7)`, `call#4@b1.0`) whose
+/// identity is entirely numeric, so the digit normalization collapses
+/// them too: repeated hits of one pass defect on different programs
+/// dedup into one report.
 fn ir_shape(line: &str) -> String {
     let tail = match line.find(": after ") {
         Some(idx) => &line[idx + 2..],
         None => line,
     };
     normalize_shape(tail)
-}
-
-/// The shape of one translation-validation defect line. TV
-/// counterexamples embed symbolic terms full of program-specific temp
-/// names (`r12`, `b3`, `in(b2, r7)`, `call#4@b1.0`) whose identity is
-/// entirely numeric, so the digit normalization that `ir_shape` applies
-/// after stripping the method name also collapses every temp name —
-/// repeated hits of one pass defect on different programs dedup into one
-/// report.
-fn tv_shape(line: &str) -> String {
-    ir_shape(line)
 }
 
 /// The pass an IR-verifier defect line attributes itself to.
@@ -186,7 +178,7 @@ pub fn signature_of(incident: &HarnessIncident) -> BugSignature {
         IncidentPhase::TvDefect => BugSignature {
             oracle: OracleKind::TvDefect,
             component: ir_pass(&incident.payload).unwrap_or("tv").to_string(),
-            shape: tv_shape(incident.payload.lines().next().unwrap_or("")),
+            shape: ir_shape(incident.payload.lines().next().unwrap_or("")),
         },
         _ => BugSignature {
             oracle: OracleKind::HarnessPanic,
@@ -211,148 +203,93 @@ pub fn crash_signature(label: &str, crash: &cse_vm::CrashInfo) -> BugSignature {
 /// Triage settings.
 #[derive(Debug, Clone)]
 pub struct TriageConfig {
-    /// Replay VM configuration. Triage forces `wall_clock_limit = None`
-    /// on every replay: the fuel/heap/stack budgets bound execution, so
-    /// verdicts cannot depend on machine speed.
-    pub vm: VmConfig,
     /// Step budget for each representative's reduction (default from
     /// `CSE_TRIAGE_STEPS`).
     pub max_reduce_steps: usize,
-    /// Re-executions per parallelism level during flakiness
-    /// classification (default from `CSE_TRIAGE_RERUNS`);
-    /// each repro runs `reruns` times serially plus `reruns` times
-    /// across 4 threads.
-    pub reruns: usize,
-    /// Extra replay attempts per candidate evaluation before it counts
-    /// as a mismatch. Retries are attempt-based, never wall-clock-based.
-    pub retries: usize,
     /// Threads triaging signature groups: the calling thread plus
     /// `jobs - 1` helpers. Output is bit-identical for every value.
     pub jobs: usize,
 }
 
 impl TriageConfig {
-    /// Triage settings derived from a campaign: same VM profile and
-    /// fault set, wall-clock watchdog off, chaos knob cleared (it is
-    /// re-applied per incident from the campaign's `ChaosConfig`).
+    /// Triage settings for a campaign: `CSE_TRIAGE_STEPS` and the
+    /// campaign's worker count.
     pub fn for_campaign(config: &CampaignConfig) -> TriageConfig {
-        let mut vm = config.vm.clone();
-        vm.wall_clock_limit = None;
-        vm.chaos_panic_at_ops = None;
-        TriageConfig {
-            vm,
-            max_reduce_steps: Settings::get().triage_steps,
-            reruns: Settings::get().triage_reruns,
-            retries: 1,
-            jobs: config.jobs,
-        }
+        TriageConfig { max_reduce_steps: Settings::get().triage_steps, jobs: config.jobs }
     }
 }
 
 // ----- replay -------------------------------------------------------------
 
-/// What a replay of the incident must exhibit to count as "the same
-/// bug". Derived from the incident *record*, not from a replay, so an
-/// incident whose original run cannot be reproduced is detected as
-/// such instead of silently re-targeting whatever the replay does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Expected {
-    Panic(String),
-    CompileFail(String),
-    IrDefect(String),
-    TvDefect(String),
-}
-
-fn expected_of(incident: &HarnessIncident) -> Expected {
-    match incident.phase {
-        IncidentPhase::SeedCompile | IncidentPhase::MutantCompile => {
-            Expected::CompileFail(normalize_shape(&incident.payload))
+/// The VM an incident replays under: the VM that raised it, with the two
+/// replay rules applied. The wall-clock watchdog is off, so only the
+/// deterministic fuel/heap/stack budgets bound a replay, and
+/// reference-interpreter phases replay on the reference interpreter.
+fn replay_vm(incident: &HarnessIncident, raised_under: &VmConfig) -> VmConfig {
+    let mut vm = match incident.phase {
+        IncidentPhase::ReferenceRun | IncidentPhase::NeutralityRun => {
+            VmConfig::interpreter_only(raised_under.kind)
         }
-        IncidentPhase::IrVerifyDefect => {
-            Expected::IrDefect(ir_shape(incident.payload.lines().next().unwrap_or("")))
-        }
-        IncidentPhase::TvDefect => {
-            Expected::TvDefect(tv_shape(incident.payload.lines().next().unwrap_or("")))
-        }
-        _ => Expected::Panic(normalize_shape(&incident.payload)),
-    }
-}
-
-/// The VM configuration a specific incident replays under: the triage
-/// VM, except that reference-interpreter phases replay on the reference
-/// interpreter and the campaign's chaos knob is re-applied when it
-/// targeted this incident's seed.
-fn replay_vm(
-    tcfg: &TriageConfig,
-    incident: &HarnessIncident,
-    chaos: Option<ChaosConfig>,
-) -> VmConfig {
-    let reference_phase =
-        matches!(incident.phase, IncidentPhase::ReferenceRun | IncidentPhase::NeutralityRun);
-    let mut vm =
-        if reference_phase { VmConfig::interpreter_only(tcfg.vm.kind) } else { tcfg.vm.clone() };
+        _ => raised_under.clone(),
+    };
     vm.wall_clock_limit = None;
-    if !reference_phase {
-        if let Some(chaos) = chaos {
-            if chaos.panic_on_seed == incident.seed {
-                vm.chaos_panic_at_ops = Some(chaos.after_ops);
-            }
-        }
-    }
     vm
 }
 
-/// One replay: does `program` under `vm` exhibit `expected`?
-fn replay_once(expected: &Expected, vm: &VmConfig, program: &Program) -> bool {
-    let bytecode = match try_compile_checked(program) {
-        Ok(bytecode) => bytecode,
+/// One replay: does `program` under `vm` raise an incident with the
+/// group's signature? The replay builds the incidents its run would
+/// raise, as validation records them: a compile failure as a
+/// compile-phase incident, a contained panic under the representative's
+/// phase, one incident per IR-verifier line and one per TV report
+/// header line. [`signature_of`] alone decides "same bug".
+fn replays(group: &Group<'_>, vm: &VmConfig, program: &Program) -> bool {
+    let phase = group.representative.phase;
+    let raised: Vec<(IncidentPhase, String)> = match try_compile_checked(program) {
         Err(message) => {
-            return matches!(expected, Expected::CompileFail(shape)
-                if *shape == normalize_shape(&message));
+            let compile_phase = match phase {
+                IncidentPhase::MutantCompile => IncidentPhase::MutantCompile,
+                _ => IncidentPhase::SeedCompile,
+            };
+            vec![(compile_phase, message)]
         }
-    };
-    if matches!(expected, Expected::CompileFail(_)) {
-        return false;
-    }
-    match supervised_run(&bytecode, vm.clone()) {
-        Err(panic) => {
-            matches!(expected, Expected::Panic(shape) if *shape == normalize_shape(&panic.payload))
-        }
-        Ok(result) => match expected {
-            Expected::IrDefect(shape) => {
-                result.ir_verify.iter().any(|line| ir_shape(line) == *shape)
+        Ok(bytecode) => match supervised_run(&bytecode, vm.clone()) {
+            Err(panic) => vec![(phase, panic.payload)],
+            Ok(result) => {
+                let ir =
+                    result.ir_verify.into_iter().map(|line| (IncidentPhase::IrVerifyDefect, line));
+                // A TV report opens with one header line per divergence.
+                let tv = result.tv.iter().flat_map(|report| {
+                    report
+                        .lines()
+                        .take_while(|line| !line.starts_with("--- IR before "))
+                        .map(|line| (IncidentPhase::TvDefect, line.to_string()))
+                });
+                ir.chain(tv).collect()
             }
-            // A report opens with one header line per divergence.
-            Expected::TvDefect(shape) => result.tv.iter().any(|report| {
-                report
-                    .lines()
-                    .take_while(|line| !line.starts_with("--- IR before "))
-                    .any(|line| tv_shape(line) == *shape)
-            }),
-            _ => false,
         },
-    }
-}
-
-/// Replay with bounded retry: a candidate counts as matching if any of
-/// `1 + retries` attempts matches (short-circuiting, so deterministic
-/// repros cost one run). On the deterministic substrate the retries are
-/// a no-op safety net; they mirror the paper's re-execution before
-/// filing and keep a transient reducer step from killing a reduction.
-fn replay(expected: &Expected, vm: &VmConfig, program: &Program, retries: usize) -> bool {
-    (0..=retries).any(|_| replay_once(expected, vm, program))
+    };
+    raised.into_iter().any(|(phase, payload)| {
+        let incident = HarnessIncident {
+            phase,
+            seed: group.representative.seed,
+            rng_seed: group.representative.rng_seed,
+            iteration: group.representative.iteration,
+            payload,
+            source: None,
+        };
+        signature_of(&incident) == group.signature
+    })
 }
 
 // ----- reports ------------------------------------------------------------
 
-/// Flakiness verdict for a reduced repro.
+/// Replay verdict for a signature group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Every re-execution reproduced the signature.
+    /// The written repro, parsed back, replays to the signature.
     Deterministic,
-    /// Some, but not all, re-executions reproduced it.
-    Flaky,
-    /// No re-execution reproduced it; never promoted to a report.
+    /// The incident (or its written repro) does not replay; never
+    /// promoted to a report.
     Unreproducible,
 }
 
@@ -360,7 +297,6 @@ impl std::fmt::Display for Verdict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Verdict::Deterministic => write!(f, "deterministic"),
-            Verdict::Flaky => write!(f, "flaky"),
             Verdict::Unreproducible => write!(f, "unreproducible"),
         }
     }
@@ -377,11 +313,8 @@ pub struct TriagedReport {
     /// Phase of the representative (first) incident.
     pub phase: IncidentPhase,
     pub verdict: Verdict,
-    /// Re-executions that reproduced the signature, out of the total.
-    pub reruns_matched: usize,
-    pub reruns_total: usize,
     /// Source bytes before and after reduction (0 when no source was
-    /// captured).
+    /// captured or the incident did not replay).
     pub original_bytes: usize,
     pub reduced_bytes: usize,
     /// Reducer candidate evaluations spent.
@@ -403,11 +336,7 @@ impl TriagedReport {
         let _ = writeln!(out, "  shape: {}", self.signature.shape);
         let seeds: Vec<String> = self.seeds.iter().map(|s| s.to_string()).collect();
         let _ = writeln!(out, "  occurrences: {} (seeds {})", self.occurrences, seeds.join(","));
-        let _ = writeln!(
-            out,
-            "  verdict: {} ({}/{} reruns reproduce)",
-            self.verdict, self.reruns_matched, self.reruns_total
-        );
+        let _ = writeln!(out, "  verdict: {}", self.verdict);
         let budget = if self.reduce_budget_exhausted { ", budget exhausted" } else { "" };
         let _ = writeln!(
             out,
@@ -436,8 +365,7 @@ impl TriagedReport {
 pub struct TriageReport {
     /// Incidents triaged.
     pub incidents: usize,
-    /// Promoted reports (deterministic or flaky), in first-occurrence
-    /// order.
+    /// Promoted (deterministic) reports, in first-occurrence order.
     pub reports: Vec<TriagedReport>,
     /// Unreproducible groups — kept for visibility, never promoted.
     pub suppressed: Vec<TriagedReport>,
@@ -447,11 +375,6 @@ impl TriageReport {
     /// Duplicate incidents absorbed across all signature groups.
     pub fn duplicates(&self) -> usize {
         self.reports.iter().chain(&self.suppressed).map(|r| r.occurrences.saturating_sub(1)).sum()
-    }
-
-    /// Promoted reports classified flaky.
-    pub fn flaky(&self) -> usize {
-        self.reports.iter().filter(|r| r.verdict == Verdict::Flaky).count()
     }
 
     /// Canonical rendering: deterministic, wall-clock free, identical
@@ -535,24 +458,26 @@ pub fn shrink_plan(
 struct Group<'a> {
     signature: BugSignature,
     representative: &'a HarnessIncident,
+    /// The representative's replay VM (see [`replay_vm`]).
+    vm: VmConfig,
     seeds: Vec<u64>,
 }
 
-/// Triages a batch of incidents: dedup by signature, reduce each
-/// representative, classify flakiness. Group order (and therefore the
-/// report, its rendering, and its digest) follows first occurrence in
-/// `incidents`; worker count never changes the output.
+/// Triages a batch of incidents, each paired with the VM that raised
+/// it: dedup by signature, then reduce and replay each representative
+/// under its own VM. Group order (and therefore the report, its
+/// rendering, and its digest) follows first occurrence in `incidents`;
+/// worker count never changes the output.
 pub fn triage_incidents(
-    incidents: &[HarnessIncident],
+    incidents: &[(HarnessIncident, VmConfig)],
     tcfg: &TriageConfig,
-    chaos: Option<ChaosConfig>,
     quarantine_dir: Option<&Path>,
 ) -> TriageReport {
     // Dedup: same signature → same group; first member is the
-    // representative whose source gets reduced and classified.
+    // representative whose source gets reduced and replayed.
     let mut groups: Vec<Group> = Vec::new();
     let mut index: BTreeMap<u64, usize> = BTreeMap::new();
-    for incident in incidents {
+    for (incident, raised_under) in incidents {
         let signature = signature_of(incident);
         match index.get(&signature.stable_hash()) {
             Some(&at) => groups[at].seeds.push(incident.seed),
@@ -561,82 +486,81 @@ pub fn triage_incidents(
                 groups.push(Group {
                     signature,
                     representative: incident,
+                    vm: replay_vm(incident, raised_under),
                     seeds: vec![incident.seed],
                 });
             }
         }
     }
-    let triaged = run_groups(&groups, tcfg, chaos);
+    let triaged = run_groups(&groups, tcfg);
     let mut report =
         TriageReport { incidents: incidents.len(), reports: Vec::new(), suppressed: Vec::new() };
     for item in triaged {
-        if let (Some(dir), Verdict::Deterministic | Verdict::Flaky, Some(source)) =
-            (quarantine_dir, item.verdict, &item.reduced_source)
-        {
-            if let Err(e) = write_reduced_repro(dir, &item, source) {
-                eprintln!("warning: reduced-repro write failed: {e}");
+        match (&item.reduced_source, item.verdict) {
+            (Some(source), Verdict::Deterministic) => {
+                if let Some(dir) = quarantine_dir {
+                    if let Err(e) = write_reduced_repro(dir, &item, source) {
+                        eprintln!("warning: reduced-repro write failed: {e}");
+                    }
+                }
+                report.reports.push(item);
             }
-        }
-        if item.verdict == Verdict::Unreproducible {
-            report.suppressed.push(item);
-        } else {
-            report.reports.push(item);
+            _ => report.suppressed.push(item),
         }
     }
     report
 }
 
-/// Campaign entry point: triages a finished campaign's incidents with
-/// its supervisor's chaos knob and quarantine directory.
+/// Campaign entry point: triages a finished campaign's incidents into
+/// its quarantine directory. Each incident replays under `config.vm`,
+/// with the supervisor's chaos knob armed when it targeted the
+/// incident's seed — the VM the campaign ran that seed under.
 pub fn triage_campaign(
     config: &CampaignConfig,
     tcfg: &TriageConfig,
     incidents: &[HarnessIncident],
 ) -> TriageReport {
-    triage_incidents(
-        incidents,
-        tcfg,
-        config.supervisor.chaos,
-        config.supervisor.quarantine_dir.as_deref(),
-    )
+    let raised: Vec<(HarnessIncident, VmConfig)> = incidents
+        .iter()
+        .map(|incident| {
+            let mut vm = config.vm.clone();
+            if let Some(chaos) = config.supervisor.chaos {
+                if chaos.panic_on_seed == incident.seed {
+                    vm.chaos_panic_at_ops = Some(chaos.after_ops);
+                }
+            }
+            (incident.clone(), vm)
+        })
+        .collect();
+    triage_incidents(&raised, tcfg, config.supervisor.quarantine_dir.as_deref())
 }
 
 /// Processes the signature groups on the campaign engine's in-order
 /// pool ([`crate::executor::in_order`]); results come back in group
 /// order regardless of scheduling.
-fn run_groups(
-    groups: &[Group<'_>],
-    tcfg: &TriageConfig,
-    chaos: Option<ChaosConfig>,
-) -> Vec<TriagedReport> {
+fn run_groups(groups: &[Group<'_>], tcfg: &TriageConfig) -> Vec<TriagedReport> {
     let mut triaged = Vec::with_capacity(groups.len());
     crate::executor::in_order(
         tcfg.jobs.min(groups.len()),
         0..groups.len() as u64,
         || true,
-        |at| triage_group(&groups[at as usize], tcfg, chaos),
+        |at| triage_group(&groups[at as usize], tcfg),
         |item| triaged.push(item),
     );
     triaged
 }
 
-/// Reduces and classifies one signature group's representative.
-fn triage_group(
-    group: &Group<'_>,
-    tcfg: &TriageConfig,
-    chaos: Option<ChaosConfig>,
-) -> TriagedReport {
+/// Reduces one signature group's representative and replays the written
+/// repro once for the verdict.
+fn triage_group(group: &Group<'_>, tcfg: &TriageConfig) -> TriagedReport {
     let incident = group.representative;
-    let expected = expected_of(incident);
-    let mut vm = replay_vm(tcfg, incident, chaos);
+    let mut vm = group.vm.clone();
     let mut report = TriagedReport {
         signature: group.signature.clone(),
         occurrences: group.seeds.len(),
         seeds: group.seeds.clone(),
         phase: incident.phase,
         verdict: Verdict::Unreproducible,
-        reruns_matched: 0,
-        reruns_total: 0,
         original_bytes: incident.source.as_ref().map(String::len).unwrap_or(0),
         reduced_bytes: 0,
         reduce_steps: 0,
@@ -650,15 +574,18 @@ fn triage_group(
     let Ok(program) = cse_lang::parse(source) else { return report };
 
     // Reduction: delta-debug the AST while the candidate still replays
-    // to the incident's signature.
+    // to the incident's signature. The reducer tries the input first.
     let outcome = reduce_with(
         &program,
         ReduceConfig { max_steps: tcfg.max_reduce_steps },
-        &mut |candidate| replay(&expected, &vm, candidate, tcfg.retries),
+        &mut |candidate| replays(group, &vm, candidate),
     );
     report.reduce_steps = outcome.steps;
     report.reduce_budget_exhausted = outcome.budget_exhausted;
-    let reduced = if outcome.input_interesting { outcome.program } else { program };
+    if !outcome.input_interesting {
+        return report;
+    }
+    let reduced = outcome.program;
 
     // Compilation-space coordinate: shrink the forced plan while the
     // reduced program still replays.
@@ -668,47 +595,21 @@ fn triage_group(
         let shrunk = shrink_plan(&plan, budget, &mut |candidate| {
             let mut candidate_vm = vm.clone();
             candidate_vm.plan = Some(candidate.clone());
-            replay(&expected, &candidate_vm, &reduced, tcfg.retries)
+            replays(group, &candidate_vm, &reduced)
         });
         let after = shrunk.per_call.len() + shrunk.default.is_some() as usize;
         report.plan_pins = Some((before, after));
         vm.plan = Some(shrunk);
     }
 
+    // The verdict: one replay of the repro as written, which also checks
+    // that the printed source round-trips. The substrate is deterministic
+    // (no watchdog, only step/heap/stack budgets), so a second replay
+    // could not disagree with the first.
     let reduced_source = cse_lang::pretty::print(&reduced);
     report.reduced_bytes = reduced_source.len();
-
-    // Flakiness: re-execute the reduced repro `reruns` times serially
-    // and `reruns` times across 4 worker threads. The counts (not the
-    // order) decide the verdict, so scheduling cannot change it.
-    let reruns = tcfg.reruns.max(1);
-    let mut matched = (0..reruns).filter(|_| replay_once(&expected, &vm, &reduced)).count();
-    let shards = 4usize;
-    let counter = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for shard in 0..shards {
-            let (counter, vm, expected, source) = (&counter, &vm, &expected, &reduced_source);
-            scope.spawn(move || {
-                let Ok(local) = cse_lang::parse(source) else { return };
-                for _ in (shard..reruns).step_by(shards) {
-                    if replay_once(expected, vm, &local) {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            });
-        }
-    });
-    matched += counter.load(Ordering::SeqCst);
-    report.reruns_total = 2 * reruns;
-    report.reruns_matched = matched;
-    report.verdict = if matched == report.reruns_total {
-        Verdict::Deterministic
-    } else if matched > 0 {
-        Verdict::Flaky
-    } else {
-        Verdict::Unreproducible
-    };
-    if report.verdict != Verdict::Unreproducible {
+    if cse_lang::parse(&reduced_source).is_ok_and(|repro| replays(group, &vm, &repro)) {
+        report.verdict = Verdict::Deterministic;
         report.reduced_source = Some(reduced_source);
     }
     report
@@ -793,12 +694,12 @@ mod tests {
     /// different pass or a different defect shape must not.
     #[test]
     fn tv_shapes_dedup_across_temp_names_and_programs() {
-        let a = tv_shape("T.hot: after gvn: b2: effect 1 diverges: before `putfield#3(r12, in(b2, r7))`, after `putfield#3(r12, r9)`");
-        let b = tv_shape("Other.main: after gvn: b5: effect 3 diverges: before `putfield#8(r4, in(b5, r31))`, after `putfield#8(r4, r2)`");
+        let a = ir_shape("T.hot: after gvn: b2: effect 1 diverges: before `putfield#3(r12, in(b2, r7))`, after `putfield#3(r12, r9)`");
+        let b = ir_shape("Other.main: after gvn: b5: effect 3 diverges: before `putfield#8(r4, in(b5, r31))`, after `putfield#8(r4, r2)`");
         assert_eq!(a, b, "temp names and counters must normalize away");
-        let c = tv_shape("T.hot: after licm: b2: effect 1 diverges: before `putfield#3(r12, in(b2, r7))`, after `putfield#3(r12, r9)`");
+        let c = ir_shape("T.hot: after licm: b2: effect 1 diverges: before `putfield#3(r12, in(b2, r7))`, after `putfield#3(r12, r9)`");
         assert_ne!(a, c, "the attributed pass stays significant");
-        let d = tv_shape("T.hot: after gvn: b2: effect 1 dropped: `putfield#3(r12, in(b2, r7))`");
+        let d = ir_shape("T.hot: after gvn: b2: effect 1 dropped: `putfield#3(r12, in(b2, r7))`");
         assert_ne!(a, d, "the defect shape stays significant");
 
         // End-to-end: two TvDefect incidents from different programs and
@@ -832,14 +733,9 @@ mod tests {
             "phantom failure that will not reproduce",
             Some("class T { static void main() { println(1); } }"),
         );
-        let tcfg = TriageConfig {
-            vm: VmConfig::correct(cse_vm::VmKind::HotSpotLike),
-            max_reduce_steps: 50,
-            reruns: 2,
-            retries: 0,
-            jobs: 1,
-        };
-        let report = triage_incidents(std::slice::from_ref(&incident), &tcfg, None, None);
+        let tcfg = TriageConfig { max_reduce_steps: 50, jobs: 1 };
+        let vm = VmConfig::correct(cse_vm::VmKind::HotSpotLike);
+        let report = triage_incidents(&[(incident, vm)], &tcfg, None);
         assert!(report.reports.is_empty(), "unreproducible must never be promoted");
         assert_eq!(report.suppressed.len(), 1);
         assert_eq!(report.suppressed[0].verdict, Verdict::Unreproducible);
@@ -847,19 +743,14 @@ mod tests {
 
     #[test]
     fn duplicate_incidents_collapse_with_counts() {
-        let incidents = vec![
-            chaos_incident(2, "chaos: injected VM panic after 100 burned ops", None),
-            chaos_incident(5, "chaos: injected VM panic after 999 burned ops", None),
-            chaos_incident(9, "chaos: injected VM panic after 31337 burned ops", None),
+        let vm = VmConfig::correct(cse_vm::VmKind::HotSpotLike);
+        let incidents = [
+            (chaos_incident(2, "chaos: injected VM panic after 100 burned ops", None), vm.clone()),
+            (chaos_incident(5, "chaos: injected VM panic after 999 burned ops", None), vm.clone()),
+            (chaos_incident(9, "chaos: injected VM panic after 31337 burned ops", None), vm),
         ];
-        let tcfg = TriageConfig {
-            vm: VmConfig::correct(cse_vm::VmKind::HotSpotLike),
-            max_reduce_steps: 10,
-            reruns: 1,
-            retries: 0,
-            jobs: 1,
-        };
-        let report = triage_incidents(&incidents, &tcfg, None, None);
+        let tcfg = TriageConfig { max_reduce_steps: 10, jobs: 1 };
+        let report = triage_incidents(&incidents, &tcfg, None);
         assert_eq!(report.reports.len() + report.suppressed.len(), 1, "one signature group");
         let group = report.suppressed.first().or(report.reports.first()).unwrap();
         assert_eq!(group.occurrences, 3);

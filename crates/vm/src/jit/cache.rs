@@ -51,7 +51,7 @@
 //! The cache is deliberately single-threaded (`Rc` + `RefCell`): a seed
 //! runs on one worker thread, which keeps the hot path lock-free.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -104,18 +104,12 @@ pub(crate) struct CachedCompile {
 /// [`SharedArtifactCache::attach`].
 pub struct SharedArtifactCache {
     code: RefCell<HashMap<ArtifactKey, CachedCompile>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
 }
 
 impl SharedArtifactCache {
     /// An empty cache.
     pub fn new() -> Rc<SharedArtifactCache> {
-        Rc::new(SharedArtifactCache {
-            code: RefCell::new(HashMap::new()),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-        })
+        Rc::new(SharedArtifactCache { code: RefCell::new(HashMap::new()) })
     }
 
     /// Binds this cache to one program: computes the program's content
@@ -146,31 +140,11 @@ impl SharedArtifactCache {
     }
 
     pub(crate) fn lookup(&self, key: &ArtifactKey) -> Option<CachedCompile> {
-        let entry = self.code.borrow().get(key).cloned();
-        match &entry {
-            Some(_) => self.hits.set(self.hits.get() + 1),
-            None => self.misses.set(self.misses.get() + 1),
-        }
-        entry
+        self.code.borrow().get(key).cloned()
     }
 
     pub(crate) fn insert(&self, key: ArtifactKey, value: CachedCompile) {
         self.code.borrow_mut().insert(key, value);
-    }
-
-    /// Cached compilations (successful and crashing).
-    pub fn len(&self) -> usize {
-        self.code.borrow().len()
-    }
-
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.code.borrow().is_empty()
-    }
-
-    /// `(hits, misses)` over the cache's lifetime.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
     }
 }
 
@@ -192,11 +166,6 @@ impl ProgramArtifacts {
     /// programs to it.
     pub fn for_program(program: &BProgram) -> ProgramArtifacts {
         SharedArtifactCache::new().attach(program)
-    }
-
-    /// The cache this program is bound to.
-    pub fn cache(&self) -> &Rc<SharedArtifactCache> {
-        &self.cache
     }
 }
 
@@ -249,16 +218,12 @@ mod tests {
         let first = Vm::new(&program, config.clone()).with_artifacts(&artifacts).run();
         assert!(first.stats.compilations > 0, "calibration: HOT must trigger the JIT");
         assert_eq!(first.stats.code_cache_hits, 0, "an empty cache cannot hit");
-        let (_, misses_after_first) = artifacts.cache().stats();
-        assert!(misses_after_first > 0);
         let second = Vm::new(&program, config).with_artifacts(&artifacts).run();
         assert_eq!(
             second.stats.code_cache_hits,
             second.stats.compilations + second.stats.osr_compilations,
             "a deterministic re-run must be served entirely from the cache"
         );
-        let (hits, _) = artifacts.cache().stats();
-        assert!(hits >= second.stats.code_cache_hits as u64);
     }
 
     #[test]

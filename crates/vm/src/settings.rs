@@ -36,8 +36,6 @@ pub struct Settings {
     pub deadline_secs: Option<u64>,
     pub triage: bool,
     pub triage_steps: usize,
-    pub triage_reruns: usize,
-    pub triage_chaos: Option<(u64, u64)>,
     pub bench_samples: usize,
 }
 
@@ -58,8 +56,6 @@ impl Default for Settings {
             deadline_secs: None,
             triage: false,
             triage_steps: 1000,
-            triage_reruns: 3,
-            triage_chaos: None,
             bench_samples: 10,
         }
     }
@@ -73,7 +69,6 @@ const COUNT: &str = "a positive integer";
 const U64: &str = "a non-negative integer";
 const FLAG: &str = "0|1";
 const PATH: &str = "a path";
-const PAIR: &str = "seed,after_ops (two non-negative integers)";
 const MODES: &str = "off|boundary|each";
 const VERIFY_MODES: [VerifyMode; 3] = [VerifyMode::Off, VerifyMode::Boundary, VerifyMode::Each];
 const TV_MODES: [TvMode; 3] = [TvMode::Off, TvMode::Boundary, TvMode::Each];
@@ -82,7 +77,7 @@ const POLICIES: [CoveragePolicy; 3] =
 
 /// The registry: every `CSE_*` name the workspace reads, in the order
 /// `Display` prints them.
-const KNOBS: [Knob; 17] = [
+const KNOBS: [Knob; 15] = [
     Knob("CSE_SEEDS", COUNT, |s, v| count(v).map(|n| s.seeds = Some(n))),
     Knob("CSE_JOBS", COUNT, |s, v| count(v).map(|n| s.jobs = n)),
     Knob("CSE_VERIFY_IR", MODES, |s, v| choice(v, &VERIFY_MODES).map(|m| s.verify_ir = m)),
@@ -97,18 +92,11 @@ const KNOBS: [Knob; 17] = [
     Knob("CSE_DEADLINE_SECS", U64, |s, v| v.parse().ok().map(|n| s.deadline_secs = Some(n))),
     Knob("CSE_TRIAGE", FLAG, |s, v| flag(v).map(|b| s.triage = b)),
     Knob("CSE_TRIAGE_STEPS", U64, |s, v| v.parse().ok().map(|n| s.triage_steps = n)),
-    Knob("CSE_TRIAGE_RERUNS", U64, |s, v| v.parse().ok().map(|n| s.triage_reruns = n)),
-    Knob("CSE_TRIAGE_CHAOS", PAIR, |s, v| pair(v).map(|p| s.triage_chaos = Some(p))),
     Knob("CSE_BENCH_SAMPLES", COUNT, |s, v| count(v).map(|n| s.bench_samples = n)),
 ];
 
 fn count<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
     v.parse().ok().filter(|n| *n > T::from(0))
-}
-
-fn pair(v: &str) -> Option<(u64, u64)> {
-    let (seed, ops) = v.split_once(',')?;
-    Some((seed.parse().ok()?, ops.parse().ok()?))
 }
 
 fn flag(v: &str) -> Option<bool> {
@@ -183,7 +171,7 @@ impl Settings {
 impl fmt::Display for Settings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self;
-        let values: [String; 17] = [
+        let values: [String; 15] = [
             opt(s.seeds),
             s.jobs.to_string(),
             s.verify_ir.to_string(),
@@ -198,8 +186,6 @@ impl fmt::Display for Settings {
             opt(s.deadline_secs),
             u8::from(s.triage).to_string(),
             s.triage_steps.to_string(),
-            s.triage_reruns.to_string(),
-            opt(s.triage_chaos.map(|(seed, ops)| format!("{seed},{ops}"))),
             s.bench_samples.to_string(),
         ];
         let shown: Vec<String> =

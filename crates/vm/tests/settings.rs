@@ -36,8 +36,6 @@ fn a_full_valid_set_round_trips() {
         ("CSE_DEADLINE_SECS", "3600"),
         ("CSE_TRIAGE", "1"),
         ("CSE_TRIAGE_STEPS", "0"),
-        ("CSE_TRIAGE_RERUNS", "5"),
-        ("CSE_TRIAGE_CHAOS", "2,1000"),
         ("CSE_BENCH_SAMPLES", "2"),
     ];
     let names: Vec<&str> = vars.iter().map(|(name, _)| *name).collect();
@@ -58,8 +56,6 @@ fn a_full_valid_set_round_trips() {
         deadline_secs: Some(3600),
         triage: true,
         triage_steps: 0,
-        triage_reruns: 5,
-        triage_chaos: Some((2, 1000)),
         bench_samples: 2,
     };
     assert_eq!(settings, expected);
@@ -79,8 +75,7 @@ fn defaults_print_every_name() {
         "CSE_SEEDS=unset CSE_JOBS=1 CSE_VERIFY_IR=off CSE_TV=off CSE_COVERAGE=off \
          CSE_FUEL=40000000 CSE_HEAP_LIMIT=268435456 CSE_STACK_LIMIT=512 CSE_DUMP_IR=0 \
          CSE_CHECKPOINT_DIR=unset CSE_QUARANTINE_DIR=unset CSE_DEADLINE_SECS=unset \
-         CSE_TRIAGE=0 CSE_TRIAGE_STEPS=1000 CSE_TRIAGE_RERUNS=3 CSE_TRIAGE_CHAOS=unset \
-         CSE_BENCH_SAMPLES=10"
+         CSE_TRIAGE=0 CSE_TRIAGE_STEPS=1000 CSE_BENCH_SAMPLES=10"
     );
 }
 
@@ -98,8 +93,6 @@ fn one_malformed_value_per_grammar_is_rejected() {
         ("CSE_TRIAGE_STEPS", "lots", "a non-negative integer"),
         ("CSE_DUMP_IR", "yes", "0|1"),
         ("CSE_TRIAGE", "2", "0|1"),
-        ("CSE_TRIAGE_CHAOS", "2", "seed,after_ops (two non-negative integers)"),
-        ("CSE_TRIAGE_CHAOS", "2,x", "seed,after_ops (two non-negative integers)"),
     ] {
         assert_eq!(
             parse(&[(name, value)]),

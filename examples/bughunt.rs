@@ -23,7 +23,7 @@ fn main() {
     config.supervisor.checkpoint_every = 8;
     config.supervisor.quarantine_dir = Some(workdir.join("quarantine"));
     // CSE_TRIAGE=1 triages quarantined incidents at campaign end:
-    // reduction, signature dedup, flakiness verdicts (see cse_core::triage).
+    // signature dedup, reduction, replay verdicts (see cse_core::triage).
     if env.triage {
         config = config.with_triage();
     }

@@ -4,7 +4,8 @@
 //! campaign quarantined, reconstructs the incidents (phase, seeds, VM
 //! profile, panic payload, program source), and runs the same triage
 //! pipeline a campaign runs at completion: signature-based dedup,
-//! budget-bounded reduction, and flakiness re-execution. Reduced repros
+//! budget-bounded reduction, and one replay of the written repro for the
+//! verdict. Reduced repros
 //! are written back into the quarantine directory as
 //! `triage_<signature>.mj` and the canonical report goes to stdout.
 //!
@@ -13,27 +14,24 @@
 //! ```
 //!
 //! Environment:
-//! * `CSE_TRIAGE_STEPS`  — reduction step budget per report (default 1000)
-//! * `CSE_TRIAGE_RERUNS` — re-executions per parallelism level (default 3)
-//! * `CSE_JOBS`          — triage threads (default 1)
-//! * `CSE_TRIAGE_CHAOS`  — `seed,after_ops`: re-arm the campaign's chaos
-//!   fault injection so chaos incidents reproduce under replay
+//! * `CSE_TRIAGE_STEPS` — reduction step budget per report (default 1000)
+//! * `CSE_JOBS`         — triage threads (default 1)
 //!
 //! A malformed value or an unknown `CSE_*` name is an error (see
 //! `cse_vm::settings`).
 //!
-//! The VM profile (kind, JIT flag, fuel, IR-verifier and TV modes,
-//! active bug set) is recovered from the repro file headers
-//! (`cse_core::supervisor::parse_quarantined_incident`), so triage
-//! replays incidents under the same substrate and oracles that produced
-//! them, whatever `CSE_VERIFY_IR`/`CSE_TV` say.
+//! Every file replays under its own header's VM profile (kind, JIT flag,
+//! fuel, IR-verifier and TV modes, chaos threshold, active bug set; see
+//! `cse_core::supervisor::parse_quarantined_incident`), so triage replays
+//! each incident under the substrate and oracles that produced it,
+//! whatever `CSE_VERIFY_IR`/`CSE_TV` say.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use artemis_cse::core::supervisor::parse_quarantined_incident;
-use artemis_cse::core::{triage_incidents, ChaosConfig, TriageConfig};
-use artemis_cse::vm::{Settings, VmConfig};
+use artemis_cse::core::{triage_incidents, TriageConfig};
+use artemis_cse::vm::Settings;
 
 fn main() -> ExitCode {
     let env = Settings::get();
@@ -62,14 +60,10 @@ fn main() -> ExitCode {
     }
 
     let mut incidents = Vec::new();
-    let mut vm: Option<VmConfig> = None;
     for path in &paths {
         match std::fs::read_to_string(path) {
             Ok(text) => match parse_quarantined_incident(&text) {
-                Some((incident, file_vm)) => {
-                    incidents.push(incident);
-                    vm.get_or_insert(file_vm);
-                }
+                Some(raised) => incidents.push(raised),
                 None => eprintln!("triage: skipping unparsable {}", path.display()),
             },
             Err(e) => eprintln!("triage: skipping {}: {e}", path.display()),
@@ -80,18 +74,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut tcfg = TriageConfig {
-        vm: vm.expect("vm recovered alongside first incident"),
-        max_reduce_steps: env.triage_steps,
-        reruns: env.triage_reruns,
-        retries: 1,
-        jobs: env.jobs,
-    };
-    tcfg.vm.wall_clock_limit = None;
-    let chaos =
-        env.triage_chaos.map(|(panic_on_seed, after_ops)| ChaosConfig { panic_on_seed, after_ops });
-
-    let report = triage_incidents(&incidents, &tcfg, chaos, Some(&dir));
+    let tcfg = TriageConfig { max_reduce_steps: env.triage_steps, jobs: env.jobs };
+    let report = triage_incidents(&incidents, &tcfg, Some(&dir));
     print!("{}", report.render());
     println!("digest {:016x}", report.digest());
     ExitCode::SUCCESS

@@ -1,15 +1,16 @@
 //! Acceptance tests for automated incident triage: in-campaign
-//! reduction, signature-based dedup, flakiness re-execution, and
-//! digest stability across worker counts.
+//! reduction, signature-based dedup, the replay verdict, the `triage`
+//! binary over a quarantine directory, and digest stability across
+//! worker counts.
 
 use std::path::{Path, PathBuf};
 
 use cse_core::campaign::{run_campaign, CampaignConfig};
-use cse_core::supervisor::{ChaosConfig, HarnessIncident, IncidentPhase};
+use cse_core::supervisor::{quarantine_incident, ChaosConfig, HarnessIncident, IncidentPhase};
 use cse_core::{shrink_plan, signature_of, triage_incidents, TriageConfig, Verdict};
 use cse_reduce::{reduce_with, ReduceConfig};
 use cse_vm::supervise::supervised_run;
-use cse_vm::{ExecMode, ForcedPlan, VmConfig, VmKind};
+use cse_vm::{ExecMode, ForcedPlan, TvMode, VmConfig, VmKind};
 
 /// A unique scratch directory per test (tests share one process).
 fn scratch(test: &str) -> PathBuf {
@@ -25,14 +26,13 @@ fn chaos_campaign(jobs: usize, dir: &Path) -> CampaignConfig {
     config.supervisor.quarantine_dir = Some(dir.to_path_buf());
     let mut triage = TriageConfig::for_campaign(&config);
     triage.max_reduce_steps = 300;
-    triage.reruns = 2;
     config.triage = Some(triage);
     config
 }
 
 /// The headline acceptance criterion: on a seeded-fault campaign, every
 /// quarantined incident is triaged into a reduced, deduplicated,
-/// classified report, and both the campaign digest and the triage
+/// replayed report, and both the campaign digest and the triage
 /// report are bit-identical for `jobs ∈ {1, 4}`.
 #[test]
 fn chaos_campaign_triage_is_complete_and_job_count_invariant() {
@@ -61,7 +61,6 @@ fn chaos_campaign_triage_is_complete_and_job_count_invariant() {
     assert!(!t1.reports.is_empty(), "the chaos panic must be promoted");
     for report in &t1.reports {
         assert_eq!(report.verdict, Verdict::Deterministic);
-        assert_eq!(report.reruns_matched, report.reruns_total);
         assert!(
             report.reduced_bytes < report.original_bytes,
             "repro must shrink: {} -> {} bytes",
@@ -199,16 +198,12 @@ fn reproducing_incident_is_promoted_with_signature_preserved() {
         payload: "chaos: injected VM panic after 50 burned ops".to_string(),
         source: Some(cse_lang::pretty::print(&seed_program)),
     };
-    let tcfg = TriageConfig {
-        vm: VmConfig::correct(VmKind::HotSpotLike),
-        max_reduce_steps: 200,
-        reruns: 2,
-        retries: 1,
-        jobs: 1,
-    };
-    let chaos = Some(ChaosConfig { panic_on_seed: 7, after_ops: 50 });
+    // The incident replays under the VM that raised it: chaos armed.
+    let mut vm = VmConfig::correct(VmKind::HotSpotLike);
+    vm.chaos_panic_at_ops = Some(50);
+    let tcfg = TriageConfig { max_reduce_steps: 200, jobs: 1 };
     let dir = scratch("pipeline");
-    let report = triage_incidents(std::slice::from_ref(&incident), &tcfg, chaos, Some(&dir));
+    let report = triage_incidents(&[(incident.clone(), vm)], &tcfg, Some(&dir));
     assert_eq!(report.reports.len(), 1);
     let triaged = &report.reports[0];
     assert_eq!(triaged.verdict, Verdict::Deterministic);
@@ -220,7 +215,111 @@ fn reproducing_incident_is_promoted_with_signature_preserved() {
     other.payload = "a completely different failure".to_string();
     let qdir = scratch("pipeline-quarantine");
     let vm = VmConfig::correct(VmKind::HotSpotLike);
-    let a = cse_core::supervisor::quarantine_incident(&qdir, &incident, &vm).expect("write");
-    let b = cse_core::supervisor::quarantine_incident(&qdir, &other, &vm).expect("write");
+    let a = quarantine_incident(&qdir, &incident, &vm).expect("write");
+    let b = quarantine_incident(&qdir, &other, &vm).expect("write");
     assert_ne!(a, b, "signature hash must keep same-seed incidents from overwriting");
+}
+
+/// A loop the JIT compiles, whose loop optimisation the OpenJ9-like
+/// profile's seeded bugs make the translation validator reject.
+const TV_DEFECT_SOURCE: &str = r#"
+class P {
+}
+class T {
+    static int m1() {
+        for (int i = -2; i < 2; i += 4) {
+            P o = new P();
+        }
+        int lo = Math.min(4500, -2962);
+        int hi = Math.max(8500, -9004);
+        try {
+            for (int j = lo; j < hi; j += 8) {
+                for (int k = 0; k < 4; k++) {
+                }
+            }
+        } catch {
+        }
+        return 6;
+    }
+    static void main() {
+        T.m1();
+    }
+}
+"#;
+
+/// A loop long enough to burn past the chaos threshold.
+const CHAOS_SOURCE: &str = r#"
+class T {
+    static void main() {
+        int acc = 0;
+        for (int i = 0; i < 200; i++) {
+            acc += i;
+        }
+        println(acc);
+    }
+}
+"#;
+
+/// Runs `source` under `vm` the way a campaign's seed run does and
+/// records the incident that run raises.
+fn raised_incident(seed: u64, source: &str, vm: &VmConfig) -> HarnessIncident {
+    let program = cse_lang::parse(source).expect("test source parses");
+    let bytecode = cse_core::validate::try_compile_checked(&program).expect("compiles");
+    let (phase, payload) = match supervised_run(&bytecode, vm.clone()) {
+        Err(panic) => (IncidentPhase::SeedRun, panic.payload),
+        Ok(result) => {
+            assert!(!result.tv.is_empty(), "calibration: the run must raise a TV defect");
+            (IncidentPhase::TvDefect, result.tv.join("\n"))
+        }
+    };
+    HarnessIncident {
+        phase,
+        seed,
+        rng_seed: seed,
+        iteration: None,
+        payload,
+        source: Some(cse_lang::pretty::print(&program)),
+    }
+}
+
+/// The `triage` binary replays every quarantined file under its own
+/// header, whatever the shell says: a chaos incident (header `tv: off`,
+/// chaos armed) and a `TvDefect` from a `tv = each` run in a file that
+/// sorts after it both come back as deterministic reports with no
+/// `CSE_*` variable set.
+#[test]
+fn triage_binary_replays_each_file_under_its_own_header() {
+    let dir = scratch("binary");
+    let mut chaos_vm = VmConfig::correct(VmKind::HotSpotLike);
+    chaos_vm.tv = TvMode::Off;
+    chaos_vm.chaos_panic_at_ops = Some(300);
+    let chaos = raised_incident(1, CHAOS_SOURCE, &chaos_vm);
+    assert_eq!(chaos.phase, IncidentPhase::SeedRun, "calibration: chaos must fire");
+    let mut tv_vm = VmConfig::for_kind(VmKind::OpenJ9Like);
+    tv_vm.tv = TvMode::Each;
+    let tv = raised_incident(5, TV_DEFECT_SOURCE, &tv_vm);
+    let chaos_file = quarantine_incident(&dir, &chaos, &chaos_vm).expect("write");
+    let tv_file = quarantine_incident(&dir, &tv, &tv_vm).expect("write");
+    assert!(chaos_file < tv_file, "the TV incident's file must sort after the chaos one");
+
+    let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_triage"));
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("CSE_") {
+            command.env_remove(name);
+        }
+    }
+    let output = command.arg(&dir).output().expect("run triage");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "triage failed: {stdout}");
+    assert!(
+        stdout.starts_with("triage: 2 incident(s), 2 report(s), 0 duplicate(s), 0 suppressed\n"),
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches("  verdict: deterministic\n").count(), 2, "{stdout}");
+    for incident in [&chaos, &tv] {
+        let signature = signature_of(incident);
+        assert!(stdout.contains(&format!("report {signature}\n")), "{signature}: {stdout}");
+        let repro = dir.join(format!("triage_{:016x}.mj", signature.stable_hash()));
+        assert!(repro.exists(), "missing reduced repro {}", repro.display());
+    }
 }
