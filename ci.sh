@@ -71,6 +71,20 @@ if [ "$mode" != "quick" ]; then
         exit 1
     fi
 
+    # The findings workflow end to end: the default hunt's first
+    # reproducer must shrink under reduction, whatever its symptom (a
+    # predicate that only recognizes crashes leaves a mis-compilation
+    # reproducer at its original size).
+    echo "==> bughunt (the first reproducer must shrink under reduction)"
+    reduction=$(cargo run --release -q --example bughunt \
+        | sed -n 's/^reduced from \([0-9]*\) to \([0-9]*\) lines:$/\1 \2/p')
+    echo "    lines before and after: ${reduction:-missing}"
+    read -r lines_before lines_after <<< "${reduction:-0 0}"
+    if [ -z "$reduction" ] || [ "$lines_after" -ge "$lines_before" ]; then
+        echo "error: bughunt did not shrink its reproducer" >&2
+        exit 1
+    fi
+
     echo "==> triage suite (seeded-fault campaign, replay verdicts, the triage binary)"
     cargo test --release -q --test triage
 

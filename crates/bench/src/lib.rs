@@ -10,8 +10,6 @@
 
 use cse_vm::{Settings, VmKind};
 
-pub mod stopwatch;
-
 /// Supervision settings from the environment, shared by the table
 /// binaries: `CSE_CHECKPOINT_DIR` (checkpoint per profile, resume on
 /// restart), `CSE_QUARANTINE_DIR` (crash/panic repro files), and

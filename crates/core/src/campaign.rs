@@ -22,7 +22,7 @@ use cse_vm::{BugId, Component, Settings, Symptom, VmConfig, VmKind};
 
 use crate::coverage::{self, CoveragePolicy, CoverageState};
 use crate::executor;
-use crate::supervisor::{self, HarnessIncident, IncidentPhase, SupervisorConfig};
+use crate::supervisor::{self, HarnessIncident, SupervisorConfig};
 use crate::triage::TriageConfig;
 use crate::validate::ValidateConfig;
 
@@ -61,8 +61,8 @@ pub struct CampaignConfig {
     /// JIT-behavior coverage policy (see [`crate::coverage`]). The
     /// default comes from `CSE_COVERAGE` (see [`cse_vm::settings`]); `Off`
     /// reproduces the pre-coverage campaign byte-for-byte, `Collect`
-    /// additionally merges coverage maps (digest-identical to `Off`),
-    /// `Guide` feeds the merged map back into round scheduling.
+    /// additionally merges coverage maps (finding the same bugs as
+    /// `Off`), `Guide` feeds the merged map back into round scheduling.
     pub coverage: CoveragePolicy,
 }
 
@@ -144,11 +144,9 @@ pub struct CampaignTotals {
     pub ir_verify_defects: u64,
     /// Refinement violations flagged by the translation validator
     /// (`cse_vm::jit::tv`) across seed and mutant runs; 0 unless `vm.tv`
-    /// enables the per-pass semantic oracle. Persisted in checkpoints but
-    /// masked out of [`CampaignResult::digest`] (with the matching
-    /// `TvDefect` incidents), so digests are bit-identical across
-    /// `CSE_TV` settings — the validator observes campaigns, it never
-    /// changes what they find.
+    /// enables the per-pass semantic oracle. Digested like
+    /// `ir_verify_defects`: the TV mode is part of the campaign's
+    /// identity.
     pub tv_defects: u64,
     /// Triage: promoted (deterministic) reports, 0 unless
     /// `CampaignConfig::triage` is set. Part of the campaign digest —
@@ -164,6 +162,8 @@ pub struct CampaignTotals {
     /// (deadline expiry or a simulated kill); resume from the checkpoint
     /// to finish it.
     pub partial: bool,
+    /// Wall time across every invocation: the one observed field, kept
+    /// out of the digest and written as the checkpoint's trailer.
     pub wall: Duration,
 }
 
@@ -188,10 +188,8 @@ pub struct CampaignResult {
     pub triage: Option<crate::triage::TriageReport>,
     /// Merged coverage state, present when the campaign ran under
     /// `CSE_COVERAGE=collect|guide`. Persisted as the checkpoint's
-    /// trailing section but masked out of [`CampaignResult::digest`]:
-    /// under `collect` coverage only observes, so the digest stays
-    /// identical to `off`; under `guide` the schedule it drives already
-    /// shapes every digested field.
+    /// coverage section and digested with the rest of the result; the
+    /// coverage policy is part of the campaign's identity.
     pub coverage: Option<CoverageState>,
     pub totals: CampaignTotals,
 }
@@ -222,19 +220,15 @@ impl CampaignResult {
         self.bugs.values().map(|e| e.occurrences.saturating_sub(1)).sum()
     }
 
-    /// Content digest over every deterministic field (everything except
-    /// `totals.wall` and the translation-validator observations, which
-    /// depend on the `CSE_TV` mode). A campaign killed mid-run and resumed from its checkpoint
-    /// produces the same digest as an uninterrupted run.
+    /// Content digest of the checkpoint's canonical encoding: the
+    /// campaign's identity (every setting that can change a result) and
+    /// every field but `totals.wall`, oracle findings and coverage state
+    /// included. A campaign killed mid-run and resumed from its
+    /// checkpoint produces the same digest as an uninterrupted run.
     pub fn digest(&self, config: &CampaignConfig) -> u64 {
-        let mut stable = self.clone();
-        stable.totals.tv_defects = 0;
-        stable.incidents.retain(|i| i.phase != IncidentPhase::TvDefect);
-        stable.coverage = None;
-        let canonical = supervisor::encode(config, 0, &stable, 0);
         // FNV-1a, 64-bit.
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in canonical.bytes() {
+        for byte in supervisor::encode(config, self).bytes() {
             hash ^= byte as u64;
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -256,20 +250,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let mut result = CampaignResult::default();
     if let Some(path) = &sup.checkpoint_path {
         match supervisor::load_checkpoint(path, config) {
-            Ok(Some(checkpoint)) => {
-                // A checkpoint written under a different coverage mode
-                // cannot be resumed deterministically (the schedules
-                // would diverge); restart instead, like a foreign
-                // checkpoint.
-                if checkpoint.result.coverage.is_some() != collects_coverage {
-                    eprintln!(
-                        "warning: ignoring checkpoint {}: coverage mode changed",
-                        path.display()
-                    );
-                } else {
-                    result = checkpoint.result;
-                }
-            }
+            Ok(Some(resumed)) => result = resumed,
             Ok(None) => {}
             Err(e) => {
                 // A torn or foreign checkpoint: starting over is always
@@ -297,9 +278,11 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     // of `ROUND_LEN` seeds, each round's schedule derived purely from the
     // merged coverage state at its barrier (and persisted inside it, so a
     // kill/resume mid-round replays the identical schedule). A segment
-    // that stops short — a cutoff closed its claims — ends the loop; a
-    // schedule recomputed at a barrier nobody then claims from is
-    // deterministic and masked out of the digest, so it costs nothing.
+    // that stops short — a cutoff closed its claims — ends the loop. A
+    // schedule computed at a barrier nobody then claims from is saved
+    // and digested with the state; the resume recomputes the identical
+    // schedule at that barrier, so the digest does not depend on where
+    // the campaign was killed.
     loop {
         // Merges form a contiguous prefix from offset 0, so the merged
         // count is the offset of the next seed to validate.

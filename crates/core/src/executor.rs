@@ -155,11 +155,10 @@ fn cutoffs<'a>(
 /// state all come through here.
 pub(crate) fn checkpoint(ctx: &ExecContext<'_>, result: &mut CampaignResult) {
     let config = ctx.config;
-    let next = result.totals.seeds;
-    result.totals.partial = next < config.seeds;
+    result.totals.partial = result.totals.seeds < config.seeds;
     result.totals.wall = ctx.prior_wall + ctx.start.elapsed();
     if let Some(path) = &config.supervisor.checkpoint_path {
-        if let Err(e) = supervisor::save_checkpoint(path, config, next, result) {
+        if let Err(e) = supervisor::save_checkpoint(path, config, result) {
             eprintln!("warning: checkpoint write failed: {e}");
         }
     }

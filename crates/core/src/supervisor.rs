@@ -9,8 +9,8 @@
 //!   harness failure (which phase, which seed, which mutation iteration,
 //!   what payload), aggregated on [`CampaignResult`] instead of tearing
 //!   the campaign down.
-//! - Checkpoints: the full campaign state (seed cursor, bug map, totals,
-//!   incidents) serialized to a versioned, dependency-free text format
+//! - Checkpoints: the full campaign state (bug map, totals, incidents,
+//!   coverage) serialized to a versioned, dependency-free text format
 //!   and written atomically, so a killed campaign resumes exactly where
 //!   it stopped and produces a bit-identical [`CampaignResult`].
 //! - Quarantine: crashing and panicking inputs persisted as
@@ -18,19 +18,19 @@
 //!   [`parse_quarantined_incident`], which reads an incident file back.
 //!
 //! The checkpoint format is line-oriented with length-prefixed blocks
-//! for multi-line strings:
+//! for multi-line strings. Everything up to the `wall` trailer is the
+//! canonical encoding that [`CampaignResult::digest`] hashes:
 //!
 //! ```text
-//! cse-checkpoint v8
-//! config HotSpot 100 0 8
-//! next_seed 42
+//! cse-checkpoint v9
+//! config <identity>    (every setting that can change a digested value)
 //! partial 1
 //! unattributed 0
 //! totals <seeds> <mutants> <completed> <vm_invocations> <discarded>
 //!        <seeds_discarded> <mutant_compile_failures>
 //!        <neutrality_violations> <ir_verify_defects> <tv_defects>
 //!        <triage_reports> <triage_duplicates>
-//!        <triage_unreproducible> <wall_nanos>       (one line)
+//!        <triage_unreproducible>                    (one line)
 //! cse_seeds <n>        (then n lines, one seed each)
 //! traditional_seeds <n>
 //! bugs <n>
@@ -40,12 +40,20 @@
 //!   incident <phase> <seed> <rng_seed> <iteration|->
 //!   text <byte-len>      (payload)
 //!   source <0|1>  [+ text block when 1]
+//! [coverage section]
+//! wall <nanos>         (trailer: the one observed field, not digested)
 //! ```
+//!
+//! The `config` line is compared verbatim on resume: a checkpoint
+//! written under any other setting restarts the campaign. `totals.seeds`
+//! is the resume cursor, since merged seeds always form a contiguous
+//! prefix of the seed range.
 //!
 //! The `coverage` section follows exactly when the result carries
 //! coverage state (`CSE_COVERAGE=collect|guide`): the merged map, the
 //! minimized corpus and the active round's schedule (see
-//! [`crate::coverage`]). Without it the file ends after the incidents.
+//! [`crate::coverage`]). Without it the `wall` trailer follows the
+//! incidents.
 //!
 //! ```text
 //! coverage <round> <execs> <runs0> <runs1> <runs2> <new0> <new1> <new2>
@@ -202,19 +210,10 @@ impl SupervisorConfig {
     }
 }
 
-/// A loaded checkpoint: the next seed index to process plus the
-/// accumulated result.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Seed *offset* (0-based index into the campaign's seed range).
-    pub next_seed: u64,
-    pub result: CampaignResult,
-}
-
 // Bumped whenever the layout changes. Any other header is rejected, so
 // an interrupted campaign from an older build restarts from scratch
 // rather than resuming with misread counters.
-const MAGIC: &str = "cse-checkpoint v8";
+const MAGIC: &str = "cse-checkpoint v9";
 
 // ----- encoding -----------------------------------------------------------
 
@@ -224,31 +223,50 @@ fn push_text(out: &mut String, s: &str) {
     out.push('\n');
 }
 
-/// Canonical serialization of a campaign's state. Also the basis of
-/// [`CampaignResult::digest`], so it must cover every observable field —
-/// except `totals.wall`, which legitimately differs between an
-/// uninterrupted run and a kill-and-resume run (pass `wall_nanos = 0`
-/// for digests).
-pub(crate) fn encode(
-    config: &CampaignConfig,
-    next_seed: u64,
-    result: &CampaignResult,
-    wall_nanos: u128,
-) -> String {
+/// The campaign's identity: one deterministic rendering of every
+/// [`CampaignConfig`] field that can change a digested value. It leaves
+/// out `jobs` (the engine's result does not depend on it) and the
+/// supervisor's paths, cadence, deadline and `stop_after_seeds`, which
+/// decide where and when state is saved, never what it is.
+/// `ForcedPlan::per_call` is a `HashMap`, so the plan is rendered apart
+/// with its calls sorted; every other field renders through `Debug`.
+fn identity(config: &CampaignConfig) -> String {
+    let mut vm = config.vm.clone();
+    let plan = vm.plan.take().map(|plan| {
+        let mut calls: Vec<_> = plan.per_call.into_iter().collect();
+        calls.sort_by_key(|&(call, _)| call);
+        (plan.default, calls)
+    });
+    let triage = config
+        .triage
+        .as_ref()
+        .map_or_else(|| "off".to_string(), |t| t.max_reduce_steps.to_string());
+    let chaos = config.supervisor.chaos.map(|c| (c.panic_on_seed, c.after_ops));
+    format!(
+        "config seeds={} first_seed={} max_iter={} run_traditional={} coverage={} \
+         triage_steps={triage} chaos={chaos:?} fuzz={:?} plan={plan:?} vm={vm:?}",
+        config.seeds,
+        config.first_seed,
+        config.max_iter,
+        config.run_traditional,
+        config.coverage,
+        config.fuzz,
+    )
+}
+
+/// Canonical serialization of a campaign's state: the basis of
+/// [`CampaignResult::digest`], so it covers every field but the wall
+/// time, which [`save_checkpoint`] appends as a trailer.
+pub(crate) fn encode(config: &CampaignConfig, result: &CampaignResult) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC}");
-    let _ = writeln!(
-        out,
-        "config {:?} {} {} {}",
-        config.vm.kind, config.seeds, config.first_seed, config.max_iter
-    );
-    let _ = writeln!(out, "next_seed {next_seed}");
+    let _ = writeln!(out, "{}", identity(config));
     let _ = writeln!(out, "partial {}", result.totals.partial as u8);
     let _ = writeln!(out, "unattributed {}", result.unattributed);
     let t = &result.totals;
     let _ = writeln!(
         out,
-        "totals {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        "totals {} {} {} {} {} {} {} {} {} {} {} {} {}",
         t.seeds,
         t.mutants,
         t.completed,
@@ -262,7 +280,6 @@ pub(crate) fn encode(
         t.triage_reports,
         t.triage_duplicates,
         t.triage_unreproducible,
-        wall_nanos
     );
     let _ = writeln!(out, "cse_seeds {}", result.cse_seeds.len());
     for s in &result.cse_seeds {
@@ -466,40 +483,30 @@ fn component_from_name(name: &str) -> ParseResult<Component> {
         .ok_or_else(|| format!("unknown component `{name}`"))
 }
 
-/// Parses a checkpoint, verifying it belongs to `config` (kind, seed
-/// range, and `MAX_ITER` must all match — resuming a checkpoint into a
-/// different campaign would silently corrupt results).
-pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpoint> {
-    let mut r = Reader::new(data);
+/// Parses a checkpoint written by [`save_checkpoint`], verifying that
+/// its `config` line is `config`'s identity: resuming a checkpoint into
+/// a different campaign would silently corrupt results.
+pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<CampaignResult> {
+    let (body, trailer) = data
+        .strip_suffix('\n')
+        .and_then(|d| d.rsplit_once('\n'))
+        .ok_or("checkpoint has no wall trailer")?;
+    let wall_nanos: u64 = trailer
+        .strip_prefix("wall ")
+        .and_then(|nanos| nanos.parse().ok())
+        .ok_or_else(|| format!("expected `wall <nanos>`, found `{trailer}`"))?;
+    let mut r = Reader::new(&data[..=body.len()]);
     let magic = r.line()?;
     if magic != MAGIC {
         return Err(format!("bad checkpoint header `{magic}` (want `{MAGIC}`)"));
     }
-    let fields = r.tagged("config", 4)?;
-    let kind = format!("{:?}", config.vm.kind);
-    let (got_kind, got_seeds, got_first, got_iter) = (
-        fields[0],
-        parse_field::<u64>(&fields, 1, "config")?,
-        parse_field::<u64>(&fields, 2, "config")?,
-        parse_field::<usize>(&fields, 3, "config")?,
-    );
-    if got_kind != kind
-        || got_seeds != config.seeds
-        || got_first != config.first_seed
-        || got_iter != config.max_iter
-    {
-        return Err(format!(
-            "checkpoint is for a different campaign \
-             (checkpoint: {got_kind}/{got_seeds} seeds from {got_first}, max_iter {got_iter}; \
-             campaign: {kind}/{} seeds from {}, max_iter {})",
-            config.seeds, config.first_seed, config.max_iter
-        ));
+    if r.line()? != identity(config) {
+        return Err("checkpoint is for a different campaign".to_string());
     }
-    let next_seed: u64 = r.tagged_num("next_seed")?;
     let mut result = CampaignResult::default();
     result.totals.partial = r.tagged_num::<u8>("partial")? != 0;
     result.unattributed = r.tagged_num("unattributed")?;
-    let t = r.tagged("totals", 14)?;
+    let t = r.tagged("totals", 13)?;
     result.totals.seeds = parse_field(&t, 0, "totals")?;
     result.totals.mutants = parse_field(&t, 1, "totals")?;
     result.totals.completed = parse_field(&t, 2, "totals")?;
@@ -513,8 +520,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     result.totals.triage_reports = parse_field(&t, 10, "totals")?;
     result.totals.triage_duplicates = parse_field(&t, 11, "totals")?;
     result.totals.triage_unreproducible = parse_field(&t, 12, "totals")?;
-    let wall_nanos: u128 = parse_field(&t, 13, "totals")?;
-    result.totals.wall = Duration::from_nanos(wall_nanos.min(u64::MAX as u128) as u64);
+    result.totals.wall = Duration::from_nanos(wall_nanos);
     let n: usize = r.tagged_num("cse_seeds")?;
     for _ in 0..n {
         result.cse_seeds.push(r.line()?.parse().map_err(|_| "bad cse seed")?);
@@ -601,7 +607,7 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Checkpo
     if !r.at_end() {
         return Err("trailing data after checkpoint".to_string());
     }
-    Ok(Checkpoint { next_seed, result })
+    Ok(result)
 }
 
 /// Parses one `map` line back into a bitmap.
@@ -616,15 +622,22 @@ fn parse_map(r: &mut Reader<'_>) -> ParseResult<cse_vm::CoverageMap> {
 
 // ----- checkpoint I/O -----------------------------------------------------
 
+/// The checkpoint file's text: the canonical encoding plus the `wall`
+/// trailer.
+fn checkpoint_text(config: &CampaignConfig, result: &CampaignResult) -> String {
+    let mut text = encode(config, result);
+    let _ = writeln!(text, "wall {}", result.totals.wall.as_nanos());
+    text
+}
+
 /// Atomically writes a checkpoint (tmp file + rename, so a kill during
 /// the write never leaves a torn checkpoint behind).
 pub fn save_checkpoint(
     path: &Path,
     config: &CampaignConfig,
-    next_seed: u64,
     result: &CampaignResult,
 ) -> io::Result<()> {
-    let body = encode(config, next_seed, result, result.totals.wall.as_nanos());
+    let body = checkpoint_text(config, result);
     let tmp = path.with_extension("tmp");
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -640,10 +653,11 @@ pub fn save_checkpoint(
     std::fs::rename(&tmp, path)
 }
 
-/// Loads a checkpoint if `path` exists. `Ok(None)` when there is no
-/// checkpoint yet; `Err` on a torn/foreign/corrupt file (the caller
-/// decides whether to start fresh).
-pub fn load_checkpoint(path: &Path, config: &CampaignConfig) -> io::Result<Option<Checkpoint>> {
+/// Loads the campaign state checkpointed at `path`, if it exists.
+/// `Ok(None)` when there is no checkpoint yet; `Err` on a
+/// torn/foreign/corrupt file (the caller decides whether to start
+/// fresh).
+pub fn load_checkpoint(path: &Path, config: &CampaignConfig) -> io::Result<Option<CampaignResult>> {
     let data = match std::fs::read_to_string(path) {
         Ok(data) => data,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -914,12 +928,10 @@ mod tests {
     fn checkpoint_round_trips() {
         let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
         let result = sample_result();
-        let encoded = encode(&config, 7, &result, result.totals.wall.as_nanos());
-        let checkpoint = decode(&encoded, &config).expect("decode");
-        assert_eq!(checkpoint.next_seed, 7);
-        let re_encoded =
-            encode(&config, 7, &checkpoint.result, checkpoint.result.totals.wall.as_nanos());
-        assert_eq!(encoded, re_encoded);
+        let text = checkpoint_text(&config, &result);
+        let decoded = decode(&text, &config).expect("decode");
+        assert_eq!(decoded.totals.wall, result.totals.wall);
+        assert_eq!(checkpoint_text(&config, &decoded), text);
     }
 
     /// A result carrying coverage state round-trips the full state (map,
@@ -956,13 +968,13 @@ mod tests {
         let fingerprint = state.fingerprint();
         result.coverage = Some(state);
 
-        let encoded = encode(&config, 7, &result, 0);
-        let decoded = decode(&encoded, &config).expect("decode");
-        let restored = decoded.result.coverage.expect("coverage state restored");
+        let text = checkpoint_text(&config, &result);
+        let decoded = decode(&text, &config).expect("decode");
+        let restored = decoded.coverage.expect("coverage state restored");
         assert_eq!(restored.fingerprint(), fingerprint, "state must round-trip exactly");
-        let plain = encode(&config, 7, &sample_result(), 0);
+        let plain = checkpoint_text(&config, &sample_result());
         assert!(!plain.contains("\ncoverage "));
-        assert!(decode(&plain, &config).expect("decode").result.coverage.is_none());
+        assert!(decode(&plain, &config).expect("decode").coverage.is_none());
     }
 
     #[test]
@@ -971,10 +983,10 @@ mod tests {
         let result = sample_result();
         let dir = std::env::temp_dir().join(format!("cse-supervisor-test-{}", std::process::id()));
         let path = dir.join("roundtrip.checkpoint");
-        save_checkpoint(&path, &config, 3, &result).expect("save");
+        save_checkpoint(&path, &config, &result).expect("save");
         let loaded = load_checkpoint(&path, &config).expect("load").expect("present");
-        assert_eq!(loaded.next_seed, 3);
-        assert_eq!(loaded.result.digest(&config), result.digest(&config));
+        assert_eq!(loaded.digest(&config), result.digest(&config));
+        assert_eq!(loaded.totals.wall, result.totals.wall);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -989,17 +1001,54 @@ mod tests {
     fn foreign_checkpoint_is_rejected() {
         let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
         let other = CampaignConfig::for_kind(VmKind::ArtLike, 7);
-        let encoded = encode(&config, 2, &sample_result(), 0);
+        let encoded = checkpoint_text(&config, &sample_result());
         assert!(decode(&encoded, &other).is_err());
         let mut fewer_seeds = config.clone();
         fewer_seeds.seeds = 6;
         assert!(decode(&encoded, &fewer_seeds).is_err());
+        let mut correct = config.clone();
+        correct.vm.faults = FaultInjector::none();
+        assert!(decode(&encoded, &correct).is_err());
+    }
+
+    /// The identity leaves out `jobs` and where and when state is saved,
+    /// and renders a forced plan's calls in one order however they were
+    /// inserted.
+    #[test]
+    fn identity_ignores_jobs_and_supervision_and_sorts_plan_calls() {
+        use cse_bytecode::MethodId;
+        use cse_vm::{ExecMode, ForcedPlan};
+        let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
+        let mut supervised = config.clone().with_jobs(4);
+        supervised.supervisor = SupervisorConfig {
+            checkpoint_path: Some(PathBuf::from("elsewhere.checkpoint")),
+            checkpoint_every: 3,
+            quarantine_dir: Some(PathBuf::from("quarantine")),
+            deadline: Some(Duration::from_secs(1)),
+            stop_after_seeds: Some(2),
+            chaos: None,
+        };
+        assert_eq!(identity(&config), identity(&supervised));
+
+        let (mut forward, mut backward) = (config.clone(), config.clone());
+        let mut plan = ForcedPlan::selective();
+        for method in 0..32 {
+            plan.set(MethodId(method), 1, ExecMode::Interpret);
+        }
+        forward.vm.plan = Some(plan);
+        let mut plan = ForcedPlan::selective();
+        for method in (0..32).rev() {
+            plan.set(MethodId(method), 1, ExecMode::Interpret);
+        }
+        backward.vm.plan = Some(plan);
+        assert_eq!(identity(&forward), identity(&backward));
+        assert_ne!(identity(&forward), identity(&config));
     }
 
     #[test]
     fn torn_checkpoint_is_rejected() {
         let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
-        let encoded = encode(&config, 2, &sample_result(), 0);
+        let encoded = checkpoint_text(&config, &sample_result());
         let torn = &encoded[..encoded.len() / 2];
         assert!(decode(torn, &config).is_err());
         assert!(decode("", &config).is_err());
@@ -1011,7 +1060,7 @@ mod tests {
     #[test]
     fn oversized_text_block_is_rejected() {
         let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
-        let encoded = encode(&config, 2, &sample_result(), 0);
+        let encoded = checkpoint_text(&config, &sample_result());
         let first_block = encoded.find("\ntext ").expect("sample has a text block") + 1;
         let line_end = first_block + encoded[first_block..].find('\n').unwrap();
         let corrupt =
@@ -1024,7 +1073,7 @@ mod tests {
     #[test]
     fn extra_field_is_rejected() {
         let config = CampaignConfig::for_kind(VmKind::HotSpotLike, 7);
-        let encoded = encode(&config, 2, &sample_result(), 0);
+        let encoded = checkpoint_text(&config, &sample_result());
         assert!(decode(&encoded, &config).is_ok());
         for tag in ["totals", "bug"] {
             let line = encoded.find(&format!("\n{tag} ")).expect("sample has the line") + 1;

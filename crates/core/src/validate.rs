@@ -403,9 +403,9 @@ pub fn validate_compiled_in(
     outcome.note_tv_defects(&seed_result, rng_seed, None, seed);
     // Running union of this seed's coverage, for novelty checks within
     // the seed (the campaign-global check happens at the merge barrier).
-    let mut seen_coverage = seed_result.stats.coverage;
+    let mut seen_coverage = seed_result.coverage;
     if config.vm.coverage {
-        outcome.coverage.union(&seed_result.stats.coverage);
+        outcome.coverage.union(&seed_result.coverage);
     }
     if seed_result.outcome.is_resource_exhausted() {
         // An expensive seed: the paper's two-minute cutoff (§4.3), or a
@@ -505,7 +505,7 @@ pub fn validate_compiled_in(
         outcome.note_ir_defects(&mutant_result, rng_seed, Some(iteration), &mutant);
         outcome.note_tv_defects(&mutant_result, rng_seed, Some(iteration), &mutant);
         if config.vm.coverage {
-            let map = mutant_result.stats.coverage;
+            let map = mutant_result.coverage;
             if map.covers_new(&seen_coverage) && outcome.corpus_candidates.len() < 4 {
                 // Whitespace-bearing locations (e.g. the chaos marker)
                 // would break the checkpoint's line format; real

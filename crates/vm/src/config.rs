@@ -177,7 +177,7 @@ pub struct VmConfig {
     /// `ExecutionResult::tv` / `ExecStats::tv_defects`.
     pub tv: TvMode,
     /// Whether to record JIT-behavior coverage into
-    /// `ExecStats::coverage` (see [`crate::coverage`]). Off by default
+    /// `ExecutionResult::coverage` (see [`crate::coverage`]). Off by default
     /// and zero-cost when off: no feature is computed, no digest work
     /// is added. Collection never changes observable behavior.
     pub coverage: bool,

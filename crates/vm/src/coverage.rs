@@ -5,7 +5,7 @@
 //! a pipeline pass firing over a method, an inline edge installed, a
 //! de-optimization — is encoded as a 64-bit *feature* and hashed into a
 //! fixed-size bitmap ([`CoverageMap`]). The map rides on
-//! [`crate::ExecStats`] so campaign drivers can merge per-run maps into
+//! [`crate::ExecutionResult`] so campaign drivers can merge per-run maps into
 //! a global picture of the compilation space actually explored, and
 //! steer future inputs toward uncovered cells (see
 //! `cse_core::coverage`).
@@ -33,8 +33,8 @@
 pub enum CoveragePolicy {
     /// No collection; byte-identical to a pre-coverage campaign.
     Off,
-    /// Collect and merge maps; scheduling stays uniform (a campaign
-    /// digest-identical to `Off`, plus a coverage report).
+    /// Collect and merge maps; scheduling stays uniform (the same
+    /// findings as `Off`, plus a coverage report).
     Collect,
     /// Collect and feed the round scheduler.
     Guide,

@@ -102,7 +102,7 @@ impl Outcome {
 }
 
 /// Execution statistics.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
     /// Bytecode instructions interpreted.
     pub interp_ops: u64,
@@ -146,39 +146,12 @@ pub struct ExecStats {
     /// influenced the run, so ablating it cannot change the observable;
     /// attribution uses that to skip reruns.
     pub fired_bugs: u64,
-    /// JIT-behavior coverage observed during this run (all-zero unless
-    /// `VmConfig::coverage` enables collection). Excluded from `Debug`
-    /// so rendered observables stay identical across the gate.
-    pub coverage: crate::coverage::CoverageMap,
 }
 
 impl ExecStats {
     /// Total executed operations across engines.
     pub fn total_ops(&self) -> u64 {
         self.interp_ops + self.jit_ops
-    }
-}
-
-// Manual `Debug` listing exactly the pre-coverage fields: rendered
-// stats feed comparable observables and incident payloads, which must
-// be byte-identical whether or not coverage collection is enabled.
-impl std::fmt::Debug for ExecStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecStats")
-            .field("interp_ops", &self.interp_ops)
-            .field("jit_ops", &self.jit_ops)
-            .field("compilations", &self.compilations)
-            .field("osr_compilations", &self.osr_compilations)
-            .field("code_cache_hits", &self.code_cache_hits)
-            .field("deopts", &self.deopts)
-            .field("gc_runs", &self.gc_runs)
-            .field("calls", &self.calls)
-            .field("mute_depth_end", &self.mute_depth_end)
-            .field("watchdog_fired", &self.watchdog_fired)
-            .field("ir_verify_defects", &self.ir_verify_defects)
-            .field("tv_defects", &self.tv_defects)
-            .field("fired_bugs", &self.fired_bugs)
-            .finish()
     }
 }
 
@@ -206,6 +179,10 @@ pub struct ExecutionResult {
     /// dumps. Excluded from [`ExecutionResult::observable`] for the same
     /// reason as [`ExecutionResult::ir_verify`].
     pub tv: Vec<std::rc::Rc<str>>,
+    /// JIT-behavior coverage observed during this run (all-zero unless
+    /// `VmConfig::coverage` enables collection). Like the two oracles'
+    /// reports, a side channel outside [`ExecutionResult::observable`].
+    pub coverage: crate::coverage::CoverageMap,
 }
 
 impl ExecutionResult {
@@ -234,6 +211,7 @@ impl ExecutionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoverageMap;
 
     #[test]
     fn observable_distinguishes_outcomes() {
@@ -244,6 +222,7 @@ mod tests {
             stats: ExecStats::default(),
             ir_verify: vec![],
             tv: vec![],
+            coverage: CoverageMap::default(),
         };
         let timeout = ExecutionResult {
             output: "3\n".into(),
@@ -252,6 +231,7 @@ mod tests {
             stats: ExecStats::default(),
             ir_verify: vec![],
             tv: vec![],
+            coverage: CoverageMap::default(),
         };
         assert_ne!(ok.observable(), timeout.observable());
         assert!(ok.outcome.is_completed());

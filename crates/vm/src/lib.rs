@@ -144,6 +144,9 @@ pub struct Vm<'p> {
     /// Rendered translation-validation reports, one per failing check, in
     /// compilation order (see [`jit::tv`]).
     tv: Vec<Rc<str>>,
+    /// JIT-behavior coverage of this run (see [`coverage`]); stays
+    /// all-zero unless `VmConfig::coverage` is on.
+    coverage: CoverageMap,
     /// Pre-decoded instruction form of `program` (see
     /// [`cse_bytecode::decoded`]); decoded lazily on first use, or pulled
     /// from the attached [`ProgramArtifacts`], which decoded it once for
@@ -217,6 +220,7 @@ impl<'p> Vm<'p> {
             env_fp,
             ir_verify: Vec::new(),
             tv: Vec::new(),
+            coverage: CoverageMap::default(),
             decoded: None,
         }
     }
@@ -304,6 +308,7 @@ impl<'p> Vm<'p> {
             stats: self.stats,
             ir_verify: self.ir_verify,
             tv: self.tv,
+            coverage: self.coverage,
         };
         (result, warmth)
     }
@@ -735,14 +740,14 @@ impl<'p> Vm<'p> {
     fn record_compile_coverage(&mut self, method: MethodId, tier: Tier, osr: bool, func: &IrFunc) {
         let digests = self.coverage_digests();
         let key = digests.methods[method.0 as usize].key();
-        self.stats.coverage.insert(coverage::feat_compile(key, tier.0, osr));
+        self.coverage.insert(coverage::feat_compile(key, tier.0, osr));
         let optimizing = tier.0 >= 2 || self.config.kind == VmKind::ArtLike;
         for (name, _) in jit::passes::pipeline(self.config.kind, optimizing) {
-            self.stats.coverage.insert(coverage::feat_pass(key, tier.0, name));
+            self.coverage.insert(coverage::feat_pass(key, tier.0, name));
         }
         for frame in func.frames.iter().skip(1) {
             let callee = digests.methods[frame.method.0 as usize].key();
-            self.stats.coverage.insert(coverage::feat_inline(key, callee, tier.0));
+            self.coverage.insert(coverage::feat_inline(key, callee, tier.0));
         }
     }
 
@@ -950,12 +955,7 @@ impl<'p> Vm<'p> {
         });
         if self.config.coverage {
             let key = self.coverage_digests().methods[id.0 as usize].key();
-            self.stats.coverage.insert(coverage::feat_deopt(
-                key,
-                tier.0,
-                bc_pc,
-                &format!("{reason:?}"),
-            ));
+            self.coverage.insert(coverage::feat_deopt(key, tier.0, bc_pc, &format!("{reason:?}")));
         }
         let prof = &mut self.profiles[id.0 as usize];
         prof.no_speculate.insert(bc_pc);

@@ -36,7 +36,6 @@ pub struct Settings {
     pub deadline_secs: Option<u64>,
     pub triage: bool,
     pub triage_steps: usize,
-    pub bench_samples: usize,
 }
 
 impl Default for Settings {
@@ -56,7 +55,6 @@ impl Default for Settings {
             deadline_secs: None,
             triage: false,
             triage_steps: 1000,
-            bench_samples: 10,
         }
     }
 }
@@ -77,7 +75,7 @@ const POLICIES: [CoveragePolicy; 3] =
 
 /// The registry: every `CSE_*` name the workspace reads, in the order
 /// `Display` prints them.
-const KNOBS: [Knob; 15] = [
+const KNOBS: [Knob; 14] = [
     Knob("CSE_SEEDS", COUNT, |s, v| count(v).map(|n| s.seeds = Some(n))),
     Knob("CSE_JOBS", COUNT, |s, v| count(v).map(|n| s.jobs = n)),
     Knob("CSE_VERIFY_IR", MODES, |s, v| choice(v, &VERIFY_MODES).map(|m| s.verify_ir = m)),
@@ -92,7 +90,6 @@ const KNOBS: [Knob; 15] = [
     Knob("CSE_DEADLINE_SECS", U64, |s, v| v.parse().ok().map(|n| s.deadline_secs = Some(n))),
     Knob("CSE_TRIAGE", FLAG, |s, v| flag(v).map(|b| s.triage = b)),
     Knob("CSE_TRIAGE_STEPS", U64, |s, v| v.parse().ok().map(|n| s.triage_steps = n)),
-    Knob("CSE_BENCH_SAMPLES", COUNT, |s, v| count(v).map(|n| s.bench_samples = n)),
 ];
 
 fn count<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
@@ -171,7 +168,7 @@ impl Settings {
 impl fmt::Display for Settings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self;
-        let values: [String; 15] = [
+        let values: [String; 14] = [
             opt(s.seeds),
             s.jobs.to_string(),
             s.verify_ir.to_string(),
@@ -186,7 +183,6 @@ impl fmt::Display for Settings {
             opt(s.deadline_secs),
             u8::from(s.triage).to_string(),
             s.triage_steps.to_string(),
-            s.bench_samples.to_string(),
         ];
         let shown: Vec<String> =
             Settings::names().zip(values).map(|(name, value)| format!("{name}={value}")).collect();

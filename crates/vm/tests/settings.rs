@@ -36,7 +36,6 @@ fn a_full_valid_set_round_trips() {
         ("CSE_DEADLINE_SECS", "3600"),
         ("CSE_TRIAGE", "1"),
         ("CSE_TRIAGE_STEPS", "0"),
-        ("CSE_BENCH_SAMPLES", "2"),
     ];
     let names: Vec<&str> = vars.iter().map(|(name, _)| *name).collect();
     assert_eq!(names, Settings::names().collect::<Vec<_>>(), "every name, in registry order");
@@ -56,7 +55,6 @@ fn a_full_valid_set_round_trips() {
         deadline_secs: Some(3600),
         triage: true,
         triage_steps: 0,
-        bench_samples: 2,
     };
     assert_eq!(settings, expected);
     // `Display` prints the effective value of every name, so the
@@ -75,7 +73,7 @@ fn defaults_print_every_name() {
         "CSE_SEEDS=unset CSE_JOBS=1 CSE_VERIFY_IR=off CSE_TV=off CSE_COVERAGE=off \
          CSE_FUEL=40000000 CSE_HEAP_LIMIT=268435456 CSE_STACK_LIMIT=512 CSE_DUMP_IR=0 \
          CSE_CHECKPOINT_DIR=unset CSE_QUARANTINE_DIR=unset CSE_DEADLINE_SECS=unset \
-         CSE_TRIAGE=0 CSE_TRIAGE_STEPS=1000 CSE_BENCH_SAMPLES=10"
+         CSE_TRIAGE=0 CSE_TRIAGE_STEPS=1000"
     );
 }
 
@@ -84,7 +82,6 @@ fn one_malformed_value_per_grammar_is_rejected() {
     for (name, value, accepts) in [
         ("CSE_JOBS", "two", "a positive integer"),
         ("CSE_SEEDS", "0", "a positive integer"),
-        ("CSE_BENCH_SAMPLES", "-1", "a positive integer"),
         ("CSE_TV", "eahc", "off|boundary|each"),
         ("CSE_VERIFY_IR", "EACH", "off|boundary|each"),
         ("CSE_COVERAGE", "gude", "off|collect|guide"),

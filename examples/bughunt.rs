@@ -8,7 +8,7 @@
 
 use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
 use artemis_cse::core::validate::compile_checked;
-use artemis_cse::vm::{Outcome, Settings, Vm, VmConfig, VmKind};
+use artemis_cse::vm::{FaultInjector, Settings, Vm, VmKind};
 
 fn main() {
     let env = Settings::get();
@@ -52,17 +52,23 @@ fn main() {
         return;
     };
 
-    // Reduce the first reproducer while it still exposes its bug.
+    // Reduce the first reproducer while it still exposes its bug, by
+    // validation's attribution rule: a candidate is interesting when
+    // ablating that bug alone changes a non-exhausted observable. This
+    // holds for crashes and mis-compilations alike.
     println!("\nreducing the reproducer for {:?} ...", evidence.bug);
     let reproducer = artemis_cse::lang::parse_and_check(&evidence.reproducer)
         .expect("stored reproducers re-parse");
-    let vm = VmConfig::for_kind(VmKind::OpenJ9Like);
+    let vm = config.vm.clone();
     let bug = evidence.bug;
+    let ablated =
+        vm.clone().with_faults(FaultInjector::with(vm.faults.bugs().filter(|&b| b != bug)));
     let before = evidence.reproducer.lines().count();
     let reduced = artemis_cse::reduce::reduce(&reproducer, &mut |candidate| {
         let bytecode = compile_checked(candidate);
-        let run = Vm::run_program(&bytecode, vm.clone());
-        matches!(&run.outcome, Outcome::Crash(info) if info.bug == bug)
+        let buggy = Vm::run_program(&bytecode, vm.clone());
+        !buggy.outcome.is_resource_exhausted()
+            && Vm::run_program(&bytecode, ablated.clone()).observable() != buggy.observable()
     });
     let reduced_source = artemis_cse::lang::pretty::print(&reduced);
     println!(

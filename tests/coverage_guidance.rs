@@ -1,5 +1,5 @@
-//! Acceptance tests for coverage-guided exploration: digest stability
-//! under `off`, jobs-invariance and kill/resume-invariance under
+//! Acceptance tests for coverage-guided exploration: `collect` finds
+//! what `off` finds, jobs-invariance and kill/resume-invariance under
 //! `guide`, and the guidance payoff (strictly more cells at the same
 //! execution budget).
 
@@ -20,9 +20,11 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
-/// `off` must reproduce the pre-coverage campaign exactly, and
-/// `collect` must observe without perturbing: same digest, plus a
-/// non-trivial coverage report on the side.
+/// `collect` must observe without perturbing: the output oracle reports
+/// what it reports under `off` (bugs, discrepant seeds, mutant and
+/// invocation totals), plus a non-trivial coverage report on the side.
+/// The digests differ by design: the coverage policy is part of the
+/// campaign's identity and the coverage state is digested.
 #[test]
 fn collect_observes_without_changing_the_campaign_digest() {
     let off_config =
@@ -37,14 +39,16 @@ fn collect_observes_without_changing_the_campaign_digest() {
     assert!(state.cells() > 0, "a JIT-heavy campaign must cover cells");
     assert!(!state.corpus.is_empty(), "novel mutants must enter the corpus");
 
+    assert!(!off.bugs.is_empty(), "calibration: the campaign finds bugs");
     assert_eq!(
-        off.digest(&off_config),
-        collect.digest(&collect_config),
+        off.bugs.keys().collect::<Vec<_>>(),
+        collect.bugs.keys().collect::<Vec<_>>(),
         "collection must not perturb what the campaign finds"
     );
-    // Spot-check the digest comparison is not vacuous.
     assert_eq!(off.cse_seeds, collect.cse_seeds);
     assert_eq!(off.totals.mutants, collect.totals.mutants);
+    assert_eq!(off.totals.completed, collect.totals.completed);
+    assert_eq!(off.totals.vm_invocations, collect.totals.vm_invocations);
 }
 
 /// The full feedback loop — map merge, corpus admission, round

@@ -5,7 +5,8 @@ use std::path::PathBuf;
 
 use cse_core::campaign::{run_campaign, CampaignConfig};
 use cse_core::supervisor::{ChaosConfig, IncidentPhase, SupervisorConfig};
-use cse_vm::VmKind;
+use cse_core::CoveragePolicy;
+use cse_vm::{FaultInjector, TvMode, VerifyMode, VmConfig, VmKind};
 
 /// A unique scratch directory per test (tests share one process).
 fn scratch(test: &str) -> PathBuf {
@@ -121,29 +122,52 @@ fn resuming_a_finished_campaign_is_idempotent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint from a different campaign must not be resumed into this
-/// one; the campaign starts fresh (correct by determinism) instead.
+/// A checkpoint resumes only into the campaign that wrote it. Each row
+/// stops a campaign part-way, then resumes its checkpoint under a
+/// config that differs in one field that changes the result; the
+/// checkpoint must be ignored, so the resumed digest equals a fresh
+/// run's.
 #[test]
 fn foreign_checkpoint_is_ignored() {
-    const SEEDS: u64 = 2;
+    const SEEDS: u64 = 3;
     let dir = scratch("foreign");
-    let path = dir.join("campaign.checkpoint");
-    let mut hotspot = CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS);
-    hotspot.supervisor.checkpoint_path = Some(path.clone());
-    run_campaign(&hotspot);
+    let mut base =
+        CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS).with_coverage(CoveragePolicy::Collect);
+    base.vm.verify_ir = VerifyMode::Off;
+    base.vm.tv = TvMode::Off;
+    let written = dir.join("written.checkpoint");
+    let mut stopped = base.clone();
+    stopped.supervisor.checkpoint_path = Some(written.clone());
+    stopped.supervisor.stop_after_seeds = Some(2);
+    assert!(run_campaign(&stopped).totals.partial, "calibration: the checkpoint is partial");
 
-    let mut art = CampaignConfig::for_kind(VmKind::ArtLike, SEEDS);
-    art.supervisor.checkpoint_path = Some(path);
-    let result = run_campaign(&art);
-    let fresh = run_campaign(&CampaignConfig::for_kind(VmKind::ArtLike, SEEDS));
-    assert_eq!(result.digest(&art), fresh.digest(&art));
+    type Change = fn(&mut CampaignConfig);
+    let rows: [(&str, Change); 7] = [
+        ("kind", |c| c.vm = VmConfig::for_kind(VmKind::ArtLike)),
+        ("fault set", |c| c.vm.faults = FaultInjector::none()),
+        ("tv", |c| c.vm.tv = TvMode::Boundary),
+        ("verify_ir", |c| c.vm.verify_ir = VerifyMode::Boundary),
+        ("fuel", |c| c.vm.fuel = 1_000),
+        ("coverage", |c| c.coverage = CoveragePolicy::Guide),
+        ("run_traditional", |c| c.run_traditional = true),
+    ];
+    for (field, change) in rows {
+        let mut other = base.clone();
+        change(&mut other);
+        let fresh = run_campaign(&other);
+        let path = dir.join(format!("{}.checkpoint", field.replace(' ', "_")));
+        std::fs::copy(&written, &path).expect("copy checkpoint");
+        other.supervisor.checkpoint_path = Some(path);
+        let resumed = run_campaign(&other);
+        assert_eq!(resumed.digest(&other), fresh.digest(&other), "{field}: checkpoint resumed");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint in an older format (header `cse-checkpoint v5` or `v6`)
-/// is ignored and the campaign starts fresh. The body is tampered so
-/// that resuming it would show in the digest; the control run with the
-/// current header proves the tamper is visible.
+/// A checkpoint in an older format (header `cse-checkpoint v5`, `v6` or
+/// `v8`) is ignored and the campaign starts fresh. The body is tampered
+/// so that resuming it would show in the digest; the control run with
+/// the current header proves the tamper is visible.
 #[test]
 fn old_format_checkpoint_restarts_the_campaign() {
     const SEEDS: u64 = 2;
@@ -164,7 +188,7 @@ fn old_format_checkpoint_restarts_the_campaign() {
     assert_eq!(resumed.unattributed, fresh.unattributed + 7, "current format resumes");
     assert_ne!(resumed.digest(&config), fresh.digest(&config));
 
-    for old in ["cse-checkpoint v5", "cse-checkpoint v6"] {
+    for old in ["cse-checkpoint v5", "cse-checkpoint v6", "cse-checkpoint v8"] {
         std::fs::write(&path, format!("{old}\n{tampered}")).unwrap();
         let result = run_campaign(&config);
         assert_eq!(result.digest(&config), fresh.digest(&config), "`{old}` must restart");

@@ -14,8 +14,8 @@
 //! * **Real-bug sensitivity** — an actual injected compiler bug
 //!   (`HsGvnArrayAlias`, a wrong "cannot alias" test) is caught by the
 //!   simulation relation, not just hand-made corruptions.
-//! * **Observation-only determinism** — campaign digests with `CSE_TV`
-//!   in `boundary` mode are bit-identical to `off`, across `jobs ∈ {1,4}`.
+//! * **Observation-only** — a campaign with `CSE_TV` in `boundary` mode
+//!   finds exactly what it finds with TV `off`, across `jobs ∈ {1,4}`.
 
 use std::cell::Cell;
 
@@ -461,24 +461,32 @@ fn each_mode_accepts_all_forced_plans() {
     }
 }
 
-/// TV is observation-only: campaign digests in `boundary` mode are
-/// bit-identical to `off`, and independent of `jobs`. TV defect totals
-/// and `TvDefect` incidents are masked out of the digest exactly so this
-/// holds even on bug-seeded campaign VMs.
+/// TV is observation-only: on a bug-seeded VM, a campaign in `boundary`
+/// mode reports what the output oracle reports with TV `off` — the same
+/// bugs, discrepant seeds and mutant and invocation totals — at every
+/// `jobs`. The digests differ across modes by design: the TV mode is
+/// part of the campaign's identity and its findings are digested.
 #[test]
 fn boundary_mode_digests_match_off_across_jobs() {
     let base = CampaignConfig::for_kind(VmKind::HotSpotLike, 4);
-    let mut digests = Vec::new();
+    let mut reports = Vec::new();
     for jobs in [1, 4] {
         for mode in [TvMode::Off, TvMode::Boundary] {
             let mut config = base.clone().with_jobs(jobs);
             config.vm.tv = mode;
             let result = run_campaign(&config);
-            digests.push((jobs, mode, result.digest(&config)));
+            let report = (
+                result.bugs.keys().copied().collect::<Vec<_>>(),
+                result.cse_seeds.clone(),
+                result.totals.mutants,
+                result.totals.completed,
+                result.totals.vm_invocations,
+            );
+            reports.push((jobs, mode, report));
         }
     }
-    let reference = digests[0].2;
-    for (jobs, mode, digest) in &digests {
-        assert_eq!(digest, &reference, "campaign digest diverged at jobs={jobs}, CSE_TV={mode}");
+    assert!(!reports[0].2 .0.is_empty(), "calibration: the campaign finds bugs");
+    for (jobs, mode, report) in &reports {
+        assert_eq!(report, &reports[0].2, "output oracle diverged at jobs={jobs}, CSE_TV={mode}");
     }
 }

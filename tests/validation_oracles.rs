@@ -7,7 +7,9 @@ use cse_core::validate::{
     is_performance_anomaly, timeout_is_performance_bug, validate, validate_with, DiscrepancyKind,
     ValidateConfig,
 };
-use cse_vm::{BugId, ExecStats, ExecutionResult, FaultInjector, Outcome, Vm, VmConfig, VmKind};
+use cse_vm::{
+    BugId, CoverageMap, ExecStats, ExecutionResult, FaultInjector, Outcome, Vm, VmConfig, VmKind,
+};
 
 fn completed(total_ops: u64) -> ExecutionResult {
     ExecutionResult {
@@ -16,6 +18,7 @@ fn completed(total_ops: u64) -> ExecutionResult {
         events: Vec::new(),
         ir_verify: Vec::new(),
         tv: Vec::new(),
+        coverage: CoverageMap::default(),
         stats: ExecStats { interp_ops: total_ops, ..ExecStats::default() },
     }
 }
@@ -27,6 +30,7 @@ fn timed_out() -> ExecutionResult {
         events: Vec::new(),
         ir_verify: Vec::new(),
         tv: Vec::new(),
+        coverage: CoverageMap::default(),
         stats: ExecStats::default(),
     }
 }
