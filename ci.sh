@@ -56,6 +56,12 @@ if [ "$mode" != "quick" ]; then
     echo "==> parallel-engine digest equality under --release"
     cargo test --release -q --test parallel_determinism
 
+    # The pinned digests set every budget explicitly, so budget
+    # variables in the environment must not move them.
+    echo "==> pinned digests under non-default VM budget variables"
+    CSE_FUEL=40000001 CSE_HEAP_LIMIT=1000000 CSE_STACK_LIMIT=100 \
+        cargo test --release -q --test parallel_determinism digests_match
+
     # Oracle memory gate: the guided workload runs both static oracles
     # (TV and IR verifier at boundary). Its output checks must pass and
     # its peak RSS must stay bounded — rendering TV counterexamples once

@@ -15,19 +15,91 @@
 //! Decoding is a pure re-layout: there is exactly one [`DInsn`] per
 //! [`Insn`] at the same pc, so profiling indices, jump targets, handler
 //! ranges, and OSR entry pcs all carry over unchanged. On top of the
-//! re-layout, a peephole pass fuses compare-and-branch pairs into
-//! [`DInsn::CmpBr`] superinstructions without disturbing the pc layout
-//! (see `DecodedMethod::fuse`).
+//! re-layout, a peephole pass rewrites the first slot of each hot
+//! straight-line shape into a superinstruction that executes the whole
+//! shape in one dispatch (see `DecodedMethod::fuse`):
+//!
+//! | Superinstruction | Shape | Ops |
+//! |---|---|---|
+//! | [`DInsn::LoadConstOpStore`] | `Load a; IConst k; op; Store b` | 4 |
+//! | [`DInsn::LoadConstCmpBr`] | `Load a; IConst k; ICmp; JumpIf*` | 4 |
+//! | [`DInsn::LoadConstOp`] | `Load a; IConst k; op` | 3 |
+//! | [`DInsn::LoadLoad`] | `Load a; Load b` | 2 |
+//! | [`DInsn::ConstStore`] | `IConst k; Store b` | 2 |
+//! | [`DInsn::OpStore`] | `op; Store b` | 2 |
+//! | [`DInsn::CmpBr`] | `ICmp`/`LCmp; JumpIf*` | 2 |
+//!
+//! `op` is a non-raising int binop ([`IntOp`]). The successor slots keep
+//! their original instructions, so the pc layout stays 1:1 and a jump
+//! into the middle of a shape runs unfused code. The interpreter takes a
+//! shape's remaining ops in one step only when all of them fit in the
+//! fuel and before the next watchdog/chaos side check; otherwise it runs
+//! just the shape's first instruction and continues at `pc + 1`, so fuel
+//! exhaustion, the watchdog and chaos panics fire at exactly the op they
+//! would unfused. A fused branch records its profile and back-edge at the
+//! original branch's pc (the shape's last slot).
 
 use std::rc::Rc;
 
 use crate::insn::{ArrKind, CmpOp, Insn, PrintKind};
 use crate::program::{BProgram, ClassId, MethodId, StrId};
 
-/// A `Copy` mirror of [`Insn`]; see the module docs.
+/// A non-raising int binop: the `op` of the fused int shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IntOp {
+    Add,
+    Sub,
+    Mul,
+    And,
+    Or,
+    Xor,
+    Shl,
+    Shr,
+    Ushr,
+}
+
+impl IntOp {
+    /// The binop `insn` performs, if it is a non-raising int binop
+    /// (`IDiv`/`IRem` raise on zero and are excluded).
+    pub fn of(insn: DInsn) -> Option<IntOp> {
+        Some(match insn {
+            DInsn::IAdd => IntOp::Add,
+            DInsn::ISub => IntOp::Sub,
+            DInsn::IMul => IntOp::Mul,
+            DInsn::IAnd => IntOp::And,
+            DInsn::IOr => IntOp::Or,
+            DInsn::IXor => IntOp::Xor,
+            DInsn::IShl => IntOp::Shl,
+            DInsn::IShr => IntOp::Shr,
+            DInsn::IUshr => IntOp::Ushr,
+            _ => return None,
+        })
+    }
+
+    /// `a op b` with the bytecode's wrapping semantics.
+    #[inline(always)]
+    pub fn eval(self, a: i32, b: i32) -> i32 {
+        match self {
+            IntOp::Add => a.wrapping_add(b),
+            IntOp::Sub => a.wrapping_sub(b),
+            IntOp::Mul => a.wrapping_mul(b),
+            IntOp::And => a & b,
+            IntOp::Or => a | b,
+            IntOp::Xor => a ^ b,
+            IntOp::Shl => a.wrapping_shl(b as u32),
+            IntOp::Shr => a.wrapping_shr(b as u32),
+            IntOp::Ushr => ((a as u32).wrapping_shr(b as u32)) as i32,
+        }
+    }
+}
+
+/// A `Copy` mirror of [`Insn`] plus superinstructions; see the module
+/// docs.
 ///
-/// Only `TableSwitch` differs in layout: its cases are stored as a
-/// `(start, len)` window into [`DecodedMethod::switch_pool`].
+/// `TableSwitch` differs in layout: its cases are stored as a
+/// `(start, len)` window into [`DecodedMethod::switch_pool`]. The
+/// superinstructions occupy the first slot of the shape they fuse; the
+/// slots after it keep their plain instructions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DInsn {
     IConst(i32),
@@ -106,6 +178,44 @@ pub enum DInsn {
         long_operands: bool,
         want: bool,
         target: u32,
+    },
+    /// Superinstruction `Load src; IConst k; op; Store dst`.
+    LoadConstOpStore {
+        src: u16,
+        k: i32,
+        op: IntOp,
+        dst: u16,
+    },
+    /// Superinstruction `Load src; IConst k; op`.
+    LoadConstOp {
+        src: u16,
+        k: i32,
+        op: IntOp,
+    },
+    /// Superinstruction `Load src; IConst k; ICmp(op); JumpIf*`: branches
+    /// to `target` when `local[src] op k` equals `want`, else falls
+    /// through to `pc + 4`. The branch's profile/back-edge pc is `pc + 3`.
+    LoadConstCmpBr {
+        src: u16,
+        k: i32,
+        op: CmpOp,
+        want: bool,
+        target: u32,
+    },
+    /// Superinstruction `op; Store dst`.
+    OpStore {
+        op: IntOp,
+        dst: u16,
+    },
+    /// Superinstruction `IConst k; Store dst`.
+    ConstStore {
+        k: i32,
+        dst: u16,
+    },
+    /// Superinstruction `Load a; Load b`.
+    LoadLoad {
+        a: u16,
+        b: u16,
     },
     RefEq,
     RefNe,
@@ -227,31 +337,24 @@ impl DecodedMethod {
         method
     }
 
-    /// Peephole superinstruction pass: rewrites each `ICmp`/`LCmp` whose
-    /// successor is a conditional jump into [`DInsn::CmpBr`], saving one
-    /// dispatch per compare-and-branch — the once-per-iteration pattern
-    /// of every counted loop.
+    /// Peephole superinstruction pass: rewrites the first slot of every
+    /// shape in the module docs' table into its superinstruction, saving
+    /// up to three dispatches per shape — the counted loops and
+    /// `x = x op k` updates that dominate interpreted fuzzer programs.
     ///
-    /// Fusion is unconditionally sound because it never disturbs the 1:1
-    /// pc layout: the successor slot keeps its original `JumpIfTrue`/
-    /// `JumpIfFalse`, so control transfers into the middle of a fused
-    /// pair execute the plain branch, and only straight-line execution
-    /// (which by construction just ran the comparison) takes the fused
-    /// fast path. Neither fused instruction can raise, so exception
-    /// handler ranges are unaffected.
+    /// Fusion is sound because it never disturbs the 1:1 pc layout: only
+    /// `code[pc]` is rewritten and the successors keep their original
+    /// instructions, so control transfers into the middle of a shape
+    /// execute plain code, and only straight-line execution from the
+    /// shape's first slot takes the fused path. No fused instruction can
+    /// raise or allocate, so exception handler ranges are unaffected.
+    /// Each shape is matched against *unfused* successors: the pass runs
+    /// in ascending pc order and rewrites only the slot it matches.
     fn fuse(&mut self) {
-        for pc in 0..self.code.len().saturating_sub(1) {
-            let (op, long_operands) = match self.code[pc] {
-                DInsn::ICmp(op) => (op, false),
-                DInsn::LCmp(op) => (op, true),
-                _ => continue,
-            };
-            let (want, target) = match self.code[pc + 1] {
-                DInsn::JumpIfTrue(target) => (true, target),
-                DInsn::JumpIfFalse(target) => (false, target),
-                _ => continue,
-            };
-            self.code[pc] = DInsn::CmpBr { op, long_operands, want, target };
+        for pc in 0..self.code.len() {
+            if let Some(fused) = superinstruction(&self.code[pc..]) {
+                self.code[pc] = fused;
+            }
         }
     }
 
@@ -259,6 +362,36 @@ impl DecodedMethod {
     pub fn switch_cases(&self, cases_start: u32, cases_len: u32) -> &[(i32, u32)] {
         &self.switch_pool[cases_start as usize..(cases_start + cases_len) as usize]
     }
+}
+
+/// The superinstruction for the shape `code` starts with, longest shape
+/// first; `None` when no shape matches.
+fn superinstruction(code: &[DInsn]) -> Option<DInsn> {
+    use DInsn::{ICmp, IConst, JumpIfFalse, JumpIfTrue, LCmp, Load, Store};
+    let fused = match *code {
+        [Load(src), IConst(k), op, Store(dst), ..] if IntOp::of(op).is_some() => {
+            DInsn::LoadConstOpStore { src, k, op: IntOp::of(op)?, dst }
+        }
+        [Load(src), IConst(k), ICmp(op), JumpIfTrue(target) | JumpIfFalse(target), ..] => {
+            DInsn::LoadConstCmpBr { src, k, op, want: matches!(code[3], JumpIfTrue(_)), target }
+        }
+        [Load(src), IConst(k), op, ..] if IntOp::of(op).is_some() => {
+            DInsn::LoadConstOp { src, k, op: IntOp::of(op)? }
+        }
+        [Load(a), Load(b), ..] => DInsn::LoadLoad { a, b },
+        [IConst(k), Store(dst), ..] => DInsn::ConstStore { k, dst },
+        [op, Store(dst), ..] if IntOp::of(op).is_some() => {
+            DInsn::OpStore { op: IntOp::of(op)?, dst }
+        }
+        [ICmp(op) | LCmp(op), JumpIfTrue(target) | JumpIfFalse(target), ..] => DInsn::CmpBr {
+            op,
+            long_operands: matches!(code[0], LCmp(_)),
+            want: matches!(code[1], JumpIfTrue(_)),
+            target,
+        },
+        _ => return None,
+    };
+    Some(fused)
 }
 
 /// A whole program in decoded form, plus its interned string pool.
@@ -305,25 +438,28 @@ mod tests {
         assert!(std::mem::size_of::<DInsn>() <= 16, "DInsn grew past 16 bytes");
     }
 
+    /// Decodes `src` and returns the compiled and decoded `T.main`.
+    fn decode_main(src: &str) -> (Vec<Insn>, DecodedMethod) {
+        let program = cse_lang::parse_and_check(src).unwrap();
+        let compiled = crate::compile(&program).unwrap();
+        let main = compiled.find_method("T", "main").unwrap().0 as usize;
+        let decoded = DecodedProgram::decode(&compiled);
+        (compiled.methods[main].code.clone(), decoded.methods[main].clone())
+    }
+
     #[test]
     fn loops_fuse_compare_and_branch() {
-        let program = cse_lang::parse_and_check(
-            "class T { static void main() { int s = 0; \
-             for (int i = 0; i < 9; i++) { s = s + i; } println(s); } }",
-        )
-        .unwrap();
-        let compiled = crate::compile(&program).unwrap();
-        let decoded = DecodedProgram::decode(&compiled);
-        let main = &decoded.methods[compiled.find_method("T", "main").unwrap().0 as usize];
-        let fused: Vec<usize> = main
-            .code
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| matches!(i, DInsn::CmpBr { .. }))
-            .map(|(pc, _)| pc)
-            .collect();
-        assert!(!fused.is_empty(), "loop condition must fuse: {:?}", main.code);
-        for pc in fused {
+        let (code, main) = decode_main(
+            "class T { static void main() { int s = 0; int n = 9; \
+             for (int i = 0; i < n; i = i + 1) { s = s + i; } \
+             int j = 0; while (j < 9) { j = j + 1; } println(s + j); } }",
+        );
+        let fused = |shape: fn(&DInsn) -> bool| -> Vec<usize> {
+            main.code.iter().enumerate().filter(|(_, i)| shape(i)).map(|(pc, _)| pc).collect()
+        };
+        let cmp_br = fused(|i| matches!(i, DInsn::CmpBr { .. }));
+        assert!(!cmp_br.is_empty(), "`i < n` must fuse: {:?}", main.code);
+        for pc in cmp_br {
             // The successor slot keeps the plain branch so jumps into the
             // middle of the pair still work.
             assert!(
@@ -331,24 +467,102 @@ mod tests {
                 "slot after a fused pair must keep the original branch"
             );
         }
+        let const_cmp_br = fused(|i| matches!(i, DInsn::LoadConstCmpBr { .. }));
+        assert_eq!(const_cmp_br.len(), 1, "`j < 9` must fuse: {:?}", main.code);
+        assert!(matches!(code[const_cmp_br[0] + 3], Insn::JumpIfTrue(_) | Insn::JumpIfFalse(_)));
+        let increments = fused(
+            |i| matches!(i, DInsn::LoadConstOpStore { op: IntOp::Add, k: 1, src, dst } if src == dst),
+        );
+        assert_eq!(increments.len(), 2, "`i = i + 1` and `j = j + 1` must fuse: {:?}", main.code);
+    }
+
+    /// The unfused instructions a superinstruction stands for; `None` for
+    /// a plain instruction.
+    fn shape_of(dinsn: DInsn) -> Option<Vec<Insn>> {
+        fn int_insn(op: IntOp) -> Insn {
+            match op {
+                IntOp::Add => Insn::IAdd,
+                IntOp::Sub => Insn::ISub,
+                IntOp::Mul => Insn::IMul,
+                IntOp::And => Insn::IAnd,
+                IntOp::Or => Insn::IOr,
+                IntOp::Xor => Insn::IXor,
+                IntOp::Shl => Insn::IShl,
+                IntOp::Shr => Insn::IShr,
+                IntOp::Ushr => Insn::IUshr,
+            }
+        }
+        let branch = |want: bool, target| {
+            if want {
+                Insn::JumpIfTrue(target)
+            } else {
+                Insn::JumpIfFalse(target)
+            }
+        };
+        Some(match dinsn {
+            DInsn::CmpBr { op, long_operands, want, target } => vec![
+                if long_operands { Insn::LCmp(op) } else { Insn::ICmp(op) },
+                branch(want, target),
+            ],
+            DInsn::LoadConstOpStore { src, k, op, dst } => {
+                vec![Insn::Load(src), Insn::IConst(k), int_insn(op), Insn::Store(dst)]
+            }
+            DInsn::LoadConstOp { src, k, op } => {
+                vec![Insn::Load(src), Insn::IConst(k), int_insn(op)]
+            }
+            DInsn::LoadConstCmpBr { src, k, op, want, target } => {
+                vec![Insn::Load(src), Insn::IConst(k), Insn::ICmp(op), branch(want, target)]
+            }
+            DInsn::OpStore { op, dst } => vec![int_insn(op), Insn::Store(dst)],
+            DInsn::ConstStore { k, dst } => vec![Insn::IConst(k), Insn::Store(dst)],
+            DInsn::LoadLoad { a, b } => vec![Insn::Load(a), Insn::Load(b)],
+            _ => return None,
+        })
     }
 
     #[test]
     fn decode_is_a_pure_relayout() {
         let program = cse_lang::parse_and_check(
-            "class T { static void main() { int i = 0; int s = 0; \
-             while (i < 5) { switch (i) { case 0: s = s + 1; break; \
-             case 3: s = s + 10; break; default: s = s + 100; } i = i + 1; } \
-             println(\"s=\" + s); } }",
+            "class T { static void main() { int i = 0; int s = 0; int n = 5; long l = 0L; \
+             while (i < n) { switch (i) { case 0: s = s + 1; break; \
+             case 3: s = s + 10; break; default: s = s + 100; } i = i + 1; \
+             int t = (s + i) * 2; s = t ^ (i << 1); if (l < 3L) { l = l + 1L; } } \
+             while (i > 0) { i = i - 1; } println(\"s=\" + s); } }",
         )
         .unwrap();
         let compiled = crate::compile(&program).unwrap();
         let decoded = DecodedProgram::decode(&compiled);
         assert_eq!(decoded.methods.len(), compiled.methods.len());
         assert_eq!(decoded.strings.len(), compiled.strings.len());
+        let mut seen = Vec::new();
         for (bm, dm) in compiled.methods.iter().zip(&decoded.methods) {
             assert_eq!(bm.code.len(), dm.code.len(), "{}: pc mapping must be 1:1", bm.name);
             for (pc, (insn, dinsn)) in bm.code.iter().zip(&dm.code).enumerate() {
+                if let Some(shape) = shape_of(*dinsn) {
+                    // A superinstruction: the bytecode at `pc..pc + n` must
+                    // be exactly the shape it fuses...
+                    assert_eq!(
+                        bm.code.get(pc..pc + shape.len()),
+                        Some(shape.as_slice()),
+                        "bad fusion at pc {pc}: {dinsn:?}"
+                    );
+                    // ...and every successor slot must still begin with
+                    // its own bytecode instruction (plain, or the head of
+                    // a shape of its own), so a jump into the middle of
+                    // the shape runs unfused code.
+                    for (succ, plain) in shape.iter().enumerate().skip(1) {
+                        let slot = dm.code[pc + succ];
+                        let head =
+                            shape_of(slot).map_or(format!("{slot:?}"), |s| format!("{:?}", s[0]));
+                        assert_eq!(
+                            head,
+                            format!("{plain:?}"),
+                            "successor {succ} of pc {pc} was rewritten"
+                        );
+                    }
+                    seen.push(std::mem::discriminant(dinsn));
+                    continue;
+                }
                 match (insn, dinsn) {
                     (
                         Insn::TableSwitch { cases, default },
@@ -356,22 +570,6 @@ mod tests {
                     ) => {
                         assert_eq!(dm.switch_cases(*cases_start, *cases_len), cases.as_slice());
                         assert_eq!(ddefault, default);
-                    }
-                    (Insn::Jump(t), DInsn::Jump(dt)) => assert_eq!(t, dt),
-                    (
-                        Insn::ICmp(op) | Insn::LCmp(op),
-                        DInsn::CmpBr { op: dop, long_operands, want, target },
-                    ) => {
-                        assert_eq!(op, dop);
-                        assert_eq!(*long_operands, matches!(insn, Insn::LCmp(_)));
-                        // A fused pair: the next slot must hold the matching
-                        // unfused branch.
-                        match (&bm.code[pc + 1], want) {
-                            (Insn::JumpIfTrue(t), true) | (Insn::JumpIfFalse(t), false) => {
-                                assert_eq!(t, target);
-                            }
-                            other => panic!("bad fusion at pc {pc}: {other:?}"),
-                        }
                     }
                     (Insn::SConst(s), DInsn::SConst(ds)) => {
                         assert_eq!(s, ds);
@@ -385,6 +583,19 @@ mod tests {
                     _ => assert_eq!(format!("{insn:?}"), format!("{dinsn:?}"), "pc {pc}"),
                 }
             }
+        }
+        // The program exercises every superinstruction.
+        let all = [
+            DInsn::CmpBr { op: CmpOp::Eq, long_operands: false, want: false, target: 0 },
+            DInsn::LoadConstOpStore { src: 0, k: 0, op: IntOp::Add, dst: 0 },
+            DInsn::LoadConstOp { src: 0, k: 0, op: IntOp::Add },
+            DInsn::LoadConstCmpBr { src: 0, k: 0, op: CmpOp::Eq, want: false, target: 0 },
+            DInsn::OpStore { op: IntOp::Add, dst: 0 },
+            DInsn::ConstStore { k: 0, dst: 0 },
+            DInsn::LoadLoad { a: 0, b: 0 },
+        ];
+        for fused in all {
+            assert!(seen.contains(&std::mem::discriminant(&fused)), "{fused:?} never fused");
         }
     }
 }

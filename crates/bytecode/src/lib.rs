@@ -30,7 +30,7 @@ pub mod program;
 pub mod verify;
 
 pub use compile::compile;
-pub use decoded::{DInsn, DecodedMethod, DecodedProgram};
+pub use decoded::{DInsn, DecodedMethod, DecodedProgram, IntOp};
 pub use digest::{MethodDigest, ProgramDigests};
 pub use insn::{ArrKind, CmpOp, Insn, PrintKind};
 pub use program::{BClass, BMethod, BProgram, ClassId, ExcKind, FieldId, Handler, MethodId, StrId};

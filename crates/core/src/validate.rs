@@ -434,6 +434,12 @@ pub fn validate_compiled_in(
     // (the interpreter rerun panicked; recorded as an incident).
     let mut seed_reference: Option<Option<ExecutionResult>> = None;
     let mut seed_reference_observable: Option<String> = None;
+    // Reference runs spend the VM under test's fuel, heap and stack
+    // budgets, so the campaign configuration alone decides them.
+    let mut reference_vm = VmConfig::interpreter_only(config.vm.kind);
+    reference_vm.fuel = config.vm.fuel;
+    reference_vm.max_heap_bytes = config.vm.max_heap_bytes;
+    reference_vm.stack_limit = config.vm.stack_limit;
     // The §3.2 oracle compares every mutant against this; render it once
     // instead of re-formatting the seed's output per iteration.
     let seed_observable = seed_result.observable();
@@ -564,9 +570,10 @@ pub fn validate_compiled_in(
             Some(mutant_result.clone())
         } else {
             outcome.vm_invocations += 1;
-            let reference_vm = VmConfig::interpreter_only(config.vm.kind);
             match contain_panics(|| {
-                Vm::new(&mutant_bytecode, reference_vm).with_artifacts(&mutant_artifacts).run()
+                Vm::new(&mutant_bytecode, reference_vm.clone())
+                    .with_artifacts(&mutant_artifacts)
+                    .run()
             }) {
                 Ok(reference) => Some(reference),
                 Err(panic) => {
@@ -589,9 +596,10 @@ pub fn validate_compiled_in(
                 Some(seed_result.clone())
             } else {
                 outcome.vm_invocations += 1;
-                let reference_vm = VmConfig::interpreter_only(config.vm.kind);
                 match contain_panics(|| {
-                    Vm::new(&seed_bytecode, reference_vm).with_artifacts(&seed_artifacts).run()
+                    Vm::new(&seed_bytecode, reference_vm.clone())
+                        .with_artifacts(&seed_artifacts)
+                        .run()
                 }) {
                     Ok(result) => Some(result),
                     Err(panic) => {

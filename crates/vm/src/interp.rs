@@ -5,7 +5,7 @@
 //! switch profiles for tier-2 speculation, and triggers OSR compilation
 //! when a back-edge counter crosses its threshold.
 
-use cse_bytecode::{DInsn, ExcKind, MethodId};
+use cse_bytecode::{DInsn, ExcKind, IntOp, MethodId};
 
 use crate::config::Tier;
 use crate::events::CompileReason;
@@ -97,6 +97,27 @@ impl Vm<'_> {
                 continue;
             }};
         }
+        // A conditional branch at `branch_pc` (plain or fused): profile,
+        // back-edge and OSR bookkeeping all use the branch's own pc.
+        macro_rules! branch {
+            ($branch_pc:expr, $cond:expr, $want:expr, $target:expr) => {{
+                let (branch_pc, cond, target) = ($branch_pc, $cond, $target);
+                if profiling {
+                    self.profiles[id.0 as usize].record_branch(branch_pc, cond);
+                }
+                if cond == $want {
+                    if target <= branch_pc {
+                        if let Some(new_pc) = self.back_edge(id, branch_pc, target)? {
+                            return self.osr_execute(id, frame_idx, new_pc);
+                        }
+                    }
+                    pc = target;
+                } else {
+                    pc = branch_pc + 1;
+                }
+                continue;
+            }};
+        }
         loop {
             self.burn(1)?;
             self.stats.interp_ops += 1;
@@ -104,7 +125,53 @@ impl Vm<'_> {
             // load, never a clone (see `cse_bytecode::decoded`).
             let insn = dm.code[pc as usize];
             match insn {
-                DInsn::IConst(v) => frame!().stack.push(Value::I(v)),
+                // ----- superinstructions -----
+                // Each fused arm runs its whole shape only when the shape's
+                // remaining ops fit (`Vm::burn_fused`); otherwise its guard
+                // fails and the plain arm of the shape's first instruction
+                // below runs instead, continuing at `pc + 1`.
+                DInsn::LoadConstOpStore { src, k, op, dst } if self.burn_fused(3) => {
+                    let locals = &mut frame!().locals;
+                    locals[dst as usize] = Value::I(op.eval(locals[src as usize].as_i(), k));
+                    pc += 4;
+                    continue;
+                }
+                DInsn::LoadConstOp { src, k, op } if self.burn_fused(2) => {
+                    let frame = &mut frame!();
+                    let r = op.eval(frame.locals[src as usize].as_i(), k);
+                    frame.stack.push(Value::I(r));
+                    pc += 3;
+                    continue;
+                }
+                DInsn::LoadConstCmpBr { src, k, op, want, target } if self.burn_fused(3) => {
+                    let cond = op.eval(frame!().locals[src as usize].as_i(), k);
+                    branch!(pc + 3, cond, want, target);
+                }
+                DInsn::LoadLoad { a, b } if self.burn_fused(1) => {
+                    let frame = &mut frame!();
+                    let (a, b) =
+                        (frame.locals[a as usize].clone(), frame.locals[b as usize].clone());
+                    frame.stack.push(a);
+                    frame.stack.push(b);
+                    pc += 2;
+                    continue;
+                }
+                DInsn::ConstStore { k, dst } if self.burn_fused(1) => {
+                    frame!().locals[dst as usize] = Value::I(k);
+                    pc += 2;
+                    continue;
+                }
+                DInsn::OpStore { op, dst } if self.burn_fused(1) => {
+                    let frame = &mut frame!();
+                    let b = frame.stack.pop().expect("verified").as_i();
+                    let a = frame.stack.pop().expect("verified").as_i();
+                    frame.locals[dst as usize] = Value::I(op.eval(a, b));
+                    pc += 2;
+                    continue;
+                }
+                DInsn::IConst(v) | DInsn::ConstStore { k: v, .. } => {
+                    frame!().stack.push(Value::I(v));
+                }
                 DInsn::LConst(v) => frame!().stack.push(Value::L(v)),
                 DInsn::SConst(sid) => {
                     // Literals are interned at decode time: a refcount bump,
@@ -113,7 +180,11 @@ impl Vm<'_> {
                     frame!().stack.push(Value::S(text));
                 }
                 DInsn::NullConst => frame!().stack.push(Value::Null),
-                DInsn::Load(slot) => {
+                DInsn::Load(slot)
+                | DInsn::LoadConstOpStore { src: slot, .. }
+                | DInsn::LoadConstOp { src: slot, .. }
+                | DInsn::LoadConstCmpBr { src: slot, .. }
+                | DInsn::LoadLoad { a: slot, .. } => {
                     let value = frame!().locals[slot as usize].clone();
                     frame!().stack.push(value);
                 }
@@ -220,22 +291,15 @@ impl Vm<'_> {
                 | DInsn::IXor
                 | DInsn::IShl
                 | DInsn::IShr
-                | DInsn::IUshr => {
+                | DInsn::IUshr
+                | DInsn::OpStore { .. } => {
+                    let op = match insn {
+                        DInsn::OpStore { op, .. } => op,
+                        plain => IntOp::of(plain).expect("int binop"),
+                    };
                     let b = frame!().stack.pop().expect("verified").as_i();
                     let a = frame!().stack.pop().expect("verified").as_i();
-                    let r = match insn {
-                        DInsn::IAdd => a.wrapping_add(b),
-                        DInsn::ISub => a.wrapping_sub(b),
-                        DInsn::IMul => a.wrapping_mul(b),
-                        DInsn::IAnd => a & b,
-                        DInsn::IOr => a | b,
-                        DInsn::IXor => a ^ b,
-                        DInsn::IShl => a.wrapping_shl(b as u32),
-                        DInsn::IShr => a.wrapping_shr(b as u32),
-                        DInsn::IUshr => ((a as u32).wrapping_shr(b as u32)) as i32,
-                        _ => unreachable!(),
-                    };
-                    frame!().stack.push(Value::I(r));
+                    frame!().stack.push(Value::I(op.eval(a, b)));
                 }
                 DInsn::IDiv | DInsn::IRem => {
                     let b = frame!().stack.pop().expect("verified").as_i();
@@ -343,23 +407,7 @@ impl Vm<'_> {
                         let a = frame!().stack.pop().expect("verified").as_i();
                         op.eval(a, b)
                     };
-                    // The branch lives at `pc + 1`: profile and back-edge
-                    // bookkeeping must use its pc, exactly as unfused.
-                    let branch_pc = pc + 1;
-                    if profiling {
-                        self.profiles[id.0 as usize].record_branch(branch_pc, cond);
-                    }
-                    if cond == want {
-                        if target <= branch_pc {
-                            if let Some(new_pc) = self.back_edge(id, branch_pc, target)? {
-                                return self.osr_execute(id, frame_idx, new_pc);
-                            }
-                        }
-                        pc = target;
-                    } else {
-                        pc = branch_pc + 1;
-                    }
-                    continue;
+                    branch!(pc + 1, cond, want, target);
                 }
                 DInsn::ICmp(op) => {
                     let b = frame!().stack.pop().expect("verified").as_i();
@@ -396,19 +444,7 @@ impl Vm<'_> {
                 }
                 DInsn::JumpIfTrue(target) | DInsn::JumpIfFalse(target) => {
                     let cond = frame!().stack.pop().expect("verified").as_bool();
-                    if profiling {
-                        self.profiles[id.0 as usize].record_branch(pc, cond);
-                    }
-                    let want = matches!(insn, DInsn::JumpIfTrue(_));
-                    if cond == want {
-                        if target <= pc {
-                            if let Some(new_pc) = self.back_edge(id, pc, target)? {
-                                return self.osr_execute(id, frame_idx, new_pc);
-                            }
-                        }
-                        pc = target;
-                        continue;
-                    }
+                    branch!(pc, cond, matches!(insn, DInsn::JumpIfTrue(_)), target);
                 }
                 DInsn::TableSwitch { cases_start, cases_len, default } => {
                     let scrut = frame!().stack.pop().expect("verified").as_i();

@@ -362,6 +362,24 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
+    /// Burns the `extra` ops a fused interpreter shape runs after its
+    /// first (which the dispatch loop already burned), but only if all of
+    /// them fit: within the fuel and strictly before the next side check.
+    /// Returns `false`, burning nothing, when they do not; the caller
+    /// then executes just the shape's first instruction, so fuel
+    /// exhaustion, the watchdog and chaos panics fire at the same op as
+    /// in unfused code. Counts the ops in `stats.interp_ops`.
+    #[inline(always)]
+    pub(crate) fn burn_fused(&mut self, extra: u64) -> bool {
+        let burned = self.config.fuel - self.fuel;
+        if self.fuel < extra || burned + extra >= self.next_side_check {
+            return false;
+        }
+        self.fuel -= extra;
+        self.stats.interp_ops += extra;
+        true
+    }
+
     /// Slow half of [`Vm::burn`]: the chaos knob and the wall-clock
     /// watchdog. `next_side_check` is the `min` of both thresholds, so
     /// the per-instruction fast path pays a single compare and this runs

@@ -75,7 +75,7 @@ fn guided_campaign_is_jobs_invariant() {
     }
 }
 
-/// A guided campaign killed and resumed from its v7 checkpoint must be
+/// A guided campaign killed and resumed from its v9 checkpoint must be
 /// bit-identical to an uninterrupted run, at every `jobs` setting. Kill
 /// point 4 lands on a round barrier (`ROUND_LEN` is 4), so the resume
 /// recomputes the next round's schedule; kill point 5 lands mid-round,
@@ -121,7 +121,7 @@ fn guided_kill_resume_mid_round_is_bit_identical() {
             assert_eq!(
                 resumed.coverage.as_ref().expect("guided state").fingerprint(),
                 uninterrupted.coverage.as_ref().expect("guided state").fingerprint(),
-                "{label}: coverage state must round-trip through checkpoint v7 exactly"
+                "{label}: coverage state must round-trip through checkpoint v9 exactly"
             );
             std::fs::remove_dir_all(&dir).ok();
         }

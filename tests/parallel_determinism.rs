@@ -13,7 +13,7 @@ use std::time::Duration;
 use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
 use cse_core::supervisor::{ChaosConfig, SupervisorConfig};
 use cse_core::CoveragePolicy;
-use cse_vm::{TvMode, VerifyMode, VmKind};
+use cse_vm::{Settings, TvMode, VerifyMode, VmKind};
 
 /// A unique scratch directory per test (tests share one process).
 fn scratch(test: &str) -> PathBuf {
@@ -44,9 +44,9 @@ fn assert_identical(serial: &CampaignResult, parallel: &CampaignResult, label: &
     );
 }
 
-/// Absolute digests at jobs 1 and 2. Both static oracles and the
-/// coverage policy are set explicitly, so no `CSE_*` variable can move
-/// the values; a change to the canonical encoding must update them
+/// Absolute digests at jobs 1 and 2. The VM budgets, both static oracles
+/// and the coverage policy are set explicitly, so no `CSE_*` variable can
+/// move the values; a change to the canonical encoding must update them
 /// deliberately.
 #[test]
 fn digests_match_the_pinned_reference() {
@@ -58,6 +58,10 @@ fn digests_match_the_pinned_reference() {
         for jobs in [1, 2] {
             let mut config =
                 CampaignConfig::for_kind(kind, seeds).with_coverage(policy).with_jobs(jobs);
+            let defaults = Settings::default();
+            config.vm.fuel = defaults.fuel;
+            config.vm.max_heap_bytes = defaults.heap_limit;
+            config.vm.stack_limit = defaults.stack_limit;
             config.vm.verify_ir = VerifyMode::Off;
             config.vm.tv = TvMode::Off;
             let digest = run_campaign(&config).digest(&config);
