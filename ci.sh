@@ -77,6 +77,18 @@ if [ "$mode" != "quick" ]; then
         exit 1
     fi
 
+    # The traced replay re-runs each seed's and mutant's steps outside
+    # validation and checks them against validation's own counts, and
+    # checks that the per-seed `validate_with` totals (seeds, mutants,
+    # vm invocations) add up to `run_campaign`'s. Nothing else runs it.
+    echo "==> traced campaign replay (campaign_hotspot --trace 1: correct)"
+    trace_json=$(cargo run --release -q --offline --manifest-path campaign_bench/Cargo.toml -- \
+        --workload campaign_hotspot --seed 1 --seconds 1 --trace 1 | tail -n 1) || true
+    if ! grep -q '"correct": true' <<< "$trace_json"; then
+        echo "error: traced campaign replay failed: $trace_json" >&2
+        exit 1
+    fi
+
     # The findings workflow end to end: the default hunt's first
     # reproducer must shrink under reduction, whatever its symptom (a
     # predicate that only recognizes crashes leaves a mis-compilation

@@ -126,8 +126,6 @@ pub struct CoverageState {
     /// mid-round replays identical tasks instead of re-deriving them
     /// from a state the completed prefix already mutated.
     pub schedule: Vec<TaskSpec>,
-    /// VM invocations merged so far (novelty-rate denominator).
-    pub execs: u64,
     /// Seeds run under each plan variant (by `PlanVariant::index`).
     pub variant_runs: [u64; 3],
     /// New cells contributed under each plan variant.
@@ -169,7 +167,6 @@ impl CoverageState {
                 fp.str(focus);
             }
         }
-        fp.u64(self.execs);
         for i in 0..3 {
             fp.u64(self.variant_runs[i]);
             fp.u64(self.variant_new[i]);
@@ -186,7 +183,6 @@ impl CoverageState {
         candidates: Vec<CorpusCandidate>,
         gen_seed: u64,
         plan: PlanVariant,
-        execs: u64,
     ) {
         self.variant_runs[plan.index()] += 1;
         self.variant_new[plan.index()] += u64::from(run_coverage.new_bits(&self.global));
@@ -217,7 +213,6 @@ impl CoverageState {
             }
         }
         self.global.union(run_coverage);
-        self.execs += execs;
     }
 }
 
@@ -360,7 +355,6 @@ mod tests {
             vec![CorpusCandidate { map: small, locations: vec!["A.m".into()] }],
             7,
             PlanVariant::Baseline,
-            10,
         );
         assert_eq!(state.corpus.len(), 1);
         let cells_after_small = state.cells();
@@ -371,7 +365,6 @@ mod tests {
             vec![CorpusCandidate { map: small, locations: vec![] }],
             8,
             PlanVariant::Baseline,
-            10,
         );
         assert_eq!(state.corpus.len(), 1, "non-novel candidate must not enter");
         assert_eq!(state.cells(), cells_after_small);
@@ -382,11 +375,9 @@ mod tests {
             vec![CorpusCandidate { map: big, locations: vec!["B.n".into()] }],
             9,
             PlanVariant::ForceTop,
-            10,
         );
         assert_eq!(state.corpus.len(), 1, "dominated entry must be evicted");
         assert_eq!(state.corpus[0].gen_seed, 9);
-        assert_eq!(state.execs, 30);
         assert_eq!(state.variant_runs, [2, 1, 0]);
     }
 
@@ -411,7 +402,6 @@ mod tests {
             vec![CorpusCandidate { map: map_with(&[1]), locations: vec!["A.m".into()] }],
             5,
             PlanVariant::Baseline,
-            1,
         );
         let multi = schedule_round(&state, 0, 1, ROUND_LEN, true);
         assert_eq!(multi[0].plan, PlanVariant::ForceTop);
@@ -425,7 +415,7 @@ mod tests {
         let mut a = CoverageState::default();
         let b = CoverageState::default();
         assert_eq!(a.fingerprint(), b.fingerprint());
-        a.absorb(&map_with(&[1]), Vec::new(), 0, PlanVariant::Baseline, 1);
+        a.absorb(&map_with(&[1]), Vec::new(), 0, PlanVariant::Baseline);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -321,7 +321,6 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
             std::mem::take(&mut outcome.corpus_candidates),
             gen_seed,
             plan,
-            outcome.vm_invocations as u64,
         );
     }
     let quarantine_vm = seed_vconfig(ctx, record.offset, seed_value).vm;

@@ -182,8 +182,8 @@ pub fn enumerate_space(
 /// A single profiling pre-run executes the program with every coordinate
 /// forced to interpretation (this is exactly point 0's plan, so the run is
 /// reused) and records the exact per-method invocation counts
-/// ([`cse_vm::WarmthProfile`]). A coordinate `(m, i)` is *dead* when the
-/// reference run invokes `m` fewer than `i + 1` times: no execution of the
+/// ([`cse_vm::Vm::run_with_warmth`]). A coordinate `(m, i)` is *dead* when
+/// the reference run invokes `m` fewer than `i + 1` times: no execution of the
 /// space ever consults the plan at that coordinate, so the two plans that
 /// differ only there are observably identical and share one run.
 ///
@@ -242,7 +242,7 @@ pub fn enumerate_space_with(
     }
 
     // Profiling pre-run = point 0 (every coordinate interpreted).
-    let (zero_result, warmth) = {
+    let (zero_result, invocations) = {
         let (program, config) = run_mask(0);
         Vm::new(program, config).with_artifacts(&cache).run_with_warmth()
     };
@@ -250,7 +250,7 @@ pub fn enumerate_space_with(
     // differing only on these bits are observably identical.
     let mut dead_mask: u32 = 0;
     for (bit, &(method, invocation)) in calls.iter().enumerate() {
-        if invocation >= warmth.invocations[method.0 as usize] {
+        if invocation >= invocations[method.0 as usize] {
             dead_mask |= 1 << bit;
         }
     }

@@ -22,7 +22,7 @@
 //! canonical encoding that [`CampaignResult::digest`] hashes:
 //!
 //! ```text
-//! cse-checkpoint v9
+//! cse-checkpoint v10
 //! config <identity>    (every setting that can change a digested value)
 //! partial 1
 //! unattributed 0
@@ -56,7 +56,7 @@
 //! incidents.
 //!
 //! ```text
-//! coverage <round> <execs> <runs0> <runs1> <runs2> <new0> <new1> <new2>
+//! coverage <round> <runs0> <runs1> <runs2> <new0> <new1> <new2>
 //! map <64 lowercase-hex u64 words>
 //! corpus <n>
 //!   entry <gen_seed> <new_cells> <n-locations>  (then one location/line)
@@ -213,7 +213,7 @@ impl SupervisorConfig {
 // Bumped whenever the layout changes. Any other header is rejected, so
 // an interrupted campaign from an older build restarts from scratch
 // rather than resuming with misread counters.
-const MAGIC: &str = "cse-checkpoint v9";
+const MAGIC: &str = "cse-checkpoint v10";
 
 // ----- encoding -----------------------------------------------------------
 
@@ -316,9 +316,8 @@ pub(crate) fn encode(config: &CampaignConfig, result: &CampaignResult) -> String
     if let Some(state) = &result.coverage {
         let _ = writeln!(
             out,
-            "coverage {} {} {} {} {} {} {} {}",
+            "coverage {} {} {} {} {} {} {}",
             state.round,
-            state.execs,
             state.variant_runs[0],
             state.variant_runs[1],
             state.variant_runs[2],
@@ -569,15 +568,14 @@ pub(crate) fn decode(data: &str, config: &CampaignConfig) -> ParseResult<Campaig
         });
     }
     if !r.at_end() {
-        let fields = r.tagged("coverage", 8)?;
+        let fields = r.tagged("coverage", 7)?;
         let mut state = CoverageState {
             round: parse_field(&fields, 0, "coverage")?,
-            execs: parse_field(&fields, 1, "coverage")?,
             ..CoverageState::default()
         };
         for i in 0..3 {
-            state.variant_runs[i] = parse_field(&fields, 2 + i, "coverage")?;
-            state.variant_new[i] = parse_field(&fields, 5 + i, "coverage")?;
+            state.variant_runs[i] = parse_field(&fields, 1 + i, "coverage")?;
+            state.variant_new[i] = parse_field(&fields, 4 + i, "coverage")?;
         }
         state.global = parse_map(&mut r)?;
         let n: usize = r.tagged_num("corpus")?;
@@ -948,7 +946,6 @@ mod tests {
         let mut state = CoverageState {
             global: map,
             round: 3,
-            execs: 1234,
             variant_runs: [9, 2, 1],
             variant_new: [40, 30, 5],
             ..CoverageState::default()

@@ -224,12 +224,11 @@ impl TriageConfig {
 /// The VM an incident replays under: the VM that raised it, with the two
 /// replay rules applied. The wall-clock watchdog is off, so only the
 /// deterministic fuel/heap/stack budgets bound a replay, and
-/// reference-interpreter phases replay on the reference interpreter.
+/// reference-interpreter phases replay on that VM's reference
+/// ([`VmConfig::reference`]), as validation ran them.
 fn replay_vm(incident: &HarnessIncident, raised_under: &VmConfig) -> VmConfig {
     let mut vm = match incident.phase {
-        IncidentPhase::ReferenceRun | IncidentPhase::NeutralityRun => {
-            VmConfig::interpreter_only(raised_under.kind)
-        }
+        IncidentPhase::ReferenceRun | IncidentPhase::NeutralityRun => raised_under.reference(),
         _ => raised_under.clone(),
     };
     vm.wall_clock_limit = None;
@@ -723,6 +722,25 @@ mod tests {
         assert_eq!(x, y, "repeated TV hits must dedup into one report");
         assert_eq!(x.oracle, OracleKind::TvDefect);
         assert_eq!(x.component, "gvn", "signature component is the blamed pass");
+    }
+
+    #[test]
+    fn reference_phases_replay_under_the_raising_vms_budgets() {
+        let mut raised_under = VmConfig::force_compile_all(cse_vm::VmKind::OpenJ9Like);
+        raised_under.fuel = 1234;
+        raised_under.max_heap_bytes = 4096;
+        raised_under.stack_limit = 77;
+        raised_under.wall_clock_limit = Some(std::time::Duration::from_secs(5));
+        let incident = HarnessIncident {
+            phase: IncidentPhase::NeutralityRun,
+            iteration: Some(0),
+            ..chaos_incident(4, "index out of bounds: 4", None)
+        };
+        let vm = replay_vm(&incident, &raised_under);
+        assert_eq!((vm.fuel, vm.max_heap_bytes, vm.stack_limit), (1234, 4096, 77));
+        assert!(!vm.jit_enabled);
+        assert!(vm.plan.is_none());
+        assert_eq!(vm.wall_clock_limit, None, "replays run without the watchdog");
     }
 
     #[test]

@@ -13,8 +13,17 @@
 //! with individual bugs disabled, which powers the Table 1 "Duplicate"
 //! accounting.
 //!
-//! Every VM invocation goes through the crash barrier
-//! ([`cse_vm::supervised_run`]): a panic anywhere in the substrate is
+//! Each mutant gets exactly one verdict — discarded, a neutrality
+//! violation, a performance bug (timeout or anomaly), a crash, a
+//! mis-compilation, or none — and every discrepancy is attributed and
+//! recorded at one site. Reference runs use [`VmConfig::reference`]: the
+//! VM under test with the JIT, plan, faults, chaos and coverage off, so
+//! they spend the campaign's own budgets. They are taken only when a
+//! mutant's verdict could depend on them.
+//!
+//! Every VM invocation — the seed run, each mutant run, both reference
+//! runs and every attribution rerun — goes through one crash barrier
+//! ([`cse_vm::contain_panics`]): a panic anywhere in the substrate is
 //! contained, recorded as a [`HarnessIncident`], and validation moves on
 //! to the next mutant instead of unwinding the whole campaign. Mutants
 //! that fail the type checker or bytecode compiler are likewise
@@ -136,7 +145,8 @@ pub struct ValidationOutcome {
     /// mutator bugs, quarantined instead of panicking (never ran, so not
     /// part of `mutants_run`).
     pub mutant_compile_failures: usize,
-    /// VM invocations performed (seed + mutants + attribution reruns).
+    /// VM invocations performed: the seed, its mutants, and their
+    /// reference and attribution reruns.
     pub vm_invocations: usize,
     /// Non-neutral mutants detected and skipped (harness bugs; must stay
     /// zero with the stock mutators).
@@ -249,6 +259,29 @@ impl ValidationOutcome {
             Some(cse_lang::pretty::print(source)),
         );
     }
+
+    /// Runs `program` once under `vm` behind the crash barrier and counts
+    /// the invocation. A contained panic is recorded as a `phase`
+    /// incident whose source is `source`, printed, and yields `None`.
+    fn run(
+        &mut self,
+        (program, artifacts): (&BProgram, &ProgramArtifacts),
+        vm: &VmConfig,
+        phase: IncidentPhase,
+        rng_seed: u64,
+        iteration: Option<usize>,
+        source: Option<&Program>,
+    ) -> Option<ExecutionResult> {
+        self.vm_invocations += 1;
+        match contain_panics(|| Vm::new(program, vm.clone()).with_artifacts(artifacts).run()) {
+            Ok(result) => Some(result),
+            Err(panic) => {
+                let source = source.map(cse_lang::pretty::print);
+                self.incident(phase, rng_seed, iteration, panic.payload, source);
+                None
+            }
+        }
+    }
 }
 
 /// Compiles a checked program, panicking on front-end failure (inputs are
@@ -351,8 +384,8 @@ pub fn validate_with(
 /// re-running the front end per consumer. The seed run, its mutants,
 /// their reference runs and attribution reruns all attach to `cache`,
 /// so JIT compilations are shared within the seed.
-/// The campaign executor passes a fresh cache per seed (and reads its
-/// hit counters afterwards), as [`validate_with`] does.
+/// The campaign executor passes a fresh cache per seed, as
+/// [`validate_with`] does.
 pub fn validate_compiled_in(
     seed: &Program,
     seed_bytecode: Result<Arc<BProgram>, String>,
@@ -381,23 +414,13 @@ pub fn validate_compiled_in(
     // One cache attachment per program: the digests it computes key the
     // seed's artifact cache.
     let seed_artifacts = cache.attach(&seed_bytecode);
+    let seed_program = (&*seed_bytecode, &seed_artifacts);
     // R ← LVM(P): the seed with its default JIT-trace.
-    outcome.vm_invocations += 1;
-    let seed_result = match contain_panics(|| {
-        Vm::new(&seed_bytecode, config.vm.clone()).with_artifacts(&seed_artifacts).run()
-    }) {
-        Ok(result) => result,
-        Err(panic) => {
-            outcome.incident(
-                IncidentPhase::SeedRun,
-                rng_seed,
-                None,
-                panic.payload,
-                Some(cse_lang::pretty::print(seed)),
-            );
-            outcome.seed_discarded = true;
-            return outcome;
-        }
+    let Some(seed_result) =
+        outcome.run(seed_program, &config.vm, IncidentPhase::SeedRun, rng_seed, None, Some(seed))
+    else {
+        outcome.seed_discarded = true;
+        return outcome;
     };
     outcome.note_ir_defects(&seed_result, rng_seed, None, seed);
     outcome.note_tv_defects(&seed_result, rng_seed, None, seed);
@@ -414,32 +437,12 @@ pub fn validate_compiled_in(
         outcome.seed_discarded = true;
         return outcome;
     }
-    // Reference (interpreter) behavior for neutrality and the perf
-    // oracle — computed *lazily*, at most once per seed, the first time
-    // a mutant actually demands it (see `needs_reference` below).
-    //
-    // Cold-seed reuse, the seed-side twin of the cold-mutant rule below:
-    // a seed whose LVM run never touched the JIT is its own reference —
-    // every injected fault lives in the JIT pipeline, so a zero-JIT run
-    // under the faulty config is bit-identical to the interpreter-only
-    // rerun. Fuzzed seeds are deliberately colder than their mutants
-    // (JoNM exists to heat them up), so this skips a whole interpreter
-    // run for a large fraction of seeds. Crashed runs are excluded for
-    // the same compile-time-assert blind spot documented below.
-    let seed_is_own_reference = seed_result.stats.compilations == 0
-        && seed_result.stats.osr_compilations == 0
-        && seed_result.stats.jit_ops == 0
-        && !matches!(seed_result.outcome, Outcome::Crash(_));
-    // `None` = not yet demanded; `Some(None)` = demanded but unavailable
-    // (the interpreter rerun panicked; recorded as an incident).
+    // The seed's reference (interpreter) run, for the neutrality check:
+    // taken at most once per seed, the first time a mutant demands a
+    // reference (see `needs_reference` below). `Some(None)` means it was
+    // demanded but panicked (recorded as an incident).
     let mut seed_reference: Option<Option<ExecutionResult>> = None;
-    let mut seed_reference_observable: Option<String> = None;
-    // Reference runs spend the VM under test's fuel, heap and stack
-    // budgets, so the campaign configuration alone decides them.
-    let mut reference_vm = VmConfig::interpreter_only(config.vm.kind);
-    reference_vm.fuel = config.vm.fuel;
-    reference_vm.max_heap_bytes = config.vm.max_heap_bytes;
-    reference_vm.stack_limit = config.vm.stack_limit;
+    let reference_vm = config.vm.reference();
     // The §3.2 oracle compares every mutant against this; render it once
     // instead of re-formatting the seed's output per iteration.
     let seed_observable = seed_result.observable();
@@ -490,26 +493,22 @@ pub fn validate_compiled_in(
         // of the cache key, so a run only reuses code whose compilation
         // its own configuration would reproduce bit-identically.
         let mutant_artifacts = cache.attach(&mutant_bytecode);
-        outcome.vm_invocations += 1;
+        let mutant_program = (&mutant_bytecode, &mutant_artifacts);
+        let at = Some(iteration);
         outcome.mutants_run += 1;
-        let mutant_result = match contain_panics(|| {
-            Vm::new(&mutant_bytecode, config.vm.clone()).with_artifacts(&mutant_artifacts).run()
-        }) {
-            Ok(result) => result,
-            Err(panic) => {
-                outcome.discarded += 1;
-                outcome.incident(
-                    IncidentPhase::MutantRun,
-                    rng_seed,
-                    Some(iteration),
-                    panic.payload,
-                    Some(cse_lang::pretty::print(&mutant)),
-                );
-                continue;
-            }
+        let Some(mutant_result) = outcome.run(
+            mutant_program,
+            &config.vm,
+            IncidentPhase::MutantRun,
+            rng_seed,
+            at,
+            Some(&mutant),
+        ) else {
+            outcome.discarded += 1;
+            continue;
         };
-        outcome.note_ir_defects(&mutant_result, rng_seed, Some(iteration), &mutant);
-        outcome.note_tv_defects(&mutant_result, rng_seed, Some(iteration), &mutant);
+        outcome.note_ir_defects(&mutant_result, rng_seed, at, &mutant);
+        outcome.note_tv_defects(&mutant_result, rng_seed, at, &mutant);
         if config.vm.coverage {
             let map = mutant_result.coverage;
             if map.covers_new(&seen_coverage) && outcome.corpus_candidates.len() < 4 {
@@ -526,27 +525,6 @@ pub fn validate_compiled_in(
             seen_coverage.union(&map);
             outcome.coverage.union(&map);
         }
-        // Reference run: neutrality check + performance baseline.
-        //
-        // A mutant whose LVM run never touched the JIT — no tier
-        // compilations, no OSR entries, no compiled ops executed — is its
-        // own reference: every injected fault lives in the JIT pipeline
-        // (`cse_vm::jit`), so a zero-JIT run under the faulty config is
-        // bit-identical to the interpreter-only rerun it would be checked
-        // against. Reusing it skips the rerun entirely (roughly a third
-        // of mutants never warm up under the paper's thresholds).
-        //
-        // The `Crash` guard closes a counter blind spot: an injected
-        // *compile-time* assert crashes the run from inside `jit::compile`
-        // before `compilations` is ever incremented, so a crashed run can
-        // read as zero-JIT while being anything but interpreter-equivalent
-        // (ART's catalog is entirely compile-time asserts). Crashed runs
-        // always take the real interpreter rerun.
-        let stats = &mutant_result.stats;
-        let mutant_is_own_reference = stats.compilations == 0
-            && stats.osr_compilations == 0
-            && stats.jit_ops == 0
-            && !matches!(mutant_result.outcome, Outcome::Crash(_));
         let mutant_observable = mutant_result.observable();
         // Lazy-reference pruning: the interpreter rerun feeds exactly
         // three consumers — the neutrality discard, timeout
@@ -562,192 +540,91 @@ pub fn validate_compiled_in(
         // takes the full rerun.
         let needs_reference = config.verify_neutrality
             && (mutant_result.outcome.is_resource_exhausted()
-                || stats.total_ops() > PERF_ANOMALY_SLACK
+                || mutant_result.stats.total_ops() > PERF_ANOMALY_SLACK
                 || mutant_observable != seed_observable);
-        let mutant_reference = if !needs_reference {
-            None
-        } else if mutant_is_own_reference {
-            Some(mutant_result.clone())
-        } else {
-            outcome.vm_invocations += 1;
-            match contain_panics(|| {
-                Vm::new(&mutant_bytecode, reference_vm.clone())
-                    .with_artifacts(&mutant_artifacts)
-                    .run()
-            }) {
-                Ok(reference) => Some(reference),
-                Err(panic) => {
-                    // No reference for this mutant; skip the neutrality
-                    // and performance oracles but keep the output oracle.
-                    outcome.incident(
-                        IncidentPhase::NeutralityRun,
-                        rng_seed,
-                        Some(iteration),
-                        panic.payload,
-                        Some(cse_lang::pretty::print(&mutant)),
-                    );
-                    None
+        // Reference run: neutrality check + performance baseline. A
+        // panicking reference skips the neutrality and performance
+        // oracles but keeps the output oracle.
+        let mutant_reference = if needs_reference {
+            let reference = outcome.run(
+                mutant_program,
+                &reference_vm,
+                IncidentPhase::NeutralityRun,
+                rng_seed,
+                at,
+                Some(&mutant),
+            );
+            let seed_reference = seed_reference.get_or_insert_with(|| {
+                let phase = IncidentPhase::ReferenceRun;
+                outcome.run(seed_program, &reference_vm, phase, rng_seed, None, Some(seed))
+            });
+            if let (Some(reference), Some(seed_reference)) = (&reference, seed_reference) {
+                if reference.observable() != seed_reference.observable()
+                    && !reference.outcome.is_resource_exhausted()
+                    && !seed_reference.outcome.is_resource_exhausted()
+                {
+                    outcome.neutrality_violations += 1;
+                    outcome.discarded += 1;
+                    continue;
                 }
             }
+            reference
+        } else {
+            None
         };
-        // First demand on this seed: materialize the seed-side reference.
-        if needs_reference && seed_reference.is_none() {
-            let computed = if seed_is_own_reference {
-                Some(seed_result.clone())
-            } else {
-                outcome.vm_invocations += 1;
-                match contain_panics(|| {
-                    Vm::new(&seed_bytecode, reference_vm.clone())
-                        .with_artifacts(&seed_artifacts)
-                        .run()
-                }) {
-                    Ok(result) => Some(result),
-                    Err(panic) => {
-                        // Proceed without neutrality checking for this seed.
-                        outcome.incident(
-                            IncidentPhase::ReferenceRun,
-                            rng_seed,
-                            None,
-                            panic.payload,
-                            Some(cse_lang::pretty::print(seed)),
-                        );
-                        None
-                    }
-                }
-            };
-            seed_reference_observable = computed.as_ref().map(|r| r.observable());
-            seed_reference = Some(computed);
-        }
-        if let (Some(reference), Some(Some(seed_ref)), Some(seed_ref_observable)) =
-            (&mutant_reference, &seed_reference, &seed_reference_observable)
-        {
-            if &reference.observable() != seed_ref_observable
-                && !reference.outcome.is_resource_exhausted()
-                && !seed_ref.outcome.is_resource_exhausted()
+        // The verdict. Resource exhaustion is discarded, unless a
+        // *timeout* paired with a comfortably-cheap reference run shows
+        // the slowness is the JIT's fault (heap/stack budget trips carry
+        // no performance signal). Compiled execution doing far more work
+        // than pure interpretation is a performance anomaly. Otherwise
+        // the §3.2 oracle compares LVM(P) with LVM(P').
+        let kind = if mutant_result.outcome.is_resource_exhausted() {
+            if !matches!(mutant_result.outcome, Outcome::Timeout)
+                || !timeout_is_performance_bug(mutant_reference.as_ref(), config.vm.fuel)
             {
-                outcome.neutrality_violations += 1;
                 outcome.discarded += 1;
                 continue;
             }
-        }
-        // Resource-exhaustion handling: discard, unless a *timeout*
-        // paired with a comfortably-cheap reference run shows the
-        // slowness is the JIT's fault. Heap/stack budget trips carry no
-        // performance signal, so they are always discarded.
-        if mutant_result.outcome.is_resource_exhausted() {
-            if matches!(mutant_result.outcome, Outcome::Timeout)
-                && timeout_is_performance_bug(mutant_reference.as_ref(), config.vm.fuel)
-            {
-                outcome.completed += 1;
-                let discrepancy = make_discrepancy(
-                    DiscrepancyKind::Performance,
-                    &mutant,
-                    mutations,
-                    &seed_result,
-                    &mutant_result,
-                    config,
-                    &mutant_bytecode,
-                    &mutant_artifacts,
-                    rng_seed,
-                    iteration,
-                    &mut outcome,
-                );
-                outcome.discrepancies.push(discrepancy);
-            } else {
-                outcome.discarded += 1;
-            }
-            continue;
-        }
-        // Explicit performance anomaly: compiled execution does far more
-        // work than pure interpretation of the same program.
-        if let Some(reference) = &mutant_reference {
-            if reference.outcome.is_completed()
+            Some(DiscrepancyKind::Performance)
+        } else if mutant_reference.as_ref().is_some_and(|reference| {
+            reference.outcome.is_completed()
                 && is_performance_anomaly(
                     mutant_result.stats.total_ops(),
                     reference.stats.total_ops(),
                 )
-            {
-                outcome.completed += 1;
-                let discrepancy = make_discrepancy(
-                    DiscrepancyKind::Performance,
-                    &mutant,
-                    mutations,
-                    &seed_result,
-                    &mutant_result,
-                    config,
-                    &mutant_bytecode,
-                    &mutant_artifacts,
-                    rng_seed,
-                    iteration,
-                    &mut outcome,
-                );
-                outcome.discrepancies.push(discrepancy);
-                continue;
-            }
-        }
-        // The §3.2 oracle: LVM(P) vs LVM(P').
-        outcome.completed += 1;
-        if mutant_observable != seed_observable {
-            let kind = match &mutant_result.outcome {
+        }) {
+            Some(DiscrepancyKind::Performance)
+        } else if mutant_observable != seed_observable {
+            Some(match &mutant_result.outcome {
                 Outcome::Crash(info) => DiscrepancyKind::Crash(info.clone()),
                 _ => DiscrepancyKind::MisCompilation,
-            };
-            let discrepancy = make_discrepancy(
-                kind,
-                &mutant,
-                mutations,
-                &seed_result,
-                &mutant_result,
-                config,
-                &mutant_bytecode,
-                &mutant_artifacts,
-                rng_seed,
-                iteration,
-                &mut outcome,
-            );
-            outcome.discrepancies.push(discrepancy);
-        }
+            })
+        } else {
+            None
+        };
+        outcome.completed += 1;
+        let Some(kind) = kind else {
+            continue;
+        };
+        let culprit = match &kind {
+            // Crashes carry ground truth directly.
+            DiscrepancyKind::Crash(info) => Some(info.bug),
+            // Mis-compilations and perf bugs are attributed by ablation.
+            _ => {
+                attribute(mutant_program, config, &mutant_result, rng_seed, iteration, &mut outcome)
+            }
+        };
+        outcome.discrepancies.push(Discrepancy {
+            kind,
+            mutant_source: cse_lang::pretty::print(&mutant),
+            mutations,
+            culprit,
+            seed_observable: seed_observable.clone(),
+            mutant_observable,
+        });
     }
     outcome.check_invariants();
     outcome
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_discrepancy(
-    kind: DiscrepancyKind,
-    mutant: &Program,
-    mutations: Vec<AppliedMutation>,
-    seed_result: &ExecutionResult,
-    mutant_result: &ExecutionResult,
-    config: &ValidateConfig,
-    mutant_bytecode: &BProgram,
-    mutant_artifacts: &ProgramArtifacts,
-    rng_seed: u64,
-    iteration: usize,
-    outcome: &mut ValidationOutcome,
-) -> Discrepancy {
-    let culprit = match &kind {
-        // Crashes carry ground truth directly.
-        DiscrepancyKind::Crash(info) => Some(info.bug),
-        // Mis-compilations and perf bugs are attributed by ablation.
-        _ => attribute(
-            mutant_bytecode,
-            mutant_artifacts,
-            config,
-            mutant_result,
-            rng_seed,
-            iteration,
-            outcome,
-        ),
-    };
-    Discrepancy {
-        kind,
-        mutant_source: cse_lang::pretty::print(mutant),
-        mutations,
-        culprit,
-        seed_observable: seed_result.observable(),
-        mutant_observable: mutant_result.observable(),
-    }
 }
 
 /// Ground-truth attribution: re-runs the mutant with each active bug
@@ -767,8 +644,7 @@ fn make_discrepancy(
 /// ablation is a no-op, and the skipped rerun's observable provably
 /// equals the buggy run's — the exact condition the loop tests.
 fn attribute(
-    mutant_bytecode: &BProgram,
-    mutant_artifacts: &ProgramArtifacts,
+    mutant: (&BProgram, &ProgramArtifacts),
     config: &ValidateConfig,
     buggy_result: &ExecutionResult,
     rng_seed: u64,
@@ -781,23 +657,10 @@ fn attribute(
             continue;
         }
         let remaining: Vec<BugId> = active.iter().copied().filter(|&b| b != bug).collect();
-        let mut vm = config.vm.clone();
-        vm.faults = FaultInjector::with(remaining);
-        outcome.vm_invocations += 1;
-        let result = match contain_panics(|| {
-            Vm::new(mutant_bytecode, vm).with_artifacts(mutant_artifacts).run()
-        }) {
-            Ok(result) => result,
-            Err(panic) => {
-                outcome.incident(
-                    IncidentPhase::Attribution,
-                    rng_seed,
-                    Some(iteration),
-                    panic.payload,
-                    None,
-                );
-                continue;
-            }
+        let vm = config.vm.clone().with_faults(FaultInjector::with(remaining));
+        let phase = IncidentPhase::Attribution;
+        let Some(result) = outcome.run(mutant, &vm, phase, rng_seed, Some(iteration), None) else {
+            continue;
         };
         if result.observable() != buggy_result.observable() {
             return Some(bug);

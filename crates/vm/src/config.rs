@@ -238,6 +238,21 @@ impl VmConfig {
         config
     }
 
+    /// The semantic reference for runs under this configuration: the same
+    /// VM with the JIT off and no forced plan, seeded faults, chaos panic
+    /// or coverage. Fuel, heap, stack and every other setting are kept,
+    /// so a reference run spends the budgets of the VM under test.
+    pub fn reference(&self) -> VmConfig {
+        VmConfig {
+            jit_enabled: false,
+            plan: None,
+            faults: FaultInjector::none(),
+            chaos_panic_at_ops: None,
+            coverage: false,
+            ..self.clone()
+        }
+    }
+
     /// The paper's "traditional approach" baseline: force every method to
     /// be JIT-compiled at the top tier before its first call
     /// (`-Xjit:count=0`, §4.3).
@@ -311,6 +326,27 @@ mod tests {
         assert!(!VmConfig::for_kind(VmKind::OpenJ9Like).faults.is_empty());
         assert!(VmConfig::correct(VmKind::OpenJ9Like).faults.is_empty());
         assert!(!VmConfig::interpreter_only(VmKind::HotSpotLike).jit_enabled);
+    }
+
+    #[test]
+    fn reference_keeps_budgets_and_drops_the_jit() {
+        let mut vm = VmConfig::force_compile_all(VmKind::OpenJ9Like).with_coverage(true);
+        vm.fuel = 1234;
+        vm.max_heap_bytes = 4096;
+        vm.stack_limit = 77;
+        vm.chaos_panic_at_ops = Some(9);
+        let reference = vm.reference();
+        assert_eq!(reference.kind, VmKind::OpenJ9Like);
+        assert_eq!(reference.tiers, vm.tiers);
+        assert_eq!(
+            (reference.fuel, reference.max_heap_bytes, reference.stack_limit),
+            (1234, 4096, 77)
+        );
+        assert!(!reference.jit_enabled);
+        assert!(reference.plan.is_none());
+        assert!(reference.faults.is_empty());
+        assert_eq!(reference.chaos_panic_at_ops, None);
+        assert!(!reference.coverage);
     }
 
     #[test]

@@ -79,10 +79,11 @@ impl Vm<'_> {
         // `&mut self` uses in the arms below.
         let decoded = self.decoded();
         let dm = decoded.method(id);
-        // Branch/switch profiles exist to steer compilation (speculation
-        // and tier-up). When this run can never compile — JIT off and no
-        // forced plan — skip the bookkeeping on the hot path entirely;
-        // the profiles are not part of any observable output.
+        // Branch/switch profiles and back-edge counters exist to steer
+        // compilation (speculation, tier-up and OSR). When this run can
+        // never compile — JIT off and no forced plan — skip the
+        // bookkeeping on the hot path entirely; the profiles are not part
+        // of any observable output.
         let profiling = self.config.jit_enabled || self.config.plan.is_some();
         // Fast-path macros keep the dispatch loop readable without
         // borrowing `self` across helper calls.
@@ -106,7 +107,7 @@ impl Vm<'_> {
                     self.profiles[id.0 as usize].record_branch(branch_pc, cond);
                 }
                 if cond == $want {
-                    if target <= branch_pc {
+                    if profiling && target <= branch_pc {
                         if let Some(new_pc) = self.back_edge(id, branch_pc, target)? {
                             return self.osr_execute(id, frame_idx, new_pc);
                         }
@@ -434,7 +435,7 @@ impl Vm<'_> {
                 }
                 // ----- control flow -----
                 DInsn::Jump(target) => {
-                    if target <= pc {
+                    if profiling && target <= pc {
                         if let Some(new_pc) = self.back_edge(id, pc, target)? {
                             return self.osr_execute(id, frame_idx, new_pc);
                         }
@@ -466,7 +467,7 @@ impl Vm<'_> {
                             default
                         }
                     };
-                    if target <= pc {
+                    if profiling && target <= pc {
                         if let Some(new_pc) = self.back_edge(id, pc, target)? {
                             return self.osr_execute(id, frame_idx, new_pc);
                         }
@@ -521,6 +522,7 @@ impl Vm<'_> {
 
     /// Handles a back-edge: bumps the counter and, when a threshold is
     /// crossed, OSR-compiles and transfers execution to compiled code.
+    /// Only runs that can compile (JIT on or a forced plan) call it.
     ///
     /// Returns `Ok(Some(header))` when an OSR transfer should happen at the
     /// given loop header, or `Ok(None)` to continue interpreting normally.
@@ -534,7 +536,7 @@ impl Vm<'_> {
             prof.backedges[counter_idx] += 1;
             prof.backedges[counter_idx]
         };
-        if !self.config.jit_enabled || self.config.plan.is_some() {
+        if self.config.plan.is_some() {
             return Ok(None);
         }
         let prof = &self.profiles[id.0 as usize];

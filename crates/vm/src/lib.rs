@@ -154,19 +154,6 @@ pub struct Vm<'p> {
     decoded: Option<Rc<cse_bytecode::DecodedProgram>>,
 }
 
-/// Exact end-of-run warmth counters, used by plan-space pruning
-/// (`cse_core::space`) to prove which (method, invocation) coordinates a
-/// program can reach. Unlike the event trace these are never capped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmthProfile {
-    /// Lifetime invocation count per method (indexed by `MethodId`).
-    pub invocations: Vec<u64>,
-    /// Back-edge counter per loop header, per method (indexed by
-    /// `MethodId`, then by the method's loop-header index — the
-    /// `c_1 .. c_M` of the paper's Definition 3.2).
-    pub backedges: Vec<Vec<u64>>,
-}
-
 /// How many burned operations pass between wall-clock samples. Keeps
 /// `Instant::now` off the per-instruction hot path.
 const WATCHDOG_STRIDE: u64 = 1 << 18;
@@ -258,10 +245,12 @@ impl<'p> Vm<'p> {
         self.run_with_warmth().0
     }
 
-    /// Like [`Vm::run`], but also reports the exact end-of-run
-    /// [`WarmthProfile`] so callers (plan-space pruning) can reason about
-    /// which coordinates the program reached.
-    pub fn run_with_warmth(mut self) -> (ExecutionResult, WarmthProfile) {
+    /// Like [`Vm::run`], but also reports the exact end-of-run lifetime
+    /// invocation count of every method (indexed by `MethodId`), so
+    /// plan-space pruning (`cse_core::space`) can prove which (method,
+    /// invocation) coordinates the program reached. Unlike the event
+    /// trace these counts are never capped.
+    pub fn run_with_warmth(mut self) -> (ExecutionResult, Vec<u64>) {
         let mut uncaught = false;
         let mut outcome_override: Option<Outcome> = None;
         let entry_sequence: Vec<MethodId> =
@@ -296,10 +285,6 @@ impl<'p> Vm<'p> {
             }
         }
         self.stats.mute_depth_end = self.mute_depth;
-        let warmth = WarmthProfile {
-            invocations: self.invocations,
-            backedges: self.profiles.iter_mut().map(|p| std::mem::take(&mut p.backedges)).collect(),
-        };
         let result = ExecutionResult {
             output: self.out,
             outcome: outcome_override
@@ -310,7 +295,7 @@ impl<'p> Vm<'p> {
             tv: self.tv,
             coverage: self.coverage,
         };
-        (result, warmth)
+        (result, self.invocations)
     }
 
     /// Convenience: build a VM, run the program, return the result.

@@ -48,13 +48,14 @@ fn main() -> ExitCode {
         Some(state) => {
             println!("cells {}", state.cells());
             println!("corpus {}", state.corpus.len());
-            println!("execs {}", state.execs);
-            let per_1k = if state.execs == 0 {
+            let invocations = result.totals.vm_invocations;
+            println!("vm_invocations {invocations}");
+            let per_1k = if invocations == 0 {
                 0.0
             } else {
-                f64::from(state.cells()) * 1000.0 / state.execs as f64
+                f64::from(state.cells()) * 1000.0 / invocations as f64
             };
-            println!("cells_per_1k_execs {per_1k:.2}");
+            println!("cells_per_1k_invocations {per_1k:.2}");
             for (i, name) in ["baseline", "force_top", "force_t1"].iter().enumerate() {
                 println!(
                     "variant {name} runs {} new_cells {}",
