@@ -89,6 +89,18 @@ if [ "$mode" != "quick" ]; then
         exit 1
     fi
 
+    # Compilation-space enumeration: every pass over the 240 programs
+    # must give the same space digest, all 240 must pass the front end,
+    # and every attributed bug must be in the default set. Nothing else
+    # runs these output checks.
+    echo "==> compilation-space workload (space_hotspot: correct)"
+    space_json=$(cargo run --release -q --offline --manifest-path campaign_bench/Cargo.toml -- \
+        --workload space_hotspot --seed 1 --seconds 1 --trace 0 | tail -n 1) || true
+    if ! grep -q '"correct": true' <<< "$space_json"; then
+        echo "error: space_hotspot output checks failed: $space_json" >&2
+        exit 1
+    fi
+
     # The findings workflow end to end: the default hunt's first
     # reproducer must shrink under reduction, whatever its symptom (a
     # predicate that only recognizes crashes leaves a mis-compilation

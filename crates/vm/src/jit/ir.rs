@@ -479,6 +479,18 @@ impl Term {
         }
     }
 
+    /// The successor slots, in [`Term::successors`] order.
+    pub fn successors_mut(&mut self) -> Vec<&mut BlockId> {
+        match self {
+            Term::Jump(b) => vec![b],
+            Term::Branch { if_true, if_false, .. } => vec![if_true, if_false],
+            Term::Switch { cases, default, .. } => {
+                cases.iter_mut().map(|(_, b)| b).chain([default]).collect()
+            }
+            Term::Return(_) | Term::Trap { .. } => vec![],
+        }
+    }
+
     /// Source registers read by the terminator.
     pub fn sources(&self) -> Vec<Reg> {
         match self {
@@ -580,11 +592,6 @@ impl IrFunc {
         self.anchor_limit_per_frame.iter().any(|&(lo, hi)| reg >= lo && reg < hi)
     }
 
-    /// Total instruction count (for size heuristics and tests).
-    pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len()).sum()
-    }
-
     /// Predecessor lists per block.
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
@@ -595,14 +602,19 @@ impl IrFunc {
         }
         // Handler targets are reachable from every block whose instructions
         // may throw within the covered range; approximate with an edge from
-        // each block containing a covered throwing instruction.
+        // each block containing a covered throwing instruction. Each
+        // block's throwing `(frame, bc_pc)` sites are collected once.
+        if self.handlers.is_empty() {
+            return preds;
+        }
+        let sites = |b: &Block| {
+            b.insts.iter().filter(|i| i.op.can_throw()).map(|i| (i.frame, i.bc_pc)).collect()
+        };
+        let throw_sites: Vec<Vec<(u16, u32)>> = self.blocks.iter().map(sites).collect();
         for handler in &self.handlers {
-            for (id, block) in self.blocks.iter().enumerate() {
-                let throws_in_range = block.insts.iter().any(|inst| {
-                    inst.frame == handler.frame
-                        && inst.op.can_throw()
-                        && inst.bc_pc >= handler.start_bc
-                        && inst.bc_pc < handler.end_bc
+            for (id, sites) in throw_sites.iter().enumerate() {
+                let throws_in_range = sites.iter().any(|&(frame, bc_pc)| {
+                    frame == handler.frame && bc_pc >= handler.start_bc && bc_pc < handler.end_bc
                 });
                 if throws_in_range && !preds[handler.target as usize].contains(&(id as BlockId)) {
                     preds[handler.target as usize].push(id as BlockId);

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
-use crate::jit::cfg::{Dominators, LoopForest};
+use crate::jit::cfg::LoopForest;
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -49,7 +49,6 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
 
 /// Legitimate conservative sinking.
 fn sink_pure_single_use(func: &mut IrFunc) {
-    let doms = Dominators::compute(func);
     let forest = LoopForest::compute(func);
     // Count defs and uses; remember the unique use site.
     let mut def_count: HashMap<Reg, u32> = HashMap::new();
@@ -109,7 +108,7 @@ fn sink_pure_single_use(func: &mut IrFunc) {
             if forest.depth(ub) > forest.depth(b) {
                 continue;
             }
-            if !doms.dominates(b, ub) {
+            if !forest.doms.dominates(b, ub) {
                 continue;
             }
             moves.push(((b, i), (ub, ui), inst.clone()));
@@ -139,10 +138,8 @@ fn buggy_store_sink(func: &mut IrFunc) {
         if home_depth < 2 {
             continue;
         }
-        let Some(home_loop) = forest.innermost.get(b as usize).copied() else { continue };
-        if home_loop == usize::MAX {
-            continue;
-        }
+        // A block at depth 2 or more has an innermost loop.
+        let home_loop = forest.innermost[b as usize];
         // A directly nested child loop to sink into.
         let Some(&child) = forest.children(home_loop).first() else { continue };
         let inner_header = forest.loops[child].header;
@@ -161,16 +158,10 @@ fn buggy_store_sink(func: &mut IrFunc) {
         break; // One sink per compilation keeps the damage analyzable.
     }
     for (b, indices, target) in chain_moves {
-        let mut moved: Vec<Inst> = Vec::new();
         let block = &mut func.blocks[b as usize];
-        for &i in indices.iter().rev() {
-            moved.push(block.insts.remove(i));
-        }
+        let mut moved: Vec<Inst> = indices.iter().rev().map(|&i| block.insts.remove(i)).collect();
         moved.reverse();
-        let target_block = &mut func.blocks[target as usize];
-        for (offset, inst) in moved.into_iter().enumerate() {
-            target_block.insts.insert(offset, inst);
-        }
+        func.blocks[target as usize].insts.splice(0..0, moved);
     }
 }
 

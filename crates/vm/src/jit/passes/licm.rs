@@ -8,11 +8,11 @@
 //! whose stores to the same field all sit inside `try` regions (the buggy
 //! alias check ignores exceptional control flow), yielding stale reads.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
-use crate::jit::cfg::LoopForest;
+use crate::jit::cfg::{Loop, LoopForest};
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -21,32 +21,36 @@ use crate::jit::CompileCtx;
 /// forwarding preheaders.
 pub const TV_CONTRACT: TvContract = TvContract::EffectPreserving;
 
-/// Runs LICM over every loop; the forest is re-discovered after each
-/// preheader insertion (which invalidates block ids' loop membership).
+/// Runs LICM over every loop, deepest first; the forest is re-discovered
+/// only after a preheader insertion (the one edit that changes the CFG).
 pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
     let mut processed: HashSet<BlockId> = HashSet::new();
+    let mut forest = LoopForest::compute(func);
+    // Def counts per register (the single-assignment check); moving an
+    // instruction to a preheader leaves them as they are.
+    let mut defs = vec![0u32; func.num_regs as usize];
+    for dst in func.blocks.iter().flat_map(|b| &b.insts).filter_map(|i| i.dst) {
+        defs[dst as usize] += 1;
+    }
     loop {
-        let forest = LoopForest::compute(func);
-        let next = forest
-            .loops
-            .iter()
-            .filter(|l| !processed.contains(&l.header))
-            .max_by_key(|l| l.depth)
-            .map(|l| (l.header, l.blocks.clone()));
-        let Some((header, blocks)) = next else {
-            return Ok(());
-        };
-        processed.insert(header);
+        let next =
+            forest.loops.iter().filter(|l| !processed.contains(&l.header)).max_by_key(|l| l.depth);
+        let Some(lp) = next else { return Ok(()) };
+        processed.insert(lp.header);
         // Headers that double as exception-handler targets are left alone:
         // the handler edge would bypass a preheader.
-        if func.handlers.iter().any(|h| h.target == header) {
+        if func.handlers.iter().any(|h| h.target == lp.header) {
             continue;
         }
-        hoist_loop(ctx, func, &blocks, header);
+        if hoist_loop(ctx, func, lp, &defs) {
+            forest = LoopForest::compute(func);
+        }
     }
 }
 
-fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], header: BlockId) {
+/// Hoists the loop's invariant instructions; returns whether it inserted
+/// a preheader for them.
+fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, lp: &Loop, defs: &[u32]) -> bool {
     // Registers written anywhere inside the loop.
     let mut written: HashSet<Reg> = HashSet::new();
     // Memory facts needed by the (buggy) field-load hoist.
@@ -54,7 +58,7 @@ fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], 
     // field index -> has a store *outside* any try region / *inside* one.
     let mut field_store_plain: HashSet<u32> = HashSet::new();
     let mut field_store_in_try: HashSet<u32> = HashSet::new();
-    for &b in loop_blocks {
+    for &b in &lp.blocks {
         for inst in &func.blocks[b as usize].insts {
             if let Some(dst) = inst.dst {
                 written.insert(dst);
@@ -75,28 +79,19 @@ fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], 
             }
         }
     }
-    // Global def counts (single-assignment check).
-    let mut def_count: HashMap<Reg, u32> = HashMap::new();
-    for block in &func.blocks {
-        for inst in &block.insts {
-            if let Some(dst) = inst.dst {
-                *def_count.entry(dst).or_default() += 1;
-            }
-        }
-    }
     let is_anchor =
         |r: Reg, anchors: &[(Reg, Reg)]| anchors.iter().any(|&(lo, hi)| r >= lo && r < hi);
     let alias_bug = ctx.active(BugId::HsLicmAliasedLoad) && ctx.optimizing();
     let anchors = func.anchor_limit_per_frame.clone();
 
     let mut hoisted: Vec<Inst> = Vec::new();
-    for &b in loop_blocks {
+    for &b in &lp.blocks {
         let block = &mut func.blocks[b as usize];
         let mut kept: Vec<Inst> = Vec::with_capacity(block.insts.len());
         for inst in block.insts.drain(..) {
             let hoistable = match inst.dst {
                 Some(dst) => {
-                    let single = def_count.get(&dst).copied().unwrap_or(0) == 1;
+                    let single = defs[dst as usize] == 1;
                     let invariant = inst.op.sources().iter().all(|s| !written.contains(s));
                     let movable = if inst.op.is_pure() {
                         true
@@ -123,41 +118,25 @@ fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], 
         block.insts = kept;
     }
     if hoisted.is_empty() {
-        return;
+        return false;
     }
-    insert_preheader(func, header, loop_blocks, hoisted);
+    insert_preheader(func, lp, hoisted);
+    true
 }
 
-/// Creates a preheader block in front of `header`, retargeting all
-/// non-loop predecessors to it, and fills it with `insts`.
-fn insert_preheader(func: &mut IrFunc, header: BlockId, loop_blocks: &[BlockId], insts: Vec<Inst>) {
+/// Creates a preheader block in front of the loop's header, retargeting
+/// all non-loop predecessors to it, and fills it with `insts`.
+fn insert_preheader(func: &mut IrFunc, lp: &Loop, insts: Vec<Inst>) {
     let pre = func.blocks.len() as BlockId;
-    func.blocks.push(Block { insts, term: Term::Jump(header) });
+    func.blocks.push(Block { insts, term: Term::Jump(lp.header) });
     for b in 0..(func.blocks.len() - 1) as u32 {
-        if loop_blocks.contains(&b) {
+        if lp.blocks.contains(&b) {
             continue;
         }
-        match &mut func.blocks[b as usize].term {
-            Term::Jump(t) if *t == header => *t = pre,
-            Term::Branch { if_true, if_false, .. } => {
-                if *if_true == header {
-                    *if_true = pre;
-                }
-                if *if_false == header {
-                    *if_false = pre;
-                }
+        for t in func.blocks[b as usize].term.successors_mut() {
+            if *t == lp.header {
+                *t = pre;
             }
-            Term::Switch { cases, default, .. } => {
-                for (_, t) in cases.iter_mut() {
-                    if *t == header {
-                        *t = pre;
-                    }
-                }
-                if *default == header {
-                    *default = pre;
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -279,5 +258,46 @@ mod tests {
         f.handlers.push(IrHandler { frame: 0, start_bc: 6, end_bc: 9, target: 3, save_reg: None });
         run(&c, &mut f).unwrap();
         assert!(f.blocks[2].insts.iter().any(|i| matches!(i.op, Op::GetField { .. })));
+    }
+
+    /// Hoist order is part of the compiled IR: loops are taken deepest
+    /// first, the last of equal depth first; each loop's instructions
+    /// move in `Loop::blocks` order (the natural-loop walk's order), and
+    /// in program order within a block.
+    #[test]
+    fn hoist_order_follows_pick_order_and_loop_block_order() {
+        let program = tiny_program();
+        let profiles = vec![MethodProfile::default(); program.methods.len()];
+        let faults = FaultInjector::none();
+        let c = ctx(&program, &profiles, &faults);
+        let branch = |if_true, if_false| Term::Branch { cond: 0, if_true, if_false };
+        let mut f = loop_func(vec![]);
+        f.blocks = vec![
+            Block { insts: vec![], term: Term::Jump(1) },
+            // Loop A: header 1, a diamond 2 | 3, latch 4.
+            Block { insts: vec![], term: branch(2, 3) },
+            Block { insts: vec![inst(10, Op::BinI(BinKind::Add, 1, 2))], term: Term::Jump(4) },
+            Block {
+                insts: vec![
+                    inst(11, Op::BinI(BinKind::Mul, 1, 2)),
+                    inst(12, Op::BinI(BinKind::Sub, 1, 2)),
+                ],
+                term: Term::Jump(4),
+            },
+            Block { insts: vec![], term: branch(1, 5) },
+            // Loop B: header 5, body 6.
+            Block { insts: vec![], term: branch(6, 7) },
+            Block { insts: vec![inst(13, Op::BinI(BinKind::Sub, 2, 1))], term: Term::Jump(5) },
+            Block { insts: vec![], term: Term::Return(None) },
+        ];
+        let forest = LoopForest::compute(&f);
+        let bodies: Vec<&[BlockId]> = forest.loops.iter().map(|l| &l.blocks[..]).collect();
+        assert_eq!(bodies, [&[1, 4, 3, 2][..], &[5, 6][..]]);
+        run(&c, &mut f).unwrap();
+        // B (the later loop of equal depth) gets the first preheader.
+        let dsts = |b: usize| f.blocks[b].insts.iter().map(|i| i.dst.unwrap()).collect::<Vec<_>>();
+        assert_eq!((dsts(8), dsts(9)), (vec![13], vec![11, 12, 10]));
+        assert_eq!(f.blocks[0].term, Term::Jump(9));
+        assert_eq!(f.blocks[4].term, branch(1, 8));
     }
 }

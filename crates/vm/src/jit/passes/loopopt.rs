@@ -43,17 +43,10 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
     let profile = &ctx.profiles[func.method.0 as usize];
     let warm_backedges = profile.backedges.iter().any(|&c| c >= 400);
 
+    let len = |b: BlockId| func.blocks[b as usize].insts.len();
     for lp in &forest.loops {
-        let insts = |f: &IrFunc| -> Vec<(BlockId, usize)> {
-            let mut out = Vec::new();
-            for &b in &lp.blocks {
-                for i in 0..f.blocks[b as usize].insts.len() {
-                    out.push((b, i));
-                }
-            }
-            out
-        };
-        let loop_insts = insts(func);
+        let loop_insts: Vec<(BlockId, usize)> =
+            lp.blocks.iter().flat_map(|&b| (0..len(b)).map(move |i| (b, i))).collect();
 
         // --- HotSpot: unrolling a stride-N countable loop with negative
         // bounds.
@@ -130,8 +123,8 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
         }
     }
 
-    // Mutating triggers (instrumentation) run after the crash checks.
-    let forest = LoopForest::compute(func);
+    // Mutating triggers (instrumentation) run after the crash checks,
+    // which edit nothing: the forest still describes the CFG.
     let mut corruptions: Vec<(BlockId, usize, BugId)> = Vec::new();
     let mut burns: Vec<BlockId> = Vec::new();
     for lp in &forest.loops {
