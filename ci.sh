@@ -19,6 +19,25 @@ tree_at_start=$(git status --porcelain)
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# Java's integer semantics (wrapping arithmetic, div/rem with the
+# zero-divisor exception, shift masking) have one definition,
+# cse_bytecode::arith, that the interpreter, the IR executor, constant
+# folding and translation validation all call. A private copy elsewhere
+# in non-test code could drift from it and make the oracles report
+# phantom discrepancies.
+echo "==> integer semantics defined only in cse_bytecode::arith"
+arith_copies=$(find crates -path '*/src/*' -name '*.rs' ! -path crates/bytecode/src/arith.rs -print0 \
+    | sort -z | xargs -0 awk '
+        FNR == 1 { attr = 0 }
+        /^#\[cfg\(test\)\]/ { attr = FNR; next }
+        attr && FNR == attr + 1 && /^mod tests/ { nextfile }
+        /wrapping_(div|rem|shl|shr)/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$arith_copies" ]; then
+    echo "error: integer arithmetic outside crates/bytecode/src/arith.rs:" >&2
+    echo "$arith_copies" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

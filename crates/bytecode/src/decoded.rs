@@ -29,9 +29,10 @@
 //! | [`DInsn::OpStore`] | `op; Store b` | 2 |
 //! | [`DInsn::CmpBr`] | `ICmp`/`LCmp; JumpIf*` | 2 |
 //!
-//! `op` is a non-raising int binop ([`IntOp`]). The successor slots keep
-//! their original instructions, so the pc layout stays 1:1 and a jump
-//! into the middle of a shape runs unfused code. The interpreter takes a
+//! `op` is an int [`BinKind`] that cannot raise (any but `Div` and
+//! `Rem`), evaluated by the shared [`crate::arith`] semantics. The
+//! successor slots keep their original instructions, so the pc layout
+//! stays 1:1 and a jump into the middle of a shape runs unfused code. The interpreter takes a
 //! shape's remaining ops in one step only when all of them fit in the
 //! fuel and before the next watchdog/chaos side check; otherwise it runs
 //! just the shape's first instruction and continues at `pc + 1`, so fuel
@@ -41,57 +42,9 @@
 
 use std::rc::Rc;
 
+use crate::arith::BinKind;
 use crate::insn::{ArrKind, CmpOp, Insn, PrintKind};
 use crate::program::{BProgram, ClassId, MethodId, StrId};
-
-/// A non-raising int binop: the `op` of the fused int shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntOp {
-    Add,
-    Sub,
-    Mul,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    Ushr,
-}
-
-impl IntOp {
-    /// The binop `insn` performs, if it is a non-raising int binop
-    /// (`IDiv`/`IRem` raise on zero and are excluded).
-    pub fn of(insn: DInsn) -> Option<IntOp> {
-        Some(match insn {
-            DInsn::IAdd => IntOp::Add,
-            DInsn::ISub => IntOp::Sub,
-            DInsn::IMul => IntOp::Mul,
-            DInsn::IAnd => IntOp::And,
-            DInsn::IOr => IntOp::Or,
-            DInsn::IXor => IntOp::Xor,
-            DInsn::IShl => IntOp::Shl,
-            DInsn::IShr => IntOp::Shr,
-            DInsn::IUshr => IntOp::Ushr,
-            _ => return None,
-        })
-    }
-
-    /// `a op b` with the bytecode's wrapping semantics.
-    #[inline(always)]
-    pub fn eval(self, a: i32, b: i32) -> i32 {
-        match self {
-            IntOp::Add => a.wrapping_add(b),
-            IntOp::Sub => a.wrapping_sub(b),
-            IntOp::Mul => a.wrapping_mul(b),
-            IntOp::And => a & b,
-            IntOp::Or => a | b,
-            IntOp::Xor => a ^ b,
-            IntOp::Shl => a.wrapping_shl(b as u32),
-            IntOp::Shr => a.wrapping_shr(b as u32),
-            IntOp::Ushr => ((a as u32).wrapping_shr(b as u32)) as i32,
-        }
-    }
-}
 
 /// A `Copy` mirror of [`Insn`] plus superinstructions; see the module
 /// docs.
@@ -183,14 +136,14 @@ pub enum DInsn {
     LoadConstOpStore {
         src: u16,
         k: i32,
-        op: IntOp,
+        op: BinKind,
         dst: u16,
     },
     /// Superinstruction `Load src; IConst k; op`.
     LoadConstOp {
         src: u16,
         k: i32,
-        op: IntOp,
+        op: BinKind,
     },
     /// Superinstruction `Load src; IConst k; ICmp(op); JumpIf*`: branches
     /// to `target` when `local[src] op k` equals `want`, else falls
@@ -204,7 +157,7 @@ pub enum DInsn {
     },
     /// Superinstruction `op; Store dst`.
     OpStore {
-        op: IntOp,
+        op: BinKind,
         dst: u16,
     },
     /// Superinstruction `IConst k; Store dst`.
@@ -369,20 +322,18 @@ impl DecodedMethod {
 fn superinstruction(code: &[DInsn]) -> Option<DInsn> {
     use DInsn::{ICmp, IConst, JumpIfFalse, JumpIfTrue, LCmp, Load, Store};
     let fused = match *code {
-        [Load(src), IConst(k), op, Store(dst), ..] if IntOp::of(op).is_some() => {
-            DInsn::LoadConstOpStore { src, k, op: IntOp::of(op)?, dst }
+        [Load(src), IConst(k), op, Store(dst), ..] if fusable(op).is_some() => {
+            DInsn::LoadConstOpStore { src, k, op: fusable(op)?, dst }
         }
         [Load(src), IConst(k), ICmp(op), JumpIfTrue(target) | JumpIfFalse(target), ..] => {
             DInsn::LoadConstCmpBr { src, k, op, want: matches!(code[3], JumpIfTrue(_)), target }
         }
-        [Load(src), IConst(k), op, ..] if IntOp::of(op).is_some() => {
-            DInsn::LoadConstOp { src, k, op: IntOp::of(op)? }
+        [Load(src), IConst(k), op, ..] if fusable(op).is_some() => {
+            DInsn::LoadConstOp { src, k, op: fusable(op)? }
         }
         [Load(a), Load(b), ..] => DInsn::LoadLoad { a, b },
         [IConst(k), Store(dst), ..] => DInsn::ConstStore { k, dst },
-        [op, Store(dst), ..] if IntOp::of(op).is_some() => {
-            DInsn::OpStore { op: IntOp::of(op)?, dst }
-        }
+        [op, Store(dst), ..] if fusable(op).is_some() => DInsn::OpStore { op: fusable(op)?, dst },
         [ICmp(op) | LCmp(op), JumpIfTrue(target) | JumpIfFalse(target), ..] => DInsn::CmpBr {
             op,
             long_operands: matches!(code[0], LCmp(_)),
@@ -392,6 +343,14 @@ fn superinstruction(code: &[DInsn]) -> Option<DInsn> {
         _ => return None,
     };
     Some(fused)
+}
+
+/// The `op` of the fused int shapes: an int binop that cannot raise.
+fn fusable(insn: DInsn) -> Option<BinKind> {
+    match insn.binop()? {
+        (kind, false) if !kind.can_throw() => Some(kind),
+        _ => None,
+    }
 }
 
 /// A whole program in decoded form, plus its interned string pool.
@@ -471,7 +430,7 @@ mod tests {
         assert_eq!(const_cmp_br.len(), 1, "`j < 9` must fuse: {:?}", main.code);
         assert!(matches!(code[const_cmp_br[0] + 3], Insn::JumpIfTrue(_) | Insn::JumpIfFalse(_)));
         let increments = fused(
-            |i| matches!(i, DInsn::LoadConstOpStore { op: IntOp::Add, k: 1, src, dst } if src == dst),
+            |i| matches!(i, DInsn::LoadConstOpStore { op: BinKind::Add, k: 1, src, dst } if src == dst),
         );
         assert_eq!(increments.len(), 2, "`i = i + 1` and `j = j + 1` must fuse: {:?}", main.code);
     }
@@ -479,17 +438,19 @@ mod tests {
     /// The unfused instructions a superinstruction stands for; `None` for
     /// a plain instruction.
     fn shape_of(dinsn: DInsn) -> Option<Vec<Insn>> {
-        fn int_insn(op: IntOp) -> Insn {
+        fn int_insn(op: BinKind) -> Insn {
             match op {
-                IntOp::Add => Insn::IAdd,
-                IntOp::Sub => Insn::ISub,
-                IntOp::Mul => Insn::IMul,
-                IntOp::And => Insn::IAnd,
-                IntOp::Or => Insn::IOr,
-                IntOp::Xor => Insn::IXor,
-                IntOp::Shl => Insn::IShl,
-                IntOp::Shr => Insn::IShr,
-                IntOp::Ushr => Insn::IUshr,
+                BinKind::Add => Insn::IAdd,
+                BinKind::Sub => Insn::ISub,
+                BinKind::Mul => Insn::IMul,
+                BinKind::Div => Insn::IDiv,
+                BinKind::Rem => Insn::IRem,
+                BinKind::Shl => Insn::IShl,
+                BinKind::Shr => Insn::IShr,
+                BinKind::Ushr => Insn::IUshr,
+                BinKind::And => Insn::IAnd,
+                BinKind::Or => Insn::IOr,
+                BinKind::Xor => Insn::IXor,
             }
         }
         let branch = |want: bool, target| {
@@ -587,10 +548,10 @@ mod tests {
         // The program exercises every superinstruction.
         let all = [
             DInsn::CmpBr { op: CmpOp::Eq, long_operands: false, want: false, target: 0 },
-            DInsn::LoadConstOpStore { src: 0, k: 0, op: IntOp::Add, dst: 0 },
-            DInsn::LoadConstOp { src: 0, k: 0, op: IntOp::Add },
+            DInsn::LoadConstOpStore { src: 0, k: 0, op: BinKind::Add, dst: 0 },
+            DInsn::LoadConstOp { src: 0, k: 0, op: BinKind::Add },
             DInsn::LoadConstCmpBr { src: 0, k: 0, op: CmpOp::Eq, want: false, target: 0 },
-            DInsn::OpStore { op: IntOp::Add, dst: 0 },
+            DInsn::OpStore { op: BinKind::Add, dst: 0 },
             DInsn::ConstStore { k: 0, dst: 0 },
             DInsn::LoadLoad { a: 0, b: 0 },
         ];

@@ -55,57 +55,68 @@ use crate::program::{BMethod, BProgram, MethodId};
 /// The unit digest conservatively covers this whole closure.
 pub const INLINE_CLOSURE_DEPTH: usize = 4;
 
-/// FNV-1a, the same construction the rest of the workspace uses for
-/// deterministic digests (duplicated here because `cse-bytecode` sits at
-/// the bottom of the crate graph).
+/// The workspace's one 64-bit FNV-1a accumulator, for every
+/// deterministic digest and fingerprint (the workspace has no registry
+/// dependencies). Each writer feeds a fixed byte stream: [`Fnv::raw`]
+/// the bytes as given, [`Fnv::u64`] eight little-endian bytes, and
+/// [`Fnv::str`] a `u64` length prefix and then the bytes.
 #[derive(Clone, Copy)]
-struct Fnv(u64);
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Fnv {
+    /// The FNV-1a offset basis.
+    pub fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.u64(bytes.len() as u64);
+    /// Feeds `bytes` with no length prefix.
+    pub fn raw(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
+    /// Feeds `v` as eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
     }
 
-    fn ty(&mut self, ty: &Ty) {
-        match ty {
-            Ty::Int => self.u64(1),
-            Ty::Long => self.u64(2),
-            Ty::Byte => self.u64(3),
-            Ty::Bool => self.u64(4),
-            Ty::Str => self.u64(5),
-            Ty::Void => self.u64(6),
-            Ty::Array(elem) => {
-                self.u64(7);
-                self.ty(elem);
-            }
-            Ty::Class(name) => {
-                self.u64(8);
-                self.str(name);
-            }
-        }
+    /// Feeds `s`'s bytes after their length.
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.raw(s.as_bytes());
     }
 
-    fn finish(self) -> u64 {
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Feeds a type's structure (tag, then element type or class name).
+fn hash_ty(h: &mut Fnv, ty: &Ty) {
+    match ty {
+        Ty::Int => h.u64(1),
+        Ty::Long => h.u64(2),
+        Ty::Byte => h.u64(3),
+        Ty::Bool => h.u64(4),
+        Ty::Str => h.u64(5),
+        Ty::Void => h.u64(6),
+        Ty::Array(elem) => {
+            h.u64(7);
+            hash_ty(h, elem);
+        }
+        Ty::Class(name) => {
+            h.u64(8);
+            h.str(name);
+        }
     }
 }
 
@@ -209,9 +220,9 @@ fn hash_signature(h: &mut Fnv, program: &BProgram, method: &BMethod) {
     h.u64(u64::from(method.is_static));
     h.u64(method.params.len() as u64);
     for ty in &method.params {
-        h.ty(ty);
+        hash_ty(h, ty);
     }
-    h.ty(&method.ret);
+    hash_ty(h, &method.ret);
 }
 
 fn method_content(program: &BProgram, idx: usize) -> u64 {
@@ -225,7 +236,7 @@ fn method_content(program: &BProgram, idx: usize) -> u64 {
             None => h.u64(0),
             Some(ty) => {
                 h.u64(1);
-                h.ty(ty);
+                hash_ty(&mut h, ty);
             }
         }
     }
@@ -283,7 +294,7 @@ fn hash_insn_content(h: &mut Fnv, program: &BProgram, insn: &Insn) {
             h.str(&c.name);
             let f = &c.static_fields[*field as usize];
             h.str(&f.name);
-            h.ty(&f.ty);
+            hash_ty(h, &f.ty);
         }
         Insn::GetField { field } => {
             h.u64(12);
@@ -300,7 +311,7 @@ fn hash_insn_content(h: &mut Fnv, program: &BProgram, insn: &Insn) {
             h.u64(c.inst_fields.len() as u64);
             for f in &c.inst_fields {
                 h.str(&f.name);
-                h.ty(&f.ty);
+                hash_ty(h, &f.ty);
             }
         }
         Insn::NewArray(kind) => {

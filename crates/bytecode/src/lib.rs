@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod arith;
 pub mod compile;
 pub mod decoded;
 pub mod digest;
@@ -29,8 +30,9 @@ pub mod insn;
 pub mod program;
 pub mod verify;
 
+pub use arith::BinKind;
 pub use compile::compile;
-pub use decoded::{DInsn, DecodedMethod, DecodedProgram, IntOp};
-pub use digest::{MethodDigest, ProgramDigests};
+pub use decoded::{DInsn, DecodedMethod, DecodedProgram};
+pub use digest::{Fnv, MethodDigest, ProgramDigests};
 pub use insn::{ArrKind, CmpOp, Insn, PrintKind};
 pub use program::{BClass, BMethod, BProgram, ClassId, ExcKind, FieldId, Handler, MethodId, StrId};

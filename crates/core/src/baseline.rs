@@ -13,7 +13,7 @@ use cse_lang::Program;
 use cse_rng::Rng64;
 #[cfg(test)]
 use cse_vm::VmKind;
-use cse_vm::{BugId, Outcome, Vm, VmConfig};
+use cse_vm::{BugId, ForcedPlan, Outcome, Vm, VmConfig};
 
 use crate::validate::compile_checked;
 
@@ -37,9 +37,9 @@ pub fn traditional(seed: &Program, vm: &VmConfig) -> BaselineOutcome {
 /// validation and this baseline.
 pub fn traditional_compiled(bytecode: &BProgram, vm: &VmConfig) -> BaselineOutcome {
     let default_run = Vm::run_program(bytecode, vm.clone());
-    let mut forced = VmConfig::force_compile_all(vm.kind);
-    forced.faults = vm.faults.clone();
-    forced.fuel = vm.fuel;
+    // The forced run is the VM under test with every call compiled: its
+    // budgets, tiers and oracle modes are the default run's.
+    let forced = vm.clone().with_plan(ForcedPlan::all(vm.top_tier()));
     let forced_run = Vm::run_program(bytecode, forced);
     // Resource-exhausted runs are discarded, mirroring the paper's cutoff.
     if default_run.outcome.is_resource_exhausted() || forced_run.outcome.is_resource_exhausted() {
@@ -106,6 +106,23 @@ mod tests {
             assert!(!outcome.discrepancy, "seed {seed_value}: false positive");
             assert_eq!(outcome.vm_invocations, 2);
         }
+    }
+
+    /// The forced run must use the VM under test, not a profile default:
+    /// recursion deeper than the default call depth but within the
+    /// configured one is no discrepancy.
+    #[test]
+    fn traditional_forced_run_keeps_the_vm_under_test() {
+        let seed = cse_lang::parse_and_check(
+            "class T { static int down(int n) { if (n == 0) { return 0; } \
+             return down(n - 1) + 1; } \
+             static void main() { println(down(200)); } }",
+        )
+        .unwrap();
+        let mut vm = VmConfig::correct(VmKind::HotSpotLike);
+        vm.max_call_depth = 1000;
+        let outcome = traditional(&seed, &vm);
+        assert!(!outcome.discrepancy, "false positive on a correct VM");
     }
 
     #[test]

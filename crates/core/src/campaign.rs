@@ -226,13 +226,9 @@ impl CampaignResult {
     /// included. A campaign killed mid-run and resumed from its
     /// checkpoint produces the same digest as an uninterrupted run.
     pub fn digest(&self, config: &CampaignConfig) -> u64 {
-        // FNV-1a, 64-bit.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in supervisor::encode(config, self).bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        let mut hash = cse_bytecode::Fnv::new();
+        hash.raw(supervisor::encode(config, self).as_bytes());
+        hash.finish()
     }
 }
 

@@ -97,7 +97,7 @@ pub struct CorpusCandidate {
 }
 
 /// One minimized-corpus entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusEntry {
     /// Generator seed that (with its campaign mutations) reached the
     /// novel cells.
@@ -114,7 +114,7 @@ pub struct CorpusEntry {
 /// The merged campaign-wide coverage state: global map, minimized
 /// corpus, per-plan-variant productivity counters, and the active
 /// round's persisted schedule.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoverageState {
     /// Union of every merged run's map.
     pub global: CoverageMap,
@@ -136,42 +136,6 @@ impl CoverageState {
     /// Covered cells in the global map.
     pub fn cells(&self) -> u32 {
         self.global.count()
-    }
-
-    /// A structural fingerprint of the whole state, for determinism
-    /// assertions (jobs-invariance, resume-invariance).
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fnv::new();
-        for &word in self.global.words() {
-            fp.u64(word);
-        }
-        fp.u64(self.corpus.len() as u64);
-        for entry in &self.corpus {
-            fp.u64(entry.gen_seed);
-            fp.u64(u64::from(entry.new_cells));
-            fp.u64(entry.locations.len() as u64);
-            for location in &entry.locations {
-                fp.str(location);
-            }
-            for &word in entry.map.words() {
-                fp.u64(word);
-            }
-        }
-        fp.u64(self.round);
-        fp.u64(self.schedule.len() as u64);
-        for task in &self.schedule {
-            fp.u64(task.gen_seed);
-            fp.u64(task.plan.index() as u64);
-            fp.u64(task.focus.len() as u64);
-            for focus in &task.focus {
-                fp.str(focus);
-            }
-        }
-        for i in 0..3 {
-            fp.u64(self.variant_runs[i]);
-            fp.u64(self.variant_new[i]);
-        }
-        fp.finish()
     }
 
     /// Merges one seed's results into the state. Called only from the
@@ -304,35 +268,6 @@ fn pick_entry<'s>(state: &'s CoverageState, rng: &mut Rng64) -> &'s CorpusEntry 
     &state.corpus[0]
 }
 
-/// Local FNV-1a accumulator (mirrors `cse_vm::profile::Fnv`, which is
-/// crate-private there).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn str(&mut self, value: &str) {
-        self.u64(value.len() as u64);
-        for byte in value.bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,14 +343,5 @@ mod tests {
         let single = schedule_round(&state, 0, 1, ROUND_LEN, false);
         assert!(single.iter().all(|t| t.plan != PlanVariant::ForceT1));
         assert_eq!(schedule_round(&state, 0, 1, ROUND_LEN, true), multi, "pure function");
-    }
-
-    #[test]
-    fn state_fingerprint_tracks_content() {
-        let mut a = CoverageState::default();
-        let b = CoverageState::default();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        a.absorb(&map_with(&[1]), Vec::new(), 0, PlanVariant::Baseline);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

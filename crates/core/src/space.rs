@@ -11,7 +11,7 @@
 //!   forced plans, and this module enumerates small spaces exhaustively
 //!   (the paper's Figure 1).
 
-use cse_bytecode::{BProgram, MethodId};
+use cse_bytecode::{BProgram, Fnv, MethodId};
 use cse_vm::{
     ExecMode, ExecutionResult, ForcedPlan, ProgramArtifacts, Tier, TraceEvent, Vm, VmConfig,
 };
@@ -292,14 +292,12 @@ fn render_point(p: &SpacePoint) -> String {
 /// [`enumerate_space_with`]'s proof obligation). Rendering masks
 /// `code_cache_hits`; see `render_point`.
 pub fn space_digest(points: &[SpacePoint]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv::new();
     for point in points {
-        for byte in render_point(point).bytes().chain([b'\n']) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
+        hash.raw(render_point(point).as_bytes());
+        hash.raw(b"\n");
     }
-    hash
+    hash.finish()
 }
 
 /// Cross-validates an enumerated space: `Some((i, j))` returns the first

@@ -962,13 +962,12 @@ mod tests {
             plan: PlanVariant::ForceTop,
         });
         state.schedule.push(TaskSpec { gen_seed: 13, focus: vec![], plan: PlanVariant::Baseline });
-        let fingerprint = state.fingerprint();
-        result.coverage = Some(state);
+        result.coverage = Some(state.clone());
 
         let text = checkpoint_text(&config, &result);
         let decoded = decode(&text, &config).expect("decode");
         let restored = decoded.coverage.expect("coverage state restored");
-        assert_eq!(restored.fingerprint(), fingerprint, "state must round-trip exactly");
+        assert_eq!(restored, state, "state must round-trip exactly");
         let plain = checkpoint_text(&config, &sample_result());
         assert!(!plain.contains("\ncoverage "));
         assert!(decode(&plain, &config).expect("decode").coverage.is_none());

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cse_bytecode::MethodId;
+use cse_bytecode::{Fnv, MethodId};
 use cse_lang::Program;
 use cse_reduce::{reduce_with, ReduceConfig};
 use cse_vm::supervise::supervised_run;
@@ -95,16 +95,12 @@ impl BugSignature {
     /// FNV-1a content hash — stable across processes and machines,
     /// suitable for file names and dedup keys.
     pub fn stable_hash(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut hash = Fnv::new();
         for part in [self.oracle.to_string().as_str(), &self.component, &self.shape] {
-            for byte in part.bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= 0x1f;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            hash.raw(part.as_bytes());
+            hash.raw(&[0x1f]);
         }
-        hash
+        hash.finish()
     }
 }
 
@@ -396,12 +392,9 @@ impl TriageReport {
 
     /// FNV-1a digest of the canonical rendering.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.render().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        let mut hash = Fnv::new();
+        hash.raw(self.render().as_bytes());
+        hash.finish()
     }
 }
 

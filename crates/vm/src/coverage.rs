@@ -146,12 +146,9 @@ fn mix(x: u64) -> u64 {
 
 /// FNV-1a over a string, for pass names and deopt reasons.
 fn fnv_str(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = cse_bytecode::Fnv::new();
+    hash.raw(s.as_bytes());
+    hash.finish()
 }
 
 // Feature-kind tags keep the taxonomies from colliding structurally

@@ -351,7 +351,7 @@ impl FaultInjector {
     /// code compiled under one fault set must never be reused under
     /// another.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = crate::profile::Fnv::new();
+        let mut fp = cse_bytecode::Fnv::new();
         fp.u64(self.active.len() as u64);
         for &bug in &self.active {
             fp.u64(bug as u64);

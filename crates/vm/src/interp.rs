@@ -5,7 +5,7 @@
 //! switch profiles for tier-2 speculation, and triggers OSR compilation
 //! when a back-edge counter crosses its threshold.
 
-use cse_bytecode::{DInsn, ExcKind, IntOp, MethodId};
+use cse_bytecode::{DInsn, ExcKind, MethodId};
 
 use crate::config::Tier;
 use crate::events::CompileReason;
@@ -133,13 +133,17 @@ impl Vm<'_> {
                 // below runs instead, continuing at `pc + 1`.
                 DInsn::LoadConstOpStore { src, k, op, dst } if self.burn_fused(3) => {
                     let locals = &mut frame!().locals;
-                    locals[dst as usize] = Value::I(op.eval(locals[src as usize].as_i(), k));
+                    let r =
+                        op.eval_i(locals[src as usize].as_i(), k).expect("fused ops cannot raise");
+                    locals[dst as usize] = Value::I(r);
                     pc += 4;
                     continue;
                 }
                 DInsn::LoadConstOp { src, k, op } if self.burn_fused(2) => {
                     let frame = &mut frame!();
-                    let r = op.eval(frame.locals[src as usize].as_i(), k);
+                    let r = op
+                        .eval_i(frame.locals[src as usize].as_i(), k)
+                        .expect("fused ops cannot raise");
                     frame.stack.push(Value::I(r));
                     pc += 3;
                     continue;
@@ -166,7 +170,8 @@ impl Vm<'_> {
                     let frame = &mut frame!();
                     let b = frame.stack.pop().expect("verified").as_i();
                     let a = frame.stack.pop().expect("verified").as_i();
-                    frame.locals[dst as usize] = Value::I(op.eval(a, b));
+                    frame.locals[dst as usize] =
+                        Value::I(op.eval_i(a, b).expect("fused ops cannot raise"));
                     pc += 2;
                     continue;
                 }
@@ -287,32 +292,22 @@ impl Vm<'_> {
                 DInsn::IAdd
                 | DInsn::ISub
                 | DInsn::IMul
-                | DInsn::IAnd
-                | DInsn::IOr
-                | DInsn::IXor
+                | DInsn::IDiv
+                | DInsn::IRem
                 | DInsn::IShl
                 | DInsn::IShr
                 | DInsn::IUshr
+                | DInsn::IAnd
+                | DInsn::IOr
+                | DInsn::IXor
                 | DInsn::OpStore { .. } => {
                     let op = match insn {
                         DInsn::OpStore { op, .. } => op,
-                        plain => IntOp::of(plain).expect("int binop"),
+                        plain => plain.binop().expect("int binop").0,
                     };
                     let b = frame!().stack.pop().expect("verified").as_i();
                     let a = frame!().stack.pop().expect("verified").as_i();
-                    frame!().stack.push(Value::I(op.eval(a, b)));
-                }
-                DInsn::IDiv | DInsn::IRem => {
-                    let b = frame!().stack.pop().expect("verified").as_i();
-                    let a = frame!().stack.pop().expect("verified").as_i();
-                    if b == 0 {
-                        raise!(pc, ExcKind::Arithmetic, 0);
-                    }
-                    let r = if matches!(insn, DInsn::IDiv) {
-                        a.wrapping_div(b)
-                    } else {
-                        a.wrapping_rem(b)
-                    };
+                    let Some(r) = op.eval_i(a, b) else { raise!(pc, ExcKind::Arithmetic, 0) };
                     frame!().stack.push(Value::I(r));
                 }
                 DInsn::INeg => {
@@ -323,44 +318,19 @@ impl Vm<'_> {
                 DInsn::LAdd
                 | DInsn::LSub
                 | DInsn::LMul
+                | DInsn::LDiv
+                | DInsn::LRem
+                | DInsn::LShl
+                | DInsn::LShr
+                | DInsn::LUshr
                 | DInsn::LAnd
                 | DInsn::LOr
                 | DInsn::LXor => {
-                    let b = frame!().stack.pop().expect("verified").as_l();
+                    let (op, _) = insn.binop().expect("long binop");
+                    let b = frame!().stack.pop().expect("verified");
+                    let b = if op.is_shift() { i64::from(b.as_i()) } else { b.as_l() };
                     let a = frame!().stack.pop().expect("verified").as_l();
-                    let r = match insn {
-                        DInsn::LAdd => a.wrapping_add(b),
-                        DInsn::LSub => a.wrapping_sub(b),
-                        DInsn::LMul => a.wrapping_mul(b),
-                        DInsn::LAnd => a & b,
-                        DInsn::LOr => a | b,
-                        DInsn::LXor => a ^ b,
-                        _ => unreachable!(),
-                    };
-                    frame!().stack.push(Value::L(r));
-                }
-                DInsn::LDiv | DInsn::LRem => {
-                    let b = frame!().stack.pop().expect("verified").as_l();
-                    let a = frame!().stack.pop().expect("verified").as_l();
-                    if b == 0 {
-                        raise!(pc, ExcKind::Arithmetic, 0);
-                    }
-                    let r = if matches!(insn, DInsn::LDiv) {
-                        a.wrapping_div(b)
-                    } else {
-                        a.wrapping_rem(b)
-                    };
-                    frame!().stack.push(Value::L(r));
-                }
-                DInsn::LShl | DInsn::LShr | DInsn::LUshr => {
-                    let b = frame!().stack.pop().expect("verified").as_i();
-                    let a = frame!().stack.pop().expect("verified").as_l();
-                    let r = match insn {
-                        DInsn::LShl => a.wrapping_shl(b as u32),
-                        DInsn::LShr => a.wrapping_shr(b as u32),
-                        DInsn::LUshr => ((a as u64).wrapping_shr(b as u32)) as i64,
-                        _ => unreachable!(),
-                    };
+                    let Some(r) = op.eval_l(a, b) else { raise!(pc, ExcKind::Arithmetic, 0) };
                     frame!().stack.push(Value::L(r));
                 }
                 DInsn::LNeg => {

@@ -329,30 +329,8 @@ impl Builder<'_, '_> {
                     | Insn::IUshr
                     | Insn::IAnd
                     | Insn::IOr
-                    | Insn::IXor => {
-                        let kind = match insn {
-                            Insn::IAdd => BinKind::Add,
-                            Insn::ISub => BinKind::Sub,
-                            Insn::IMul => BinKind::Mul,
-                            Insn::IDiv => BinKind::Div,
-                            Insn::IRem => BinKind::Rem,
-                            Insn::IShl => BinKind::Shl,
-                            Insn::IShr => BinKind::Shr,
-                            Insn::IUshr => BinKind::Ushr,
-                            Insn::IAnd => BinKind::And,
-                            Insn::IOr => BinKind::Or,
-                            _ => BinKind::Xor,
-                        };
-                        emit(
-                            &mut self.blocks,
-                            Some(stack(d - 2)),
-                            Op::BinI(kind, stack(d - 2), stack(d - 1)),
-                            pc,
-                            cur,
-                        );
-                        d -= 1;
-                    }
-                    Insn::LAdd
+                    | Insn::IXor
+                    | Insn::LAdd
                     | Insn::LSub
                     | Insn::LMul
                     | Insn::LDiv
@@ -363,26 +341,10 @@ impl Builder<'_, '_> {
                     | Insn::LAnd
                     | Insn::LOr
                     | Insn::LXor => {
-                        let kind = match insn {
-                            Insn::LAdd => BinKind::Add,
-                            Insn::LSub => BinKind::Sub,
-                            Insn::LMul => BinKind::Mul,
-                            Insn::LDiv => BinKind::Div,
-                            Insn::LRem => BinKind::Rem,
-                            Insn::LShl => BinKind::Shl,
-                            Insn::LShr => BinKind::Shr,
-                            Insn::LUshr => BinKind::Ushr,
-                            Insn::LAnd => BinKind::And,
-                            Insn::LOr => BinKind::Or,
-                            _ => BinKind::Xor,
-                        };
-                        emit(
-                            &mut self.blocks,
-                            Some(stack(d - 2)),
-                            Op::BinL(kind, stack(d - 2), stack(d - 1)),
-                            pc,
-                            cur,
-                        );
+                        let (kind, long) = insn.binop().expect("a binop");
+                        let (a, b) = (stack(d - 2), stack(d - 1));
+                        let op = if long { Op::BinL(kind, a, b) } else { Op::BinI(kind, a, b) };
+                        emit(&mut self.blocks, Some(a), op, pc, cur);
                         d -= 1;
                     }
                     Insn::INeg => {

@@ -55,12 +55,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cse_bytecode::{BProgram, DecodedProgram, ProgramDigests};
+use cse_bytecode::{BProgram, DecodedProgram, Fnv, ProgramDigests};
 
 use crate::config::{Tier, VmConfig};
 use crate::exec::CrashInfo;
 use crate::jit::ir::IrFunc;
-use crate::profile::Fnv;
 
 /// Everything that distinguishes one compilation from another, across
 /// arbitrary programs (see the module docs for the soundness argument).

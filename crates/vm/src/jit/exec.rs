@@ -7,7 +7,7 @@
 //! from the anchor registers and hand control back to the VM for
 //! de-optimization.
 
-use cse_bytecode::{CmpOp, ExcKind};
+use cse_bytecode::ExcKind;
 
 use super::ir::*;
 use crate::events::DeoptReason;
@@ -146,33 +146,16 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                 }
                 Op::ConstNull => result = Some(Value::Null),
                 Op::Copy(r) => result = Some(reg!(*r).clone()),
-                Op::BinI(kind, a, b2) => {
-                    let x = reg!(*a).as_i();
-                    let y = reg!(*b2).as_i();
-                    match eval_bin_i(*kind, x, y) {
-                        Ok(v) => result = Some(Value::I(v)),
-                        Err(e) => exception = Some(e),
-                    }
-                }
+                Op::BinI(kind, a, b2) => match kind.eval_i(reg!(*a).as_i(), reg!(*b2).as_i()) {
+                    Some(v) => result = Some(Value::I(v)),
+                    None => exception = Some((ExcKind::Arithmetic, 0)),
+                },
                 Op::BinL(kind, a, b2) => {
-                    let x = reg!(*a).as_l();
-                    match kind {
-                        BinKind::Shl | BinKind::Shr | BinKind::Ushr => {
-                            let y = reg!(*b2).as_i();
-                            let v = match kind {
-                                BinKind::Shl => x.wrapping_shl(y as u32),
-                                BinKind::Shr => x.wrapping_shr(y as u32),
-                                _ => ((x as u64).wrapping_shr(y as u32)) as i64,
-                            };
-                            result = Some(Value::L(v));
-                        }
-                        _ => {
-                            let y = reg!(*b2).as_l();
-                            match eval_bin_l(*kind, x, y) {
-                                Ok(v) => result = Some(Value::L(v)),
-                                Err(e) => exception = Some(e),
-                            }
-                        }
+                    let y = &reg!(*b2);
+                    let y = if kind.is_shift() { i64::from(y.as_i()) } else { y.as_l() };
+                    match kind.eval_l(reg!(*a).as_l(), y) {
+                        Some(v) => result = Some(Value::L(v)),
+                        None => exception = Some((ExcKind::Arithmetic, 0)),
                     }
                 }
                 Op::NegI(r) => result = Some(Value::I(reg!(*r).as_i().wrapping_neg())),
@@ -212,7 +195,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     match vm.field_get(&o, *field) {
                         Ok(v) => result = Some(v),
                         Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                        Err(e) => return finish(vm, frame_idx, Err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 Op::PutField { obj, field, val } => {
@@ -221,20 +204,20 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     match vm.field_put(&o, *field, v) {
                         Ok(()) => {}
                         Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                        Err(e) => return finish(vm, frame_idx, Err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 Op::NewObject(class) => match vm.alloc_object(*class) {
                     Ok(v) => result = Some(v),
                     Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                    Err(e) => return finish(vm, frame_idx, Err(e)),
+                    Err(e) => return Err(e),
                 },
                 Op::NewArray { kind, len } => {
                     let n = reg!(*len).as_i();
                     match vm.alloc_array(*kind, n) {
                         Ok(v) => result = Some(v),
                         Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                        Err(e) => return finish(vm, frame_idx, Err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 Op::NewMultiArray { kind, dims } => {
@@ -242,7 +225,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     match vm.alloc_multi(*kind, &lens) {
                         Ok(v) => result = Some(v),
                         Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                        Err(e) => return finish(vm, frame_idx, Err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 Op::ArrLoad { arr, idx, .. } => {
@@ -251,7 +234,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     match vm.arr_load(&a, i) {
                         Ok(v) => result = Some(v),
                         Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                        Err(e) => return finish(vm, frame_idx, Err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 Op::ArrStore { arr, idx, val, .. } => {
@@ -261,7 +244,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     match vm.arr_store(&a, i, v) {
                         Ok(()) => {}
                         Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                        Err(e) => return finish(vm, frame_idx, Err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 Op::ArrLen(r) => {
@@ -269,7 +252,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     match vm.arr_len(&a) {
                         Ok(n) => result = Some(Value::I(n)),
                         Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                        Err(e) => return finish(vm, frame_idx, Err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 Op::Call { method, args } => {
@@ -281,7 +264,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                         match vm.call_method(*method, argv) {
                             Ok(v) => result = v,
                             Err(Exit::Exception { kind, code }) => exception = Some((kind, code)),
-                            Err(e) => return finish(vm, frame_idx, Err(e)),
+                            Err(e) => return Err(e),
                         }
                     }
                 }
@@ -301,26 +284,20 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     vm.pending_gc_bug = Some(*bug);
                 }
                 Op::CrashOnExec { bug } => {
-                    return finish(
-                        vm,
-                        frame_idx,
-                        Err(Exit::Crash(CrashInfo {
-                            bug: *bug,
-                            component: bug.component(),
-                            kind: CrashKind::Sigsegv,
-                            phase: CrashPhase::Executing,
-                            detail: format!(
-                                "compiled code of {} dereferenced a wild pointer",
-                                vm.program.qualified_name(func.method)
-                            ),
-                        })),
-                    );
+                    return Err(Exit::Crash(CrashInfo {
+                        bug: *bug,
+                        component: bug.component(),
+                        kind: CrashKind::Sigsegv,
+                        phase: CrashPhase::Executing,
+                        detail: format!(
+                            "compiled code of {} dereferenced a wild pointer",
+                            vm.program.qualified_name(func.method)
+                        ),
+                    }));
                 }
                 Op::BurnFuel { factor } => {
                     vm.stats.jit_ops += u64::from(*factor);
-                    if let Err(e) = vm.burn(u64::from(*factor)) {
-                        return finish(vm, frame_idx, Err(e));
-                    }
+                    vm.burn(u64::from(*factor))?;
                 }
             }
             if let Some((kind, code)) = exception {
@@ -334,7 +311,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                         inst_idx = 0;
                         continue 'dispatch;
                     }
-                    None => return finish(vm, frame_idx, Err(Exit::Exception { kind, code })),
+                    None => return Err(Exit::Exception { kind, code }),
                 }
             }
             if let Some(v) = result {
@@ -400,7 +377,7 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
             }
             Term::Return(value) => {
                 let v = value.map(|r| reg!(r).clone());
-                return finish(vm, frame_idx, Ok(IrOutcome::Return(v)));
+                return Ok(IrOutcome::Return(v));
             }
             Term::Trap { bc_pc, reason } => {
                 let n = func.frames[0].num_locals as usize;
@@ -418,84 +395,8 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                         }
                     }
                 }
-                return finish(
-                    vm,
-                    frame_idx,
-                    Ok(IrOutcome::Deopt { bc_pc: *bc_pc, locals, reason: *reason }),
-                );
+                return Ok(IrOutcome::Deopt { bc_pc: *bc_pc, locals, reason: *reason });
             }
         }
-    }
-}
-
-/// Ensures balanced reg-frame bookkeeping on every exit path.
-fn finish(
-    _vm: &mut Vm<'_>,
-    _frame_idx: usize,
-    result: Result<IrOutcome, Exit>,
-) -> Result<IrOutcome, Exit> {
-    // The reg frame is popped by `run_ir`; this helper exists to funnel all
-    // exits through one point (and to keep the loop body tidy).
-    result
-}
-
-fn eval_bin_i(kind: BinKind, a: i32, b: i32) -> Result<i32, (ExcKind, i32)> {
-    Ok(match kind {
-        BinKind::Add => a.wrapping_add(b),
-        BinKind::Sub => a.wrapping_sub(b),
-        BinKind::Mul => a.wrapping_mul(b),
-        BinKind::Div => {
-            if b == 0 {
-                return Err((ExcKind::Arithmetic, 0));
-            }
-            a.wrapping_div(b)
-        }
-        BinKind::Rem => {
-            if b == 0 {
-                return Err((ExcKind::Arithmetic, 0));
-            }
-            a.wrapping_rem(b)
-        }
-        BinKind::Shl => a.wrapping_shl(b as u32),
-        BinKind::Shr => a.wrapping_shr(b as u32),
-        BinKind::Ushr => ((a as u32).wrapping_shr(b as u32)) as i32,
-        BinKind::And => a & b,
-        BinKind::Or => a | b,
-        BinKind::Xor => a ^ b,
-    })
-}
-
-fn eval_bin_l(kind: BinKind, a: i64, b: i64) -> Result<i64, (ExcKind, i32)> {
-    Ok(match kind {
-        BinKind::Add => a.wrapping_add(b),
-        BinKind::Sub => a.wrapping_sub(b),
-        BinKind::Mul => a.wrapping_mul(b),
-        BinKind::Div => {
-            if b == 0 {
-                return Err((ExcKind::Arithmetic, 0));
-            }
-            a.wrapping_div(b)
-        }
-        BinKind::Rem => {
-            if b == 0 {
-                return Err((ExcKind::Arithmetic, 0));
-            }
-            a.wrapping_rem(b)
-        }
-        BinKind::And => a & b,
-        BinKind::Or => a | b,
-        BinKind::Xor => a ^ b,
-        BinKind::Shl | BinKind::Shr | BinKind::Ushr => unreachable!("long shifts take int rhs"),
-    })
-}
-
-/// `CmpOp::eval` is generic; re-exported here for evaluator readability.
-trait CmpEval {
-    fn eval<T: PartialOrd>(&self, a: T, b: T) -> bool;
-}
-
-impl CmpEval for CmpOp {
-    fn eval<T: PartialOrd>(&self, a: T, b: T) -> bool {
-        CmpOp::eval(*self, a, b)
     }
 }

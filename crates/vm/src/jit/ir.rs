@@ -19,6 +19,9 @@
 //!   frame and bytecode pc, which exception dispatch and uncommon traps
 //!   use to find handlers and rebuild interpreter state.
 
+/// The integer binops of [`Op::BinI`]/[`Op::BinL`], with their one
+/// definition of Java's semantics ([`cse_bytecode::arith`]).
+pub use cse_bytecode::BinKind;
 use cse_bytecode::{ArrKind, ClassId, CmpOp, MethodId, PrintKind, StrId};
 
 use crate::config::Tier;
@@ -30,36 +33,6 @@ pub type Reg = u32;
 
 /// A basic-block id.
 pub type BlockId = u32;
-
-/// Integer binary operators (operands already promoted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    /// Throws `ArithmeticException` on a zero divisor.
-    Div,
-    /// Throws `ArithmeticException` on a zero divisor.
-    Rem,
-    Shl,
-    Shr,
-    Ushr,
-    And,
-    Or,
-    Xor,
-}
-
-impl BinKind {
-    /// Whether the operator can raise an exception.
-    pub fn can_throw(self) -> bool {
-        matches!(self, BinKind::Div | BinKind::Rem)
-    }
-
-    /// Whether the operator is commutative (used by value numbering).
-    pub fn commutative(self) -> bool {
-        matches!(self, BinKind::Add | BinKind::Mul | BinKind::And | BinKind::Or | BinKind::Xor)
-    }
-}
 
 /// An IR operation. `dst` lives on [`Inst`].
 #[derive(Debug, Clone, PartialEq)]

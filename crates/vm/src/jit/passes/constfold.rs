@@ -13,8 +13,6 @@
 
 use std::collections::HashMap;
 
-use cse_bytecode::CmpOp;
-
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
 use crate::jit::ir::*;
@@ -114,64 +112,22 @@ fn fold_op(
             {
                 return Some(Op::ConstI(x.rem_euclid(y)));
             }
-            let v = match kind {
-                BinKind::Add => x.wrapping_add(y),
-                BinKind::Sub => x.wrapping_sub(y),
-                BinKind::Mul => x.wrapping_mul(y),
-                BinKind::Div if y != 0 => x.wrapping_div(y),
-                BinKind::Rem if y != 0 => x.wrapping_rem(y),
-                BinKind::Div | BinKind::Rem => return None,
-                BinKind::Shl => x.wrapping_shl(y as u32),
-                BinKind::Shr => x.wrapping_shr(y as u32),
-                BinKind::Ushr => ((x as u32).wrapping_shr(y as u32)) as i32,
-                BinKind::And => x & y,
-                BinKind::Or => x | y,
-                BinKind::Xor => x ^ y,
-            };
-            Some(Op::ConstI(v))
+            // A zero divisor does not fold: the exception must still fire.
+            Some(Op::ConstI(kind.eval_i(x, y)?))
         }
         Op::BinL(kind, a, b) => {
-            let x = cl(a)?;
-            let v = match kind {
-                BinKind::Shl | BinKind::Shr | BinKind::Ushr => {
-                    let y = ci(b)?;
-                    match kind {
-                        BinKind::Shl => x.wrapping_shl(y as u32),
-                        BinKind::Shr => x.wrapping_shr(y as u32),
-                        _ => ((x as u64).wrapping_shr(y as u32)) as i64,
-                    }
-                }
-                _ => {
-                    let y = cl(b)?;
-                    match kind {
-                        BinKind::Add => x.wrapping_add(y),
-                        BinKind::Sub => x.wrapping_sub(y),
-                        BinKind::Mul => x.wrapping_mul(y),
-                        BinKind::Div if y != 0 => x.wrapping_div(y),
-                        BinKind::Rem if y != 0 => x.wrapping_rem(y),
-                        BinKind::Div | BinKind::Rem => return None,
-                        BinKind::And => x & y,
-                        BinKind::Or => x | y,
-                        BinKind::Xor => x ^ y,
-                        _ => unreachable!(),
-                    }
-                }
-            };
-            Some(Op::ConstL(v))
+            let y = if kind.is_shift() { i64::from(ci(b)?) } else { cl(b)? };
+            Some(Op::ConstL(kind.eval_l(cl(a)?, y)?))
         }
         Op::NegI(r) => Some(Op::ConstI(ci(r)?.wrapping_neg())),
         Op::NegL(r) => Some(Op::ConstL(cl(r)?.wrapping_neg())),
         Op::I2L(r) => Some(Op::ConstL(i64::from(ci(r)?))),
         Op::L2I(r) => Some(Op::ConstI(cl(r)? as i32)),
         Op::I2B(r) => Some(Op::ConstI(i32::from(ci(r)? as i8))),
-        Op::CmpI(op, a, b) => Some(Op::ConstI(i32::from(eval_cmp(*op, ci(a)?, ci(b)?)))),
-        Op::CmpL(op, a, b) => Some(Op::ConstI(i32::from(eval_cmp(*op, cl(a)?, cl(b)?)))),
+        Op::CmpI(op, a, b) => Some(Op::ConstI(i32::from(op.eval(ci(a)?, ci(b)?)))),
+        Op::CmpL(op, a, b) => Some(Op::ConstI(i32::from(op.eval(cl(a)?, cl(b)?)))),
         _ => None,
     }
-}
-
-fn eval_cmp<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
-    op.eval(a, b)
 }
 
 #[cfg(test)]
@@ -180,7 +136,7 @@ mod tests {
     use crate::config::{Tier, VmKind};
     use crate::faults::FaultInjector;
     use crate::profile::MethodProfile;
-    use cse_bytecode::{BProgram, MethodId};
+    use cse_bytecode::{BProgram, CmpOp, MethodId};
 
     fn test_ctx<'a>(
         program: &'a BProgram,

@@ -7,8 +7,9 @@
 //! 1. **symbolically evaluates** both functions per basic block into one
 //!    shared hash-consed value graph of pure expressions (the same
 //!    canonicalization GVN uses: commutative operands sorted, constants
-//!    folded with exactly the semantics of `passes::constfold`'s correct
-//!    path) plus an ordered observable-effect trace per block — calls,
+//!    folded by the workspace's one integer evaluator,
+//!    [`cse_bytecode::arith`], which constfold's correct path also uses)
+//!    plus an ordered observable-effect trace per block — calls,
 //!    heap stores, allocations, prints, throws, potential `div 0` throw
 //!    points, and writes to anchor registers (the deopt/handler-visible
 //!    state);
@@ -75,7 +76,7 @@ use std::collections::HashMap;
 
 use cse_bytecode::BProgram;
 
-use super::ir::{BinKind, Block, BlockId, IrFunc, Op, Reg, Term};
+use super::ir::{Block, BlockId, IrFunc, Op, Reg, Term};
 
 pub use crate::config::TvMode;
 
@@ -238,10 +239,11 @@ impl Graph {
     }
 
     /// Interns a pure operation over resolved operands, constant-folding
-    /// with exactly the semantics `passes::constfold` uses on its correct
-    /// path (so a legal fold on one side meets the unfolded expression on
-    /// the other at the same node) and sorting commutative operands the
-    /// way GVN's `key_of` does.
+    /// binops through [`cse_bytecode::BinKind::eval_i`] and `eval_l`, the
+    /// evaluator `passes::constfold` folds with on its correct path (so a
+    /// legal fold on one side meets the unfolded expression on the other
+    /// at the same node), and sorting commutative operands the way GVN's
+    /// `key_of` does.
     fn pure_value(&mut self, op: &Op, args: &[Vid]) -> Vid {
         match op {
             Op::ConstI(v) => self.intern(Node::I(*v)),
@@ -251,7 +253,7 @@ impl Graph {
             Op::Copy(_) => args[0],
             Op::BinI(kind, ..) => {
                 if let (Some(x), Some(y)) = (self.as_i(args[0]), self.as_i(args[1])) {
-                    if let Some(v) = fold_bin_i(*kind, x, y) {
+                    if let Some(v) = kind.eval_i(x, y) {
                         return self.intern(Node::I(v));
                     }
                 }
@@ -263,17 +265,14 @@ impl Graph {
                 self.intern(Node::Pure { tag: "bin.i", aux: *kind as u64, args: vec![a, b] })
             }
             Op::BinL(kind, ..) => {
-                let folded = match kind {
-                    BinKind::Shl | BinKind::Shr | BinKind::Ushr => {
-                        match (self.as_l(args[0]), self.as_i(args[1])) {
-                            (Some(x), Some(y)) => fold_binl_shift(*kind, x, y),
-                            _ => None,
-                        }
-                    }
-                    _ => match (self.as_l(args[0]), self.as_l(args[1])) {
-                        (Some(x), Some(y)) => fold_bin_l(*kind, x, y),
-                        _ => None,
-                    },
+                let y = if kind.is_shift() {
+                    self.as_i(args[1]).map(i64::from)
+                } else {
+                    self.as_l(args[1])
+                };
+                let folded = match (self.as_l(args[0]), y) {
+                    (Some(x), Some(y)) => kind.eval_l(x, y),
+                    _ => None,
                 };
                 if let Some(v) = folded {
                     return self.intern(Node::L(v));
@@ -352,50 +351,6 @@ impl Graph {
             }
         }
     }
-}
-
-/// `constfold`'s correct-path i32 fold (wrapping; `Div`/`Rem` only with a
-/// non-zero divisor — the exception must still fire otherwise).
-fn fold_bin_i(kind: BinKind, x: i32, y: i32) -> Option<i32> {
-    Some(match kind {
-        BinKind::Add => x.wrapping_add(y),
-        BinKind::Sub => x.wrapping_sub(y),
-        BinKind::Mul => x.wrapping_mul(y),
-        BinKind::Div if y != 0 => x.wrapping_div(y),
-        BinKind::Rem if y != 0 => x.wrapping_rem(y),
-        BinKind::Div | BinKind::Rem => return None,
-        BinKind::Shl => x.wrapping_shl(y as u32),
-        BinKind::Shr => x.wrapping_shr(y as u32),
-        BinKind::Ushr => ((x as u32).wrapping_shr(y as u32)) as i32,
-        BinKind::And => x & y,
-        BinKind::Or => x | y,
-        BinKind::Xor => x ^ y,
-    })
-}
-
-/// `constfold`'s correct-path i64 fold for non-shift operators.
-fn fold_bin_l(kind: BinKind, x: i64, y: i64) -> Option<i64> {
-    Some(match kind {
-        BinKind::Add => x.wrapping_add(y),
-        BinKind::Sub => x.wrapping_sub(y),
-        BinKind::Mul => x.wrapping_mul(y),
-        BinKind::Div if y != 0 => x.wrapping_div(y),
-        BinKind::Rem if y != 0 => x.wrapping_rem(y),
-        BinKind::And => x & y,
-        BinKind::Or => x | y,
-        BinKind::Xor => x ^ y,
-        _ => return None,
-    })
-}
-
-/// Long shifts take an i32 shift amount (matching `constfold`).
-fn fold_binl_shift(kind: BinKind, x: i64, y: i32) -> Option<i64> {
-    Some(match kind {
-        BinKind::Shl => x.wrapping_shl(y as u32),
-        BinKind::Shr => x.wrapping_shr(y as u32),
-        BinKind::Ushr => ((x as u64).wrapping_shr(y as u32)) as i64,
-        _ => return None,
-    })
 }
 
 // ----- per-side evaluation -------------------------------------------------

@@ -1,6 +1,8 @@
 //! Per-method profiling state — the paper's counter set `C_m`
 //! (Definition 3.2) plus the branch profiles that drive speculation.
 
+use cse_bytecode::Fnv;
+
 use crate::config::Tier;
 
 /// Runtime profile of one method.
@@ -156,26 +158,6 @@ impl MethodProfile {
             fp.u64(pc as u64);
         }
         fp.finish()
-    }
-}
-
-/// Minimal FNV-1a accumulator (the workspace is dependency-free).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

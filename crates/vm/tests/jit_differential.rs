@@ -395,3 +395,66 @@ fn mute_regions_in_hot_code_agree() {
         "#,
     );
 }
+
+/// Java's integer edge cases agree across every engine, each written out
+/// as its Java value. `runtime` reaches them with operands offset by `d`,
+/// a loop-varying parameter that is 0 on the last iteration, so compiled
+/// code computes them at run time; `folded` spells them as constants that
+/// constant folding evaluates at compile time. Divisors stay non-zero on
+/// every earlier iteration; the zero divisors are caught.
+#[test]
+fn java_integer_edge_cases_agree() {
+    let result = assert_all_modes_agree(
+        r#"
+        class T {
+            static int idiv(int a, int b) {
+                try { return a / b; } catch { return -99; }
+            }
+            static long lrem(long a, long b) {
+                try { return a % b; } catch { return -98L; }
+            }
+            static String runtime(int d) {
+                long ld = d;
+                int min = -2147483648 + d;
+                long lmin = -9223372036854775808L + ld;
+                return "" + (min / (-1 + d)) + " " + (min % (-1 + d))
+                    + " " + ((-7 + d) >>> (33 + d)) + " " + ((1 + d) << (32 + d))
+                    + " " + ((1 + d) << (-1 + d)) + " " + ((-8 + d) >> (-30 + d))
+                    + " " + ((-1 + d) >>> (-28 + d)) + " " + ((-7 + d) / (2 - d))
+                    + " " + ((-7 + d) % (2 - d)) + " " + ((7 + d) % (-2 + d))
+                    + " " + ((-1L + ld) >>> (65 + d)) + " " + ((1L + ld) << (-1 + d))
+                    + " " + ((-1L + ld) >>> (-60 + d)) + " " + (lmin / (-1L + ld))
+                    + " " + (lmin % (-1L + ld)) + " " + ((7L + ld) / (-1L + ld))
+                    + " " + ((7L + ld) % (-2L + ld))
+                    + " " + idiv(5 + d, d) + " " + lrem(5L + ld, ld);
+            }
+            static String folded() {
+                return "" + (-2147483648 / -1) + " " + (-2147483648 % -1)
+                    + " " + (-7 >>> 33) + " " + (1 << 32)
+                    + " " + (1 << -1) + " " + (-8 >> -30)
+                    + " " + (-1 >>> -28) + " " + (-7 / 2)
+                    + " " + (-7 % 2) + " " + (7 % -2)
+                    + " " + (-1L >>> 65) + " " + (1L << -1)
+                    + " " + (-1L >>> -60) + " " + (-9223372036854775808L / -1L)
+                    + " " + (-9223372036854775808L % -1L) + " " + (7L / -1L)
+                    + " " + (7L % -2L)
+                    + " " + idiv(5, 0) + " " + lrem(5L, 0L);
+            }
+            static void main() {
+                String r = "";
+                String f = "";
+                for (int i = 0; i < 2000; i++) {
+                    r = runtime(i - 1999);
+                    f = folded();
+                }
+                println(r);
+                println(f);
+            }
+        }
+        "#,
+    );
+    let java = "-2147483648 0 2147483644 1 -2147483648 -2 268435455 -3 -1 1 \
+                9223372036854775807 -9223372036854775808 1152921504606846975 \
+                -9223372036854775808 0 -7 1 -99 -98\n";
+    assert_eq!(result.output, format!("{java}{java}"));
+}

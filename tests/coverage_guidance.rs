@@ -58,7 +58,6 @@ fn guided_campaign_is_jobs_invariant() {
     let base =
         CampaignConfig::for_kind(VmKind::OpenJ9Like, SEEDS).with_coverage(CoveragePolicy::Guide);
     let reference = run_campaign(&base);
-    let reference_fp = reference.coverage.as_ref().expect("guided state").fingerprint();
     for jobs in [4, 8] {
         let config = base.clone().with_jobs(jobs);
         let result = run_campaign(&config);
@@ -67,9 +66,9 @@ fn guided_campaign_is_jobs_invariant() {
             reference.digest(&base),
             "guided digest must not depend on jobs ({jobs})"
         );
-        assert_eq!(
-            result.coverage.as_ref().expect("guided state").fingerprint(),
-            reference_fp,
+        assert!(
+            result.coverage.as_ref().expect("guided state")
+                == reference.coverage.as_ref().expect("guided state"),
             "coverage state must not depend on jobs ({jobs})"
         );
     }
@@ -118,9 +117,9 @@ fn guided_kill_resume_mid_round_is_bit_identical() {
                 uninterrupted.digest(&config),
                 "{label}: resume must be bit-identical to an uninterrupted run"
             );
-            assert_eq!(
-                resumed.coverage.as_ref().expect("guided state").fingerprint(),
-                uninterrupted.coverage.as_ref().expect("guided state").fingerprint(),
+            assert!(
+                resumed.coverage.as_ref().expect("guided state")
+                    == uninterrupted.coverage.as_ref().expect("guided state"),
                 "{label}: coverage state must round-trip through checkpoint v10 exactly"
             );
             std::fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,7 @@
 //! one FNV-1a hash per profile. Analysis-only refactors of the JIT (the
 //! CFG analyses, liveness) must leave all three pins where they are.
 
-use artemis_cse::bytecode::MethodId;
+use artemis_cse::bytecode::{Fnv, MethodId};
 use artemis_cse::core::validate::try_compile_checked;
 use artemis_cse::vm::jit::{self, CompileCtx};
 use artemis_cse::vm::profile::MethodProfile;
@@ -18,30 +18,19 @@ use artemis_cse::vm::{BugId, FaultInjector, Tier, TvMode, VerifyMode, VmConfig, 
 /// Seeds fed through the fuzzer and front end per profile.
 const SEEDS: std::ops::Range<u64> = 0..40;
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Hash of every cold compile of the profile over [`SEEDS`], and the
 /// number of compiles that produced IR.
 fn compile_pin(kind: VmKind) -> (u64, usize) {
     let config = VmConfig::correct(kind);
     let fault_sets = [FaultInjector::none(), FaultInjector::with(BugId::default_set(kind))];
-    let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut hash = Fnv::new();
     let mut compiled = 0;
     for seed in SEEDS {
         let program = artemis_cse::fuzz::generate(seed, &artemis_cse::fuzz::FuzzConfig::default());
         let bytecode = match try_compile_checked(&program) {
             Ok(bytecode) => bytecode,
             Err(e) => {
-                hash.bytes(format!("seed {seed}: {e}\n").as_bytes());
+                hash.raw(format!("seed {seed}: {e}\n").as_bytes());
                 continue;
             }
         };
@@ -70,13 +59,13 @@ fn compile_pin(kind: VmKind) -> (u64, usize) {
                             }
                             Err(fail) => format!("{fail:?}\n"),
                         };
-                    hash.bytes(format!("seed {seed} t{tier} m{}\n", method.0).as_bytes());
-                    hash.bytes(rendered.as_bytes());
+                    hash.raw(format!("seed {seed} t{tier} m{}\n", method.0).as_bytes());
+                    hash.raw(rendered.as_bytes());
                 }
             }
         }
     }
-    (hash.0, compiled)
+    (hash.finish(), compiled)
 }
 
 #[test]

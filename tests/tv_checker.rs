@@ -330,6 +330,78 @@ fn tv_catches_the_injected_gvn_alias_bug() {
     assert!(clean.is_none(), "correct GVN must validate:\n{clean:?}");
 }
 
+/// Java's integer edge cases with constant operands: constfold's correct
+/// path folds each to its Java value (a zero divisor stays unfolded, so
+/// the exception still fires), and the folded function refines the
+/// unfolded one under constfold's contract.
+#[test]
+fn constfold_of_java_integer_edge_cases_validates() {
+    let bytecode = host_bytecode();
+    let method = bytecode.find_method("T", "add").unwrap();
+    let profiles: Vec<_> = bytecode.methods.iter().map(|_| Default::default()).collect();
+    // (operator, long form, lhs, rhs, folded Java value); a long shift's
+    // rhs is an int.
+    let cases: [(BinKind, bool, i64, i64, Option<i64>); 16] = [
+        (BinKind::Div, false, -2147483648, -1, Some(-2147483648)),
+        (BinKind::Rem, false, -2147483648, -1, Some(0)),
+        (BinKind::Ushr, false, -7, 33, Some(2147483644)),
+        (BinKind::Shl, false, 1, 32, Some(1)),
+        (BinKind::Shl, false, 1, -1, Some(-2147483648)),
+        (BinKind::Shr, false, -8, -30, Some(-2)),
+        (BinKind::Ushr, false, -1, -28, Some(268435455)),
+        (BinKind::Rem, false, -7, 2, Some(-1)),
+        (BinKind::Ushr, true, -1, 65, Some(9223372036854775807)),
+        (BinKind::Shl, true, 1, -1, Some(-9223372036854775808)),
+        (BinKind::Ushr, true, -1, -60, Some(1152921504606846975)),
+        (BinKind::Div, true, -9223372036854775808, -1, Some(-9223372036854775808)),
+        (BinKind::Rem, true, -9223372036854775808, -1, Some(0)),
+        (BinKind::Div, true, 7, -1, Some(-7)),
+        (BinKind::Div, false, 5, 0, None),
+        (BinKind::Rem, true, 5, 0, None),
+    ];
+    let mut insts = Vec::new();
+    for (i, &(kind, long, lhs, rhs, _)) in cases.iter().enumerate() {
+        let (a, b, r) = (2 + 3 * i as Reg, 3 + 3 * i as Reg, 4 + 3 * i as Reg);
+        let int_rhs = !long || kind.is_shift();
+        insts.push(inst(Some(a), if long { Op::ConstL(lhs) } else { Op::ConstI(lhs as i32) }));
+        insts.push(inst(Some(b), if int_rhs { Op::ConstI(rhs as i32) } else { Op::ConstL(rhs) }));
+        let (op, print) = if long {
+            (Op::BinL(kind, a, b), PrintKind::Long)
+        } else {
+            (Op::BinI(kind, a, b), PrintKind::Int)
+        };
+        insts.push(inst(Some(r), op));
+        insts.push(inst(None, Op::Println { kind: print, val: r }));
+    }
+    let before = IrFunc {
+        method,
+        tier: Tier::T2,
+        blocks: vec![Block { insts, term: Term::Return(Some(0)) }],
+        num_regs: 2 + 3 * cases.len() as Reg,
+        frames: vec![InlineFrame { method, local_base: 0, num_locals: 2, parent: None }],
+        handlers: vec![],
+        osr_entry: None,
+        anchor_limit_per_frame: vec![(0, 2)],
+    };
+    let baseline = verify::check_func(&before, &bytecode, verify::PASS_BUILD);
+    assert!(baseline.is_empty(), "the edge-case function must verify: {baseline:?}");
+    let faults = FaultInjector::none();
+    let ctx = test_ctx(&bytecode, &profiles, &faults);
+    let mut after = before.clone();
+    passes::constfold::run(&ctx, &mut after).unwrap();
+    for (i, &(kind, long, lhs, rhs, want)) in cases.iter().enumerate() {
+        let folded = match after.blocks[0].insts[4 * i + 2].op {
+            Op::ConstI(v) if !long => Some(i64::from(v)),
+            Op::ConstL(v) if long => Some(v),
+            _ => None,
+        };
+        assert_eq!(folded, want, "{kind:?} long={long} on {lhs}, {rhs}");
+    }
+    let contract = passes::tv_contract("constfold").expect("constfold carries a contract");
+    let report = tv::check_refinement(&before, &after, "constfold", contract, &bytecode);
+    assert!(report.is_none(), "constfold's edge-case folds must validate:\n{report:?}");
+}
+
 /// One failing check yields one report: a header line per divergence
 /// (the first is the line triage parses), then a single pre/post IR dump
 /// pair, however many divergences the check found.
