@@ -134,6 +134,21 @@ if [ "$mode" != "quick" ]; then
         exit 1
     fi
 
+    # Mutator soundness on a correct VM: JoNM must never change a
+    # program's behavior, and the same oracle must catch a deliberately
+    # non-neutral mutator (a check that catches nothing proves nothing).
+    # Campaigns report crashing mutants without a neutrality rerun, so
+    # this is where a non-neutral JoNM would show.
+    echo "==> neutrality ablation (JoNM false positives 0, literal-flip false positives > 0)"
+    ablation=$(CSE_SEEDS=100 cargo run --release -q -p cse-bench --bin ablation_neutrality) || true
+    jonm_fp=$(awk '/^JoNM \(semantics-preserving\)/ { print $NF }' <<< "$ablation")
+    flip_fp=$(awk '/^literal-flip \(non-neutral\)/ { print $NF }' <<< "$ablation")
+    echo "    JoNM: ${jonm_fp:-missing}   literal-flip: ${flip_fp:-missing}"
+    if [ "$jonm_fp" != "0" ] || ! [[ "$flip_fp" =~ ^[1-9][0-9]*$ ]]; then
+        echo "error: neutrality ablation failed: $ablation" >&2
+        exit 1
+    fi
+
     echo "==> triage suite (seeded-fault campaign, replay verdicts, the triage binary)"
     cargo test --release -q --test triage
 

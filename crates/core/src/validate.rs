@@ -14,12 +14,25 @@
 //! accounting.
 //!
 //! Each mutant gets exactly one verdict — discarded, a neutrality
-//! violation, a performance bug (timeout or anomaly), a crash, a
+//! violation, a crash, a performance bug (timeout or anomaly), a
 //! mis-compilation, or none — and every discrepancy is attributed and
 //! recorded at one site. Reference runs use [`VmConfig::reference`]: the
 //! VM under test with the JIT, plan, faults, chaos and coverage off, so
-//! they spend the campaign's own budgets. They are taken only when a
-//! mutant's verdict could depend on them.
+//! they spend the campaign's own budgets. A mutant's reference rerun
+//! (and, the first time one is needed, the seed's) feeds three
+//! consumers: the neutrality discard, timeout classification and the
+//! performance-anomaly oracle. It is taken only when one of them could
+//! change the mutant's verdict.
+//!
+//! A crash never takes one. Every crash site is a seeded JIT or GC
+//! fault, so a crash is the VM's fault whatever the mutation did, and
+//! its [`cse_vm::CrashInfo::bug`] is the verdict's ground truth (checked
+//! against the run's fired-bug mask). The rerun could only have moved
+//! the mutant from `completed` to `discarded`. The verdict order is
+//! therefore crash first, then timeout and performance anomaly, then
+//! the output comparison. Correct VMs cannot crash, so the exemption
+//! never applies where mutator soundness is checked (the neutrality
+//! ablation and the zero-discrepancy tests on correct VMs).
 //!
 //! Every VM invocation — the seed run, each mutant run, both reference
 //! runs and every attribution rerun — goes through one crash barrier
@@ -54,9 +67,9 @@ pub struct ValidateConfig {
     pub vm: VmConfig,
     /// Synthesis hyper-parameters.
     pub params: SynthParams,
-    /// Cross-check every mutant against the reference interpreter and
-    /// skip non-neutral mutations (harness soundness; costs one extra
-    /// run per mutant).
+    /// Cross-check mutants against the reference interpreter and skip
+    /// non-neutral mutations (harness soundness; costs one extra run per
+    /// mutant whose verdict could depend on it — never a crash).
     pub verify_neutrality: bool,
 }
 
@@ -526,19 +539,22 @@ pub fn validate_compiled_in(
             outcome.coverage.union(&map);
         }
         let mutant_observable = mutant_result.observable();
-        // Lazy-reference pruning: the interpreter rerun feeds exactly
-        // three consumers — the neutrality discard, timeout
-        // classification, and the performance-anomaly oracle. A mutant
-        // that completed within the anomaly slack with an observable
-        // identical to the seed's can trip none of them: no timeout to
-        // classify, no anomaly possible (`8x + slack` exceeds its op
-        // count for *every* reference), and a neutrality violation
-        // could at most reclassify a no-bug mutant from `completed` to
-        // `discarded` without changing any reported discrepancy. For
-        // that (dominant) population the reference run is skipped
-        // outright; everything that could influence a bug report still
-        // takes the full rerun.
+        // Lazy reference runs. The interpreter rerun feeds exactly three
+        // consumers — the neutrality discard, timeout classification,
+        // and the performance-anomaly oracle — and is skipped whenever
+        // none of them can change the verdict:
+        // - A crash is reported on its ground truth (`CrashInfo::bug`)
+        //   and outranks the other checks, so a rerun could only move
+        //   it from `completed` to `discarded`.
+        // - A mutant that completed within the anomaly slack with an
+        //   observable identical to the seed's has no timeout to
+        //   classify, no anomaly possible (`8x + slack` exceeds its op
+        //   count for *every* reference), and a neutrality violation
+        //   could at most reclassify a no-bug mutant as discarded.
+        // Everything else that could influence a bug report takes the
+        // full rerun, and the seed's reference with it.
         let needs_reference = config.verify_neutrality
+            && !mutant_result.crashed()
             && (mutant_result.outcome.is_resource_exhausted()
                 || mutant_result.stats.total_ops() > PERF_ANOMALY_SLACK
                 || mutant_observable != seed_observable);
@@ -572,13 +588,24 @@ pub fn validate_compiled_in(
         } else {
             None
         };
-        // The verdict. Resource exhaustion is discarded, unless a
-        // *timeout* paired with a comfortably-cheap reference run shows
-        // the slowness is the JIT's fault (heap/stack budget trips carry
-        // no performance signal). Compiled execution doing far more work
-        // than pure interpretation is a performance anomaly. Otherwise
-        // the §3.2 oracle compares LVM(P) with LVM(P').
-        let kind = if mutant_result.outcome.is_resource_exhausted() {
+        // The verdict. A crash that the seed did not share is reported
+        // as such, ahead of the performance checks. Resource exhaustion
+        // is discarded, unless a *timeout* paired with a
+        // comfortably-cheap reference run shows the slowness is the
+        // JIT's fault (heap/stack budget trips carry no performance
+        // signal). Compiled execution doing far more work than pure
+        // interpretation is a performance anomaly. Otherwise the §3.2
+        // oracle compares LVM(P) with LVM(P').
+        let kind = if let Outcome::Crash(info) = &mutant_result.outcome {
+            // With no rerun behind it, the crash's bug is the only
+            // evidence: it must be one the run queried and found active.
+            debug_assert!(
+                mutant_result.stats.fired_bugs & (1u64 << (info.bug as u64)) != 0,
+                "crash blames {:?}, which never fired in the run",
+                info.bug
+            );
+            (mutant_observable != seed_observable).then(|| DiscrepancyKind::Crash(info.clone()))
+        } else if mutant_result.outcome.is_resource_exhausted() {
             if !matches!(mutant_result.outcome, Outcome::Timeout)
                 || !timeout_is_performance_bug(mutant_reference.as_ref(), config.vm.fuel)
             {
@@ -595,10 +622,7 @@ pub fn validate_compiled_in(
         }) {
             Some(DiscrepancyKind::Performance)
         } else if mutant_observable != seed_observable {
-            Some(match &mutant_result.outcome {
-                Outcome::Crash(info) => DiscrepancyKind::Crash(info.clone()),
-                _ => DiscrepancyKind::MisCompilation,
-            })
+            Some(DiscrepancyKind::MisCompilation)
         } else {
             None
         };

@@ -416,7 +416,13 @@ impl<'p> Vm<'p> {
                 Ok(())
             }
             Err(HeapError::Corruption { detail }) => {
-                let bug = self.pending_gc_bug.take().unwrap_or(BugId::J9GcCorruptAllocSink);
+                // Only an injected bug corrupts the heap, and it names
+                // itself when it does. Corruption with no bug pending is
+                // a VM defect: panic (callers contain it as a harness
+                // incident) rather than blame a bug that never fired.
+                let bug = self.pending_gc_bug.take().unwrap_or_else(|| {
+                    panic!("GC found heap corruption with no injected bug pending: {detail}")
+                });
                 Err(Exit::Crash(CrashInfo {
                     bug,
                     component: Component::GarbageCollection,
@@ -1261,5 +1267,41 @@ mod tests {
             "#,
         );
         assert_eq!(out, "16\ntrue\n5\n");
+    }
+
+    /// A VM whose heap holds one reference array, reachable from a
+    /// frame, that the fault-injection hook has corrupted.
+    fn corrupted_heap_vm(program: &BProgram) -> Vm<'_> {
+        let mut vm = Vm::new(program, VmConfig::interpreter_only(VmKind::OpenJ9Like));
+        let arr = vm.heap.alloc(HeapObj::Arr(ArrData::Ref(vec![None]))).unwrap();
+        vm.frames.push(Frame { locals: vec![Value::Ref(arr)], stack: Vec::new() });
+        vm.heap.corrupt_for_fault_injection();
+        vm
+    }
+
+    fn empty_program() -> BProgram {
+        let program = cse_lang::parse_and_check("class T { static void main() { } }").unwrap();
+        cse_bytecode::compile(&program).unwrap()
+    }
+
+    #[test]
+    fn gc_crash_names_the_bug_that_corrupted_the_heap() {
+        let program = empty_program();
+        let mut vm = corrupted_heap_vm(&program);
+        vm.pending_gc_bug = Some(BugId::J9GcCorruptUnrollAlloc);
+        match vm.run_gc() {
+            Err(Exit::Crash(info)) => assert_eq!(info.bug, BugId::J9GcCorruptUnrollAlloc),
+            Err(_) => panic!("expected a GC crash"),
+            Ok(()) => panic!("expected a GC crash, the collection succeeded"),
+        }
+    }
+
+    /// Corruption with no injected bug pending is a VM defect: the
+    /// collector panics instead of blaming a bug that never fired.
+    #[test]
+    #[should_panic(expected = "no injected bug pending")]
+    fn gc_corruption_without_a_pending_bug_panics() {
+        let program = empty_program();
+        let _ = corrupted_heap_vm(&program).run_gc();
     }
 }

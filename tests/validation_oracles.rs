@@ -1,7 +1,8 @@
 //! Branch coverage for the `validate` oracles that long campaigns rely
 //! on: timeout classification (genuine performance bug vs discard), the
-//! 8x-operations performance-anomaly oracle, neutrality-violation
-//! skipping, and the disjoint-counter invariant.
+//! 8x-operations performance-anomaly oracle, crash verdicts without an
+//! interpreter rerun, neutrality-violation skipping, and the
+//! disjoint-counter invariant.
 
 use cse_core::validate::{
     is_performance_anomaly, timeout_is_performance_bug, validate, validate_with, DiscrepancyKind,
@@ -87,6 +88,44 @@ fn performance_bug_yields_performance_discrepancy() {
     }
 }
 
+/// A crash carries its ground-truth bug, so it is reported on that bug
+/// with no interpreter rerun: every crashing mutant is a `Crash`
+/// discrepancy whose culprit is the crash's own `BugId`, and neither its
+/// neutrality rerun nor the seed's reference run is taken.
+#[test]
+fn crashing_mutants_are_reported_without_reference_runs() {
+    // Calibrated deterministic exhibit: fuzzer seed 16, rng seed 16 on
+    // ART with its default bugs. Five of seven mutants crash; the other
+    // two complete within the anomaly slack with the seed's output, so
+    // no mutant of this seed can demand a reference.
+    let seed = cse_fuzz::generate(16, &cse_fuzz::FuzzConfig::default());
+    let config = ValidateConfig::paper_defaults(VmConfig::for_kind(VmKind::ArtLike));
+    let outcome = validate(&seed, &config, 16);
+    let mut crashes = 0;
+    for d in &outcome.discrepancies {
+        let DiscrepancyKind::Crash(info) = &d.kind else {
+            panic!("expected only crash discrepancies, got {:?}", d.kind);
+        };
+        assert_eq!(d.culprit, Some(info.bug), "a crash is attributed to its own bug");
+        crashes += 1;
+    }
+    assert_eq!(crashes, 5, "{outcome:?}");
+    assert_eq!(outcome.mutants_run, 7);
+    assert_eq!(outcome.completed, outcome.mutants_run);
+    assert_eq!(outcome.neutrality_violations, 0);
+    // The seed run and one run per mutant, nothing else: no
+    // `NeutralityRun` for a crashing mutant and no `ReferenceRun` for
+    // the seed (crashes carry their bug, so attribution takes no rerun
+    // either).
+    assert_eq!(outcome.vm_invocations, 1 + outcome.mutants_run);
+    // With the neutrality check off altogether the campaign performs the
+    // same runs and reports the same crashes.
+    let unchecked = ValidateConfig { verify_neutrality: false, ..config };
+    let unchecked = validate(&seed, &unchecked, 16);
+    assert_eq!(unchecked.vm_invocations, outcome.vm_invocations);
+    assert_eq!(unchecked.discrepancies.len(), outcome.discrepancies.len());
+}
+
 /// On a *correct* VM with a tight step budget, expensive mutants are
 /// discarded — never reported as performance bugs (the reference is just
 /// as slow, so the timeout carries no blame).
@@ -148,6 +187,17 @@ fn non_neutral_mutants_are_detected_and_skipped() {
     let clean = validate(&seed, &config, 7);
     assert_eq!(clean.neutrality_violations, 0);
     assert!(clean.discrepancies.is_empty());
+
+    // On a buggy VM the crash exemption does not reach these mutants:
+    // they do not crash, so they still take the neutrality check, are
+    // counted as violations and are never reported.
+    let buggy = ValidateConfig::paper_defaults(VmConfig::for_kind(VmKind::HotSpotLike));
+    let outcome = validate_with(&seed, &buggy, 7, |artemis| {
+        artemis.chaos_break_neutrality = true;
+    });
+    assert!(outcome.neutrality_violations > 0, "the flipped literal must be caught: {outcome:?}");
+    assert!(outcome.discrepancies.is_empty(), "{:?}", outcome.discrepancies);
+    assert_eq!(outcome.mutants_run, outcome.completed + outcome.discarded);
 }
 
 /// The seed timing out is a seed-level discard: no mutants attempted, no
