@@ -149,6 +149,21 @@ if [ "$mode" != "quick" ]; then
         exit 1
     fi
 
+    # Mutant preparation cost by layer: JoNM and the front end every
+    # mutant passes before it runs. Each layer must report a positive
+    # time, so a layer that silently drops out of the split (or a harness
+    # that stops timing it) fails here rather than reading as free.
+    echo "==> mutation cost layers (table3_mutation_cost: every layer line positive)"
+    table3=$(CSE_SEEDS=20 cargo run --release -q -p cse-bench --bin table3_mutation_cost) || true
+    for layer in JoNM type-check lowering verification attach; do
+        ms=$(awk -v name="$layer" '$1 == "layer" && $2 == name { print $3 }' <<< "$table3")
+        echo "    $layer: ${ms:-missing} ms"
+        if ! awk -v ms="$ms" 'BEGIN { exit !(ms ~ /^[0-9]+(\.[0-9]+)?$/ && ms > 0) }'; then
+            echo "error: mutation cost layer $layer did not report a positive time: $table3" >&2
+            exit 1
+        fi
+    done
+
     echo "==> triage suite (seeded-fault campaign, replay verdicts, the triage binary)"
     cargo test --release -q --test triage
 

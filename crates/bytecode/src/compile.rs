@@ -47,8 +47,11 @@ struct Layout {
     strings: Vec<String>,
     string_ids: HashMap<String, StrId>,
     class_ids: HashMap<String, ClassId>,
-    method_ids: HashMap<(String, String), MethodId>,
-    field_slots: HashMap<(String, String), FieldSlot>,
+    /// Class name to method name to id, and class name to field name to
+    /// slot: nested so lookups borrow both names instead of building a
+    /// key of two `String`s per reference.
+    method_ids: HashMap<String, HashMap<String, MethodId>>,
+    field_slots: HashMap<String, HashMap<String, FieldSlot>>,
     entry: MethodId,
     clinit: Option<MethodId>,
 }
@@ -73,18 +76,20 @@ impl Layout {
             layout.class_ids.insert(class.name.clone(), class_id);
             let mut static_fields = Vec::new();
             let mut inst_fields = Vec::new();
+            let mut slots = HashMap::new();
             for field in &class.fields {
                 let (list, is_static) = if field.is_static {
                     (&mut static_fields, true)
                 } else {
                     (&mut inst_fields, false)
                 };
-                layout.field_slots.insert(
-                    (class.name.clone(), field.name.clone()),
+                slots.insert(
+                    field.name.clone(),
                     FieldSlot { index: list.len() as u32, is_static, ty: field.ty.clone() },
                 );
                 list.push(BField { name: field.name.clone(), ty: field.ty.clone() });
             }
+            layout.field_slots.insert(class.name.clone(), slots);
             layout.classes.push(BClass {
                 name: class.name.clone(),
                 static_fields,
@@ -95,9 +100,10 @@ impl Layout {
         }
         for (class_idx, class) in program.classes.iter().enumerate() {
             let class_id = ClassId(class_idx as u32);
+            let ids = layout.method_ids.entry(class.name.clone()).or_default();
             for method in &class.methods {
                 let id = MethodId(layout.methods.len() as u32);
-                layout.method_ids.insert((class.name.clone(), method.name.clone()), id);
+                ids.insert(method.name.clone(), id);
                 layout.classes[class_idx].methods.push(id);
                 layout.methods.push(BMethod {
                     name: method.name.clone(),
@@ -132,7 +138,8 @@ impl Layout {
         }
         let (entry_class, _) =
             program.entry().ok_or_else(|| FrontError::msg("program has no entry point"))?;
-        layout.entry = layout.method_ids[&(entry_class.name.clone(), "main".to_string())];
+        layout.entry =
+            layout.method_id(&entry_class.name, "main").expect("the entry point has an id");
         if program.classes.iter().any(|c| c.fields.iter().any(|f| f.is_static && f.init.is_some()))
         {
             let id = MethodId(layout.methods.len() as u32);
@@ -155,6 +162,14 @@ impl Layout {
         Ok(layout)
     }
 
+    fn method_id(&self, class: &str, method: &str) -> Option<MethodId> {
+        self.method_ids.get(class)?.get(method).copied()
+    }
+
+    fn field_slot(&self, class: &str, field: &str) -> Option<&FieldSlot> {
+        self.field_slots.get(class)?.get(field)
+    }
+
     fn intern(&mut self, text: &str) -> StrId {
         if let Some(id) = self.string_ids.get(text) {
             return *id;
@@ -169,7 +184,7 @@ impl Layout {
         // Method bodies.
         for class in &program.classes {
             for method in &class.methods {
-                let id = self.method_ids[&(class.name.clone(), method.name.clone())];
+                let id = self.method_id(&class.name, &method.name).expect("every method has an id");
                 let compiled = self.compile_method(class, method)?;
                 self.install(id, compiled);
             }
@@ -184,9 +199,7 @@ impl Layout {
                         ctx.emit(Insn::Load(0));
                         let ty = ctx.expr(init)?;
                         ctx.coerce(&ty, &field.ty);
-                        let slot =
-                            &ctx.layout.field_slots[&(class.name.clone(), field.name.clone())];
-                        let index = slot.index;
+                        let (index, ..) = ctx.field_slot(&class.name, &field.name)?;
                         ctx.emit(Insn::PutField { field: index });
                     }
                 }
@@ -208,8 +221,7 @@ impl Layout {
                         let ty = ctx.expr(init)?;
                         ctx.coerce(&ty, &field.ty);
                         let class_id = ctx.layout.class_ids[&class.name];
-                        let index =
-                            ctx.layout.field_slots[&(class.name.clone(), field.name.clone())].index;
+                        let (index, ..) = ctx.field_slot(&class.name, &field.name)?;
                         ctx.emit(Insn::PutStatic { class: class_id, field: index });
                     }
                 }
@@ -246,7 +258,12 @@ impl Layout {
         // unreachable, but every branch target must index real code.
         let end = ctx.pc();
         let last_terminates = ctx.code.last().map(Insn::is_terminator).unwrap_or(false);
-        let dangling = ctx.code.iter().any(|i| i.targets().contains(&end));
+        let mut targets = Vec::new();
+        let dangling = ctx.code.iter().any(|insn| {
+            targets.clear();
+            insn.collect_targets(&mut targets);
+            targets.contains(&end)
+        });
         if method.ret == Ty::Void {
             if !last_terminates || dangling {
                 ctx.emit(Insn::Return);
@@ -287,7 +304,11 @@ struct MethodCtx<'l> {
     layout: &'l mut Layout,
     code: Vec<Insn>,
     handlers: Vec<Handler>,
-    scopes: Vec<HashMap<String, (u16, Ty)>>,
+    /// Every local in scope with its slot and type, outermost first; the
+    /// latest declaration of a name wins.
+    locals: Vec<(String, u16, Ty)>,
+    /// `locals.len()` at each open nested scope's entry.
+    scope_marks: Vec<usize>,
     local_types: Vec<Option<Ty>>,
     frames: Vec<Frame>,
     /// Static type of `this`, for instance methods.
@@ -307,7 +328,8 @@ impl<'l> MethodCtx<'l> {
             layout,
             code: Vec::new(),
             handlers: Vec::new(),
-            scopes: vec![HashMap::new()],
+            locals: Vec::new(),
+            scope_marks: Vec::new(),
             local_types: Vec::new(),
             frames: Vec::new(),
             this_class: this_class.map(str::to_string),
@@ -365,10 +387,7 @@ impl<'l> MethodCtx<'l> {
     fn declare(&mut self, name: &str, ty: Ty) -> u16 {
         let slot = self.local_types.len() as u16;
         self.local_types.push(Some(ty.clone()));
-        self.scopes
-            .last_mut()
-            .expect("method context always has a scope")
-            .insert(name.to_string(), (slot, ty));
+        self.locals.push((name.to_string(), slot, ty));
         slot
     }
 
@@ -380,7 +399,20 @@ impl<'l> MethodCtx<'l> {
     }
 
     fn lookup(&self, name: &str) -> Option<(u16, Ty)> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).cloned()
+        self.locals
+            .iter()
+            .rev()
+            .find(|(local, ..)| local == name)
+            .map(|(_, slot, ty)| (*slot, ty.clone()))
+    }
+
+    fn push_scope(&mut self) {
+        self.scope_marks.push(self.locals.len());
+    }
+
+    fn pop_scope(&mut self) {
+        let mark = self.scope_marks.pop().expect("scopes are balanced");
+        self.locals.truncate(mark);
     }
 
     fn local(&self, name: &str) -> Result<(u16, Ty), FrontError> {
@@ -391,18 +423,16 @@ impl<'l> MethodCtx<'l> {
     // ----- type plumbing ----------------------------------------------------
 
     fn field_slot(&self, class: &str, field: &str) -> Result<(u32, bool, Ty), FrontError> {
-        let slot =
-            self.layout.field_slots.get(&(class.to_string(), field.to_string())).ok_or_else(
-                || FrontError::msg(format!("internal: unknown field `{class}.{field}`")),
-            )?;
+        let slot = self
+            .layout
+            .field_slot(class, field)
+            .ok_or_else(|| FrontError::msg(format!("internal: unknown field `{class}.{field}`")))?;
         Ok((slot.index, slot.is_static, slot.ty.clone()))
     }
 
     fn method_id(&self, class: &str, method: &str) -> Result<MethodId, FrontError> {
         self.layout
-            .method_ids
-            .get(&(class.to_string(), method.to_string()))
-            .copied()
+            .method_id(class, method)
             .ok_or_else(|| FrontError::msg(format!("internal: unknown method `{class}.{method}`")))
     }
 
@@ -434,11 +464,11 @@ impl<'l> MethodCtx<'l> {
     // ----- statements -------------------------------------------------------
 
     fn block(&mut self, block: &Block) -> Result<(), FrontError> {
-        self.scopes.push(HashMap::new());
+        self.push_scope();
         for stmt in &block.stmts {
             self.stmt(stmt)?;
         }
-        self.scopes.pop();
+        self.pop_scope();
         Ok(())
     }
 
@@ -512,7 +542,7 @@ impl<'l> MethodCtx<'l> {
                 Ok(())
             }
             Stmt::For { init, cond, step, body } => {
-                self.scopes.push(HashMap::new());
+                self.push_scope();
                 if let Some(init) = init {
                     self.stmt(init)?;
                 }
@@ -542,7 +572,7 @@ impl<'l> MethodCtx<'l> {
                 }
                 self.patch_all(&frame.break_patches, end);
                 self.patch_all(&frame.continue_patches, step_pc);
-                self.scopes.pop();
+                self.pop_scope();
                 Ok(())
             }
             Stmt::Switch { scrutinee, cases } => {
@@ -561,11 +591,11 @@ impl<'l> MethodCtx<'l> {
                     if case.is_default {
                         default_target = Some(target);
                     }
-                    self.scopes.push(HashMap::new());
+                    self.push_scope();
                     for inner in &case.body {
                         self.stmt(inner)?;
                     }
-                    self.scopes.pop();
+                    self.pop_scope();
                 }
                 let end = self.pc();
                 let mut pairs = Vec::new();

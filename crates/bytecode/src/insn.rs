@@ -224,16 +224,10 @@ impl Insn {
         )
     }
 
-    /// Branch targets of this instruction (empty for fall-through-only).
-    pub fn targets(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.collect_targets(&mut out);
-        out
-    }
-
-    /// Appends branch targets to `out` without allocating. The verifier
-    /// walks every instruction of every compiled mutant; letting it reuse
-    /// one buffer keeps its inner loop allocation-free.
+    /// Appends this instruction's branch targets (none for
+    /// fall-through-only instructions) to `out`. Every caller walks a
+    /// whole method's code, so it clears and reuses one buffer instead of
+    /// allocating a `Vec` per instruction.
     pub fn collect_targets(&self, out: &mut Vec<u32>) {
         match self {
             Insn::Jump(t) | Insn::JumpIfTrue(t) | Insn::JumpIfFalse(t) => out.push(*t),
@@ -285,9 +279,16 @@ mod tests {
     fn terminators_and_targets() {
         assert!(Insn::Jump(3).is_terminator());
         assert!(!Insn::JumpIfTrue(3).is_terminator());
-        assert_eq!(Insn::JumpIfFalse(7).targets(), vec![7]);
+        let mut targets = vec![1];
+        Insn::JumpIfFalse(7).collect_targets(&mut targets);
+        assert_eq!(targets, vec![1, 7], "appends");
         let sw = Insn::TableSwitch { cases: vec![(1, 10), (2, 20)], default: 30 };
-        assert_eq!(sw.targets(), vec![10, 20, 30]);
+        targets.clear();
+        sw.collect_targets(&mut targets);
+        assert_eq!(targets, vec![10, 20, 30]);
+        targets.clear();
+        Insn::IAdd.collect_targets(&mut targets);
+        assert!(targets.is_empty());
         let mut j = Insn::Jump(5);
         j.map_targets(|t| t + 100);
         assert_eq!(j, Insn::Jump(105));

@@ -149,12 +149,11 @@ impl BMethod {
     /// Computes and stores [`BMethod::loop_headers`] from the code.
     pub fn compute_loop_headers(&mut self) {
         let mut headers: Vec<u32> = Vec::new();
+        let mut targets: Vec<u32> = Vec::new();
         for (pc, insn) in self.code.iter().enumerate() {
-            for target in insn.targets() {
-                if target <= pc as u32 {
-                    headers.push(target);
-                }
-            }
+            targets.clear();
+            insn.collect_targets(&mut targets);
+            headers.extend(targets.iter().filter(|&&target| target <= pc as u32));
         }
         headers.sort_unstable();
         headers.dedup();

@@ -115,9 +115,15 @@ impl Verifier<'_> {
         {
             return Err(self.err(code.len() as u32 - 1, "code may fall off the end"));
         }
-        let mut states: Vec<Option<Vec<AType>>> = vec![None; code.len()];
+        // The entry stack shape of each reached pc is `arena[offset..][..height]`
+        // (`UNREACHED` until a path reaches it). A pc's height never
+        // changes once set (a different one is an error), so its slice is
+        // allocated once and every later join merges into it in place.
+        const UNREACHED: u32 = u32::MAX;
+        let mut states: Vec<(u32, u32)> = vec![(UNREACHED, 0); code.len()];
+        let mut arena: Vec<AType> = Vec::new();
         let mut worklist: Vec<u32> = vec![0];
-        states[0] = Some(Vec::new());
+        states[0] = (0, 0);
         // Exception handler entries start with an empty stack.
         for handler in &self.method.handlers {
             if handler.target as usize >= code.len()
@@ -132,8 +138,8 @@ impl Verifier<'_> {
                     return Err(self.err(handler.target, "handler save slot out of range"));
                 }
             }
-            if states[handler.target as usize].is_none() {
-                states[handler.target as usize] = Some(Vec::new());
+            if states[handler.target as usize].0 == UNREACHED {
+                states[handler.target as usize] = (0, 0);
                 worklist.push(handler.target);
             }
         }
@@ -143,10 +149,10 @@ impl Verifier<'_> {
         let mut stack: Vec<AType> = Vec::new();
         let mut succs: Vec<u32> = Vec::new();
         while let Some(pc) = worklist.pop() {
+            let (offset, height) = states[pc as usize];
+            debug_assert_ne!(offset, UNREACHED, "worklist entries have state");
             stack.clear();
-            stack.extend_from_slice(
-                states[pc as usize].as_deref().expect("worklist entries have state"),
-            );
+            stack.extend_from_slice(&arena[offset as usize..][..height as usize]);
             let insn = &code[pc as usize];
             self.step(pc, insn, &mut stack)?;
             // Propagate to successors.
@@ -160,41 +166,31 @@ impl Verifier<'_> {
                 if succ as usize >= code.len() {
                     return Err(self.err(pc, format!("branch target {succ} out of range")));
                 }
-                match &states[succ as usize] {
-                    None => {
-                        states[succ as usize] = Some(stack.clone());
-                        worklist.push(succ);
+                let (offset, height) = states[succ as usize];
+                if offset == UNREACHED {
+                    states[succ as usize] = (arena.len() as u32, stack.len() as u32);
+                    arena.extend_from_slice(&stack);
+                    worklist.push(succ);
+                    continue;
+                }
+                if height as usize != stack.len() {
+                    return Err(self.err(
+                        pc,
+                        format!("stack height mismatch at {succ}: {height} vs {}", stack.len()),
+                    ));
+                }
+                let mut changed = false;
+                for (a, b) in arena[offset as usize..][..height as usize].iter_mut().zip(&stack) {
+                    let m = a.merge(*b).ok_or_else(|| {
+                        self.err(pc, format!("stack type mismatch at {succ}: {a:?} vs {b:?}"))
+                    })?;
+                    if m != *a {
+                        *a = m;
+                        changed = true;
                     }
-                    Some(existing) => {
-                        if existing.len() != stack.len() {
-                            return Err(self.err(
-                                pc,
-                                format!(
-                                    "stack height mismatch at {succ}: {} vs {}",
-                                    existing.len(),
-                                    stack.len()
-                                ),
-                            ));
-                        }
-                        let mut merged = Vec::with_capacity(stack.len());
-                        let mut changed = false;
-                        for (a, b) in existing.iter().zip(&stack) {
-                            let m = a.merge(*b).ok_or_else(|| {
-                                self.err(
-                                    pc,
-                                    format!("stack type mismatch at {succ}: {a:?} vs {b:?}"),
-                                )
-                            })?;
-                            if m != *a {
-                                changed = true;
-                            }
-                            merged.push(m);
-                        }
-                        if changed {
-                            states[succ as usize] = Some(merged);
-                            worklist.push(succ);
-                        }
-                    }
+                }
+                if changed {
+                    worklist.push(succ);
                 }
             }
         }
@@ -465,7 +461,7 @@ impl Verifier<'_> {
                 if self.method.ret == Ty::Void {
                     return Err(self.err(pc, "ReturnVal in a void method"));
                 }
-                self.pop_expect(pc, stack, AType::of_ty(&self.method.ret.clone()))?;
+                self.pop_expect(pc, stack, AType::of_ty(&self.method.ret))?;
                 if !stack.is_empty() {
                     return Err(self.err(pc, "ReturnVal with extra stack values"));
                 }

@@ -272,16 +272,20 @@ impl Artemis {
 
     fn apply_mi(&mut self, program: &mut Program, class_idx: usize, method_idx: usize) -> bool {
         let class_name = program.classes[class_idx].name.clone();
-        let target = program.classes[class_idx].methods[method_idx].clone();
+        // The target's signature only: its body is never read here.
+        let (name, params, ret, is_static) = {
+            let target = &program.classes[class_idx].methods[method_idx];
+            (target.name.clone(), target.params.clone(), target.ret.clone(), target.is_static)
+        };
         // Collect call sites of the target outside the target itself, with
         // a reusable receiver.
-        let sites: Vec<_> = scope::call_sites(program, &class_name, &target.name)
+        let sites: Vec<_> = scope::call_sites(program, &class_name, &name)
             .into_iter()
             .filter(|site| !(site.class == class_idx && site.method == method_idx))
             .filter_map(|site| {
                 let stmts = scope::stmts_at(program, &site);
                 let stmt = &stmts[site.index];
-                find_reusable_call(stmt, &class_name, &target).map(|recv| (site, recv))
+                find_reusable_call(stmt, &class_name, &name, is_static).map(|recv| (site, recv))
             })
             .collect();
         if sites.is_empty() {
@@ -306,8 +310,7 @@ impl Artemis {
             value: Expr::BoolLit(value),
         };
         // Prologue: `if (C.$c) { …synthesized…; return <expr>; }`.
-        let params_as_vars: Vec<VarInfo> = target
-            .params
+        let params_as_vars: Vec<VarInfo> = params
             .iter()
             .map(|p| VarInfo { name: p.name.clone(), ty: p.ty.clone(), is_param: true })
             .collect();
@@ -339,11 +342,11 @@ impl Artemis {
             });
             guts.push(Stmt::Unmute);
             guts.extend(restores);
-            let ret_value = if target.ret == Ty::Void {
+            let ret_value = if ret == Ty::Void {
                 None
             } else {
                 let mut reused_ret = Vec::new();
-                Some(synth.syn_expr(&target.ret, &params_as_vars, &mut reused_ret))
+                Some(synth.syn_expr(&ret, &params_as_vars, &mut reused_ret))
             };
             guts.push(Stmt::Return(ret_value));
             Stmt::If { cond: ctrl_read, then_blk: Block::of(guts), else_blk: None }
@@ -359,15 +362,12 @@ impl Artemis {
             let mut synth =
                 Synth { rng: &mut self.rng, params: &self.params, counter: &mut self.counter };
             let mut reused_args = Vec::new();
-            let args: Vec<Expr> = target
-                .params
-                .iter()
-                .map(|p| synth.syn_expr(&p.ty, &vars, &mut reused_args))
-                .collect();
-            if target.is_static {
-                Expr::StaticCall { class: class_name.clone(), method: target.name.clone(), args }
+            let args: Vec<Expr> =
+                params.iter().map(|p| synth.syn_expr(&p.ty, &vars, &mut reused_args)).collect();
+            if is_static {
+                Expr::StaticCall { class: class_name.clone(), method: name, args }
             } else {
-                Expr::InstCall { recv: Box::new(receiver), method: target.name.clone(), args }
+                Expr::InstCall { recv: Box::new(receiver), method: name, args }
             }
         };
         let body = vec![ctrl_set(true), Stmt::ExprStmt(call), ctrl_set(false)];
@@ -401,7 +401,7 @@ fn splice(stmts: &mut Vec<Stmt>, index: usize, new_stmts: Vec<Stmt>) {
 /// Finds a call to `class.target` in `stmt` whose receiver is reusable
 /// (`this` or a local); returns the receiver expression to clone
 /// (`Expr::This` placeholder for static calls).
-fn find_reusable_call(stmt: &Stmt, class: &str, target: &MethodDecl) -> Option<Expr> {
+fn find_reusable_call(stmt: &Stmt, class: &str, target: &str, is_static: bool) -> Option<Expr> {
     let mut found: Option<Expr> = None;
     scope::for_each_expr_in_stmt(stmt, &mut |e| {
         if found.is_some() {
@@ -409,11 +409,11 @@ fn find_reusable_call(stmt: &Stmt, class: &str, target: &MethodDecl) -> Option<E
         }
         match e {
             Expr::StaticCall { class: c, method, .. }
-                if target.is_static && c == class && *method == target.name =>
+                if is_static && c == class && method == target =>
             {
                 found = Some(Expr::This);
             }
-            Expr::InstCall { recv, method, .. } if !target.is_static && *method == target.name => {
+            Expr::InstCall { recv, method, .. } if !is_static && method == target => {
                 match recv.as_ref() {
                     Expr::This => found = Some(Expr::This),
                     Expr::Local(name) => found = Some(Expr::local(name)),
@@ -630,5 +630,83 @@ fn has_escaping_jump(stmt: &Stmt, loop_depth: usize, switch_depth: usize) -> boo
                     .unwrap_or(false)
         }
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cse_vm::VmKind;
+
+    /// The whole-program [`scope::call_sites`] that the direct statement
+    /// walk replaced: every insertion point [`scope::collect_points`]
+    /// enumerates whose statement calls the target. Kept as the walk's
+    /// reference.
+    fn call_sites_by_points(
+        program: &Program,
+        class_name: &str,
+        method_name: &str,
+    ) -> Vec<scope::ProgPoint> {
+        let mut sites = Vec::new();
+        for info in scope::collect_points(program) {
+            let stmts = scope::stmts_at(program, &info.point);
+            if info.point.index >= stmts.len() {
+                continue;
+            }
+            let stmt = &stmts[info.point.index];
+            let mut found = false;
+            scope::for_each_expr_in_stmt(stmt, &mut |e| match e {
+                Expr::StaticCall { class, method, .. }
+                    if class == class_name && method == method_name =>
+                {
+                    found = true;
+                }
+                Expr::InstCall { method, .. } if method == method_name => found = true,
+                _ => {}
+            });
+            if found {
+                sites.push(info.point);
+            }
+        }
+        sites
+    }
+
+    /// Asserts that the walk and the reference agree on every method of
+    /// `program`; returns how many sites they found.
+    fn assert_sites_match(program: &Program, what: &str) -> usize {
+        let mut total = 0;
+        for class in &program.classes {
+            for method in &class.methods {
+                let sites = scope::call_sites(program, &class.name, &method.name);
+                let reference = call_sites_by_points(program, &class.name, &method.name);
+                assert_eq!(
+                    sites, reference,
+                    "{what}: call sites of {}.{}",
+                    class.name, method.name
+                );
+                total += sites.len();
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn call_site_walk_matches_the_point_reference() {
+        let fuzz = cse_fuzz::FuzzConfig::default();
+        let (mut seed_sites, mut mutant_sites) = (0, 0);
+        for seed in 0..100 {
+            let program = cse_fuzz::generate(seed, &fuzz);
+            seed_sites += assert_sites_match(&program, &format!("seed {seed}"));
+            // JoNM mutates each method with probability 0.5: half-mutated
+            // programs, carrying LI/SW loops and MI prologues and call
+            // loops the fuzzer never writes.
+            let mut artemis = Artemis::new(seed, SynthParams::for_kind(VmKind::HotSpotLike));
+            for iteration in 0..2 {
+                let (mutant, _) = artemis.jonm(&program);
+                mutant_sites += assert_sites_match(&mutant, &format!("seed {seed} i{iteration}"));
+            }
+        }
+        // Both corpora exercise the comparison.
+        assert!(seed_sites > 0 && mutant_sites > seed_sites, "{seed_sites} / {mutant_sites}");
     }
 }

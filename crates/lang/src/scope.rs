@@ -492,23 +492,80 @@ pub fn walk_expr(expr: &Expr, f: &mut dyn FnMut(&Expr)) {
 /// Collects every (point, statement-contains-call) pair for calls to
 /// `class.method`: the returned points address the statements that contain
 /// at least one call to the target, so code can be inserted right before
-/// them (the paper's MI mutator).
+/// them (the paper's MI mutator). Sites come in [`collect_points`] order,
+/// but the walk visits statements directly: it copies a path only at a
+/// hit and never builds the in-scope variable lists the points carry.
 pub fn call_sites(program: &Program, class_name: &str, method_name: &str) -> Vec<ProgPoint> {
-    let mut sites = Vec::new();
-    for info in collect_points(program) {
-        let stmts = stmts_at(program, &info.point);
-        if info.point.index >= stmts.len() {
-            continue;
+    let mut walk = SiteWalk { class_name, method_name, path: Vec::new(), sites: Vec::new() };
+    for (class, decl) in program.classes.iter().enumerate() {
+        for (method, decl) in decl.methods.iter().enumerate() {
+            walk.stmts(class, method, &decl.body.stmts);
         }
-        let stmt = &stmts[info.point.index];
+    }
+    walk.sites
+}
+
+struct SiteWalk<'a> {
+    class_name: &'a str,
+    method_name: &'a str,
+    path: Vec<Seg>,
+    sites: Vec<ProgPoint>,
+}
+
+impl SiteWalk<'_> {
+    fn stmts(&mut self, class: usize, method: usize, stmts: &[Stmt]) {
+        for (index, stmt) in stmts.iter().enumerate() {
+            if self.calls_target(stmt) {
+                self.sites.push(ProgPoint { class, method, path: self.path.clone(), index });
+            }
+            // Nested blocks in `Walker::stmt` order.
+            match stmt {
+                Stmt::If { then_blk, else_blk, .. } => {
+                    self.nested(class, method, Seg::Then(index), &then_blk.stmts);
+                    if let Some(else_blk) = else_blk {
+                        self.nested(class, method, Seg::Else(index), &else_blk.stmts);
+                    }
+                }
+                Stmt::While { body, .. } | Stmt::DoWhile { body, .. } | Stmt::For { body, .. } => {
+                    self.nested(class, method, Seg::Body(index), &body.stmts);
+                }
+                Stmt::Switch { cases, .. } => {
+                    for (case_idx, case) in cases.iter().enumerate() {
+                        let seg = Seg::Case { stmt: index, case: case_idx };
+                        self.nested(class, method, seg, &case.body);
+                    }
+                }
+                Stmt::Block(inner) => self.nested(class, method, Seg::Inner(index), &inner.stmts),
+                Stmt::Try { body, catch, finally } => {
+                    self.nested(class, method, Seg::TryBody(index), &body.stmts);
+                    if let Some(catch) = catch {
+                        self.nested(class, method, Seg::Catch(index), &catch.stmts);
+                    }
+                    if let Some(finally) = finally {
+                        self.nested(class, method, Seg::Finally(index), &finally.stmts);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn nested(&mut self, class: usize, method: usize, seg: Seg, stmts: &[Stmt]) {
+        self.path.push(seg);
+        self.stmts(class, method, stmts);
+        self.path.pop();
+    }
+
+    /// Whether `stmt`, nested statements included, calls the target.
+    fn calls_target(&self, stmt: &Stmt) -> bool {
         let mut found = false;
         for_each_expr_in_stmt(stmt, &mut |e| match e {
             Expr::StaticCall { class, method, .. }
-                if class == class_name && method == method_name =>
+                if class == self.class_name && method == self.method_name =>
             {
                 found = true;
             }
-            Expr::InstCall { method, .. } if method == method_name => {
+            Expr::InstCall { method, .. } if method == self.method_name => {
                 // Receiver-class match is validated by the mutator, which
                 // knows the receiver's static type; method names are unique
                 // enough in practice for site collection.
@@ -516,11 +573,8 @@ pub fn call_sites(program: &Program, class_name: &str, method_name: &str) -> Vec
             }
             _ => {}
         });
-        if found {
-            sites.push(info.point);
-        }
+        found
     }
-    sites
 }
 
 #[cfg(test)]

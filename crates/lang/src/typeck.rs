@@ -257,7 +257,11 @@ struct Checker<'a> {
     class: &'a str,
     is_static: bool,
     ret: Ty,
-    scopes: Vec<HashMap<String, Ty>>,
+    /// Every local in scope, outermost first. Shadowing is rejected, so
+    /// a name occurs at most once and a linear search is exact.
+    locals: Vec<(String, Ty)>,
+    /// `locals.len()` at each open nested scope's entry.
+    scope_marks: Vec<usize>,
     loop_depth: usize,
     switch_depth: usize,
     /// Loop/switch depths recorded when entering a `try` (or `catch`)
@@ -274,7 +278,8 @@ impl<'a> Checker<'a> {
             class,
             is_static,
             ret: Ty::Void,
-            scopes: vec![HashMap::new()],
+            locals: Vec::new(),
+            scope_marks: Vec::new(),
             loop_depth: 0,
             switch_depth: 0,
             finally_barriers: Vec::new(),
@@ -297,23 +302,24 @@ impl<'a> Checker<'a> {
     }
 
     fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.scope_marks.push(self.locals.len());
     }
 
     fn pop_scope(&mut self) {
-        self.scopes.pop();
+        let mark = self.scope_marks.pop().expect("scopes are balanced");
+        self.locals.truncate(mark);
     }
 
     fn declare(&mut self, name: &str, ty: Ty) -> Result<(), FrontError> {
         if self.lookup(name).is_some() {
             return Err(FrontError::msg(format!("variable `{name}` shadows an existing variable")));
         }
-        self.scopes.last_mut().expect("checker always has a scope").insert(name.to_string(), ty);
+        self.locals.push((name.to_string(), ty));
         Ok(())
     }
 
     fn lookup(&self, name: &str) -> Option<&Ty> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+        self.locals.iter().rev().find(|(local, _)| local == name).map(|(_, ty)| ty)
     }
 
     fn require_assignable(&self, target: &Ty, from: &Ty, value: &Expr) -> Result<(), FrontError> {
@@ -1178,6 +1184,43 @@ mod tests {
             .contains("shadows"));
         // Non-overlapping scopes may reuse names.
         ok("class T { static void main() { { int x = 1; } { int x = 2; } } }");
+    }
+
+    #[test]
+    fn shadowing_rejected_at_any_depth() {
+        // Parameters, outer locals and for-loop variables are all visible
+        // to every nested scope, however deep.
+        for body in [
+            "int x = 1; if (x > 0) { while (x > 0) { int x = 2; } }",
+            "for (int i = 0; i < 2; i++) { switch (i) { case 0: int i = 3; break; } }",
+            "int x = 1; try { { int y = 2; int x = 3; } } catch { }",
+            "int x = 1; int x = 2;",
+        ] {
+            let src = format!("class T {{ static void main() {{ {body} }} }}");
+            assert!(fails(&src).contains("shadows"), "{body}");
+        }
+        assert!(fails(
+            "class T { static void f(int p) { if (true) { int p = 1; } } \
+                       static void main() { } }"
+        )
+        .contains("shadows"));
+    }
+
+    #[test]
+    fn sibling_scopes_reuse_names() {
+        // A closed scope's locals are gone: siblings, later loops and the
+        // enclosing scope after it may declare the same name with another
+        // type, and each use resolves to the declaration in scope.
+        ok("class T { static void main() { \
+              for (int i = 0; i < 2; i++) { println(i); } \
+              for (int i = 0; i < 2; i++) { println(i); } \
+              if (true) { long v = 1L; println(v); } else { boolean v = true; println(v); } \
+              switch (1) { case 0: int w = 1; println(w); break; \
+                           default: long w = 2L; println(w); } \
+              { boolean z = true; println(z); } \
+              int z = 3; println(z + 1); } }");
+        assert!(fails("class T { static void main() { { long v = 1L; } long w = v; } }")
+            .contains("unknown variable `v`"));
     }
 
     #[test]

@@ -145,10 +145,11 @@ impl Builder<'_, '_> {
         // transfers, handler targets.
         let mut leaders: BTreeSet<u32> = BTreeSet::new();
         leaders.insert(0);
+        let mut targets: Vec<u32> = Vec::new();
         for (pc, insn) in m.code.iter().enumerate() {
-            for t in insn.targets() {
-                leaders.insert(t);
-            }
+            targets.clear();
+            insn.collect_targets(&mut targets);
+            leaders.extend(&targets);
             let transfers =
                 insn.is_terminator() || matches!(insn, Insn::JumpIfTrue(_) | Insn::JumpIfFalse(_));
             if transfers && pc + 1 < m.code.len() {
