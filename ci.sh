@@ -75,6 +75,12 @@ if [ "$mode" != "quick" ]; then
     echo "==> parallel-engine digest equality under --release"
     cargo test --release -q --test parallel_determinism
 
+    # The static oracles' reports (TV and IR verifier, at each and at
+    # boundary, plus corrupted IR) are pinned byte for byte; checking the
+    # pins in the optimized build is checking the code the benchmark runs.
+    echo "==> static-oracle report pins under --release"
+    cargo test --release -q --test tv_report_pins
+
     # The pinned digests set every budget explicitly, so budget
     # variables in the environment must not move them.
     echo "==> pinned digests under non-default VM budget variables"

@@ -4,6 +4,8 @@
 //! identical AST (a property test in the crate root enforces this); the JoNM
 //! pipeline relies on it to emit reproducer sources for bug reports.
 
+use std::fmt::Write as _;
+
 use crate::ast::*;
 
 /// Prints a whole program as compilable MiniJava source.
@@ -29,6 +31,8 @@ pub fn print_stmt(stmt: &Stmt) -> String {
     p.out
 }
 
+/// Writes the whole output into one `String`: statements, expressions and
+/// `for` headers all append in place, with no per-node buffers.
 #[derive(Default)]
 struct Printer {
     out: String,
@@ -36,12 +40,28 @@ struct Printer {
 }
 
 impl Printer {
-    fn line(&mut self, text: &str) {
+    /// Starts a line at the current indentation.
+    fn begin(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
         }
-        self.out.push_str(text);
+    }
+
+    /// Ends the current line with `tail`.
+    fn end(&mut self, tail: &str) {
+        self.out.push_str(tail);
         self.out.push('\n');
+    }
+
+    /// Ends the current line with `tail` and indents what follows.
+    fn end_open(&mut self, tail: &str) {
+        self.end(tail);
+        self.indent += 1;
+    }
+
+    fn line(&mut self, text: &str) {
+        self.begin();
+        self.end(text);
     }
 
     fn open(&mut self, text: &str) {
@@ -54,18 +74,28 @@ impl Printer {
         self.line(text);
     }
 
+    /// The `} else {`-style line between two bodies of one statement.
+    fn reopen(&mut self, text: &str) {
+        self.indent -= 1;
+        self.line(text);
+        self.indent += 1;
+    }
+
     fn class(&mut self, class: &ClassDecl) {
-        self.open(&format!("class {} {{", class.name));
+        self.begin();
+        let _ = write!(self.out, "class {}", class.name);
+        self.end_open(" {");
         for field in &class.fields {
-            let stat = if field.is_static { "static " } else { "" };
-            match &field.init {
-                Some(init) => {
-                    let mut e = Printer::default();
-                    e.expr(init, 0);
-                    self.line(&format!("{stat}{} {} = {};", field.ty, field.name, e.out));
-                }
-                None => self.line(&format!("{stat}{} {};", field.ty, field.name)),
+            self.begin();
+            if field.is_static {
+                self.out.push_str("static ");
             }
+            let _ = write!(self.out, "{} {}", field.ty, field.name);
+            if let Some(init) = &field.init {
+                self.out.push_str(" = ");
+                self.expr(init, 0);
+            }
+            self.end(";");
         }
         for method in &class.methods {
             self.method(method);
@@ -74,10 +104,18 @@ impl Printer {
     }
 
     fn method(&mut self, method: &MethodDecl) {
-        let stat = if method.is_static { "static " } else { "" };
-        let params: Vec<String> =
-            method.params.iter().map(|p| format!("{} {}", p.ty, p.name)).collect();
-        self.open(&format!("{stat}{} {}({}) {{", method.ret, method.name, params.join(", ")));
+        self.begin();
+        if method.is_static {
+            self.out.push_str("static ");
+        }
+        let _ = write!(self.out, "{} {}(", method.ret, method.name);
+        for (i, p) in method.params.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let _ = write!(self.out, "{} {}", p.ty, p.name);
+        }
+        self.end_open(") {");
         for stmt in &method.body.stmts {
             self.stmt(stmt);
         }
@@ -90,11 +128,21 @@ impl Printer {
         }
     }
 
+    /// One line `head`, `expr`, `tail`.
+    fn expr_line(&mut self, head: &str, expr: &Expr, tail: &str) {
+        self.begin();
+        self.out.push_str(head);
+        self.expr(expr, 0);
+        self.end(tail);
+    }
+
     fn stmt(&mut self, stmt: &Stmt) {
         match stmt {
             Stmt::VarDecl { name, ty, init } => {
-                let init = render(init);
-                self.line(&format!("{ty} {name} = {init};"));
+                self.begin();
+                let _ = write!(self.out, "{ty} {name} = ");
+                self.expr(init, 0);
+                self.end(";");
             }
             Stmt::Assign { target, op, value } => {
                 let op_text = match op {
@@ -111,49 +159,67 @@ impl Printer {
                     AssignOp::Shr => ">>=",
                     AssignOp::Ushr => ">>>=",
                 };
-                self.line(&format!("{} {op_text} {};", self.lvalue(target), render(value)));
+                self.begin();
+                self.lvalue(target);
+                self.out.push(' ');
+                self.out.push_str(op_text);
+                self.out.push(' ');
+                self.expr(value, 0);
+                self.end(";");
             }
             Stmt::IncDec { target, inc } => {
-                let op = if *inc { "++" } else { "--" };
-                self.line(&format!("{}{op};", self.lvalue(target)));
+                self.begin();
+                self.lvalue(target);
+                self.end(if *inc { "++;" } else { "--;" });
             }
             Stmt::If { cond, then_blk, else_blk } => {
-                self.open(&format!("if ({}) {{", render(cond)));
+                self.expr_line("if (", cond, ") {");
+                self.indent += 1;
                 self.block_body(then_blk);
-                match else_blk {
-                    Some(else_blk) => {
-                        self.indent -= 1;
-                        self.line("} else {");
-                        self.indent += 1;
-                        self.block_body(else_blk);
-                        self.close("}");
-                    }
-                    None => self.close("}"),
+                if let Some(else_blk) = else_blk {
+                    self.reopen("} else {");
+                    self.block_body(else_blk);
                 }
+                self.close("}");
             }
             Stmt::While { cond, body } => {
-                self.open(&format!("while ({}) {{", render(cond)));
+                self.expr_line("while (", cond, ") {");
+                self.indent += 1;
                 self.block_body(body);
                 self.close("}");
             }
             Stmt::DoWhile { body, cond } => {
                 self.open("do {");
                 self.block_body(body);
-                self.close(&format!("}} while ({});", render(cond)));
+                self.indent -= 1;
+                self.expr_line("} while (", cond, ");");
             }
             Stmt::For { init, cond, step, body } => {
-                let init_text = init.as_ref().map(|s| inline_stmt(s)).unwrap_or_default();
-                let cond_text = cond.as_ref().map(render).unwrap_or_default();
-                let step_text = step.as_ref().map(|s| inline_stmt(s)).unwrap_or_default();
-                self.open(&format!("for ({init_text}; {cond_text}; {step_text}) {{"));
+                self.begin();
+                self.out.push_str("for (");
+                if let Some(init) = init {
+                    self.inline_stmt(init);
+                }
+                self.out.push_str("; ");
+                if let Some(cond) = cond {
+                    self.expr(cond, 0);
+                }
+                self.out.push_str("; ");
+                if let Some(step) = step {
+                    self.inline_stmt(step);
+                }
+                self.end_open(") {");
                 self.block_body(body);
                 self.close("}");
             }
             Stmt::Switch { scrutinee, cases } => {
-                self.open(&format!("switch ({}) {{", render(scrutinee)));
+                self.expr_line("switch (", scrutinee, ") {");
+                self.indent += 1;
                 for case in cases {
                     for label in &case.labels {
-                        self.line(&format!("case {label}:"));
+                        self.begin();
+                        let _ = write!(self.out, "case {label}:");
+                        self.end("");
                     }
                     if case.is_default {
                         self.line("default:");
@@ -169,8 +235,8 @@ impl Printer {
             Stmt::Break => self.line("break;"),
             Stmt::Continue => self.line("continue;"),
             Stmt::Return(None) => self.line("return;"),
-            Stmt::Return(Some(value)) => self.line(&format!("return {};", render(value))),
-            Stmt::ExprStmt(expr) => self.line(&format!("{};", render(expr))),
+            Stmt::Return(Some(value)) => self.expr_line("return ", value, ";"),
+            Stmt::ExprStmt(expr) => self.expr_line("", expr, ";"),
             Stmt::Block(block) => {
                 self.open("{");
                 self.block_body(block);
@@ -180,50 +246,220 @@ impl Printer {
                 self.open("try {");
                 self.block_body(body);
                 if let Some(catch) = catch {
-                    self.indent -= 1;
-                    self.line("} catch {");
-                    self.indent += 1;
+                    self.reopen("} catch {");
                     self.block_body(catch);
                 }
                 if let Some(finally) = finally {
-                    self.indent -= 1;
-                    self.line("} finally {");
-                    self.indent += 1;
+                    self.reopen("} finally {");
                     self.block_body(finally);
                 }
                 self.close("}");
             }
-            Stmt::Throw(code) => self.line(&format!("throw {};", render(code))),
-            Stmt::Println(value) => self.line(&format!("println({});", render(value))),
+            Stmt::Throw(code) => self.expr_line("throw ", code, ";"),
+            Stmt::Println(value) => self.expr_line("println(", value, ");"),
             Stmt::Mute => self.line("__mute();"),
             Stmt::Unmute => self.line("__unmute();"),
         }
     }
 
-    fn lvalue(&self, lvalue: &LValue) -> String {
+    /// Writes a statement for a `for (init; cond; step)` header: printed at
+    /// indentation zero, without its trailing newline and semicolon.
+    fn inline_stmt(&mut self, stmt: &Stmt) {
+        let start = self.out.len();
+        let indent = std::mem::take(&mut self.indent);
+        self.stmt(stmt);
+        self.indent = indent;
+        let text = self.out[start..].trim_end();
+        let text = text.strip_suffix(';').unwrap_or(text);
+        let keep = start + text.len();
+        self.out.truncate(keep);
+    }
+
+    fn lvalue(&mut self, lvalue: &LValue) {
         match lvalue {
-            LValue::Local(name) | LValue::Name(name) => name.clone(),
-            LValue::StaticField { class, field } => format!("{class}.{field}"),
-            LValue::InstField { recv, field } => format!("{}.{field}", render_at(recv, POSTFIX)),
+            LValue::Local(name) | LValue::Name(name) => self.out.push_str(name),
+            LValue::StaticField { class, field } => {
+                let _ = write!(self.out, "{class}.{field}");
+            }
+            LValue::InstField { recv, field } => {
+                self.expr(recv, POSTFIX);
+                let _ = write!(self.out, ".{field}");
+            }
             LValue::Index { array, index } => {
-                format!("{}[{}]", render_at(array, POSTFIX), render(index))
+                self.expr(array, POSTFIX);
+                self.out.push('[');
+                self.expr(index, 0);
+                self.out.push(']');
             }
         }
     }
 
+    /// Writes `expr`, parenthesized when its precedence is below
+    /// `min_level`.
     fn expr(&mut self, expr: &Expr, min_level: u8) {
-        let text = render_at(expr, min_level);
-        self.out.push_str(&text);
+        let level = level_of(expr);
+        let paren = level < min_level;
+        if paren {
+            self.out.push('(');
+        }
+        self.expr_inner(expr, level);
+        if paren {
+            self.out.push(')');
+        }
     }
-}
 
-/// Renders a statement without trailing newline/semicolon handling suitable
-/// for `for (init; cond; step)` headers.
-fn inline_stmt(stmt: &Stmt) -> String {
-    let mut p = Printer::default();
-    p.stmt(stmt);
-    let text = p.out.trim_end().to_string();
-    text.strip_suffix(';').map(str::to_string).unwrap_or(text)
+    /// Writes `args` separated by `, `.
+    fn expr_list(&mut self, args: &[Expr]) {
+        for (i, arg) in args.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.expr(arg, 0);
+        }
+    }
+
+    fn expr_inner(&mut self, expr: &Expr, level: u8) {
+        match expr {
+            Expr::IntLit(v) => {
+                let _ = write!(self.out, "{v}");
+            }
+            Expr::LongLit(v) => {
+                let _ = write!(self.out, "{v}L");
+            }
+            Expr::BoolLit(b) => {
+                let _ = write!(self.out, "{b}");
+            }
+            Expr::StrLit(s) => {
+                self.out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '\n' => self.out.push_str("\\n"),
+                        '\t' => self.out.push_str("\\t"),
+                        '\\' => self.out.push_str("\\\\"),
+                        '"' => self.out.push_str("\\\""),
+                        other => self.out.push(other),
+                    }
+                }
+                self.out.push('"');
+            }
+            Expr::Null => self.out.push_str("null"),
+            Expr::Name(name) | Expr::Local(name) => self.out.push_str(name),
+            Expr::This => self.out.push_str("this"),
+            Expr::StaticField { class, field } => {
+                let _ = write!(self.out, "{class}.{field}");
+            }
+            Expr::InstField { recv, field } => {
+                self.expr(recv, POSTFIX);
+                let _ = write!(self.out, ".{field}");
+            }
+            Expr::Index { array, index } => {
+                self.expr(array, POSTFIX);
+                self.out.push('[');
+                self.expr(index, 0);
+                self.out.push(']');
+            }
+            Expr::Length(array) => {
+                self.expr(array, POSTFIX);
+                self.out.push_str(".length");
+            }
+            Expr::NewObject(class) => {
+                let _ = write!(self.out, "new {class}()");
+            }
+            Expr::NewArray { elem, dims, extra_dims } => {
+                let _ = write!(self.out, "new {elem}");
+                for dim in dims {
+                    self.out.push('[');
+                    self.expr(dim, 0);
+                    self.out.push(']');
+                }
+                for _ in 0..*extra_dims {
+                    self.out.push_str("[]");
+                }
+            }
+            Expr::NewArrayInit { elem, elems } => {
+                let _ = write!(self.out, "new {elem}[] {{ ");
+                self.expr_list(elems);
+                self.out.push_str(" }");
+            }
+            Expr::StaticCall { class, method, args } => {
+                let _ = write!(self.out, "{class}.{method}(");
+                self.expr_list(args);
+                self.out.push(')');
+            }
+            Expr::InstCall { recv, method, args } => {
+                self.expr(recv, POSTFIX);
+                let _ = write!(self.out, ".{method}(");
+                self.expr_list(args);
+                self.out.push(')');
+            }
+            Expr::FreeCall { name, args } => {
+                let _ = write!(self.out, "{name}(");
+                self.expr_list(args);
+                self.out.push(')');
+            }
+            Expr::IntrinsicCall { which, args } => {
+                let name = match which {
+                    Intrinsic::Min => "min",
+                    Intrinsic::Max => "max",
+                    Intrinsic::Abs => "abs",
+                };
+                let _ = write!(self.out, "Math.{name}(");
+                self.expr_list(args);
+                self.out.push(')');
+            }
+            Expr::Unary { op, expr } => {
+                let symbol = match op {
+                    UnOp::Neg => "-",
+                    UnOp::Not => "!",
+                    UnOp::BitNot => "~",
+                };
+                self.out.push_str(symbol);
+                // `Neg` always parenthesizes its operand so that `-(5)` does
+                // not re-parse as the folded literal `-5` (which would change
+                // the AST shape on a round trip).
+                match op {
+                    UnOp::Neg => {
+                        self.out.push('(');
+                        self.expr(expr, 0);
+                        self.out.push(')');
+                    }
+                    _ => self.expr(expr, level),
+                }
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let symbol = match op {
+                    BinOp::Add => "+",
+                    BinOp::Sub => "-",
+                    BinOp::Mul => "*",
+                    BinOp::Div => "/",
+                    BinOp::Rem => "%",
+                    BinOp::And => "&",
+                    BinOp::Or => "|",
+                    BinOp::Xor => "^",
+                    BinOp::Shl => "<<",
+                    BinOp::Shr => ">>",
+                    BinOp::Ushr => ">>>",
+                    BinOp::Lt => "<",
+                    BinOp::Le => "<=",
+                    BinOp::Gt => ">",
+                    BinOp::Ge => ">=",
+                    BinOp::Eq => "==",
+                    BinOp::Ne => "!=",
+                    BinOp::LAnd => "&&",
+                    BinOp::LOr => "||",
+                };
+                self.expr(lhs, level);
+                self.out.push(' ');
+                self.out.push_str(symbol);
+                self.out.push(' ');
+                self.expr(rhs, level + 1);
+            }
+            Expr::Cast { ty, expr } => {
+                let _ = write!(self.out, "({ty}) ");
+                self.expr(expr, level);
+            }
+        }
+    }
 }
 
 const POSTFIX: u8 = 12;
@@ -245,127 +481,6 @@ fn level_of(expr: &Expr) -> u8 {
         },
         Expr::Unary { .. } | Expr::Cast { .. } => UNARY,
         _ => POSTFIX + 1,
-    }
-}
-
-/// Renders `expr`, parenthesizing when its precedence is below `min_level`.
-fn render_at(expr: &Expr, min_level: u8) -> String {
-    let level = level_of(expr);
-    let text = render_inner(expr, level);
-    if level < min_level {
-        format!("({text})")
-    } else {
-        text
-    }
-}
-
-fn render(expr: &Expr) -> String {
-    render_at(expr, 0)
-}
-
-fn render_inner(expr: &Expr, level: u8) -> String {
-    match expr {
-        Expr::IntLit(v) => v.to_string(),
-        Expr::LongLit(v) => format!("{v}L"),
-        Expr::BoolLit(b) => b.to_string(),
-        Expr::StrLit(s) => {
-            let mut text = String::from("\"");
-            for c in s.chars() {
-                match c {
-                    '\n' => text.push_str("\\n"),
-                    '\t' => text.push_str("\\t"),
-                    '\\' => text.push_str("\\\\"),
-                    '"' => text.push_str("\\\""),
-                    other => text.push(other),
-                }
-            }
-            text.push('"');
-            text
-        }
-        Expr::Null => "null".to_string(),
-        Expr::Name(name) | Expr::Local(name) => name.clone(),
-        Expr::This => "this".to_string(),
-        Expr::StaticField { class, field } => format!("{class}.{field}"),
-        Expr::InstField { recv, field } => format!("{}.{field}", render_at(recv, POSTFIX)),
-        Expr::Index { array, index } => {
-            format!("{}[{}]", render_at(array, POSTFIX), render(index))
-        }
-        Expr::Length(array) => format!("{}.length", render_at(array, POSTFIX)),
-        Expr::NewObject(class) => format!("new {class}()"),
-        Expr::NewArray { elem, dims, extra_dims } => {
-            let mut text = format!("new {elem}");
-            for dim in dims {
-                text.push_str(&format!("[{}]", render(dim)));
-            }
-            for _ in 0..*extra_dims {
-                text.push_str("[]");
-            }
-            text
-        }
-        Expr::NewArrayInit { elem, elems } => {
-            let elems: Vec<String> = elems.iter().map(render).collect();
-            format!("new {elem}[] {{ {} }}", elems.join(", "))
-        }
-        Expr::StaticCall { class, method, args } => {
-            format!("{class}.{method}({})", args.iter().map(render).collect::<Vec<_>>().join(", "))
-        }
-        Expr::InstCall { recv, method, args } => {
-            format!(
-                "{}.{method}({})",
-                render_at(recv, POSTFIX),
-                args.iter().map(render).collect::<Vec<_>>().join(", ")
-            )
-        }
-        Expr::FreeCall { name, args } => {
-            format!("{name}({})", args.iter().map(render).collect::<Vec<_>>().join(", "))
-        }
-        Expr::IntrinsicCall { which, args } => {
-            let name = match which {
-                Intrinsic::Min => "min",
-                Intrinsic::Max => "max",
-                Intrinsic::Abs => "abs",
-            };
-            format!("Math.{name}({})", args.iter().map(render).collect::<Vec<_>>().join(", "))
-        }
-        Expr::Unary { op, expr } => {
-            let symbol = match op {
-                UnOp::Neg => "-",
-                UnOp::Not => "!",
-                UnOp::BitNot => "~",
-            };
-            // `Neg` always parenthesizes its operand so that `-(5)` does not
-            // re-parse as the folded literal `-5` (which would change the
-            // AST shape on a round trip).
-            match op {
-                UnOp::Neg => format!("{symbol}({})", render(expr)),
-                _ => format!("{symbol}{}", render_at(expr, level)),
-            }
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let symbol = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-                BinOp::Rem => "%",
-                BinOp::And => "&",
-                BinOp::Or => "|",
-                BinOp::Xor => "^",
-                BinOp::Shl => "<<",
-                BinOp::Shr => ">>",
-                BinOp::Ushr => ">>>",
-                BinOp::Lt => "<",
-                BinOp::Le => "<=",
-                BinOp::Gt => ">",
-                BinOp::Ge => ">=",
-                BinOp::Eq => "==",
-                BinOp::Ne => "!=",
-                BinOp::LAnd => "&&",
-                BinOp::LOr => "||",
-            };
-            format!("{} {symbol} {}", render_at(lhs, level), render_at(rhs, level + 1))
-        }
-        Expr::Cast { ty, expr } => format!("({ty}) {}", render_at(expr, level)),
     }
 }
 

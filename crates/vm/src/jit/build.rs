@@ -8,10 +8,11 @@
 //! block. Tier-2 compilations of profiled code replace never-taken branch
 //! and switch successors with uncommon-trap blocks.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use cse_bytecode::{BMethod, BProgram, Insn, MethodId};
 
+use super::hash::FastMap;
 use super::ir::*;
 use super::{CompileCtx, CompileFail};
 use crate::events::DeoptReason;
@@ -50,7 +51,7 @@ pub(super) fn build(
         anchors: Vec::new(),
         next_reg: 0,
         inline_chain: vec![method],
-        trap_blocks: HashMap::new(),
+        trap_blocks: FastMap::default(),
     };
     // Block 0 is a prologue that jumps to the (normal or OSR) entry.
     builder.blocks.push(Block { insts: vec![], term: Term::Jump(DEAD) });
@@ -88,7 +89,7 @@ struct Builder<'a, 'p> {
     /// Methods on the inline path (prevents recursive inlining).
     inline_chain: Vec<MethodId>,
     /// bc pc (frame 0) → trap block.
-    trap_blocks: HashMap<(u32, bool), BlockId>,
+    trap_blocks: FastMap<(u32, bool), BlockId>,
 }
 
 impl Builder<'_, '_> {
@@ -128,7 +129,7 @@ impl Builder<'_, '_> {
         parent: Option<(u16, u32)>,
         ret: Option<(Option<Reg>, BlockId)>,
         speculate: bool,
-    ) -> Result<HashMap<u32, BlockId>, CrashInfo> {
+    ) -> Result<FastMap<u32, BlockId>, CrashInfo> {
         let m = self.ctx.program.method(method);
         let frame_idx = self.frames.len() as u16;
         self.frames.push(InlineFrame {
@@ -159,7 +160,7 @@ impl Builder<'_, '_> {
         for h in &m.handlers {
             leaders.insert(h.target);
         }
-        let mut block_map: HashMap<u32, BlockId> = HashMap::new();
+        let mut block_map: FastMap<u32, BlockId> = FastMap::default();
         for &pc in &leaders {
             let b = self.new_block();
             block_map.insert(pc, b);

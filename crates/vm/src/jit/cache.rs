@@ -52,13 +52,13 @@
 //! runs on one worker thread, which keeps the hot path lock-free.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cse_bytecode::{BProgram, DecodedProgram, Fnv, ProgramDigests};
 
 use crate::config::{Tier, VmConfig};
 use crate::exec::CrashInfo;
+use crate::jit::hash::FastMap;
 use crate::jit::ir::IrFunc;
 
 /// Everything that distinguishes one compilation from another, across
@@ -102,13 +102,13 @@ pub(crate) struct CachedCompile {
 /// [`SharedArtifactCache::new`], then attach to programs via
 /// [`SharedArtifactCache::attach`].
 pub struct SharedArtifactCache {
-    code: RefCell<HashMap<ArtifactKey, CachedCompile>>,
+    code: RefCell<FastMap<ArtifactKey, CachedCompile>>,
 }
 
 impl SharedArtifactCache {
     /// An empty cache.
     pub fn new() -> Rc<SharedArtifactCache> {
-        Rc::new(SharedArtifactCache { code: RefCell::new(HashMap::new()) })
+        Rc::new(SharedArtifactCache { code: RefCell::new(FastMap::default()) })
     }
 
     /// Binds this cache to one program: computes the program's content

@@ -21,6 +21,7 @@ pub mod build;
 pub mod cache;
 pub mod cfg;
 pub mod exec;
+pub(crate) mod hash;
 pub mod ir;
 pub mod passes;
 pub mod tv;
@@ -154,12 +155,16 @@ pub fn compile(
     }
     // Structural "ideal graph" assertions (HotSpot-like).
     if ctx.optimizing() {
-        let loops = cfg::LoopForest::compute(&func);
-        if ctx.active(BugId::HsGraphDeepLoops) && loops.max_depth() >= 4 {
-            let has_switch_in_loop = func.blocks.iter().enumerate().any(|(b, block)| {
-                matches!(block.term, ir::Term::Switch { .. }) && loops.depth(b as u32) >= 2
-            });
-            if has_switch_in_loop {
+        // The loop forest is only read by this trigger; the `active` query
+        // comes first so the fired mask records it either way.
+        if ctx.active(BugId::HsGraphDeepLoops) {
+            let loops = cfg::LoopForest::compute(&func);
+            let has_switch_in_loop = || {
+                func.blocks.iter().enumerate().any(|(b, block)| {
+                    matches!(block.term, ir::Term::Switch { .. }) && loops.depth(b as u32) >= 2
+                })
+            };
+            if loops.max_depth() >= 4 && has_switch_in_loop() {
                 return Err(CompileFail::Crash(ctx.crash(
                     BugId::HsGraphDeepLoops,
                     "ideal graph: loop tree too deep with switch",

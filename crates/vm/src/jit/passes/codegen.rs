@@ -8,11 +8,10 @@
 //! wild-pointer narrowing that crashes *at execution time*
 //! ([`BugId::HsCodeExecNarrowSegv`]).
 
-use std::collections::HashMap;
-
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
 use crate::jit::cfg::LoopForest;
+use crate::jit::hash::FastMap;
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -85,8 +84,8 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
     // code runs, not at compile time.
     if ctx.active(BugId::HsCodeExecNarrowSegv) && ctx.optimizing() {
         // Single-def map to identify the feeding instruction.
-        let mut defs: HashMap<Reg, Op> = HashMap::new();
-        let mut multi: HashMap<Reg, bool> = HashMap::new();
+        let mut defs: FastMap<Reg, Op> = FastMap::default();
+        let mut multi: FastMap<Reg, bool> = FastMap::default();
         for block in &func.blocks {
             for inst in &block.insts {
                 if let Some(dst) = inst.dst {

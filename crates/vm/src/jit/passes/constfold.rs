@@ -11,10 +11,9 @@
 //! * [`BugId::ArtOptCompXorFold`] — folds `x ^ -1` to `-x` in blocks that
 //!   also narrow to byte (ART's method-JIT).
 
-use std::collections::HashMap;
-
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
+use crate::jit::hash::FastMap;
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -33,7 +32,7 @@ enum Const {
 pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
     for block in &mut func.blocks {
         let has_i2b = block.insts.iter().any(|i| matches!(i.op, Op::I2B(_)));
-        let mut consts: HashMap<Reg, Const> = HashMap::new();
+        let mut consts: FastMap<Reg, Const> = FastMap::default();
         for inst in &mut block.insts {
             let folded = fold_op(ctx, &inst.op, &consts, has_i2b);
             if let Some(new_op) = folded {
@@ -80,7 +79,7 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
 fn fold_op(
     ctx: &CompileCtx<'_>,
     op: &Op,
-    consts: &HashMap<Reg, Const>,
+    consts: &FastMap<Reg, Const>,
     block_has_i2b: bool,
 ) -> Option<Op> {
     let ci = |r: &Reg| match consts.get(r) {

@@ -6,8 +6,7 @@
 //! and DCE shrink the code substantially. No instruction is removed here —
 //! in particular, writes to anchor registers always remain.
 
-use std::collections::HashMap;
-
+use crate::jit::hash::FastMap;
 use crate::jit::ir::{IrFunc, Op, Reg};
 use crate::jit::tv::TvContract;
 
@@ -19,12 +18,11 @@ pub const TV_CONTRACT: TvContract = TvContract::EffectPreserving;
 pub fn run(func: &mut IrFunc) {
     for block in &mut func.blocks {
         // `equals[d] = s` means register d currently holds the value of s.
-        let mut equals: HashMap<Reg, Reg> = HashMap::new();
+        let mut equals: FastMap<Reg, Reg> = FastMap::default();
         let resolve =
-            |map: &HashMap<Reg, Reg>, r: Reg| -> Reg { map.get(&r).copied().unwrap_or(r) };
+            |map: &FastMap<Reg, Reg>, r: Reg| -> Reg { map.get(&r).copied().unwrap_or(r) };
         for inst in &mut block.insts {
-            let snapshot = equals.clone();
-            inst.op.map_sources(|r| resolve(&snapshot, r));
+            inst.op.map_sources(|r| resolve(&equals, r));
             if let Some(dst) = inst.dst {
                 // The old value of dst is gone: drop facts about dst and
                 // facts that read dst.
@@ -37,8 +35,7 @@ pub fn run(func: &mut IrFunc) {
                 }
             }
         }
-        let snapshot = equals;
-        block.term.map_sources(|r| snapshot.get(&r).copied().unwrap_or(r));
+        block.term.map_sources(|r| resolve(&equals, r));
     }
 }
 

@@ -5,8 +5,7 @@
 //! and de-optimization rebuild interpreter state from them, so an anchor
 //! write is observable even when no IR instruction reads it.
 
-use std::collections::HashSet;
-
+use crate::jit::hash::FastSet;
 use crate::jit::ir::{IrFunc, Reg};
 use crate::jit::tv::TvContract;
 
@@ -19,7 +18,7 @@ pub fn run(func: &mut IrFunc) {
         |r: Reg, anchors: &[(Reg, Reg)]| anchors.iter().any(|&(lo, hi)| r >= lo && r < hi);
     let anchors = func.anchor_limit_per_frame.clone();
     loop {
-        let mut read: HashSet<Reg> = HashSet::new();
+        let mut read: FastSet<Reg> = FastSet::default();
         for block in &func.blocks {
             for inst in &block.insts {
                 read.extend(inst.op.sources());

@@ -15,11 +15,10 @@
 //! from moving memory-writing instructions into loops deeper than their
 //! home loops") maps exactly onto the guard the bug bypasses.
 
-use std::collections::HashMap;
-
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
 use crate::jit::cfg::LoopForest;
+use crate::jit::hash::FastMap;
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -51,9 +50,9 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
 fn sink_pure_single_use(func: &mut IrFunc) {
     let forest = LoopForest::compute(func);
     // Count defs and uses; remember the unique use site.
-    let mut def_count: HashMap<Reg, u32> = HashMap::new();
-    let mut use_count: HashMap<Reg, u32> = HashMap::new();
-    let mut use_site: HashMap<Reg, (BlockId, usize)> = HashMap::new();
+    let mut def_count: FastMap<Reg, u32> = FastMap::default();
+    let mut use_count: FastMap<Reg, u32> = FastMap::default();
+    let mut use_site: FastMap<Reg, (BlockId, usize)> = FastMap::default();
     for (b, block) in func.blocks.iter().enumerate() {
         for (i, inst) in block.insts.iter().enumerate() {
             if let Some(dst) = inst.dst {
@@ -97,7 +96,7 @@ fn sink_pure_single_use(func: &mut IrFunc) {
                     defs == 1
                 }
             };
-            if !inst.op.sources().iter().all(|&s| stable(s)) {
+            if !inst.op.sources().all(stable) {
                 continue;
             }
             let Some(&(ub, ui)) = use_site.get(&dst) else { continue };
@@ -123,7 +122,7 @@ fn buggy_store_sink(func: &mut IrFunc) {
     // Global def counts: operands defined outside the home block are
     // acceptable when stable (single definition or never reassigned),
     // because the sink target sits strictly deeper in the same nest.
-    let mut def_count: HashMap<Reg, u32> = HashMap::new();
+    let mut def_count: FastMap<Reg, u32> = FastMap::default();
     for block in &func.blocks {
         for inst in &block.insts {
             if let Some(dst) = inst.dst {
@@ -175,7 +174,7 @@ fn find_rmw_chain(
     func: &IrFunc,
     b: BlockId,
     anchors: &[(Reg, Reg)],
-    def_count: &HashMap<Reg, u32>,
+    def_count: &FastMap<Reg, u32>,
 ) -> Option<Vec<usize>> {
     let block = &func.blocks[b as usize];
     let is_anchor = |r: Reg| anchors.iter().any(|&(lo, hi)| r >= lo && r < hi);

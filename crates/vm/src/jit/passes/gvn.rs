@@ -13,11 +13,10 @@
 //! * [`BugId::HsGvnTableAssert`] — the value table overflowing its budget
 //!   while numbering long-typed expressions trips an assertion.
 
-use std::collections::HashMap;
-
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
 use crate::jit::cfg::Dominators;
+use crate::jit::hash::FastMap;
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -79,7 +78,7 @@ pub fn run_local(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInf
     // identifies in real JIT bugs.
     let alias_bug = ctx.active(BugId::HsGvnArrayAlias) && ctx.optimizing() && ctx.speculate;
     for block in &mut func.blocks {
-        let mut table: HashMap<Key, Reg> = HashMap::new();
+        let mut table: FastMap<Key, Reg> = FastMap::default();
         for inst in &mut block.insts {
             let mut key = key_of(&inst.op);
             // Redundant field-load elimination: a field load repeats the
@@ -136,7 +135,7 @@ pub fn run_local(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInf
                         continue;
                     }
                     invalidate(&mut table, dst);
-                    if !key_sources(&key).contains(&dst) {
+                    if !key_reads(&key, dst) {
                         table.insert(key, dst);
                     }
                 } else {
@@ -148,19 +147,24 @@ pub fn run_local(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInf
     Ok(())
 }
 
-fn key_sources(key: &Key) -> Vec<Reg> {
+/// The registers `key` reads: two, or one repeated.
+fn key_sources(key: &Key) -> [Reg; 2] {
     match key {
         Key::Bin(_, _, a, b)
         | Key::Cmp(_, _, a, b)
         | Key::RefCmp(_, a, b)
         | Key::Concat(a, b)
-        | Key::ArrLoad(a, b) => vec![*a, *b],
-        Key::Neg(_, r) | Key::Conv(_, r) | Key::FieldLoad(r, _) => vec![*r],
+        | Key::ArrLoad(a, b) => [*a, *b],
+        Key::Neg(_, r) | Key::Conv(_, r) | Key::FieldLoad(r, _) => [*r, *r],
     }
 }
 
-fn invalidate(table: &mut HashMap<Key, Reg>, written: Reg) {
-    table.retain(|k, v| *v != written && !key_sources(k).contains(&written));
+fn key_reads(key: &Key, r: Reg) -> bool {
+    key_sources(key).contains(&r)
+}
+
+fn invalidate(table: &mut FastMap<Key, Reg>, written: Reg) {
+    table.retain(|k, v| *v != written && !key_reads(k, written));
 }
 
 /// Dominator-scoped GVN over single-assignment registers.
@@ -188,7 +192,7 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
             children[idom as usize].push(b as BlockId);
         }
     }
-    let mut table: HashMap<Key, Reg> = HashMap::new();
+    let mut table: FastMap<Key, Reg> = FastMap::default();
     let mut max_table = 0usize;
     // Preorder DFS with an undo log for scoping.
     let mut stack: Vec<(BlockId, usize)> = vec![(0, 0)];
@@ -239,8 +243,8 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
     Ok(())
 }
 
-fn def_counts(func: &IrFunc) -> HashMap<Reg, u32> {
-    let mut counts: HashMap<Reg, u32> = HashMap::new();
+fn def_counts(func: &IrFunc) -> FastMap<Reg, u32> {
+    let mut counts: FastMap<Reg, u32> = FastMap::default();
     for block in &func.blocks {
         for inst in &block.insts {
             if let Some(dst) = inst.dst {

@@ -8,11 +8,10 @@
 //! whose stores to the same field all sit inside `try` regions (the buggy
 //! alias check ignores exceptional control flow), yielding stale reads.
 
-use std::collections::HashSet;
-
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
 use crate::jit::cfg::{Loop, LoopForest};
+use crate::jit::hash::FastSet;
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -24,7 +23,7 @@ pub const TV_CONTRACT: TvContract = TvContract::EffectPreserving;
 /// Runs LICM over every loop, deepest first; the forest is re-discovered
 /// only after a preheader insertion (the one edit that changes the CFG).
 pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
-    let mut processed: HashSet<BlockId> = HashSet::new();
+    let mut processed: FastSet<BlockId> = FastSet::default();
     let mut forest = LoopForest::compute(func);
     // Def counts per register (the single-assignment check); moving an
     // instruction to a preheader leaves them as they are.
@@ -52,12 +51,12 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
 /// a preheader for them.
 fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, lp: &Loop, defs: &[u32]) -> bool {
     // Registers written anywhere inside the loop.
-    let mut written: HashSet<Reg> = HashSet::new();
+    let mut written: FastSet<Reg> = FastSet::default();
     // Memory facts needed by the (buggy) field-load hoist.
     let mut loop_has_call = false;
     // field index -> has a store *outside* any try region / *inside* one.
-    let mut field_store_plain: HashSet<u32> = HashSet::new();
-    let mut field_store_in_try: HashSet<u32> = HashSet::new();
+    let mut field_store_plain: FastSet<u32> = FastSet::default();
+    let mut field_store_in_try: FastSet<u32> = FastSet::default();
     for &b in &lp.blocks {
         for inst in &func.blocks[b as usize].insts {
             if let Some(dst) = inst.dst {
@@ -92,7 +91,7 @@ fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, lp: &Loop, defs: &[u32]) 
             let hoistable = match inst.dst {
                 Some(dst) => {
                     let single = defs[dst as usize] == 1;
-                    let invariant = inst.op.sources().iter().all(|s| !written.contains(s));
+                    let invariant = inst.op.sources().all(|s| !written.contains(&s));
                     let movable = if inst.op.is_pure() {
                         true
                     } else if let Op::GetField { field, .. } = &inst.op {

@@ -96,7 +96,7 @@ fn set_bit(set: &mut [u64], reg: Reg, live: bool) -> isize {
 /// dies, then its sources become live); returns the change in its size.
 fn step_back(live: &mut [u64], inst: &Inst) -> isize {
     let died = inst.dst.map_or(0, |dst| set_bit(live, dst, false));
-    died + inst.op.sources().into_iter().map(|src| set_bit(live, src, true)).sum::<isize>()
+    died + inst.op.sources().map(|src| set_bit(live, src, true)).sum::<isize>()
 }
 
 #[cfg(test)]

@@ -11,13 +11,12 @@
 //! * [`BugId::J9GlobalVpByteAssert`] — propagating a byte-narrowed value
 //!   through a nested-loop anchor trips an assertion.
 
-use std::collections::HashMap;
-
 use cse_bytecode::CmpOp;
 
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
 use crate::jit::cfg::LoopForest;
+use crate::jit::hash::FastMap;
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -35,7 +34,7 @@ pub fn run_local(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInf
     for block in &mut func.blocks {
         let mut const_regs = 0usize;
         // Registers known to be >= 0 within this block.
-        let mut non_negative: HashMap<Reg, bool> = HashMap::new();
+        let mut non_negative: FastMap<Reg, bool> = FastMap::default();
         for inst in &mut block.insts {
             if matches!(inst.op, Op::ConstI(_) | Op::ConstL(_)) {
                 const_regs += 1;
@@ -76,8 +75,8 @@ pub fn run_local(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInf
 /// Global value propagation: cross-block shift-range facts.
 pub fn run_global(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
     // Single-def registers produced by `x >>> c` with constant c >= 1.
-    let mut def_count: HashMap<Reg, u32> = HashMap::new();
-    let mut const_of: HashMap<Reg, i32> = HashMap::new();
+    let mut def_count: FastMap<Reg, u32> = FastMap::default();
+    let mut const_of: FastMap<Reg, i32> = FastMap::default();
     for block in &func.blocks {
         for inst in &block.insts {
             if let Some(dst) = inst.dst {

@@ -72,10 +72,9 @@
 //! Like the static verifier, validation is observation-only: defects are
 //! reported through `ExecutionResult::tv`, never altering compilation.
 
-use std::collections::HashMap;
-
 use cse_bytecode::BProgram;
 
+use super::hash::FastMap;
 use super::ir::{Block, BlockId, IrFunc, Op, Reg, Term};
 
 pub use crate::config::TvMode;
@@ -173,69 +172,215 @@ impl std::fmt::Display for TvReport {
 
 type Vid = u32;
 
-/// One hash-consed node of the shared (before + after) value graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Node {
-    I(i32),
-    L(i64),
-    S(u32),
+/// The operator of a value-graph node. Each stands for one tag string
+/// counterexamples render ([`Tag::name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    /// An `int` constant (`aux` holds its bits).
+    I,
+    /// A `long` constant (`aux` holds its bits).
+    L,
+    /// A string constant (`aux` is its id).
+    S,
     Null,
     /// A register never assigned in the function (parameter/initial
-    /// state): a whole-function symbolic input.
-    Entry(Reg),
-    /// The opaque value of a multi-definition register at one block's
-    /// entry (the bounded loop summary's cut point).
-    BlockIn(BlockId, Reg),
-    /// A pure expression over other nodes. `aux` packs the operator's
-    /// static payload (BinKind/CmpOp/ArrKind/field ids, …).
-    Pure {
-        tag: &'static str,
-        aux: u64,
-        args: Vec<Vid>,
-    },
-    /// An opaque position-keyed value: a fresh memory read (`occ` numbers
-    /// cache misses of the same key within a block) or an effect result
-    /// (`occ` is the producing event's index in the block trace).
-    Opaque {
-        tag: &'static str,
-        aux: u64,
-        args: Vec<Vid>,
-        block: BlockId,
-        occ: u32,
-    },
+    /// state), `aux`: a whole-function symbolic input.
+    Entry,
+    /// The opaque value of multi-definition register `aux` at the entry
+    /// of block `block` (the bounded loop summary's cut point).
+    BlockIn,
+    // Pure expressions over other nodes; `aux` packs the operator's static
+    // payload (BinKind/CmpOp/…).
+    BinI,
+    BinL,
+    NegI,
+    NegL,
+    I2L,
+    L2I,
+    I2B,
+    I2S,
+    L2S,
+    Bool2S,
+    Concat,
+    CmpI,
+    CmpL,
+    RefCmp,
+    // Opaque position-keyed values: a fresh memory read (`occ` numbers
+    // cache misses of the same key within a block) or an effect result
+    // (`occ` is the producing event's index in the block trace).
+    GetField,
+    GetStatic,
+    ArrLoad,
+    ArrLen,
+    CallResult,
+    NewResult,
+    NewArrayResult,
+    EffectResult,
+}
+
+impl Tag {
+    fn name(self) -> &'static str {
+        match self {
+            Tag::I | Tag::L | Tag::S | Tag::Null | Tag::Entry | Tag::BlockIn => {
+                unreachable!("leaf nodes render without a tag")
+            }
+            Tag::BinI => "bin.i",
+            Tag::BinL => "bin.l",
+            Tag::NegI => "neg.i",
+            Tag::NegL => "neg.l",
+            Tag::I2L => "i2l",
+            Tag::L2I => "l2i",
+            Tag::I2B => "i2b",
+            Tag::I2S => "i2s",
+            Tag::L2S => "l2s",
+            Tag::Bool2S => "bool2s",
+            Tag::Concat => "concat",
+            Tag::CmpI => "cmp.i",
+            Tag::CmpL => "cmp.l",
+            Tag::RefCmp => "refcmp",
+            Tag::GetField => "getfield",
+            Tag::GetStatic => "getstatic",
+            Tag::ArrLoad => "arrload",
+            Tag::ArrLen => "arrlen",
+            Tag::CallResult => "call-result",
+            Tag::NewResult => "new-result",
+            Tag::NewArrayResult => "newarray-result",
+            Tag::EffectResult => "effect-result",
+        }
+    }
+
+    /// Whether the node is position-keyed (rendered with `@bB.occ`).
+    fn opaque(self) -> bool {
+        matches!(
+            self,
+            Tag::GetField
+                | Tag::GetStatic
+                | Tag::ArrLoad
+                | Tag::ArrLen
+                | Tag::CallResult
+                | Tag::NewResult
+                | Tag::NewArrayResult
+                | Tag::EffectResult
+        )
+    }
+}
+
+/// `Node::arity` of a node whose operand list lives in `Graph::lists`.
+const SPILLED: u8 = u8::MAX;
+
+/// One hash-consed node of the shared (before + after) value graph: a
+/// fixed-size key with up to three operands inline. Longer operand lists
+/// (a many-dimensional `newmultiarray`) are interned once in
+/// `Graph::lists`, and `args[0]` holds the list's index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    tag: Tag,
+    /// Operand count, or [`SPILLED`].
+    arity: u8,
+    aux: u64,
+    args: [Vid; 3],
+    /// Opaque nodes and `BlockIn`: the block; zero otherwise.
+    block: BlockId,
+    /// Opaque nodes: the occurrence; zero otherwise.
+    occ: u32,
+}
+
+impl std::hash::Hash for Node {
+    /// Four words, so the word hasher does four multiplies per node.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.aux);
+        state.write_u64(self.tag as u64 | u64::from(self.arity) << 8 | u64::from(self.occ) << 32);
+        state.write_u64(u64::from(self.args[0]) | u64::from(self.args[1]) << 32);
+        state.write_u64(u64::from(self.args[2]) | u64::from(self.block) << 32);
+    }
+}
+
+impl Node {
+    fn leaf(tag: Tag, aux: u64) -> Node {
+        Node { tag, arity: 0, aux, args: [0; 3], block: 0, occ: 0 }
+    }
+
+    fn int(x: i32) -> Node {
+        Node::leaf(Tag::I, u64::from(x as u32))
+    }
+
+    fn long(x: i64) -> Node {
+        Node::leaf(Tag::L, x as u64)
+    }
+
+    /// A pure node; pure operators take at most two operands.
+    fn pure(tag: Tag, aux: u64, args: &[Vid]) -> Node {
+        let mut inline = [0; 3];
+        inline[..args.len()].copy_from_slice(args);
+        Node { tag, arity: args.len() as u8, aux, args: inline, block: 0, occ: 0 }
+    }
 }
 
 /// The hash-consing interner. Both sides of a check intern into one
-/// graph, so semantic equality is `Vid` equality.
+/// graph, so semantic equality is `Vid` equality. `Vid`s number nodes in
+/// first-intern order, which the counterexample text never shows but
+/// which decides commutative operand order.
 #[derive(Default)]
 struct Graph {
     nodes: Vec<Node>,
-    index: HashMap<Node, Vid>,
+    index: FastMap<Node, Vid>,
+    /// Operand lists too long to sit inline, each interned once.
+    lists: Vec<Vec<Vid>>,
+    list_index: FastMap<Vec<Vid>, u32>,
 }
 
 impl Graph {
-    fn intern(&mut self, node: Node) -> Vid {
-        if let Some(&v) = self.index.get(&node) {
-            return v;
+    fn with_capacity(nodes: usize) -> Graph {
+        Graph {
+            nodes: Vec::with_capacity(nodes),
+            index: FastMap::with_capacity_and_hasher(nodes, Default::default()),
+            ..Graph::default()
         }
-        let v = self.nodes.len() as Vid;
-        self.nodes.push(node.clone());
-        self.index.insert(node, v);
+    }
+
+    fn intern(&mut self, node: Node) -> Vid {
+        let next = self.nodes.len() as Vid;
+        let v = *self.index.entry(node).or_insert(next);
+        if v == next {
+            self.nodes.push(node);
+        }
         v
     }
 
-    fn as_i(&self, v: Vid) -> Option<i32> {
-        match self.nodes[v as usize] {
-            Node::I(x) => Some(x),
-            _ => None,
+    /// Interns an opaque node at `(block, occ)`, spilling an operand list
+    /// longer than three.
+    fn opaque(&mut self, tag: Tag, aux: u64, args: &[Vid], block: BlockId, occ: u32) -> Vid {
+        let mut node = Node { tag, arity: args.len() as u8, aux, args: [0; 3], block, occ };
+        if args.len() <= 3 {
+            node.args[..args.len()].copy_from_slice(args);
+        } else {
+            let next = self.lists.len() as u32;
+            let id = *self.list_index.entry(args.to_vec()).or_insert(next);
+            if id == next {
+                self.lists.push(args.to_vec());
+            }
+            node.arity = SPILLED;
+            node.args[0] = id;
+        }
+        self.intern(node)
+    }
+
+    fn args<'a>(&'a self, node: &'a Node) -> &'a [Vid] {
+        if node.arity == SPILLED {
+            &self.lists[node.args[0] as usize]
+        } else {
+            &node.args[..node.arity as usize]
         }
     }
 
+    fn as_i(&self, v: Vid) -> Option<i32> {
+        let node = &self.nodes[v as usize];
+        (node.tag == Tag::I).then_some(node.aux as u32 as i32)
+    }
+
     fn as_l(&self, v: Vid) -> Option<i64> {
-        match self.nodes[v as usize] {
-            Node::L(x) => Some(x),
-            _ => None,
-        }
+        let node = &self.nodes[v as usize];
+        (node.tag == Tag::L).then_some(node.aux as i64)
     }
 
     /// Interns a pure operation over resolved operands, constant-folding
@@ -245,16 +390,17 @@ impl Graph {
     /// at the same node), and sorting commutative operands the way GVN's
     /// `key_of` does.
     fn pure_value(&mut self, op: &Op, args: &[Vid]) -> Vid {
+        let unary = |tag| Node::pure(tag, 0, args);
         match op {
-            Op::ConstI(v) => self.intern(Node::I(*v)),
-            Op::ConstL(v) => self.intern(Node::L(*v)),
-            Op::ConstS(s) => self.intern(Node::S(s.0)),
-            Op::ConstNull => self.intern(Node::Null),
+            Op::ConstI(v) => self.intern(Node::int(*v)),
+            Op::ConstL(v) => self.intern(Node::long(*v)),
+            Op::ConstS(s) => self.intern(Node::leaf(Tag::S, u64::from(s.0))),
+            Op::ConstNull => self.intern(Node::leaf(Tag::Null, 0)),
             Op::Copy(_) => args[0],
             Op::BinI(kind, ..) => {
                 if let (Some(x), Some(y)) = (self.as_i(args[0]), self.as_i(args[1])) {
                     if let Some(v) = kind.eval_i(x, y) {
-                        return self.intern(Node::I(v));
+                        return self.intern(Node::int(v));
                     }
                 }
                 let (a, b) = if kind.commutative() && args[0] > args[1] {
@@ -262,7 +408,7 @@ impl Graph {
                 } else {
                     (args[0], args[1])
                 };
-                self.intern(Node::Pure { tag: "bin.i", aux: *kind as u64, args: vec![a, b] })
+                self.intern(Node::pure(Tag::BinI, *kind as u64, &[a, b]))
             }
             Op::BinL(kind, ..) => {
                 let y = if kind.is_shift() {
@@ -275,55 +421,53 @@ impl Graph {
                     _ => None,
                 };
                 if let Some(v) = folded {
-                    return self.intern(Node::L(v));
+                    return self.intern(Node::long(v));
                 }
                 let (a, b) = if kind.commutative() && args[0] > args[1] {
                     (args[1], args[0])
                 } else {
                     (args[0], args[1])
                 };
-                self.intern(Node::Pure { tag: "bin.l", aux: *kind as u64, args: vec![a, b] })
+                self.intern(Node::pure(Tag::BinL, *kind as u64, &[a, b]))
             }
             Op::NegI(_) => match self.as_i(args[0]) {
-                Some(x) => self.intern(Node::I(x.wrapping_neg())),
-                None => self.intern(Node::Pure { tag: "neg.i", aux: 0, args: args.to_vec() }),
+                Some(x) => self.intern(Node::int(x.wrapping_neg())),
+                None => self.intern(unary(Tag::NegI)),
             },
             Op::NegL(_) => match self.as_l(args[0]) {
-                Some(x) => self.intern(Node::L(x.wrapping_neg())),
-                None => self.intern(Node::Pure { tag: "neg.l", aux: 0, args: args.to_vec() }),
+                Some(x) => self.intern(Node::long(x.wrapping_neg())),
+                None => self.intern(unary(Tag::NegL)),
             },
             Op::I2L(_) => match self.as_i(args[0]) {
-                Some(x) => self.intern(Node::L(i64::from(x))),
-                None => self.intern(Node::Pure { tag: "i2l", aux: 0, args: args.to_vec() }),
+                Some(x) => self.intern(Node::long(i64::from(x))),
+                None => self.intern(unary(Tag::I2L)),
             },
             Op::L2I(_) => match self.as_l(args[0]) {
-                Some(x) => self.intern(Node::I(x as i32)),
-                None => self.intern(Node::Pure { tag: "l2i", aux: 0, args: args.to_vec() }),
+                Some(x) => self.intern(Node::int(x as i32)),
+                None => self.intern(unary(Tag::L2I)),
             },
             Op::I2B(_) => match self.as_i(args[0]) {
-                Some(x) => self.intern(Node::I(i32::from(x as i8))),
-                None => self.intern(Node::Pure { tag: "i2b", aux: 0, args: args.to_vec() }),
+                Some(x) => self.intern(Node::int(i32::from(x as i8))),
+                None => self.intern(unary(Tag::I2B)),
             },
-            Op::I2S(_) => self.intern(Node::Pure { tag: "i2s", aux: 0, args: args.to_vec() }),
-            Op::L2S(_) => self.intern(Node::Pure { tag: "l2s", aux: 0, args: args.to_vec() }),
-            Op::Bool2S(_) => self.intern(Node::Pure { tag: "bool2s", aux: 0, args: args.to_vec() }),
-            Op::Concat(..) => {
-                self.intern(Node::Pure { tag: "concat", aux: 0, args: args.to_vec() })
-            }
+            Op::I2S(_) => self.intern(unary(Tag::I2S)),
+            Op::L2S(_) => self.intern(unary(Tag::L2S)),
+            Op::Bool2S(_) => self.intern(unary(Tag::Bool2S)),
+            Op::Concat(..) => self.intern(unary(Tag::Concat)),
             Op::CmpI(c, ..) => match (self.as_i(args[0]), self.as_i(args[1])) {
-                (Some(x), Some(y)) => self.intern(Node::I(i32::from(c.eval(x, y)))),
-                _ => self.intern(Node::Pure { tag: "cmp.i", aux: *c as u64, args: args.to_vec() }),
+                (Some(x), Some(y)) => self.intern(Node::int(i32::from(c.eval(x, y)))),
+                _ => self.intern(Node::pure(Tag::CmpI, *c as u64, args)),
             },
             Op::CmpL(c, ..) => match (self.as_l(args[0]), self.as_l(args[1])) {
-                (Some(x), Some(y)) => self.intern(Node::I(i32::from(c.eval(x, y)))),
-                _ => self.intern(Node::Pure { tag: "cmp.l", aux: *c as u64, args: args.to_vec() }),
+                (Some(x), Some(y)) => self.intern(Node::int(i32::from(c.eval(x, y)))),
+                _ => self.intern(Node::pure(Tag::CmpL, *c as u64, args)),
             },
             Op::RefCmp { eq, .. } => {
                 // GVN sorts RefCmp operands (the comparison is symmetric);
                 // mirror it so its rewrites meet the original node.
                 let (a, b) =
                     if args[0] > args[1] { (args[1], args[0]) } else { (args[0], args[1]) };
-                self.intern(Node::Pure { tag: "refcmp", aux: u64::from(*eq), args: vec![a, b] })
+                self.intern(Node::pure(Tag::RefCmp, u64::from(*eq), &[a, b]))
             }
             _ => unreachable!("pure_value called on a non-pure op: {op}"),
         }
@@ -331,146 +475,313 @@ impl Graph {
 
     /// Renders a node for counterexamples, depth-bounded.
     fn render(&self, v: Vid, depth: usize) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, v, depth);
+        out
+    }
+
+    fn render_into(&self, out: &mut String, v: Vid, depth: usize) {
+        use std::fmt::Write as _;
         if depth >= MAX_RENDER_DEPTH {
-            return "…".to_string();
+            out.push('…');
+            return;
         }
-        match &self.nodes[v as usize] {
-            Node::I(x) => format!("{x}"),
-            Node::L(x) => format!("{x}L"),
-            Node::S(s) => format!("str{s}"),
-            Node::Null => "null".to_string(),
-            Node::Entry(r) => format!("r{r}"),
-            Node::BlockIn(b, r) => format!("in(b{b}, r{r})"),
-            Node::Pure { tag, aux, args } => {
-                let args: Vec<String> = args.iter().map(|&a| self.render(a, depth + 1)).collect();
-                format!("{tag}#{aux}({})", args.join(", "))
+        let node = &self.nodes[v as usize];
+        let _ = match node.tag {
+            Tag::I => write!(out, "{}", node.aux as u32 as i32),
+            Tag::L => write!(out, "{}L", node.aux as i64),
+            Tag::S => write!(out, "str{}", node.aux),
+            Tag::Null => write!(out, "null"),
+            Tag::Entry => write!(out, "r{}", node.aux),
+            Tag::BlockIn => write!(out, "in(b{}, r{})", node.block, node.aux),
+            tag => {
+                let _ = write!(out, "{}#{}", tag.name(), node.aux);
+                if tag.opaque() {
+                    let _ = write!(out, "@b{}.{}", node.block, node.occ);
+                }
+                self.render_args(out, self.args(node), depth + 1);
+                Ok(())
             }
-            Node::Opaque { tag, aux, args, block, occ } => {
-                let args: Vec<String> = args.iter().map(|&a| self.render(a, depth + 1)).collect();
-                format!("{tag}#{aux}@b{block}.{occ}({})", args.join(", "))
+        };
+    }
+
+    /// `(a, b, …)`, each operand rendered at `depth`.
+    fn render_args(&self, out: &mut String, args: &[Vid], depth: usize) {
+        out.push('(');
+        for (i, &a) in args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
             }
+            self.render_into(out, a, depth);
         }
+        out.push(')');
     }
 }
 
 // ----- per-side evaluation -------------------------------------------------
 
-/// Whole-function definition census of one side.
+/// `SideEval::memo` before a register's global value is known.
+const UNRESOLVED: Vid = Vid::MAX;
+/// `SideEval::memo` for a register that is not globally determined.
+const NO_VALUE: Vid = Vid::MAX - 1;
+
+/// One observable event of a block's effect trace; its operands are
+/// `SideEval::event_args[args.0..args.0 + args.1]`.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    tag: &'static str,
+    aux: u64,
+    args: (u32, u32),
+}
+
+/// One side of a check: its whole-function definition census, and the
+/// dense tables its blocks are evaluated in, reused from block to block.
 struct SideEval<'f> {
     func: &'f IrFunc,
-    /// Definition count per register.
+    /// Definition count per register below `num_regs`.
     defs: Vec<u32>,
     /// The unique definition site, valid when `defs[r] == 1`.
-    def_site: Vec<(BlockId, usize)>,
+    def_site: Vec<(BlockId, u32)>,
+    /// [`SideEval::global`] per register below `num_regs`: a `Vid`,
+    /// [`NO_VALUE`] or [`UNRESOLVED`].
+    memo: Vec<Vid>,
+    /// The register path `global` is resolving (cycle guard).
+    visiting: Vec<Reg>,
+    /// Whether each register is an anchor (none past the table's end).
+    anchor: Vec<bool>,
+    /// The current block's register state: `vals[r]` holds when
+    /// `stamp[r] == epoch`, so moving to the next block clears nothing.
+    vals: Vec<Vid>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The current block's effect trace.
+    events: Vec<Event>,
+    event_args: Vec<Vid>,
+    /// The operand values of the instruction being evaluated.
+    srcs: Vec<Vid>,
 }
 
 impl<'f> SideEval<'f> {
     fn new(func: &'f IrFunc) -> SideEval<'f> {
         let n = func.num_regs as usize;
         let mut defs = vec![0u32; n];
-        let mut def_site = vec![(0u32, 0usize); n];
+        let mut def_site = vec![(0, 0); n];
         for (b, block) in func.blocks.iter().enumerate() {
             for (i, inst) in block.insts.iter().enumerate() {
-                if let Some(dst) = inst.dst {
-                    if let Some(slot) = defs.get_mut(dst as usize) {
-                        *slot += 1;
-                        def_site[dst as usize] = (b as BlockId, i);
-                    }
+                if let Some(dst) = inst.dst.filter(|&dst| (dst as usize) < n) {
+                    defs[dst as usize] += 1;
+                    def_site[dst as usize] = (b as BlockId, i as u32);
                 }
             }
         }
-        SideEval { func, defs, def_site }
+        let anchors = &func.anchor_limit_per_frame;
+        let mut anchor = vec![false; anchors.iter().map(|&(_, hi)| hi as usize).max().unwrap_or(0)];
+        for &(lo, hi) in anchors {
+            anchor[(lo.min(hi) as usize)..hi as usize].fill(true);
+        }
+        SideEval {
+            func,
+            defs,
+            def_site,
+            memo: vec![UNRESOLVED; n],
+            visiting: Vec::new(),
+            anchor,
+            vals: vec![0; n],
+            stamp: vec![0; n],
+            epoch: 0,
+            events: Vec::new(),
+            event_args: Vec::new(),
+            srcs: Vec::new(),
+        }
     }
 
     /// The whole-function value of `r` when it is globally determined: no
     /// definition (symbolic input) or a unique pure definition whose
     /// operands are themselves globally determined. `None` otherwise.
-    fn global(&self, g: &mut Graph, r: Reg, visiting: &mut Vec<Reg>) -> Option<Vid> {
-        if visiting.contains(&r) {
+    ///
+    /// Memoized without moving any `Vid`: a resolved value is final (its
+    /// operand graph is acyclic, so no later resolution path can cut it
+    /// short, and re-resolving it would intern nothing new), and "not
+    /// determined" is final when found from the top, where the cycle guard
+    /// holds nothing; a failure found deeper may be the guard's doing, so
+    /// it is recomputed.
+    fn global(&mut self, g: &mut Graph, r: Reg) -> Option<Vid> {
+        if self.visiting.contains(&r) {
             return None;
         }
-        match self.defs.get(r as usize) {
-            Some(0) => Some(g.intern(Node::Entry(r))),
-            Some(1) => {
-                let (b, i) = self.def_site[r as usize];
-                let op = &self.func.blocks[b as usize].insts[i].op;
-                if !op.is_pure() {
-                    return None;
+        let ri = r as usize;
+        let memo = *self.memo.get(ri)?;
+        if memo != UNRESOLVED {
+            return (memo != NO_VALUE).then_some(memo);
+        }
+        let top = self.visiting.is_empty();
+        let value = match self.defs[ri] {
+            0 => Some(g.intern(Node::leaf(Tag::Entry, u64::from(r)))),
+            1 => {
+                let (b, i) = self.def_site[ri];
+                let op = &self.func.blocks[b as usize].insts[i as usize].op;
+                if op.is_pure() {
+                    self.visiting.push(r);
+                    // Pure operators read at most two registers.
+                    let mut args = [0; 2];
+                    let mut resolved = true;
+                    for (k, s) in op.sources().enumerate() {
+                        match self.global(g, s) {
+                            Some(v) => args[k] = v,
+                            None => {
+                                resolved = false;
+                                break;
+                            }
+                        }
+                    }
+                    self.visiting.pop();
+                    resolved.then(|| g.pure_value(op, &args[..op.sources().len()]))
+                } else {
+                    None
                 }
-                visiting.push(r);
-                let resolved: Option<Vec<Vid>> =
-                    op.sources().iter().map(|&s| self.global(g, s, visiting)).collect();
-                visiting.pop();
-                resolved.map(|args| g.pure_value(op, &args))
             }
             _ => None,
+        };
+        match value {
+            Some(v) => self.memo[ri] = v,
+            None if top => self.memo[ri] = NO_VALUE,
+            None => {}
+        }
+        value
+    }
+
+    /// The value `r` holds at this point of block `block`: its in-block
+    /// definition, else its global value, else `in(block, r)`.
+    fn read(&mut self, g: &mut Graph, block: BlockId, r: Reg) -> Vid {
+        let ri = r as usize;
+        self.cover(ri);
+        if self.stamp[ri] == self.epoch {
+            return self.vals[ri];
+        }
+        let v = self
+            .global(g, r)
+            .unwrap_or_else(|| g.intern(Node { block, ..Node::leaf(Tag::BlockIn, u64::from(r)) }));
+        self.write(r, v);
+        v
+    }
+
+    /// Widens the register state to cover `r` (only a malformed function
+    /// mentions registers past `num_regs`).
+    fn cover(&mut self, r: usize) {
+        if r >= self.stamp.len() {
+            self.vals.resize(r + 1, 0);
+            self.stamp.resize(r + 1, 0);
         }
     }
-}
 
-/// One observable event of a block's effect trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EventRec {
-    tag: &'static str,
-    aux: u64,
-    args: Vec<Vid>,
-}
-
-/// A block's symbolic summary: the effect trace plus the final register
-/// state (for terminator operands).
-struct BlockSummary {
-    events: Vec<EventRec>,
-    regs: HashMap<Reg, Vid>,
-}
-
-type ReadKey = (&'static str, u64, Vec<Vid>);
-
-/// Symbolically evaluates one block of one side into the shared graph.
-fn eval_block(g: &mut Graph, side: &SideEval<'_>, block_id: BlockId) -> BlockSummary {
-    let func = side.func;
-    let block = &func.blocks[block_id as usize];
-    let mut regs: HashMap<Reg, Vid> = HashMap::new();
-    let mut reads: HashMap<ReadKey, Vid> = HashMap::new();
-    let mut occ: HashMap<ReadKey, u32> = HashMap::new();
-    let mut events: Vec<EventRec> = Vec::new();
-
-    macro_rules! lookup {
-        ($r:expr) => {{
-            let r: Reg = $r;
-            match regs.get(&r) {
-                Some(&v) => v,
-                None => {
-                    let v = side
-                        .global(g, r, &mut Vec::new())
-                        .unwrap_or_else(|| g.intern(Node::BlockIn(block_id, r)));
-                    regs.insert(r, v);
-                    v
-                }
-            }
-        }};
+    fn is_anchor(&self, r: Reg) -> bool {
+        self.anchor.get(r as usize).copied().unwrap_or(false)
     }
 
-    for inst in &block.insts {
-        let srcs: Vec<Vid> = inst.op.sources().iter().map(|&r| lookup!(r)).collect();
-        // A fresh (cache-missing) read or an effect result is keyed by its
-        // position so corresponding occurrences on both sides meet at the
-        // same opaque node.
-        let fresh_read = |g: &mut Graph,
-                          reads: &mut HashMap<ReadKey, Vid>,
-                          occ: &mut HashMap<ReadKey, u32>,
-                          tag: &'static str,
-                          aux: u64,
-                          args: Vec<Vid>| {
-            let key: ReadKey = (tag, aux, args.clone());
-            if let Some(&v) = reads.get(&key) {
-                return v;
+    fn write(&mut self, r: Reg, v: Vid) {
+        self.cover(r as usize);
+        self.stamp[r as usize] = self.epoch;
+        self.vals[r as usize] = v;
+    }
+
+    /// The value the current block's final state gives `r` (every
+    /// terminator operand was read, so it is set).
+    fn value(&self, r: Reg) -> Vid {
+        self.vals[r as usize]
+    }
+
+    /// Appends an event to the current block's trace.
+    fn event(&mut self, tag: &'static str, aux: u64, args: &[Vid]) {
+        let start = self.event_args.len() as u32;
+        self.event_args.extend_from_slice(args);
+        self.events.push(Event { tag, aux, args: (start, args.len() as u32) });
+    }
+
+    fn event_args(&self, e: &Event) -> &[Vid] {
+        &self.event_args[e.args.0 as usize..(e.args.0 + e.args.1) as usize]
+    }
+
+    /// Starts evaluating a new block: no register is set, no event seen.
+    fn begin_block(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.events.clear();
+        self.event_args.clear();
+    }
+}
+
+/// The key of a cached memory read: the read's tag, payload and (at most
+/// two) operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReadKey {
+    tag: Tag,
+    aux: u64,
+    args: [Vid; 2],
+}
+
+/// Per-block memory-read caches, cleared (not reallocated) per block. A
+/// block holds a handful of reads, so each cache is a short list searched
+/// in place.
+#[derive(Default)]
+struct ReadCaches {
+    /// The value each still-valid read produced.
+    reads: Vec<(ReadKey, Vid)>,
+    /// Cache misses per key so far in the block.
+    occ: Vec<(ReadKey, u32)>,
+}
+
+impl ReadCaches {
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.occ.clear();
+    }
+
+    /// Forgets the reads a write may have changed.
+    fn invalidate(&mut self, stale: impl Fn(&ReadKey) -> bool) {
+        self.reads.retain(|(k, _)| !stale(k));
+    }
+
+    /// A memory read keyed by its position: a repeat of a still-valid
+    /// read meets the earlier value, a fresh one numbers its occurrence
+    /// so corresponding reads on both sides meet at the same opaque node.
+    fn read(&mut self, g: &mut Graph, block: BlockId, tag: Tag, aux: u64, args: &[Vid]) -> Vid {
+        let mut key = ReadKey { tag, aux, args: [0; 2] };
+        key.args[..args.len()].copy_from_slice(args);
+        if let Some(&(_, v)) = self.reads.iter().find(|(k, _)| *k == key) {
+            return v;
+        }
+        let n = match self.occ.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, n)) => n,
+            None => {
+                self.occ.push((key, 0));
+                &mut self.occ.last_mut().expect("just pushed").1
             }
-            let n = occ.entry(key.clone()).or_insert(0);
-            let v = g.intern(Node::Opaque { tag, aux, args, block: block_id, occ: *n });
-            *n += 1;
-            reads.insert(key, v);
-            v
         };
+        let v = g.opaque(tag, aux, args, block, *n);
+        *n += 1;
+        self.reads.push((key, v));
+        v
+    }
+}
+
+/// Symbolically evaluates one block of one side into the shared graph,
+/// leaving its effect trace and final register state in `side`.
+fn eval_block(g: &mut Graph, caches: &mut ReadCaches, side: &mut SideEval<'_>, block_id: BlockId) {
+    let func = side.func;
+    let block = &func.blocks[block_id as usize];
+    side.begin_block();
+    caches.clear();
+    let mut srcs = std::mem::take(&mut side.srcs);
+
+    for inst in &block.insts {
+        srcs.clear();
+        for r in inst.op.sources() {
+            let v = side.read(g, block_id, r);
+            srcs.push(v);
+        }
         let value: Option<Vid> = match &inst.op {
             // Pure computation: value-graph only.
             op if op.is_pure() => Some(g.pure_value(op, &srcs)),
@@ -480,165 +791,125 @@ fn eval_block(g: &mut Graph, side: &SideEval<'_>, block_id: BlockId) -> BlockSum
             Op::BinI(kind, ..) => {
                 let nonzero = matches!(g.as_i(srcs[1]), Some(y) if y != 0);
                 if !nonzero {
-                    events.push(EventRec {
-                        tag: "maybe-div0.i",
-                        aux: *kind as u64,
-                        args: srcs.clone(),
-                    });
+                    side.event("maybe-div0.i", *kind as u64, &srcs);
                 }
                 Some(g.pure_value(&Op::BinI(*kind, 0, 0), &srcs))
             }
             Op::BinL(kind, ..) => {
                 let nonzero = matches!(g.as_l(srcs[1]), Some(y) if y != 0);
                 if !nonzero {
-                    events.push(EventRec {
-                        tag: "maybe-div0.l",
-                        aux: *kind as u64,
-                        args: srcs.clone(),
-                    });
+                    side.event("maybe-div0.l", *kind as u64, &srcs);
                 }
                 Some(g.pure_value(&Op::BinL(*kind, 0, 0), &srcs))
             }
             // Memory reads: value nodes with GVN-legality invalidation.
-            Op::GetField { field, .. } => Some(fresh_read(
-                g,
-                &mut reads,
-                &mut occ,
-                "getfield",
-                u64::from(*field),
-                srcs.clone(),
-            )),
+            Op::GetField { field, .. } => {
+                Some(caches.read(g, block_id, Tag::GetField, u64::from(*field), &srcs))
+            }
             Op::GetStatic { class, field } => {
                 let aux = (u64::from(class.0) << 32) | u64::from(*field);
-                Some(fresh_read(g, &mut reads, &mut occ, "getstatic", aux, vec![]))
+                Some(caches.read(g, block_id, Tag::GetStatic, aux, &[]))
             }
             Op::ArrLoad { kind, .. } => {
-                Some(fresh_read(g, &mut reads, &mut occ, "arrload", *kind as u64, srcs.clone()))
+                Some(caches.read(g, block_id, Tag::ArrLoad, *kind as u64, &srcs))
             }
             // Array length is immutable once allocated: cacheable forever.
-            Op::ArrLen(_) => Some(fresh_read(g, &mut reads, &mut occ, "arrlen", 0, srcs.clone())),
+            Op::ArrLen(_) => Some(caches.read(g, block_id, Tag::ArrLen, 0, &srcs)),
             // Effects: ordered trace events (results are position-keyed).
             Op::PutStatic { class, field, .. } => {
                 let aux = (u64::from(class.0) << 32) | u64::from(*field);
-                events.push(EventRec { tag: "putstatic", aux, args: srcs.clone() });
-                reads.retain(|k, _| !(k.0 == "getstatic" && k.1 == aux));
+                side.event("putstatic", aux, &srcs);
+                caches.invalidate(|k| k.tag == Tag::GetStatic && k.aux == aux);
                 None
             }
             Op::PutField { field, .. } => {
-                events.push(EventRec {
-                    tag: "putfield",
-                    aux: u64::from(*field),
-                    args: srcs.clone(),
-                });
                 let f = u64::from(*field);
-                reads.retain(|k, _| !(k.0 == "getfield" && k.1 == f));
+                side.event("putfield", f, &srcs);
+                caches.invalidate(|k| k.tag == Tag::GetField && k.aux == f);
                 None
             }
             Op::ArrStore { kind, .. } => {
-                events.push(EventRec { tag: "arrstore", aux: *kind as u64, args: srcs.clone() });
-                reads.retain(|k, _| k.0 != "arrload");
+                side.event("arrstore", *kind as u64, &srcs);
+                caches.invalidate(|k| k.tag == Tag::ArrLoad);
                 None
             }
             Op::Call { method, .. } => {
-                events.push(EventRec { tag: "call", aux: u64::from(method.0), args: srcs.clone() });
-                reads.retain(|k, _| !matches!(k.0, "getfield" | "getstatic" | "arrload"));
-                let at = events.len() as u32 - 1;
-                Some(g.intern(Node::Opaque {
-                    tag: "call-result",
-                    aux: u64::from(method.0),
-                    args: vec![],
-                    block: block_id,
-                    occ: at,
-                }))
+                side.event("call", u64::from(method.0), &srcs);
+                caches
+                    .invalidate(|k| matches!(k.tag, Tag::GetField | Tag::GetStatic | Tag::ArrLoad));
+                let at = side.events.len() as u32 - 1;
+                Some(g.opaque(Tag::CallResult, u64::from(method.0), &[], block_id, at))
             }
             Op::NewObject(class) => {
-                events.push(EventRec { tag: "new", aux: u64::from(class.0), args: vec![] });
-                let at = events.len() as u32 - 1;
-                Some(g.intern(Node::Opaque {
-                    tag: "new-result",
-                    aux: u64::from(class.0),
-                    args: vec![],
-                    block: block_id,
-                    occ: at,
-                }))
+                side.event("new", u64::from(class.0), &[]);
+                let at = side.events.len() as u32 - 1;
+                Some(g.opaque(Tag::NewResult, u64::from(class.0), &[], block_id, at))
             }
             Op::NewArray { kind, .. } | Op::NewMultiArray { kind, .. } => {
-                events.push(EventRec { tag: "newarray", aux: *kind as u64, args: srcs.clone() });
-                let at = events.len() as u32 - 1;
-                Some(g.intern(Node::Opaque {
-                    tag: "newarray-result",
-                    aux: *kind as u64,
-                    args: srcs.clone(),
-                    block: block_id,
-                    occ: at,
-                }))
+                side.event("newarray", *kind as u64, &srcs);
+                let at = side.events.len() as u32 - 1;
+                Some(g.opaque(Tag::NewArrayResult, *kind as u64, &srcs, block_id, at))
             }
             Op::Println { kind, .. } => {
-                events.push(EventRec { tag: "println", aux: *kind as u64, args: srcs.clone() });
+                side.event("println", *kind as u64, &srcs);
                 None
             }
             Op::Mute => {
-                events.push(EventRec { tag: "mute", aux: 0, args: vec![] });
+                side.event("mute", 0, &[]);
                 None
             }
             Op::Unmute => {
-                events.push(EventRec { tag: "unmute", aux: 0, args: vec![] });
+                side.event("unmute", 0, &[]);
                 None
             }
             Op::ThrowUser(_) => {
-                events.push(EventRec { tag: "throw", aux: 0, args: srcs.clone() });
+                side.event("throw", 0, &srcs);
                 None
             }
             Op::Rethrow(_) => {
-                events.push(EventRec { tag: "rethrow", aux: 0, args: srcs.clone() });
+                side.event("rethrow", 0, &srcs);
                 None
             }
             Op::CorruptHeap { bug } => {
-                events.push(EventRec { tag: "corrupt-heap", aux: *bug as u64, args: vec![] });
-                reads.clear();
+                side.event("corrupt-heap", *bug as u64, &[]);
+                caches.invalidate(|_| true);
                 None
             }
             Op::CrashOnExec { bug } => {
-                events.push(EventRec { tag: "crash-on-exec", aux: *bug as u64, args: vec![] });
+                side.event("crash-on-exec", *bug as u64, &[]);
                 None
             }
             Op::BurnFuel { factor } => {
-                events.push(EventRec { tag: "burn-fuel", aux: u64::from(*factor), args: vec![] });
+                side.event("burn-fuel", u64::from(*factor), &[]);
                 None
             }
             op => unreachable!("unclassified op in translation validator: {op}"),
         };
         if let Some(dst) = inst.dst {
             let v = value.unwrap_or_else(|| {
-                let at = events.len() as u32;
-                g.intern(Node::Opaque {
-                    tag: "effect-result",
-                    aux: 0,
-                    args: vec![],
-                    block: block_id,
-                    occ: at,
-                })
+                let at = side.events.len() as u32;
+                g.opaque(Tag::EffectResult, 0, &[], block_id, at)
             });
             // Anchor registers are the deopt/handler-visible frame state:
             // a write to one is itself an ordered observable.
-            if func.is_anchor(dst) {
-                events.push(EventRec { tag: "anchor-write", aux: u64::from(dst), args: vec![v] });
+            if side.is_anchor(dst) {
+                side.event("anchor-write", u64::from(dst), &[v]);
             }
-            regs.insert(dst, v);
+            side.write(dst, v);
         }
     }
     // Resolve terminator operands against the final block state.
     for r in block.term.sources() {
-        lookup!(r);
+        side.read(g, block_id, r);
     }
-    BlockSummary { events, regs }
+    side.srcs = srcs;
 }
 
 // ----- the simulation check ------------------------------------------------
 
 /// Running context of one refinement check.
 struct Checker<'a> {
-    method: String,
+    program: &'a BProgram,
     pass: &'static str,
     before: &'a IrFunc,
     after: &'a IrFunc,
@@ -650,7 +921,8 @@ impl Checker<'_> {
         if self.errors.len() >= MAX_ERRORS {
             return;
         }
-        self.errors.push(TvError { method: self.method.clone(), pass: self.pass, block, detail });
+        let method = self.program.qualified_name(self.before.method);
+        self.errors.push(TvError { method, pass: self.pass, block, detail });
     }
 
     /// The check's report: `None` when nothing diverged, otherwise every
@@ -678,13 +950,7 @@ pub fn check_refinement(
     contract: TvContract,
     program: &BProgram,
 ) -> Option<TvReport> {
-    let mut ck = Checker {
-        method: program.qualified_name(before.method),
-        pass,
-        before,
-        after,
-        errors: Vec::new(),
-    };
+    let mut ck = Checker { program, pass, before, after, errors: Vec::new() };
     // Function metadata is untouchable by every contract: frames and
     // anchors define deopt state, handlers define dispatch, the OSR entry
     // defines where execution resumes.
@@ -738,37 +1004,52 @@ pub fn check_refinement(
         return ck.finish();
     }
 
-    let mut g = Graph::default();
-    let bside = SideEval::new(before);
-    let aside = SideEval::new(after);
+    let insts: usize = before.blocks.iter().map(|b| b.insts.len()).sum();
+    let mut g = Graph::with_capacity(insts);
+    let mut caches = ReadCaches::default();
+    let mut bside = SideEval::new(before);
+    let mut aside = SideEval::new(after);
     for b in 0..base_len {
         if ck.errors.len() >= MAX_ERRORS {
             break;
         }
-        let bs = eval_block(&mut g, &bside, b as BlockId);
-        let as_ = eval_block(&mut g, &aside, b as BlockId);
-        compare_traces(&mut ck, &g, b as BlockId, &bs.events, &as_.events);
-        compare_terms(&mut ck, &mut g, contract, b as BlockId, &bs, &as_);
+        let b = b as BlockId;
+        eval_block(&mut g, &mut caches, &mut bside, b);
+        eval_block(&mut g, &mut caches, &mut aside, b);
+        compare_traces(&mut ck, &g, b, &bside, &aside);
+        compare_terms(&mut ck, &g, contract, b, &bside, &aside);
     }
     ck.finish()
 }
 
-fn render_event(g: &Graph, e: &EventRec) -> String {
-    let args: Vec<String> = e.args.iter().map(|&a| g.render(a, 1)).collect();
-    format!("{}#{}({})", e.tag, e.aux, args.join(", "))
+fn render_event(g: &Graph, side: &SideEval<'_>, e: &Event) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = write!(out, "{}#{}", e.tag, e.aux);
+    g.render_args(&mut out, side.event_args(e), 1);
+    out
 }
 
 /// Effect traces must match event-for-event with equal value arguments:
 /// the after side may drop or reorder only pure (non-event) computation.
-fn compare_traces(ck: &mut Checker<'_>, g: &Graph, b: BlockId, bs: &[EventRec], as_: &[EventRec]) {
+fn compare_traces(
+    ck: &mut Checker<'_>,
+    g: &Graph,
+    b: BlockId,
+    bside: &SideEval<'_>,
+    aside: &SideEval<'_>,
+) {
+    let (bs, as_) = (&bside.events, &aside.events);
     for (i, (eb, ea)) in bs.iter().zip(as_.iter()).enumerate() {
-        if eb != ea {
+        let same =
+            eb.tag == ea.tag && eb.aux == ea.aux && bside.event_args(eb) == aside.event_args(ea);
+        if !same {
             ck.error(
                 b,
                 format!(
                     "effect {i} diverges: before `{}`, after `{}`",
-                    render_event(g, eb),
-                    render_event(g, ea)
+                    render_event(g, bside, eb),
+                    render_event(g, aside, ea)
                 ),
             );
             return;
@@ -777,11 +1058,11 @@ fn compare_traces(ck: &mut Checker<'_>, g: &Graph, b: BlockId, bs: &[EventRec], 
     match bs.len().cmp(&as_.len()) {
         std::cmp::Ordering::Greater => {
             let e = &bs[as_.len()];
-            ck.error(b, format!("effect {} dropped: `{}`", as_.len(), render_event(g, e)));
+            ck.error(b, format!("effect {} dropped: `{}`", as_.len(), render_event(g, bside, e)));
         }
         std::cmp::Ordering::Less => {
             let e = &as_[bs.len()];
-            ck.error(b, format!("effect {} introduced: `{}`", bs.len(), render_event(g, e)));
+            ck.error(b, format!("effect {} introduced: `{}`", bs.len(), render_event(g, aside, e)));
         }
         std::cmp::Ordering::Equal => {}
     }
@@ -807,17 +1088,17 @@ fn resolve_target(after: &IrFunc, base_len: usize, mut t: BlockId) -> Option<Blo
 
 fn compare_terms(
     ck: &mut Checker<'_>,
-    g: &mut Graph,
+    g: &Graph,
     contract: TvContract,
     b: BlockId,
-    bs: &BlockSummary,
-    as_: &BlockSummary,
+    bs: &SideEval<'_>,
+    as_: &SideEval<'_>,
 ) {
     let base_len = ck.before.blocks.len();
     let bterm = &ck.before.blocks[b as usize].term;
     let aterm = &ck.after.blocks[b as usize].term;
-    let bval = |r: &Reg| bs.regs[r];
-    let aval = |r: &Reg| as_.regs[r];
+    let bval = |r: &Reg| bs.value(*r);
+    let aval = |r: &Reg| as_.value(*r);
     let resolve = |t: BlockId| resolve_target(ck.after, base_len, t);
     match (bterm, aterm) {
         (Term::Jump(x), Term::Jump(y)) => {
@@ -844,7 +1125,7 @@ fn compare_terms(
         }
         // Collapsing control flow on a proven constant is semantics-
         // preserving for any contract.
-        (Term::Branch { cond, if_true, if_false }, Term::Jump(y)) => match g.as_i(bs.regs[cond]) {
+        (Term::Branch { cond, if_true, if_false }, Term::Jump(y)) => match g.as_i(bval(cond)) {
             Some(k) => {
                 let want = if k != 0 { *if_true } else { *if_false };
                 if resolve(*y) != Some(want) {
@@ -856,10 +1137,10 @@ fn compare_terms(
             }
             None => ck.error(
                 b,
-                format!("branch on non-constant `{}` folded to a jump", g.render(bs.regs[cond], 0)),
+                format!("branch on non-constant `{}` folded to a jump", g.render(bval(cond), 0)),
             ),
         },
-        (Term::Switch { scrut, cases, default }, Term::Jump(y)) => match g.as_i(bs.regs[scrut]) {
+        (Term::Switch { scrut, cases, default }, Term::Jump(y)) => match g.as_i(bval(scrut)) {
             Some(k) => {
                 let want = cases
                     .iter()
@@ -875,10 +1156,7 @@ fn compare_terms(
             }
             None => ck.error(
                 b,
-                format!(
-                    "switch on non-constant `{}` folded to a jump",
-                    g.render(bs.regs[scrut], 0)
-                ),
+                format!("switch on non-constant `{}` folded to a jump", g.render(bval(scrut), 0)),
             ),
         },
         (
@@ -896,9 +1174,12 @@ fn compare_terms(
                 );
                 return;
             }
-            let resolved: Option<Vec<(i32, BlockId)>> =
-                acases.iter().map(|&(l, t)| resolve(t).map(|t| (l, t))).collect();
-            if resolved.as_deref() != Some(bcases.as_slice()) || resolve(*ad) != Some(*bd) {
+            let retargeted = acases.len() != bcases.len()
+                || acases
+                    .iter()
+                    .zip(bcases)
+                    .any(|(&(al, at), &(bl, bt))| al != bl || resolve(at) != Some(bt));
+            if retargeted || resolve(*ad) != Some(*bd) {
                 ck.error(b, "switch cases retargeted".to_string());
             }
         }
@@ -946,8 +1227,8 @@ fn check_layout(ck: &mut Checker<'_>) {
         );
         return;
     }
-    let mut fwd: HashMap<Reg, Reg> = HashMap::new();
-    let mut rev: HashMap<Reg, Reg> = HashMap::new();
+    let mut fwd: FastMap<Reg, Reg> = FastMap::default();
+    let mut rev: FastMap<Reg, Reg> = FastMap::default();
     let before_blocks: &[Block] = &ck.before.blocks;
     for b in 0..before_blocks.len() {
         if ck.errors.len() >= MAX_ERRORS {
@@ -973,9 +1254,8 @@ fn check_layout(ck: &mut Checker<'_>) {
                     if bsrc.len() != asrc.len() {
                         return Some(format!("`{bi}` became `{ai}`"));
                     }
-                    for (rb, ra) in bsrc.iter().zip(&asrc) {
-                        if let Err(e) =
-                            bind_pair(ck.before, &mut fwd, &mut rev, Some(*rb), Some(*ra))
+                    for (rb, ra) in bsrc.zip(asrc) {
+                        if let Err(e) = bind_pair(ck.before, &mut fwd, &mut rev, Some(rb), Some(ra))
                         {
                             return Some(e);
                         }
@@ -994,8 +1274,8 @@ fn check_layout(ck: &mut Checker<'_>) {
         let (bsrc, asrc) = (bb.term.sources(), ab.term.sources());
         let mut term_ok = bsrc.len() == asrc.len();
         if term_ok {
-            for (rb, ra) in bsrc.iter().zip(&asrc) {
-                if let Err(e) = bind_pair(ck.before, &mut fwd, &mut rev, Some(*rb), Some(*ra)) {
+            for (rb, ra) in bsrc.zip(asrc) {
+                if let Err(e) = bind_pair(ck.before, &mut fwd, &mut rev, Some(rb), Some(ra)) {
                     ck.error(b as BlockId, format!("terminator changed under layout pass: {e}"));
                     term_ok = false;
                     break;
@@ -1022,8 +1302,8 @@ fn check_layout(ck: &mut Checker<'_>) {
 /// enforcing consistency, injectivity, and anchor fixity.
 fn bind_pair(
     before: &IrFunc,
-    fwd: &mut HashMap<Reg, Reg>,
-    rev: &mut HashMap<Reg, Reg>,
+    fwd: &mut FastMap<Reg, Reg>,
+    rev: &mut FastMap<Reg, Reg>,
     rb: Option<Reg>,
     ra: Option<Reg>,
 ) -> Result<(), String> {

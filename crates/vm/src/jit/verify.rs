@@ -106,18 +106,12 @@ impl std::fmt::Display for IrVerifyError {
 /// violated invariant (capped at `MAX_ERRORS`); an empty vector means the
 /// IR is well-formed.
 pub fn check_func(func: &IrFunc, program: &BProgram, pass: &'static str) -> Vec<IrVerifyError> {
-    let mut checker = Checker {
-        func,
-        program,
-        pass,
-        method: program.qualified_name(func.method),
-        errors: Vec::new(),
-    };
-    checker.check_shape();
+    let mut checker = Checker { func, program, pass, errors: Vec::new() };
+    let facts = checker.check_shape();
     // The dataflow indexes blocks/registers/methods by id, so it only runs
     // on shape-clean IR.
     if checker.errors.is_empty() {
-        let in_states = checker.compute_states();
+        let in_states = checker.compute_states(facts);
         checker.check_dataflow(&in_states);
         checker.check_single_defs(&in_states);
     }
@@ -216,13 +210,83 @@ enum VType {
     Any,
 }
 
-fn join(a: VType, b: VType) -> VType {
+const fn join(a: VType, b: VType) -> VType {
     match (a, b) {
-        _ if a == b => a,
+        _ if a as u8 == b as u8 => a,
         (VType::Unset, _) | (_, VType::Unset) => VType::Unset,
         (VType::Null, VType::R) | (VType::R, VType::Null) => VType::R,
         (VType::Null, VType::S) | (VType::S, VType::Null) => VType::S,
         _ => VType::Any,
+    }
+}
+
+/// Every [`VType`], in discriminant order.
+const VTYPES: [VType; 7] =
+    [VType::Unset, VType::I, VType::L, VType::S, VType::R, VType::Null, VType::Any];
+
+/// The set of [`VType`]s reaching a register, one bit per type: what the
+/// dataflow stores. Merging two states is then a bytewise OR, with no
+/// per-register branch, and [`TypeSet::get`] folds a set into the type it
+/// stands for. Folding late gives what joining eagerly would, because
+/// `join` is associative, commutative and idempotent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TypeSet(u8);
+
+impl TypeSet {
+    /// Not reached yet (an unreached block's cells).
+    const EMPTY: TypeSet = TypeSet(0);
+
+    const fn of(t: VType) -> TypeSet {
+        TypeSet(1 << t as u8)
+    }
+
+    fn get(self) -> VType {
+        FOLD[self.0 as usize]
+    }
+}
+
+/// [`join`] folded over every non-empty [`TypeSet`].
+const FOLD: [VType; 1 << VTYPES.len()] = {
+    let mut table = [VType::Unset; 1 << VTYPES.len()];
+    let mut set = 1;
+    while set < table.len() {
+        let mut folded = None;
+        let mut t = 0;
+        while t < VTYPES.len() {
+            if set & (1 << t) != 0 {
+                folded = match folded {
+                    None => Some(VTYPES[t]),
+                    Some(f) => Some(join(f, VTYPES[t])),
+                };
+            }
+            t += 1;
+        }
+        if let Some(f) = folded {
+            table[set] = f;
+        }
+        set += 1;
+    }
+    table
+};
+
+/// ORs `state` into `cells`; returns whether any cell changed.
+fn merge_into(cells: &mut [TypeSet], state: &[TypeSet]) -> bool {
+    let mut grew = 0;
+    for (dst, src) in cells.iter_mut().zip(state) {
+        let merged = dst.0 | src.0;
+        grew |= merged ^ dst.0;
+        dst.0 = merged;
+    }
+    grew != 0
+}
+
+/// The type a copy of a `t` register holds: a copy of an unassigned
+/// register is still an assignment.
+fn copied(t: VType) -> VType {
+    if t == VType::Unset {
+        VType::Any
+    } else {
+        t
     }
 }
 
@@ -275,23 +339,74 @@ fn fits_declared(declared: &Ty, actual: VType) -> bool {
     }
 }
 
-/// Mirrors `exec::find_handler`: the handler for an exception raised at
-/// (`frame`, `bc_pc`), walking outward through inline frames.
-fn handler_for(func: &IrFunc, mut frame: u16, mut bc_pc: u32) -> Option<usize> {
-    loop {
-        if let Some(idx) = func
-            .handlers
-            .iter()
-            .position(|h| h.frame == frame && bc_pc >= h.start_bc && bc_pc < h.end_bc)
-        {
-            return Some(idx);
+/// The first handler, in table order, of `frame` covering `bc_pc`.
+fn first_covering(func: &IrFunc, frame: u16, bc_pc: u32) -> Option<usize> {
+    func.handlers.iter().position(|h| h.frame == frame && bc_pc >= h.start_bc && bc_pc < h.end_bc)
+}
+
+/// `HandlerIndex` marks pcs this far into a frame; a handler range
+/// reaching past it is clipped there and looked up by scanning.
+const PAINT_LIMIT: u32 = 1 << 16;
+
+/// `HandlerIndex::table` entry of a pc no handler of its frame covers.
+const NO_HANDLER: u32 = u32::MAX;
+
+/// Exception dispatch as `exec::find_handler` does it (the first covering
+/// handler in table order, walking outward through inline frames), with
+/// each frame's covered pcs marked once so a lookup does not scan the
+/// handler table: the dataflow asks at every throwing instruction of
+/// every block visit.
+struct HandlerIndex {
+    /// Per frame: where its pcs start in `table`, and how many it has.
+    spans: Vec<(usize, u32)>,
+    /// The first covering handler per `(frame, pc)`, or [`NO_HANDLER`].
+    table: Vec<u32>,
+}
+
+impl HandlerIndex {
+    fn new(func: &IrFunc) -> HandlerIndex {
+        let mut spans = vec![(0, 0); func.frames.len()];
+        for h in &func.handlers {
+            let len = &mut spans[usize::from(h.frame)].1;
+            *len = (*len).max(h.end_bc.min(PAINT_LIMIT));
         }
-        match func.frames[frame as usize].parent {
-            Some((parent, call_pc)) => {
-                frame = parent;
-                bc_pc = call_pc;
+        let mut base = 0;
+        for span in &mut spans {
+            span.0 = base;
+            base += span.1 as usize;
+        }
+        let mut table = vec![NO_HANDLER; base];
+        // Later handlers first, so the first covering one is marked last.
+        for (idx, h) in func.handlers.iter().enumerate().rev() {
+            let (start, len) = spans[usize::from(h.frame)];
+            for pc in h.start_bc..h.end_bc.min(len) {
+                table[start + pc as usize] = idx as u32;
             }
-            None => return None,
+        }
+        HandlerIndex { spans, table }
+    }
+
+    /// The handler for an exception raised at (`frame`, `bc_pc`).
+    fn handler_for(&self, func: &IrFunc, mut frame: u16, mut bc_pc: u32) -> Option<usize> {
+        loop {
+            let (start, len) = self.spans[usize::from(frame)];
+            let found = if bc_pc < len {
+                Some(self.table[start + bc_pc as usize]).filter(|&h| h != NO_HANDLER)
+            } else if bc_pc >= PAINT_LIMIT {
+                first_covering(func, frame, bc_pc).map(|h| h as u32)
+            } else {
+                None
+            };
+            if let Some(h) = found {
+                return Some(h as usize);
+            }
+            match func.frames[usize::from(frame)].parent {
+                Some((parent, call_pc)) => {
+                    frame = parent;
+                    bc_pc = call_pc;
+                }
+                None => return None,
+            }
         }
     }
 }
@@ -300,8 +415,78 @@ struct Checker<'a> {
     func: &'a IrFunc,
     program: &'a BProgram,
     pass: &'static str,
-    method: String,
     errors: Vec<IrVerifyError>,
+}
+
+/// The fixed-point in-state of every block, in one arena: block `b`'s
+/// per-register state is `cells[b * width..(b + 1) * width]`, meaningful
+/// once `reached[b]` (an unreached block is unreachable).
+struct States {
+    width: usize,
+    cells: Vec<TypeSet>,
+    reached: Vec<bool>,
+    facts: InstFacts,
+}
+
+/// What each instruction contributes to the dataflow that its op and the
+/// function fix once and for all, worked out once for every walk.
+struct InstFacts {
+    /// Where each block's instructions start in the other fields.
+    first: Vec<usize>,
+    /// The type the destination receives (ignored for a copy, whose type
+    /// is its source's).
+    result: Vec<VType>,
+    /// The handler a throw at the instruction reaches, or [`NO_HANDLER`]
+    /// (also for instructions that cannot throw).
+    handler: Vec<u32>,
+}
+
+impl States {
+    fn of(&self, b: usize) -> &[TypeSet] {
+        &self.cells[b * self.width..(b + 1) * self.width]
+    }
+
+    fn get(&self, b: usize) -> Option<&[TypeSet]> {
+        self.reached[b].then(|| self.of(b))
+    }
+
+    /// Merges `state` into `target`'s in-state, queueing it on change (or
+    /// on first reach). `save` overrides one register's incoming type:
+    /// the handler-entry edge parks the packed exception there.
+    fn flow_into(
+        &mut self,
+        target: BlockId,
+        state: &[TypeSet],
+        save: Option<Reg>,
+        queue: &mut VecDeque<BlockId>,
+        queued: &mut [bool],
+    ) {
+        let t = target as usize;
+        let cells = &mut self.cells[t * self.width..(t + 1) * self.width];
+        let long = [TypeSet::of(VType::L)];
+        let changed = if self.reached[t] {
+            match save {
+                Some(save) => {
+                    let s = save as usize;
+                    merge_into(&mut cells[..s], &state[..s])
+                        | merge_into(&mut cells[s..=s], &long)
+                        | merge_into(&mut cells[s + 1..], &state[s + 1..])
+                }
+                None => merge_into(cells, state),
+            }
+        } else {
+            cells.copy_from_slice(state);
+            if let Some(save) = save {
+                cells[save as usize] = long[0];
+            }
+            self.reached[t] = true;
+            true
+        };
+        if changed && !queued[t] {
+            queued[t] = true;
+            queue.push_back(target);
+        }
+    }
 }
 
 impl Checker<'_> {
@@ -320,7 +505,7 @@ impl Checker<'_> {
             },
         );
         self.errors.push(IrVerifyError {
-            method: self.method.clone(),
+            method: self.program.qualified_name(self.func.method),
             pass: self.pass,
             block,
             inst,
@@ -332,19 +517,40 @@ impl Checker<'_> {
 
     // ---- Phase 1: shape (CFG, tables, indices, arity, effect flags) ----
 
-    fn check_shape(&mut self) {
+    /// Checks the shape and, in the same walk, works out the dataflow's
+    /// [`InstFacts`] (complete only when the shape is clean, since they
+    /// index the program by the ids checked here).
+    fn check_shape(&mut self) -> InstFacts {
         let func = self.func;
         let nblocks = func.blocks.len() as u32;
+        let count = func.blocks.iter().map(|b| b.insts.len()).sum();
+        let mut facts = InstFacts {
+            first: Vec::with_capacity(func.blocks.len()),
+            result: Vec::with_capacity(count),
+            handler: Vec::with_capacity(count),
+        };
         if func.blocks.is_empty() {
             self.report(0, None, "function has no blocks (entry must be b0)".into());
-            return;
+            return facts;
         }
         self.check_frames();
         self.check_handlers();
+        let handlers = self.errors.is_empty().then(|| HandlerIndex::new(func));
         for (b, block) in func.blocks.iter().enumerate() {
+            facts.first.push(facts.result.len());
             let b = b as BlockId;
             for (i, inst) in block.insts.iter().enumerate() {
                 self.check_inst_shape(b, i, inst);
+                let Some(handlers) = handlers.as_ref().filter(|_| self.errors.is_empty()) else {
+                    continue;
+                };
+                facts.result.push(self.result_type(&inst.op));
+                let handler = if inst.op.can_throw() {
+                    handlers.handler_for(func, inst.frame, inst.bc_pc)
+                } else {
+                    None
+                };
+                facts.handler.push(handler.map_or(NO_HANDLER, |h| h as u32));
             }
             for succ in block.term.successors() {
                 if succ >= nblocks {
@@ -357,6 +563,7 @@ impl Checker<'_> {
                 }
             }
         }
+        facts
     }
 
     fn check_frames(&mut self) {
@@ -590,10 +797,10 @@ impl Checker<'_> {
 
     // ---- Phase 2: definite assignment + type lattice ----
 
-    /// Entry state: anchors carry their declared types, everything else is
-    /// `Unset` (see the module docs for why anchors count as defined).
-    fn entry_state(&self) -> Vec<VType> {
-        let mut state = vec![VType::Unset; self.func.num_regs as usize];
+    /// Writes the entry state into `state` (all `Unset`): anchors carry
+    /// their declared types (see the module docs for why anchors count as
+    /// defined).
+    fn entry_state(&self, state: &mut [TypeSet]) {
         for frame in &self.func.frames {
             let m = self.program.method(frame.method);
             for i in 0..frame.num_locals {
@@ -603,67 +810,104 @@ impl Checker<'_> {
                     .and_then(|t| t.as_ref())
                     .map(of_ty)
                     .unwrap_or(VType::Any);
-                state[(frame.local_base + i) as usize] = ty;
+                state[(frame.local_base + i) as usize] = TypeSet::of(ty);
             }
         }
-        state
     }
 
-    /// Runs the forward dataflow to fixpoint. `None` = unreachable block.
-    /// Error reporting happens in a separate pass over the fixed states so
-    /// iteration to convergence cannot duplicate reports.
-    fn compute_states(&self) -> Vec<Option<Vec<VType>>> {
+    /// Runs the forward dataflow to fixpoint in one state arena, walking
+    /// each dequeued block in one reused buffer. Error reporting happens
+    /// in a separate pass over the fixed states so iteration to
+    /// convergence cannot duplicate reports.
+    fn compute_states(&self, facts: InstFacts) -> States {
         let func = self.func;
         let n = func.blocks.len();
-        let mut in_states: Vec<Option<Vec<VType>>> = vec![None; n];
-        in_states[0] = Some(self.entry_state());
+        let width = func.num_regs as usize;
+        let mut states = States {
+            width,
+            cells: vec![TypeSet::EMPTY; n * width],
+            reached: vec![false; n],
+            facts,
+        };
+        states.cells[..width].fill(TypeSet::of(VType::Unset));
+        self.entry_state(&mut states.cells[..width]);
+        states.reached[0] = true;
         let mut queue: VecDeque<BlockId> = VecDeque::from([0]);
         let mut queued = vec![false; n];
         queued[0] = true;
+        let mut state = vec![TypeSet::EMPTY; width];
+        // A block's exceptional edges: per handler it reaches, the merge
+        // of the states at its throw points, flowed once at the block's
+        // end. Each accumulator is kept current by merging only the
+        // registers written since its last throw point (`written[mark..]`);
+        // the rest still hold values it already merged.
+        let mut throws: Vec<(usize, usize)> = Vec::new();
+        let mut throw_states: Vec<TypeSet> = Vec::new();
+        let mut written: Vec<Reg> = Vec::new();
         while let Some(b) = queue.pop_front() {
             queued[b as usize] = false;
-            let mut state = in_states[b as usize].clone().expect("queued block has a state");
+            state.copy_from_slice(states.of(b as usize));
+            throws.clear();
+            throw_states.clear();
+            written.clear();
             let block = &func.blocks[b as usize];
-            for inst in &block.insts {
-                if inst.op.can_throw() {
-                    if let Some(h) = handler_for(func, inst.frame, inst.bc_pc) {
-                        let handler = &func.handlers[h];
-                        let mut hstate = state.clone();
-                        if let Some(save) = handler.save_reg {
-                            // The dispatcher parks the packed exception
-                            // (a long) in the save register.
-                            hstate[save as usize] = VType::L;
+            let first = states.facts.first[b as usize];
+            for (i, inst) in block.insts.iter().enumerate() {
+                let h = states.facts.handler[first + i];
+                if h != NO_HANDLER {
+                    match throws.iter().position(|&(known, _)| known == h as usize) {
+                        Some(k) => {
+                            let acc = &mut throw_states[k * width..(k + 1) * width];
+                            for &r in &written[throws[k].1..] {
+                                acc[r as usize].0 |= state[r as usize].0;
+                            }
+                            throws[k].1 = written.len();
                         }
-                        flow_into(handler.target, &hstate, &mut in_states, &mut queue, &mut queued);
+                        None => {
+                            throws.push((h as usize, written.len()));
+                            throw_states.extend_from_slice(&state);
+                        }
                     }
                 }
                 if let Some(dst) = inst.dst {
-                    state[dst as usize] = self.result_type(&inst.op, &state);
+                    let t = match inst.op {
+                        Op::Copy(src) => copied(state[src as usize].get()),
+                        _ => states.facts.result[first + i],
+                    };
+                    state[dst as usize] = TypeSet::of(t);
+                    written.push(dst);
                 }
             }
+            // Merging is order-free, so flowing each handler's merge once
+            // reaches the same fixpoint as flowing every throw point.
+            for (k, &(h, _)) in throws.iter().enumerate() {
+                let handler = &func.handlers[h];
+                // The dispatcher parks the packed exception (a long) in
+                // the save register.
+                states.flow_into(
+                    handler.target,
+                    &throw_states[k * width..(k + 1) * width],
+                    handler.save_reg,
+                    &mut queue,
+                    &mut queued,
+                );
+            }
             for succ in block.term.successors() {
-                flow_into(succ, &state, &mut in_states, &mut queue, &mut queued);
+                states.flow_into(succ, &state, None, &mut queue, &mut queued);
             }
         }
-        in_states
+        states
     }
 
     /// The type an op's destination holds, independent of operand errors
-    /// (so one defect does not cascade).
-    fn result_type(&self, op: &Op, state: &[VType]) -> VType {
+    /// (so one defect does not cascade); a copy's is [`copied`] from its
+    /// source's at the copy.
+    fn result_type(&self, op: &Op) -> VType {
         match op {
             Op::ConstI(_) => VType::I,
             Op::ConstL(_) => VType::L,
             Op::ConstS(_) => VType::S,
             Op::ConstNull => VType::Null,
-            Op::Copy(r) => {
-                let t = state[*r as usize];
-                if t == VType::Unset {
-                    VType::Any
-                } else {
-                    t
-                }
-            }
             Op::BinI(..) | Op::NegI(_) | Op::L2I(_) | Op::I2B(_) => VType::I,
             Op::BinL(..) | Op::NegL(_) | Op::I2L(_) => VType::L,
             Op::I2S(_) | Op::L2S(_) | Op::Bool2S(_) | Op::Concat(..) => VType::S,
@@ -691,16 +935,22 @@ impl Checker<'_> {
 
     /// Re-walks every reachable block over the fixed states and reports
     /// undefined uses and category mismatches.
-    fn check_dataflow(&mut self, in_states: &[Option<Vec<VType>>]) {
-        for (b, maybe_state) in in_states.iter().enumerate() {
-            let Some(in_state) = maybe_state else { continue };
+    fn check_dataflow(&mut self, in_states: &States) {
+        let mut state = Vec::with_capacity(in_states.width);
+        for b in 0..self.func.blocks.len() {
+            let Some(in_state) = in_states.get(b) else { continue };
+            state.clear();
+            state.extend(in_state.iter().map(|t| t.get()));
+            let first = in_states.facts.first[b];
             let b = b as BlockId;
-            let mut state = in_state.clone();
             let block = &self.func.blocks[b as usize];
             for (i, inst) in block.insts.iter().enumerate() {
                 self.check_inst_types(b, i, inst, &state);
                 if let Some(dst) = inst.dst {
-                    state[dst as usize] = self.result_type(&inst.op, &state);
+                    state[dst as usize] = match inst.op {
+                        Op::Copy(src) => copied(state[src as usize]),
+                        _ => in_states.facts.result[first + i],
+                    };
                 }
             }
             self.check_term(b, &block.term, &state);
@@ -773,8 +1023,9 @@ impl Checker<'_> {
                 self.use_reg(b, i, *rb, state, "a reference", ref_like_ok);
             }
             Op::PutStatic { class, field, val } => {
-                let declared = self.program.class(*class).static_fields[*field as usize].ty.clone();
-                self.use_field_value(b, i, *val, state, &declared);
+                let program = self.program;
+                let declared = &program.class(*class).static_fields[*field as usize].ty;
+                self.use_field_value(b, i, *val, state, declared);
             }
             Op::GetField { obj, .. } => self.use_reg(b, i, *obj, state, "an object", obj_ok),
             Op::PutField { obj, val, .. } => {
@@ -814,7 +1065,7 @@ impl Checker<'_> {
                     if k < receiver {
                         self.use_reg(b, i, *arg, state, "a receiver", obj_ok);
                     } else if let Some(param) = m.params.get(k - receiver) {
-                        self.use_field_value(b, i, *arg, state, &param.clone());
+                        self.use_field_value(b, i, *arg, state, param);
                     }
                 }
             }
@@ -858,21 +1109,22 @@ impl Checker<'_> {
                 }
             }
             Term::Return(val) => {
-                let ret = self.program.method(self.func.method).ret.clone();
+                let program = self.program;
+                let ret = &program.method(self.func.method).ret;
                 match val {
                     None => {
-                        if ret != Ty::Void {
+                        if *ret != Ty::Void {
                             term_err(self, format!("return without value from {ret:?} method"));
                         }
                     }
                     Some(r) => {
-                        if ret == Ty::Void {
+                        if *ret == Ty::Void {
                             term_err(self, format!("void method returns r{r}"));
                         } else {
                             let t = state[*r as usize];
                             if t == VType::Unset {
                                 term_err(self, format!("return of undefined register r{r}"));
-                            } else if !fits_declared(&ret, t) {
+                            } else if !fits_declared(ret, t) {
                                 term_err(
                                     self,
                                     format!("return r{r}: expected {ret:?}, found {t:?}"),
@@ -902,7 +1154,7 @@ impl Checker<'_> {
     /// swallow. Either mismatch turns a definitely-assigned use into a
     /// spurious dominance failure, so exceptional functions rely on the
     /// dataflow alone (which subsumes this check).
-    fn check_single_defs(&mut self, in_states: &[Option<Vec<VType>>]) {
+    fn check_single_defs(&mut self, in_states: &States) {
         let func = self.func;
         if !func.handlers.is_empty() {
             return;
@@ -922,15 +1174,15 @@ impl Checker<'_> {
         let doms = Dominators::compute(func);
         for (b, block) in func.blocks.iter().enumerate() {
             let b = b as BlockId;
-            if in_states[b as usize].is_none() {
+            if !in_states.reached[b as usize] {
                 continue;
             }
             let uses = block
                 .insts
                 .iter()
                 .enumerate()
-                .flat_map(|(i, inst)| inst.op.sources().into_iter().map(move |r| (Some(i), r)))
-                .chain(block.term.sources().into_iter().map(|r| (None, r)));
+                .flat_map(|(i, inst)| inst.op.sources().map(move |r| (Some(i), r)))
+                .chain(block.term.sources().map(|r| (None, r)));
             for (i, r) in uses {
                 if func.is_anchor(r) || def_count[r as usize] != 1 {
                     continue;
@@ -957,34 +1209,112 @@ fn elem_ok(kind: ArrKind, t: VType) -> bool {
     }
 }
 
-/// Joins `state` into `target`'s in-state, queueing it on change (or on
-/// first reach).
-fn flow_into(
-    target: BlockId,
-    state: &[VType],
-    in_states: &mut [Option<Vec<VType>>],
-    queue: &mut VecDeque<BlockId>,
-    queued: &mut [bool],
-) {
-    let changed = match &mut in_states[target as usize] {
-        Some(existing) => {
-            let mut changed = false;
-            for (dst, &src) in existing.iter_mut().zip(state) {
-                let joined = join(*dst, src);
-                if joined != *dst {
-                    *dst = joined;
-                    changed = true;
+#[cfg(test)]
+mod tests {
+    use cse_bytecode::MethodId;
+
+    use super::*;
+    use crate::config::Tier;
+    use crate::jit::ir::{InlineFrame, IrHandler};
+
+    /// `exec::find_handler`'s scan, which `HandlerIndex` must answer
+    /// exactly.
+    fn handler_for_reference(func: &IrFunc, mut frame: u16, mut bc_pc: u32) -> Option<usize> {
+        loop {
+            if let Some(idx) = first_covering(func, frame, bc_pc) {
+                return Some(idx);
+            }
+            match func.frames[frame as usize].parent {
+                Some((parent, call_pc)) => {
+                    frame = parent;
+                    bc_pc = call_pc;
+                }
+                None => return None,
+            }
+        }
+    }
+
+    /// Random overlapping handler tables over three inline frames, one
+    /// range reaching past the marked span: every `(frame, pc)` lookup
+    /// matches the scan.
+    #[test]
+    fn handler_index_matches_the_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(bound)) as u32
+        };
+        let frame =
+            |parent| InlineFrame { method: MethodId(0), local_base: 0, num_locals: 0, parent };
+        for _ in 0..200 {
+            let mut handlers: Vec<IrHandler> = (0..next(8))
+                .map(|_| {
+                    let start_bc = next(40);
+                    IrHandler {
+                        frame: next(3) as u16,
+                        start_bc,
+                        end_bc: start_bc + 1 + next(20),
+                        target: 0,
+                        save_reg: None,
+                    }
+                })
+                .collect();
+            handlers.push(IrHandler {
+                frame: 2,
+                start_bc: 30,
+                end_bc: PAINT_LIMIT + 10,
+                target: 0,
+                save_reg: None,
+            });
+            let func = IrFunc {
+                method: MethodId(0),
+                tier: Tier::T2,
+                blocks: vec![],
+                num_regs: 0,
+                frames: vec![frame(None), frame(Some((0, next(60)))), frame(Some((1, next(60))))],
+                handlers,
+                osr_entry: None,
+                anchor_limit_per_frame: vec![],
+            };
+            let index = HandlerIndex::new(&func);
+            for f in 0..3 {
+                for pc in
+                    (0..70).chain([PAINT_LIMIT - 1, PAINT_LIMIT, PAINT_LIMIT + 9, PAINT_LIMIT + 10])
+                {
+                    assert_eq!(
+                        index.handler_for(&func, f, pc),
+                        handler_for_reference(&func, f, pc),
+                        "frame {f} pc {pc}"
+                    );
                 }
             }
-            changed
         }
-        slot @ None => {
-            *slot = Some(state.to_vec());
-            true
+    }
+
+    /// The dataflow stores sets of types and folds them late, and flows
+    /// one merge per handler and block instead of one state per throw
+    /// point. Both reach the eager-join fixpoint only because `join` is a
+    /// semilattice join, and `FOLD` of a union must be the join of the
+    /// parts.
+    #[test]
+    fn join_is_associative_commutative_and_idempotent() {
+        for (i, a) in VTYPES.into_iter().enumerate() {
+            assert_eq!(a as usize, i, "VTYPES must list VType in discriminant order");
+            assert_eq!(join(a, a), a);
+            assert_eq!(TypeSet::of(a).get(), a);
+            for b in VTYPES {
+                assert_eq!(join(a, b), join(b, a), "{a:?} {b:?}");
+                for c in VTYPES {
+                    assert_eq!(join(join(a, b), c), join(a, join(b, c)), "{a:?} {b:?} {c:?}");
+                }
+            }
         }
-    };
-    if changed && !queued[target as usize] {
-        queued[target as usize] = true;
-        queue.push_back(target);
+        for x in 1..FOLD.len() as u8 {
+            for y in 1..FOLD.len() as u8 {
+                assert_eq!(TypeSet(x | y).get(), join(TypeSet(x).get(), TypeSet(y).get()));
+            }
+        }
     }
 }

@@ -37,7 +37,6 @@ pub mod settings;
 pub mod supervise;
 pub mod value;
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cse_bytecode::{ArrKind, BProgram, ClassId, ExcKind, MethodId, PrintKind};
@@ -54,6 +53,7 @@ pub use supervise::{contain_panics, supervised_run, VmPanic};
 pub use value::{Str, Value};
 
 use heap::{ArrData, Heap, HeapError, HeapObj};
+use jit::hash::FastMap;
 use jit::ir::IrFunc;
 use jit::IrOutcome;
 use profile::MethodProfile;
@@ -102,7 +102,7 @@ pub struct Vm<'p> {
     pub(crate) profiles: Vec<MethodProfile>,
     /// Lifetime invocation counts (never reset; drives plans and events).
     pub(crate) invocations: Vec<u64>,
-    compiled: HashMap<CodeKey, Rc<IrFunc>>,
+    compiled: FastMap<CodeKey, Rc<IrFunc>>,
     pub(crate) events: Vec<TraceEvent>,
     pub(crate) stats: ExecStats,
     pub(crate) fuel: u64,
@@ -190,7 +190,7 @@ impl<'p> Vm<'p> {
             mute_depth: 0,
             profiles,
             invocations: vec![0; program.methods.len()],
-            compiled: HashMap::new(),
+            compiled: FastMap::default(),
             events: Vec::new(),
             stats: ExecStats::default(),
             fuel,
