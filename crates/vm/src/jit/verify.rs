@@ -339,77 +339,29 @@ fn fits_declared(declared: &Ty, actual: VType) -> bool {
     }
 }
 
-/// The first handler, in table order, of `frame` covering `bc_pc`.
-fn first_covering(func: &IrFunc, frame: u16, bc_pc: u32) -> Option<usize> {
-    func.handlers.iter().position(|h| h.frame == frame && bc_pc >= h.start_bc && bc_pc < h.end_bc)
+/// Mirrors `exec::find_handler`: the handler for an exception raised at
+/// (`frame`, `bc_pc`), walking outward through inline frames.
+fn handler_for(func: &IrFunc, mut frame: u16, mut bc_pc: u32) -> Option<usize> {
+    loop {
+        if let Some(idx) = func
+            .handlers
+            .iter()
+            .position(|h| h.frame == frame && bc_pc >= h.start_bc && bc_pc < h.end_bc)
+        {
+            return Some(idx);
+        }
+        match func.frames[frame as usize].parent {
+            Some((parent, call_pc)) => {
+                frame = parent;
+                bc_pc = call_pc;
+            }
+            None => return None,
+        }
+    }
 }
 
-/// `HandlerIndex` marks pcs this far into a frame; a handler range
-/// reaching past it is clipped there and looked up by scanning.
-const PAINT_LIMIT: u32 = 1 << 16;
-
-/// `HandlerIndex::table` entry of a pc no handler of its frame covers.
+/// `InstFacts::handler` of an instruction whose throws reach no handler.
 const NO_HANDLER: u32 = u32::MAX;
-
-/// Exception dispatch as `exec::find_handler` does it (the first covering
-/// handler in table order, walking outward through inline frames), with
-/// each frame's covered pcs marked once so a lookup does not scan the
-/// handler table: the dataflow asks at every throwing instruction of
-/// every block visit.
-struct HandlerIndex {
-    /// Per frame: where its pcs start in `table`, and how many it has.
-    spans: Vec<(usize, u32)>,
-    /// The first covering handler per `(frame, pc)`, or [`NO_HANDLER`].
-    table: Vec<u32>,
-}
-
-impl HandlerIndex {
-    fn new(func: &IrFunc) -> HandlerIndex {
-        let mut spans = vec![(0, 0); func.frames.len()];
-        for h in &func.handlers {
-            let len = &mut spans[usize::from(h.frame)].1;
-            *len = (*len).max(h.end_bc.min(PAINT_LIMIT));
-        }
-        let mut base = 0;
-        for span in &mut spans {
-            span.0 = base;
-            base += span.1 as usize;
-        }
-        let mut table = vec![NO_HANDLER; base];
-        // Later handlers first, so the first covering one is marked last.
-        for (idx, h) in func.handlers.iter().enumerate().rev() {
-            let (start, len) = spans[usize::from(h.frame)];
-            for pc in h.start_bc..h.end_bc.min(len) {
-                table[start + pc as usize] = idx as u32;
-            }
-        }
-        HandlerIndex { spans, table }
-    }
-
-    /// The handler for an exception raised at (`frame`, `bc_pc`).
-    fn handler_for(&self, func: &IrFunc, mut frame: u16, mut bc_pc: u32) -> Option<usize> {
-        loop {
-            let (start, len) = self.spans[usize::from(frame)];
-            let found = if bc_pc < len {
-                Some(self.table[start + bc_pc as usize]).filter(|&h| h != NO_HANDLER)
-            } else if bc_pc >= PAINT_LIMIT {
-                first_covering(func, frame, bc_pc).map(|h| h as u32)
-            } else {
-                None
-            };
-            if let Some(h) = found {
-                return Some(h as usize);
-            }
-            match func.frames[usize::from(frame)].parent {
-                Some((parent, call_pc)) => {
-                    frame = parent;
-                    bc_pc = call_pc;
-                }
-                None => return None,
-            }
-        }
-    }
-}
 
 struct Checker<'a> {
     func: &'a IrFunc,
@@ -535,18 +487,17 @@ impl Checker<'_> {
         }
         self.check_frames();
         self.check_handlers();
-        let handlers = self.errors.is_empty().then(|| HandlerIndex::new(func));
         for (b, block) in func.blocks.iter().enumerate() {
             facts.first.push(facts.result.len());
             let b = b as BlockId;
             for (i, inst) in block.insts.iter().enumerate() {
                 self.check_inst_shape(b, i, inst);
-                let Some(handlers) = handlers.as_ref().filter(|_| self.errors.is_empty()) else {
+                if !self.errors.is_empty() {
                     continue;
-                };
+                }
                 facts.result.push(self.result_type(&inst.op));
                 let handler = if inst.op.can_throw() {
-                    handlers.handler_for(func, inst.frame, inst.bc_pc)
+                    handler_for(func, inst.frame, inst.bc_pc)
                 } else {
                     None
                 };
@@ -836,38 +787,24 @@ impl Checker<'_> {
         let mut queued = vec![false; n];
         queued[0] = true;
         let mut state = vec![TypeSet::EMPTY; width];
-        // A block's exceptional edges: per handler it reaches, the merge
-        // of the states at its throw points, flowed once at the block's
-        // end. Each accumulator is kept current by merging only the
-        // registers written since its last throw point (`written[mark..]`);
-        // the rest still hold values it already merged.
-        let mut throws: Vec<(usize, usize)> = Vec::new();
-        let mut throw_states: Vec<TypeSet> = Vec::new();
-        let mut written: Vec<Reg> = Vec::new();
         while let Some(b) = queue.pop_front() {
             queued[b as usize] = false;
             state.copy_from_slice(states.of(b as usize));
-            throws.clear();
-            throw_states.clear();
-            written.clear();
             let block = &func.blocks[b as usize];
             let first = states.facts.first[b as usize];
             for (i, inst) in block.insts.iter().enumerate() {
                 let h = states.facts.handler[first + i];
                 if h != NO_HANDLER {
-                    match throws.iter().position(|&(known, _)| known == h as usize) {
-                        Some(k) => {
-                            let acc = &mut throw_states[k * width..(k + 1) * width];
-                            for &r in &written[throws[k].1..] {
-                                acc[r as usize].0 |= state[r as usize].0;
-                            }
-                            throws[k].1 = written.len();
-                        }
-                        None => {
-                            throws.push((h as usize, written.len()));
-                            throw_states.extend_from_slice(&state);
-                        }
-                    }
+                    let handler = &func.handlers[h as usize];
+                    // The dispatcher parks the packed exception (a long)
+                    // in the save register.
+                    states.flow_into(
+                        handler.target,
+                        &state,
+                        handler.save_reg,
+                        &mut queue,
+                        &mut queued,
+                    );
                 }
                 if let Some(dst) = inst.dst {
                     let t = match inst.op {
@@ -875,22 +812,7 @@ impl Checker<'_> {
                         _ => states.facts.result[first + i],
                     };
                     state[dst as usize] = TypeSet::of(t);
-                    written.push(dst);
                 }
-            }
-            // Merging is order-free, so flowing each handler's merge once
-            // reaches the same fixpoint as flowing every throw point.
-            for (k, &(h, _)) in throws.iter().enumerate() {
-                let handler = &func.handlers[h];
-                // The dispatcher parks the packed exception (a long) in
-                // the save register.
-                states.flow_into(
-                    handler.target,
-                    &throw_states[k * width..(k + 1) * width],
-                    handler.save_reg,
-                    &mut queue,
-                    &mut queued,
-                );
             }
             for succ in block.term.successors() {
                 states.flow_into(succ, &state, None, &mut queue, &mut queued);
@@ -1211,91 +1133,10 @@ fn elem_ok(kind: ArrKind, t: VType) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use cse_bytecode::MethodId;
-
     use super::*;
-    use crate::config::Tier;
-    use crate::jit::ir::{InlineFrame, IrHandler};
 
-    /// `exec::find_handler`'s scan, which `HandlerIndex` must answer
-    /// exactly.
-    fn handler_for_reference(func: &IrFunc, mut frame: u16, mut bc_pc: u32) -> Option<usize> {
-        loop {
-            if let Some(idx) = first_covering(func, frame, bc_pc) {
-                return Some(idx);
-            }
-            match func.frames[frame as usize].parent {
-                Some((parent, call_pc)) => {
-                    frame = parent;
-                    bc_pc = call_pc;
-                }
-                None => return None,
-            }
-        }
-    }
-
-    /// Random overlapping handler tables over three inline frames, one
-    /// range reaching past the marked span: every `(frame, pc)` lookup
-    /// matches the scan.
-    #[test]
-    fn handler_index_matches_the_scan() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = |bound: u32| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % u64::from(bound)) as u32
-        };
-        let frame =
-            |parent| InlineFrame { method: MethodId(0), local_base: 0, num_locals: 0, parent };
-        for _ in 0..200 {
-            let mut handlers: Vec<IrHandler> = (0..next(8))
-                .map(|_| {
-                    let start_bc = next(40);
-                    IrHandler {
-                        frame: next(3) as u16,
-                        start_bc,
-                        end_bc: start_bc + 1 + next(20),
-                        target: 0,
-                        save_reg: None,
-                    }
-                })
-                .collect();
-            handlers.push(IrHandler {
-                frame: 2,
-                start_bc: 30,
-                end_bc: PAINT_LIMIT + 10,
-                target: 0,
-                save_reg: None,
-            });
-            let func = IrFunc {
-                method: MethodId(0),
-                tier: Tier::T2,
-                blocks: vec![],
-                num_regs: 0,
-                frames: vec![frame(None), frame(Some((0, next(60)))), frame(Some((1, next(60))))],
-                handlers,
-                osr_entry: None,
-                anchor_limit_per_frame: vec![],
-            };
-            let index = HandlerIndex::new(&func);
-            for f in 0..3 {
-                for pc in
-                    (0..70).chain([PAINT_LIMIT - 1, PAINT_LIMIT, PAINT_LIMIT + 9, PAINT_LIMIT + 10])
-                {
-                    assert_eq!(
-                        index.handler_for(&func, f, pc),
-                        handler_for_reference(&func, f, pc),
-                        "frame {f} pc {pc}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The dataflow stores sets of types and folds them late, and flows
-    /// one merge per handler and block instead of one state per throw
-    /// point. Both reach the eager-join fixpoint only because `join` is a
+    /// The dataflow stores sets of types and folds them late, which
+    /// reaches the eager-join fixpoint only because `join` is a
     /// semilattice join, and `FOLD` of a union must be the join of the
     /// parts.
     #[test]
