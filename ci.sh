@@ -89,15 +89,17 @@ if [ "$mode" != "quick" ]; then
 
     # Oracle memory gate: the guided workload runs both static oracles
     # (TV and IR verifier at boundary). Its output checks must pass and
-    # its peak RSS must stay bounded — rendering TV counterexamples once
-    # per divergence or holding compiled code across seeds breaks 200 MB.
-    echo "==> oracle memory gate (campaign_openj9_guided: correct, peak RSS <= 200 MB)"
+    # its peak RSS must stay bounded. Campaigns keep a TV finding's
+    # divergence lines only (about 37 MB peak); keeping the two IR dumps
+    # of every failing check, or holding compiled code across seeds,
+    # breaks 60 MB (about 87 MB with the dumps).
+    echo "==> oracle memory gate (campaign_openj9_guided: correct, peak RSS <= 60 MB)"
     bench_json=$(cargo run --release -q --offline --manifest-path campaign_bench/Cargo.toml -- \
         --workload campaign_openj9_guided --seed 1 --seconds 1 --trace 0 | tail -n 1) || true
     peak_rss=$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p' <<< "$bench_json")
     echo "    peak_rss_mb: ${peak_rss:-missing}"
     if ! grep -q '"correct": true' <<< "$bench_json" || [ -z "$peak_rss" ] \
-        || awk -v rss="$peak_rss" 'BEGIN { exit !(rss > 200) }'; then
+        || awk -v rss="$peak_rss" 'BEGIN { exit !(rss > 60) }'; then
         echo "error: oracle memory gate failed: $bench_json" >&2
         exit 1
     fi

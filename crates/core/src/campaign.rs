@@ -226,9 +226,7 @@ impl CampaignResult {
     /// included. A campaign killed mid-run and resumed from its
     /// checkpoint produces the same digest as an uninterrupted run.
     pub fn digest(&self, config: &CampaignConfig) -> u64 {
-        let mut hash = cse_bytecode::Fnv::new();
-        hash.raw(supervisor::encode(config, self).as_bytes());
-        hash.finish()
+        supervisor::digest(config, self)
     }
 }
 

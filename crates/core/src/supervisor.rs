@@ -65,12 +65,13 @@
 //!   task <gen_seed> <plan-name> <n-focus>       (then one location/line)
 //! ```
 
-use std::fmt::Write as _;
+use std::fmt;
 use std::io;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use cse_bytecode::Fnv;
 use cse_vm::{BugId, Component, FaultInjector, Symptom, TvMode, VerifyMode, VmConfig, VmKind};
 
 use crate::campaign::{BugEvidence, CampaignConfig, CampaignResult};
@@ -217,10 +218,10 @@ const MAGIC: &str = "cse-checkpoint v10";
 
 // ----- encoding -----------------------------------------------------------
 
-fn push_text(out: &mut String, s: &str) {
-    let _ = writeln!(out, "text {}", s.len());
-    out.push_str(s);
-    out.push('\n');
+fn push_text(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    writeln!(out, "text {}", s.len())?;
+    out.write_str(s)?;
+    out.write_char('\n')
 }
 
 /// The campaign's identity: one deterministic rendering of every
@@ -230,6 +231,12 @@ fn push_text(out: &mut String, s: &str) {
 /// decide where and when state is saved, never what it is.
 /// `ForcedPlan::per_call` is a `HashMap`, so the plan is rendered apart
 /// with its calls sorted; every other field renders through `Debug`.
+///
+/// A campaign with TV on, or the IR verifier at `each`, ends the line
+/// with `oracle_findings=lines`: its static-oracle incidents carry
+/// divergence lines where older checkpoints held IR dumps, so such a
+/// checkpoint restarts rather than mixing the two payload forms. Every
+/// other campaign's line, and so its digest, is unchanged.
 fn identity(config: &CampaignConfig) -> String {
     let mut vm = config.vm.clone();
     let plan = vm.plan.take().map(|plan| {
@@ -242,9 +249,14 @@ fn identity(config: &CampaignConfig) -> String {
         .as_ref()
         .map_or_else(|| "off".to_string(), |t| t.max_reduce_steps.to_string());
     let chaos = config.supervisor.chaos.map(|c| (c.panic_on_seed, c.after_ops));
+    let findings = if vm.tv != TvMode::Off || vm.verify_ir == VerifyMode::Each {
+        " oracle_findings=lines"
+    } else {
+        ""
+    };
     format!(
         "config seeds={} first_seed={} max_iter={} run_traditional={} coverage={} \
-         triage_steps={triage} chaos={chaos:?} fuzz={:?} plan={plan:?} vm={vm:?}",
+         triage_steps={triage} chaos={chaos:?} fuzz={:?} plan={plan:?} vm={vm:?}{findings}",
         config.seeds,
         config.first_seed,
         config.max_iter,
@@ -254,17 +266,20 @@ fn identity(config: &CampaignConfig) -> String {
     )
 }
 
-/// Canonical serialization of a campaign's state: the basis of
-/// [`CampaignResult::digest`], so it covers every field but the wall
-/// time, which [`save_checkpoint`] appends as a trailer.
-pub(crate) fn encode(config: &CampaignConfig, result: &CampaignResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{MAGIC}");
-    let _ = writeln!(out, "{}", identity(config));
-    let _ = writeln!(out, "partial {}", result.totals.partial as u8);
-    let _ = writeln!(out, "unattributed {}", result.unattributed);
+/// Canonical serialization of a campaign's state, written into `out`: the
+/// basis of [`CampaignResult::digest`], so it covers every field but the
+/// wall time, which [`save_checkpoint`] appends as a trailer.
+pub(crate) fn encode(
+    out: &mut impl fmt::Write,
+    config: &CampaignConfig,
+    result: &CampaignResult,
+) -> fmt::Result {
+    writeln!(out, "{MAGIC}")?;
+    writeln!(out, "{}", identity(config))?;
+    writeln!(out, "partial {}", result.totals.partial as u8)?;
+    writeln!(out, "unattributed {}", result.unattributed)?;
     let t = &result.totals;
-    let _ = writeln!(
+    writeln!(
         out,
         "totals {} {} {} {} {} {} {} {} {} {} {} {} {}",
         t.seeds,
@@ -280,41 +295,39 @@ pub(crate) fn encode(config: &CampaignConfig, result: &CampaignResult) -> String
         t.triage_reports,
         t.triage_duplicates,
         t.triage_unreproducible,
-    );
-    let _ = writeln!(out, "cse_seeds {}", result.cse_seeds.len());
+    )?;
+    writeln!(out, "cse_seeds {}", result.cse_seeds.len())?;
     for s in &result.cse_seeds {
-        let _ = writeln!(out, "{s}");
+        writeln!(out, "{s}")?;
     }
-    let _ = writeln!(out, "traditional_seeds {}", result.traditional_seeds.len());
+    writeln!(out, "traditional_seeds {}", result.traditional_seeds.len())?;
     for s in &result.traditional_seeds {
-        let _ = writeln!(out, "{s}");
+        writeln!(out, "{s}")?;
     }
-    let _ = writeln!(out, "bugs {}", result.bugs.len());
+    writeln!(out, "bugs {}", result.bugs.len())?;
     for e in result.bugs.values() {
-        let _ = writeln!(
+        writeln!(
             out,
             "bug {:?} {} {} {:?} {:?}",
             e.bug, e.occurrences, e.first_seed, e.symptom, e.component
-        );
-        push_text(&mut out, &e.reproducer);
+        )?;
+        push_text(out, &e.reproducer)?;
     }
-    let _ = writeln!(out, "incidents {}", result.incidents.len());
+    writeln!(out, "incidents {}", result.incidents.len())?;
     for i in &result.incidents {
         let iteration = i.iteration.map(|n| n.to_string()).unwrap_or_else(|| "-".to_string());
-        let _ = writeln!(out, "incident {} {} {} {}", i.phase, i.seed, i.rng_seed, iteration);
-        push_text(&mut out, &i.payload);
+        writeln!(out, "incident {} {} {} {}", i.phase, i.seed, i.rng_seed, iteration)?;
+        push_text(out, &i.payload)?;
         match &i.source {
             Some(source) => {
-                let _ = writeln!(out, "source 1");
-                push_text(&mut out, source);
+                writeln!(out, "source 1")?;
+                push_text(out, source)?;
             }
-            None => {
-                let _ = writeln!(out, "source 0");
-            }
+            None => writeln!(out, "source 0")?,
         }
     }
     if let Some(state) = &result.coverage {
-        let _ = writeln!(
+        writeln!(
             out,
             "coverage {} {} {} {} {} {} {}",
             state.round,
@@ -324,42 +337,57 @@ pub(crate) fn encode(config: &CampaignConfig, result: &CampaignResult) -> String
             state.variant_new[0],
             state.variant_new[1],
             state.variant_new[2],
-        );
-        push_map(&mut out, &state.global);
-        let _ = writeln!(out, "corpus {}", state.corpus.len());
+        )?;
+        push_map(out, &state.global)?;
+        writeln!(out, "corpus {}", state.corpus.len())?;
         for entry in &state.corpus {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "entry {} {} {}",
                 entry.gen_seed,
                 entry.new_cells,
                 entry.locations.len()
-            );
+            )?;
             for location in &entry.locations {
-                let _ = writeln!(out, "{location}");
+                writeln!(out, "{location}")?;
             }
-            push_map(&mut out, &entry.map);
+            push_map(out, &entry.map)?;
         }
-        let _ = writeln!(out, "schedule {}", state.schedule.len());
+        writeln!(out, "schedule {}", state.schedule.len())?;
         for task in &state.schedule {
-            let _ =
-                writeln!(out, "task {} {} {}", task.gen_seed, task.plan.name(), task.focus.len());
+            writeln!(out, "task {} {} {}", task.gen_seed, task.plan.name(), task.focus.len())?;
             for focus in &task.focus {
-                let _ = writeln!(out, "{focus}");
+                writeln!(out, "{focus}")?;
             }
         }
     }
-    out
+    Ok(())
 }
 
 /// One `map` line: the bitmap's words in lowercase hex (fixed width so
 /// the encoding is canonical).
-fn push_map(out: &mut String, map: &cse_vm::CoverageMap) {
-    out.push_str("map");
+fn push_map(out: &mut impl fmt::Write, map: &cse_vm::CoverageMap) -> fmt::Result {
+    out.write_str("map")?;
     for word in map.words() {
-        let _ = write!(out, " {word:016x}");
+        write!(out, " {word:016x}")?;
     }
-    out.push('\n');
+    out.write_char('\n')
+}
+
+/// FNV-1a of [`encode`]'s bytes, fed as they are written, so the text is
+/// never held whole.
+pub(crate) fn digest(config: &CampaignConfig, result: &CampaignResult) -> u64 {
+    struct FnvSink(Fnv);
+    impl fmt::Write for FnvSink {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.raw(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut sink = FnvSink(Fnv::new());
+    // Hashing cannot fail; only a sink can.
+    let _ = encode(&mut sink, config, result);
+    sink.0.finish()
 }
 
 // ----- decoding -----------------------------------------------------------
@@ -620,12 +648,31 @@ fn parse_map(r: &mut Reader<'_>) -> ParseResult<cse_vm::CoverageMap> {
 
 // ----- checkpoint I/O -----------------------------------------------------
 
-/// The checkpoint file's text: the canonical encoding plus the `wall`
-/// trailer.
-fn checkpoint_text(config: &CampaignConfig, result: &CampaignResult) -> String {
-    let mut text = encode(config, result);
-    let _ = writeln!(text, "wall {}", result.totals.wall.as_nanos());
-    text
+/// The checkpoint file's text, written into `out`: the canonical
+/// encoding plus the `wall` trailer.
+fn write_checkpoint(
+    out: &mut impl fmt::Write,
+    config: &CampaignConfig,
+    result: &CampaignResult,
+) -> fmt::Result {
+    encode(out, config, result)?;
+    writeln!(out, "wall {}", result.totals.wall.as_nanos())
+}
+
+/// `fmt::Write` over an `io::Write`, keeping the I/O error that
+/// `fmt::Error` cannot carry.
+struct IoSink<W> {
+    inner: W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
 }
 
 /// Atomically writes a checkpoint (tmp file + rename, so a kill during
@@ -635,19 +682,21 @@ pub fn save_checkpoint(
     config: &CampaignConfig,
     result: &CampaignResult,
 ) -> io::Result<()> {
-    let body = checkpoint_text(config, result);
     let tmp = path.with_extension("tmp");
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    // Buffered so a large campaign (thousands of bug reproducers and
-    // incident payloads) goes out in a few syscalls instead of relying
-    // on the kernel to coalesce; flush before the rename publishes it.
-    let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-    w.write_all(body.as_bytes())?;
-    w.flush()?;
+    // The encoding streams into a buffered file, so a large campaign
+    // (thousands of bug reproducers and incident payloads) goes out in a
+    // few syscalls and is never held whole in memory; flush before the
+    // rename publishes it.
+    let mut sink = IoSink { inner: io::BufWriter::new(std::fs::File::create(&tmp)?), error: None };
+    if write_checkpoint(&mut sink, config, result).is_err() {
+        return Err(sink.error.unwrap_or_else(|| io::Error::other("checkpoint encoding failed")));
+    }
+    sink.inner.flush()?;
     std::fs::rename(&tmp, path)
 }
 
@@ -871,6 +920,12 @@ mod tests {
     use crate::campaign::CampaignConfig;
     use cse_vm::VmKind;
 
+    fn checkpoint_text(config: &CampaignConfig, result: &CampaignResult) -> String {
+        let mut text = String::new();
+        write_checkpoint(&mut text, config, result).expect("a String sink cannot fail");
+        text
+    }
+
     fn sample_result() -> CampaignResult {
         let mut result = CampaignResult::default();
         result.totals.seeds = 7;
@@ -971,6 +1026,25 @@ mod tests {
         let plain = checkpoint_text(&config, &sample_result());
         assert!(!plain.contains("\ncoverage "));
         assert!(decode(&plain, &config).expect("decode").coverage.is_none());
+    }
+
+    /// The streamed digest hashes exactly the checkpoint's bytes up to its
+    /// `wall` trailer, on a campaign whose static oracles raised incidents.
+    #[test]
+    fn digest_hashes_the_checkpoint_up_to_its_wall_line() {
+        let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, 3);
+        config.vm.tv = TvMode::Boundary;
+        config.vm.verify_ir = VerifyMode::Boundary;
+        let result = crate::campaign::run_campaign(&config);
+        assert!(
+            result.incidents.iter().any(|i| i.phase == IncidentPhase::TvDefect),
+            "calibration: the campaign must raise a TV incident"
+        );
+        let text = checkpoint_text(&config, &result);
+        let wall = text.rfind("\nwall ").expect("wall trailer") + 1;
+        let mut hash = Fnv::new();
+        hash.raw(&text.as_bytes()[..wall]);
+        assert_eq!(result.digest(&config), hash.finish());
     }
 
     #[test]

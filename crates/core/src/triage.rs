@@ -252,12 +252,9 @@ fn replays(group: &Group<'_>, vm: &VmConfig, program: &Program) -> bool {
             Ok(result) => {
                 let ir =
                     result.ir_verify.into_iter().map(|line| (IncidentPhase::IrVerifyDefect, line));
-                // A TV report opens with one header line per divergence.
+                // Each TV entry holds one header line per divergence.
                 let tv = result.tv.iter().flat_map(|report| {
-                    report
-                        .lines()
-                        .take_while(|line| !line.starts_with("--- IR before "))
-                        .map(|line| (IncidentPhase::TvDefect, line.to_string()))
+                    report.lines().map(|line| (IncidentPhase::TvDefect, line.to_string()))
                 });
                 ir.chain(tv).collect()
             }

@@ -225,52 +225,36 @@ impl ValidationOutcome {
         });
     }
 
-    /// Harvests IR-verifier defects from a run into the counter and an
-    /// [`IncidentPhase::IrVerifyDefect`] incident. Applied to the seed run
+    /// Harvests the static oracles' findings from a run into their
+    /// counters and incidents: IR-verifier defect lines into an
+    /// [`IncidentPhase::IrVerifyDefect`] incident, translation-validation
+    /// divergence lines into an [`IncidentPhase::TvDefect`] one. When both
+    /// fire, `source` is printed once for the two. Applied to the seed run
     /// and to first mutant runs only — neutrality references run the
     /// interpreter (nothing to verify) and attribution reruns would
     /// re-report the same compilations.
-    fn note_ir_defects(
+    fn note_oracle_defects(
         &mut self,
         result: &ExecutionResult,
         rng_seed: u64,
         iteration: Option<usize>,
         source: &Program,
     ) {
-        if result.ir_verify.is_empty() {
+        if result.ir_verify.is_empty() && result.tv.is_empty() {
             return;
         }
-        self.ir_verify_defects += result.ir_verify.len() as u64;
-        self.incident(
-            IncidentPhase::IrVerifyDefect,
-            rng_seed,
-            iteration,
-            result.ir_verify.join("\n"),
-            Some(cse_lang::pretty::print(source)),
-        );
-    }
-
-    /// Harvests translation-validation defects from a run into the
-    /// counter and an [`IncidentPhase::TvDefect`] incident; same sampling
-    /// rules as [`ValidationOutcome::note_ir_defects`].
-    fn note_tv_defects(
-        &mut self,
-        result: &ExecutionResult,
-        rng_seed: u64,
-        iteration: Option<usize>,
-        source: &Program,
-    ) {
-        if result.tv.is_empty() {
-            return;
+        let mut printed = Some(cse_lang::pretty::print(source));
+        if !result.ir_verify.is_empty() {
+            self.ir_verify_defects += result.ir_verify.len() as u64;
+            let source = if result.tv.is_empty() { printed.take() } else { printed.clone() };
+            let payload = result.ir_verify.join("\n");
+            self.incident(IncidentPhase::IrVerifyDefect, rng_seed, iteration, payload, source);
         }
-        self.tv_defects += u64::from(result.stats.tv_defects);
-        self.incident(
-            IncidentPhase::TvDefect,
-            rng_seed,
-            iteration,
-            result.tv.join("\n"),
-            Some(cse_lang::pretty::print(source)),
-        );
+        if !result.tv.is_empty() {
+            self.tv_defects += u64::from(result.stats.tv_defects);
+            let payload = result.tv.join("\n");
+            self.incident(IncidentPhase::TvDefect, rng_seed, iteration, payload, printed);
+        }
     }
 
     /// Runs `program` once under `vm` behind the crash barrier and counts
@@ -435,8 +419,7 @@ pub fn validate_compiled_in(
         outcome.seed_discarded = true;
         return outcome;
     };
-    outcome.note_ir_defects(&seed_result, rng_seed, None, seed);
-    outcome.note_tv_defects(&seed_result, rng_seed, None, seed);
+    outcome.note_oracle_defects(&seed_result, rng_seed, None, seed);
     // Running union of this seed's coverage, for novelty checks within
     // the seed (the campaign-global check happens at the merge barrier).
     let mut seen_coverage = seed_result.coverage;
@@ -520,8 +503,7 @@ pub fn validate_compiled_in(
             outcome.discarded += 1;
             continue;
         };
-        outcome.note_ir_defects(&mutant_result, rng_seed, at, &mutant);
-        outcome.note_tv_defects(&mutant_result, rng_seed, at, &mutant);
+        outcome.note_oracle_defects(&mutant_result, rng_seed, at, &mutant);
         if config.vm.coverage {
             let map = mutant_result.coverage;
             if map.covers_new(&seen_coverage) && outcome.corpus_candidates.len() < 4 {

@@ -165,19 +165,22 @@ pub struct ExecutionResult {
     /// Compilation-state transition log.
     pub events: Vec<TraceEvent>,
     pub stats: ExecStats,
-    /// Rendered IR-verifier defect reports, in compilation order (empty
+    /// IR-verifier defects, one line each, in compilation order (empty
     /// unless `VmConfig::verify_ir` enables verification and a pass
-    /// produced malformed IR). Deliberately *not* part of
+    /// produced malformed IR). The pre-pass IR dump that `each` mode
+    /// attaches to a [`crate::jit::verify::IrVerifyError`] is left out.
+    /// Deliberately *not* part of
     /// [`ExecutionResult::observable`]: the verifier is a third oracle
     /// and must never perturb the differential one.
     pub ir_verify: Vec<String>,
-    /// Rendered translation-validation reports, in compilation order:
-    /// one per failing check, covering all of its divergences (empty
-    /// unless `VmConfig::tv` enables validation and a pass failed its
-    /// refinement contract; [`ExecStats::tv_defects`] counts the
-    /// divergences). Shared text, so artifact-cache replays copy no IR
-    /// dumps. Excluded from [`ExecutionResult::observable`] for the same
-    /// reason as [`ExecutionResult::ir_verify`].
+    /// Translation-validation findings, in compilation order: one entry
+    /// per failing check, holding one header line per divergence and no
+    /// IR dumps ([`crate::jit::tv::TvReport::headers`]). Empty unless
+    /// `VmConfig::tv` enables validation and a pass failed its refinement
+    /// contract; [`ExecStats::tv_defects`] counts the lines. Shared text,
+    /// so artifact-cache replays copy a pointer. Excluded from
+    /// [`ExecutionResult::observable`] for the same reason as
+    /// [`ExecutionResult::ir_verify`].
     pub tv: Vec<std::rc::Rc<str>>,
     /// JIT-behavior coverage observed during this run (all-zero unless
     /// `VmConfig::coverage` enables collection). Like the two oracles'

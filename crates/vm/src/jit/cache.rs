@@ -39,9 +39,9 @@
 //! * Oracle defects: IR-verifier and translation-validation reports are
 //!   harvested at compile time, *stored with the entry and replayed on
 //!   every hit*, so a hit bumps `ir_verify_defects` / `tv_defects` and
-//!   appends the same rendered reports a fresh compile would. TV reports
-//!   are shared `Rc<str>` text, so a replay copies a pointer, not the
-//!   IR dumps.
+//!   appends the same defect and divergence lines a fresh compile would.
+//!   TV findings are shared `Rc<str>` text, so a replay copies a
+//!   pointer.
 //! * Injected compile-time crashes are cached as `Err` and re-raised.
 //!
 //! The VM still records the `Compiled` trace event and bumps
@@ -84,11 +84,12 @@ pub(crate) struct ArtifactKey {
 /// of compiling, so hits can replay what a fresh compile would have done.
 #[derive(Clone)]
 pub(crate) struct CachedCompile {
-    /// Rendered IR-verifier defect reports harvested during this
-    /// compilation (compile crashes can still report defects first).
+    /// IR-verifier defect lines harvested during this compilation
+    /// (compile crashes can still report defects first).
     pub defects: Rc<Vec<String>>,
-    /// Rendered translation-validation reports (one per failing check),
-    /// replayed on hits like `defects` but shared rather than copied.
+    /// Translation-validation divergence lines, one entry per failing
+    /// check (`TvReport::headers`), replayed on hits like `defects` but
+    /// shared rather than copied.
     pub tv: Vec<Rc<str>>,
     /// Divergences across `tv` (what `stats.tv_defects` counts).
     pub tv_defects: u32,

@@ -202,8 +202,8 @@ pub fn compile(
     if let Some(built) = built {
         // The end-to-end pipeline must satisfy the weakest contract: any
         // pass may have folded control flow or strengthened guards.
-        tv_reports.extend(tv::check_refinement(
-            &built,
+        tv_reports.extend(tv::check_snapshot(
+            built,
             &func,
             tv::PASS_PIPELINE,
             tv::TvContract::GuardIntroducing,

@@ -168,8 +168,8 @@ pub fn run_pipeline(
         if ctx.tv == TvMode::Each {
             let contract = tv_contract(name)
                 .unwrap_or_else(|| panic!("pass `{name}` has no TV refinement annotation"));
-            let before = before.as_ref().expect("snapshot taken when tv == Each");
-            tv_reports.extend(tv::check_refinement(before, func, name, contract, ctx.program));
+            let before = before.expect("snapshot taken when tv == Each");
+            tv_reports.extend(tv::check_snapshot(before, func, name, contract, ctx.program));
         }
     }
     Ok(())

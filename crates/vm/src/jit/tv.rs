@@ -19,8 +19,10 @@
 //!    values, and guards may strengthen but never weaken;
 //! 3. on mismatch emits a **pass-attributed counterexample**: the smallest
 //!    diverging effect/value node per divergence, gathered into one
-//!    [`TvReport`] per failing check that renders the full pre/post IR
-//!    via [`IrFunc::pretty`] exactly once.
+//!    [`TvReport`] per failing check. The report keeps the two functions
+//!    it compared and renders their pre/post IR dumps (via
+//!    [`IrFunc::pretty`]) only when it is formatted; campaigns keep just
+//!    its divergence lines ([`TvReport::headers`]).
 //!
 //! # Bounded loop summarization
 //!
@@ -138,18 +140,34 @@ impl std::fmt::Display for TvError {
     }
 }
 
-/// Every divergence of one failing `(before, after)` check, with both IR
-/// dumps rendered once for the whole report rather than once per
-/// divergence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Every divergence of one failing `(before, after)` check, with the two
+/// functions it compared. Their IR dumps are rendered only by `Display`,
+/// once for the whole report rather than once per divergence.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TvReport {
     /// The divergences in discovery order (at most `MAX_ERRORS`, never
     /// empty); all share one method and pass.
     pub divergences: Vec<TvError>,
-    /// Full pre-pass IR (`IrFunc::pretty`).
-    pub before_ir: String,
-    /// Full post-pass IR (`IrFunc::pretty`).
-    pub after_ir: String,
+    /// The pre-pass function.
+    pub before: IrFunc,
+    /// The post-pass function.
+    pub after: IrFunc,
+}
+
+impl TvReport {
+    /// The divergence header lines alone, joined by `\n` with no trailing
+    /// newline: what a VM run keeps of the report.
+    pub fn headers(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for (i, divergence) in self.divergences.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            let _ = write!(out, "{divergence}");
+        }
+        out
+    }
 }
 
 impl std::fmt::Display for TvReport {
@@ -162,9 +180,9 @@ impl std::fmt::Display for TvReport {
         }
         let pass = self.divergences[0].pass;
         writeln!(f, "--- IR before {pass} ---")?;
-        write!(f, "{}", self.before_ir)?;
+        f.write_str(&self.before.pretty())?;
         writeln!(f, "--- IR after {pass} ---")?;
-        write!(f, "{}", self.after_ir)
+        f.write_str(&self.after.pretty())
     }
 }
 
@@ -924,25 +942,12 @@ impl Checker<'_> {
         let method = self.program.qualified_name(self.before.method);
         self.errors.push(TvError { method, pass: self.pass, block, detail });
     }
-
-    /// The check's report: `None` when nothing diverged, otherwise every
-    /// divergence with the two IR dumps rendered once.
-    fn finish(self) -> Option<TvReport> {
-        if self.errors.is_empty() {
-            return None;
-        }
-        Some(TvReport {
-            divergences: self.errors,
-            before_ir: self.before.pretty(),
-            after_ir: self.after.pretty(),
-        })
-    }
 }
 
 /// Validates that `after` refines `before` under `pass`'s `contract`.
 /// Returns `None` when the pass's output simulates its input, otherwise
 /// one [`TvReport`] holding every violation found (capped at
-/// `MAX_ERRORS`).
+/// `MAX_ERRORS`) and copies of both functions.
 pub fn check_refinement(
     before: &IrFunc,
     after: &IrFunc,
@@ -950,6 +955,35 @@ pub fn check_refinement(
     contract: TvContract,
     program: &BProgram,
 ) -> Option<TvReport> {
+    let divergences = divergences(before, after, pass, contract, program);
+    (!divergences.is_empty()).then(|| TvReport {
+        divergences,
+        before: before.clone(),
+        after: after.clone(),
+    })
+}
+
+/// [`check_refinement`] against a snapshot the caller owns: a failing
+/// check's report takes `before` as it is and copies only `after`.
+pub(crate) fn check_snapshot(
+    before: IrFunc,
+    after: &IrFunc,
+    pass: &'static str,
+    contract: TvContract,
+    program: &BProgram,
+) -> Option<TvReport> {
+    let divergences = divergences(&before, after, pass, contract, program);
+    (!divergences.is_empty()).then(|| TvReport { divergences, before, after: after.clone() })
+}
+
+/// Every violation of the refinement relation found, in discovery order.
+fn divergences(
+    before: &IrFunc,
+    after: &IrFunc,
+    pass: &'static str,
+    contract: TvContract,
+    program: &BProgram,
+) -> Vec<TvError> {
     let mut ck = Checker { program, pass, before, after, errors: Vec::new() };
     // Function metadata is untouchable by every contract: frames and
     // anchors define deopt state, handlers define dispatch, the OSR entry
@@ -967,17 +1001,17 @@ pub fn check_refinement(
         ck.error(0, "anchor-register table changed".to_string());
     }
     if !ck.errors.is_empty() {
-        return ck.finish();
+        return ck.errors;
     }
     if contract == TvContract::LayoutOnly {
         check_layout(&mut ck);
-        return ck.finish();
+        return ck.errors;
     }
 
     let base_len = before.blocks.len();
     if after.blocks.len() < base_len {
         ck.error(0, format!("blocks removed: {} before, {} after", base_len, after.blocks.len()));
-        return ck.finish();
+        return ck.errors;
     }
     // Appended blocks (LICM preheaders) must be pure forwarding blocks:
     // hoisted pure computation plus an unconditional jump. Any effect,
@@ -1001,7 +1035,7 @@ pub fn check_refinement(
         }
     }
     if !ck.errors.is_empty() {
-        return ck.finish();
+        return ck.errors;
     }
 
     let insts: usize = before.blocks.iter().map(|b| b.insts.len()).sum();
@@ -1019,7 +1053,7 @@ pub fn check_refinement(
         compare_traces(&mut ck, &g, b, &bside, &aside);
         compare_terms(&mut ck, &g, contract, b, &bside, &aside);
     }
-    ck.finish()
+    ck.errors
 }
 
 fn render_event(g: &Graph, side: &SideEval<'_>, e: &Event) -> String {

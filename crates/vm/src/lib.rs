@@ -138,11 +138,11 @@ pub struct Vm<'p> {
     /// Compilation-relevant configuration fingerprint, precomputed for
     /// cache keys.
     env_fp: u64,
-    /// Rendered IR-verifier defect reports, in compilation order (see
+    /// IR-verifier defect lines, in compilation order (see
     /// [`jit::verify`]).
     ir_verify: Vec<String>,
-    /// Rendered translation-validation reports, one per failing check, in
-    /// compilation order (see [`jit::tv`]).
+    /// Translation-validation divergence lines, one entry per failing
+    /// check, in compilation order (see [`jit::tv`]).
     tv: Vec<Rc<str>>,
     /// JIT-behavior coverage of this run (see [`coverage`]); stays
     /// all-zero unless `VmConfig::coverage` is on.
@@ -850,14 +850,23 @@ impl<'p> Vm<'p> {
         let compiled = jit::compile(&ctx, method, osr, &mut defects, &mut tv_reports);
         let fired = ctx.fired.get();
         self.stats.fired_bugs |= fired;
-        let rendered: Vec<String> = defects.iter().map(|d| d.to_string()).collect();
+        // A run keeps findings as lines: each verifier defect without the
+        // pre-pass dump `each` mode attaches, each failing TV check as its
+        // divergence headers. The reports holding the IR are dropped
+        // unformatted.
+        let rendered: Vec<String> = defects
+            .into_iter()
+            .map(|mut d| {
+                d.pre_ir = None;
+                d.to_string()
+            })
+            .collect();
         if !rendered.is_empty() {
             self.stats.ir_verify_defects += rendered.len() as u32;
             self.ir_verify.extend(rendered.iter().cloned());
         }
         let rendered = Rc::new(rendered);
-        let rendered_tv: Vec<Rc<str>> =
-            tv_reports.iter().map(|r| Rc::from(r.to_string())).collect();
+        let rendered_tv: Vec<Rc<str>> = tv_reports.iter().map(|r| Rc::from(r.headers())).collect();
         let tv_count: u32 = tv_reports.iter().map(|r| r.divergences.len() as u32).sum();
         if !rendered_tv.is_empty() {
             self.stats.tv_defects += tv_count;

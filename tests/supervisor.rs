@@ -196,6 +196,38 @@ fn old_format_checkpoint_restarts_the_campaign() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A TV-on checkpoint whose `config` line lacks the `oracle_findings`
+/// marker was written while static-oracle incidents carried IR dumps: it
+/// is ignored and the campaign starts fresh. The body is tampered so that
+/// resuming it would show; the control with the marker kept resumes it.
+#[test]
+fn checkpoint_with_ir_dump_findings_restarts_the_campaign() {
+    const SEEDS: u64 = 2;
+    const MARKER: &str = " oracle_findings=lines";
+    let dir = scratch("oracle-findings");
+    let path = dir.join("campaign.checkpoint");
+    let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, SEEDS);
+    config.vm.tv = TvMode::Boundary;
+    config.supervisor.checkpoint_path = Some(path.clone());
+    let fresh = run_campaign(&config);
+    let written = std::fs::read_to_string(&path).expect("checkpoint written");
+    let unattributed = format!("\nunattributed {}\n", fresh.unattributed);
+    let config_line = written.lines().nth(1).expect("config line");
+    assert!(config_line.ends_with(MARKER), "calibration: unmarked {config_line:?}");
+    assert!(written.contains(&unattributed), "calibration: body layout changed");
+    let tampered =
+        written.replacen(&unattributed, &format!("\nunattributed {}\n", fresh.unattributed + 7), 1);
+
+    std::fs::write(&path, &tampered).unwrap();
+    let resumed = run_campaign(&config);
+    assert_eq!(resumed.unattributed, fresh.unattributed + 7, "a marked checkpoint resumes");
+
+    std::fs::write(&path, tampered.replacen(MARKER, "", 1)).unwrap();
+    let restarted = run_campaign(&config);
+    assert_eq!(restarted.digest(&config), fresh.digest(&config), "an unmarked one restarts");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Crashing and panicking inputs are persisted as self-contained repro
 /// files: mutant source + rng seed + VM profile.
 #[test]

@@ -24,6 +24,7 @@ use cse_rng::Rng64;
 use artemis_cse::bytecode::{ArrKind, BProgram, ClassId, CmpOp, PrintKind};
 use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
 use artemis_cse::core::space::enumerate_space;
+use artemis_cse::core::supervisor::IncidentPhase;
 use artemis_cse::core::validate::compile_checked;
 use artemis_cse::vm::jit::ir::{BinKind, Block, InlineFrame, Inst, IrFunc, Op, Reg, Term};
 use artemis_cse::vm::jit::passes::{self, PassFn};
@@ -427,13 +428,24 @@ fn one_report_per_failing_check_renders_the_ir_once() {
         assert_eq!(*header, divergence.to_string());
         assert!(header.starts_with("T.add: after gvn: b"), "unparseable header {header:?}");
     }
+    assert_eq!(report.headers(), headers.join("\n"), "headers() is the report's first lines");
     assert!(rendered.contains("putfield"), "the dropped store is reported:\n{rendered}");
     assert!(rendered.contains("weakened"), "the weakened guard is reported:\n{rendered}");
 }
 
+/// Whether `line` has the shape of a [`tv::TvError`] header,
+/// `method: after pass: bN: detail`.
+fn is_tv_header(line: &str) -> bool {
+    let Some((method, rest)) = line.split_once(": after ") else { return false };
+    let Some((_pass, rest)) = rest.split_once(": b") else { return false };
+    !method.is_empty()
+        && rest.split_once(": ").is_some_and(|(block, _)| block.parse::<u32>().is_ok())
+}
+
 /// On a VM run, `tv_defects` still counts divergences one by one, while
-/// `ExecutionResult::tv` holds one report per failing check — also when
-/// the artifact cache replays the compilation on a second run.
+/// `ExecutionResult::tv` holds one entry per failing check: its header
+/// lines, one per divergence, without the IR dumps — also when the
+/// artifact cache replays the compilation on a second run.
 #[test]
 fn tv_defects_count_divergences_not_reports() {
     let kind = VmKind::OpenJ9Like;
@@ -452,10 +464,11 @@ fn tv_defects_count_divergences_not_reports() {
         for result in &runs {
             let mut divergences = 0;
             for report in &result.tv {
-                assert_eq!(report.matches("--- IR before ").count(), 1, "{report}");
-                assert_eq!(report.matches("--- IR after ").count(), 1, "{report}");
-                let headers =
-                    report.lines().take_while(|line| !line.starts_with("--- IR before")).count();
+                assert!(!report.is_empty() && !report.ends_with('\n'), "{report:?}");
+                for line in report.lines() {
+                    assert!(is_tv_header(line), "seed {seed}: not a header line: {line:?}");
+                }
+                let headers = report.lines().count();
                 widest = widest.max(headers);
                 divergences += headers;
             }
@@ -464,6 +477,33 @@ fn tv_defects_count_divergences_not_reports() {
         assert_eq!(runs[0].tv, runs[1].tv, "seed {seed}: a replay reports what compiling did");
     }
     assert!(widest >= 2, "calibration: some check must find several divergences");
+}
+
+/// A TV-on campaign keeps only divergence lines: every `TvDefect`
+/// payload line is a header, no static-oracle payload carries an IR dump,
+/// and the payloads' lines add up to `totals.tv_defects`.
+#[test]
+fn campaign_tv_incidents_carry_divergence_lines_only() {
+    let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, 3);
+    config.vm.tv = TvMode::Boundary;
+    config.vm.verify_ir = VerifyMode::Boundary;
+    let result = run_campaign(&config);
+    let mut lines = 0;
+    for incident in &result.incidents {
+        match incident.phase {
+            IncidentPhase::TvDefect => {
+                for line in incident.payload.lines() {
+                    assert!(is_tv_header(line), "not a header line: {line:?}");
+                    lines += 1;
+                }
+            }
+            IncidentPhase::IrVerifyDefect => {}
+            _ => continue,
+        }
+        assert!(!incident.payload.contains("--- IR "), "IR dump in:\n{}", incident.payload);
+    }
+    assert!(lines > 0, "calibration: the campaign must raise TV incidents");
+    assert_eq!(lines, result.totals.tv_defects, "one payload line per counted divergence");
 }
 
 /// `each`-mode soundness across the fuzzed seed corpus, on every VM
