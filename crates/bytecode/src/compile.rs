@@ -1757,4 +1757,271 @@ mod tests {
         assert!(main.code.iter().any(|i| matches!(i, Insn::JumpIfFalse(_))));
         assert!(main.code.iter().any(|i| matches!(i, Insn::JumpIfTrue(_))));
     }
+
+    /// Source whose methods put a left operand's conversion ahead of code
+    /// that holds jumps, or after a left operand whose own jumps land where
+    /// the conversion goes.
+    const CONVERSIONS_AROUND_JUMPS: &str = r#"
+        class T {
+            int f;
+            static int s;
+            static long add(int i, long l) { return i + Math.max(l, 2L); }
+            static boolean less(int i, long l) { return i < Math.max(l, 2L); }
+            static String concat(int a, int b) { return (a > 0 && b > 0) + "s"; }
+            static long nested(int i, long l) { return Math.min(i, Math.max(l, 1L)); }
+            static long both(int a, int b, long l) { return Math.max(a, b) + Math.max(l, 1L); }
+            static int onLocal(int i, long l) { i += Math.max(l, 1L); return i; }
+            static void onStatic(long l) { s += Math.max(l, 1L); }
+            void onField(long l) { f += Math.max(l, 1L); }
+            static void onElement(int[] a, long l) { a[0] += Math.max(l, 1L); }
+            static void main() { println(add(1, 2L)); }
+        }
+    "#;
+
+    /// Asserts the listing of `T.<method>` in [`CONVERSIONS_AROUND_JUMPS`],
+    /// line by line with surrounding blanks trimmed.
+    fn assert_listing(method: &str, expected: &str) {
+        let p = compile_src(CONVERSIONS_AROUND_JUMPS);
+        let id = p.find_method("T", method).unwrap();
+        let listing = crate::disasm::disasm_method(&p, id, p.method(id));
+        let actual: Vec<&str> = listing.lines().map(str::trim).collect();
+        let expected: Vec<&str> =
+            expected.lines().map(str::trim).filter(|line| !line.is_empty()).collect();
+        assert_eq!(actual, expected, "listing of T.{method}");
+    }
+
+    #[test]
+    fn widening_goes_ahead_of_a_right_operand_with_jumps() {
+        assert_listing(
+            "add",
+            "
+            long T.add(int, long) [4 locals] static
+            0: Load(0)
+            1: I2L
+            2: Load(1)
+            3: LConst(2)
+            4: Store(2)
+            5: Store(3)
+            6: Load(3)
+            7: Load(2)
+            8: LCmp(Ge)
+            9: JumpIfTrue(12)
+            10: Load(2)
+            11: Jump(13)
+            12: Load(3)
+            13: LAdd
+            14: ReturnVal
+        ",
+        );
+        assert_listing(
+            "less",
+            "
+            boolean T.less(int, long) [4 locals] static
+            0: Load(0)
+            1: I2L
+            2: Load(1)
+            3: LConst(2)
+            4: Store(2)
+            5: Store(3)
+            6: Load(3)
+            7: Load(2)
+            8: LCmp(Ge)
+            9: JumpIfTrue(12)
+            10: Load(2)
+            11: Jump(13)
+            12: Load(3)
+            13: LCmp(Lt)
+            14: ReturnVal
+        ",
+        );
+        assert_listing(
+            "nested",
+            "
+            long T.nested(int, long) [6 locals] static
+            0: Load(0)
+            1: I2L
+            2: Load(1)
+            3: LConst(1)
+            4: Store(2)
+            5: Store(3)
+            6: Load(3)
+            7: Load(2)
+            8: LCmp(Ge)
+            9: JumpIfTrue(12)
+            10: Load(2)
+            11: Jump(13)
+            12: Load(3)
+            13: Store(4)
+            14: Store(5)
+            15: Load(5)
+            16: Load(4)
+            17: LCmp(Le)
+            18: JumpIfTrue(21)
+            19: Load(4)
+            20: Jump(22)
+            21: Load(5)
+            22: ReturnVal
+        ",
+        );
+    }
+
+    #[test]
+    fn to_string_goes_where_the_left_operands_jumps_land() {
+        assert_listing(
+            "concat",
+            "
+            String T.concat(int, int) [2 locals] static
+            0: Load(0)
+            1: IConst(0)
+            2: ICmp(Gt)
+            3: JumpIfFalse(8)
+            4: Load(1)
+            5: IConst(0)
+            6: ICmp(Gt)
+            7: Jump(9)
+            8: IConst(0)
+            9: Bool2S
+            10: SConst \"s\"
+            11: SConcat
+            12: ReturnVal
+        ",
+        );
+    }
+
+    #[test]
+    fn widening_goes_between_two_operands_with_jumps() {
+        assert_listing(
+            "both",
+            "
+            long T.both(int, int, long) [7 locals] static
+            0: Load(0)
+            1: Load(1)
+            2: Store(3)
+            3: Store(4)
+            4: Load(4)
+            5: Load(3)
+            6: ICmp(Ge)
+            7: JumpIfTrue(10)
+            8: Load(3)
+            9: Jump(11)
+            10: Load(4)
+            11: I2L
+            12: Load(2)
+            13: LConst(1)
+            14: Store(5)
+            15: Store(6)
+            16: Load(6)
+            17: Load(5)
+            18: LCmp(Ge)
+            19: JumpIfTrue(22)
+            20: Load(5)
+            21: Jump(23)
+            22: Load(6)
+            23: LAdd
+            24: ReturnVal
+        ",
+        );
+    }
+
+    #[test]
+    fn compound_assignment_widens_the_loaded_target_ahead_of_jumps() {
+        assert_listing(
+            "onLocal",
+            "
+            int T.onLocal(int, long) [4 locals] static
+            0: Load(0)
+            1: I2L
+            2: Load(1)
+            3: LConst(1)
+            4: Store(2)
+            5: Store(3)
+            6: Load(3)
+            7: Load(2)
+            8: LCmp(Ge)
+            9: JumpIfTrue(12)
+            10: Load(2)
+            11: Jump(13)
+            12: Load(3)
+            13: LAdd
+            14: L2I
+            15: Store(0)
+            16: Load(0)
+            17: ReturnVal
+        ",
+        );
+        assert_listing(
+            "onStatic",
+            "
+            void T.onStatic(long) [3 locals] static
+            0: GetStatic T.s
+            1: I2L
+            2: Load(0)
+            3: LConst(1)
+            4: Store(1)
+            5: Store(2)
+            6: Load(2)
+            7: Load(1)
+            8: LCmp(Ge)
+            9: JumpIfTrue(12)
+            10: Load(1)
+            11: Jump(13)
+            12: Load(2)
+            13: LAdd
+            14: L2I
+            15: PutStatic T.s
+            16: Return
+        ",
+        );
+        assert_listing(
+            "onField",
+            "
+            void T.onField(long) [4 locals]
+            0: Load(0)
+            1: Dup
+            2: GetField { field: 0 }
+            3: I2L
+            4: Load(1)
+            5: LConst(1)
+            6: Store(2)
+            7: Store(3)
+            8: Load(3)
+            9: Load(2)
+            10: LCmp(Ge)
+            11: JumpIfTrue(14)
+            12: Load(2)
+            13: Jump(15)
+            14: Load(3)
+            15: LAdd
+            16: L2I
+            17: PutField { field: 0 }
+            18: Return
+        ",
+        );
+        assert_listing(
+            "onElement",
+            "
+            void T.onElement(int[], long) [4 locals] static
+            0: Load(0)
+            1: IConst(0)
+            2: Dup2
+            3: ArrLoad(I32)
+            4: I2L
+            5: Load(1)
+            6: LConst(1)
+            7: Store(2)
+            8: Store(3)
+            9: Load(3)
+            10: Load(2)
+            11: LCmp(Ge)
+            12: JumpIfTrue(15)
+            13: Load(2)
+            14: Jump(16)
+            15: Load(3)
+            16: LAdd
+            17: L2I
+            18: ArrStore(I32)
+            19: Return
+        ",
+        );
+    }
 }
