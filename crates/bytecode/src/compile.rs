@@ -382,6 +382,57 @@ impl<'l> MethodCtx<'l> {
         }
     }
 
+    /// Inserts the instructions `emit` writes at `at`, ahead of the code
+    /// already emitted from there, and shifts that code's jump targets at
+    /// or past `at` by the inserted length. The moved code must be the
+    /// rest of an expression whose earlier part ends at `at`: see
+    /// [`MethodCtx::debug_check_insertion`].
+    fn insert_at(&mut self, at: u32, emit: impl FnOnce(&mut Self)) {
+        let end = self.code.len();
+        emit(self);
+        let len = (self.code.len() - end) as u32;
+        if len == 0 {
+            return;
+        }
+        self.debug_check_insertion(at, end as u32);
+        self.code[at as usize..].rotate_right(len as usize);
+        for insn in &mut self.code[(at + len) as usize..] {
+            insn.map_targets(|t| if t >= at { t + len } else { t });
+        }
+    }
+
+    /// Asserts, in debug builds, why [`MethodCtx::insert_at`] may move the
+    /// code in `at..end` without touching anything else: inside an
+    /// expression only `&&`, `||` and `Math.min/max/abs` jump, those jumps
+    /// are patched before the expression returns, and no jump, patch site
+    /// or handler boundary recorded before `at` points past it.
+    fn debug_check_insertion(&self, at: u32, end: u32) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut targets = Vec::new();
+        for (pc, insn) in self.code[..end as usize].iter().enumerate() {
+            targets.clear();
+            insn.collect_targets(&mut targets);
+            if (pc as u32) < at {
+                assert!(targets.iter().all(|&t| t <= at), "jump at {pc} lands past {at}");
+            } else {
+                assert!(!matches!(insn, Insn::TableSwitch { .. }), "switch inside an expression");
+                assert!(
+                    targets.iter().all(|&t| at < t && t <= end),
+                    "jump at {pc} leaves the moved code {at}..{end} or is unpatched"
+                );
+            }
+        }
+        let mut patches =
+            self.frames.iter().flat_map(|f| f.break_patches.iter().chain(&f.continue_patches));
+        assert!(patches.all(|&site| (site as u32) < at), "patch site past {at}");
+        assert!(
+            self.handlers.iter().all(|h| h.start < at && h.end < at && h.target < at),
+            "handler boundary past {at}"
+        );
+    }
+
     // ----- locals -----------------------------------------------------------
 
     fn declare(&mut self, name: &str, ty: Ty) -> u16 {
@@ -889,22 +940,27 @@ impl<'l> MethodCtx<'l> {
     }
 
     /// With the left operand (of type `lhs_ty`) already on the stack,
-    /// compiles `value` and the operator, returning the result type.
-    fn binary_on_loaded(&mut self, lhs_ty: &Ty, op: BinOp, value: &Expr) -> Result<Ty, FrontError> {
-        // String concatenation.
-        if op == BinOp::Add && *lhs_ty == Ty::Str {
-            self.emit_to_str(lhs_ty);
-            let rhs_ty = self.expr(value)?;
-            self.emit_to_str(&rhs_ty);
-            self.emit(Insn::SConcat);
-            return Ok(Ty::Str);
-        }
+    /// compiles `rhs` and the operator, returning the result type. Serves
+    /// compound assignment and every binary operator but `&&` and `||`.
+    ///
+    /// Java puts the left operand's conversion (a widening, or a string
+    /// conversion for concatenation) between the operands, but which one
+    /// is known only with the right operand's type, so the conversion is
+    /// inserted where the left operand ended once `rhs` is lowered.
+    fn binary_on_loaded(&mut self, lhs_ty: &Ty, op: BinOp, rhs: &Expr) -> Result<Ty, FrontError> {
+        let at = self.pc();
+        let rhs_ty = self.expr(rhs)?;
         match op {
+            BinOp::Add if *lhs_ty == Ty::Str || rhs_ty == Ty::Str => {
+                self.emit_to_str(&rhs_ty);
+                self.insert_at(at, |ctx| ctx.emit_to_str(lhs_ty));
+                self.emit(Insn::SConcat);
+                Ok(Ty::Str)
+            }
             BinOp::Shl | BinOp::Shr | BinOp::Ushr => {
+                // The result is the promoted left operand (byte is
+                // int-represented); the shift distance is an int.
                 let result = if *lhs_ty == Ty::Long { Ty::Long } else { Ty::Int };
-                // Left operand is already promoted as stored (byte is
-                // int-represented). Shift distance is an int.
-                let rhs_ty = self.expr(value)?;
                 self.coerce(&rhs_ty, &Ty::Int);
                 let insn = match (op, &result) {
                     (BinOp::Shl, Ty::Int) => Insn::IShl,
@@ -918,28 +974,42 @@ impl<'l> MethodCtx<'l> {
                 self.emit(insn);
                 Ok(result)
             }
-            _ => {
-                // Boolean bitwise ops share the int instructions.
-                if *lhs_ty == Ty::Bool {
-                    self.expr(value)?;
-                    let insn = match op {
-                        BinOp::And => Insn::IAnd,
-                        BinOp::Or => Insn::IOr,
-                        BinOp::Xor => Insn::IXor,
-                        other => {
-                            return Err(FrontError::msg(format!("internal: bool op {other:?}")));
-                        }
-                    };
-                    self.emit(insn);
-                    return Ok(Ty::Bool);
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                let cmp = match op {
+                    BinOp::Eq => CmpOp::Eq,
+                    BinOp::Ne => CmpOp::Ne,
+                    BinOp::Lt => CmpOp::Lt,
+                    BinOp::Le => CmpOp::Le,
+                    BinOp::Gt => CmpOp::Gt,
+                    _ => CmpOp::Ge,
+                };
+                if lhs_ty.is_numeric() {
+                    match self.promote_operands(lhs_ty, at, &rhs_ty)? {
+                        Ty::Long => self.emit(Insn::LCmp(cmp)),
+                        _ => self.emit(Insn::ICmp(cmp)),
+                    }
+                } else if *lhs_ty == Ty::Bool {
+                    self.emit(Insn::ICmp(cmp));
+                } else if cmp == CmpOp::Eq {
+                    // Reference identity.
+                    self.emit(Insn::RefEq);
+                } else {
+                    self.emit(Insn::RefNe);
                 }
-                let rhs_static = self.type_of(value)?;
-                let promoted = lhs_ty
-                    .promote(&rhs_static)
-                    .ok_or_else(|| FrontError::msg("internal: non-numeric compound operands"))?;
-                self.coerce(lhs_ty, &promoted);
-                let rhs_ty = self.expr(value)?;
-                self.coerce(&rhs_ty, &promoted);
+                Ok(Ty::Bool)
+            }
+            // Boolean bitwise ops share the int instructions.
+            BinOp::And | BinOp::Or | BinOp::Xor if *lhs_ty == Ty::Bool => {
+                let insn = match op {
+                    BinOp::And => Insn::IAnd,
+                    BinOp::Or => Insn::IOr,
+                    _ => Insn::IXor,
+                };
+                self.emit(insn);
+                Ok(Ty::Bool)
+            }
+            _ => {
+                let promoted = self.promote_operands(lhs_ty, at, &rhs_ty)?;
                 let insn = match (&promoted, op) {
                     (Ty::Int, BinOp::Add) => Insn::IAdd,
                     (Ty::Int, BinOp::Sub) => Insn::ISub,
@@ -957,14 +1027,24 @@ impl<'l> MethodCtx<'l> {
                     (Ty::Long, BinOp::And) => Insn::LAnd,
                     (Ty::Long, BinOp::Or) => Insn::LOr,
                     (Ty::Long, BinOp::Xor) => Insn::LXor,
-                    other => {
-                        return Err(FrontError::msg(format!("internal: compound op {other:?}")));
-                    }
+                    other => return Err(FrontError::msg(format!("internal: arith {other:?}"))),
                 };
                 self.emit(insn);
                 Ok(promoted)
             }
         }
+    }
+
+    /// Widens both operands of a numeric operator to their promoted type:
+    /// the right one (of type `rhs_ty`, on top of the stack) in place, the
+    /// left one by insertion at `at`, where it ended. Returns the type.
+    fn promote_operands(&mut self, lhs_ty: &Ty, at: u32, rhs_ty: &Ty) -> Result<Ty, FrontError> {
+        let promoted = lhs_ty
+            .promote(rhs_ty)
+            .ok_or_else(|| FrontError::msg("internal: non-numeric operands"))?;
+        self.coerce(rhs_ty, &promoted);
+        self.insert_at(at, |ctx| ctx.coerce(lhs_ty, &promoted));
+        Ok(promoted)
     }
 
     // ----- expressions ------------------------------------------------------
@@ -1105,14 +1185,27 @@ impl<'l> MethodCtx<'l> {
                 Ok(ret)
             }
             Expr::IntrinsicCall { which, args } => {
-                let mut result = Ty::Int;
-                for arg in args {
-                    let ty = self.type_of(arg)?;
-                    result = result.promote(&ty).unwrap_or(Ty::Long);
-                }
-                for arg in args {
-                    let ty = self.expr(arg)?;
-                    self.coerce(&ty, &result);
+                // `min`/`max` take two arguments and `abs` one. Each
+                // converts to the promoted type of all of them: the last in
+                // place, the first of two by insertion where it ended.
+                let (first, last) = match args.as_slice() {
+                    [first, last] => {
+                        let ty = self.expr(first)?;
+                        (Some((ty, self.pc())), last)
+                    }
+                    [last] => (None, last),
+                    _ => return Err(FrontError::msg("internal: intrinsic arity")),
+                };
+                let last_ty = self.expr(last)?;
+                let first_ty = first.as_ref().map_or(&Ty::Int, |(ty, _)| ty);
+                let result = Ty::Int
+                    .promote(first_ty)
+                    .unwrap_or(Ty::Long)
+                    .promote(&last_ty)
+                    .unwrap_or(Ty::Long);
+                self.coerce(&last_ty, &result);
+                if let Some((ty, at)) = first {
+                    self.insert_at(at, |ctx| ctx.coerce(&ty, &result));
                 }
                 // min/max/abs lower to compare-and-select sequences using a
                 // scratch local, keeping the instruction set lean.
@@ -1175,146 +1268,29 @@ impl<'l> MethodCtx<'l> {
 
     fn binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Ty, FrontError> {
         match op {
-            BinOp::LAnd => {
+            // `a && b` is `a ? b : false` and `a || b` is `a ? true : b`.
+            BinOp::LAnd | BinOp::LOr => {
+                let is_and = op == BinOp::LAnd;
                 self.expr(lhs)?;
-                let to_false = self.emit_patch(Insn::JumpIfFalse(0));
-                self.expr(rhs)?;
-                let to_end = self.emit_patch(Insn::Jump(0));
-                let false_pc = self.pc();
-                self.patch(to_false, false_pc);
-                self.emit(Insn::IConst(0));
-                let end = self.pc();
-                self.patch(to_end, end);
-                Ok(Ty::Bool)
-            }
-            BinOp::LOr => {
-                self.expr(lhs)?;
-                let to_true = self.emit_patch(Insn::JumpIfTrue(0));
-                self.expr(rhs)?;
-                let to_end = self.emit_patch(Insn::Jump(0));
-                let true_pc = self.pc();
-                self.patch(to_true, true_pc);
-                self.emit(Insn::IConst(1));
-                let end = self.pc();
-                self.patch(to_end, end);
-                Ok(Ty::Bool)
-            }
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let cmp = match op {
-                    BinOp::Eq => CmpOp::Eq,
-                    BinOp::Ne => CmpOp::Ne,
-                    BinOp::Lt => CmpOp::Lt,
-                    BinOp::Le => CmpOp::Le,
-                    BinOp::Gt => CmpOp::Gt,
-                    _ => CmpOp::Ge,
-                };
-                let lhs_static = self.type_of(lhs)?;
-                if lhs_static.is_numeric() {
-                    let promoted = self.compile_promoted_pair(lhs, rhs)?;
-                    match promoted {
-                        Ty::Long => self.emit(Insn::LCmp(cmp)),
-                        _ => self.emit(Insn::ICmp(cmp)),
-                    }
-                    return Ok(Ty::Bool);
-                }
-                // Bool equality or reference identity.
-                let lhs_ty = self.expr(lhs)?;
-                let _rhs_ty = self.expr(rhs)?;
-                if lhs_ty == Ty::Bool {
-                    self.emit(Insn::ICmp(cmp));
-                } else if cmp == CmpOp::Eq {
-                    self.emit(Insn::RefEq);
+                let to_short = self.emit_patch(if is_and {
+                    Insn::JumpIfFalse(0)
                 } else {
-                    self.emit(Insn::RefNe);
-                }
+                    Insn::JumpIfTrue(0)
+                });
+                self.expr(rhs)?;
+                let to_end = self.emit_patch(Insn::Jump(0));
+                let short_pc = self.pc();
+                self.patch(to_short, short_pc);
+                self.emit(Insn::IConst(i32::from(!is_and)));
+                let end = self.pc();
+                self.patch(to_end, end);
                 Ok(Ty::Bool)
             }
-            BinOp::Add => {
-                let lhs_hint = self.type_of(lhs)?;
-                let rhs_hint = self.type_of(rhs)?;
-                if lhs_hint == Ty::Str || rhs_hint == Ty::Str {
-                    let lt = self.expr(lhs)?;
-                    self.emit_to_str(&lt);
-                    let rt = self.expr(rhs)?;
-                    self.emit_to_str(&rt);
-                    self.emit(Insn::SConcat);
-                    return Ok(Ty::Str);
-                }
-                self.arith(op, lhs, rhs)
-            }
-            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => self.arith(op, lhs, rhs),
-            BinOp::And | BinOp::Or | BinOp::Xor => {
-                let hint = self.type_of(lhs)?;
-                if hint == Ty::Bool {
-                    self.expr(lhs)?;
-                    self.expr(rhs)?;
-                    let insn = match op {
-                        BinOp::And => Insn::IAnd,
-                        BinOp::Or => Insn::IOr,
-                        _ => Insn::IXor,
-                    };
-                    self.emit(insn);
-                    return Ok(Ty::Bool);
-                }
-                self.arith(op, lhs, rhs)
-            }
-            BinOp::Shl | BinOp::Shr | BinOp::Ushr => {
+            _ => {
                 let lhs_ty = self.expr(lhs)?;
-                let result = if lhs_ty == Ty::Long { Ty::Long } else { Ty::Int };
-                let rhs_ty = self.expr(rhs)?;
-                self.coerce(&rhs_ty, &Ty::Int);
-                let insn = match (op, &result) {
-                    (BinOp::Shl, Ty::Int) => Insn::IShl,
-                    (BinOp::Shr, Ty::Int) => Insn::IShr,
-                    (BinOp::Ushr, Ty::Int) => Insn::IUshr,
-                    (BinOp::Shl, Ty::Long) => Insn::LShl,
-                    (BinOp::Shr, Ty::Long) => Insn::LShr,
-                    (BinOp::Ushr, Ty::Long) => Insn::LUshr,
-                    _ => unreachable!(),
-                };
-                self.emit(insn);
-                Ok(result)
+                self.binary_on_loaded(&lhs_ty, op, rhs)
             }
         }
-    }
-
-    /// Compiles `lhs` and `rhs` with both widened to their promoted type;
-    /// returns the promoted type.
-    fn compile_promoted_pair(&mut self, lhs: &Expr, rhs: &Expr) -> Result<Ty, FrontError> {
-        let rhs_static = self.type_of(rhs)?;
-        let lhs_ty = self.expr(lhs)?;
-        let promoted = lhs_ty
-            .promote(&rhs_static)
-            .ok_or_else(|| FrontError::msg("internal: non-numeric operands"))?;
-        self.coerce(&lhs_ty, &promoted);
-        let rhs_ty = self.expr(rhs)?;
-        self.coerce(&rhs_ty, &promoted);
-        Ok(promoted)
-    }
-
-    fn arith(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Ty, FrontError> {
-        let promoted = self.compile_promoted_pair(lhs, rhs)?;
-        let insn = match (&promoted, op) {
-            (Ty::Int, BinOp::Add) => Insn::IAdd,
-            (Ty::Int, BinOp::Sub) => Insn::ISub,
-            (Ty::Int, BinOp::Mul) => Insn::IMul,
-            (Ty::Int, BinOp::Div) => Insn::IDiv,
-            (Ty::Int, BinOp::Rem) => Insn::IRem,
-            (Ty::Int, BinOp::And) => Insn::IAnd,
-            (Ty::Int, BinOp::Or) => Insn::IOr,
-            (Ty::Int, BinOp::Xor) => Insn::IXor,
-            (Ty::Long, BinOp::Add) => Insn::LAdd,
-            (Ty::Long, BinOp::Sub) => Insn::LSub,
-            (Ty::Long, BinOp::Mul) => Insn::LMul,
-            (Ty::Long, BinOp::Div) => Insn::LDiv,
-            (Ty::Long, BinOp::Rem) => Insn::LRem,
-            (Ty::Long, BinOp::And) => Insn::LAnd,
-            (Ty::Long, BinOp::Or) => Insn::LOr,
-            (Ty::Long, BinOp::Xor) => Insn::LXor,
-            other => return Err(FrontError::msg(format!("internal: arith {other:?}"))),
-        };
-        self.emit(insn);
-        Ok(promoted)
     }
 
     /// Lowers `Math.min/max/abs` to branch-free-ish compare sequences using
@@ -1372,123 +1348,6 @@ impl<'l> MethodCtx<'l> {
             }
         }
         Ok(())
-    }
-}
-
-impl MethodCtx<'_> {
-    /// Pure (non-emitting) static type inference, mirroring the type
-    /// checker's rules. The input already passed `typeck::check`, so this
-    /// never needs to report type errors — only unresolved internals.
-    fn type_of(&self, expr: &Expr) -> Result<Ty, FrontError> {
-        Ok(match expr {
-            Expr::IntLit(_) => Ty::Int,
-            Expr::LongLit(_) => Ty::Long,
-            Expr::BoolLit(_) => Ty::Bool,
-            Expr::StrLit(_) => Ty::Str,
-            Expr::Null => Ty::Class("null".into()),
-            Expr::Local(name) => self.local(name)?.1,
-            Expr::This => Ty::Class(
-                self.this_class
-                    .clone()
-                    .ok_or_else(|| FrontError::msg("internal: `this` in static method"))?,
-            ),
-            Expr::Name(name) => {
-                return Err(FrontError::msg(format!("internal: unresolved name `{name}`")));
-            }
-            Expr::FreeCall { name, .. } => {
-                return Err(FrontError::msg(format!("internal: unresolved call `{name}`")));
-            }
-            Expr::StaticField { class, field } => self.field_slot(class, field)?.2,
-            Expr::InstField { recv, field } => {
-                let class = class_name(&self.type_of(recv)?)?;
-                self.field_slot(&class, field)?.2
-            }
-            Expr::Index { array, .. } => self
-                .type_of(array)?
-                .elem()
-                .ok_or_else(|| FrontError::msg("internal: indexing non-array"))?
-                .clone(),
-            Expr::Length(_) => Ty::Int,
-            Expr::NewObject(class) => Ty::Class(class.clone()),
-            Expr::NewArray { elem, dims, extra_dims } => {
-                let mut ty = elem.clone();
-                for _ in 0..(dims.len() + extra_dims) {
-                    ty = ty.array_of();
-                }
-                ty
-            }
-            Expr::NewArrayInit { elem, .. } => elem.clone().array_of(),
-            Expr::StaticCall { class, method, .. } => {
-                let id = self.method_id(class, method)?;
-                self.layout.methods[id.0 as usize].ret.clone()
-            }
-            Expr::InstCall { recv, method, .. } => {
-                let class = class_name(&self.type_of(recv)?)?;
-                let id = self.method_id(&class, method)?;
-                self.layout.methods[id.0 as usize].ret.clone()
-            }
-            Expr::IntrinsicCall { args, .. } => {
-                let mut ty = Ty::Int;
-                for arg in args {
-                    let at = self.type_of(arg)?;
-                    ty = ty.promote(&at).unwrap_or(Ty::Long);
-                }
-                ty
-            }
-            Expr::Unary { op, expr } => match op {
-                UnOp::Not => Ty::Bool,
-                UnOp::Neg | UnOp::BitNot => {
-                    if self.type_of(expr)? == Ty::Long {
-                        Ty::Long
-                    } else {
-                        Ty::Int
-                    }
-                }
-            },
-            Expr::Binary { op, lhs, rhs } => match op {
-                BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::LAnd
-                | BinOp::LOr => Ty::Bool,
-                BinOp::Shl | BinOp::Shr | BinOp::Ushr => {
-                    if self.type_of(lhs)? == Ty::Long {
-                        Ty::Long
-                    } else {
-                        Ty::Int
-                    }
-                }
-                BinOp::Add => {
-                    let lt = self.type_of(lhs)?;
-                    let rt = self.type_of(rhs)?;
-                    if lt == Ty::Str || rt == Ty::Str {
-                        Ty::Str
-                    } else {
-                        lt.promote(&rt)
-                            .ok_or_else(|| FrontError::msg("internal: bad operand types"))?
-                    }
-                }
-                BinOp::And | BinOp::Or | BinOp::Xor => {
-                    let lt = self.type_of(lhs)?;
-                    if lt == Ty::Bool {
-                        Ty::Bool
-                    } else {
-                        let rt = self.type_of(rhs)?;
-                        lt.promote(&rt)
-                            .ok_or_else(|| FrontError::msg("internal: bad operand types"))?
-                    }
-                }
-                _ => {
-                    let lt = self.type_of(lhs)?;
-                    let rt = self.type_of(rhs)?;
-                    lt.promote(&rt).ok_or_else(|| FrontError::msg("internal: bad operand types"))?
-                }
-            },
-            Expr::Cast { ty, .. } => ty.clone(),
-        })
     }
 }
 
