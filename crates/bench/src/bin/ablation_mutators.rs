@@ -8,7 +8,7 @@
 
 use cse_bench::campaign_seeds;
 use cse_core::mutate::Mutator;
-use cse_core::validate::{validate, ValidateConfig};
+use cse_core::validate::{validate_with, ValidateConfig};
 use cse_vm::{VmConfig, VmKind};
 
 fn run_with(enabled: Vec<Mutator>, seeds: u64) -> (usize, usize) {
@@ -18,10 +18,9 @@ fn run_with(enabled: Vec<Mutator>, seeds: u64) -> (usize, usize) {
         let seed = cse_fuzz::generate(seed_value, &cse_fuzz::FuzzConfig::default());
         let mut config = ValidateConfig::paper_defaults(VmConfig::for_kind(VmKind::OpenJ9Like));
         config.verify_neutrality = false;
-        let outcome = cse_core::validate::validate_with(&seed, &config, seed_value, |artemis| {
+        let outcome = validate_with(&seed, &config, seed_value, |artemis| {
             artemis.enabled = enabled.clone();
         });
-        let _ = &outcome;
         if outcome.found_bug() {
             hits += 1;
         }
@@ -43,5 +42,4 @@ fn main() {
         let (hits, total) = run_with(enabled, seeds);
         println!("{label:<18} {hits:>12} {total:>15}");
     }
-    let _ = validate; // re-exported driver, used indirectly
 }

@@ -38,16 +38,16 @@
 //! The JIT inlines callees, so a compiled artifact depends on more than
 //! the root method body. [`ProgramDigests::units`] digests the *static
 //! call closure* to [`INLINE_CLOSURE_DEPTH`] edges — a superset of
-//! everything the compiler can read while translating the root — and
-//! [`ProgramDigests::closure`] exposes the member lists so the VM can fold
-//! profile fingerprints over the same footprint.
+//! everything the compiler can read while translating the root. The JIT
+//! reads no profile but the root's, so its code cache keys on a unit
+//! digest and the root method's profile fingerprint alone.
 
 use std::collections::BTreeSet;
 
 use cse_lang::Ty;
 
 use crate::insn::Insn;
-use crate::program::{BMethod, BProgram, MethodId};
+use crate::program::{BMethod, BProgram};
 
 /// Maximum call-edge depth the JIT's inliner can reach from a compilation
 /// root (the inline chain is bounded at four frames, and rejected
@@ -150,11 +150,6 @@ pub struct ProgramDigests {
     /// [`INLINE_CLOSURE_DEPTH`] edges). Two equal unit digests mean the
     /// JIT, starting from either root, can only ever read identical code.
     pub units: Vec<u64>,
-    /// The sorted method indices of each method's static call closure
-    /// (including the root), to [`INLINE_CLOSURE_DEPTH`] edges — the
-    /// footprint over which profile fingerprints must be folded to key
-    /// speculative compilations.
-    pub closure: Vec<Vec<u32>>,
 }
 
 impl ProgramDigests {
@@ -167,14 +162,11 @@ impl ProgramDigests {
             })
             .collect();
 
-        let closure: Vec<Vec<u32>> =
-            (0..program.methods.len()).map(|idx| call_closure(program, idx)).collect();
-
         let units: Vec<u64> = (0..program.methods.len())
             .map(|idx| {
                 let mut h = Fnv::new();
                 h.u64(methods[idx].key());
-                for &member in &closure[idx] {
+                for member in call_closure(program, idx) {
                     h.u64(u64::from(member));
                     h.u64(methods[member as usize].key());
                 }
@@ -182,7 +174,7 @@ impl ProgramDigests {
             })
             .collect();
 
-        ProgramDigests { methods, units, closure }
+        ProgramDigests { methods, units }
     }
 }
 
@@ -442,21 +434,12 @@ fn method_linkage(program: &BProgram, idx: usize) -> u64 {
     h.finish()
 }
 
-/// Convenience: the digest of one method inside `program`, for callers
-/// that do not need the whole table. `ProgramDigests::compute` is the
-/// batch form.
-pub fn method_digest(program: &BProgram, id: MethodId) -> MethodDigest {
-    MethodDigest {
-        content: method_content(program, id.0 as usize),
-        linkage: method_linkage(program, id.0 as usize),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile;
     use crate::disasm::disasm_method;
+    use crate::program::MethodId;
 
     fn compiled(src: &str) -> BProgram {
         compile(&cse_lang::parse_and_check(src).unwrap()).unwrap()
@@ -616,12 +599,12 @@ mod tests {
             }
         "#;
         let p = compiled(src);
-        let d = ProgramDigests::compute(&p);
         let main = p.find_method("T", "main").unwrap().0 as usize;
+        let closure = call_closure(&p, main);
         for name in ["a", "b", "c", "d"] {
             let id = p.find_method("T", name).unwrap().0;
             assert!(
-                d.closure[main].contains(&id),
+                closure.contains(&id),
                 "main's closure must contain {name} (depth {INLINE_CLOSURE_DEPTH})"
             );
         }

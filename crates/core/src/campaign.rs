@@ -195,26 +195,6 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Bug count by symptom (Table 1's type split).
-    pub fn by_symptom(&self) -> BTreeMap<Symptom, usize> {
-        let mut map = BTreeMap::new();
-        for evidence in self.bugs.values() {
-            *map.entry(evidence.symptom).or_insert(0) += 1;
-        }
-        map
-    }
-
-    /// Crash-bug count by affected component (Table 2).
-    pub fn crash_components(&self) -> BTreeMap<Component, usize> {
-        let mut map = BTreeMap::new();
-        for evidence in self.bugs.values() {
-            if evidence.symptom == Symptom::Crash {
-                *map.entry(evidence.component).or_insert(0) += 1;
-            }
-        }
-        map
-    }
-
     /// Total duplicate occurrences (re-discoveries of known bugs).
     pub fn duplicates(&self) -> usize {
         self.bugs.values().map(|e| e.occurrences.saturating_sub(1)).sum()

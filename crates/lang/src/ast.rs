@@ -22,11 +22,6 @@ impl Program {
         self.classes.iter().find(|c| c.name == name)
     }
 
-    /// Finds a class by name, mutably.
-    pub fn class_mut(&mut self, name: &str) -> Option<&mut ClassDecl> {
-        self.classes.iter_mut().find(|c| c.name == name)
-    }
-
     /// Locates the entry point: the first `static void main()` method.
     pub fn entry(&self) -> Option<(&ClassDecl, &MethodDecl)> {
         self.classes.iter().find_map(|c| {
@@ -67,11 +62,6 @@ impl ClassDecl {
     /// Finds a method by name (methods are not overloadable).
     pub fn method(&self, name: &str) -> Option<&MethodDecl> {
         self.methods.iter().find(|m| m.name == name)
-    }
-
-    /// Finds a method by name, mutably.
-    pub fn method_mut(&mut self, name: &str) -> Option<&mut MethodDecl> {
-        self.methods.iter_mut().find(|m| m.name == name)
     }
 }
 

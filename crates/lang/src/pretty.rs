@@ -17,13 +17,6 @@ pub fn print(program: &Program) -> String {
     p.out
 }
 
-/// Prints a single expression (used in diagnostics and tests).
-pub fn print_expr(expr: &Expr) -> String {
-    let mut p = Printer::default();
-    p.expr(expr, 0);
-    p.out
-}
-
 /// Prints a single statement at indentation level zero.
 pub fn print_stmt(stmt: &Stmt) -> String {
     let mut p = Printer::default();

@@ -368,8 +368,7 @@ impl<'a> Checker<'a> {
                         // Compound assignment implicitly narrows back to the
                         // target type (Java `b += x` semantics); the operand
                         // types must still be compatible with the operator.
-                        let result =
-                            self.binop_result(binop, &target_ty, &value_ty, target_ty.clone())?;
+                        let result = self.binop_result(binop, &target_ty, &value_ty)?;
                         // Numeric targets accept any numeric result via the
                         // implicit cast; booleans and strings must match.
                         if (target_ty.is_numeric() && result.is_numeric()) || target_ty == result {
@@ -900,7 +899,7 @@ impl<'a> Checker<'a> {
                 let op = *op;
                 let lhs_ty = self.expr(lhs)?;
                 let rhs_ty = self.expr(rhs)?;
-                self.binop_result(op, &lhs_ty, &rhs_ty, Ty::Void)?
+                self.binop_result(op, &lhs_ty, &rhs_ty)?
             }
             Expr::Cast { ty, expr: inner } => {
                 let from = self.expr(inner)?;
@@ -936,16 +935,7 @@ impl<'a> Checker<'a> {
     }
 
     /// Computes the result type of a binary operator, or an error.
-    ///
-    /// `_compound_hint` carries the target type for compound assignments
-    /// (currently only used for error-message purposes).
-    fn binop_result(
-        &self,
-        op: BinOp,
-        lhs: &Ty,
-        rhs: &Ty,
-        _compound_hint: Ty,
-    ) -> Result<Ty, FrontError> {
+    fn binop_result(&self, op: BinOp, lhs: &Ty, rhs: &Ty) -> Result<Ty, FrontError> {
         let err =
             || FrontError::msg(format!("operator `{op:?}` not applicable to `{lhs}` and `{rhs}`"));
         match op {

@@ -105,13 +105,6 @@ impl MethodProfile {
         }
     }
 
-    /// The temperature of the method right now: the maximum band any of
-    /// its counters reached given the tier thresholds (Definition 3.2,
-    /// `τ(m) = max τ(c)`), capped by what has actually been compiled.
-    pub fn temperature(&self) -> Tier {
-        self.tier
-    }
-
     /// Order-stable fingerprint of every field a compilation can read
     /// (see [`crate::jit::CompileCtx`]): speculation inputs (branch and
     /// switch profiles, trap history), warmth predicates (invocation and
