@@ -270,47 +270,7 @@ pub fn try_stmts_at_mut<'a>(
 /// `point.index`). Panics if the path does not match the program shape;
 /// paths must come from [`collect_points`] on the same program.
 pub fn stmts_at_mut<'a>(program: &'a mut Program, point: &ProgPoint) -> &'a mut Vec<Stmt> {
-    let method = &mut program.classes[point.class].methods[point.method];
-    let mut stmts: &mut Vec<Stmt> = &mut method.body.stmts;
-    for seg in &point.path {
-        stmts = match *seg {
-            Seg::Then(i) => match &mut stmts[i] {
-                Stmt::If { then_blk, .. } => &mut then_blk.stmts,
-                other => panic!("path mismatch: expected if, found {other:?}"),
-            },
-            Seg::Else(i) => match &mut stmts[i] {
-                Stmt::If { else_blk: Some(else_blk), .. } => &mut else_blk.stmts,
-                other => panic!("path mismatch: expected if/else, found {other:?}"),
-            },
-            Seg::Body(i) => match &mut stmts[i] {
-                Stmt::While { body, .. } | Stmt::DoWhile { body, .. } | Stmt::For { body, .. } => {
-                    &mut body.stmts
-                }
-                other => panic!("path mismatch: expected loop, found {other:?}"),
-            },
-            Seg::Case { stmt, case } => match &mut stmts[stmt] {
-                Stmt::Switch { cases, .. } => &mut cases[case].body,
-                other => panic!("path mismatch: expected switch, found {other:?}"),
-            },
-            Seg::TryBody(i) => match &mut stmts[i] {
-                Stmt::Try { body, .. } => &mut body.stmts,
-                other => panic!("path mismatch: expected try, found {other:?}"),
-            },
-            Seg::Catch(i) => match &mut stmts[i] {
-                Stmt::Try { catch: Some(catch), .. } => &mut catch.stmts,
-                other => panic!("path mismatch: expected catch, found {other:?}"),
-            },
-            Seg::Finally(i) => match &mut stmts[i] {
-                Stmt::Try { finally: Some(finally), .. } => &mut finally.stmts,
-                other => panic!("path mismatch: expected finally, found {other:?}"),
-            },
-            Seg::Inner(i) => match &mut stmts[i] {
-                Stmt::Block(inner) => &mut inner.stmts,
-                other => panic!("path mismatch: expected block, found {other:?}"),
-            },
-        };
-    }
-    stmts
+    try_stmts_at_mut(program, point).expect("path mismatch: the point is not in this program")
 }
 
 /// Immutable variant of [`stmts_at_mut`].
