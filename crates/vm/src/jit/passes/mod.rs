@@ -23,6 +23,8 @@ pub mod loopopt;
 pub mod regalloc;
 pub mod vp;
 
+use std::rc::Rc;
+
 use super::ir::IrFunc;
 use super::tv::{self, TvContract};
 use super::{verify, CompileCtx};
@@ -156,9 +158,9 @@ pub fn run_pipeline(
         pass(ctx, func)?;
         if ctx.verify == VerifyMode::Each {
             let found = verify::check_func(func, ctx.program, name);
-            // The pre-pass dump is rendered only for a failing check.
+            // A failing check keeps the pre-pass function unrendered.
             if !found.is_empty() {
-                let pre_ir = before.as_ref().map(IrFunc::pretty);
+                let pre_ir = before.clone().map(Rc::new);
                 defects.extend(found.into_iter().map(|mut e| {
                     e.pre_ir = pre_ir.clone();
                     e

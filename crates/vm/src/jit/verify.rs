@@ -41,6 +41,7 @@
 //!   builder emits unreachable `Trap` filler blocks by design.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use cse_bytecode::{ArrKind, BProgram, PrintKind};
 use cse_lang::Ty;
@@ -61,7 +62,7 @@ const MAX_ERRORS: usize = 8;
 
 /// A defect found in an [`IrFunc`], attributed to the pass after which it
 /// was first observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IrVerifyError {
     /// `Class.method` of the compiled function.
     pub method: String,
@@ -76,10 +77,11 @@ pub struct IrVerifyError {
     pub detail: String,
     /// One-line disassembly of the offending instruction or terminator.
     pub disasm: Option<String>,
-    /// Full pre-pass IR dump (`IrFunc::pretty`), attached by the pipeline
-    /// driver where a snapshot exists — `None` for [`PASS_BUILD`] (there
-    /// is no earlier IR) and in boundary mode.
-    pub pre_ir: Option<String>,
+    /// The pre-pass function, attached by the pipeline driver where a
+    /// snapshot exists — `None` for [`PASS_BUILD`] (there is no earlier
+    /// IR) and in boundary mode. Shared by every defect of one check and
+    /// rendered only by `Display`.
+    pub pre_ir: Option<Rc<IrFunc>>,
 }
 
 impl std::fmt::Display for IrVerifyError {
@@ -96,7 +98,7 @@ impl std::fmt::Display for IrVerifyError {
             write!(f, " in `{disasm}`")?;
         }
         if let Some(pre_ir) = &self.pre_ir {
-            write!(f, "\n--- IR before {} ---\n{}", self.pass, pre_ir.trim_end())?;
+            write!(f, "\n--- IR before {} ---\n{}", self.pass, pre_ir.pretty().trim_end())?;
         }
         Ok(())
     }

@@ -269,7 +269,7 @@ fn post_regalloc_codegen_stage_verifies_and_attributes() {
         tv: TvMode::Off,
         fired: std::cell::Cell::new(0),
     };
-    let snapshot = func.pretty();
+    let snapshot = func.clone();
     jit::passes::regalloc::run(&ctx, &mut func).expect("correct regalloc never crashes");
     assert!(verify::check_func(&func, &bytecode, "regalloc").is_empty());
     jit::passes::codegen::run(&ctx, &mut func).expect("correct codegen never crashes");
@@ -286,7 +286,7 @@ fn post_regalloc_codegen_stage_verifies_and_attributes() {
     // identical.
     let bare = errors[0].to_string();
     assert!(!bare.contains("--- IR before"), "no snapshot, no pre-pass dump");
-    errors[0].pre_ir = Some(snapshot);
+    errors[0].pre_ir = Some(std::rc::Rc::new(snapshot));
     let full = errors[0].to_string();
     assert!(full.contains("--- IR before codegen"), "missing pre-pass dump in: {full}");
     assert_eq!(bare.lines().next(), full.lines().next(), "signature line must not change");
