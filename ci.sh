@@ -81,6 +81,12 @@ if [ "$mode" != "quick" ]; then
     echo "==> static-oracle report pins under --release"
     cargo test --release -q --test tv_report_pins
 
+    # Likewise the front end's and the JIT's output: every JoNM mutant's
+    # source, bytecode and digests, and the compiled IR, are pinned, and
+    # the benchmark runs the optimized build of the code that makes them.
+    echo "==> mutant pipeline and compiled IR pins under --release"
+    cargo test --release -q --test mutant_pipeline_pins --test jit_compile_pins
+
     # The pinned digests set every budget explicitly, so budget
     # variables in the environment must not move them.
     echo "==> pinned digests under non-default VM budget variables"
