@@ -57,11 +57,11 @@ if [ "$mode" != "quick" ]; then
     cargo build --release
 fi
 
+# The test profile has debug assertions, so every compile in these tests
+# also checks the IR after build and after every JIT pass and panics on a
+# defect (see cse_vm::jit::verify::assert_well_formed).
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
-
-echo "==> cargo test -q under CSE_VERIFY_IR=each (IR verifier after every pass)"
-CSE_VERIFY_IR=each cargo test -q
 
 # Translation validation: the corpus and 2^n plan-space soundness tests,
 # corruption-injection sensitivity, and digest invariance run with the
@@ -75,9 +75,10 @@ if [ "$mode" != "quick" ]; then
     echo "==> parallel-engine digest equality under --release"
     cargo test --release -q --test parallel_determinism
 
-    # The static oracles' reports (TV and IR verifier, at each and at
-    # boundary, plus corrupted IR) are pinned byte for byte; checking the
-    # pins in the optimized build is checking the code the benchmark runs.
+    # The static oracles' reports (TV at each and at boundary, the IR
+    # verifier at boundary, plus corrupted IR) are pinned byte for byte;
+    # checking the pins in the optimized build is checking the code the
+    # benchmark runs.
     echo "==> static-oracle report pins under --release"
     cargo test --release -q --test tv_report_pins
 

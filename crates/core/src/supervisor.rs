@@ -232,11 +232,11 @@ fn push_text(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 /// `ForcedPlan::per_call` is a `HashMap`, so the plan is rendered apart
 /// with its calls sorted; every other field renders through `Debug`.
 ///
-/// A campaign with TV on, or the IR verifier at `each`, ends the line
-/// with `oracle_findings=lines`: its static-oracle incidents carry
-/// divergence lines where older checkpoints held IR dumps, so such a
-/// checkpoint restarts rather than mixing the two payload forms. Every
-/// other campaign's line, and so its digest, is unchanged.
+/// A campaign with TV on ends the line with `oracle_findings=lines`: its
+/// TV incidents carry divergence lines where older checkpoints held IR
+/// dumps, so such a checkpoint restarts rather than mixing the two
+/// payload forms. Every other campaign's line, and so its digest, is
+/// unchanged.
 fn identity(config: &CampaignConfig) -> String {
     let mut vm = config.vm.clone();
     let plan = vm.plan.take().map(|plan| {
@@ -249,11 +249,7 @@ fn identity(config: &CampaignConfig) -> String {
         .as_ref()
         .map_or_else(|| "off".to_string(), |t| t.max_reduce_steps.to_string());
     let chaos = config.supervisor.chaos.map(|c| (c.panic_on_seed, c.after_ops));
-    let findings = if vm.tv != TvMode::Off || vm.verify_ir == VerifyMode::Each {
-        " oracle_findings=lines"
-    } else {
-        ""
-    };
+    let findings = if vm.tv != TvMode::Off { " oracle_findings=lines" } else { "" };
     format!(
         "config seeds={} first_seed={} max_iter={} run_traditional={} coverage={} \
          triage_steps={triage} chaos={chaos:?} fuzz={:?} plan={plan:?} vm={vm:?}{findings}",
@@ -756,10 +752,7 @@ fn parse_vm_profile(line: &str) -> Option<VmConfig> {
         match key {
             "jit" => vm.jit_enabled = value.parse().ok()?,
             "fuel" => vm.fuel = value.parse().ok()?,
-            "verify_ir" => {
-                vm.verify_ir =
-                    named(value, [VerifyMode::Off, VerifyMode::Boundary, VerifyMode::Each])?
-            }
+            "verify_ir" => vm.verify_ir = named(value, [VerifyMode::Off, VerifyMode::Boundary])?,
             "tv" => vm.tv = named(value, [TvMode::Off, TvMode::Boundary, TvMode::Each])?,
             "chaos" => {
                 vm.chaos_panic_at_ops = match value {
@@ -774,7 +767,7 @@ fn parse_vm_profile(line: &str) -> Option<VmConfig> {
 }
 
 /// The option whose `Display` is `value`.
-fn named<T: std::fmt::Display>(value: &str, options: [T; 3]) -> Option<T> {
+fn named<T: std::fmt::Display, const N: usize>(value: &str, options: [T; N]) -> Option<T> {
     options.into_iter().find(|o| o.to_string() == value)
 }
 
@@ -1197,6 +1190,22 @@ mod tests {
             assert_eq!(older_vm.chaos_panic_at_ops, None);
             assert_eq!(older_vm.tv, TvMode::Each);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `each` is not a verifier mode (the per-pass check is a debug-build
+    /// invariant, not an oracle), so a header naming it does not parse.
+    #[test]
+    fn quarantine_header_with_verify_ir_each_is_unparsable() {
+        let dir = std::env::temp_dir().join(format!("cse-quarantine-each-{}", std::process::id()));
+        let mut vm = CampaignConfig::for_kind(VmKind::HotSpotLike, 1).vm;
+        vm.verify_ir = VerifyMode::Boundary;
+        let path = quarantine_incident(&dir, &sample_result().incidents[0], &vm).expect("write");
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(parse_quarantined_incident(&text).is_some());
+        let each = text.replace("verify_ir: boundary", "verify_ir: each");
+        assert_ne!(each, text);
+        assert!(parse_quarantined_incident(&each).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,8 +29,10 @@ impl std::fmt::Display for VmKind {
 }
 
 /// When the static IR verifier ([`crate::jit::verify`]) runs during a
-/// compilation. Selected per [`VmConfig`]; the default comes from
-/// `CSE_VERIFY_IR` (see [`crate::settings`]).
+/// compilation as an oracle. Selected per [`VmConfig`]; the default comes
+/// from `CSE_VERIFY_IR` (see [`crate::settings`]). Builds with debug
+/// assertions also check the IR after every pass, in either mode, as an
+/// invariant of the JIT that panics on a defect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VerifyMode {
     /// No IR verification (zero overhead).
@@ -39,9 +41,6 @@ pub enum VerifyMode {
     /// Verify at the pipeline boundaries only: once after `build()` and
     /// once after the last pass. Cheap enough for long campaigns.
     Boundary,
-    /// Verify after `build()` and after *every* pass, attributing any
-    /// defect to the pass that introduced it. Used in CI and triage.
-    Each,
 }
 
 impl std::fmt::Display for VerifyMode {
@@ -49,7 +48,6 @@ impl std::fmt::Display for VerifyMode {
         match self {
             VerifyMode::Off => write!(f, "off"),
             VerifyMode::Boundary => write!(f, "boundary"),
-            VerifyMode::Each => write!(f, "each"),
         }
     }
 }

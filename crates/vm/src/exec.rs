@@ -167,9 +167,7 @@ pub struct ExecutionResult {
     pub stats: ExecStats,
     /// IR-verifier defects, one line each, in compilation order (empty
     /// unless `VmConfig::verify_ir` enables verification and a pass
-    /// produced malformed IR). The pre-pass IR dump that `each` mode
-    /// attaches to a [`crate::jit::verify::IrVerifyError`] is left out.
-    /// Deliberately *not* part of
+    /// produced malformed IR). Deliberately *not* part of
     /// [`ExecutionResult::observable`]: the verifier is a third oracle
     /// and must never perturb the differential one.
     pub ir_verify: Vec<String>,

@@ -109,13 +109,16 @@ pub enum CompileFail {
 /// Compiles `method` at `ctx.tier`, optionally as an OSR variant entering
 /// at loop header `osr`.
 ///
-/// When `ctx.verify` is not [`VerifyMode::Off`], the IR is statically
-/// verified (after `build()`, and per [`passes::run_pipeline`]'s mode
-/// rules thereafter); when `ctx.tv` is not [`TvMode::Off`], each pass (or
-/// the whole pipeline, in boundary mode) is additionally checked as a
-/// semantic refinement of its input. Defects accumulate in `defects` /
-/// `tv_reports` (one report per failing check) and never change the
-/// compilation result.
+/// In [`VerifyMode::Boundary`] the IR is statically verified after
+/// `build()` and after the last pass; when `ctx.tv` is not
+/// [`TvMode::Off`], each pass (or the whole pipeline, in boundary mode) is
+/// additionally checked as a semantic refinement of its input. Defects
+/// accumulate in `defects` / `tv_reports` (one report per failing check)
+/// and never change the compilation result.
+///
+/// Builds with debug assertions also check the IR after `build()` and
+/// after every pass, whatever `ctx.verify` says, and panic on a defect
+/// (`verify::assert_well_formed`).
 pub fn compile(
     ctx: &CompileCtx<'_>,
     method: MethodId,
@@ -124,7 +127,10 @@ pub fn compile(
     tv_reports: &mut Vec<tv::TvReport>,
 ) -> Result<ir::IrFunc, CompileFail> {
     let mut func = build::build(ctx, method, osr)?;
-    if ctx.verify != VerifyMode::Off {
+    if cfg!(debug_assertions) {
+        verify::assert_well_formed(&func, ctx.program, verify::PASS_BUILD, None);
+    }
+    if ctx.verify == VerifyMode::Boundary {
         defects.extend(verify::check_func(&func, ctx.program, verify::PASS_BUILD));
     }
     // Boundary mode validates the whole pipeline as one refinement step:
@@ -195,7 +201,8 @@ pub fn compile(
             ));
         }
     }
-    passes::run_pipeline(ctx, &mut func, defects, tv_reports).map_err(CompileFail::Crash)?;
+    passes::run_pipeline(ctx, passes::pipeline(ctx.kind, ctx.optimizing()), &mut func, tv_reports)
+        .map_err(CompileFail::Crash)?;
     if ctx.verify == VerifyMode::Boundary {
         defects.extend(verify::check_func(&func, ctx.program, verify::PASS_PIPELINE_EXIT));
     }

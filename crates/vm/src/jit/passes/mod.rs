@@ -8,9 +8,9 @@
 //! they implement.
 //!
 //! Each pipeline is a *named pass table* rather than a call sequence, so
-//! the pass-boundary verifier ([`super::verify`]) can attribute a defect
-//! to the pass that introduced it, and tools can enumerate the pipeline a
-//! configuration will run.
+//! the debug-build IR check (`verify::assert_well_formed`) and
+//! translation validation ([`super::tv`]) can name the pass that broke
+//! the IR, and tools can enumerate the pipeline a configuration will run.
 
 pub mod codegen;
 pub mod constfold;
@@ -23,12 +23,10 @@ pub mod loopopt;
 pub mod regalloc;
 pub mod vp;
 
-use std::rc::Rc;
-
 use super::ir::IrFunc;
 use super::tv::{self, TvContract};
 use super::{verify, CompileCtx};
-use crate::config::{TvMode, VerifyMode, VmKind};
+use crate::config::{TvMode, VmKind};
 use crate::exec::CrashInfo;
 
 /// One pipeline stage: fallible in-place IR transform.
@@ -138,34 +136,25 @@ pub fn tv_contract(pass: &'static str) -> Option<TvContract> {
     })
 }
 
-/// Runs the pipeline for `ctx.kind` / `ctx.tier` over `func` in place.
+/// Runs `passes` (a table from [`pipeline`]) over `func` in place.
 ///
-/// In [`VerifyMode::Each`] the IR is statically verified after every
-/// pass; in [`TvMode::Each`] every (before, after) pair is additionally
-/// checked against the pass's declared refinement contract. Defects
-/// (attributed to the pass's table name) accumulate in `defects` /
-/// `tv_reports` without altering compilation — both checkers are
-/// oracles, not gates.
+/// In builds with debug assertions the IR is checked after every pass,
+/// and a defect panics naming that pass (`verify::assert_well_formed`).
+/// In [`TvMode::Each`] every (before, after) pair is also checked against
+/// the pass's declared refinement contract; divergences (attributed to
+/// the pass's table name) accumulate in `tv_reports` without altering
+/// compilation — translation validation is an oracle, not a gate.
 pub fn run_pipeline(
     ctx: &CompileCtx<'_>,
+    passes: &[Pass],
     func: &mut IrFunc,
-    defects: &mut Vec<verify::IrVerifyError>,
     tv_reports: &mut Vec<tv::TvReport>,
 ) -> Result<(), CrashInfo> {
-    let snapshot = ctx.verify == VerifyMode::Each || ctx.tv == TvMode::Each;
-    for (name, pass) in pipeline(ctx.kind, ctx.optimizing()) {
-        let before = if snapshot { Some(func.clone()) } else { None };
+    for &(name, pass) in passes {
+        let before = (cfg!(debug_assertions) || ctx.tv == TvMode::Each).then(|| func.clone());
         pass(ctx, func)?;
-        if ctx.verify == VerifyMode::Each {
-            let found = verify::check_func(func, ctx.program, name);
-            // A failing check keeps the pre-pass function unrendered.
-            if !found.is_empty() {
-                let pre_ir = before.clone().map(Rc::new);
-                defects.extend(found.into_iter().map(|mut e| {
-                    e.pre_ir = pre_ir.clone();
-                    e
-                }));
-            }
+        if cfg!(debug_assertions) {
+            verify::assert_well_formed(func, ctx.program, name, before.as_ref());
         }
         if ctx.tv == TvMode::Each {
             let contract = tv_contract(name)
@@ -180,6 +169,45 @@ pub fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The debug-build check is live: with every oracle off, a pass that
+    /// leaves malformed IR panics, naming that pass.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "`dangle` left malformed IR")]
+    fn a_pass_that_breaks_the_ir_panics_naming_it() {
+        use crate::config::{Tier, VerifyMode};
+        use crate::faults::FaultInjector;
+        use crate::jit::ir::Term;
+        use crate::profile::MethodProfile;
+
+        /// Breaks the IR: the last block jumps to a missing one.
+        fn dangle(_: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
+            func.blocks.last_mut().expect("built IR has blocks").term = Term::Jump(999);
+            Ok(())
+        }
+
+        let source = cse_lang::parse_and_check("class T { static void main() { println(1); } }");
+        let program = cse_bytecode::compile(&source.unwrap()).unwrap();
+        let profiles = vec![MethodProfile::default(); program.methods.len()];
+        let faults = FaultInjector::none();
+        let ctx = CompileCtx {
+            program: &program,
+            profiles: &profiles,
+            faults: &faults,
+            kind: VmKind::HotSpotLike,
+            tier: Tier::T2,
+            speculate: false,
+            inline_limit: 48,
+            has_osr_code: false,
+            verify: VerifyMode::Off,
+            tv: TvMode::Off,
+            fired: std::cell::Cell::new(0),
+        };
+        let mut func = super::super::build::build(&ctx, cse_bytecode::MethodId(0), None).unwrap();
+        let passes: &[Pass] = &[("copyprop", run_copyprop), ("dangle", dangle), ("dce", run_dce)];
+        let _ = run_pipeline(&ctx, passes, &mut func, &mut Vec::new());
+    }
 
     /// Every pass registered in any pipeline table must carry a TV
     /// refinement annotation (tentpole completeness gate: new passes

@@ -4,7 +4,7 @@
 //! *output*; a pass that corrupts IR which a later pass masks (or which
 //! only mis-executes on unexercised paths) is invisible to it. This module
 //! is the engineering analogue of LLVM's `-verify-each`: after `build()`
-//! and (in [`VerifyMode::Each`]) after every optimization pass it proves
+//! and after the last pass ([`VerifyMode::Boundary`]) it proves
 //!
 //! 1. **CFG well-formedness** — terminator successors and handler targets
 //!    in-bounds, register operands within `num_regs`, frame/handler tables
@@ -20,11 +20,18 @@
 //!    `is_memory_write()` audited against an independent table of each
 //!    op's actual shape, so LICM/GCM/DCE cannot be lied to.
 //!
-//! Verification is *observation only*: defects are collected and reported
-//! through `ExecutionResult::ir_verify`, never altering compilation or
-//! execution, so enabling the verifier cannot perturb the differential
-//! oracle. Checking is deterministic (fixed iteration order, no hashing),
-//! which keeps campaign digests bit-identical across worker counts.
+//! As an oracle, verification is *observation only*: defects are
+//! collected and reported through `ExecutionResult::ir_verify`, never
+//! altering compilation or execution, so enabling the verifier cannot
+//! perturb the differential oracle. Checking is deterministic (fixed
+//! iteration order, no hashing), which keeps campaign digests
+//! bit-identical across worker counts.
+//!
+//! Builds with debug assertions (the `dev` and `test` profiles) also run
+//! the verifier after `build()` and after every pass, whatever the
+//! configured mode, and panic on a defect (`assert_well_formed`):
+//! well-formed IR is an invariant of this JIT, not a finding about the VM
+//! under test. Release builds skip that check.
 //!
 //! Deliberate leniencies, each matched to how the IR is actually built and
 //! executed (`run_ir` starts every register as `I(0)`, so "undefined" is a
@@ -41,7 +48,6 @@
 //!   builder emits unreachable `Trap` filler blocks by design.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use cse_bytecode::{ArrKind, BProgram, PrintKind};
 use cse_lang::Ty;
@@ -62,7 +68,7 @@ const MAX_ERRORS: usize = 8;
 
 /// A defect found in an [`IrFunc`], attributed to the pass after which it
 /// was first observed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IrVerifyError {
     /// `Class.method` of the compiled function.
     pub method: String,
@@ -77,17 +83,10 @@ pub struct IrVerifyError {
     pub detail: String,
     /// One-line disassembly of the offending instruction or terminator.
     pub disasm: Option<String>,
-    /// The pre-pass function, attached by the pipeline driver where a
-    /// snapshot exists — `None` for [`PASS_BUILD`] (there is no earlier
-    /// IR) and in boundary mode. Shared by every defect of one check and
-    /// rendered only by `Display`.
-    pub pre_ir: Option<Rc<IrFunc>>,
 }
 
 impl std::fmt::Display for IrVerifyError {
-    /// First line carries the parseable signature (`method: after pass:
-    /// …`); the pre-pass IR dump, when present, follows on later lines so
-    /// triage's first-line shape extraction is unaffected.
+    /// One line, the signature triage parses: `method: after pass: …`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: after {}: b{}", self.method, self.pass, self.block)?;
         if let Some(i) = self.inst {
@@ -96,9 +95,6 @@ impl std::fmt::Display for IrVerifyError {
         write!(f, ": {}", self.detail)?;
         if let Some(disasm) = &self.disasm {
             write!(f, " in `{disasm}`")?;
-        }
-        if let Some(pre_ir) = &self.pre_ir {
-            write!(f, "\n--- IR before {} ---\n{}", self.pass, pre_ir.pretty().trim_end())?;
         }
         Ok(())
     }
@@ -118,6 +114,29 @@ pub fn check_func(func: &IrFunc, program: &BProgram, pass: &'static str) -> Vec<
         checker.check_single_defs(&in_states);
     }
     checker.errors
+}
+
+/// The debug-build invariant: panics, naming `pass` and listing its
+/// defects and the IR it started from (`before`, `None` after `build()`),
+/// unless `func` is well-formed. The compile driver calls it only when
+/// debug assertions are on.
+pub(crate) fn assert_well_formed(
+    func: &IrFunc,
+    program: &BProgram,
+    pass: &'static str,
+    before: Option<&IrFunc>,
+) {
+    let defects = check_func(func, program, pass);
+    if defects.is_empty() {
+        return;
+    }
+    let lines: Vec<String> = defects.iter().map(IrVerifyError::to_string).collect();
+    let before = before.map_or_else(|| "(none: the IR was just built)".to_string(), IrFunc::pretty);
+    panic!(
+        "IR verifier: `{pass}` left malformed IR\n{}\n--- IR before {pass} ---\n{}",
+        lines.join("\n"),
+        before.trim_end()
+    );
 }
 
 /// Audits claimed effect flags for `op` against an independent table of
@@ -465,7 +484,6 @@ impl Checker<'_> {
             inst,
             detail,
             disasm,
-            pre_ir: None,
         });
     }
 

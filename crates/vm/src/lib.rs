@@ -796,36 +796,8 @@ impl<'p> Vm<'p> {
                 // Replay every observable side effect of the original
                 // compilation, so a hit is indistinguishable from
                 // compiling no matter which program warmed the cache.
-                if !entry.defects.is_empty() {
-                    self.stats.ir_verify_defects += entry.defects.len() as u32;
-                    self.ir_verify.extend(entry.defects.iter().cloned());
-                }
-                if !entry.tv.is_empty() {
-                    self.stats.tv_defects += entry.tv_defects;
-                    self.tv.extend(entry.tv.iter().cloned());
-                }
-                self.stats.fired_bugs |= entry.fired;
-                return match entry.result {
-                    Ok(func) => {
-                        self.stats.code_cache_hits += 1;
-                        self.compiled.insert(key, func.clone());
-                        match reason {
-                            CompileReason::Osr { .. } => self.stats.osr_compilations += 1,
-                            _ => self.stats.compilations += 1,
-                        }
-                        self.push_event(TraceEvent::Compiled {
-                            method,
-                            tier,
-                            reason,
-                            invocation: self.invocations[method.0 as usize],
-                        });
-                        if self.config.coverage {
-                            self.record_compile_coverage(method, tier, osr.is_some(), &func);
-                        }
-                        Ok(func)
-                    }
-                    Err(info) => Err(Exit::Crash(info)),
-                };
+                self.stats.code_cache_hits += u32::from(entry.result.is_ok());
+                return self.install(key, reason, &entry);
             }
         }
         let ctx = jit::CompileCtx {
@@ -847,32 +819,7 @@ impl<'p> Vm<'p> {
         // compile's fired-bug mask.
         let mut defects = Vec::new();
         let mut tv_reports = Vec::new();
-        let compiled = jit::compile(&ctx, method, osr, &mut defects, &mut tv_reports);
-        let fired = ctx.fired.get();
-        self.stats.fired_bugs |= fired;
-        // A run keeps findings as lines: each verifier defect without the
-        // pre-pass dump `each` mode attaches, each failing TV check as its
-        // divergence headers. The reports holding the IR are dropped
-        // unformatted.
-        let rendered: Vec<String> = defects
-            .into_iter()
-            .map(|mut d| {
-                d.pre_ir = None;
-                d.to_string()
-            })
-            .collect();
-        if !rendered.is_empty() {
-            self.stats.ir_verify_defects += rendered.len() as u32;
-            self.ir_verify.extend(rendered.iter().cloned());
-        }
-        let rendered = Rc::new(rendered);
-        let rendered_tv: Vec<Rc<str>> = tv_reports.iter().map(|r| Rc::from(r.headers())).collect();
-        let tv_count: u32 = tv_reports.iter().map(|r| r.divergences.len() as u32).sum();
-        if !rendered_tv.is_empty() {
-            self.stats.tv_defects += tv_count;
-            self.tv.extend(rendered_tv.iter().cloned());
-        }
-        match compiled {
+        let result = match jit::compile(&ctx, method, osr, &mut defects, &mut tv_reports) {
             Ok(func) => {
                 if Settings::get().dump_ir {
                     eprintln!(
@@ -882,56 +829,63 @@ impl<'p> Vm<'p> {
                         func.pretty()
                     );
                 }
-                let func = Rc::new(func);
-                if let (Some(cache), Some(k)) = (&shared, shared_key) {
-                    cache.insert(
-                        k,
-                        jit::cache::CachedCompile {
-                            defects: rendered,
-                            tv: rendered_tv,
-                            tv_defects: tv_count,
-                            fired,
-                            result: Ok(func.clone()),
-                        },
-                    );
-                }
-                self.compiled.insert(key, func.clone());
-                match reason {
-                    CompileReason::Osr { .. } => self.stats.osr_compilations += 1,
-                    _ => self.stats.compilations += 1,
-                }
-                self.push_event(TraceEvent::Compiled {
-                    method,
-                    tier,
-                    reason,
-                    invocation: self.invocations[method.0 as usize],
-                });
-                if self.config.coverage {
-                    self.record_compile_coverage(method, tier, osr.is_some(), &func);
-                }
-                Ok(func)
+                Ok(Rc::new(func))
             }
-            Err(jit::CompileFail::Crash(info)) => {
-                if let (Some(cache), Some(k)) = (&shared, shared_key) {
-                    cache.insert(
-                        k,
-                        jit::cache::CachedCompile {
-                            defects: rendered,
-                            tv: rendered_tv,
-                            tv_defects: tv_count,
-                            fired,
-                            result: Err(info.clone()),
-                        },
-                    );
-                }
-                Err(Exit::Crash(info))
-            }
+            Err(jit::CompileFail::Crash(info)) => Err(info),
             Err(jit::CompileFail::OsrUnsupported) => {
                 // Callers must check OSR feasibility first; reaching this is
                 // a VM bug, not a program behavior.
                 panic!("OSR compilation requested at an unsupported header")
             }
+        };
+        // A run keeps findings as lines: each verifier defect, and each
+        // failing TV check as its divergence headers. The reports holding
+        // the IR are dropped unformatted.
+        let entry = jit::cache::CachedCompile {
+            defects: Rc::new(defects.iter().map(ToString::to_string).collect()),
+            tv: tv_reports.iter().map(|r| Rc::from(r.headers())).collect(),
+            tv_defects: tv_reports.iter().map(|r| r.divergences.len() as u32).sum(),
+            fired: ctx.fired.get(),
+            result,
+        };
+        let installed = self.install(key, reason, &entry);
+        if let (Some(cache), Some(k)) = (&shared, shared_key) {
+            cache.insert(k, entry);
         }
+        installed
+    }
+
+    /// Installs one compilation, fresh or a cache hit: replays its
+    /// findings and fired-bug mask and, when it succeeded, counts it, maps
+    /// its code, and records its `Compiled` event and coverage features.
+    fn install(
+        &mut self,
+        key: CodeKey,
+        reason: CompileReason,
+        entry: &jit::cache::CachedCompile,
+    ) -> Result<Rc<IrFunc>, Exit> {
+        self.stats.ir_verify_defects += entry.defects.len() as u32;
+        self.ir_verify.extend(entry.defects.iter().cloned());
+        self.stats.tv_defects += entry.tv_defects;
+        self.tv.extend(entry.tv.iter().cloned());
+        self.stats.fired_bugs |= entry.fired;
+        let func = entry.result.clone().map_err(Exit::Crash)?;
+        self.compiled.insert(key, func.clone());
+        match reason {
+            CompileReason::Osr { .. } => self.stats.osr_compilations += 1,
+            _ => self.stats.compilations += 1,
+        }
+        let CodeKey { method, tier, osr } = key;
+        self.push_event(TraceEvent::Compiled {
+            method,
+            tier,
+            reason,
+            invocation: self.invocations[method.0 as usize],
+        });
+        if self.config.coverage {
+            self.record_compile_coverage(method, tier, osr.is_some(), &func);
+        }
+        Ok(func)
     }
 
     /// Runs compiled code; handles de-optimization by falling back to the

@@ -67,8 +67,7 @@ const COUNT: &str = "a positive integer";
 const U64: &str = "a non-negative integer";
 const FLAG: &str = "0|1";
 const PATH: &str = "a path";
-const MODES: &str = "off|boundary|each";
-const VERIFY_MODES: [VerifyMode; 3] = [VerifyMode::Off, VerifyMode::Boundary, VerifyMode::Each];
+const VERIFY_MODES: [VerifyMode; 2] = [VerifyMode::Off, VerifyMode::Boundary];
 const TV_MODES: [TvMode; 3] = [TvMode::Off, TvMode::Boundary, TvMode::Each];
 const POLICIES: [CoveragePolicy; 3] =
     [CoveragePolicy::Off, CoveragePolicy::Collect, CoveragePolicy::Guide];
@@ -78,8 +77,8 @@ const POLICIES: [CoveragePolicy; 3] =
 const KNOBS: [Knob; 14] = [
     Knob("CSE_SEEDS", COUNT, |s, v| count(v).map(|n| s.seeds = Some(n))),
     Knob("CSE_JOBS", COUNT, |s, v| count(v).map(|n| s.jobs = n)),
-    Knob("CSE_VERIFY_IR", MODES, |s, v| choice(v, &VERIFY_MODES).map(|m| s.verify_ir = m)),
-    Knob("CSE_TV", MODES, |s, v| choice(v, &TV_MODES).map(|m| s.tv = m)),
+    Knob("CSE_VERIFY_IR", "off|boundary", |s, v| choice(v, &VERIFY_MODES).map(|m| s.verify_ir = m)),
+    Knob("CSE_TV", "off|boundary|each", |s, v| choice(v, &TV_MODES).map(|m| s.tv = m)),
     Knob("CSE_COVERAGE", "off|collect|guide", |s, v| choice(v, &POLICIES).map(|p| s.coverage = p)),
     Knob("CSE_FUEL", U64, |s, v| v.parse().ok().map(|n| s.fuel = n)),
     Knob("CSE_HEAP_LIMIT", U64, |s, v| v.parse().ok().map(|n| s.heap_limit = n)),

@@ -24,7 +24,7 @@ fn a_full_valid_set_round_trips() {
     let vars = [
         ("CSE_SEEDS", "400"),
         ("CSE_JOBS", "4"),
-        ("CSE_VERIFY_IR", "each"),
+        ("CSE_VERIFY_IR", "boundary"),
         ("CSE_TV", "boundary"),
         ("CSE_COVERAGE", "guide"),
         ("CSE_FUEL", "1000"),
@@ -43,7 +43,7 @@ fn a_full_valid_set_round_trips() {
     let expected = Settings {
         seeds: Some(400),
         jobs: 4,
-        verify_ir: VerifyMode::Each,
+        verify_ir: VerifyMode::Boundary,
         tv: TvMode::Boundary,
         coverage: CoveragePolicy::Guide,
         fuel: 1000,
@@ -83,7 +83,9 @@ fn one_malformed_value_per_grammar_is_rejected() {
         ("CSE_JOBS", "two", "a positive integer"),
         ("CSE_SEEDS", "0", "a positive integer"),
         ("CSE_TV", "eahc", "off|boundary|each"),
-        ("CSE_VERIFY_IR", "EACH", "off|boundary|each"),
+        ("CSE_VERIFY_IR", "EACH", "off|boundary"),
+        // The per-pass check is a debug-build invariant, not a mode.
+        ("CSE_VERIFY_IR", "each", "off|boundary"),
         ("CSE_COVERAGE", "gude", "off|collect|guide"),
         ("CSE_FUEL", "lots", "a non-negative integer"),
         ("CSE_DEADLINE_SECS", "1h", "a non-negative integer"),

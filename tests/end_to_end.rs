@@ -196,13 +196,15 @@ fn malformed_or_unknown_settings_are_rejected() {
         ("CSE_JOBS", "two"),
         ("CSE_TV", "eahc"),
         ("CSE_VERIFY_IR", "eahc"),
+        ("CSE_VERIFY_IR", "each"),
         ("CSE_COVERAGE", "gude"),
         ("CSE_FUEL", "lots"),
         ("CSE_TV_MODE", "each"),
     ] {
         let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_coverage"));
         // The suite itself may run under valid `CSE_*` settings (ci.sh
-        // arms the IR verifier); the child sees only the case under test.
+        // arms translation validation); the child sees only the case
+        // under test.
         for (inherited, _) in std::env::vars_os() {
             if inherited.to_string_lossy().starts_with("CSE_") {
                 command.env_remove(inherited);
@@ -214,7 +216,7 @@ fn malformed_or_unknown_settings_are_rejected() {
             .output()
             .expect("run the coverage binary");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{name}={value} must fail the run; stderr: {stderr}");
+        assert_eq!(output.status.code(), Some(2), "{name}={value} must exit 2; stderr: {stderr}");
         let named = format!("{name}=\"{value}\"");
         assert!(stderr.contains(&named), "the error must name {named}: {stderr}");
     }

@@ -1,9 +1,11 @@
 //! The static IR verifier (`cse_vm::jit::verify`) as a third oracle:
 //!
-//! * **Soundness on the clean corpus** — `each` mode must accept every
-//!   `IrFunc` the pipeline produces for fuzzed seeds, JoNM mutants, and
-//!   all `2^n` forced plans of an enumerated compilation space. A false
-//!   positive here would flood campaigns with phantom incidents.
+//! * **Soundness on the clean corpus** — `boundary` mode must accept
+//!   every `IrFunc` the pipeline produces for fuzzed seeds, JoNM
+//!   mutants, and all `2^n` forced plans of an enumerated compilation
+//!   space. A false positive here would flood campaigns with phantom
+//!   incidents. In builds with debug assertions the same runs also check
+//!   the IR after every pass, and a defect there panics naming the pass.
 //! * **Sensitivity** — hand-seeded corruptions (dangling block,
 //!   use-before-def, effect-flag lies, dst-arity violations) must each be
 //!   rejected and attributed to the pass label they were checked under.
@@ -22,11 +24,11 @@ use artemis_cse::vm::jit::ir::{Inst, IrFunc, Op, Term};
 use artemis_cse::vm::jit::{self, verify, CompileCtx};
 use artemis_cse::vm::{FaultInjector, Tier, TvMode, VerifyMode, Vm, VmConfig, VmKind};
 
-/// `each`-mode verification across the fuzzed seed corpus, on every VM
-/// profile, under both the natural tiering policy and force-compile-all.
-/// A defect here is a verifier false positive (or a real pipeline bug).
+/// Verification across the fuzzed seed corpus, on every VM profile,
+/// under both the natural tiering policy and force-compile-all. A defect
+/// here is a verifier false positive (or a real pipeline bug).
 #[test]
-fn each_mode_accepts_fuzzed_corpus() {
+fn verifier_accepts_fuzzed_corpus() {
     let mut rng = Rng64::seed_from_u64(0x1f1e);
     for _ in 0..8 {
         let seed = rng.gen_range(0u64..1_000_000);
@@ -34,8 +36,8 @@ fn each_mode_accepts_fuzzed_corpus() {
         let bytecode = compile_checked(&program);
         for kind in [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike] {
             for config in [
-                VmConfig::correct(kind).with_verify_ir(VerifyMode::Each),
-                VmConfig::force_compile_all(kind).with_verify_ir(VerifyMode::Each),
+                VmConfig::correct(kind).with_verify_ir(VerifyMode::Boundary),
+                VmConfig::force_compile_all(kind).with_verify_ir(VerifyMode::Boundary),
             ] {
                 let result = Vm::run_program(&bytecode, config);
                 assert!(
@@ -49,11 +51,11 @@ fn each_mode_accepts_fuzzed_corpus() {
     }
 }
 
-/// JoNM mutants flow through the same pipelines as seeds; `each` mode
+/// JoNM mutants flow through the same pipelines as seeds; the verifier
 /// must accept their IR too (mutators insert dead loops, guarded blocks,
 /// and exception plumbing that stress the verifier's lattice).
 #[test]
-fn each_mode_accepts_jonm_mutants() {
+fn verifier_accepts_jonm_mutants() {
     let mut rng = Rng64::seed_from_u64(0x3a7a);
     let mut checked = 0;
     while checked < 8 {
@@ -70,7 +72,7 @@ fn each_mode_accepts_jonm_mutants() {
             Err(_) => continue,
         };
         for kind in [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike] {
-            let config = VmConfig::correct(kind).with_verify_ir(VerifyMode::Each);
+            let config = VmConfig::correct(kind).with_verify_ir(VerifyMode::Boundary);
             let result = Vm::run_program(&bytecode, config);
             assert!(
                 result.ir_verify.is_empty(),
@@ -86,7 +88,7 @@ fn each_mode_accepts_jonm_mutants() {
 /// the verifier holds over the entire enumerated compilation space, not
 /// just the tiering policy's natural path.
 #[test]
-fn each_mode_accepts_all_forced_plans() {
+fn verifier_accepts_all_forced_plans() {
     let program = cse_lang::parse_and_check(
         r#"
         class T {
@@ -106,7 +108,7 @@ fn each_mode_accepts_all_forced_plans() {
         (bytecode.find_method("T", "baz").unwrap(), 0),
     ];
     for kind in [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike] {
-        let base = VmConfig::correct(kind).with_verify_ir(VerifyMode::Each);
+        let base = VmConfig::correct(kind).with_verify_ir(VerifyMode::Boundary);
         let points = enumerate_space(&bytecode, &calls, &base);
         assert_eq!(points.len(), 16);
         for (i, point) in points.iter().enumerate() {
@@ -246,11 +248,9 @@ fn wrong_effect_claims_are_rejected() {
     assert!(truth_ok.is_ok(), "true flags must pass the audit");
 }
 
-/// Satellite: the verifier holds at the location-assignment stages too.
-/// The regalloc and codegen analyses leave `compiled_add`'s IR
-/// verifiable, a corruption surfacing after codegen is attributed to
-/// that stage, and the defect renders the pre-pass IR snapshot when the
-/// pipeline driver attaches one.
+/// The verifier holds at the location-assignment stages too. The
+/// regalloc and codegen analyses leave `compiled_add`'s IR verifiable,
+/// and a corruption surfacing after codegen is attributed to that stage.
 #[test]
 fn post_regalloc_codegen_stage_verifies_and_attributes() {
     let (mut func, bytecode) = compiled_add();
@@ -269,7 +269,6 @@ fn post_regalloc_codegen_stage_verifies_and_attributes() {
         tv: TvMode::Off,
         fired: std::cell::Cell::new(0),
     };
-    let snapshot = func.clone();
     jit::passes::regalloc::run(&ctx, &mut func).expect("correct regalloc never crashes");
     assert!(verify::check_func(&func, &bytecode, "regalloc").is_empty());
     jit::passes::codegen::run(&ctx, &mut func).expect("correct codegen never crashes");
@@ -277,19 +276,9 @@ fn post_regalloc_codegen_stage_verifies_and_attributes() {
     // A corruption surfacing after the codegen stage carries its label.
     let last = func.blocks.len() - 1;
     func.blocks[last].term = Term::Jump(777);
-    let mut errors = verify::check_func(&func, &bytecode, "codegen");
+    let errors = verify::check_func(&func, &bytecode, "codegen");
     assert!(!errors.is_empty());
     assert_eq!(errors[0].pass, "codegen");
-    // Without a snapshot the defect renders only the post-pass IR; with
-    // one (attached by the pipeline driver in `each` mode) both dumps
-    // appear, and the first line — what triage signatures parse — stays
-    // identical.
-    let bare = errors[0].to_string();
-    assert!(!bare.contains("--- IR before"), "no snapshot, no pre-pass dump");
-    errors[0].pre_ir = Some(std::rc::Rc::new(snapshot));
-    let full = errors[0].to_string();
-    assert!(full.contains("--- IR before codegen"), "missing pre-pass dump in: {full}");
-    assert_eq!(bare.lines().next(), full.lines().next(), "signature line must not change");
 }
 
 /// Satellite: a hand-corrupted compiled program must be caught by

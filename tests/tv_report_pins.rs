@@ -5,8 +5,10 @@
 //! For each VM profile, fuzzer seeds 0–39 go through the front end, and
 //! every method is compiled cold (default profiles, `speculate: false`,
 //! no OSR) at each of the profile's tiers under the profile's default bug
-//! set, with both oracles armed: once with `verify_ir` and `tv` at `each`
-//! and once at `boundary`. Every rendered [`TvReport`] and
+//! set, with both oracles armed: once with `tv` at `each` and once with
+//! both at `boundary` (there is no per-pass verifier mode; builds with
+//! debug assertions check the IR after every pass and panic on a defect
+//! instead). Every rendered [`TvReport`] and
 //! [`IrVerifyError`] — the full text incidents and quarantine files carry,
 //! IR dumps included — is folded with its compile's coordinates into one
 //! FNV-1a hash per profile and mode, beside the report and defect counts.
@@ -46,7 +48,8 @@ struct OraclePin {
 /// Which oracle configuration a sweep pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Sweep {
-    /// Both oracles at `each`, on the pipeline's own output.
+    /// TV at `each` and the verifier at `boundary`, on the pipeline's
+    /// own output.
     Each,
     /// Both oracles at `boundary`, on the pipeline's own output.
     Boundary,
@@ -75,7 +78,7 @@ fn corrupt(func: &IrFunc) -> IrFunc {
 /// Hash of every oracle report over [`SEEDS`] for one profile and sweep.
 fn oracle_pin(kind: VmKind, sweep: Sweep) -> OraclePin {
     let (verify, tv) = match sweep {
-        Sweep::Each => (VerifyMode::Each, TvMode::Each),
+        Sweep::Each => (VerifyMode::Boundary, TvMode::Each),
         Sweep::Boundary => (VerifyMode::Boundary, TvMode::Boundary),
         Sweep::Corrupted => (VerifyMode::Off, TvMode::Off),
     };
