@@ -65,6 +65,18 @@ mod tests {
         }
     }
 
+    /// Folds the printed programs of seeds 0–299 into one FNV-1a hash.
+    /// A change that only makes the generator cheaper must not move it:
+    /// every campaign, pin and benchmark starts from these programs.
+    #[test]
+    fn printed_programs_match_the_pin() {
+        let mut hash = cse_bytecode::Fnv::new();
+        for seed in 0..300 {
+            hash.str(&cse_lang::pretty::print(&generate(seed, &FuzzConfig::default())));
+        }
+        assert_eq!(hash.finish(), 0x6be4_b88d_3258_f46a, "printed programs of seeds 0-299 moved");
+    }
+
     #[test]
     fn seeds_are_deterministic_and_diverse() {
         let a = generate(7, &FuzzConfig::default());
