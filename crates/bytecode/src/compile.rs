@@ -235,7 +235,9 @@ impl Layout {
 
     fn install(&mut self, id: MethodId, compiled: CompiledBody) {
         let method = &mut self.methods[id.0 as usize];
-        method.code = compiled.code;
+        // Stored at its exact length: the emit buffer's spare capacity
+        // would otherwise live as long as the program.
+        method.code = compiled.code.into_boxed_slice().into_vec();
         method.handlers = compiled.handlers;
         method.num_locals = compiled.num_locals;
         method.local_types = compiled.local_types;
@@ -628,7 +630,7 @@ impl<'l> MethodCtx<'l> {
             }
             Stmt::Switch { scrutinee, cases } => {
                 self.expr(scrutinee)?;
-                let switch_at = self.emit_patch(Insn::TableSwitch { cases: vec![], default: 0 });
+                let switch_at = self.emit_patch(Insn::TableSwitch { cases: Box::new([]), default: 0 });
                 self.frames.push(Frame {
                     is_loop: false,
                     break_patches: vec![],
@@ -656,7 +658,7 @@ impl<'l> MethodCtx<'l> {
                     }
                 }
                 self.code[switch_at] =
-                    Insn::TableSwitch { cases: pairs, default: default_target.unwrap_or(end) };
+                    Insn::TableSwitch { cases: pairs.into(), default: default_target.unwrap_or(end) };
                 let frame = self.frames.pop().expect("frame pushed above");
                 self.patch_all(&frame.break_patches, end);
                 Ok(())

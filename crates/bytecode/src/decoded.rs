@@ -397,6 +397,14 @@ mod tests {
         assert!(std::mem::size_of::<DInsn>() <= 16, "DInsn grew past 16 bytes");
     }
 
+    /// Every method's `code` holds its `Insn`s inline, so their size is
+    /// most of a compiled program's footprint. `TableSwitch` keeps its
+    /// cases in a boxed slice to stay within 24 bytes.
+    #[test]
+    fn insn_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<crate::Insn>() <= 24, "Insn grew past 24 bytes");
+    }
+
     /// Decodes `src` and returns the compiled and decoded `T.main`.
     fn decode_main(src: &str) -> (Vec<Insn>, DecodedMethod) {
         let program = cse_lang::parse_and_check(src).unwrap();
@@ -529,7 +537,7 @@ mod tests {
                         Insn::TableSwitch { cases, default },
                         DInsn::TableSwitch { cases_start, cases_len, default: ddefault },
                     ) => {
-                        assert_eq!(dm.switch_cases(*cases_start, *cases_len), cases.as_slice());
+                        assert_eq!(dm.switch_cases(*cases_start, *cases_len), &cases[..]);
                         assert_eq!(ddefault, default);
                     }
                     (Insn::SConst(s), DInsn::SConst(ds)) => {

@@ -286,38 +286,54 @@ impl ValidationOutcome {
 /// construction). Campaign paths use [`try_compile_checked`] so a
 /// mutator bug is quarantined instead of aborting the process.
 pub fn compile_checked(program: &Program) -> BProgram {
-    let mut program = program.clone();
-    cse_lang::typeck::check(&mut program).expect("mutant failed the type checker");
+    let program = cse_lang::typeck::checked(program).expect("mutant failed the type checker");
     cse_bytecode::compile(&program).expect("mutant failed bytecode compilation")
 }
 
 /// Fallible twin of [`compile_checked`]: returns the failure (including
-/// a contained compiler panic) as a message instead of unwinding.
+/// a contained compiler panic) as a message instead of unwinding. The
+/// checker reads the program where it is ([`cse_lang::typeck::checked`]):
+/// a resolved program, such as fuzzer output, is never copied, and one
+/// that holds a bare name is copied once to be resolved.
 pub fn try_compile_checked(program: &Program) -> Result<BProgram, String> {
-    let mut program = program.clone();
-    try_compile_checked_mut(&mut program)
+    contain_front_end(|| {
+        let program = cse_lang::typeck::checked(program).map_err(type_error)?;
+        lower_and_verify(&program)
+    })
 }
 
-/// [`try_compile_checked`] for callers that own the program and can let
-/// the type checker annotate it in place. The validation loop compiles
-/// every mutant exactly once and never reuses the AST afterward (reports
-/// pretty-print the annotated form, which only spells resolved names
-/// out as `T.f`/`this.f`), so the defensive whole-AST clone is pure
-/// overhead there.
+/// [`try_compile_checked`] for callers that own the program: its bare
+/// names are resolved in place, so nothing is copied. The validation loop
+/// compiles every mutant exactly once and never reuses the AST afterward
+/// (reports pretty-print the resolved form, which only spells resolved
+/// names out as `T.f`/`this.f`).
 pub fn try_compile_checked_mut(program: &mut Program) -> Result<BProgram, String> {
-    contain_panics(|| {
-        cse_lang::typeck::check(program).map_err(|e| format!("type check failed: {e}"))?;
-        let bytecode = cse_bytecode::compile(program)
-            .map_err(|e| format!("bytecode compilation failed: {e}"))?;
-        // Mutants are only as trusted as the mutator that made them: a
-        // JoNM product that compiles but fails bytecode verification is a
-        // mutator (or compiler) bug and must be quarantined before the VM
-        // executes it.
-        cse_bytecode::verify::verify_program(&bytecode)
-            .map_err(|e| format!("bytecode verification failed: {e}"))?;
-        Ok(bytecode)
+    contain_front_end(|| {
+        cse_lang::typeck::check(program).map_err(type_error)?;
+        lower_and_verify(program)
     })
-    .map_err(|p| format!("compiler panicked: {}", p.payload))?
+}
+
+fn type_error(e: cse_lang::FrontError) -> String {
+    format!("type check failed: {e}")
+}
+
+/// Runs a front-end step behind the crash barrier.
+fn contain_front_end(step: impl FnOnce() -> Result<BProgram, String>) -> Result<BProgram, String> {
+    contain_panics(step).map_err(|p| format!("compiler panicked: {}", p.payload))?
+}
+
+/// Lowers a checked program and verifies its bytecode.
+fn lower_and_verify(program: &Program) -> Result<BProgram, String> {
+    let bytecode =
+        cse_bytecode::compile(program).map_err(|e| format!("bytecode compilation failed: {e}"))?;
+    // Mutants are only as trusted as the mutator that made them: a
+    // JoNM product that compiles but fails bytecode verification is a
+    // mutator (or compiler) bug and must be quarantined before the VM
+    // executes it.
+    cse_bytecode::verify::verify_program(&bytecode)
+        .map_err(|e| format!("bytecode verification failed: {e}"))?;
+    Ok(bytecode)
 }
 
 /// Step-budget fraction under which a completed reference run marks a

@@ -375,26 +375,27 @@ impl Gen {
     }
 
     /// A writable location plus its type, if any is in scope.
-    fn lvalue(&mut self, ctx: &mut Ctx) -> Option<(LValue, Ty)> {
-        let mut options: Vec<(LValue, Ty)> = Vec::new();
-        for l in ctx.locals.iter().filter(|l| l.mutable && l.ty.is_primitive_alike()) {
-            options.push((LValue::Local(l.name.clone()), l.ty.clone()));
-        }
-        for f in &self.fields {
-            if f.ty.is_primitive_alike() && (f.is_static || !ctx.is_static) {
-                let lv = if f.is_static {
-                    LValue::StaticField { class: "T".into(), field: f.name.clone() }
-                } else {
-                    LValue::InstField { recv: Box::new(Expr::This), field: f.name.clone() }
-                };
-                options.push((lv, f.ty.clone()));
-            }
-        }
-        if options.is_empty() {
+    fn lvalue(&mut self, ctx: &Ctx) -> Option<(LValue, Ty)> {
+        let locals = ctx.locals.iter().filter(|l| l.mutable && l.ty.is_primitive_alike());
+        let fields = self
+            .fields
+            .iter()
+            .filter(|f| f.ty.is_primitive_alike() && (f.is_static || !ctx.is_static));
+        let mut candidates = locals.map(Var::Local).chain(fields.map(Var::Field));
+        let count = candidates.clone().count();
+        if count == 0 {
             return None;
         }
-        let pick = self.rng.gen_range(0..options.len());
-        Some(options.swap_remove(pick))
+        Some(match candidates.nth(self.rng.gen_range(0..count))? {
+            Var::Local(l) => (LValue::Local(l.name.clone()), l.ty.clone()),
+            Var::Field(f) if f.is_static => {
+                (LValue::StaticField { class: "T".into(), field: f.name.clone() }, f.ty.clone())
+            }
+            Var::Field(f) => (
+                LValue::InstField { recv: Box::new(Expr::This), field: f.name.clone() },
+                f.ty.clone(),
+            ),
+        })
     }
 
     fn assign_stmt(&mut self, ctx: &mut Ctx) -> Stmt {
@@ -931,31 +932,33 @@ impl Gen {
     }
 
     /// A leaf expression: literal, local, or field of the right type.
-    fn leaf(&mut self, ctx: &mut Ctx, ty: &Ty) -> Expr {
-        let mut options: Vec<Expr> = vec![self.literal(ty)];
-        for l in &ctx.locals {
-            if &l.ty == ty {
-                options.push(Expr::local(&l.name));
-            }
-        }
-        for f in &self.fields {
-            if &f.ty == ty && (f.is_static || !ctx.is_static) {
-                options.push(if f.is_static {
-                    Expr::StaticField { class: "T".into(), field: f.name.clone() }
-                } else {
-                    Expr::InstField { recv: Box::new(Expr::This), field: f.name.clone() }
-                });
-            }
-        }
+    fn leaf(&mut self, ctx: &Ctx, ty: &Ty) -> Expr {
+        // The literal is drawn first and is candidate 0.
+        let literal = self.literal(ty);
+        let locals = ctx.locals.iter().filter(|l| &l.ty == ty);
+        let fields = self.fields.iter().filter(|f| &f.ty == ty && (f.is_static || !ctx.is_static));
         // Int contexts also accept byte variables (implicit widening).
-        if *ty == Ty::Int {
-            for l in &ctx.locals {
-                if l.ty == Ty::Byte {
-                    options.push(Expr::local(&l.name));
-                }
+        let widened = ctx.locals.iter().filter(|l| *ty == Ty::Int && l.ty == Ty::Byte);
+        let mut candidates =
+            locals.map(Var::Local).chain(fields.map(Var::Field)).chain(widened.map(Var::Local));
+        let pick = self.rng.gen_range(0..1 + candidates.clone().count());
+        match pick.checked_sub(1).and_then(|i| candidates.nth(i)) {
+            None => literal,
+            Some(Var::Local(l)) => Expr::local(&l.name),
+            Some(Var::Field(f)) if f.is_static => {
+                Expr::StaticField { class: "T".into(), field: f.name.clone() }
+            }
+            Some(Var::Field(f)) => {
+                Expr::InstField { recv: Box::new(Expr::This), field: f.name.clone() }
             }
         }
-        let pick = self.rng.gen_range(0..options.len());
-        options.swap_remove(pick)
     }
+}
+
+/// A variable [`Gen::leaf`] or [`Gen::lvalue`] may draw. Candidates are
+/// counted and drawn before any is built, so only the pick allocates.
+#[derive(Clone, Copy)]
+enum Var<'a> {
+    Local(&'a LocalInfo),
+    Field(&'a FieldInfo),
 }

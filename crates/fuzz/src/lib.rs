@@ -77,6 +77,19 @@ mod tests {
         assert_eq!(hash.finish(), 0x6be4_b88d_3258_f46a, "printed programs of seeds 0-299 moved");
     }
 
+    /// The generator writes every name resolved, so the front end checks
+    /// its programs without copying them.
+    #[test]
+    fn seeds_hold_no_bare_names() {
+        for seed in 0..60 {
+            let program = generate(seed, &FuzzConfig::default());
+            assert!(
+                matches!(cse_lang::typeck::checked(&program), Ok(std::borrow::Cow::Borrowed(_))),
+                "seed {seed} needs name resolution"
+            );
+        }
+    }
+
     #[test]
     fn seeds_are_deterministic_and_diverse() {
         let a = generate(7, &FuzzConfig::default());

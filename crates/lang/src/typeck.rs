@@ -1,13 +1,29 @@
-//! Name resolution and type checking.
+//! Type checking and name resolution, as two passes.
 //!
-//! [`check`] rewrites the AST in place: every [`Expr::Name`],
-//! [`Expr::FreeCall`], and [`LValue::Name`] is replaced by its resolved form
-//! (local, static field/call, or instance field/call through `this`), and
-//! every expression is verified against Java-like typing rules (numeric
-//! promotion, implicit widening, explicit narrowing casts, boolean
-//! conditions, single-name method resolution without overloading).
+//! The parser leaves every name as written: bare names as [`Expr::Name`],
+//! [`Expr::FreeCall`] and [`LValue::Name`], and class names in receiver
+//! position (`C.f`, `C.m()`) as [`Expr::Name`] receivers of
+//! [`Expr::InstField`], [`LValue::InstField`] and [`Expr::InstCall`].
+//!
+//! * The checker reads the program and never writes to it. It verifies
+//!   every expression against Java-like typing rules (numeric promotion,
+//!   implicit widening, explicit narrowing casts, boolean conditions,
+//!   single-name method resolution without overloading), looking each
+//!   bare name up where it meets one.
+//! * The resolver then rewrites each bare name in place into its resolved
+//!   form (a local, a static field or call, or an instance field or call
+//!   through `this`) and each class-name receiver into the static access
+//!   it names. Both passes ask one name table what a name denotes, so
+//!   they cannot disagree.
+//!
+//! [`check`] runs both on a program the caller owns. [`checked`] runs the
+//! checker on a shared program and copies it only when it holds a bare
+//! name, so a resolved program (fuzzer output, or any program that passed
+//! [`check`]) is checked without a copy.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::mem::take;
 
 use crate::ast::*;
 use crate::ty::Ty;
@@ -119,58 +135,95 @@ impl ClassTable {
     }
 }
 
-/// Resolves names and type-checks the program in place, copying no
-/// part of the AST. On error every node is still in place: the program
-/// prints as the same source, except that names resolved before the
-/// error print qualified (`T.f`, `this.f`, `T.m()`).
+/// Type-checks the program and resolves its bare names in place. On error
+/// the program is untouched: the checker runs first and writes nothing.
 pub fn check(program: &mut Program) -> Result<(), FrontError> {
     let table = ClassTable::build(program)?;
-    if program.entry().is_none() {
-        return Err(FrontError::msg("program has no `static void main()` entry point"));
-    }
-    for class in &mut program.classes {
-        for field in &mut class.fields {
-            table.check_ty(&field.ty)?;
-            if let Some(init) = &mut field.init {
-                let mut ck = Checker::new(&table, &class.name, field.is_static);
-                let init_ty = ck.expr(init)?;
-                ck.require_assignable(&field.ty, &init_ty, init)?;
-            }
-        }
-        for method in &mut class.methods {
-            check_method(&table, &class.name, method)?;
-        }
+    if check_program(&table, program)? {
+        resolve(&table, program);
     }
     Ok(())
 }
 
-/// Resolves and type-checks one method body in place.
+/// Type-checks a program without writing to it and returns it resolved:
+/// the program itself when it holds no bare name, otherwise a resolved
+/// copy.
+pub fn checked(program: &Program) -> Result<Cow<'_, Program>, FrontError> {
+    let table = ClassTable::build(program)?;
+    if !check_program(&table, program)? {
+        return Ok(Cow::Borrowed(program));
+    }
+    let mut copy = program.clone();
+    resolve(&table, &mut copy);
+    Ok(Cow::Owned(copy))
+}
+
+/// Runs the checker over every class. Returns whether it met a bare name,
+/// which the resolver has to rewrite before the program can be lowered.
+fn check_program(table: &ClassTable, program: &Program) -> Result<bool, FrontError> {
+    if program.entry().is_none() {
+        return Err(FrontError::msg("program has no `static void main()` entry point"));
+    }
+    let mut bare_names = false;
+    for class in &program.classes {
+        for field in &class.fields {
+            table.check_ty(&field.ty)?;
+            if let Some(init) = &field.init {
+                let mut ck = Checker::new(table, &class.name, field.is_static);
+                let init_ty = ck.expr(init)?;
+                ck.require_assignable(&field.ty, &init_ty, init)?;
+                bare_names |= ck.bare_names;
+            }
+        }
+        for method in &class.methods {
+            bare_names |= check_method(table, &class.name, method)?;
+        }
+    }
+    Ok(bare_names)
+}
+
+/// Type-checks one method; returns whether its body holds a bare name.
 fn check_method(
     table: &ClassTable,
     class_name: &str,
-    method: &mut MethodDecl,
-) -> Result<(), FrontError> {
+    method: &MethodDecl,
+) -> Result<bool, FrontError> {
     table.check_ty(&method.ret)?;
     let mut ck = Checker::new(table, class_name, method.is_static);
     ck.ret = method.ret.clone();
-    ck.push_scope();
     let mut seen = HashSet::new();
     for param in &method.params {
         table.check_ty(&param.ty)?;
         if !seen.insert(param.name.as_str()) {
             return Err(FrontError::msg(format!("duplicate parameter `{}`", param.name)));
         }
-        ck.declare(&param.name, param.ty.clone())?;
+        ck.declare(&param.name, &param.ty)?;
     }
-    ck.block(&mut method.body)?;
-    ck.pop_scope();
+    ck.stmts(&method.body.stmts)?;
     if method.ret != Ty::Void && !block_definitely_exits(&method.body) {
         return Err(FrontError::msg(format!(
             "method `{}.{}` may fall off the end without returning",
             class_name, method.name
         )));
     }
-    Ok(())
+    Ok(ck.bare_names)
+}
+
+/// Rewrites every bare name of a program that passed the checker.
+fn resolve(table: &ClassTable, program: &mut Program) {
+    for ClassDecl { name, fields, methods } in &mut program.classes {
+        let class: &str = name;
+        for init in fields.iter_mut().filter_map(|field| field.init.as_mut()) {
+            Resolver { names: Names::new(table, class) }.expr(init);
+        }
+        for MethodDecl { params, body, .. } in methods {
+            let mut resolver = Resolver { names: Names::new(table, class) };
+            for param in params.iter() {
+                resolver.names.declare(&param.name, ());
+            }
+            resolver.stmts(&mut body.stmts);
+        }
+    }
 }
 
 /// Conservative definite-exit analysis: does this block always `return`
@@ -186,7 +239,7 @@ fn stmt_definitely_exits(stmt: &Stmt) -> bool {
         Stmt::If { then_blk, else_blk: Some(else_blk), .. } => {
             block_definitely_exits(then_blk) && block_definitely_exits(else_blk)
         }
-        Stmt::While { cond: Expr::BoolLit(true), body } => !block_breaks(body),
+        Stmt::While { cond: Expr::BoolLit(true), body } => !breaks(&body.stmts),
         Stmt::Switch { cases, .. } => switch_definitely_exits(cases),
         Stmt::Try { body, catch, finally } => {
             if let Some(finally) = finally {
@@ -204,64 +257,105 @@ fn stmt_definitely_exits(stmt: &Stmt) -> bool {
 }
 
 /// A switch definitely exits when it has a `default` arm, no arm contains
-/// a `break` targeting the switch itself, and from every arm the
-/// fall-through suffix of arm bodies reaches an exiting statement.
+/// a `break` targeting the switch itself (one at the arm's top level, not
+/// inside a nested loop or switch, escapes without exiting), and from
+/// every arm the fall-through suffix of arm bodies reaches an exiting
+/// statement. Every suffix ends with the last arm, so that last condition
+/// holds exactly when the last arm exits.
 fn switch_definitely_exits(cases: &[SwitchCase]) -> bool {
-    if !cases.iter().any(|c| c.is_default) {
-        return false;
-    }
-    // A `break` at switch top level (not inside a nested loop/switch)
-    // escapes without exiting.
-    let escapes = |stmts: &[Stmt]| -> bool {
-        let block = Block { stmts: stmts.to_vec() };
-        block_breaks(&block)
-    };
-    for start in 0..cases.len() {
-        let mut exits = false;
-        for case in &cases[start..] {
-            if escapes(&case.body) {
-                return false;
-            }
-            if case.body.iter().any(stmt_definitely_exits) {
-                exits = true;
-                break;
-            }
-        }
-        if !exits {
-            return false;
-        }
-    }
-    true
+    cases.iter().any(|c| c.is_default)
+        && !cases.iter().any(|c| breaks(&c.body))
+        && cases.last().is_some_and(|c| c.body.iter().any(stmt_definitely_exits))
 }
 
-/// Whether a loop body contains a `break` that targets the enclosing loop.
-fn block_breaks(block: &Block) -> bool {
-    block.stmts.iter().any(|s| match s {
+/// Whether statements contain a `break` that targets the enclosing loop
+/// or switch.
+fn breaks(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
         Stmt::Break => true,
-        Stmt::Block(b) => block_breaks(b),
+        Stmt::Block(b) => breaks(&b.stmts),
         Stmt::If { then_blk, else_blk, .. } => {
-            block_breaks(then_blk) || else_blk.as_ref().is_some_and(block_breaks)
+            breaks(&then_blk.stmts) || else_blk.as_ref().is_some_and(|b| breaks(&b.stmts))
         }
         Stmt::Try { body, catch, finally } => {
-            block_breaks(body)
-                || catch.as_ref().is_some_and(block_breaks)
-                || finally.as_ref().is_some_and(block_breaks)
+            breaks(&body.stmts)
+                || catch.as_ref().is_some_and(|b| breaks(&b.stmts))
+                || finally.as_ref().is_some_and(|b| breaks(&b.stmts))
         }
         // `break` inside nested loops/switch targets the inner construct.
         _ => false,
     })
 }
 
-struct Checker<'a> {
-    table: &'a ClassTable,
-    class: &'a str,
-    is_static: bool,
-    ret: Ty,
-    /// Every local in scope, outermost first. Shadowing is rejected, so
-    /// a name occurs at most once and a linear search is exact.
-    locals: Vec<(String, Ty)>,
+/// What a bare name denotes where it is used.
+enum Denotes<'n, T> {
+    /// A local in scope, with what the pass recorded for it.
+    Local(&'n T),
+    /// A field of the enclosing class.
+    Field(&'n FieldSig),
+}
+
+/// The name table both passes share: the classes, the enclosing class,
+/// and the locals in scope at the current point of a method body.
+struct Names<'p, T> {
+    table: &'p ClassTable,
+    class: &'p str,
+    /// Every local in scope, outermost first, with what the pass records
+    /// for it. Shadowing is rejected, so in a checked method a name occurs
+    /// at most once and a linear search is exact.
+    locals: Vec<(&'p str, T)>,
     /// `locals.len()` at each open nested scope's entry.
     scope_marks: Vec<usize>,
+}
+
+impl<'p, T> Names<'p, T> {
+    fn new(table: &'p ClassTable, class: &'p str) -> Self {
+        Names { table, class, locals: Vec::new(), scope_marks: Vec::new() }
+    }
+
+    fn push_scope(&mut self) {
+        self.scope_marks.push(self.locals.len());
+    }
+
+    fn pop_scope(&mut self) {
+        let mark = self.scope_marks.pop().expect("scopes are balanced");
+        self.locals.truncate(mark);
+    }
+
+    fn declare(&mut self, name: &'p str, value: T) {
+        self.locals.push((name, value));
+    }
+
+    fn lookup(&self, name: &str) -> Option<&T> {
+        self.locals.iter().rev().find(|(local, _)| *local == name).map(|(_, value)| value)
+    }
+
+    /// A bare name denotes the local in scope, else a field of the
+    /// enclosing class.
+    fn denotes(&self, name: &str) -> Option<Denotes<'_, T>> {
+        match self.lookup(name) {
+            Some(local) => Some(Denotes::Local(local)),
+            None => self.table.field(self.class, name).map(Denotes::Field),
+        }
+    }
+
+    /// The class a receiver names: a bare name that denotes no local and
+    /// no field but a declared class (`C.f`, `C.m()`).
+    fn class_receiver<'e>(&self, recv: &'e Expr) -> Option<&'e str> {
+        match recv {
+            Expr::Name(name) if self.denotes(name).is_none() && self.table.has_class(name) => {
+                Some(name)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The read-only type checker of one method body or field initializer.
+struct Checker<'p> {
+    names: Names<'p, &'p Ty>,
+    is_static: bool,
+    ret: Ty,
     loop_depth: usize,
     switch_depth: usize,
     /// Loop/switch depths recorded when entering a `try` (or `catch`)
@@ -269,20 +363,20 @@ struct Checker<'a> {
     /// protected region are rejected so the bytecode compiler can lower
     /// `finally` by duplicating the block on each exit edge.
     finally_barriers: Vec<(usize, usize)>,
+    /// Whether a bare name was met, which the resolver has to rewrite.
+    bare_names: bool,
 }
 
-impl<'a> Checker<'a> {
-    fn new(table: &'a ClassTable, class: &'a str, is_static: bool) -> Self {
+impl<'p> Checker<'p> {
+    fn new(table: &'p ClassTable, class: &'p str, is_static: bool) -> Self {
         Checker {
-            table,
-            class,
+            names: Names::new(table, class),
             is_static,
             ret: Ty::Void,
-            locals: Vec::new(),
-            scope_marks: Vec::new(),
             loop_depth: 0,
             switch_depth: 0,
             finally_barriers: Vec::new(),
+            bare_names: false,
         }
     }
 
@@ -301,25 +395,12 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn push_scope(&mut self) {
-        self.scope_marks.push(self.locals.len());
-    }
-
-    fn pop_scope(&mut self) {
-        let mark = self.scope_marks.pop().expect("scopes are balanced");
-        self.locals.truncate(mark);
-    }
-
-    fn declare(&mut self, name: &str, ty: Ty) -> Result<(), FrontError> {
-        if self.lookup(name).is_some() {
+    fn declare(&mut self, name: &'p str, ty: &'p Ty) -> Result<(), FrontError> {
+        if self.names.lookup(name).is_some() {
             return Err(FrontError::msg(format!("variable `{name}` shadows an existing variable")));
         }
-        self.locals.push((name.to_string(), ty));
+        self.names.declare(name, ty);
         Ok(())
-    }
-
-    fn lookup(&self, name: &str) -> Option<&Ty> {
-        self.locals.iter().rev().find(|(local, _)| local == name).map(|(_, ty)| ty)
     }
 
     fn require_assignable(&self, target: &Ty, from: &Ty, value: &Expr) -> Result<(), FrontError> {
@@ -342,22 +423,23 @@ impl<'a> Checker<'a> {
         Err(FrontError::msg(format!("cannot assign `{from}` to `{target}`")))
     }
 
-    fn block(&mut self, block: &mut Block) -> Result<(), FrontError> {
-        self.push_scope();
-        for stmt in &mut block.stmts {
+    /// Checks a block's (or a switch arm's) statements in a scope of their own.
+    fn stmts(&mut self, stmts: &'p [Stmt]) -> Result<(), FrontError> {
+        self.names.push_scope();
+        for stmt in stmts {
             self.stmt(stmt)?;
         }
-        self.pop_scope();
+        self.names.pop_scope();
         Ok(())
     }
 
-    fn stmt(&mut self, stmt: &mut Stmt) -> Result<(), FrontError> {
+    fn stmt(&mut self, stmt: &'p Stmt) -> Result<(), FrontError> {
         match stmt {
             Stmt::VarDecl { name, ty, init } => {
-                self.table.check_ty(ty)?;
+                self.names.table.check_ty(ty)?;
                 let init_ty = self.expr(init)?;
                 self.require_assignable(ty, &init_ty, init)?;
-                self.declare(name, ty.clone())
+                self.declare(name, ty)
             }
             Stmt::Assign { target, op, value } => {
                 let target_ty = self.lvalue(target)?;
@@ -391,27 +473,27 @@ impl<'a> Checker<'a> {
             }
             Stmt::If { cond, then_blk, else_blk } => {
                 self.require_bool(cond)?;
-                self.block(then_blk)?;
+                self.stmts(&then_blk.stmts)?;
                 if let Some(else_blk) = else_blk {
-                    self.block(else_blk)?;
+                    self.stmts(&else_blk.stmts)?;
                 }
                 Ok(())
             }
             Stmt::While { cond, body } => {
                 self.require_bool(cond)?;
                 self.loop_depth += 1;
-                self.block(body)?;
+                self.stmts(&body.stmts)?;
                 self.loop_depth -= 1;
                 Ok(())
             }
             Stmt::DoWhile { body, cond } => {
                 self.loop_depth += 1;
-                self.block(body)?;
+                self.stmts(&body.stmts)?;
                 self.loop_depth -= 1;
                 self.require_bool(cond)
             }
             Stmt::For { init, cond, step, body } => {
-                self.push_scope();
+                self.names.push_scope();
                 if let Some(init) = init {
                     self.stmt(init)?;
                 }
@@ -419,12 +501,12 @@ impl<'a> Checker<'a> {
                     self.require_bool(cond)?;
                 }
                 self.loop_depth += 1;
-                self.block(body)?;
+                self.stmts(&body.stmts)?;
                 if let Some(step) = step {
                     self.stmt(step)?;
                 }
                 self.loop_depth -= 1;
-                self.pop_scope();
+                self.names.pop_scope();
                 Ok(())
             }
             Stmt::Switch { scrutinee, cases } => {
@@ -437,28 +519,19 @@ impl<'a> Checker<'a> {
                 let mut seen_labels = HashSet::new();
                 let mut seen_default = false;
                 self.switch_depth += 1;
-                for case in cases.iter_mut() {
+                for case in cases {
                     for label in &case.labels {
                         if !seen_labels.insert(*label) {
-                            self.switch_depth -= 1;
                             return Err(FrontError::msg(format!("duplicate case label {label}")));
                         }
                     }
                     if case.is_default {
                         if seen_default {
-                            self.switch_depth -= 1;
                             return Err(FrontError::msg("duplicate default label"));
                         }
                         seen_default = true;
                     }
-                    self.push_scope();
-                    for stmt in &mut case.body {
-                        if let Err(e) = self.stmt(stmt) {
-                            self.switch_depth -= 1;
-                            return Err(e);
-                        }
-                    }
-                    self.pop_scope();
+                    self.stmts(&case.body)?;
                 }
                 self.switch_depth -= 1;
                 Ok(())
@@ -495,34 +568,31 @@ impl<'a> Checker<'a> {
                 }
             },
             Stmt::ExprStmt(expr) => {
-                let resolved_is_call = {
-                    self.expr(expr)?;
-                    matches!(expr, Expr::StaticCall { .. } | Expr::InstCall { .. })
-                };
-                if resolved_is_call {
+                self.expr(expr)?;
+                if matches!(
+                    expr,
+                    Expr::StaticCall { .. } | Expr::InstCall { .. } | Expr::FreeCall { .. }
+                ) {
                     Ok(())
                 } else {
                     Err(FrontError::msg("expression statements must be method calls"))
                 }
             }
-            Stmt::Block(block) => self.block(block),
+            Stmt::Block(block) => self.stmts(&block.stmts),
             Stmt::Try { body, catch, finally } => {
                 let protected = finally.is_some();
                 if protected {
                     self.finally_barriers.push((self.loop_depth, self.switch_depth));
                 }
-                let mut result = self.block(body);
-                if result.is_ok() {
-                    if let Some(catch) = catch {
-                        result = self.block(catch);
-                    }
+                self.stmts(&body.stmts)?;
+                if let Some(catch) = catch {
+                    self.stmts(&catch.stmts)?;
                 }
                 if protected {
                     self.finally_barriers.pop();
                 }
-                result?;
                 if let Some(finally) = finally {
-                    self.block(finally)?;
+                    self.stmts(&finally.stmts)?;
                 }
                 Ok(())
             }
@@ -548,7 +618,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn require_bool(&mut self, expr: &mut Expr) -> Result<(), FrontError> {
+    fn require_bool(&mut self, expr: &'p Expr) -> Result<(), FrontError> {
         let ty = self.expr(expr)?;
         if ty == Ty::Bool {
             Ok(())
@@ -557,103 +627,103 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn lvalue(&mut self, lvalue: &mut LValue) -> Result<Ty, FrontError> {
-        // Resolve a bare-name target the same way expressions are resolved.
-        if let LValue::Name(name) = lvalue {
-            let name = name.clone();
-            if let Some(ty) = self.lookup(&name) {
-                let ty = ty.clone();
-                *lvalue = LValue::Local(name);
-                return Ok(ty);
-            }
-            if let Some(sig) = self.table.field(self.class, &name) {
-                let sig = sig.clone();
-                if sig.is_static {
-                    *lvalue = LValue::StaticField { class: self.class.to_string(), field: name };
-                } else {
-                    if self.is_static {
-                        return Err(FrontError::msg(format!(
-                            "instance field `{name}` referenced from a static context"
-                        )));
-                    }
-                    *lvalue = LValue::InstField { recv: Box::new(Expr::This), field: name };
-                }
-                return Ok(sig.ty);
-            }
-            return Err(FrontError::msg(format!("unknown variable `{name}`")));
-        }
+    fn lvalue(&mut self, lvalue: &'p LValue) -> Result<Ty, FrontError> {
         match lvalue {
-            LValue::Name(_) => unreachable!("handled above"),
-            LValue::Local(name) => self
-                .lookup(name)
-                .cloned()
-                .ok_or_else(|| FrontError::msg(format!("unknown local `{name}`"))),
-            LValue::StaticField { class, field } => {
-                let sig = self
-                    .table
-                    .field(class, field)
-                    .ok_or_else(|| FrontError::msg(format!("unknown field `{class}.{field}`")))?;
-                if !sig.is_static {
-                    return Err(FrontError::msg(format!("field `{class}.{field}` is not static")));
-                }
-                Ok(sig.ty.clone())
-            }
-            LValue::InstField { recv, field } => {
-                // A bare class name as receiver means a static field access.
-                if let Expr::Name(name) = recv.as_ref() {
-                    if self.lookup(name).is_none()
-                        && self.table.field(self.class, name).is_none()
-                        && self.table.has_class(name)
-                    {
-                        let class = name.clone();
-                        let sig = self.table.field(&class, field).cloned().ok_or_else(|| {
-                            FrontError::msg(format!("unknown field `{class}.{field}`"))
-                        })?;
-                        if !sig.is_static {
-                            return Err(FrontError::msg(format!(
-                                "field `{class}.{field}` is not static"
-                            )));
-                        }
-                        let field = std::mem::take(field);
-                        *lvalue = LValue::StaticField { class, field };
-                        return Ok(sig.ty);
-                    }
-                }
-                let recv_ty = self.expr(recv)?;
-                let Ty::Class(class) = &recv_ty else {
-                    return Err(FrontError::msg(format!("type `{recv_ty}` has no fields")));
-                };
-                let sig = self
-                    .table
-                    .field(class, field)
-                    .ok_or_else(|| FrontError::msg(format!("unknown field `{class}.{field}`")))?;
-                if sig.is_static {
-                    return Err(FrontError::msg(format!(
-                        "static field `{class}.{field}` accessed through an instance"
-                    )));
-                }
-                Ok(sig.ty.clone())
-            }
-            LValue::Index { array, index } => {
-                let array_ty = self.expr(array)?;
-                let index_ty = self.expr(index)?;
-                if !matches!(index_ty, Ty::Int | Ty::Byte) {
-                    return Err(FrontError::msg(format!(
-                        "array index must be int, found `{index_ty}`"
-                    )));
-                }
-                match array_ty.elem() {
-                    Some(elem) => Ok(elem.clone()),
-                    None => {
-                        Err(FrontError::msg(format!("cannot index non-array type `{array_ty}`")))
-                    }
-                }
-            }
+            LValue::Name(name) => self.bare_name(name),
+            LValue::Local(name) => self.local(name),
+            LValue::StaticField { class, field } => self.static_field(class, field),
+            LValue::InstField { recv, field } => self.inst_field(recv, field),
+            LValue::Index { array, index } => self.index(array, index),
         }
     }
 
-    /// Type-checks and resolves an expression in place, returning its type.
-    fn expr(&mut self, expr: &mut Expr) -> Result<Ty, FrontError> {
+    /// The type of a bare name, which the resolver will rewrite.
+    fn bare_name(&mut self, name: &str) -> Result<Ty, FrontError> {
+        self.bare_names = true;
+        match self.names.denotes(name) {
+            Some(Denotes::Local(ty)) => Ok(Ty::clone(ty)),
+            Some(Denotes::Field(sig)) if !sig.is_static && self.is_static => Err(FrontError::msg(
+                format!("instance field `{name}` referenced from a static context"),
+            )),
+            Some(Denotes::Field(sig)) => Ok(sig.ty.clone()),
+            None => Err(FrontError::msg(format!("unknown variable `{name}`"))),
+        }
+    }
+
+    fn local(&self, name: &str) -> Result<Ty, FrontError> {
+        self.names
+            .lookup(name)
+            .map(|ty| Ty::clone(ty))
+            .ok_or_else(|| FrontError::msg(format!("unknown local `{name}`")))
+    }
+
+    fn static_field(&self, class: &str, field: &str) -> Result<Ty, FrontError> {
+        let sig = self
+            .names
+            .table
+            .field(class, field)
+            .ok_or_else(|| FrontError::msg(format!("unknown field `{class}.{field}`")))?;
+        if !sig.is_static {
+            return Err(FrontError::msg(format!("field `{class}.{field}` is not static")));
+        }
+        Ok(sig.ty.clone())
+    }
+
+    fn inst_field(&mut self, recv: &'p Expr, field: &str) -> Result<Ty, FrontError> {
+        // A bare class name as receiver means a static field access.
+        if let Some(class) = self.names.class_receiver(recv) {
+            self.bare_names = true;
+            return self.static_field(class, field);
+        }
+        let recv_ty = self.expr(recv)?;
+        let Ty::Class(class) = &recv_ty else {
+            return Err(FrontError::msg(format!("type `{recv_ty}` has no fields")));
+        };
+        let sig = self
+            .names
+            .table
+            .field(class, field)
+            .ok_or_else(|| FrontError::msg(format!("unknown field `{class}.{field}`")))?;
+        if sig.is_static {
+            return Err(FrontError::msg(format!(
+                "static field `{class}.{field}` accessed through an instance"
+            )));
+        }
+        Ok(sig.ty.clone())
+    }
+
+    fn index(&mut self, array: &'p Expr, index: &'p Expr) -> Result<Ty, FrontError> {
+        let array_ty = self.expr(array)?;
+        let index_ty = self.expr(index)?;
+        if !matches!(index_ty, Ty::Int | Ty::Byte) {
+            return Err(FrontError::msg(format!("array index must be int, found `{index_ty}`")));
+        }
+        match array_ty.elem() {
+            Some(elem) => Ok(elem.clone()),
+            None => Err(FrontError::msg(format!("cannot index non-array type `{array_ty}`"))),
+        }
+    }
+
+    fn static_call(
+        &mut self,
+        class: &str,
+        method: &str,
+        args: &'p [Expr],
+    ) -> Result<Ty, FrontError> {
+        let table = self.names.table;
+        let sig = table
+            .method(class, method)
+            .ok_or_else(|| FrontError::msg(format!("unknown method `{class}.{method}`")))?;
+        if !sig.is_static {
+            return Err(FrontError::msg(format!("method `{class}.{method}` is not static")));
+        }
+        self.check_args(method, sig, args)?;
+        Ok(sig.ret.clone())
+    }
+
+    /// Type-checks an expression, returning its type.
+    fn expr(&mut self, expr: &'p Expr) -> Result<Ty, FrontError> {
+        let table = self.names.table;
         let ty = match expr {
             Expr::IntLit(_) => Ty::Int,
             Expr::LongLit(_) => Ty::Long,
@@ -665,81 +735,17 @@ impl<'a> Checker<'a> {
                 // and handled specially in assignability/equality checks.
                 Ty::Class("null".into())
             }
-            Expr::Name(name) => {
-                let name = name.clone();
-                if let Some(ty) = self.lookup(&name) {
-                    let ty = ty.clone();
-                    *expr = Expr::Local(name);
-                    return Ok(ty);
-                }
-                if let Some(sig) = self.table.field(self.class, &name) {
-                    let sig = sig.clone();
-                    if sig.is_static {
-                        *expr = Expr::StaticField { class: self.class.to_string(), field: name };
-                    } else {
-                        if self.is_static {
-                            return Err(FrontError::msg(format!(
-                                "instance field `{name}` referenced from a static context"
-                            )));
-                        }
-                        *expr = Expr::InstField { recv: Box::new(Expr::This), field: name };
-                    }
-                    return Ok(sig.ty);
-                }
-                return Err(FrontError::msg(format!("unknown variable `{name}`")));
-            }
-            Expr::Local(name) => self
-                .lookup(name)
-                .cloned()
-                .ok_or_else(|| FrontError::msg(format!("unknown local `{name}`")))?,
+            Expr::Name(name) => self.bare_name(name)?,
+            Expr::Local(name) => self.local(name)?,
             Expr::This => {
                 if self.is_static {
                     return Err(FrontError::msg("`this` used in a static context"));
                 }
-                Ty::Class(self.class.to_string())
+                Ty::Class(self.names.class.to_string())
             }
-            Expr::StaticField { class, field } => {
-                let sig = self
-                    .table
-                    .field(class, field)
-                    .ok_or_else(|| FrontError::msg(format!("unknown field `{class}.{field}`")))?;
-                if !sig.is_static {
-                    return Err(FrontError::msg(format!("field `{class}.{field}` is not static")));
-                }
-                sig.ty.clone()
-            }
-            Expr::InstField { .. } => {
-                // Reuse the lvalue resolution logic, then convert back
-                // (on error too, so the node survives a failed check).
-                let mut lv = match std::mem::replace(expr, Expr::Null) {
-                    Expr::InstField { recv, field } => LValue::InstField { recv, field },
-                    _ => unreachable!(),
-                };
-                let ty = self.lvalue(&mut lv);
-                *expr = match lv {
-                    LValue::InstField { recv, field } => Expr::InstField { recv, field },
-                    LValue::StaticField { class, field } => Expr::StaticField { class, field },
-                    _ => unreachable!(),
-                };
-                ty?
-            }
-            Expr::Index { array, index } => {
-                let array_ty = self.expr(array)?;
-                let index_ty = self.expr(index)?;
-                if !matches!(index_ty, Ty::Int | Ty::Byte) {
-                    return Err(FrontError::msg(format!(
-                        "array index must be int, found `{index_ty}`"
-                    )));
-                }
-                match array_ty.elem() {
-                    Some(elem) => elem.clone(),
-                    None => {
-                        return Err(FrontError::msg(format!(
-                            "cannot index non-array type `{array_ty}`"
-                        )));
-                    }
-                }
-            }
+            Expr::StaticField { class, field } => self.static_field(class, field)?,
+            Expr::InstField { recv, field } => self.inst_field(recv, field)?,
+            Expr::Index { array, index } => self.index(array, index)?,
             Expr::Length(array) => {
                 let ty = self.expr(array)?;
                 if ty.elem().is_none() {
@@ -750,19 +756,19 @@ impl<'a> Checker<'a> {
                 Ty::Int
             }
             Expr::NewObject(class) => {
-                if !self.table.has_class(class) {
+                if !table.has_class(class) {
                     return Err(FrontError::msg(format!("unknown class `{class}`")));
                 }
                 Ty::Class(class.clone())
             }
             Expr::NewArray { elem, dims, extra_dims } => {
-                self.table.check_ty(elem)?;
+                table.check_ty(elem)?;
                 if dims.is_empty() {
                     return Err(FrontError::msg(
                         "array creation needs at least one sized dimension",
                     ));
                 }
-                for dim in dims.iter_mut() {
+                for dim in dims {
                     let dim_ty = self.expr(dim)?;
                     if !matches!(dim_ty, Ty::Int | Ty::Byte) {
                         return Err(FrontError::msg(format!(
@@ -777,76 +783,47 @@ impl<'a> Checker<'a> {
                 ty
             }
             Expr::NewArrayInit { elem, elems } => {
-                self.table.check_ty(elem)?;
-                let elem_ty = elem.clone();
-                for e in elems.iter_mut() {
+                table.check_ty(elem)?;
+                for e in elems {
                     let t = self.expr(e)?;
-                    self.require_assignable(&elem_ty, &t, e)?;
+                    self.require_assignable(elem, &t, e)?;
                 }
-                elem_ty.array_of()
+                elem.clone().array_of()
             }
             Expr::FreeCall { name, args } => {
-                let sig = self
-                    .table
-                    .method(self.class, name)
-                    .cloned()
+                self.bare_names = true;
+                let sig = table
+                    .method(self.names.class, name)
                     .ok_or_else(|| FrontError::msg(format!("unknown method `{name}`")))?;
-                self.check_args(name, &sig, args)?;
+                self.check_args(name, sig, args)?;
                 if !sig.is_static && self.is_static {
                     return Err(FrontError::msg(format!(
                         "instance method `{name}` called from a static context"
                     )));
                 }
-                let (method, args) = (std::mem::take(name), std::mem::take(args));
-                *expr = if sig.is_static {
-                    Expr::StaticCall { class: self.class.to_string(), method, args }
-                } else {
-                    Expr::InstCall { recv: Box::new(Expr::This), method, args }
-                };
-                return Ok(sig.ret);
+                sig.ret.clone()
             }
-            Expr::StaticCall { class, method, args } => {
-                let sig =
-                    self.table.method(class, method).cloned().ok_or_else(|| {
-                        FrontError::msg(format!("unknown method `{class}.{method}`"))
-                    })?;
-                if !sig.is_static {
-                    return Err(FrontError::msg(format!(
-                        "method `{class}.{method}` is not static"
-                    )));
-                }
-                let method = method.clone();
-                self.check_args(&method, &sig, args)?;
-                sig.ret
-            }
+            Expr::StaticCall { class, method, args } => self.static_call(class, method, args)?,
             Expr::InstCall { recv, method, args } => {
-                let method_name = method.clone();
                 // A bare class name as receiver means a static call.
-                if let Expr::Name(name) = recv.as_ref() {
-                    if self.lookup(name).is_none()
-                        && self.table.field(self.class, name).is_none()
-                        && self.table.has_class(name)
-                    {
-                        let class = name.clone();
-                        let args = std::mem::take(args);
-                        *expr = Expr::StaticCall { class, method: method_name, args };
-                        return self.expr(expr);
-                    }
+                if let Some(class) = self.names.class_receiver(recv) {
+                    self.bare_names = true;
+                    return self.static_call(class, method, args);
                 }
                 let recv_ty = self.expr(recv)?;
                 let Ty::Class(class) = &recv_ty else {
                     return Err(FrontError::msg(format!("type `{recv_ty}` has no methods")));
                 };
-                let sig = self.table.method(class, &method_name).cloned().ok_or_else(|| {
-                    FrontError::msg(format!("unknown method `{class}.{method_name}`"))
-                })?;
+                let sig = table
+                    .method(class, method)
+                    .ok_or_else(|| FrontError::msg(format!("unknown method `{class}.{method}`")))?;
                 if sig.is_static {
                     return Err(FrontError::msg(format!(
-                        "static method `{class}.{method_name}` called through an instance"
+                        "static method `{class}.{method}` called through an instance"
                     )));
                 }
-                self.check_args(&method_name, &sig, args)?;
-                sig.ret
+                self.check_args(method, sig, args)?;
+                sig.ret.clone()
             }
             Expr::IntrinsicCall { which, args } => {
                 let expected = match which {
@@ -860,7 +837,7 @@ impl<'a> Checker<'a> {
                     )));
                 }
                 let mut ty = Ty::Int;
-                for arg in args.iter_mut() {
+                for arg in args {
                     let t = self.expr(arg)?;
                     if !t.is_numeric() {
                         return Err(FrontError::msg(format!(
@@ -896,10 +873,9 @@ impl<'a> Checker<'a> {
                 }
             }
             Expr::Binary { op, lhs, rhs } => {
-                let op = *op;
                 let lhs_ty = self.expr(lhs)?;
                 let rhs_ty = self.expr(rhs)?;
-                self.binop_result(op, &lhs_ty, &rhs_ty)?
+                self.binop_result(*op, &lhs_ty, &rhs_ty)?
             }
             Expr::Cast { ty, expr: inner } => {
                 let from = self.expr(inner)?;
@@ -918,7 +894,7 @@ impl<'a> Checker<'a> {
         &mut self,
         name: &str,
         sig: &MethodSig,
-        args: &mut [Expr],
+        args: &'p [Expr],
     ) -> Result<(), FrontError> {
         if args.len() != sig.params.len() {
             return Err(FrontError::msg(format!(
@@ -927,7 +903,7 @@ impl<'a> Checker<'a> {
                 args.len()
             )));
         }
-        for (arg, param_ty) in args.iter_mut().zip(&sig.params) {
+        for (arg, param_ty) in args.iter().zip(&sig.params) {
             let arg_ty = self.expr(arg)?;
             self.require_assignable(param_ty, &arg_ty, arg)?;
         }
@@ -992,6 +968,183 @@ impl<'a> Checker<'a> {
                     Err(err())
                 }
             }
+        }
+    }
+}
+
+/// The in-place resolver of one method body or field initializer. It runs
+/// only on programs the checker accepted, so every bare name denotes
+/// something.
+struct Resolver<'p> {
+    names: Names<'p, ()>,
+}
+
+impl<'p> Resolver<'p> {
+    /// Resolves a block's (or a switch arm's) statements in a scope of
+    /// their own.
+    fn stmts(&mut self, stmts: &'p mut [Stmt]) {
+        self.names.push_scope();
+        for stmt in stmts {
+            self.stmt(stmt);
+        }
+        self.names.pop_scope();
+    }
+
+    fn stmt(&mut self, stmt: &'p mut Stmt) {
+        match stmt {
+            Stmt::VarDecl { name, init, .. } => {
+                self.expr(init);
+                self.names.declare(name, ());
+            }
+            Stmt::Assign { target, value, .. } => {
+                self.lvalue(target);
+                self.expr(value);
+            }
+            Stmt::IncDec { target, .. } => self.lvalue(target),
+            Stmt::If { cond, then_blk, else_blk } => {
+                self.expr(cond);
+                self.stmts(&mut then_blk.stmts);
+                if let Some(else_blk) = else_blk {
+                    self.stmts(&mut else_blk.stmts);
+                }
+            }
+            Stmt::While { cond, body } | Stmt::DoWhile { body, cond } => {
+                self.expr(cond);
+                self.stmts(&mut body.stmts);
+            }
+            Stmt::For { init, cond, step, body } => {
+                self.names.push_scope();
+                if let Some(init) = init {
+                    self.stmt(init);
+                }
+                if let Some(cond) = cond {
+                    self.expr(cond);
+                }
+                self.stmts(&mut body.stmts);
+                if let Some(step) = step {
+                    self.stmt(step);
+                }
+                self.names.pop_scope();
+            }
+            Stmt::Switch { scrutinee, cases } => {
+                self.expr(scrutinee);
+                for case in cases {
+                    self.stmts(&mut case.body);
+                }
+            }
+            Stmt::Return(Some(expr))
+            | Stmt::ExprStmt(expr)
+            | Stmt::Throw(expr)
+            | Stmt::Println(expr) => self.expr(expr),
+            Stmt::Block(block) => self.stmts(&mut block.stmts),
+            Stmt::Try { body, catch, finally } => {
+                self.stmts(&mut body.stmts);
+                for block in [catch, finally].into_iter().flatten() {
+                    self.stmts(&mut block.stmts);
+                }
+            }
+            Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Mute | Stmt::Unmute => {}
+        }
+    }
+
+    fn lvalue(&mut self, lvalue: &mut LValue) {
+        match lvalue {
+            LValue::Name(name) => {
+                *lvalue = match self.names.denotes(name) {
+                    Some(Denotes::Local(())) => LValue::Local(take(name)),
+                    Some(Denotes::Field(sig)) if sig.is_static => LValue::StaticField {
+                        class: self.names.class.to_string(),
+                        field: take(name),
+                    },
+                    Some(Denotes::Field(_)) => {
+                        LValue::InstField { recv: Box::new(Expr::This), field: take(name) }
+                    }
+                    None => return,
+                }
+            }
+            LValue::InstField { recv, field } => match self.names.class_receiver(recv) {
+                Some(class) => {
+                    *lvalue = LValue::StaticField { class: class.to_string(), field: take(field) }
+                }
+                None => self.expr(recv),
+            },
+            LValue::Index { array, index } => {
+                self.expr(array);
+                self.expr(index);
+            }
+            LValue::Local(_) | LValue::StaticField { .. } => {}
+        }
+    }
+
+    fn expr(&mut self, expr: &mut Expr) {
+        match expr {
+            Expr::Name(name) => {
+                *expr = match self.names.denotes(name) {
+                    Some(Denotes::Local(())) => Expr::Local(take(name)),
+                    Some(Denotes::Field(sig)) if sig.is_static => {
+                        Expr::StaticField { class: self.names.class.to_string(), field: take(name) }
+                    }
+                    Some(Denotes::Field(_)) => {
+                        Expr::InstField { recv: Box::new(Expr::This), field: take(name) }
+                    }
+                    None => return,
+                }
+            }
+            Expr::InstField { recv, field } => match self.names.class_receiver(recv) {
+                Some(class) => {
+                    *expr = Expr::StaticField { class: class.to_string(), field: take(field) }
+                }
+                None => self.expr(recv),
+            },
+            Expr::FreeCall { name, args } => {
+                self.exprs(args);
+                let Some(sig) = self.names.table.method(self.names.class, name) else { return };
+                let (method, args) = (take(name), take(args));
+                *expr = if sig.is_static {
+                    Expr::StaticCall { class: self.names.class.to_string(), method, args }
+                } else {
+                    Expr::InstCall { recv: Box::new(Expr::This), method, args }
+                };
+            }
+            Expr::InstCall { recv, method, args } => {
+                self.exprs(args);
+                match self.names.class_receiver(recv) {
+                    Some(class) => {
+                        *expr = Expr::StaticCall {
+                            class: class.to_string(),
+                            method: take(method),
+                            args: take(args),
+                        }
+                    }
+                    None => self.expr(recv),
+                }
+            }
+            Expr::StaticCall { args, .. }
+            | Expr::IntrinsicCall { args, .. }
+            | Expr::NewArray { dims: args, .. }
+            | Expr::NewArrayInit { elems: args, .. } => self.exprs(args),
+            Expr::Index { array: lhs, index: rhs } | Expr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+            }
+            Expr::Length(inner)
+            | Expr::Unary { expr: inner, .. }
+            | Expr::Cast { expr: inner, .. } => self.expr(inner),
+            Expr::IntLit(_)
+            | Expr::LongLit(_)
+            | Expr::BoolLit(_)
+            | Expr::StrLit(_)
+            | Expr::Null
+            | Expr::Local(_)
+            | Expr::This
+            | Expr::StaticField { .. }
+            | Expr::NewObject(_) => {}
+        }
+    }
+
+    fn exprs(&mut self, exprs: &mut [Expr]) {
+        for expr in exprs {
+            self.expr(expr);
         }
     }
 }
@@ -1082,6 +1235,33 @@ mod tests {
             let before = crate::pretty::print(&program);
             assert!(check(&mut program).is_err(), "{src} type-checked");
             assert_eq!(crate::pretty::print(&program), before, "{src}");
+        }
+    }
+
+    /// A resolved program is checked where it is; one that holds bare
+    /// names is copied and resolved exactly as `check` resolves in place.
+    #[test]
+    fn checked_copies_only_programs_with_bare_names() {
+        let src = r#"
+            class P { static int n; int v; static int twice(int x) { return 2 * x; } }
+            class T {
+                int f;
+                static int s;
+                int get() { f += s; return f + P.n + P.twice(s) + T.s; }
+                static void main() {
+                    T t = new T();
+                    s = 4;
+                    P.n = 1;
+                    t.f = P.twice(3);
+                    println(t.get());
+                }
+            }
+        "#;
+        let resolved = ok(src);
+        assert!(matches!(checked(&resolved), Ok(Cow::Borrowed(_))));
+        match checked(&crate::parse(src).unwrap()) {
+            Ok(Cow::Owned(copy)) => assert_eq!(copy, resolved),
+            other => panic!("expected a resolved copy, got {other:?}"),
         }
     }
 

@@ -151,8 +151,7 @@ impl Ctx<'_> {
             return false;
         }
         self.steps += 1;
-        let mut check = candidate.clone();
-        if cse_lang::typeck::check(&mut check).is_err() {
+        if cse_lang::typeck::checked(candidate).is_err() {
             return false;
         }
         (self.interesting)(candidate)
@@ -395,8 +394,7 @@ mod tests {
         .unwrap();
         // The predicate double-checks validity of everything it sees.
         let reduced = reduce(&program, &mut |p| {
-            let mut copy = p.clone();
-            cse_lang::typeck::check(&mut copy).expect("reducer offered an invalid candidate");
+            cse_lang::typeck::checked(p).expect("reducer offered an invalid candidate");
             run_output(p).contains('2')
         });
         assert!(run_output(&reduced).contains('2'));
