@@ -5,12 +5,30 @@
 
 use std::path::PathBuf;
 
-use cse_core::campaign::{run_campaign, CampaignConfig};
-use cse_core::supervisor::SupervisorConfig;
+use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use cse_core::supervisor::{IncidentPhase, SupervisorConfig};
 use cse_core::CoveragePolicy;
 use cse_vm::VmKind;
 
 const SEEDS: u64 = 12;
+
+/// Runs a campaign and asserts that every incident it recorded is a
+/// static-oracle finding. A contained panic (the debug-build IR check's
+/// included) surfaces only as a harness incident, which no other
+/// assertion here would see.
+fn campaign(config: &CampaignConfig) -> CampaignResult {
+    let result = run_campaign(config);
+    for incident in &result.incidents {
+        assert!(
+            matches!(incident.phase, IncidentPhase::IrVerifyDefect | IncidentPhase::TvDefect),
+            "harness incident in {:?} (seed {}): {}",
+            incident.phase,
+            incident.seed,
+            incident.payload
+        );
+    }
+    result
+}
 
 /// A unique scratch directory per test (tests share one process).
 fn scratch(test: &str) -> PathBuf {
@@ -29,12 +47,12 @@ fn scratch(test: &str) -> PathBuf {
 fn collect_observes_without_changing_the_campaign_digest() {
     let off_config =
         CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS).with_coverage(CoveragePolicy::Off);
-    let off = run_campaign(&off_config);
+    let off = campaign(&off_config);
     assert!(off.coverage.is_none(), "off campaigns must carry no coverage state");
 
     let collect_config =
         CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS).with_coverage(CoveragePolicy::Collect);
-    let collect = run_campaign(&collect_config);
+    let collect = campaign(&collect_config);
     let state = collect.coverage.as_ref().expect("collect campaigns carry coverage state");
     assert!(state.cells() > 0, "a JIT-heavy campaign must cover cells");
     assert!(!state.corpus.is_empty(), "novel mutants must enter the corpus");
@@ -57,10 +75,10 @@ fn collect_observes_without_changing_the_campaign_digest() {
 fn guided_campaign_is_jobs_invariant() {
     let base =
         CampaignConfig::for_kind(VmKind::OpenJ9Like, SEEDS).with_coverage(CoveragePolicy::Guide);
-    let reference = run_campaign(&base);
+    let reference = campaign(&base);
     for jobs in [4, 8] {
         let config = base.clone().with_jobs(jobs);
-        let result = run_campaign(&config);
+        let result = campaign(&config);
         assert_eq!(
             result.digest(&config),
             reference.digest(&base),
@@ -82,7 +100,7 @@ fn guided_campaign_is_jobs_invariant() {
 #[test]
 fn guided_kill_resume_mid_round_is_bit_identical() {
     const KILL_SEEDS: u64 = 10;
-    let uninterrupted = run_campaign(
+    let uninterrupted = campaign(
         &CampaignConfig::for_kind(VmKind::HotSpotLike, KILL_SEEDS)
             .with_coverage(CoveragePolicy::Guide),
     );
@@ -100,14 +118,14 @@ fn guided_kill_resume_mid_round_is_bit_identical() {
                 stop_after_seeds: Some(kill_at),
                 ..SupervisorConfig::default()
             };
-            let killed = run_campaign(&config);
+            let killed = campaign(&config);
             assert!(killed.totals.partial, "{label}");
             assert_eq!(killed.totals.seeds, kill_at, "{label}: the kill must land where aimed");
 
             let mut resumed = killed;
             let mut invocations = 1;
             while resumed.totals.partial {
-                resumed = run_campaign(&config);
+                resumed = campaign(&config);
                 invocations += 1;
                 assert!(invocations <= 10, "{label}: campaign must converge");
             }
@@ -132,11 +150,11 @@ fn guided_kill_resume_mid_round_is_bit_identical() {
 /// guarantee compilations of methods warmup never promotes).
 #[test]
 fn guide_covers_strictly_more_cells_than_collect_at_equal_budget() {
-    let collect = run_campaign(
+    let collect = campaign(
         &CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS)
             .with_coverage(CoveragePolicy::Collect),
     );
-    let guide = run_campaign(
+    let guide = campaign(
         &CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS).with_coverage(CoveragePolicy::Guide),
     );
     assert_eq!(collect.totals.seeds, guide.totals.seeds, "equal budget");

@@ -2,6 +2,7 @@
 //! fuzz → mutate → execute → cross-validate → attribute → reduce pipeline.
 
 use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
+use artemis_cse::core::supervisor::IncidentPhase;
 use artemis_cse::core::validate::{compile_checked, validate, ValidateConfig};
 use artemis_cse::vm::{BugId, FaultInjector, Outcome, Vm, VmConfig, VmKind};
 
@@ -11,6 +12,18 @@ fn campaigns_find_seeded_bugs_on_every_profile() {
     for kind in [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike] {
         let config = CampaignConfig::for_kind(kind, 12);
         let result = run_campaign(&config);
+        // A contained panic (the debug-build IR check's included)
+        // surfaces only as a harness incident: every incident must be a
+        // static-oracle finding.
+        for incident in &result.incidents {
+            assert!(
+                matches!(incident.phase, IncidentPhase::IrVerifyDefect | IncidentPhase::TvDefect),
+                "{kind}: harness incident in {:?} (seed {}): {}",
+                incident.phase,
+                incident.seed,
+                incident.payload
+            );
+        }
         assert_eq!(result.totals.neutrality_violations, 0, "{kind}: non-neutral mutant");
         assert!(!result.bugs.is_empty(), "{kind}: campaign over 12 seeds found no injected bug");
         for evidence in result.bugs.values() {
