@@ -12,9 +12,9 @@ use crate::program::*;
 
 /// Compiles a checked program to bytecode.
 ///
-/// The input must have passed [`cse_lang::typeck::check`]; unresolved names
-/// or type errors surface here as [`FrontError`]s (they indicate a caller
-/// bug, not a user error).
+/// The input must be checked and resolved ([`cse_lang::typeck::check`] or
+/// [`cse_lang::typeck::checked`]); unresolved names or type errors surface
+/// here as [`FrontError`]s (they indicate a caller bug, not a user error).
 pub fn compile(program: &Program) -> Result<BProgram, FrontError> {
     // Validate shape invariants (duplicates, reserved names) once more.
     ClassTable::build(program)?;
@@ -630,7 +630,8 @@ impl<'l> MethodCtx<'l> {
             }
             Stmt::Switch { scrutinee, cases } => {
                 self.expr(scrutinee)?;
-                let switch_at = self.emit_patch(Insn::TableSwitch { cases: Box::new([]), default: 0 });
+                let switch_at =
+                    self.emit_patch(Insn::TableSwitch { cases: Box::new([]), default: 0 });
                 self.frames.push(Frame {
                     is_loop: false,
                     break_patches: vec![],
@@ -657,8 +658,10 @@ impl<'l> MethodCtx<'l> {
                         pairs.push((label, target));
                     }
                 }
-                self.code[switch_at] =
-                    Insn::TableSwitch { cases: pairs.into(), default: default_target.unwrap_or(end) };
+                self.code[switch_at] = Insn::TableSwitch {
+                    cases: pairs.into(),
+                    default: default_target.unwrap_or(end),
+                };
                 let frame = self.frames.pop().expect("frame pushed above");
                 self.patch_all(&frame.break_patches, end);
                 Ok(())

@@ -3,8 +3,9 @@
 //! The AST is deliberately plain data (`Clone + PartialEq`) so that the JoNM
 //! mutators can cheaply clone a seed program, splice synthesized code into
 //! it, and print the result. Bare names parse as [`Expr::Name`] and are
-//! rewritten by the type checker into [`Expr::Local`] or field accesses;
-//! every later stage may assume resolution already happened.
+//! rewritten by the resolver (`typeck::check`) into [`Expr::Local`] or
+//! field accesses; every later stage may assume resolution already
+//! happened.
 
 use crate::ty::Ty;
 
@@ -235,7 +236,7 @@ pub struct SwitchCase {
 pub enum LValue {
     /// A local variable or parameter (post-resolution).
     Local(String),
-    /// A bare name the parser could not resolve; eliminated by the checker.
+    /// A bare name the parser could not resolve; eliminated by the resolver.
     Name(String),
     /// `Class.field`
     StaticField { class: String, field: String },
