@@ -139,8 +139,9 @@ impl ClassTable {
 /// the program is untouched: the checker runs first and writes nothing.
 pub fn check(program: &mut Program) -> Result<(), FrontError> {
     let table = ClassTable::build(program)?;
-    if check_program(&table, program)? {
-        resolve(&table, program);
+    let bare_names = check_program(&table, program)?;
+    if bare_names.contains(&true) {
+        resolve(&table, program, &bare_names);
     }
     Ok(())
 }
@@ -150,21 +151,24 @@ pub fn check(program: &mut Program) -> Result<(), FrontError> {
 /// copy.
 pub fn checked(program: &Program) -> Result<Cow<'_, Program>, FrontError> {
     let table = ClassTable::build(program)?;
-    if !check_program(&table, program)? {
+    let bare_names = check_program(&table, program)?;
+    if !bare_names.contains(&true) {
         return Ok(Cow::Borrowed(program));
     }
     let mut copy = program.clone();
-    resolve(&table, &mut copy);
+    resolve(&table, &mut copy, &bare_names);
     Ok(Cow::Owned(copy))
 }
 
-/// Runs the checker over every class. Returns whether it met a bare name,
-/// which the resolver has to rewrite before the program can be lowered.
-fn check_program(table: &ClassTable, program: &Program) -> Result<bool, FrontError> {
+/// Runs the checker over every field initializer and method, in program
+/// order. Returns, in the same order, whether each holds a bare name: the
+/// resolver rewrites only those (a mutant's are the few methods JoNM
+/// edited).
+fn check_program(table: &ClassTable, program: &Program) -> Result<Vec<bool>, FrontError> {
     if program.entry().is_none() {
         return Err(FrontError::msg("program has no `static void main()` entry point"));
     }
-    let mut bare_names = false;
+    let mut bare_names = Vec::new();
     for class in &program.classes {
         for field in &class.fields {
             table.check_ty(&field.ty)?;
@@ -172,11 +176,11 @@ fn check_program(table: &ClassTable, program: &Program) -> Result<bool, FrontErr
                 let mut ck = Checker::new(table, &class.name, field.is_static);
                 let init_ty = ck.expr(init)?;
                 ck.require_assignable(&field.ty, &init_ty, init)?;
-                bare_names |= ck.bare_names;
+                bare_names.push(ck.bare_names);
             }
         }
         for method in &class.methods {
-            bare_names |= check_method(table, &class.name, method)?;
+            bare_names.push(check_method(table, &class.name, method)?);
         }
     }
     Ok(bare_names)
@@ -209,14 +213,19 @@ fn check_method(
     Ok(ck.bare_names)
 }
 
-/// Rewrites every bare name of a program that passed the checker.
-fn resolve(table: &ClassTable, program: &mut Program) {
+/// Rewrites every bare name of a program that passed the checker, visiting
+/// only the field initializers and methods `bare_names` (the checker's
+/// report, in the same order) marks.
+fn resolve(table: &ClassTable, program: &mut Program, bare_names: &[bool]) {
+    let mut bare_names = bare_names.iter().copied();
     for ClassDecl { name, fields, methods } in &mut program.classes {
         let class: &str = name;
-        for init in fields.iter_mut().filter_map(|field| field.init.as_mut()) {
+        let inits = fields.iter_mut().filter_map(|field| field.init.as_mut());
+        for (init, _) in inits.zip(&mut bare_names).filter(|&(_, bare)| bare) {
             Resolver { names: Names::new(table, class) }.expr(init);
         }
-        for MethodDecl { params, body, .. } in methods {
+        for (method, _) in methods.iter_mut().zip(&mut bare_names).filter(|&(_, bare)| bare) {
+            let MethodDecl { params, body, .. } = method;
             let mut resolver = Resolver { names: Names::new(table, class) };
             for param in params.iter() {
                 resolver.names.declare(&param.name, ());
@@ -1247,7 +1256,8 @@ mod tests {
             class T {
                 int f;
                 static int s;
-                int get() { f += s; return f + P.n + P.twice(s) + T.s; }
+                int g = s + P.n;
+                int get() { f += s; return f + g + P.n + P.twice(s) + T.s; }
                 static void main() {
                     T t = new T();
                     s = 4;
@@ -1259,9 +1269,19 @@ mod tests {
         "#;
         let resolved = ok(src);
         assert!(matches!(checked(&resolved), Ok(Cow::Borrowed(_))));
-        match checked(&crate::parse(src).unwrap()) {
+        let parsed = crate::parse(src).unwrap();
+        match checked(&parsed) {
             Ok(Cow::Owned(copy)) => assert_eq!(copy, resolved),
             other => panic!("expected a resolved copy, got {other:?}"),
+        }
+        // Only the members that hold bare names are resolved, the way a
+        // mutant's edited methods are.
+        for (member, edit) in [("get", 0), ("main", 1)] {
+            let mut mixed = resolved.clone();
+            mixed.classes[1].methods[edit] = parsed.classes[1].methods[edit].clone();
+            assert_ne!(mixed, resolved, "{member}");
+            check(&mut mixed).unwrap();
+            assert_eq!(mixed, resolved, "{member}");
         }
     }
 
