@@ -118,11 +118,12 @@ if [ "$mode" != "quick" ]; then
     # Oracle memory gate: the guided workload runs both static oracles
     # (TV and IR verifier at boundary). Its output checks must pass and
     # its peak RSS must stay bounded. Campaigns keep a TV finding's
-    # divergence lines only (about 37 MB peak); keeping the two IR dumps
-    # of every failing check, or holding compiled code across seeds,
-    # breaks 60 MB (about 87 MB with the dumps).
-    echo "==> oracle memory gate (campaign_openj9_guided: correct, peak RSS <= 60 MB)"
-    bench_gate campaign_openj9_guided 0 60
+    # divergence lines only, and a printed program only for the first
+    # finding of each signature (about 23 MB peak). Keeping a program
+    # for every one of its 182 TV incidents breaks 30 MB (about 36 MB),
+    # and so do the two IR dumps of every failing check (about 87 MB).
+    echo "==> oracle memory gate (campaign_openj9_guided: correct, peak RSS <= 30 MB)"
+    bench_gate campaign_openj9_guided 0 30
 
     # The traced replay re-runs each seed's and mutant's steps outside
     # validation and checks them against validation's own counts, and
@@ -135,11 +136,11 @@ if [ "$mode" != "quick" ]; then
     # must give the same space digest, all 240 must pass the front end,
     # and every attributed bug must be in the default set. Nothing else
     # runs these output checks. It is also the seed memory gate: the 240
-    # programs' bytecode stays resident for the whole run (about 48 MB
-    # peak with 24-byte instructions stored at their exact length; a
-    # 32-byte `Insn` in emit-buffer-sized code vectors reads about 80 MB).
-    echo "==> compilation-space workload and seed memory gate (space_hotspot: correct, peak RSS <= 60 MB)"
-    bench_gate space_hotspot 0 60
+    # programs' bytecode stays resident for the whole run (about 36 MB
+    # peak with 16-byte instructions stored at their exact length; a
+    # 24-byte `Insn` reads about 48 MB).
+    echo "==> compilation-space workload and seed memory gate (space_hotspot: correct, peak RSS <= 40 MB)"
+    bench_gate space_hotspot 0 40
 
     # The findings workflow end to end: the default hunt's first
     # reproducer must shrink under reduction, whatever its symptom (a

@@ -631,7 +631,7 @@ impl<'l> MethodCtx<'l> {
             Stmt::Switch { scrutinee, cases } => {
                 self.expr(scrutinee)?;
                 let switch_at =
-                    self.emit_patch(Insn::TableSwitch { cases: Box::new([]), default: 0 });
+                    self.emit_patch(Insn::TableSwitch { cases: Box::default(), default: 0 });
                 self.frames.push(Frame {
                     is_loop: false,
                     break_patches: vec![],
@@ -659,7 +659,7 @@ impl<'l> MethodCtx<'l> {
                     }
                 }
                 self.code[switch_at] = Insn::TableSwitch {
-                    cases: pairs.into(),
+                    cases: Box::new(pairs),
                     default: default_target.unwrap_or(end),
                 };
                 let frame = self.frames.pop().expect("frame pushed above");

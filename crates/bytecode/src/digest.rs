@@ -380,7 +380,7 @@ fn hash_insn_content(h: &mut Fnv, program: &BProgram, insn: &Insn) {
         Insn::TableSwitch { cases, default } => {
             h.u64(58);
             h.u64(cases.len() as u64);
-            for &(val, target) in cases {
+            for &(val, target) in cases.iter() {
                 h.u64(val as u32 as u64);
                 h.u64(u64::from(target));
             }

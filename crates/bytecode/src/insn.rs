@@ -185,8 +185,10 @@ pub enum Insn {
     JumpIfTrue(u32),
     JumpIfFalse(u32),
     /// Dense or sparse switch: pairs of (label, target), plus default.
+    /// The cases sit behind a thin pointer so that `Insn` stays at 16
+    /// bytes.
     TableSwitch {
-        cases: Box<[(i32, u32)]>,
+        cases: Box<Vec<(i32, u32)>>,
         default: u32,
     },
 
@@ -282,7 +284,7 @@ mod tests {
         let mut targets = vec![1];
         Insn::JumpIfFalse(7).collect_targets(&mut targets);
         assert_eq!(targets, vec![1, 7], "appends");
-        let sw = Insn::TableSwitch { cases: Box::new([(1, 10), (2, 20)]), default: 30 };
+        let sw = Insn::TableSwitch { cases: Box::new(vec![(1, 10), (2, 20)]), default: 30 };
         targets.clear();
         sw.collect_targets(&mut targets);
         assert_eq!(targets, vec![10, 20, 30]);

@@ -23,7 +23,7 @@ use cse_vm::{BugId, Component, Settings, Symptom, VmConfig, VmKind};
 use crate::coverage::{self, CoveragePolicy, CoverageState};
 use crate::executor;
 use crate::supervisor::{self, HarnessIncident, SupervisorConfig};
-use crate::triage::TriageConfig;
+use crate::triage::{SeenSignatures, TriageConfig};
 use crate::validate::ValidateConfig;
 
 /// Campaign settings.
@@ -244,6 +244,8 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let validate_config =
         ValidateConfig { max_iter: config.max_iter, ..ValidateConfig::paper_defaults(vm) };
     let mut ctx = executor::ExecContext { config, validate_config, start, prior_wall, round: None };
+    // The static-oracle signatures the campaign holds a source for.
+    let mut held = SeenSignatures::of(&result.incidents);
     // Seeds processed by this invocation (the `stop_after_seeds` budget
     // spans segments).
     let mut processed: u64 = 0;
@@ -286,7 +288,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
             // already exhausted: nothing left to schedule.
             config.seeds
         };
-        executor::run(&ctx, &mut result, end, &mut processed);
+        executor::run(&ctx, &mut result, &mut held, end, &mut processed);
         if result.totals.seeds < end || end >= config.seeds {
             break;
         }

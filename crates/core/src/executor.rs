@@ -58,6 +58,7 @@ use crate::baseline;
 use crate::campaign::{BugEvidence, CampaignConfig, CampaignResult};
 use crate::coverage::{PlanVariant, TaskSpec};
 use crate::supervisor::{self, HarnessIncident, IncidentPhase};
+use crate::triage::SeenSignatures;
 use crate::validate::{self, DiscrepancyKind, ValidateConfig, ValidationOutcome};
 
 /// Everything a campaign segment needs besides the result being built.
@@ -111,6 +112,7 @@ struct SeedRecord {
 pub(crate) fn run(
     ctx: &ExecContext<'_>,
     result: &mut CampaignResult,
+    held: &mut SeenSignatures,
     end: u64,
     processed: &mut u64,
 ) {
@@ -122,7 +124,7 @@ pub(crate) fn run(
         open,
         |offset| process_seed(ctx, offset),
         |record| {
-            merge_seed(ctx, result, record);
+            merge_seed(ctx, result, held, record);
             *processed += 1;
             if sup.checkpoint_path.is_some() && processed.is_multiple_of(sup.cadence()) {
                 checkpoint(ctx, result);
@@ -294,7 +296,19 @@ fn process_seed(ctx: &ExecContext<'_>, offset: u64) -> SeedRecord {
 /// Folds one seed's record into the campaign result. This is the *only*
 /// aggregation path, called strictly in seed order for every `jobs`
 /// setting, which is what makes the digest independent of `jobs`.
-fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRecord) {
+///
+/// A static-oracle incident keeps its source only when it is the first of
+/// its triage signature in the campaign: `held` holds the signatures the
+/// campaign already reported (rebuilt from the result's incidents on
+/// resume), so a later one drops the program it carried and writes no
+/// quarantine file, the first one's file holding the source. Harness
+/// incidents keep their sources and are always quarantined.
+fn merge_seed(
+    ctx: &ExecContext<'_>,
+    result: &mut CampaignResult,
+    held: &mut SeenSignatures,
+    record: SeedRecord,
+) {
     let config = ctx.config;
     let sup = &config.supervisor;
     let seed_value = record.seed_value;
@@ -324,8 +338,10 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
         );
     }
     let quarantine_vm = seed_vconfig(ctx, record.offset, seed_value).vm;
-    for incident in std::mem::take(&mut outcome.incidents) {
-        if let Some(dir) = &sup.quarantine_dir {
+    for mut incident in std::mem::take(&mut outcome.incidents) {
+        if incident.phase.is_static_oracle() && !held.first_of(&incident) {
+            incident.source = None;
+        } else if let Some(dir) = &sup.quarantine_dir {
             if let Err(e) = supervisor::quarantine_incident(dir, &incident, &quarantine_vm) {
                 eprintln!("warning: quarantine write failed: {e}");
             }
@@ -335,8 +351,10 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
     if outcome.found_bug() {
         result.cse_seeds.push(seed_value);
     }
-    for discrepancy in outcome.discrepancies {
-        if let DiscrepancyKind::Crash(info) = &discrepancy.kind {
+    for mut discrepancy in outcome.discrepancies {
+        if let (DiscrepancyKind::Crash(info), Some(source)) =
+            (&discrepancy.kind, &discrepancy.mutant_source)
+        {
             if let Some(dir) = &sup.quarantine_dir {
                 if let Err(e) = supervisor::quarantine_crash(
                     dir,
@@ -344,7 +362,7 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
                     seed_value,
                     discrepancy.culprit,
                     info,
-                    &discrepancy.mutant_source,
+                    source,
                     &config.vm,
                 ) {
                     eprintln!("warning: quarantine write failed: {e}");
@@ -359,7 +377,12 @@ fn merge_seed(ctx: &ExecContext<'_>, result: &mut CampaignResult, record: SeedRe
                     symptom: bug.symptom(),
                     occurrences: 0,
                     first_seed: seed_value,
-                    reproducer: discrepancy.mutant_source.clone(),
+                    // A bug's first discrepancy in the campaign is its
+                    // first in that seed, which validation printed.
+                    reproducer: discrepancy
+                        .mutant_source
+                        .take()
+                        .expect("a culprit's first discrepancy in a seed carries its source"),
                 });
                 evidence.occurrences += 1;
                 // Trust the *observed* symptom over the catalog when a

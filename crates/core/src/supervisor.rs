@@ -39,7 +39,8 @@
 //! incidents <n>
 //!   incident <phase> <seed> <rng_seed> <iteration|->
 //!   text <byte-len>      (payload)
-//!   source <0|1>  [+ text block when 1]
+//!   source <0|1>  [+ text block when 1; a static-oracle incident
+//!                  has 1 only as the first of its signature]
 //! [coverage section]
 //! wall <nanos>         (trailer: the one observed field, not digested)
 //! ```
@@ -140,6 +141,12 @@ impl IncidentPhase {
         }
     }
 
+    /// Whether the phase is a static oracle's finding (the IR verifier's
+    /// or the translation validator's) rather than a harness failure.
+    pub fn is_static_oracle(self) -> bool {
+        matches!(self, IncidentPhase::IrVerifyDefect | IncidentPhase::TvDefect)
+    }
+
     /// Inverse of [`name`](Self::name) — used by checkpoint decoding and
     /// the `triage` binary's repro-file parser.
     pub fn from_name(name: &str) -> Option<IncidentPhase> {
@@ -169,7 +176,8 @@ pub struct HarnessIncident {
     /// Panic payload or error description.
     pub payload: String,
     /// Source of the program being processed, when known — enough to
-    /// replay the incident in isolation.
+    /// replay the incident in isolation. A static-oracle finding carries
+    /// it only as the first of its triage signature in the campaign.
     pub source: Option<String>,
 }
 
@@ -232,10 +240,12 @@ fn push_text(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 /// `ForcedPlan::per_call` is a `HashMap`, so the plan is rendered apart
 /// with its calls sorted; every other field renders through `Debug`.
 ///
-/// A campaign with TV on ends the line with `oracle_findings=lines`: its
-/// TV incidents carry divergence lines where older checkpoints held IR
-/// dumps, so such a checkpoint restarts rather than mixing the two
-/// payload forms. Every other campaign's line, and so its digest, is
+/// A campaign with either static oracle on ends the line with
+/// `oracle_findings=first`: only the first incident of each triage
+/// signature carries its source, where older checkpoints held one per
+/// incident (`oracle_findings=lines`, TV only) or IR dumps (no marker).
+/// Such a checkpoint restarts rather than mixing the forms. A campaign
+/// with both oracles off has no marker, so its line and digest are
 /// unchanged.
 fn identity(config: &CampaignConfig) -> String {
     let mut vm = config.vm.clone();
@@ -249,7 +259,8 @@ fn identity(config: &CampaignConfig) -> String {
         .as_ref()
         .map_or_else(|| "off".to_string(), |t| t.max_reduce_steps.to_string());
     let chaos = config.supervisor.chaos.map(|c| (c.panic_on_seed, c.after_ops));
-    let findings = if vm.tv != TvMode::Off { " oracle_findings=lines" } else { "" };
+    let static_oracles = vm.tv != TvMode::Off || vm.verify_ir != VerifyMode::Off;
+    let findings = if static_oracles { " oracle_findings=first" } else { "" };
     format!(
         "config seeds={} first_seed={} max_iter={} run_traditional={} coverage={} \
          triage_steps={triage} chaos={chaos:?} fuzz={:?} plan={plan:?} vm={vm:?}{findings}",
@@ -772,7 +783,9 @@ fn named<T: std::fmt::Display, const N: usize>(value: &str, options: [T; N]) -> 
 }
 
 /// Persists a contained harness incident as a self-contained repro file
-/// and returns its path.
+/// and returns its path. A campaign writes one for every harness failure
+/// and one per static-oracle signature: the signature's first incident,
+/// the only one that carries the source (see `executor::merge_seed`).
 pub fn quarantine_incident(
     dir: &Path,
     incident: &HarnessIncident,
@@ -873,7 +886,9 @@ pub fn parse_quarantined_incident(text: &str) -> Option<(HarnessIncident, VmConf
 }
 
 /// Persists a crash-discrepancy reproducer (mutant source + rng seed +
-/// VM profile) and returns its path.
+/// VM profile) and returns its path. A campaign writes one for the first
+/// crash of each culprit in a seed, the discrepancy whose mutant source
+/// validation printed.
 pub fn quarantine_crash(
     dir: &Path,
     seed: u64,
@@ -1106,6 +1121,25 @@ mod tests {
         backward.vm.plan = Some(plan);
         assert_eq!(identity(&forward), identity(&backward));
         assert_ne!(identity(&forward), identity(&config));
+    }
+
+    /// Either static oracle marks the identity (one source per finding
+    /// signature); a campaign with both off keeps its unmarked line.
+    #[test]
+    fn identity_marks_campaigns_with_a_static_oracle() {
+        let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, 7);
+        config.vm.tv = TvMode::Off;
+        config.vm.verify_ir = VerifyMode::Off;
+        assert!(!identity(&config).contains("oracle_findings"));
+        for (tv, verify_ir) in [
+            (TvMode::Boundary, VerifyMode::Off),
+            (TvMode::Off, VerifyMode::Boundary),
+            (TvMode::Each, VerifyMode::Boundary),
+        ] {
+            config.vm.tv = tv;
+            config.vm.verify_ir = verify_ir;
+            assert!(identity(&config).ends_with(" oracle_findings=first"), "{tv} {verify_ir}");
+        }
     }
 
     #[test]

@@ -33,19 +33,18 @@
 //! renderings, and campaign digests are bit-identical across machines
 //! and worker counts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cse_bytecode::{Fnv, MethodId};
-use cse_lang::Program;
+use cse_bytecode::{BProgram, Fnv, MethodId};
 use cse_reduce::{reduce_with, ReduceConfig};
 use cse_vm::supervise::supervised_run;
 use cse_vm::{ForcedPlan, Settings, VmConfig};
 
 use crate::campaign::CampaignConfig;
 use crate::supervisor::{HarnessIncident, IncidentPhase};
-use crate::validate::try_compile_checked;
+use crate::validate::{try_compile_checked, try_compile_resolved};
 
 // ----- signatures ---------------------------------------------------------
 
@@ -184,6 +183,30 @@ pub fn signature_of(incident: &HarnessIncident) -> BugSignature {
     }
 }
 
+/// The static-oracle signatures already reported with a source, kept as
+/// [`BugSignature::stable_hash`]es, the key triage groups by. A campaign
+/// keeps one source per signature: validation holds one set per seed and
+/// the seed-ordered merge one for the whole campaign.
+#[derive(Debug, Default)]
+pub(crate) struct SeenSignatures(HashSet<u64>);
+
+impl SeenSignatures {
+    /// The set of the static-oracle incidents in `incidents` (a resumed
+    /// campaign's).
+    pub(crate) fn of(incidents: &[HarnessIncident]) -> SeenSignatures {
+        let mut seen = SeenSignatures::default();
+        for incident in incidents.iter().filter(|i| i.phase.is_static_oracle()) {
+            seen.first_of(incident);
+        }
+        seen
+    }
+
+    /// Records `incident`'s signature; true when it was not yet seen.
+    pub(crate) fn first_of(&mut self, incident: &HarnessIncident) -> bool {
+        self.0.insert(signature_of(incident).stable_hash())
+    }
+}
+
 /// Signature for a crash-discrepancy quarantine file (kept alongside
 /// incident signatures so both file families are hash-suffixed).
 pub fn crash_signature(label: &str, crash: &cse_vm::CrashInfo) -> BugSignature {
@@ -231,23 +254,26 @@ fn replay_vm(incident: &HarnessIncident, raised_under: &VmConfig) -> VmConfig {
     vm
 }
 
-/// One replay: does `program` under `vm` raise an incident with the
-/// group's signature? The replay builds the incidents its run would
-/// raise, as validation records them: a compile failure as a
-/// compile-phase incident, a contained panic under the representative's
-/// phase, one incident per IR-verifier line and one per TV report
-/// header line. [`signature_of`] alone decides "same bug".
-fn replays(group: &Group<'_>, vm: &VmConfig, program: &Program) -> bool {
+/// One replay: does a program whose front-end result is `front` raise,
+/// under `vm`, an incident with the group's signature? The replay builds
+/// the incidents its run would raise, as validation records them: a
+/// compile failure as a compile-phase incident, a contained panic under
+/// the representative's phase, one incident per IR-verifier line and one
+/// per TV report header line. [`signature_of`] alone decides "same bug".
+/// Callers compile once per program ([`try_compile_resolved`] for reducer
+/// candidates, which come checked), so plan shrinking reruns one
+/// program's bytecode under each candidate plan.
+fn replays(group: &Group<'_>, vm: &VmConfig, front: &Result<BProgram, String>) -> bool {
     let phase = group.representative.phase;
-    let raised: Vec<(IncidentPhase, String)> = match try_compile_checked(program) {
+    let raised: Vec<(IncidentPhase, String)> = match front {
         Err(message) => {
             let compile_phase = match phase {
                 IncidentPhase::MutantCompile => IncidentPhase::MutantCompile,
                 _ => IncidentPhase::SeedCompile,
             };
-            vec![(compile_phase, message)]
+            vec![(compile_phase, message.clone())]
         }
-        Ok(bytecode) => match supervised_run(&bytecode, vm.clone()) {
+        Ok(bytecode) => match supervised_run(bytecode, vm.clone()) {
             Err(panic) => vec![(phase, panic.payload)],
             Ok(result) => {
                 let ir =
@@ -563,28 +589,38 @@ fn triage_group(group: &Group<'_>, tcfg: &TriageConfig) -> TriagedReport {
     let Ok(program) = cse_lang::parse(source) else { return report };
 
     // Reduction: delta-debug the AST while the candidate still replays
-    // to the incident's signature. The reducer tries the input first.
+    // to the incident's signature. The reducer tries the input first and
+    // hands the predicate checked programs only, so each is lowered
+    // without a second check.
     let outcome = reduce_with(
         &program,
         ReduceConfig { max_steps: tcfg.max_reduce_steps },
-        &mut |candidate| replays(group, &vm, candidate),
+        &mut |candidate| replays(group, &vm, &try_compile_resolved(candidate)),
     );
     report.reduce_steps = outcome.steps;
     report.reduce_budget_exhausted = outcome.budget_exhausted;
-    if !outcome.input_interesting {
-        return report;
-    }
     let reduced = outcome.program;
+    // An input the checker rejects never reaches the predicate. It cannot
+    // be reduced either (a candidate that passes the checker does not
+    // replay a checker failure), but a compile-phase group's type error
+    // still replays, unreduced.
+    if !outcome.input_interesting {
+        let front = try_compile_checked(&reduced);
+        if front.is_ok() || !replays(group, &vm, &front) {
+            return report;
+        }
+    }
 
     // Compilation-space coordinate: shrink the forced plan while the
     // reduced program still replays.
     if let Some(plan) = vm.plan.clone() {
         let before = plan.per_call.len() + plan.default.is_some() as usize;
         let budget = tcfg.max_reduce_steps.saturating_sub(report.reduce_steps).max(1);
+        let front = try_compile_checked(&reduced);
         let shrunk = shrink_plan(&plan, budget, &mut |candidate| {
             let mut candidate_vm = vm.clone();
             candidate_vm.plan = Some(candidate.clone());
-            replays(group, &candidate_vm, &reduced)
+            replays(group, &candidate_vm, &front)
         });
         let after = shrunk.per_call.len() + shrunk.default.is_some() as usize;
         report.plan_pins = Some((before, after));
@@ -597,7 +633,8 @@ fn triage_group(group: &Group<'_>, tcfg: &TriageConfig) -> TriagedReport {
     // could not disagree with the first.
     let reduced_source = cse_lang::pretty::print(&reduced);
     report.reduced_bytes = reduced_source.len();
-    if cse_lang::parse(&reduced_source).is_ok_and(|repro| replays(group, &vm, &repro)) {
+    let repro = cse_lang::parse(&reduced_source);
+    if repro.is_ok_and(|repro| replays(group, &vm, &try_compile_checked(&repro))) {
         report.verdict = Verdict::Deterministic;
         report.reduced_source = Some(reduced_source);
     }

@@ -57,6 +57,7 @@ use cse_vm::{
 use crate::mutate::{AppliedMutation, Artemis};
 use crate::supervisor::{HarnessIncident, IncidentPhase};
 use crate::synth::SynthParams;
+use crate::triage::SeenSignatures;
 
 /// Validation settings.
 #[derive(Debug, Clone)]
@@ -110,8 +111,12 @@ impl DiscrepancyKind {
 #[derive(Debug, Clone)]
 pub struct Discrepancy {
     pub kind: DiscrepancyKind,
-    /// The mutant source that exposes the bug (a ready bug report).
-    pub mutant_source: String,
+    /// The mutant source that exposes the bug (a ready bug report),
+    /// printed only for the first discrepancy of each culprit in the
+    /// seed: the one a campaign can keep as that bug's reproducer, and
+    /// the one crash quarantine writes. `None` for later discrepancies of
+    /// the same culprit and for unattributed ones.
+    pub mutant_source: Option<String>,
     /// Mutations that were applied to derive the mutant.
     pub mutations: Vec<AppliedMutation>,
     /// Ground-truth culprit, when attribution was possible.
@@ -228,32 +233,43 @@ impl ValidationOutcome {
     /// Harvests the static oracles' findings from a run into their
     /// counters and incidents: IR-verifier defect lines into an
     /// [`IncidentPhase::IrVerifyDefect`] incident, translation-validation
-    /// divergence lines into an [`IncidentPhase::TvDefect`] one. When both
-    /// fire, `source` is printed once for the two. Applied to the seed run
-    /// and to first mutant runs only — neutrality references run the
-    /// interpreter (nothing to verify) and attribution reruns would
-    /// re-report the same compilations.
+    /// divergence lines into an [`IncidentPhase::TvDefect`] one.
+    ///
+    /// Only an incident whose triage signature `held` has not seen in this
+    /// seed carries `source`, printed; a repeat of a known signature keeps
+    /// its payload and drops the program, since the campaign reports one
+    /// source per signature (see `executor::merge_seed`). When both
+    /// incidents are new, `source` is printed once for the two. Applied to
+    /// the seed run and to first mutant runs only — neutrality references
+    /// run the interpreter (nothing to verify) and attribution reruns
+    /// would re-report the same compilations.
     fn note_oracle_defects(
         &mut self,
         result: &ExecutionResult,
         rng_seed: u64,
         iteration: Option<usize>,
         source: &Program,
+        held: &mut SeenSignatures,
     ) {
-        if result.ir_verify.is_empty() && result.tv.is_empty() {
-            return;
-        }
-        let mut printed = Some(cse_lang::pretty::print(source));
+        let start = self.incidents.len();
         if !result.ir_verify.is_empty() {
             self.ir_verify_defects += result.ir_verify.len() as u64;
-            let source = if result.tv.is_empty() { printed.take() } else { printed.clone() };
             let payload = result.ir_verify.join("\n");
-            self.incident(IncidentPhase::IrVerifyDefect, rng_seed, iteration, payload, source);
+            self.incident(IncidentPhase::IrVerifyDefect, rng_seed, iteration, payload, None);
         }
         if !result.tv.is_empty() {
             self.tv_defects += u64::from(result.stats.tv_defects);
             let payload = result.tv.join("\n");
-            self.incident(IncidentPhase::TvDefect, rng_seed, iteration, payload, printed);
+            self.incident(IncidentPhase::TvDefect, rng_seed, iteration, payload, None);
+        }
+        let mut firsts: Vec<&mut HarnessIncident> =
+            self.incidents[start..].iter_mut().filter(|i| held.first_of(i)).collect();
+        if let Some((last, rest)) = firsts.split_last_mut() {
+            let printed = cse_lang::pretty::print(source);
+            for incident in rest {
+                incident.source = Some(printed.clone());
+            }
+            last.source = Some(printed);
         }
     }
 
@@ -312,6 +328,14 @@ pub fn try_compile_checked_mut(program: &mut Program) -> Result<BProgram, String
         cse_lang::typeck::check(program).map_err(type_error)?;
         lower_and_verify(program)
     })
+}
+
+/// [`try_compile_checked`] for a program the checker already accepted and
+/// resolved, such as a reducer candidate ([`cse_reduce::reduce_with`]
+/// hands its predicate only those): lowers and verifies it without
+/// checking it again.
+pub fn try_compile_resolved(program: &Program) -> Result<BProgram, String> {
+    contain_front_end(|| lower_and_verify(program))
 }
 
 fn type_error(e: cse_lang::FrontError) -> String {
@@ -435,7 +459,9 @@ pub fn validate_compiled_in(
         outcome.seed_discarded = true;
         return outcome;
     };
-    outcome.note_oracle_defects(&seed_result, rng_seed, None, seed);
+    // Static-oracle signatures this seed has reported a source for.
+    let mut held = SeenSignatures::default();
+    outcome.note_oracle_defects(&seed_result, rng_seed, None, seed, &mut held);
     // Running union of this seed's coverage, for novelty checks within
     // the seed (the campaign-global check happens at the merge barrier).
     let mut seen_coverage = seed_result.coverage;
@@ -460,6 +486,9 @@ pub fn validate_compiled_in(
     let seed_observable = seed_result.observable();
     let mut artemis = Artemis::new(rng_seed, config.params.clone());
     configure(&mut artemis);
+    // Culprits (a `BugId` bit mask) whose first discrepancy in this seed
+    // already carries the mutant source.
+    let mut printed_culprits = 0u64;
     for iteration in 0..config.max_iter {
         // P' ← JoNM(P).
         let (mut mutant, mutations) = match contain_panics(|| artemis.jonm(seed)) {
@@ -519,7 +548,7 @@ pub fn validate_compiled_in(
             outcome.discarded += 1;
             continue;
         };
-        outcome.note_oracle_defects(&mutant_result, rng_seed, at, &mutant);
+        outcome.note_oracle_defects(&mutant_result, rng_seed, at, &mutant, &mut held);
         if config.vm.coverage {
             let map = mutant_result.coverage;
             if map.covers_new(&seen_coverage) && outcome.corpus_candidates.len() < 4 {
@@ -636,9 +665,17 @@ pub fn validate_compiled_in(
                 attribute(mutant_program, config, &mutant_result, rng_seed, iteration, &mut outcome)
             }
         };
+        // Only a culprit's first discrepancy in the seed can become the
+        // campaign's reproducer for it, so only that one is printed.
+        let first_of_culprit = culprit.is_some_and(|bug| {
+            let bit = 1u64 << (bug as u64);
+            let first = printed_culprits & bit == 0;
+            printed_culprits |= bit;
+            first
+        });
         outcome.discrepancies.push(Discrepancy {
             kind,
-            mutant_source: cse_lang::pretty::print(&mutant),
+            mutant_source: first_of_culprit.then(|| cse_lang::pretty::print(&mutant)),
             mutations,
             culprit,
             seed_observable: seed_observable.clone(),

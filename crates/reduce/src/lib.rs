@@ -76,7 +76,10 @@ pub struct ReduceOutcome {
 }
 
 /// Reduces `program` while `interesting` holds. The predicate receives
-/// *checked* candidates only; it is never called on invalid programs.
+/// *checked* programs only, in their resolved form
+/// ([`cse_lang::typeck::checked`]): it is never called on invalid
+/// programs, and it may lower what it gets without checking it again.
+/// The reduced program is returned as the reducer built it, unresolved.
 ///
 /// Convenience wrapper over [`reduce_with`] using the default
 /// [`ReduceConfig`]; panics in debug builds if the input itself is not
@@ -89,8 +92,9 @@ pub fn reduce(program: &Program, interesting: &mut dyn FnMut(&Program) -> bool) 
 
 /// Budgeted reduction: like [`reduce`], but bounded by
 /// `config.max_steps` candidate evaluations and reporting how the
-/// reduction ended instead of asserting on uninteresting inputs (those
-/// come back unchanged with `input_interesting = false`).
+/// reduction ended instead of asserting on uninteresting inputs (those,
+/// and inputs the checker rejects, come back unchanged with
+/// `input_interesting = false`).
 pub fn reduce_with(
     program: &Program,
     config: ReduceConfig,
@@ -98,9 +102,10 @@ pub fn reduce_with(
 ) -> ReduceOutcome {
     let mut ctx = Ctx { interesting, steps: 0, max_steps: config.max_steps };
     let mut current = program.clone();
-    // The input is trusted to be checked; only the predicate gates it.
+    // The input costs one step and is checked like every candidate: an
+    // input the checker rejects is not interesting.
     ctx.steps += 1;
-    if !(ctx.interesting)(&current) {
+    if !ctx.test(&current) {
         return ReduceOutcome {
             program: current,
             steps: ctx.steps,
@@ -143,18 +148,24 @@ impl Ctx<'_> {
         self.steps >= self.max_steps
     }
 
-    /// Checks a candidate and applies the predicate, charging one step.
-    /// Out of budget, every candidate is rejected, so all pass loops
-    /// drain without further predicate runs.
+    /// Charges one step and tests a candidate. Out of budget, every
+    /// candidate is rejected, so all pass loops drain without further
+    /// predicate runs.
     fn accept(&mut self, candidate: &Program) -> bool {
         if self.exhausted() {
             return false;
         }
         self.steps += 1;
-        if cse_lang::typeck::checked(candidate).is_err() {
-            return false;
+        self.test(candidate)
+    }
+
+    /// Checks a program and applies the predicate to its resolved form;
+    /// the check is the only one the program gets.
+    fn test(&mut self, program: &Program) -> bool {
+        match cse_lang::typeck::checked(program) {
+            Ok(checked) => (self.interesting)(&checked),
+            Err(_) => false,
         }
-        (self.interesting)(candidate)
     }
 }
 
@@ -376,6 +387,34 @@ mod tests {
         let reduced = reduce(&program, &mut |p| run_output(p).contains("42"));
         // All three statements are needed to print 42.
         assert_eq!(reduced.classes[0].method("main").unwrap().body.stmts.len(), 3);
+    }
+
+    /// The predicate gets programs in resolved form, so it can lower them
+    /// without a check of its own, and never sees an input the checker
+    /// rejects.
+    #[test]
+    fn predicate_sees_resolved_programs_and_no_ill_typed_input() {
+        let bare = cse_lang::parse(
+            "class T { static int f = 2; static void main() { int x = 1; println(f); } }",
+        )
+        .unwrap();
+        assert!(cse_bytecode::compile(&bare).is_err(), "calibration: `f` is a bare name");
+        let mut lowered = 0;
+        let outcome = reduce_with(&bare, ReduceConfig::default(), &mut |p| {
+            lowered += 1;
+            run_output(p).contains('2')
+        });
+        assert!(outcome.input_interesting && lowered > 1);
+        assert_eq!(outcome.program.classes[0].method("main").unwrap().body.stmts.len(), 1);
+        assert!(cse_lang::pretty::print(&outcome.program).contains("println(f)"), "unresolved");
+
+        let ill_typed =
+            cse_lang::parse("class T { static void main() { int x = true; } }").unwrap();
+        let outcome = reduce_with(&ill_typed, ReduceConfig::default(), &mut |_| {
+            panic!("the predicate saw an ill-typed input")
+        });
+        assert!(!outcome.input_interesting);
+        assert_eq!(outcome.steps, 1);
     }
 
     #[test]

@@ -638,7 +638,7 @@ fn stack_depths(program: &BProgram, method: &BMethod) -> Vec<i32> {
                 worklist.push((pc + 1, next_d));
             }
             Insn::TableSwitch { cases, default } => {
-                for (_, t) in cases {
+                for (_, t) in cases.iter() {
                     worklist.push((*t, next_d));
                 }
                 worklist.push((*default, next_d));

@@ -7,7 +7,6 @@
 //! ```
 
 use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
-use artemis_cse::core::validate::compile_checked;
 use artemis_cse::vm::{FaultInjector, Settings, Vm, VmKind};
 
 fn main() {
@@ -65,7 +64,8 @@ fn main() {
         vm.clone().with_faults(FaultInjector::with(vm.faults.bugs().filter(|&b| b != bug)));
     let before = evidence.reproducer.lines().count();
     let reduced = artemis_cse::reduce::reduce(&reproducer, &mut |candidate| {
-        let bytecode = compile_checked(candidate);
+        // The reducer checked the candidate; lowering is all that is left.
+        let bytecode = artemis_cse::bytecode::compile(candidate).expect("checked candidates lower");
         let buggy = Vm::run_program(&bytecode, vm.clone());
         !buggy.outcome.is_resource_exhausted()
             && Vm::run_program(&bytecode, ablated.clone()).observable() != buggy.observable()

@@ -196,14 +196,16 @@ fn old_format_checkpoint_restarts_the_campaign() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A TV-on checkpoint whose `config` line lacks the `oracle_findings`
-/// marker was written while static-oracle incidents carried IR dumps: it
-/// is ignored and the campaign starts fresh. The body is tampered so that
-/// resuming it would show; the control with the marker kept resumes it.
+/// A TV-on checkpoint whose `config` line does not end with the
+/// `oracle_findings=first` marker was written while static-oracle
+/// incidents carried IR dumps (no marker) or one source per incident
+/// (`oracle_findings=lines`): it is ignored and the campaign starts
+/// fresh. The body is tampered so that resuming it would show; the
+/// control with the marker kept resumes it.
 #[test]
 fn checkpoint_with_ir_dump_findings_restarts_the_campaign() {
     const SEEDS: u64 = 2;
-    const MARKER: &str = " oracle_findings=lines";
+    const MARKER: &str = " oracle_findings=first";
     let dir = scratch("oracle-findings");
     let path = dir.join("campaign.checkpoint");
     let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, SEEDS);
@@ -222,9 +224,11 @@ fn checkpoint_with_ir_dump_findings_restarts_the_campaign() {
     let resumed = run_campaign(&config);
     assert_eq!(resumed.unattributed, fresh.unattributed + 7, "a marked checkpoint resumes");
 
-    std::fs::write(&path, tampered.replacen(MARKER, "", 1)).unwrap();
-    let restarted = run_campaign(&config);
-    assert_eq!(restarted.digest(&config), fresh.digest(&config), "an unmarked one restarts");
+    for (older, marker) in [("an unmarked", ""), ("a `lines`-marked", " oracle_findings=lines")] {
+        std::fs::write(&path, tampered.replacen(MARKER, marker, 1)).unwrap();
+        let restarted = run_campaign(&config);
+        assert_eq!(restarted.digest(&config), fresh.digest(&config), "{older} one restarts");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

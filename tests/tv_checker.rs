@@ -25,7 +25,8 @@ use artemis_cse::bytecode::{ArrKind, BProgram, ClassId, CmpOp, PrintKind};
 use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
 use artemis_cse::core::space::enumerate_space;
 use artemis_cse::core::supervisor::IncidentPhase;
-use artemis_cse::core::validate::compile_checked;
+use artemis_cse::core::triage::{signature_of, triage_campaign, TriageConfig};
+use artemis_cse::core::validate::{compile_checked, validate, ValidateConfig};
 use artemis_cse::vm::jit::ir::{BinKind, Block, InlineFrame, Inst, IrFunc, Op, Reg, Term};
 use artemis_cse::vm::jit::passes::{self, PassFn};
 use artemis_cse::vm::jit::tv::{self, TvContract};
@@ -504,6 +505,94 @@ fn campaign_tv_incidents_carry_divergence_lines_only() {
     }
     assert!(lines > 0, "calibration: the campaign must raise TV incidents");
     assert_eq!(lines, result.totals.tv_defects, "one payload line per counted divergence");
+}
+
+/// A static-oracle campaign keeps one printed program per finding
+/// signature: exactly one incident per (phase, signature) carries a
+/// source, the first of that signature in seed order, and only it is
+/// quarantined. The result is the same at every `jobs` value and across
+/// a kill/resume, and triage still reduces a sourced representative for
+/// every group.
+#[test]
+fn static_oracle_findings_keep_one_source_per_signature() {
+    const SEEDS: u64 = 8;
+    let dir = std::env::temp_dir().join(format!("cse-tv-one-source-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, SEEDS);
+    config.vm.tv = TvMode::Boundary;
+    config.vm.verify_ir = VerifyMode::Boundary;
+    let mut quarantined = config.clone();
+    quarantined.supervisor.quarantine_dir = Some(dir.join("quarantine"));
+    let result = run_campaign(&quarantined);
+
+    let findings: Vec<_> = result.incidents.iter().filter(|i| i.phase.is_static_oracle()).collect();
+    let mut first_seen: Vec<(u64, usize)> = Vec::new();
+    for (at, incident) in findings.iter().enumerate() {
+        let key = signature_of(incident).stable_hash();
+        let first = !first_seen.iter().any(|&(seen, _)| seen == key);
+        if first {
+            first_seen.push((key, at));
+        }
+        assert_eq!(incident.source.is_some(), first, "incident {at} of {key:016x}");
+    }
+    let signatures = first_seen.len();
+    assert!(signatures > 0, "calibration: the campaign must raise static-oracle incidents");
+    let repeated_in_a_seed = findings
+        .windows(2)
+        .find(|pair| pair[0].seed == pair[1].seed && signature_of(pair[0]) == signature_of(pair[1]))
+        .map(|pair| pair[0].seed);
+    let repeated_across_seeds = first_seen.iter().any(|&(key, at)| {
+        findings.iter().any(|i| i.seed > findings[at].seed && signature_of(i).stable_hash() == key)
+    });
+    let seed = repeated_in_a_seed.expect("calibration: a signature must repeat within a seed");
+    assert!(repeated_across_seeds, "calibration: a signature must repeat across seeds");
+
+    // Validation itself prints a program only for a signature new in the
+    // seed, before the merge sees it.
+    let program = cse_fuzz::generate(seed, &config.fuzz);
+    let outcome = validate(&program, &ValidateConfig::paper_defaults(config.vm.clone()), seed);
+    let mut in_seed = Vec::new();
+    for incident in outcome.incidents.iter().filter(|i| i.phase.is_static_oracle()) {
+        let key = signature_of(incident).stable_hash();
+        let first = !in_seed.contains(&key);
+        in_seed.push(key);
+        assert_eq!(incident.source.is_some(), first, "seed {seed}: {key:016x}");
+    }
+    assert!(in_seed.len() > 1, "calibration: seed {seed} repeats a signature");
+
+    // One quarantine file per signature, holding the source.
+    let files: Vec<String> = std::fs::read_dir(dir.join("quarantine"))
+        .expect("quarantine dir")
+        .map(|e| std::fs::read_to_string(e.unwrap().path()).unwrap())
+        .filter(|body| {
+            body.contains("// phase: TvDefect") || body.contains("// phase: IrVerifyDefect")
+        })
+        .collect();
+    assert_eq!(files.len(), signatures, "one quarantined file per signature");
+    assert!(files.iter().all(|body| body.contains("class ")), "quarantined files hold the source");
+
+    let digest = result.digest(&config);
+    for jobs in [2, 4] {
+        let parallel = config.clone().with_jobs(jobs);
+        assert_eq!(run_campaign(&parallel).digest(&parallel), digest, "jobs={jobs}");
+    }
+    let mut killed = config.clone().with_jobs(2);
+    killed.supervisor.checkpoint_path = Some(dir.join("campaign.checkpoint"));
+    killed.supervisor.stop_after_seeds = Some(SEEDS / 2);
+    assert!(run_campaign(&killed).totals.partial, "calibration: the first run stops mid-way");
+    killed.supervisor.stop_after_seeds = None;
+    let resumed = run_campaign(&killed);
+    assert!(!resumed.totals.partial);
+    assert_eq!(resumed.digest(&killed), digest, "kill/resume");
+
+    let tcfg = TriageConfig { max_reduce_steps: 40, jobs: 2 };
+    let report = triage_campaign(&config, &tcfg, &result.incidents);
+    let groups: Vec<_> = report.reports.iter().chain(&report.suppressed).collect();
+    assert!(groups.len() >= signatures);
+    for group in groups {
+        assert!(group.original_bytes > 0, "representative of {} has no source", group.signature);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `each`-mode soundness across the fuzzed seed corpus, on every VM
