@@ -189,22 +189,35 @@ if [ "$mode" != "quick" ]; then
     echo "==> triage suite (seeded-fault campaign, replay verdicts, the triage binary)"
     cargo test --release -q --test triage
 
-    # Coverage smoke: the same seed budget under uniform sampling
-    # (CSE_COVERAGE=off digests are byte-compatible with collect, so
-    # collect doubles as the uniform reference) and under the feedback
-    # scheduler. Guidance must strictly increase covered cells — this is
-    # the subsystem's payoff gate, not just a does-it-run check.
-    echo "==> coverage smoke (CSE_COVERAGE=guide must beat collect at equal budget)"
-    collect_cells=$(CSE_COVERAGE=collect CSE_SEEDS=12 \
-        cargo run --release -q --bin coverage | awk '/^cells /{print $2}')
-    guide_cells=$(CSE_COVERAGE=guide CSE_SEEDS=12 \
-        cargo run --release -q --bin coverage | awk '/^cells /{print $2}')
-    echo "    collect: ${collect_cells} cells   guide: ${guide_cells} cells"
-    if [ -z "$collect_cells" ] || [ -z "$guide_cells" ] \
-        || [ "$guide_cells" -le "$collect_cells" ]; then
-        echo "error: coverage guidance did not increase covered cells" >&2
+    # Yield gate: every arm of the experiment harness runs its campaigns
+    # to completion (the harness itself exits non-zero on a non-neutral
+    # mutant or a bug outside the seeded set), and each profile's `off`
+    # arm finds at least the bugs this seed budget has found since the
+    # harness replaced the per-table drivers. A trigger or oracle change
+    # that loses one of them fails here.
+    echo "==> yield gate (yield_harness at 32 seeds: every arm sound and complete, off finds its pins)"
+    yield_out=$(CSE_SEEDS=32 cargo run --release -q -p cse-bench --bin yield_harness) || {
+        echo "error: yield_harness failed: $yield_out" >&2
+        exit 1
+    }
+    if grep -q PARTIAL <<< "$yield_out"; then
+        echo "error: a yield_harness campaign did not finish: $yield_out" >&2
         exit 1
     fi
+    for pins in \
+        "HotSpot HsInlineHandlerAssert HsGraphBlockBudget HsLoopUnrollStep HsEscapeLoopStore HsCodegenMultiArray" \
+        "OpenJ9 J9DeoptStaleLocal J9CodegenLongMul J9CodegenConcatLoop J9RecompOsrPromote J9JitIntCallAssert J9OtherNestedTry" \
+        "ART ArtOptCompHandlerAssert ArtOptCompSwitchAssert"; do
+        read -r profile pinned <<< "$pins"
+        found=$(awk -v p="$profile" '$1 == "bugs" && $2 == p && $3 == "off:"' <<< "$yield_out")
+        echo "    $profile: ${found#*off: }"
+        for bug in $pinned; do
+            if ! grep -qw "$bug" <<< "$found"; then
+                echo "error: the $profile off arm lost $bug: $found" >&2
+                exit 1
+            fi
+        done
+    done
 fi
 
 echo "==> working tree unchanged by the run"

@@ -1,29 +1,34 @@
 //! Benchmark harnesses reproducing every table and figure of the paper's
 //! evaluation (§4), plus the ablations called out in `DESIGN.md`.
 //!
-//! Each `src/bin/` binary regenerates one table or figure and prints rows
-//! in the paper's layout; `EXPERIMENTS.md` records paper-vs-measured for
-//! each. Campaign sizes default to laptop-friendly values and scale with
+//! Every campaign experiment is an arm of one binary, `yield_harness`: a
+//! `CampaignConfig::for_kind` variant run through `run_campaign` on each
+//! VM profile and scored in unique ground-truth bugs per core-second.
+//! Tables 1, 2 and 4, the §4.3 throughput and the threshold and
+//! `MAX_ITER` ablations print from its arms. The other binaries cover
+//! what is not a campaign: mutation cost (Table 3), the tool matrix
+//! (Table 5), Figures 1–3 and the mutator-neutrality check.
+//! `EXPERIMENTS.md` records paper-vs-measured for each. Sizes scale with
 //! the `CSE_SEEDS` environment variable.
 
 #![forbid(unsafe_code)]
 
 use cse_vm::{Settings, VmKind};
 
-/// Supervision settings from the environment, shared by the table
-/// binaries: `CSE_CHECKPOINT_DIR` (checkpoint per profile, resume on
+/// Supervision settings from the environment for the campaign named
+/// `label`: `CSE_CHECKPOINT_DIR` (checkpoint per label, resume on
 /// restart), `CSE_QUARANTINE_DIR` (crash/panic repro files), and
 /// `CSE_DEADLINE_SECS` (global wall-clock budget; expired campaigns
 /// print partial totals and resume from their checkpoint next run).
-pub fn supervisor_from_env(profile: &str) -> cse_core::SupervisorConfig {
+pub fn supervisor_from_env(label: &str) -> cse_core::SupervisorConfig {
     let env = Settings::get();
     let mut sup = cse_core::SupervisorConfig::default();
     if let Some(dir) = &env.checkpoint_dir {
-        sup.checkpoint_path = Some(dir.join(format!("{profile}.checkpoint")));
+        sup.checkpoint_path = Some(dir.join(format!("{label}.checkpoint")));
         sup.checkpoint_every = 16;
     }
     if let Some(dir) = &env.quarantine_dir {
-        sup.quarantine_dir = Some(dir.join(profile));
+        sup.quarantine_dir = Some(dir.join(label));
     }
     sup.deadline = env.deadline_secs.map(std::time::Duration::from_secs);
     sup

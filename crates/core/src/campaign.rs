@@ -60,9 +60,8 @@ pub struct CampaignConfig {
     pub triage: Option<TriageConfig>,
     /// JIT-behavior coverage policy (see [`crate::coverage`]). The
     /// default comes from `CSE_COVERAGE` (see [`cse_vm::settings`]); `Off`
-    /// reproduces the pre-coverage campaign byte-for-byte, `Collect`
-    /// additionally merges coverage maps (finding the same bugs as
-    /// `Off`), `Guide` feeds the merged map back into round scheduling.
+    /// reproduces the pre-coverage campaign byte-for-byte, `Guide` merges
+    /// coverage maps and feeds them back into round scheduling.
     pub coverage: CoveragePolicy,
 }
 
@@ -187,7 +186,7 @@ pub struct CampaignResult {
     /// carry its identity into the digest.
     pub triage: Option<crate::triage::TriageReport>,
     /// Merged coverage state, present when the campaign ran under
-    /// `CSE_COVERAGE=collect|guide`. Persisted as the checkpoint's
+    /// `CSE_COVERAGE=guide`. Persisted as the checkpoint's
     /// coverage section and digested with the rest of the result; the
     /// coverage policy is part of the campaign's identity.
     pub coverage: Option<CoverageState>,
@@ -220,7 +219,7 @@ impl CampaignResult {
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let start = Instant::now();
     let sup = &config.supervisor;
-    let collects_coverage = config.coverage != CoveragePolicy::Off;
+    let guided = config.coverage == CoveragePolicy::Guide;
     let mut result = CampaignResult::default();
     if let Some(path) = &sup.checkpoint_path {
         match supervisor::load_checkpoint(path, config) {
@@ -234,13 +233,13 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
             }
         }
     }
-    if collects_coverage && result.coverage.is_none() {
+    if guided && result.coverage.is_none() {
         result.coverage = Some(CoverageState::default());
     }
     // Wall time accumulated by previous (killed) invocations.
     let prior_wall = result.totals.wall;
     let mut vm = config.vm.clone();
-    vm.coverage = collects_coverage;
+    vm.coverage = guided;
     let validate_config =
         ValidateConfig { max_iter: config.max_iter, ..ValidateConfig::paper_defaults(vm) };
     let mut ctx = executor::ExecContext { config, validate_config, start, prior_wall, round: None };
@@ -263,7 +262,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
         // Merges form a contiguous prefix from offset 0, so the merged
         // count is the offset of the next seed to validate.
         let next = result.totals.seeds;
-        let end = if config.coverage == CoveragePolicy::Guide && next < config.seeds {
+        let end = if guided && next < config.seeds {
             let round = next / coverage::ROUND_LEN;
             let round_start = round * coverage::ROUND_LEN;
             let round_end = (round_start + coverage::ROUND_LEN).min(config.seeds);

@@ -209,9 +209,7 @@ pub fn schedule_round(
     for offset in 0..len {
         // Slot 0 of every guided round always pins the top tier: forced
         // top-tier compilation reaches (method, tier) cells warmup-based
-        // sampling rarely does, and keeping one slot deterministic
-        // guarantees `guide` strictly grows over `collect` even on
-        // smoke-sized budgets.
+        // sampling rarely does.
         let mut plan =
             if offset == 0 { PlanVariant::ForceTop } else { pick_variant(state, &mut rng) };
         if plan == PlanVariant::ForceT1 && !multi_tier {

@@ -51,7 +51,7 @@
 //! prefix of the seed range.
 //!
 //! The `coverage` section follows exactly when the result carries
-//! coverage state (`CSE_COVERAGE=collect|guide`): the merged map, the
+//! coverage state (`CSE_COVERAGE=guide`): the merged map, the
 //! minimized corpus and the active round's schedule (see
 //! [`crate::coverage`]). Without it the `wall` trailer follows the
 //! incidents.

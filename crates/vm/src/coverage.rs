@@ -33,10 +33,7 @@
 pub enum CoveragePolicy {
     /// No collection; byte-identical to a pre-coverage campaign.
     Off,
-    /// Collect and merge maps; scheduling stays uniform (the same
-    /// findings as `Off`, plus a coverage report).
-    Collect,
-    /// Collect and feed the round scheduler.
+    /// Collect, merge and feed the maps to the round scheduler.
     Guide,
 }
 
@@ -44,7 +41,6 @@ impl std::fmt::Display for CoveragePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoveragePolicy::Off => write!(f, "off"),
-            CoveragePolicy::Collect => write!(f, "collect"),
             CoveragePolicy::Guide => write!(f, "guide"),
         }
     }

@@ -69,8 +69,7 @@ const FLAG: &str = "0|1";
 const PATH: &str = "a path";
 const VERIFY_MODES: [VerifyMode; 2] = [VerifyMode::Off, VerifyMode::Boundary];
 const TV_MODES: [TvMode; 3] = [TvMode::Off, TvMode::Boundary, TvMode::Each];
-const POLICIES: [CoveragePolicy; 3] =
-    [CoveragePolicy::Off, CoveragePolicy::Collect, CoveragePolicy::Guide];
+const POLICIES: [CoveragePolicy; 2] = [CoveragePolicy::Off, CoveragePolicy::Guide];
 
 /// The registry: every `CSE_*` name the workspace reads, in the order
 /// `Display` prints them.
@@ -79,7 +78,7 @@ const KNOBS: [Knob; 14] = [
     Knob("CSE_JOBS", COUNT, |s, v| count(v).map(|n| s.jobs = n)),
     Knob("CSE_VERIFY_IR", "off|boundary", |s, v| choice(v, &VERIFY_MODES).map(|m| s.verify_ir = m)),
     Knob("CSE_TV", "off|boundary|each", |s, v| choice(v, &TV_MODES).map(|m| s.tv = m)),
-    Knob("CSE_COVERAGE", "off|collect|guide", |s, v| choice(v, &POLICIES).map(|p| s.coverage = p)),
+    Knob("CSE_COVERAGE", "off|guide", |s, v| choice(v, &POLICIES).map(|p| s.coverage = p)),
     Knob("CSE_FUEL", U64, |s, v| v.parse().ok().map(|n| s.fuel = n)),
     Knob("CSE_HEAP_LIMIT", U64, |s, v| v.parse().ok().map(|n| s.heap_limit = n)),
     Knob("CSE_STACK_LIMIT", U64, |s, v| v.parse().ok().map(|n| s.stack_limit = n)),

@@ -86,7 +86,9 @@ fn one_malformed_value_per_grammar_is_rejected() {
         ("CSE_VERIFY_IR", "EACH", "off|boundary"),
         // The per-pass check is a debug-build invariant, not a mode.
         ("CSE_VERIFY_IR", "each", "off|boundary"),
-        ("CSE_COVERAGE", "gude", "off|collect|guide"),
+        ("CSE_COVERAGE", "gude", "off|guide"),
+        // Coverage is collected only to steer `guide`.
+        ("CSE_COVERAGE", "collect", "off|guide"),
         ("CSE_FUEL", "lots", "a non-negative integer"),
         ("CSE_DEADLINE_SECS", "1h", "a non-negative integer"),
         ("CSE_TRIAGE_STEPS", "lots", "a non-negative integer"),

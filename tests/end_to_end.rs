@@ -192,7 +192,9 @@ fn cse_dominates_traditional_on_sample() {
         if validate(&seed, &config, seed_value).found_bug() {
             cse += 1;
         }
-        if artemis_cse::core::baseline::traditional(&seed, &vm).discrepancy {
+        if artemis_cse::core::baseline::traditional_compiled(&compile_checked(&seed), &vm)
+            .discrepancy
+        {
             tra += 1;
         }
     }
@@ -211,10 +213,11 @@ fn malformed_or_unknown_settings_are_rejected() {
         ("CSE_VERIFY_IR", "eahc"),
         ("CSE_VERIFY_IR", "each"),
         ("CSE_COVERAGE", "gude"),
+        ("CSE_COVERAGE", "collect"),
         ("CSE_FUEL", "lots"),
         ("CSE_TV_MODE", "each"),
     ] {
-        let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_coverage"));
+        let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_triage"));
         // The suite itself may run under valid `CSE_*` settings (ci.sh
         // arms translation validation); the child sees only the case
         // under test.
@@ -223,11 +226,7 @@ fn malformed_or_unknown_settings_are_rejected() {
                 command.env_remove(inherited);
             }
         }
-        let output = command
-            .env("CSE_SEEDS", "1")
-            .env(name, value)
-            .output()
-            .expect("run the coverage binary");
+        let output = command.env(name, value).output().expect("run the triage binary");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{name}={value} must exit 2; stderr: {stderr}");
         let named = format!("{name}=\"{value}\"");

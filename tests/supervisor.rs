@@ -132,7 +132,7 @@ fn foreign_checkpoint_is_ignored() {
     const SEEDS: u64 = 3;
     let dir = scratch("foreign");
     let mut base =
-        CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS).with_coverage(CoveragePolicy::Collect);
+        CampaignConfig::for_kind(VmKind::HotSpotLike, SEEDS).with_coverage(CoveragePolicy::Off);
     base.vm.verify_ir = VerifyMode::Off;
     base.vm.tv = TvMode::Off;
     let written = dir.join("written.checkpoint");
