@@ -13,13 +13,19 @@
 //! A second table splits the cost of preparing a mutant for the VM by
 //! layer: JoNM, then the front end a campaign runs on every mutant (type
 //! check, lowering to bytecode, bytecode verification, and attaching the
-//! program to its seed's artifact cache, which digests and decodes it).
+//! program to its seed's artifact cache, which only decodes it: digests
+//! and stack depths are computed later, by the runs that need them).
 //! It times the `campaign_hotspot` benchmark's window (fuzzer seeds 3–34,
 //! `MAX_ITER = 8`, HotSpot parameters) and prints, per layer, the median
-//! over several passes of the milliseconds one pass spends there.
+//! over several passes of the milliseconds one pass spends there. It also
+//! prints how many method bodies JoNM copied in one pass: a mutant shares
+//! every body it did not edit with its seed (`Rc::ptr_eq`), so this is
+//! the number of bodies the mutants of the pass edited, out of all the
+//! methods they hold.
 
 #![forbid(unsafe_code)]
 
+use std::rc::Rc;
 use std::time::Instant;
 
 use cse_bench::campaign_seeds;
@@ -43,11 +49,13 @@ fn stats(mut samples: Vec<f64>) -> (f64, f64, f64, f64) {
     (mean, median, samples[0], *samples.last().expect("nonempty"))
 }
 
-/// Milliseconds one pass over [`LAYER_SEEDS`] spends in each of
+/// One pass over [`LAYER_SEEDS`]: the milliseconds spent in each of
 /// [`LAYERS`], mutating and preparing every mutant as a campaign does
 /// (mutants without a mutation are skipped, and each seed's mutants
-/// attach to one cache).
-fn layer_pass(seeds: &[cse_lang::Program]) -> [f64; LAYERS.len()] {
+/// attach to one cache), and how many of the mutants' method bodies JoNM
+/// copied, out of how many methods they hold.
+fn layer_pass(seeds: &[cse_lang::Program]) -> ([f64; LAYERS.len()], usize, usize) {
+    let (mut copied, mut methods) = (0, 0);
     let mut ms = [0.0; LAYERS.len()];
     let mut lap = |layer: usize, start: &mut Instant| {
         let now = Instant::now();
@@ -64,6 +72,15 @@ fn layer_pass(seeds: &[cse_lang::Program]) -> [f64; LAYERS.len()] {
             if mutations.is_empty() {
                 continue;
             }
+            let bodies = program.classes.iter().zip(&mutant.classes).flat_map(|(seed, mutant)| {
+                seed.methods.iter().zip(&mutant.methods).map(|(s, m)| Rc::ptr_eq(&s.body, &m.body))
+            });
+            for shared in bodies {
+                methods += 1;
+                copied += usize::from(!shared);
+            }
+            // The count is not timed.
+            start = Instant::now();
             cse_lang::typeck::check(&mut mutant).expect("mutants type-check");
             lap(1, &mut start);
             let bytecode = cse_bytecode::compile(&mutant).expect("mutants lower");
@@ -74,7 +91,7 @@ fn layer_pass(seeds: &[cse_lang::Program]) -> [f64; LAYERS.len()] {
             lap(4, &mut start);
         }
     }
-    ms
+    (ms, copied, methods)
 }
 
 fn main() {
@@ -119,7 +136,7 @@ fn main() {
     let fuzz = cse_fuzz::FuzzConfig::default();
     let window: Vec<cse_lang::Program> =
         LAYER_SEEDS.map(|seed| cse_fuzz::generate(seed, &fuzz)).collect();
-    let passes: Vec<[f64; LAYERS.len()]> = (0..LAYER_PASSES).map(|_| layer_pass(&window)).collect();
+    let passes: Vec<_> = (0..LAYER_PASSES).map(|_| layer_pass(&window)).collect();
     println!(
         "\nPer-mutant layers: ms per pass over fuzzer seeds {}-{} x {LAYER_ITERATIONS} JoNM \
          iterations (HotSpot), median of {LAYER_PASSES} passes",
@@ -128,9 +145,12 @@ fn main() {
     );
     let mut total = 0.0;
     for (layer, name) in LAYERS.iter().enumerate() {
-        let (_, median, _, _) = stats(passes.iter().map(|pass| pass[layer]).collect());
+        let (_, median, _, _) = stats(passes.iter().map(|pass| pass.0[layer]).collect());
         total += median;
         println!("layer {name:<13} {median:>9.1}");
     }
     println!("{:<19} {total:>9.1}", "sum of medians");
+    // Every pass mutates the same way, so one pass's count stands for all.
+    let (_, copied, methods) = passes[0];
+    println!("JoNM copied {copied} of the {methods} method bodies its mutants hold, per pass");
 }

@@ -41,7 +41,15 @@
 //! everything the compiler can read while translating the root. The JIT
 //! reads no profile but the root's, so its code cache keys on a unit
 //! digest and the root method's profile fingerprint alone.
+//!
+//! # All at once, or on first use
+//!
+//! [`ProgramDigests::compute`] digests every method and unit of a
+//! program. A VM run needs the keys of the few methods it compiles, so
+//! the VM reads [`LazyDigests`], which computes each value the first time
+//! it is asked for, through the same per-method functions.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use cse_lang::Ty;
@@ -140,7 +148,8 @@ impl MethodDigest {
     }
 }
 
-/// All digests of one [`BProgram`], computed once per compiled program.
+/// All digests of one [`BProgram`] at once. [`LazyDigests`] computes the
+/// same values one method at a time, through the same functions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramDigests {
     /// Per-method digests, indexed by `MethodId`.
@@ -155,27 +164,66 @@ pub struct ProgramDigests {
 impl ProgramDigests {
     /// Computes every digest for `program`.
     pub fn compute(program: &BProgram) -> ProgramDigests {
-        let methods: Vec<MethodDigest> = (0..program.methods.len())
-            .map(|idx| MethodDigest {
-                content: method_content(program, idx),
-                linkage: method_linkage(program, idx),
-            })
-            .collect();
-
+        let methods: Vec<MethodDigest> =
+            (0..program.methods.len()).map(|idx| method_digest(program, idx)).collect();
         let units: Vec<u64> = (0..program.methods.len())
-            .map(|idx| {
-                let mut h = Fnv::new();
-                h.u64(methods[idx].key());
-                for member in call_closure(program, idx) {
-                    h.u64(u64::from(member));
-                    h.u64(methods[member as usize].key());
-                }
-                h.finish()
-            })
+            .map(|idx| unit_digest(program, idx, |member| methods[member].key()))
             .collect();
-
         ProgramDigests { methods, units }
     }
+}
+
+/// The digests of one [`BProgram`], each computed the first time it is
+/// asked for and kept. A run reads the method keys and unit digests of
+/// the few methods it compiles, not of the whole program; every value
+/// equals the one [`ProgramDigests::compute`] gives. Every query must
+/// pass the program the digests were made for.
+#[derive(Debug)]
+pub struct LazyDigests {
+    /// `MethodDigest::key` per method.
+    keys: Vec<OnceCell<u64>>,
+    /// `ProgramDigests::units` per method.
+    units: Vec<OnceCell<u64>>,
+}
+
+impl LazyDigests {
+    /// Digests of `program`, none computed yet.
+    pub fn new(program: &BProgram) -> LazyDigests {
+        let n = program.methods.len();
+        LazyDigests {
+            keys: std::iter::repeat_with(OnceCell::new).take(n).collect(),
+            units: std::iter::repeat_with(OnceCell::new).take(n).collect(),
+        }
+    }
+
+    /// `ProgramDigests::compute(program).methods[idx].key()`.
+    pub fn method_key(&self, program: &BProgram, idx: usize) -> u64 {
+        debug_assert_eq!(self.keys.len(), program.methods.len(), "digests of another program");
+        *self.keys[idx].get_or_init(|| method_digest(program, idx).key())
+    }
+
+    /// `ProgramDigests::compute(program).units[idx]`.
+    pub fn unit(&self, program: &BProgram, idx: usize) -> u64 {
+        *self.units[idx]
+            .get_or_init(|| unit_digest(program, idx, |member| self.method_key(program, member)))
+    }
+}
+
+/// The two-layer digest of method `idx`.
+fn method_digest(program: &BProgram, idx: usize) -> MethodDigest {
+    MethodDigest { content: method_content(program, idx), linkage: method_linkage(program, idx) }
+}
+
+/// The compilation-unit digest of `root`: its key, then each member of
+/// its call closure with that member's key (`key_of`).
+fn unit_digest(program: &BProgram, root: usize, key_of: impl Fn(usize) -> u64) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(key_of(root));
+    for member in call_closure(program, root) {
+        h.u64(u64::from(member));
+        h.u64(key_of(member as usize));
+    }
+    h.finish()
 }
 
 /// The sorted static call closure of `root`, to [`INLINE_CLOSURE_DEPTH`]

@@ -33,6 +33,6 @@ pub mod verify;
 pub use arith::BinKind;
 pub use compile::compile;
 pub use decoded::{DInsn, DecodedMethod, DecodedProgram};
-pub use digest::{Fnv, MethodDigest, ProgramDigests};
+pub use digest::{Fnv, LazyDigests, MethodDigest, ProgramDigests};
 pub use insn::{ArrKind, CmpOp, Insn, PrintKind};
 pub use program::{BClass, BMethod, BProgram, ClassId, ExcKind, FieldId, Handler, MethodId, StrId};

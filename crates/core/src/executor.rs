@@ -301,8 +301,9 @@ fn process_seed(ctx: &ExecContext<'_>, offset: u64) -> SeedRecord {
 /// its triage signature in the campaign: `held` holds the signatures the
 /// campaign already reported (rebuilt from the result's incidents on
 /// resume), so a later one drops the program it carried and writes no
-/// quarantine file, the first one's file holding the source. Harness
-/// incidents keep their sources and are always quarantined.
+/// quarantine file of its own: its seed is added to the first one's file,
+/// which holds the source, as an occurrence line. Harness incidents keep
+/// their sources and are always quarantined.
 fn merge_seed(
     ctx: &ExecContext<'_>,
     result: &mut CampaignResult,
@@ -339,8 +340,17 @@ fn merge_seed(
     }
     let quarantine_vm = seed_vconfig(ctx, record.offset, seed_value).vm;
     for mut incident in std::mem::take(&mut outcome.incidents) {
-        if incident.phase.is_static_oracle() && !held.first_of(&incident) {
+        let at = result.incidents.len();
+        let earlier =
+            if incident.phase.is_static_oracle() { held.first_of(&incident, at) } else { None };
+        if let Some(first) = earlier {
             incident.source = None;
+            if let Some(dir) = &sup.quarantine_dir {
+                let first = &result.incidents[first];
+                if let Err(e) = supervisor::quarantine_occurrence(dir, first, incident.seed) {
+                    eprintln!("warning: quarantine write failed: {e}");
+                }
+            }
         } else if let Some(dir) = &sup.quarantine_dir {
             if let Err(e) = supervisor::quarantine_incident(dir, &incident, &quarantine_vm) {
                 eprintln!("warning: quarantine write failed: {e}");

@@ -19,8 +19,11 @@
 //! variable. The crate's tests enforce neutrality by running mutants
 //! against the reference interpreter.
 
+use std::ops::ControlFlow;
+use std::rc::Rc;
+
 use cse_lang::ast::*;
-use cse_lang::scope::{self, PointInfo, VarInfo};
+use cse_lang::scope::{self, PointInfo, PointView, VarInfo};
 use cse_lang::ty::Ty;
 use cse_lang::Program;
 use cse_rng::Rng64;
@@ -84,9 +87,15 @@ impl Artemis {
         }
     }
 
-    /// Algorithm 1's `JoNM(P)`: clones the seed and mutates a random
-    /// subset of its methods. Returns the mutant and what was applied
-    /// (possibly nothing — callers typically retry or accept).
+    /// Algorithm 1's `JoNM(P)`: mutates a random subset of the seed's
+    /// methods. Returns the mutant and what was applied (possibly nothing
+    /// — callers typically retry or accept).
+    ///
+    /// The mutant is an edit of the seed: cloning the seed copies its
+    /// class and method shells and shares every method body (see
+    /// [`cse_lang::ast`]), and each mutator copies only the bodies it
+    /// writes to. A method the mutant left unedited keeps the seed's body,
+    /// pointer for pointer.
     pub fn jonm(&mut self, seed: &Program) -> (Program, Vec<AppliedMutation>) {
         let mut mutant = seed.clone();
         let mut applied = Vec::new();
@@ -162,37 +171,60 @@ impl Artemis {
         done.then_some(AppliedMutation { mutator, location })
     }
 
-    /// Program points within one method.
-    fn points_in(&self, program: &Program, class_idx: usize, method_idx: usize) -> Vec<PointInfo> {
-        scope::collect_points_in(program, class_idx, method_idx)
-    }
-
     fn synth(&mut self) -> Synth<'_> {
         Synth { rng: &mut self.rng, params: &self.params, counter: &mut self.counter }
     }
 
-    /// Picks a program point, biased toward shallow nesting: deeply nested
-    /// points often sit in dead branches (untaken switch arms, cold `if`
-    /// sides) where a synthesized loop would never run, so half the picks
-    /// come from the method's top level. (The paper samples uniformly and
-    /// names smarter point selection as future work, §4.5.)
-    fn pick_point(&mut self, points: &[PointInfo]) -> PointInfo {
-        let shallow: Vec<&PointInfo> = points.iter().filter(|p| p.point.path.is_empty()).collect();
-        if !shallow.is_empty() && self.rng.gen_bool(0.7) {
-            return shallow[self.rng.gen_range(0..shallow.len())].clone();
+    /// Picks a program point of one method among those `admit` accepts,
+    /// biased toward shallow nesting: deeply nested points often sit in
+    /// dead branches (untaken switch arms, cold `if` sides) where a
+    /// synthesized loop would never run, so most picks come from the
+    /// method's top level. (The paper samples uniformly and names smarter
+    /// point selection as future work, §4.5.)
+    ///
+    /// The draw needs only where the admitted points are: one walk notes
+    /// their positions, the RNG draws among them, and only the chosen
+    /// point is built with its in-scope variables. `None`, with nothing
+    /// drawn, when no point is admitted.
+    fn pick_point(
+        &mut self,
+        program: &Program,
+        class_idx: usize,
+        method_idx: usize,
+        admit: impl Fn(&PointView<'_, '_>) -> bool,
+    ) -> Option<PointInfo> {
+        // Positions in walk order of every admitted point, and of the
+        // admitted points at the method's top level.
+        let (mut all, mut shallow) = (Vec::new(), Vec::new());
+        let mut position = 0;
+        scope::walk_points_in(program, class_idx, method_idx, &mut |view| {
+            if admit(view) {
+                all.push(position);
+                if view.path.is_empty() {
+                    shallow.push(position);
+                }
+            }
+            position += 1;
+            ControlFlow::Continue(())
+        });
+        if all.is_empty() {
+            return None;
         }
-        points[self.rng.gen_range(0..points.len())].clone()
+        let pick = if !shallow.is_empty() && self.rng.gen_bool(0.7) {
+            shallow[self.rng.gen_range(0..shallow.len())]
+        } else {
+            all[self.rng.gen_range(0..all.len())]
+        };
+        scope::nth_point_in(program, class_idx, method_idx, pick)
     }
 
     // ----- LI ---------------------------------------------------------------
 
     fn apply_li(&mut self, program: &mut Program, class_idx: usize, method_idx: usize) -> bool {
-        let points = self.points_in(program, class_idx, method_idx);
-        if points.is_empty() {
+        let Some(info) = self.pick_point(program, class_idx, method_idx, |_| true) else {
             return false;
-        }
-        let info = self.pick_point(&points);
-        let vars = info.vars.clone();
+        };
+        let vars = info.vars;
         let mut reused: Vec<VarInfo> = Vec::new();
         let mut synth = self.synth();
         let mut body = synth.syn_stmts(&vars, &mut reused);
@@ -208,18 +240,11 @@ impl Artemis {
     // ----- SW ---------------------------------------------------------------
 
     fn apply_sw(&mut self, program: &mut Program, class_idx: usize, method_idx: usize) -> bool {
-        let candidates: Vec<PointInfo> = self
-            .points_in(program, class_idx, method_idx)
-            .into_iter()
-            .filter(|info| {
-                let stmts = scope::stmts_at(program, &info.point);
-                info.point.index < stmts.len() && sw_wrappable(&stmts[info.point.index])
-            })
-            .collect();
-        if candidates.is_empty() {
+        let wrappable =
+            |view: &PointView<'_, '_>| view.stmts.get(view.index).is_some_and(sw_wrappable);
+        let Some(info) = self.pick_point(program, class_idx, method_idx, wrappable) else {
             return false;
-        }
-        let info = self.pick_point(&candidates);
+        };
         // Variables the wrapped statement writes are off-limits to
         // synthesis: backing one up before `s` runs and restoring it after
         // the loop would silently undo `s`'s own effect.
@@ -228,7 +253,7 @@ impl Artemis {
             locals_written(&stmts[info.point.index])
         };
         let vars: Vec<VarInfo> =
-            info.vars.iter().filter(|v| !written_by_s.contains(&v.name)).cloned().collect();
+            info.vars.into_iter().filter(|v| !written_by_s.contains(&v.name)).collect();
         let mut reused: Vec<VarInfo> = Vec::new();
         let mut synth = self.synth();
         let exec = synth.fresh_public("ex");
@@ -351,13 +376,12 @@ impl Artemis {
             guts.push(Stmt::Return(ret_value));
             Stmt::If { cond: ctrl_read, then_blk: Block::of(guts), else_blk: None }
         };
-        program.classes[class_idx].methods[method_idx].body.stmts.insert(0, prologue);
+        let target = &mut program.classes[class_idx].methods[method_idx];
+        Rc::make_mut(&mut target.body).stmts.insert(0, prologue);
         // Build the pre-invocation loop at the chosen site.
-        let site_info = scope::collect_points_in(program, site.class, site.method)
-            .into_iter()
-            .find(|p| p.point == site)
-            .expect("site still exists after prologue insertion");
-        let vars = site_info.vars.clone();
+        let site_info =
+            scope::point_info(program, &site).expect("site still exists after prologue insertion");
+        let vars = site_info.vars;
         let call: Expr = {
             let mut synth =
                 Synth { rng: &mut self.rng, params: &self.params, counter: &mut self.counter };

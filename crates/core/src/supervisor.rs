@@ -77,6 +77,7 @@ use cse_vm::{BugId, Component, FaultInjector, Symptom, TvMode, VerifyMode, VmCon
 
 use crate::campaign::{BugEvidence, CampaignConfig, CampaignResult};
 use crate::coverage::{CorpusEntry, CoverageState, PlanVariant, TaskSpec};
+use crate::triage::BugSignature;
 
 /// Where in Algorithm 1 a harness incident happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -782,27 +783,35 @@ fn named<T: std::fmt::Display, const N: usize>(value: &str, options: [T; N]) -> 
     options.into_iter().find(|o| o.to_string() == value)
 }
 
+/// The repro file [`quarantine_incident`] writes for `incident`, whose
+/// triage signature is `signature`.
+fn incident_path(dir: &Path, incident: &HarnessIncident, signature: &BugSignature) -> PathBuf {
+    let iteration = incident.iteration.map(|n| format!("_iter{n}")).unwrap_or_default();
+    // The signature hash keeps distinct incidents sharing a seed, phase,
+    // and iteration from ever overwriting each other's repro file.
+    dir.join(format!(
+        "incident_seed{}_{}{}_{:016x}.mj",
+        incident.seed,
+        sanitize(incident.phase.name()),
+        iteration,
+        signature.stable_hash()
+    ))
+}
+
 /// Persists a contained harness incident as a self-contained repro file
 /// and returns its path. A campaign writes one for every harness failure
 /// and one per static-oracle signature: the signature's first incident,
 /// the only one that carries the source (see `executor::merge_seed`).
+/// Each later incident of the signature appends its seed to that file
+/// ([`quarantine_occurrence`]).
 pub fn quarantine_incident(
     dir: &Path,
     incident: &HarnessIncident,
     vm: &VmConfig,
 ) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let iteration = incident.iteration.map(|n| format!("_iter{n}")).unwrap_or_default();
-    // The signature hash keeps distinct incidents sharing a seed, phase,
-    // and iteration from ever overwriting each other's repro file.
     let signature = crate::triage::signature_of(incident);
-    let path = dir.join(format!(
-        "incident_seed{}_{}{}_{:016x}.mj",
-        incident.seed,
-        sanitize(incident.phase.name()),
-        iteration,
-        signature.stable_hash()
-    ));
+    let path = incident_path(dir, incident, &signature);
     // Streamed through a buffered writer: repro files are written on the
     // campaign hot path (every contained incident), and line-at-a-time
     // writeln!s straight to a File would be a syscall per line.
@@ -827,13 +836,30 @@ pub fn quarantine_incident(
     Ok(path)
 }
 
-/// Reconstructs an incident, and the VM profile that produced it, from a
-/// repro file written by [`quarantine_incident`]. The header wins over
-/// the reading process's settings: JIT flag, fuel, both oracle modes,
-/// the chaos threshold and the active bugs all come from the file, so a
-/// replay runs the VM and the oracle that raised the incident. `None` when a required line is missing or
-/// malformed.
-pub fn parse_quarantined_incident(text: &str) -> Option<(HarnessIncident, VmConfig)> {
+/// Records a later incident of `first`'s signature, raised on campaign
+/// seed `seed`, by appending an occurrence line to `first`'s repro file,
+/// so triage over the directory counts every occurrence the campaign had.
+/// A campaign killed between checkpoints re-runs its last seeds and may
+/// record their occurrences twice.
+pub fn quarantine_occurrence(dir: &Path, first: &HarnessIncident, seed: u64) -> io::Result<()> {
+    let path = incident_path(dir, first, &crate::triage::signature_of(first));
+    let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
+    writeln!(file, "{OCCURRENCE}{seed}")
+}
+
+/// The line prefix [`quarantine_occurrence`] appends.
+const OCCURRENCE: &str = "// occurrence seed: ";
+
+/// Reconstructs the incidents, and the VM profile that produced them,
+/// from a repro file written by [`quarantine_incident`]: the file's own
+/// incident first, then one per occurrence line
+/// ([`quarantine_occurrence`]), in campaign order. An occurrence carries
+/// its seed and no source; the rest is its first incident's. The header
+/// wins over the reading process's settings: JIT flag, fuel, both oracle
+/// modes, the chaos threshold and the active bugs all come from the file,
+/// so a replay runs the VM and the oracle that raised the incident.
+/// `None` when a required line is missing or malformed.
+pub fn parse_quarantined_incident(text: &str) -> Option<Vec<(HarnessIncident, VmConfig)>> {
     let mut phase = None;
     let mut seed = None;
     let mut rng_seed = None;
@@ -841,15 +867,28 @@ pub fn parse_quarantined_incident(text: &str) -> Option<(HarnessIncident, VmConf
     let mut payload = Vec::new();
     let mut vm = None;
     let mut bugs = None;
-    let mut source = None;
+    let mut occurrences = Vec::new();
+    // The source runs from the first non-header line to the first
+    // occurrence line after it (or the end).
+    let (mut source_start, mut source_end) = (None, text.len());
     let mut offset = 0;
     for line in text.lines() {
-        let Some(rest) = line.strip_prefix("// ") else {
-            // First non-header line: the program source starts here.
-            source = Some(text[offset..].to_string());
-            break;
-        };
+        let line_start = offset;
         offset += line.len() + 1;
+        if let Some(v) = line.strip_prefix(OCCURRENCE) {
+            occurrences.push(v.parse::<u64>().ok()?);
+            if source_start.is_some() {
+                source_end = source_end.min(line_start);
+            }
+            continue;
+        }
+        if source_start.is_some() {
+            continue;
+        }
+        let Some(rest) = line.strip_prefix("// ") else {
+            source_start = Some(line_start);
+            continue;
+        };
         if let Some(v) = rest.strip_prefix("phase: ") {
             phase = IncidentPhase::from_name(v);
         } else if let Some(v) = rest.strip_prefix("campaign seed: ") {
@@ -880,9 +919,13 @@ pub fn parse_quarantined_incident(text: &str) -> Option<(HarnessIncident, VmConf
         rng_seed: rng_seed?,
         iteration,
         payload: payload.join("\n"),
-        source,
+        source: source_start.map(|start| text[start..source_end].to_string()),
     };
-    Some((incident, vm))
+    let later: Vec<(HarnessIncident, VmConfig)> = occurrences
+        .into_iter()
+        .map(|seed| (HarnessIncident { seed, source: None, ..incident.clone() }, vm.clone()))
+        .collect();
+    Some(std::iter::once((incident, vm)).chain(later).collect())
 }
 
 /// Persists a crash-discrepancy reproducer (mutant source + rng seed +
@@ -1208,7 +1251,8 @@ mod tests {
         for incident in &sample_result().incidents {
             let path = quarantine_incident(&dir, incident, &vm).expect("write");
             let text = std::fs::read_to_string(&path).expect("read");
-            let (parsed, parsed_vm) = parse_quarantined_incident(&text).expect("parses");
+            let parsed = parse_quarantined_incident(&text).expect("parses");
+            let [(parsed, parsed_vm)]: [_; 1] = parsed.try_into().expect("one incident");
             assert_eq!(&parsed, incident);
             assert_eq!(parsed_vm.kind, vm.kind);
             assert_eq!(parsed_vm.tv, TvMode::Each);
@@ -1220,9 +1264,34 @@ mod tests {
             // A header written before the chaos field existed still parses.
             let older = text.replace(", chaos: 4096)", ")");
             assert_ne!(older, text);
-            let (_, older_vm) = parse_quarantined_incident(&older).expect("parses");
+            let (_, older_vm) = &parse_quarantined_incident(&older).expect("parses")[0];
             assert_eq!(older_vm.chaos_panic_at_ops, None);
             assert_eq!(older_vm.tv, TvMode::Each);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Later occurrences of a quarantined incident's signature append
+    /// their seeds to its file; reading it back gives the incident as
+    /// written, then one source-less incident per occurrence, in order.
+    #[test]
+    fn occurrence_lines_read_back_as_later_incidents() {
+        let dir = std::env::temp_dir().join(format!("cse-quarantine-occ-{}", std::process::id()));
+        let vm = CampaignConfig::for_kind(VmKind::OpenJ9Like, 1).vm;
+        for incident in &sample_result().incidents {
+            let path = quarantine_incident(&dir, incident, &vm).expect("write");
+            for seed in [7, 3, 7] {
+                quarantine_occurrence(&dir, incident, seed).expect("append");
+            }
+            let text = std::fs::read_to_string(&path).expect("read");
+            let parsed = parse_quarantined_incident(&text).expect("parses");
+            let seeds: Vec<u64> = parsed.iter().map(|(i, _)| i.seed).collect();
+            assert_eq!(seeds, [incident.seed, 7, 3, 7]);
+            assert_eq!(&parsed[0].0, incident, "the source ends before the occurrence lines");
+            for (later, _) in &parsed[1..] {
+                assert_eq!(later.source, None);
+                assert_eq!((later.phase, &later.payload), (incident.phase, &incident.payload));
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

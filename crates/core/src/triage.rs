@@ -33,7 +33,8 @@
 //! renderings, and campaign digests are bit-identical across machines
 //! and worker counts.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -184,26 +185,38 @@ pub fn signature_of(incident: &HarnessIncident) -> BugSignature {
 }
 
 /// The static-oracle signatures already reported with a source, kept as
-/// [`BugSignature::stable_hash`]es, the key triage groups by. A campaign
-/// keeps one source per signature: validation holds one set per seed and
-/// the seed-ordered merge one for the whole campaign.
+/// [`BugSignature::stable_hash`]es (the key triage groups by), each with
+/// the position of its first incident in the holder's incident list. A
+/// campaign keeps one source per signature: validation holds one set per
+/// seed and the seed-ordered merge one for the whole campaign, whose
+/// positions index `CampaignResult::incidents`.
 #[derive(Debug, Default)]
-pub(crate) struct SeenSignatures(HashSet<u64>);
+pub(crate) struct SeenSignatures(HashMap<u64, usize>);
 
 impl SeenSignatures {
     /// The set of the static-oracle incidents in `incidents` (a resumed
     /// campaign's).
     pub(crate) fn of(incidents: &[HarnessIncident]) -> SeenSignatures {
         let mut seen = SeenSignatures::default();
-        for incident in incidents.iter().filter(|i| i.phase.is_static_oracle()) {
-            seen.first_of(incident);
+        for (at, incident) in incidents.iter().enumerate() {
+            if incident.phase.is_static_oracle() {
+                seen.first_of(incident, at);
+            }
         }
         seen
     }
 
-    /// Records `incident`'s signature; true when it was not yet seen.
-    pub(crate) fn first_of(&mut self, incident: &HarnessIncident) -> bool {
-        self.0.insert(signature_of(incident).stable_hash())
+    /// Records `incident`, found at position `at`: `None` when its
+    /// signature was not yet seen, otherwise the position of the
+    /// signature's first incident.
+    pub(crate) fn first_of(&mut self, incident: &HarnessIncident, at: usize) -> Option<usize> {
+        match self.0.entry(signature_of(incident).stable_hash()) {
+            Entry::Occupied(first) => Some(*first.get()),
+            Entry::Vacant(slot) => {
+                slot.insert(at);
+                None
+            }
+        }
     }
 }
 

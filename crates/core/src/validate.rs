@@ -262,8 +262,12 @@ impl ValidationOutcome {
             let payload = result.tv.join("\n");
             self.incident(IncidentPhase::TvDefect, rng_seed, iteration, payload, None);
         }
-        let mut firsts: Vec<&mut HarnessIncident> =
-            self.incidents[start..].iter_mut().filter(|i| held.first_of(i)).collect();
+        let mut firsts: Vec<&mut HarnessIncident> = self.incidents[start..]
+            .iter_mut()
+            .enumerate()
+            .filter(|(at, i)| held.first_of(i, start + at).is_none())
+            .map(|(_, i)| i)
+            .collect();
         if let Some((last, rest)) = firsts.split_last_mut() {
             let printed = cse_lang::pretty::print(source);
             for incident in rest {
@@ -448,8 +452,8 @@ pub fn validate_compiled_in(
             return outcome;
         }
     };
-    // One cache attachment per program: the digests it computes key the
-    // seed's artifact cache.
+    // One cache attachment per program: the digests its runs compute on
+    // first use key the seed's artifact cache.
     let seed_artifacts = cache.attach(&seed_bytecode);
     let seed_program = (&*seed_bytecode, &seed_artifacts);
     // R ← LVM(P): the seed with its default JIT-trace.

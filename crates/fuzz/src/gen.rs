@@ -1,5 +1,7 @@
 //! The seed-program generator.
 
+use std::rc::Rc;
+
 use cse_lang::ast::*;
 use cse_lang::ty::Ty;
 use cse_rng::Rng64;
@@ -196,7 +198,7 @@ impl Gen {
                 is_static: info.is_static,
                 params: info.params,
                 ret: info.ret,
-                body,
+                body: Rc::new(body),
             });
         }
         class.methods.push(self.main_method());
@@ -305,7 +307,7 @@ impl Gen {
             is_static: true,
             params: vec![],
             ret: Ty::Void,
-            body: Block::of(stmts),
+            body: Rc::new(Block::of(stmts)),
         }
     }
 

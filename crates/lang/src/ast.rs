@@ -1,11 +1,17 @@
 //! The MiniJava abstract syntax tree.
 //!
-//! The AST is deliberately plain data (`Clone + PartialEq`) so that the JoNM
-//! mutators can cheaply clone a seed program, splice synthesized code into
-//! it, and print the result. Bare names parse as [`Expr::Name`] and are
-//! rewritten by the resolver (`typeck::check`) into [`Expr::Local`] or
-//! field accesses; every later stage may assume resolution already
-//! happened.
+//! The AST is plain data (`Clone + PartialEq`), except that every method
+//! body sits behind an [`Rc`]: cloning a [`Program`] copies its class and
+//! method shells and shares every body. A JoNM mutant is an edit of its
+//! seed: each write site takes [`Rc::make_mut`] on the body it changes,
+//! so the mutant copies only the bodies it edits and shares the rest with
+//! the seed (and with every other mutant of it).
+//!
+//! Bare names parse as [`Expr::Name`] and are rewritten by the resolver
+//! (`typeck::check`) into [`Expr::Local`] or field accesses; every later
+//! stage may assume resolution already happened.
+
+use std::rc::Rc;
 
 use crate::ty::Ty;
 
@@ -85,7 +91,9 @@ pub struct MethodDecl {
     pub params: Vec<Param>,
     /// [`Ty::Void`] for `void` methods.
     pub ret: Ty,
-    pub body: Block,
+    /// Shared between clones of the program until one of them writes to
+    /// it through [`Rc::make_mut`] (see the module docs).
+    pub body: Rc<Block>,
 }
 
 /// A formal parameter.
@@ -400,7 +408,7 @@ mod tests {
             is_static: true,
             params: vec![],
             ret: Ty::Void,
-            body: Block::default(),
+            body: Rc::default(),
         });
         program.classes.push(class);
         let (c, m) = program.entry().unwrap();
@@ -418,7 +426,7 @@ mod tests {
             is_static: false,
             params: vec![],
             ret: Ty::Void,
-            body: Block::default(),
+            body: Rc::default(),
         });
         program.classes.push(class);
         assert!(program.entry().is_none());

@@ -5,6 +5,8 @@
 //! `for (T v : arr)` loops are desugared here into indexed `for` loops, so
 //! the rest of the pipeline never sees a for-each construct.
 
+use std::rc::Rc;
+
 use crate::ast::*;
 use crate::token::{Tok, Token};
 use crate::ty::Ty;
@@ -140,7 +142,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect(Tok::RParen)?;
-        let body = self.block()?;
+        let body = Rc::new(self.block()?);
         Ok(MethodDecl { name, is_static, params, ret, body })
     }
 

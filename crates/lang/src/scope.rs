@@ -2,9 +2,15 @@
 //!
 //! The JoNM mutators (paper §3.4, Algorithm 1) pick "an arbitrary program
 //! point ρ within method m" and need the set of variables `V` available at
-//! ρ (Algorithm 2, line 3). This module enumerates every insertion point of
-//! a checked program together with its in-scope variables, and navigates a
-//! mutable AST back to a chosen point so synthesized code can be spliced in.
+//! ρ (Algorithm 2, line 3). This module walks the insertion points of a
+//! checked program in one fixed order ([`walk_points_in`]), builds a point
+//! with its in-scope variables only when asked to ([`PointView::info`],
+//! [`nth_point_in`]), and navigates a mutable AST back to a chosen point so
+//! synthesized code can be spliced in (copying only the method body it
+//! writes to, see [`crate::ast`]).
+
+use std::ops::ControlFlow;
+use std::rc::Rc;
 
 use crate::ast::*;
 use crate::ty::Ty;
@@ -63,114 +69,213 @@ pub struct PointInfo {
     pub in_switch: bool,
 }
 
+/// A variable in scope as [`walk_points_in`] meets it, borrowed from the
+/// AST.
+#[derive(Clone, Copy)]
+struct VarRef<'a> {
+    name: &'a str,
+    ty: &'a Ty,
+    is_param: bool,
+}
+
+impl VarRef<'_> {
+    fn info(self) -> VarInfo {
+        VarInfo { name: self.name.to_string(), ty: self.ty.clone(), is_param: self.is_param }
+    }
+}
+
+/// One insertion point as [`walk_points_in`] meets it. It borrows the
+/// walk's state: nothing is copied until [`PointView::info`] builds the
+/// point a caller keeps.
+pub struct PointView<'w, 'a> {
+    class: usize,
+    method: usize,
+    /// Navigation from the method body to the point's block.
+    pub path: &'w [Seg],
+    /// The point sits before `stmts[index]` (at the end when `index ==
+    /// stmts.len()`).
+    pub index: usize,
+    /// The statements of the point's block.
+    pub stmts: &'a [Stmt],
+    vars: &'w [VarRef<'a>],
+    /// Nesting depth of enclosing loops (0 = not inside a loop).
+    pub loop_depth: usize,
+    /// Whether the point sits inside a `switch` arm.
+    pub in_switch: bool,
+}
+
+impl PointView<'_, '_> {
+    /// The point's coordinates.
+    pub fn point(&self) -> ProgPoint {
+        ProgPoint {
+            class: self.class,
+            method: self.method,
+            path: self.path.to_vec(),
+            index: self.index,
+        }
+    }
+
+    /// The point with its in-scope variables, built.
+    pub fn info(&self) -> PointInfo {
+        PointInfo {
+            point: self.point(),
+            vars: self.vars.iter().map(|v| v.info()).collect(),
+            loop_depth: self.loop_depth,
+            in_switch: self.in_switch,
+        }
+    }
+}
+
 /// Enumerates every insertion point of every method body in the program.
 pub fn collect_points(program: &Program) -> Vec<PointInfo> {
     let mut points = Vec::new();
     for (class_idx, class) in program.classes.iter().enumerate() {
         for method_idx in 0..class.methods.len() {
-            collect_method_points(program, class_idx, method_idx, &mut points);
+            walk_points_in(program, class_idx, method_idx, &mut |view| {
+                points.push(view.info());
+                ControlFlow::Continue(())
+            });
         }
     }
     points
 }
 
-/// Enumerates the insertion points of a single method body. Mutators that
-/// target one method at a time use this instead of [`collect_points`]:
-/// walking the whole program once per mutated method made JoNM quadratic
-/// in program size.
-pub fn collect_points_in(program: &Program, class_idx: usize, method_idx: usize) -> Vec<PointInfo> {
-    let mut points = Vec::new();
-    collect_method_points(program, class_idx, method_idx, &mut points);
-    points
-}
-
-fn collect_method_points(
+/// Builds the `n`-th insertion point of one method, in
+/// [`collect_points`] order, and no other.
+pub fn nth_point_in(
     program: &Program,
     class_idx: usize,
     method_idx: usize,
-    points: &mut Vec<PointInfo>,
+    n: usize,
+) -> Option<PointInfo> {
+    let (mut seen, mut found) = (0, None);
+    walk_points_in(program, class_idx, method_idx, &mut |view| {
+        if seen == n {
+            found = Some(view.info());
+            return ControlFlow::Break(());
+        }
+        seen += 1;
+        ControlFlow::Continue(())
+    });
+    found
+}
+
+/// Builds the context of one known point, and of no other.
+pub fn point_info(program: &Program, point: &ProgPoint) -> Option<PointInfo> {
+    let mut found = None;
+    walk_points_in(program, point.class, point.method, &mut |view| {
+        if view.index == point.index && view.path == point.path.as_slice() {
+            found = Some(view.info());
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    });
+    found
+}
+
+/// Visits the insertion points of one method body in [`collect_points`]
+/// order, until `visit` breaks. The walk keeps one path and one stack of
+/// borrowed in-scope variables and builds no point: a mutator that uses
+/// one point draws it first and then builds that one.
+pub fn walk_points_in<'a>(
+    program: &'a Program,
+    class_idx: usize,
+    method_idx: usize,
+    visit: &mut dyn FnMut(&PointView<'_, 'a>) -> ControlFlow<()>,
 ) {
     let method = &program.classes[class_idx].methods[method_idx];
-    let mut vars: Vec<VarInfo> = method
-        .params
-        .iter()
-        .map(|p| VarInfo { name: p.name.clone(), ty: p.ty.clone(), is_param: true })
-        .collect();
+    let mut vars: Vec<VarRef<'a>> =
+        method.params.iter().map(|p| VarRef { name: &p.name, ty: &p.ty, is_param: true }).collect();
     let mut walker = Walker {
         class: class_idx,
         method: method_idx,
         path: Vec::new(),
         loop_depth: 0,
         in_switch: false,
-        points,
+        done: false,
+        visit,
     };
-    walker.block(&method.body, &mut vars);
+    walker.block(&method.body.stmts, &mut vars);
 }
 
-struct Walker<'a> {
+struct Walker<'v, 'a> {
     class: usize,
     method: usize,
     path: Vec<Seg>,
     loop_depth: usize,
     in_switch: bool,
-    points: &'a mut Vec<PointInfo>,
+    /// Set once `visit` breaks; every loop of the walk then unwinds.
+    done: bool,
+    visit: &'v mut dyn FnMut(&PointView<'_, 'a>) -> ControlFlow<()>,
 }
 
-impl Walker<'_> {
-    fn emit(&mut self, index: usize, vars: &[VarInfo]) {
-        self.points.push(PointInfo {
-            point: ProgPoint {
-                class: self.class,
-                method: self.method,
-                path: self.path.clone(),
-                index,
-            },
-            vars: vars.to_vec(),
+impl<'a> Walker<'_, 'a> {
+    fn emit(&mut self, stmts: &'a [Stmt], index: usize, vars: &[VarRef<'a>]) {
+        let view = PointView {
+            class: self.class,
+            method: self.method,
+            path: &self.path,
+            index,
+            stmts,
+            vars,
             loop_depth: self.loop_depth,
             in_switch: self.in_switch,
-        });
+        };
+        self.done = (self.visit)(&view).is_break();
     }
 
-    fn block(&mut self, block: &Block, vars: &mut Vec<VarInfo>) {
+    /// The points of one block: before each statement, inside it, and at
+    /// the end. Declarations are visible from the next statement on and
+    /// go out of scope with the block.
+    fn block(&mut self, stmts: &'a [Stmt], vars: &mut Vec<VarRef<'a>>) {
         let base = vars.len();
-        for (i, stmt) in block.stmts.iter().enumerate() {
-            self.emit(i, vars);
+        for (i, stmt) in stmts.iter().enumerate() {
+            self.emit(stmts, i, vars);
+            if self.done {
+                return;
+            }
             self.stmt(stmt, i, vars);
+            if self.done {
+                return;
+            }
             if let Stmt::VarDecl { name, ty, .. } = stmt {
-                vars.push(VarInfo { name: name.clone(), ty: ty.clone(), is_param: false });
+                vars.push(VarRef { name, ty, is_param: false });
             }
         }
-        self.emit(block.stmts.len(), vars);
+        self.emit(stmts, stmts.len(), vars);
         vars.truncate(base);
     }
 
-    fn nested(&mut self, seg: Seg, block: &Block, vars: &mut Vec<VarInfo>) {
+    fn nested(&mut self, seg: Seg, stmts: &'a [Stmt], vars: &mut Vec<VarRef<'a>>) {
+        if self.done {
+            return;
+        }
         self.path.push(seg);
-        self.block(block, vars);
+        self.block(stmts, vars);
         self.path.pop();
     }
 
-    fn stmt(&mut self, stmt: &Stmt, index: usize, vars: &mut Vec<VarInfo>) {
+    fn stmt(&mut self, stmt: &'a Stmt, index: usize, vars: &mut Vec<VarRef<'a>>) {
         match stmt {
             Stmt::If { then_blk, else_blk, .. } => {
-                self.nested(Seg::Then(index), then_blk, vars);
+                self.nested(Seg::Then(index), &then_blk.stmts, vars);
                 if let Some(else_blk) = else_blk {
-                    self.nested(Seg::Else(index), else_blk, vars);
+                    self.nested(Seg::Else(index), &else_blk.stmts, vars);
                 }
             }
             Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
                 self.loop_depth += 1;
-                self.nested(Seg::Body(index), body, vars);
+                self.nested(Seg::Body(index), &body.stmts, vars);
                 self.loop_depth -= 1;
             }
             Stmt::For { init, body, .. } => {
                 // The loop variable (if any) is visible inside the body.
                 let base = vars.len();
                 if let Some(Stmt::VarDecl { name, ty, .. }) = init.as_deref() {
-                    vars.push(VarInfo { name: name.clone(), ty: ty.clone(), is_param: false });
+                    vars.push(VarRef { name, ty, is_param: false });
                 }
                 self.loop_depth += 1;
-                self.nested(Seg::Body(index), body, vars);
+                self.nested(Seg::Body(index), &body.stmts, vars);
                 self.loop_depth -= 1;
                 vars.truncate(base);
             }
@@ -183,33 +288,18 @@ impl Walker<'_> {
                     // arm are not offered to later arms; fall-through code
                     // that uses them still type-checks since the checker
                     // scopes arms separately).
-                    let base = vars.len();
-                    self.path.push(Seg::Case { stmt: index, case: case_idx });
-                    for (i, inner) in case.body.iter().enumerate() {
-                        self.emit(i, vars);
-                        self.stmt(inner, i, vars);
-                        if let Stmt::VarDecl { name, ty, .. } = inner {
-                            vars.push(VarInfo {
-                                name: name.clone(),
-                                ty: ty.clone(),
-                                is_param: false,
-                            });
-                        }
-                    }
-                    self.emit(case.body.len(), vars);
-                    self.path.pop();
-                    vars.truncate(base);
+                    self.nested(Seg::Case { stmt: index, case: case_idx }, &case.body, vars);
                 }
                 self.in_switch = was_in_switch;
             }
-            Stmt::Block(inner) => self.nested(Seg::Inner(index), inner, vars),
+            Stmt::Block(inner) => self.nested(Seg::Inner(index), &inner.stmts, vars),
             Stmt::Try { body, catch, finally } => {
-                self.nested(Seg::TryBody(index), body, vars);
+                self.nested(Seg::TryBody(index), &body.stmts, vars);
                 if let Some(catch) = catch {
-                    self.nested(Seg::Catch(index), catch, vars);
+                    self.nested(Seg::Catch(index), &catch.stmts, vars);
                 }
                 if let Some(finally) = finally {
-                    self.nested(Seg::Finally(index), finally, vars);
+                    self.nested(Seg::Finally(index), &finally.stmts, vars);
                 }
             }
             _ => {}
@@ -218,13 +308,16 @@ impl Walker<'_> {
 }
 
 /// Fallible variant of [`stmts_at_mut`], for callers holding paths that a
-/// mutation may have invalidated (e.g. the reducer).
+/// mutation may have invalidated (e.g. the reducer). The method body is
+/// copied first if another program shares it ([`Rc::make_mut`]), so the
+/// write lands in this program only; a path that does not match still
+/// leaves this program with its own copy of the body.
 pub fn try_stmts_at_mut<'a>(
     program: &'a mut Program,
     point: &ProgPoint,
 ) -> Option<&'a mut Vec<Stmt>> {
     let method = program.classes.get_mut(point.class)?.methods.get_mut(point.method)?;
-    let mut stmts: &mut Vec<Stmt> = &mut method.body.stmts;
+    let mut stmts: &mut Vec<Stmt> = &mut Rc::make_mut(&mut method.body).stmts;
     for seg in &point.path {
         stmts = match *seg {
             Seg::Then(i) => match stmts.get_mut(i)? {
@@ -267,55 +360,61 @@ pub fn try_stmts_at_mut<'a>(
 }
 
 /// Returns the statement list addressed by `point`'s path (not applying
-/// `point.index`). Panics if the path does not match the program shape;
-/// paths must come from [`collect_points`] on the same program.
+/// `point.index`), copying the method body first if another program
+/// shares it. Panics if the path does not match the program shape; paths
+/// must come from [`collect_points`] on the same program.
 pub fn stmts_at_mut<'a>(program: &'a mut Program, point: &ProgPoint) -> &'a mut Vec<Stmt> {
     try_stmts_at_mut(program, point).expect("path mismatch: the point is not in this program")
 }
 
-/// Immutable variant of [`stmts_at_mut`].
-pub fn stmts_at<'a>(program: &'a Program, point: &ProgPoint) -> &'a [Stmt] {
-    let method = &program.classes[point.class].methods[point.method];
+/// Read-only variant of [`try_stmts_at_mut`]: copies nothing.
+pub fn try_stmts_at<'a>(program: &'a Program, point: &ProgPoint) -> Option<&'a [Stmt]> {
+    let method = program.classes.get(point.class)?.methods.get(point.method)?;
     let mut stmts: &[Stmt] = &method.body.stmts;
     for seg in &point.path {
         stmts = match *seg {
-            Seg::Then(i) => match &stmts[i] {
+            Seg::Then(i) => match stmts.get(i)? {
                 Stmt::If { then_blk, .. } => &then_blk.stmts,
-                other => panic!("path mismatch: expected if, found {other:?}"),
+                _ => return None,
             },
-            Seg::Else(i) => match &stmts[i] {
+            Seg::Else(i) => match stmts.get(i)? {
                 Stmt::If { else_blk: Some(else_blk), .. } => &else_blk.stmts,
-                other => panic!("path mismatch: expected if/else, found {other:?}"),
+                _ => return None,
             },
-            Seg::Body(i) => match &stmts[i] {
+            Seg::Body(i) => match stmts.get(i)? {
                 Stmt::While { body, .. } | Stmt::DoWhile { body, .. } | Stmt::For { body, .. } => {
                     &body.stmts
                 }
-                other => panic!("path mismatch: expected loop, found {other:?}"),
+                _ => return None,
             },
-            Seg::Case { stmt, case } => match &stmts[stmt] {
-                Stmt::Switch { cases, .. } => &cases[case].body,
-                other => panic!("path mismatch: expected switch, found {other:?}"),
+            Seg::Case { stmt, case } => match stmts.get(stmt)? {
+                Stmt::Switch { cases, .. } => &cases.get(case)?.body,
+                _ => return None,
             },
-            Seg::TryBody(i) => match &stmts[i] {
+            Seg::TryBody(i) => match stmts.get(i)? {
                 Stmt::Try { body, .. } => &body.stmts,
-                other => panic!("path mismatch: expected try, found {other:?}"),
+                _ => return None,
             },
-            Seg::Catch(i) => match &stmts[i] {
+            Seg::Catch(i) => match stmts.get(i)? {
                 Stmt::Try { catch: Some(catch), .. } => &catch.stmts,
-                other => panic!("path mismatch: expected catch, found {other:?}"),
+                _ => return None,
             },
-            Seg::Finally(i) => match &stmts[i] {
+            Seg::Finally(i) => match stmts.get(i)? {
                 Stmt::Try { finally: Some(finally), .. } => &finally.stmts,
-                other => panic!("path mismatch: expected finally, found {other:?}"),
+                _ => return None,
             },
-            Seg::Inner(i) => match &stmts[i] {
+            Seg::Inner(i) => match stmts.get(i)? {
                 Stmt::Block(inner) => &inner.stmts,
-                other => panic!("path mismatch: expected block, found {other:?}"),
+                _ => return None,
             },
         };
     }
-    stmts
+    Some(stmts)
+}
+
+/// Read-only variant of [`stmts_at_mut`]; panics on the same mismatch.
+pub fn stmts_at<'a>(program: &'a Program, point: &ProgPoint) -> &'a [Stmt] {
+    try_stmts_at(program, point).expect("path mismatch: the point is not in this program")
 }
 
 /// Calls `f` on every expression in a statement (pre-order, including
@@ -452,89 +551,41 @@ pub fn walk_expr(expr: &Expr, f: &mut dyn FnMut(&Expr)) {
 /// Collects every (point, statement-contains-call) pair for calls to
 /// `class.method`: the returned points address the statements that contain
 /// at least one call to the target, so code can be inserted right before
-/// them (the paper's MI mutator). Sites come in [`collect_points`] order,
-/// but the walk visits statements directly: it copies a path only at a
-/// hit and never builds the in-scope variable lists the points carry.
+/// them (the paper's MI mutator). Sites come in [`collect_points`] order;
+/// the walk copies a path only at a hit and never builds the in-scope
+/// variable lists the points carry.
 pub fn call_sites(program: &Program, class_name: &str, method_name: &str) -> Vec<ProgPoint> {
-    let mut walk = SiteWalk { class_name, method_name, path: Vec::new(), sites: Vec::new() };
+    let mut sites = Vec::new();
     for (class, decl) in program.classes.iter().enumerate() {
-        for (method, decl) in decl.methods.iter().enumerate() {
-            walk.stmts(class, method, &decl.body.stmts);
+        for method in 0..decl.methods.len() {
+            walk_points_in(program, class, method, &mut |view| {
+                let stmt = view.stmts.get(view.index);
+                if stmt.is_some_and(|stmt| calls(stmt, class_name, method_name)) {
+                    sites.push(view.point());
+                }
+                ControlFlow::Continue(())
+            });
         }
     }
-    walk.sites
+    sites
 }
 
-struct SiteWalk<'a> {
-    class_name: &'a str,
-    method_name: &'a str,
-    path: Vec<Seg>,
-    sites: Vec<ProgPoint>,
-}
-
-impl SiteWalk<'_> {
-    fn stmts(&mut self, class: usize, method: usize, stmts: &[Stmt]) {
-        for (index, stmt) in stmts.iter().enumerate() {
-            if self.calls_target(stmt) {
-                self.sites.push(ProgPoint { class, method, path: self.path.clone(), index });
-            }
-            // Nested blocks in `Walker::stmt` order.
-            match stmt {
-                Stmt::If { then_blk, else_blk, .. } => {
-                    self.nested(class, method, Seg::Then(index), &then_blk.stmts);
-                    if let Some(else_blk) = else_blk {
-                        self.nested(class, method, Seg::Else(index), &else_blk.stmts);
-                    }
-                }
-                Stmt::While { body, .. } | Stmt::DoWhile { body, .. } | Stmt::For { body, .. } => {
-                    self.nested(class, method, Seg::Body(index), &body.stmts);
-                }
-                Stmt::Switch { cases, .. } => {
-                    for (case_idx, case) in cases.iter().enumerate() {
-                        let seg = Seg::Case { stmt: index, case: case_idx };
-                        self.nested(class, method, seg, &case.body);
-                    }
-                }
-                Stmt::Block(inner) => self.nested(class, method, Seg::Inner(index), &inner.stmts),
-                Stmt::Try { body, catch, finally } => {
-                    self.nested(class, method, Seg::TryBody(index), &body.stmts);
-                    if let Some(catch) = catch {
-                        self.nested(class, method, Seg::Catch(index), &catch.stmts);
-                    }
-                    if let Some(finally) = finally {
-                        self.nested(class, method, Seg::Finally(index), &finally.stmts);
-                    }
-                }
-                _ => {}
-            }
+/// Whether `stmt`, nested statements included, calls `class.method`.
+fn calls(stmt: &Stmt, class_name: &str, method_name: &str) -> bool {
+    let mut found = false;
+    for_each_expr_in_stmt(stmt, &mut |e| match e {
+        Expr::StaticCall { class, method, .. } if class == class_name && method == method_name => {
+            found = true;
         }
-    }
-
-    fn nested(&mut self, class: usize, method: usize, seg: Seg, stmts: &[Stmt]) {
-        self.path.push(seg);
-        self.stmts(class, method, stmts);
-        self.path.pop();
-    }
-
-    /// Whether `stmt`, nested statements included, calls the target.
-    fn calls_target(&self, stmt: &Stmt) -> bool {
-        let mut found = false;
-        for_each_expr_in_stmt(stmt, &mut |e| match e {
-            Expr::StaticCall { class, method, .. }
-                if class == self.class_name && method == self.method_name =>
-            {
-                found = true;
-            }
-            Expr::InstCall { method, .. } if method == self.method_name => {
-                // Receiver-class match is validated by the mutator, which
-                // knows the receiver's static type; method names are unique
-                // enough in practice for site collection.
-                found = true;
-            }
-            _ => {}
-        });
-        found
-    }
+        Expr::InstCall { method, .. } if method == method_name => {
+            // Receiver-class match is validated by the mutator, which
+            // knows the receiver's static type; method names are unique
+            // enough in practice for site collection.
+            found = true;
+        }
+        _ => {}
+    });
+    found
 }
 
 #[cfg(test)]
@@ -613,6 +664,37 @@ mod tests {
         assert_eq!(sites.len(), 1);
         let stmts = stmts_at(&program, &sites[0]);
         assert!(matches!(stmts[sites[0].index], Stmt::Println(_)));
+    }
+
+    /// Building one point, by position or by its coordinates, gives
+    /// what enumerating them all gives for it.
+    #[test]
+    fn single_points_match_the_enumeration() {
+        let program = parse_and_check(SRC).unwrap();
+        let points = collect_points(&program);
+        let mut checked = 0;
+        for (class, decl) in program.classes.iter().enumerate() {
+            for method in 0..decl.methods.len() {
+                let ours =
+                    points.iter().filter(|p| (p.point.class, p.point.method) == (class, method));
+                for (n, expected) in ours.enumerate() {
+                    for built in [
+                        nth_point_in(&program, class, method, n).unwrap(),
+                        point_info(&program, &expected.point).unwrap(),
+                    ] {
+                        assert_eq!(built.point, expected.point);
+                        assert_eq!(built.vars, expected.vars);
+                        assert_eq!(built.loop_depth, expected.loop_depth);
+                        assert_eq!(built.in_switch, expected.in_switch);
+                    }
+                    checked += 1;
+                }
+                let past =
+                    points.iter().filter(|p| (p.point.class, p.point.method) == (class, method));
+                assert!(nth_point_in(&program, class, method, past.count()).is_none());
+            }
+        }
+        assert_eq!(checked, points.len());
     }
 
     #[test]

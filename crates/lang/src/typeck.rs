@@ -24,6 +24,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::mem::take;
+use std::rc::Rc;
 
 use crate::ast::*;
 use crate::ty::Ty;
@@ -148,7 +149,7 @@ pub fn check(program: &mut Program) -> Result<(), FrontError> {
 
 /// Type-checks a program without writing to it and returns it resolved:
 /// the program itself when it holds no bare name, otherwise a resolved
-/// copy.
+/// copy, which shares every method body that holds none with `program`.
 pub fn checked(program: &Program) -> Result<Cow<'_, Program>, FrontError> {
     let table = ClassTable::build(program)?;
     let bare_names = check_program(&table, program)?;
@@ -230,7 +231,9 @@ fn resolve(table: &ClassTable, program: &mut Program, bare_names: &[bool]) {
             for param in params.iter() {
                 resolver.names.declare(&param.name, ());
             }
-            resolver.stmts(&mut body.stmts);
+            // The checker found a bare name here, so this body is written
+            // to: a body a mutant still shares with its seed holds none.
+            resolver.stmts(&mut Rc::make_mut(body).stmts);
         }
     }
 }

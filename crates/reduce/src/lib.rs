@@ -221,7 +221,7 @@ fn try_drop_statements(current: &mut Program, ctx: &mut Ctx) -> bool {
         let mut round_changed = false;
         for block_point in blocks {
             // Earlier removals may have invalidated this path; skip then.
-            let Some(stmts) = cse_lang::scope::try_stmts_at_mut(current, &block_point) else {
+            let Some(stmts) = cse_lang::scope::try_stmts_at(current, &block_point) else {
                 continue;
             };
             let len = stmts.len();
@@ -231,7 +231,7 @@ fn try_drop_statements(current: &mut Program, ctx: &mut Ctx) -> bool {
             let mut chunk = len;
             while chunk >= 1 {
                 let mut start = 0;
-                while let Some(stmts) = cse_lang::scope::try_stmts_at_mut(current, &block_point) {
+                while let Some(stmts) = cse_lang::scope::try_stmts_at(current, &block_point) {
                     if start >= stmts.len() {
                         break;
                     }

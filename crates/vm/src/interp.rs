@@ -526,7 +526,7 @@ impl Vm<'_> {
         // Already OSR-compiled at (or beyond) this tier for this header?
         // `osr_execute` below will find it; recompiling is idempotent via
         // the code cache.
-        if !jit::can_osr(self.program, id, to) {
+        if !self.facts().depths.can_osr(self.program, id, to) {
             return Ok(None);
         }
         self.ensure_compiled(id, tier, Some(to), true, CompileReason::Osr { header: to })?;

@@ -8,6 +8,7 @@
 //! block. Tier-2 compilations of profiled code replace never-taken branch
 //! and switch successors with uncommon-trap blocks.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use cse_bytecode::{BMethod, BProgram, Insn, MethodId};
@@ -25,26 +26,59 @@ const MIN_PROFILE: u64 = 8;
 /// Placeholder for unpatched jump targets.
 const DEAD: u32 = u32::MAX;
 
-/// Whether OSR entry is possible at `header` (the abstract operand stack
-/// must be empty there, so interpreter locals fully describe the state).
-pub(crate) fn can_osr(program: &BProgram, method: MethodId, header: u32) -> bool {
-    let m = program.method(method);
-    stack_depths(program, m).get(header as usize).map(|&d| d == 0).unwrap_or(false)
+/// The abstract operand-stack depth at every bytecode pc of every method
+/// of one program, each method's computed the first time it is asked for
+/// and kept: a program's root compiles, inlined frames and interpreter
+/// OSR checks all read the same few methods' depths.
+pub(crate) struct StackDepths {
+    methods: Vec<OnceCell<Vec<i32>>>,
 }
 
-/// Builds the IR for `method`, optionally as an OSR variant.
+impl StackDepths {
+    /// Depths of `program`, none computed yet.
+    pub fn new(program: &BProgram) -> StackDepths {
+        StackDepths {
+            methods: std::iter::repeat_with(OnceCell::new).take(program.methods.len()).collect(),
+        }
+    }
+
+    /// The depths of `method` (−1 = unreachable), as `stack_depths`
+    /// computes them. `program` must be the program these are for.
+    pub fn of(&self, program: &BProgram, method: MethodId) -> &[i32] {
+        debug_assert_eq!(self.methods.len(), program.methods.len(), "depths of another program");
+        self.methods[method.0 as usize]
+            .get_or_init(|| stack_depths(program, program.method(method)))
+    }
+
+    /// Whether OSR entry is possible at `header` (the abstract operand
+    /// stack must be empty there, so interpreter locals fully describe
+    /// the state).
+    pub(crate) fn can_osr(&self, program: &BProgram, method: MethodId, header: u32) -> bool {
+        self.of(program, method).get(header as usize).is_some_and(|&d| d == 0)
+    }
+}
+
+/// Registers an operand stack needs: its deepest point plus two spare.
+fn stack_regs(depths: &[i32]) -> u32 {
+    depths.iter().copied().max().unwrap_or(0).max(0) as u32 + 2
+}
+
+/// Builds the IR for `method`, optionally as an OSR variant, reading
+/// operand-stack depths from `depths`.
 pub(super) fn build(
     ctx: &CompileCtx<'_>,
+    depths: &StackDepths,
     method: MethodId,
     osr: Option<u32>,
 ) -> Result<IrFunc, CompileFail> {
     if let Some(header) = osr {
-        if !can_osr(ctx.program, method, header) {
+        if !depths.can_osr(ctx.program, method, header) {
             return Err(CompileFail::OsrUnsupported);
         }
     }
     let mut builder = Builder {
         ctx,
+        depths,
         blocks: Vec::new(),
         frames: Vec::new(),
         handlers: Vec::new(),
@@ -57,9 +91,7 @@ pub(super) fn build(
     builder.blocks.push(Block { insts: vec![], term: Term::Jump(DEAD) });
     let m = ctx.program.method(method);
     let local_base = builder.alloc_regs(u32::from(m.num_locals));
-    let depths = stack_depths(ctx.program, m);
-    let max_stack = depths.iter().copied().max().unwrap_or(0).max(0) as u32 + 2;
-    let stack_base = builder.alloc_regs(max_stack);
+    let stack_base = builder.alloc_regs(stack_regs(depths.of(ctx.program, method)));
     let speculate = ctx.speculate && ctx.optimizing();
     let entry_map = builder
         .translate_frame(method, local_base, stack_base, None, None, speculate)
@@ -81,6 +113,7 @@ pub(super) fn build(
 
 struct Builder<'a, 'p> {
     ctx: &'a CompileCtx<'p>,
+    depths: &'a StackDepths,
     blocks: Vec<Block>,
     frames: Vec<InlineFrame>,
     handlers: Vec<IrHandler>,
@@ -139,7 +172,7 @@ impl Builder<'_, '_> {
             parent,
         });
         self.anchors.push((local_base, local_base + u32::from(m.num_locals)));
-        let depths = stack_depths(self.ctx.program, m);
+        let depths = self.depths.of(self.ctx.program, method);
         let profile = &self.ctx.profiles[method.0 as usize];
 
         // Leaders: entry, branch targets, fall-throughs after control
@@ -515,10 +548,8 @@ impl Builder<'_, '_> {
                                 ));
                             }
                             let callee_locals = self.alloc_regs(u32::from(callee_m.num_locals));
-                            let callee_depths = stack_depths(self.ctx.program, callee_m);
-                            let callee_max =
-                                callee_depths.iter().copied().max().unwrap_or(0).max(0) as u32 + 2;
-                            let callee_stack = self.alloc_regs(callee_max);
+                            let callee_depths = self.depths.of(self.ctx.program, callee);
+                            let callee_stack = self.alloc_regs(stack_regs(callee_depths));
                             for (i, &arg) in args.iter().enumerate() {
                                 emit(
                                     &mut self.blocks,
@@ -724,5 +755,34 @@ fn stack_delta(program: &BProgram, insn: &Insn) -> i32 {
             let ret = i32::from(callee.ret != cse_lang::Ty::Void);
             ret - callee.arg_slots() as i32
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every method's memoized depths, asked for in reverse order and
+    /// twice, equal a fresh [`stack_depths`] over that method.
+    #[test]
+    fn memoized_depths_equal_fresh_ones() {
+        let fuzz = cse_fuzz::FuzzConfig::default();
+        let mut methods = 0;
+        for seed in 0..40 {
+            let program = cse_bytecode::compile(&cse_fuzz::generate(seed, &fuzz)).unwrap();
+            let memo = StackDepths::new(&program);
+            for _ in 0..2 {
+                for (id, method) in program.methods.iter().enumerate().rev() {
+                    let id = MethodId(id as u32);
+                    assert_eq!(
+                        memo.of(&program, id),
+                        stack_depths(&program, method),
+                        "seed {seed}"
+                    );
+                    methods += 1;
+                }
+            }
+        }
+        assert!(methods > 80, "calibration: {methods} methods");
     }
 }

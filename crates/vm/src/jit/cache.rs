@@ -22,6 +22,13 @@
 //! programs: [`SharedArtifactCache::attach`] decodes its program once,
 //! and every run of that program shares the result.
 //!
+//! Attaching computes nothing else. The cache keys (unit digests), the
+//! method keys coverage features name, and the operand-stack depths the
+//! IR builder and OSR checks read are per-method facts of the attached
+//! program (`ProgramFacts`): each is computed the first time a run of
+//! the program asks for it, and kept for every later run. A run compiles
+//! a few methods of its program, so most facts are never computed.
+//!
 //! # Soundness
 //!
 //! A cache hit must be indistinguishable from a fresh compilation — not
@@ -54,19 +61,21 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cse_bytecode::{BProgram, DecodedProgram, Fnv, ProgramDigests};
+use cse_bytecode::{BProgram, DecodedProgram, Fnv, LazyDigests};
 
 use crate::config::{Tier, VmConfig};
 use crate::exec::CrashInfo;
 use crate::jit::hash::FastMap;
 use crate::jit::ir::IrFunc;
+use crate::jit::StackDepths;
 
 /// Everything that distinguishes one compilation from another, across
 /// arbitrary programs (see the module docs for the soundness argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ArtifactKey {
-    /// `ProgramDigests::units[root]` — the content digest of the whole
-    /// compilation unit (root + static call closure, both digest layers).
+    /// `ProgramDigests::units[root]` (read through `LazyDigests::unit`) —
+    /// the content digest of the whole compilation unit (root + static
+    /// call closure, both digest layers).
     pub unit: u64,
     pub tier: Tier,
     pub osr: Option<u32>,
@@ -112,12 +121,13 @@ impl SharedArtifactCache {
         Rc::new(SharedArtifactCache { code: RefCell::new(FastMap::default()) })
     }
 
-    /// Binds this cache to one program: computes the program's content
-    /// digests (the cache keys) and decodes it once for all its runs.
+    /// Binds this cache to one program: decodes it once for all its
+    /// runs. The program's digests (the cache keys) and stack depths are
+    /// left to be computed on first use (`ProgramFacts`).
     pub fn attach(self: &Rc<Self>, program: &BProgram) -> ProgramArtifacts {
         ProgramArtifacts {
             cache: self.clone(),
-            digests: Rc::new(ProgramDigests::compute(program)),
+            facts: Rc::new(ProgramFacts::new(program)),
             decoded: Rc::new(DecodedProgram::decode(program)),
         }
     }
@@ -148,14 +158,30 @@ impl SharedArtifactCache {
     }
 }
 
+/// Per-method facts of one program, shared by every run of it and each
+/// computed the first time a run asks for it: the content digests (cache
+/// keys and coverage features) and the operand-stack depths (IR building
+/// and OSR checks).
+pub(crate) struct ProgramFacts {
+    pub digests: LazyDigests,
+    pub depths: StackDepths,
+}
+
+impl ProgramFacts {
+    /// Facts of `program`, none computed yet.
+    pub fn new(program: &BProgram) -> ProgramFacts {
+        ProgramFacts { digests: LazyDigests::new(program), depths: StackDepths::new(program) }
+    }
+}
+
 /// One program bound to a [`SharedArtifactCache`]: the cache handle, the
-/// program's content digests, and its decoded form, shared by every run
+/// program's per-method facts, and its decoded form, shared by every run
 /// of the program. Cheap to clone; everything inside is refcounted.
 #[derive(Clone)]
 pub struct ProgramArtifacts {
     pub(crate) cache: Rc<SharedArtifactCache>,
-    /// The program's content digests (the cache keys).
-    pub(crate) digests: Rc<ProgramDigests>,
+    /// The program's digests (the cache keys) and stack depths.
+    pub(crate) facts: Rc<ProgramFacts>,
     pub(crate) decoded: Rc<DecodedProgram>,
 }
 

@@ -34,7 +34,7 @@ use crate::exec::{CrashInfo, CrashKind, CrashPhase};
 use crate::faults::{BugId, FaultInjector};
 use crate::profile::MethodProfile;
 
-pub(crate) use build::can_osr;
+pub(crate) use build::StackDepths;
 pub use cache::{ProgramArtifacts, SharedArtifactCache};
 pub(crate) use exec::run_ir;
 pub use exec::IrOutcome;
@@ -102,7 +102,7 @@ pub enum CompileFail {
     /// An injected bug fired during compilation.
     Crash(CrashInfo),
     /// The requested OSR header cannot host an OSR entry (non-empty
-    /// abstract stack); callers gate on the crate-internal `can_osr`.
+    /// abstract stack); callers gate on `StackDepths::can_osr`.
     OsrUnsupported,
 }
 
@@ -119,6 +119,9 @@ pub enum CompileFail {
 /// Builds with debug assertions also check the IR after `build()` and
 /// after every pass, whatever `ctx.verify` says, and panic on a defect
 /// (`verify::assert_well_formed`).
+///
+/// Operand-stack depths are computed for this compile only; a VM reads
+/// them from its program's `StackDepths`, shared by all its compiles.
 pub fn compile(
     ctx: &CompileCtx<'_>,
     method: MethodId,
@@ -126,7 +129,20 @@ pub fn compile(
     defects: &mut Vec<verify::IrVerifyError>,
     tv_reports: &mut Vec<tv::TvReport>,
 ) -> Result<ir::IrFunc, CompileFail> {
-    let mut func = build::build(ctx, method, osr)?;
+    compile_with(ctx, &StackDepths::new(ctx.program), method, osr, defects, tv_reports)
+}
+
+/// [`compile`], reading operand-stack depths from `depths`, which must be
+/// the depths of `ctx.program`.
+pub(crate) fn compile_with(
+    ctx: &CompileCtx<'_>,
+    depths: &StackDepths,
+    method: MethodId,
+    osr: Option<u32>,
+    defects: &mut Vec<verify::IrVerifyError>,
+    tv_reports: &mut Vec<tv::TvReport>,
+) -> Result<ir::IrFunc, CompileFail> {
+    let mut func = build::build(ctx, depths, method, osr)?;
     if cfg!(debug_assertions) {
         verify::assert_well_formed(&func, ctx.program, verify::PASS_BUILD, None);
     }

@@ -204,7 +204,9 @@ mod tests {
             tv: TvMode::Off,
             fired: std::cell::Cell::new(0),
         };
-        let mut func = super::super::build::build(&ctx, cse_bytecode::MethodId(0), None).unwrap();
+        let depths = super::super::StackDepths::new(ctx.program);
+        let mut func =
+            super::super::build::build(&ctx, &depths, cse_bytecode::MethodId(0), None).unwrap();
         let passes: &[Pass] = &[("copyprop", run_copyprop), ("dangle", dangle), ("dce", run_dce)];
         let _ = run_pipeline(&ctx, passes, &mut func, &mut Vec::new());
     }

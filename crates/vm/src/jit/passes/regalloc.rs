@@ -262,8 +262,9 @@ mod tests {
                         tv: TvMode::Off,
                         fired: std::cell::Cell::new(0),
                     };
+                    let depths = crate::jit::StackDepths::new(&bytecode);
                     for method in (0..bytecode.methods.len() as u32).map(MethodId) {
-                        let built = crate::jit::build::build(&ctx, method, None).unwrap();
+                        let built = crate::jit::build::build(&ctx, &depths, method, None).unwrap();
                         let compiled =
                             crate::jit::compile(&ctx, method, None, &mut vec![], &mut vec![])
                                 .unwrap();

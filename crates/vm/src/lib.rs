@@ -132,9 +132,11 @@ pub struct Vm<'p> {
     /// [`jit::SharedArtifactCache`]); `None` compiles everything per-run
     /// as before.
     code_cache: Option<Rc<jit::SharedArtifactCache>>,
-    /// The program's content digests (present exactly when `code_cache`
-    /// is), providing the unit digests that key shared compilations.
-    digests: Option<Rc<cse_bytecode::ProgramDigests>>,
+    /// Per-method facts of `program` (digests, stack depths), each
+    /// computed on first use: the attached [`ProgramArtifacts`]' facts,
+    /// shared with every run of the program, or this run's own, made when
+    /// first asked for.
+    facts: Option<Rc<jit::cache::ProgramFacts>>,
     /// Compilation-relevant configuration fingerprint, precomputed for
     /// cache keys.
     env_fp: u64,
@@ -203,7 +205,7 @@ impl<'p> Vm<'p> {
             next_side_check: WATCHDOG_STRIDE.min(chaos_panic_at),
             chaos_panic_at,
             code_cache: None,
-            digests: None,
+            facts: None,
             env_fp,
             ir_verify: Vec::new(),
             tv: Vec::new(),
@@ -219,12 +221,12 @@ impl<'p> Vm<'p> {
     /// decoded program with every run of this program.
     pub fn with_artifacts(mut self, artifacts: &jit::ProgramArtifacts) -> Vm<'p> {
         debug_assert_eq!(
-            artifacts.digests.methods.len(),
+            artifacts.decoded.methods.len(),
             self.program.methods.len(),
             "artifacts attached to a different program"
         );
         self.decoded = Some(artifacts.decoded.clone());
-        self.digests = Some(artifacts.digests.clone());
+        self.facts = Some(artifacts.facts.clone());
         self.code_cache = Some(artifacts.cache.clone());
         self
     }
@@ -727,18 +729,22 @@ impl<'p> Vm<'p> {
         self.compiled.get(&CodeKey { method, tier, osr }).cloned()
     }
 
-    /// Content digests for coverage features: reuses the digests the
-    /// attached artifact cache already computed, or computes (and
-    /// caches) them on first use. Caching them here never enables the
-    /// shared code cache — cache probes require `code_cache` *and*
-    /// `digests` to both be present.
-    fn coverage_digests(&mut self) -> Rc<cse_bytecode::ProgramDigests> {
-        if let Some(digests) = &self.digests {
-            return digests.clone();
+    /// The program's per-method facts: the attached artifacts' (shared
+    /// with every run of the program), or this run's own, made on first
+    /// use. Having facts never enables the shared code cache — cache
+    /// probes require `code_cache`.
+    pub(crate) fn facts(&mut self) -> Rc<jit::cache::ProgramFacts> {
+        if let Some(facts) = &self.facts {
+            return facts.clone();
         }
-        let digests = Rc::new(cse_bytecode::ProgramDigests::compute(self.program));
-        self.digests = Some(digests.clone());
-        digests
+        let facts = Rc::new(jit::cache::ProgramFacts::new(self.program));
+        self.facts = Some(facts.clone());
+        facts
+    }
+
+    /// The content-digest key of `method`, for coverage features.
+    fn method_key(&mut self, method: MethodId) -> u64 {
+        self.facts().digests.method_key(self.program, method.0 as usize)
     }
 
     /// Emits the coverage features of one (method, tier) compilation:
@@ -747,15 +753,14 @@ impl<'p> Vm<'p> {
     /// for cross-run cache hits too — a hit replays the original
     /// compilation, passes and all.
     fn record_compile_coverage(&mut self, method: MethodId, tier: Tier, osr: bool, func: &IrFunc) {
-        let digests = self.coverage_digests();
-        let key = digests.methods[method.0 as usize].key();
+        let key = self.method_key(method);
         self.coverage.insert(coverage::feat_compile(key, tier.0, osr));
         let optimizing = tier.0 >= 2 || self.config.kind == VmKind::ArtLike;
         for (name, _) in jit::passes::pipeline(self.config.kind, optimizing) {
             self.coverage.insert(coverage::feat_pass(key, tier.0, name));
         }
         for frame in func.frames.iter().skip(1) {
-            let callee = digests.methods[frame.method.0 as usize].key();
+            let callee = self.method_key(frame.method);
             self.coverage.insert(coverage::feat_inline(key, callee, tier.0));
         }
     }
@@ -778,19 +783,17 @@ impl<'p> Vm<'p> {
         // the key (see the soundness notes on `jit::cache`), so a hit is
         // indistinguishable from compiling — it still records the event
         // and counts as a compilation, it only skips the work.
+        let facts = self.facts();
         let shared = self.code_cache.clone();
-        let shared_key = match (&shared, &self.digests) {
-            (Some(_), Some(digests)) => Some(jit::cache::ArtifactKey {
-                unit: digests.units[method.0 as usize],
-                tier,
-                osr,
-                speculate,
-                has_osr_code,
-                profile_fp: self.profiles[method.0 as usize].compile_fingerprint(),
-                env_fp: self.env_fp,
-            }),
-            _ => None,
-        };
+        let shared_key = shared.as_ref().map(|_| jit::cache::ArtifactKey {
+            unit: facts.digests.unit(self.program, method.0 as usize),
+            tier,
+            osr,
+            speculate,
+            has_osr_code,
+            profile_fp: self.profiles[method.0 as usize].compile_fingerprint(),
+            env_fp: self.env_fp,
+        });
         if let (Some(cache), Some(k)) = (&shared, &shared_key) {
             if let Some(entry) = cache.lookup(k) {
                 // Replay every observable side effect of the original
@@ -819,7 +822,9 @@ impl<'p> Vm<'p> {
         // compile's fired-bug mask.
         let mut defects = Vec::new();
         let mut tv_reports = Vec::new();
-        let result = match jit::compile(&ctx, method, osr, &mut defects, &mut tv_reports) {
+        let compiled =
+            jit::compile_with(&ctx, &facts.depths, method, osr, &mut defects, &mut tv_reports);
+        let result = match compiled {
             Ok(func) => {
                 if Settings::get().dump_ir {
                     eprintln!(
@@ -926,7 +931,7 @@ impl<'p> Vm<'p> {
             invocation: self.invocations[id.0 as usize],
         });
         if self.config.coverage {
-            let key = self.coverage_digests().methods[id.0 as usize].key();
+            let key = self.method_key(id);
             self.coverage.insert(coverage::feat_deopt(key, tier.0, bc_pc, &format!("{reason:?}")));
         }
         let prof = &mut self.profiles[id.0 as usize];

@@ -2,7 +2,9 @@
 //!
 //! Reads the self-contained `incident_*.mj` repro files a supervised
 //! campaign quarantined, reconstructs the incidents (phase, seeds, VM
-//! profile, panic payload, program source), and runs the same triage
+//! profile, panic payload, program source; a static-oracle file also
+//! stands for every later incident of its signature, one occurrence line
+//! each), and runs the same triage
 //! pipeline a campaign runs at completion: signature-based dedup,
 //! budget-bounded reduction, and one replay of the written repro for the
 //! verdict. Reduced repros
@@ -63,7 +65,7 @@ fn main() -> ExitCode {
     for path in &paths {
         match std::fs::read_to_string(path) {
             Ok(text) => match parse_quarantined_incident(&text) {
-                Some(raised) => incidents.push(raised),
+                Some(raised) => incidents.extend(raised),
                 None => eprintln!("triage: skipping unparsable {}", path.display()),
             },
             Err(e) => eprintln!("triage: skipping {}: {e}", path.display()),

@@ -3,14 +3,20 @@
 //! binary over a quarantine directory, and digest stability across
 //! worker counts.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use cse_core::campaign::{run_campaign, CampaignConfig};
-use cse_core::supervisor::{quarantine_incident, ChaosConfig, HarnessIncident, IncidentPhase};
-use cse_core::{shrink_plan, signature_of, triage_incidents, TriageConfig, Verdict};
+use cse_core::supervisor::{
+    parse_quarantined_incident, quarantine_incident, ChaosConfig, HarnessIncident, IncidentPhase,
+};
+use cse_core::{
+    shrink_plan, signature_of, triage_campaign, triage_incidents, CoveragePolicy, TriageConfig,
+    TriageReport, Verdict,
+};
 use cse_reduce::{reduce_with, ReduceConfig};
 use cse_vm::supervise::supervised_run;
-use cse_vm::{ExecMode, ForcedPlan, TvMode, VmConfig, VmKind};
+use cse_vm::{ExecMode, ForcedPlan, TvMode, VerifyMode, VmConfig, VmKind};
 
 /// A unique scratch directory per test (tests share one process).
 fn scratch(test: &str) -> PathBuf {
@@ -98,6 +104,58 @@ fn resumed_finished_campaign_reproduces_triage_digest() {
         resumed.triage.as_ref().map(|t| t.digest())
     );
     assert_eq!(first.totals.triage_reports, resumed.totals.triage_reports);
+}
+
+/// Every occurrence and seed of each signature, from a triage report.
+fn occurrences_by_signature(report: &TriageReport) -> BTreeMap<String, (usize, Vec<u64>)> {
+    let groups = report.reports.iter().chain(&report.suppressed);
+    groups
+        .map(|group| {
+            let mut seeds = group.seeds.clone();
+            seeds.sort_unstable();
+            (group.signature.to_string(), (group.occurrences, seeds))
+        })
+        .collect()
+}
+
+/// Triage over a guided, TV-on campaign's quarantine directory, read the
+/// way the `triage` binary reads it, counts every occurrence of every
+/// signature that in-campaign triage counts, although only a signature's
+/// first incident writes a repro file. Quarantining is not digested.
+#[test]
+fn quarantine_directory_triage_counts_every_occurrence() {
+    let dir = scratch("occurrences");
+    let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, 6)
+        .with_coverage(CoveragePolicy::Guide)
+        .with_jobs(2);
+    config.vm.tv = TvMode::Boundary;
+    config.vm.verify_ir = VerifyMode::Boundary;
+    let mut supervised = config.clone();
+    supervised.supervisor.quarantine_dir = Some(dir.clone());
+    let result = run_campaign(&supervised);
+    assert_eq!(result.digest(&supervised), run_campaign(&config).digest(&config));
+
+    let tcfg = TriageConfig { max_reduce_steps: 1, jobs: 1 };
+    let in_campaign =
+        occurrences_by_signature(&triage_campaign(&supervised, &tcfg, &result.incidents));
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("quarantine dir")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("incident_"))
+        .collect();
+    paths.sort();
+    let mut incidents = Vec::new();
+    for path in &paths {
+        let text = std::fs::read_to_string(path).unwrap();
+        incidents.extend(parse_quarantined_incident(&text).expect("parses"));
+    }
+    assert_eq!(incidents.len(), result.incidents.len(), "one incident per campaign incident");
+    let from_files = occurrences_by_signature(&triage_incidents(&incidents, &tcfg, None));
+    let recurring = in_campaign.values().filter(|(n, seeds)| *n > 1 && seeds[0] < seeds[*n - 1]);
+    assert!(recurring.count() > 0, "calibration: a signature must recur across seeds");
+    assert!(paths.len() < result.incidents.len(), "calibration: one file per signature");
+    assert_eq!(from_files, in_campaign);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The reducer's step budget is a hard bound: an adversarial predicate
